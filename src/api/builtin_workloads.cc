@@ -1,10 +1,9 @@
 // The four paper case studies (§4), expressed as registry workloads built
-// with StudyBuilder. These definitions are the canonical ones — the legacy
-// core::make_*_study free functions are thin deprecated shims over this
-// registry — and reproduce the exact exploration-space shape of the seed:
-// Route over 7 networks x 2 radix-table sizes (1400 exhaustive
-// simulations), URL over 5 networks (500), IPchains over 7 networks x 3
-// rule-set sizes (2100), DRR over 5 networks (500).
+// with StudyBuilder. These definitions are the canonical ones and
+// reproduce the exact exploration-space shape of the seed: Route over 7
+// networks x 2 radix-table sizes (1400 exhaustive simulations), URL over 5
+// networks (500), IPchains over 7 networks x 3 rule-set sizes (2100), DRR
+// over 5 networks (500).
 #include "api/registry.h"
 #include "api/study_builder.h"
 #include "apps/drr/drr_app.h"
@@ -96,35 +95,3 @@ void register_builtin_workloads(StudyRegistry& registry) {
 }
 
 }  // namespace ddtr::api::detail
-
-// Deprecated shims declared in core/case_studies.h. They are defined here,
-// in the api layer, so core never includes upward into api; they resolve
-// through the registry to the exact definitions above.
-namespace ddtr::core {
-
-CaseStudy make_route_study(const CaseStudyOptions& options) {
-  return api::registry().make_study("route", options);
-}
-
-CaseStudy make_url_study(const CaseStudyOptions& options) {
-  return api::registry().make_study("url", options);
-}
-
-CaseStudy make_ipchains_study(const CaseStudyOptions& options) {
-  return api::registry().make_study("ipchains", options);
-}
-
-CaseStudy make_drr_study(const CaseStudyOptions& options) {
-  return api::registry().make_study("drr", options);
-}
-
-std::vector<CaseStudy> make_all_case_studies(
-    const CaseStudyOptions& options) {
-  std::vector<CaseStudy> studies;
-  for (const std::string& name : api::registry().names()) {
-    studies.push_back(api::registry().make_study(name, options));
-  }
-  return studies;
-}
-
-}  // namespace ddtr::core

@@ -1,14 +1,8 @@
 #include "api/exploration.h"
 
-#include <exception>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
-#include <vector>
 
 #include "core/case_studies.h"
-#include "dist/barrier.h"
-#include "dist/segment_merger.h"
 
 namespace ddtr::api {
 
@@ -58,39 +52,13 @@ Exploration& Exploration::shard(std::size_t index, std::size_t count) {
   return *this;
 }
 
-Exploration& Exploration::step1_sharded(bool enabled) {
-  options_.step1_sharded = enabled;
-  return *this;
-}
-
-Exploration& Exploration::barrier_timeout(std::chrono::milliseconds timeout) {
-  barrier_timeout_ = timeout;
-  return *this;
-}
-
-Exploration& Exploration::workers(std::size_t count) {
-  workers_ = count == 0 ? 1 : count;
-  return *this;
-}
-
 Exploration& Exploration::on_progress(core::ProgressObserver observer) {
   options_.progress = std::move(observer);
   return *this;
 }
 
-Exploration& Exploration::shared_cache(core::SimulationCache* cache) {
-  options_.shared_cache = cache;
-  return *this;
-}
-
-Exploration& Exploration::shared_persistent(
-    core::PersistentSimulationCache* persistent) {
-  options_.shared_persistent = persistent;
-  return *this;
-}
-
-Exploration& Exploration::shared_pool(support::ThreadPool* pool) {
-  options_.shared_pool = pool;
+Exploration& Exploration::shared_state(core::SharedState* state) {
+  options_.shared = state;
   return *this;
 }
 
@@ -118,103 +86,6 @@ const core::ExplorationReport& Exploration::run() {
   // observer), a stale report from an earlier run must not masquerade as
   // the new configuration's result.
   report_.reset();
-  if (workers_ > 1) {
-    if (options_.shard_count > 1) {
-      throw std::invalid_argument(
-          "Exploration: workers() and shard() are mutually exclusive — a "
-          "shard worker is spawned BY a workers() run");
-    }
-    return run_distributed();
-  }
-  core::ExplorationOptions options = options_;
-  if (options.step1_sharded && options.shard_count > 1 &&
-      !options.step1_barrier) {
-    options.step1_barrier = make_step1_barrier(options);
-  }
-  const core::ExplorationEngine engine(model_, options);
-  report_ = engine.explore(study_);
-  return *report_;
-}
-
-core::Step1Barrier Exploration::make_step1_barrier(
-    const core::ExplorationOptions& options) const {
-  dist::BarrierOptions barrier_options;
-  barrier_options.timeout = barrier_timeout_;
-  barrier_options.cancel = options.cancel;
-  const auto barrier = std::make_shared<dist::SegmentBarrier>(
-      options.cache_dir, options.shard_count,
-      core::step1_fingerprint(study_, model_, options.step1_policy),
-      barrier_options);
-  return [barrier] { barrier->wait(); };
-}
-
-const core::ExplorationReport& Exploration::run_distributed() {
-  if (options_.cache_dir.empty()) {
-    throw std::invalid_argument(
-        "Exploration: workers() requires cache_dir() — shard workers meet "
-        "only through cache segments");
-  }
-  const std::size_t count = workers_;
-
-  // Shard engines tick progress concurrently (each serializes only its
-  // own stream); one shared lock keeps the user observer single-threaded.
-  // Events carry shard_index/shard_count, so the streams stay separable.
-  core::ProgressObserver serialized;
-  if (options_.progress) {
-    serialized = [observer = options_.progress,
-                  mu = std::make_shared<std::mutex>()](
-                     const core::StepProgress& p) {
-      std::lock_guard<std::mutex> lock(*mu);
-      observer(p);
-    };
-  }
-
-  // With step-1 sharding, every in-process worker parks in the SAME
-  // barrier object (wait() is stateless and re-entrant); the markers and
-  // segments still go through the cache directory, exactly like a
-  // cross-process fleet, so this path exercises the real rendezvous.
-  core::Step1Barrier shared_barrier;
-  if (options_.step1_sharded) {
-    core::ExplorationOptions probe = options_;
-    probe.shard_count = count;
-    shared_barrier = make_step1_barrier(probe);
-  }
-
-  // Phase 1: every shard as one thread. All shards share the session's
-  // cancel flag, so a failing shard — or a user cancel() — stops the
-  // whole fleet cooperatively; each shard still checkpoints what it
-  // executed into its own segment.
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(count);
-  threads.reserve(count);
-  for (std::size_t s = 0; s < count; ++s) {
-    threads.emplace_back([this, s, count, &serialized, &errors,
-                          &shared_barrier] {
-      try {
-        core::ExplorationOptions options = options_;
-        options.shard_index = s;
-        options.shard_count = count;
-        options.progress = serialized;
-        options.step1_barrier = shared_barrier;
-        const core::ExplorationEngine engine(model_, options);
-        engine.explore(study_);
-      } catch (...) {
-        errors[s] = std::current_exception();
-        cancel_->store(true, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
-
-  // Phase 2: consolidate the segments (also compacts the main file).
-  dist::SegmentMerger::merge(options_.cache_dir);
-
-  // Phase 3: the coordinator pass — unsharded, over the merged cache. It
-  // replays every unit (zero executed simulations) and its report is
-  // byte-identical to a single-process run's.
   const core::ExplorationEngine engine(model_, options_);
   report_ = engine.explore(study_);
   return *report_;

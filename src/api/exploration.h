@@ -14,20 +14,16 @@
 //
 // Distributed execution (see src/dist/): shard(i, n) turns run() into one
 // worker of an n-way sharded exploration (requires cache_dir — shards
-// meet only through cache segments); step1_sharded() additionally splits
-// step 1 across the fleet, with the workers rendezvousing on marker
-// files through a dist::SegmentBarrier that run() installs
-// automatically; workers(n) runs the whole distributed flow in-process —
-// n shard sessions on n threads, a segment merge, then a coordinator
-// pass whose report (byte-identical to a single-process run, zero
-// executed simulations) becomes report().
+// meet only through cache segments). Once every shard has run and
+// dist::SegmentMerger has merged the segments, an unsharded run over the
+// same cache_dir replays everything: zero executed simulations, a report
+// byte-identical to a single-process run.
 // cancel() cooperatively stops a running exploration from an observer,
 // another thread or a signal handler; the cancelled run still checkpoints
 // its executed records to the persistent cache.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <optional>
 #include <string>
@@ -60,44 +56,14 @@ class Exploration {
   // step-2 units and store them into the per-shard cache segment.
   // Requires cache_dir(). count <= 1 restores single-process execution.
   Exploration& shard(std::size_t index, std::size_t count);
-  // Shard step 1 too: the worker executes only its owned step-1 units,
-  // checkpoints them into its segment, publishes a
-  // "step1.<fingerprint>.shard<I>of<N>.done" marker, and waits in a
-  // dist::SegmentBarrier (installed automatically by run()) until every
-  // sibling's marker exists — then merges all segments and replays the
-  // full step-1 set, so survivor selection (and the final report) stays
-  // byte-identical to the unsharded run. All N workers must be running
-  // concurrently; a missing sibling surfaces as a clean barrier-timeout
-  // error (see barrier_timeout()), and cancel() while parked in the
-  // barrier still leaves a loadable checkpointed segment.
-  Exploration& step1_sharded(bool enabled = true);
-  // Ceiling on the step-1 barrier wait (default 10 minutes). On expiry
-  // run() throws std::runtime_error naming the missing shards.
-  Exploration& barrier_timeout(std::chrono::milliseconds timeout);
-  // Distributed run driven entirely from the API: run() executes `count`
-  // in-process shard workers (one thread each, each with this session's
-  // jobs() lanes and its own cache segment), merges the segments
-  // (dist::SegmentMerger), then replays the merged cache in a final
-  // coordinator pass — the report() — which executes zero simulations
-  // and is byte-identical to a single-process run. Requires cache_dir();
-  // mutually exclusive with shard(). count <= 1 restores the
-  // single-process path.
-  Exploration& workers(std::size_t count);
   Exploration& on_progress(core::ProgressObserver observer);
 
-  // --- Warm-serving session reuse (see src/serve/ and the corresponding
-  // ExplorationOptions fields) ------------------------------------------
-  // Memoize into an externally-owned cache that outlives this session, so
-  // a later session over the same study replays from memory (executed
-  // counts are per-run deltas). Mutually exclusive with shard()/workers().
-  Exploration& shared_cache(core::SimulationCache* cache);
-  // Append new records to an already-loaded persistent cache instead of
-  // load-append-close per run. Requires shared_cache(); the owner must
-  // serialize run() calls sharing one instance.
-  Exploration& shared_persistent(core::PersistentSimulationCache* persistent);
-  // Fan simulations over an externally-owned pool (lanes spawn once per
-  // service, not once per run).
-  Exploration& shared_pool(support::ThreadPool* pool);
+  // Warm-serving session reuse (see src/serve/): memoize into the
+  // externally-owned cache, append to the already-loaded persistent cache
+  // and fan over the pool of `state`, all of which outlive this session
+  // (executed counts are per-run deltas). Mutually exclusive with shard();
+  // the owner must serialize run() calls sharing one persistent cache.
+  Exploration& shared_state(core::SharedState* state);
   // Emit Chrome trace_event spans for this session's runs into an
   // externally-owned writer (see src/obs/trace.h). Null disables tracing;
   // purely observational — reports stay byte-identical either way.
@@ -128,18 +94,9 @@ class Exploration {
   const core::ExplorationReport& report() const;
 
  private:
-  const core::ExplorationReport& run_distributed();
-  // A Step1Barrier hook wrapping dist::SegmentBarrier for `options`'
-  // cache dir / geometry / policy; shared by every in-process worker of
-  // a workers() run (wait() is stateless).
-  core::Step1Barrier make_step1_barrier(
-      const core::ExplorationOptions& options) const;
-
   core::CaseStudy study_;
   energy::EnergyModel model_;
   core::ExplorationOptions options_;
-  std::size_t workers_ = 1;
-  std::chrono::milliseconds barrier_timeout_ = std::chrono::minutes(10);
   std::shared_ptr<std::atomic<bool>> cancel_;
   std::optional<core::ExplorationReport> report_;
 };

@@ -4,10 +4,6 @@
 
 #include "energy/energy_model.h"
 
-// The deprecated make_*_study shims declared in this header are defined in
-// api/builtin_workloads.cc, next to the registry that now owns the study
-// definitions — core stays free of upward includes into the api layer.
-
 namespace ddtr::core {
 
 CaseStudyOptions CaseStudyOptions::scaled(double factor) const {

@@ -1,9 +1,8 @@
-// Legacy entry points for the paper's four case studies (§4). The studies
-// themselves now live in the workload registry (api/registry.h,
-// api/builtin_workloads.cc) as "route", "url", "ipchains" and "drr"; the
-// make_*_study free functions below are thin deprecated shims kept for
-// source compatibility. New code should enumerate / look up workloads
-// through ddtr::api::registry() and build custom ones with
+// Shared inputs of the paper's four case studies (§4): their trace-length
+// options and the paper cost model. The studies themselves live in the
+// workload registry (api/registry.h, api/builtin_workloads.cc) as "route",
+// "url", "ipchains" and "drr"; look them up with
+// ddtr::api::registry().make_study() and build custom ones with
 // api::StudyBuilder.
 #pragma once
 
@@ -27,25 +26,11 @@ struct CaseStudyOptions {
   CaseStudyOptions scaled(double factor) const;
 };
 
-[[deprecated("use api::registry().make_study(\"route\", options)")]]
-CaseStudy make_route_study(const CaseStudyOptions& options);
-[[deprecated("use api::registry().make_study(\"url\", options)")]]
-CaseStudy make_url_study(const CaseStudyOptions& options);
-[[deprecated("use api::registry().make_study(\"ipchains\", options)")]]
-CaseStudy make_ipchains_study(const CaseStudyOptions& options);
-[[deprecated("use api::registry().make_study(\"drr\", options)")]]
-CaseStudy make_drr_study(const CaseStudyOptions& options);
-
-// Every registered workload, in registration order (for the four
-// built-ins: the paper's Table 1 order).
-[[deprecated("iterate api::registry().names() instead")]]
-std::vector<CaseStudy> make_all_case_studies(const CaseStudyOptions& options);
-
 // The cost model used for every paper reproduction: a scratchpad SRAM
 // sized to the run's peak footprint — i.e. dynamic-memory-subsystem energy
 // as the paper estimates with CACTI — with no host-core power term, so
 // combination differences are not drowned by constant background power.
-// (Not deprecated: api::Exploration uses it as the default model.)
+// api::Exploration uses it as the default model.
 energy::EnergyModel make_paper_energy_model();
 
 }  // namespace ddtr::core

@@ -62,8 +62,7 @@ class ProgressReporter {
 
 // The greedy step-1 combination set: every slot SLL (the original
 // NetBench implementations), followed by every single-slot variation in
-// slot-major order. Shared by the greedy fan and step1_fingerprint, so
-// the fingerprint always covers exactly the units the fan visits.
+// slot-major order.
 std::vector<ddt::DdtCombination> greedy_step1_combos(
     const std::vector<std::vector<ddt::DdtKind>>& slot_sets) {
   const std::size_t slots = slot_sets.size();
@@ -82,13 +81,6 @@ std::vector<ddt::DdtCombination> greedy_step1_combos(
     }
   }
   return combos;
-}
-
-std::vector<ddt::DdtCombination> step1_combos(const CaseStudy& study,
-                                              Step1Policy policy) {
-  return policy == Step1Policy::kGreedyPerSlot
-             ? greedy_step1_combos(study.slot_kind_sets())
-             : ddt::enumerate_combinations(study.slot_kind_sets());
 }
 
 // Per-run segment-tag token: pid, a per-process random nonce, and a
@@ -128,26 +120,6 @@ std::string shard_segment_tag(std::size_t shard_index,
          std::to_string(shard_count);
 }
 
-std::string step1_marker_name(const std::string& fingerprint,
-                              std::size_t shard_index,
-                              std::size_t shard_count) {
-  return "step1." + fingerprint + "." +
-         shard_segment_tag(shard_index, shard_count);
-}
-
-std::string step1_fingerprint(const CaseStudy& study,
-                              const energy::EnergyModel& model,
-                              Step1Policy policy) {
-  const Scenario& scenario = study.scenarios.at(study.representative);
-  support::Fnv1a64 digest;
-  for (const ddt::DdtCombination& combo : step1_combos(study, policy)) {
-    digest.str(SimulationCache::key_of(scenario, combo, model));
-  }
-  std::ostringstream os;
-  os << std::hex << digest.digest();
-  return os.str();
-}
-
 std::vector<SimulationRecord> ExplorationReport::pareto_records() const {
   std::vector<SimulationRecord> out;
   out.reserve(pareto_optimal.size());
@@ -184,9 +156,9 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
     std::size_t count,
     const std::function<const Scenario&(std::size_t)>& scenario_of,
     const std::function<const ddt::DdtCombination&(std::size_t)>& combo_of,
-    SimulationCache* cache, support::ThreadPool& pool, int step,
-    bool shard_filter, bool report_progress) const {
-  const bool sharded = shard_filter && options_.shard_count > 1;
+    SimulationCache* cache, support::ThreadPool& pool, int step) const {
+  // Only step 2 is sharded: step 1 is replicated on every worker.
+  const bool sharded = step == 2 && options_.shard_count > 1;
   if (sharded && !cache) {
     throw std::invalid_argument(
         "ExplorationEngine: sharded execution requires a simulation cache");
@@ -198,10 +170,8 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
   std::vector<unsigned char> filled(count, 0);
   std::atomic<std::size_t> foreign{0};
   std::atomic<std::size_t> dropped{0};
-  const ProgressObserver no_observer;
-  ProgressReporter progress(
-      report_progress ? options_.progress : no_observer, step, count,
-      options_.shard_index, options_.shard_count);
+  ProgressReporter progress(options_.progress, step, count,
+                            options_.shard_index, options_.shard_count);
   support::parallel_for(pool, count, [&](std::size_t i) {
     if (cancel_requested()) {
       dropped.fetch_add(1, std::memory_order_relaxed);
@@ -266,19 +236,15 @@ std::vector<SimulationRecord> ExplorationEngine::run_step1(
 }
 
 ExplorationEngine::FanOutcome ExplorationEngine::run_step1_fan(
-    const CaseStudy& study, SimulationCache* cache, support::ThreadPool& pool,
-    bool shard_filter, bool report_progress) const {
+    const CaseStudy& study, SimulationCache* cache,
+    support::ThreadPool& pool) const {
   const Scenario& scenario = study.scenarios.at(study.representative);
   const std::vector<ddt::DdtCombination> combos =
       ddt::enumerate_combinations(study.slot_kind_sets());
-  // Unfiltered (the default), every worker covers the full combination
-  // set — either replicating step 1 or replaying it from the post-barrier
-  // merged cache; filtered (the step1_sharded first pass), only owned
-  // units execute.
   return fan_simulations(
       combos.size(), [&](std::size_t) -> const Scenario& { return scenario; },
       [&](std::size_t i) -> const ddt::DdtCombination& { return combos[i]; },
-      cache, pool, 1, shard_filter, report_progress);
+      cache, pool, 1);
 }
 
 std::vector<SimulationRecord> ExplorationEngine::run_step1_greedy(
@@ -288,15 +254,15 @@ std::vector<SimulationRecord> ExplorationEngine::run_step1_greedy(
 }
 
 ExplorationEngine::FanOutcome ExplorationEngine::run_step1_greedy_fan(
-    const CaseStudy& study, SimulationCache* cache, support::ThreadPool& pool,
-    bool shard_filter, bool report_progress) const {
+    const CaseStudy& study, SimulationCache* cache,
+    support::ThreadPool& pool) const {
   const Scenario& scenario = study.scenarios.at(study.representative);
   const std::vector<ddt::DdtCombination> combos =
       greedy_step1_combos(study.slot_kind_sets());
   return fan_simulations(
       combos.size(), [&](std::size_t) -> const Scenario& { return scenario; },
       [&](std::size_t i) -> const ddt::DdtCombination& { return combos[i]; },
-      cache, pool, 1, shard_filter, report_progress);
+      cache, pool, 1);
 }
 
 std::vector<ddt::DdtCombination> ExplorationEngine::select_survivors_greedy(
@@ -447,7 +413,7 @@ ExplorationEngine::FanOutcome ExplorationEngine::run_step2_fan(
       [&](std::size_t i) -> const ddt::DdtCombination& {
         return survivors[i % per_scenario];
       },
-      cache, pool, 2, /*shard_filter=*/true);
+      cache, pool, 2);
 }
 
 std::vector<SimulationRecord> ExplorationEngine::aggregate(
@@ -489,7 +455,7 @@ std::vector<SimulationRecord> ExplorationEngine::aggregate(
 
 ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
   const bool sharded = options_.shard_count > 1;
-  const bool step1_sharded = options_.step1_sharded && sharded;
+  SharedState* const shared = options_.shared;
   if (sharded) {
     if (options_.shard_index >= options_.shard_count) {
       throw std::invalid_argument(
@@ -505,27 +471,15 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
           "ExplorationOptions: sharded execution requires a cache_dir "
           "(shards meet only through cache segments)");
     }
-    if (step1_sharded && !options_.step1_barrier) {
-      // Proceeding without a rendezvous would select survivors from a
-      // partial step-1 set — silently wrong reports. Fail fast instead.
+    if (shared) {
       throw std::invalid_argument(
-          "ExplorationOptions: step1_sharded requires a step1_barrier "
-          "(workers must rendezvous on their siblings' step-1 segments)");
-    }
-    if (options_.shared_cache || options_.shared_persistent) {
-      throw std::invalid_argument(
-          "ExplorationOptions: warm-serving hooks (shared_cache/"
-          "shared_persistent) are mutually exclusive with sharding");
+          "ExplorationOptions: shared warm-serving state is mutually "
+          "exclusive with sharding");
     }
   }
-  if (options_.shared_cache && !options_.memoize_simulations) {
+  if (shared && !options_.memoize_simulations) {
     throw std::invalid_argument(
-        "ExplorationOptions: shared_cache requires memoize_simulations");
-  }
-  if (options_.shared_persistent && !options_.shared_cache) {
-    throw std::invalid_argument(
-        "ExplorationOptions: shared_persistent requires shared_cache (the "
-        "owner seeds the warm cache from the loaded file once)");
+        "ExplorationOptions: shared state requires memoize_simulations");
   }
 
   ExplorationReport report;
@@ -547,7 +501,7 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
   SimulationCache local_cache;
   SimulationCache* cache_ptr = nullptr;
   if (options_.memoize_simulations) {
-    cache_ptr = options_.shared_cache ? options_.shared_cache : &local_cache;
+    cache_ptr = shared ? &shared->cache : &local_cache;
   }
   // Stats baseline: a warm shared cache arrives with history, and the
   // executed-simulation accounting below (executed == misses) must count
@@ -559,11 +513,11 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
   // keep this invisible in the records — warm, cold or disabled, the
   // report bytes are identical; only the executed counts change. Sharded
   // workers store into a private segment file (never the shared file),
-  // which is what makes concurrent shard writers safe. With
-  // shared_persistent the load happened once at service start; the run
+  // which is what makes concurrent shard writers safe. With a shared
+  // persistent cache the load happened once at service start; the run
   // only appends.
   std::optional<PersistentSimulationCache> persistent_local;
-  PersistentSimulationCache* persistent = options_.shared_persistent;
+  PersistentSimulationCache* persistent = shared ? shared->persistent : nullptr;
   if (persistent) {
     report.persistent_loaded = persistent->loaded_count();
   } else if (cache_ptr && !options_.cache_dir.empty()) {
@@ -586,80 +540,23 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
     persistent->seed(*cache_ptr);
     load_span.arg("records", report.persistent_loaded);
   }
-  const std::size_t shard_index = options_.shard_index;
-  const std::size_t shard_count = options_.shard_count;
-  const PersistentSimulationCache::KeyFilter owned_keys =
-      [shard_index, shard_count](const std::string& key) {
-        return shard_of_key(key, shard_count) == shard_index;
-      };
   // One pool for the whole run: spawning lanes once, not per step — or
   // the owner's long-lived pool (serve mode: lanes spawn once per
   // service, concurrent sessions multiplex over them).
   std::optional<support::ThreadPool> local_pool;
-  if (!options_.shared_pool) local_pool.emplace(options_.jobs);
-  support::ThreadPool& pool =
-      options_.shared_pool ? *options_.shared_pool : *local_pool;
+  support::ThreadPool* pool = shared ? shared->pool : nullptr;
+  if (!pool) pool = &local_pool.emplace(options_.jobs);
 
-  const auto step1_fan = [&](bool shard_filter, bool report_progress) {
+  // Step 1 is replicated: every shard worker covers the full set, so all
+  // of them select the same survivors.
+  FanOutcome step1 = [&] {
     obs::SpanScope span(options_.trace_sink, "step1", "explore");
-    FanOutcome out =
-        options_.step1_policy == Step1Policy::kGreedyPerSlot
-            ? run_step1_greedy_fan(study, cache_ptr, pool, shard_filter,
-                                   report_progress)
-            : run_step1_fan(study, cache_ptr, pool, shard_filter,
-                            report_progress);
+    FanOutcome out = options_.step1_policy == Step1Policy::kGreedyPerSlot
+                         ? run_step1_greedy_fan(study, cache_ptr, *pool)
+                         : run_step1_fan(study, cache_ptr, *pool);
     span.arg("records", out.records.size());
     return out;
-  };
-  // First step-1 pass: owned units only when step1_sharded, the full set
-  // otherwise (replicated step 1, the default).
-  FanOutcome step1 =
-      step1_fan(/*shard_filter=*/step1_sharded, /*report_progress=*/true);
-  std::size_t stored_before_barrier = 0;
-  if (step1_sharded) {
-    // Checkpoint the owned step-1 records into this worker's segment and
-    // — only if the fan completed uncancelled, so the marker never
-    // overstates what is durable — publish the marker and park in the
-    // barrier until every sibling has published too.
-    {
-      obs::SpanScope store_span(options_.trace_sink, "cache.store", "cache");
-      stored_before_barrier = persistent->store_new(*cache_ptr, owned_keys);
-      store_span.arg("stored", stored_before_barrier);
-    }
-    if (!cancel_requested()) {
-      const std::string fingerprint =
-          step1_fingerprint(study, model_, options_.step1_policy);
-      if (!persistent->write_marker(
-              step1_marker_name(fingerprint, shard_index, shard_count),
-              fingerprint)) {
-        // An unpublished marker means the barrier could only ever time
-        // out waiting for OUR OWN shard — surface the I/O failure now,
-        // accurately, instead of after the full barrier timeout.
-        throw std::runtime_error(
-            "step-1 sharding: failed to publish marker " +
-            step1_marker_name(fingerprint, shard_index, shard_count) +
-            " in " + options_.cache_dir);
-      }
-      obs::SpanScope wait_span(options_.trace_sink, "barrier.wait", "dist");
-      options_.step1_barrier();  // throws on timeout; returns on cancel
-    }
-    if (!cancel_requested()) {
-      // Merge every sibling's segment (merge-on-load) and replay the full
-      // step-1 set from cache: identical records in identical order, so
-      // the survivor selection below matches every other worker's — and
-      // the unsharded run's — exactly. A unit a sibling failed to deliver
-      // degrades gracefully: this worker simulates it itself. Progress is
-      // muted — the first pass already emitted this run's one step-1
-      // sequence.
-      {
-        obs::SpanScope load_span(options_.trace_sink, "cache.load", "cache");
-        report.persistent_loaded = persistent->load();
-        persistent->seed(*cache_ptr);
-        load_span.arg("records", report.persistent_loaded);
-      }
-      step1 = step1_fan(/*shard_filter=*/false, /*report_progress=*/false);
-    }
-  }
+  }();
   report.step1_records = std::move(step1.records);
   {
     obs::SpanScope select_span(options_.trace_sink, "select", "explore");
@@ -679,7 +576,7 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
 
   FanOutcome step2 = [&] {
     obs::SpanScope span(options_.trace_sink, "step2", "explore");
-    FanOutcome out = run_step2_fan(study, report.survivors, cache_ptr, pool);
+    FanOutcome out = run_step2_fan(study, report.survivors, cache_ptr, *pool);
     span.arg("records", out.records.size());
     return out;
   }();
@@ -692,8 +589,7 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
                 : report.step2_simulations;
   report.cache_hits = after_step2.hits - baseline.hits;
   report.cache_misses = after_step2.misses - baseline.misses;
-  report.skipped_foreign_shard =
-      step1.skipped_foreign + step2.skipped_foreign;
+  report.skipped_foreign_shard = step2.skipped_foreign;
   report.skipped_after_cancel =
       step1.skipped_cancelled + step2.skipped_cancelled;
   report.cancelled = cancel_requested();
@@ -704,10 +600,14 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
   // stores only the keys it owns, so segments stay a partition.
   if (persistent) {
     obs::SpanScope store_span(options_.trace_sink, "cache.store", "cache");
-    report.persistent_stored =
-        stored_before_barrier +
-        (sharded ? persistent->store_new(*cache_ptr, owned_keys)
-                 : persistent->store_new(*cache_ptr));
+    PersistentSimulationCache::KeyFilter owned_keys;
+    if (sharded) {
+      owned_keys = [index = options_.shard_index,
+                    count = options_.shard_count](const std::string& key) {
+        return shard_of_key(key, count) == index;
+      };
+    }
+    report.persistent_stored = persistent->store_new(*cache_ptr, owned_keys);
     store_span.arg("stored", report.persistent_stored);
   }
 

@@ -23,18 +23,13 @@
 //
 // Distributed execution: with ExplorationOptions::shard_count > 1, this
 // engine is one WORKER of an N-way sharded exploration (see src/dist/).
+// Step 1 — one scenario, the seed of survivor selection — is replicated
+// on every worker, so all of them select the identical survivor list.
 // Step 2 — the scenario-dominated network level, the axis that scales
 // with deployment size — executes only the units whose shard_of_key(...)
-// matches shard_index, storing them into a per-shard cache segment. Step
-// 1 — one scenario, the seed of survivor selection — is replicated by
-// default; with step1_sharded set, it too executes only owned units,
-// then checkpoints them into the segment, publishes a
-// "step1.<fingerprint>.shard<I>of<N>.done" marker and parks in the step1_barrier hook
-// (dist::SegmentBarrier) until every sibling's marker exists; the worker
-// then merges all segments and REPLAYS the full step-1 set from cache,
-// so every worker still selects the identical survivor list. A final
-// unsharded run over the merged segments replays all three steps with
-// zero executed simulations and a byte-identical report.
+// matches shard_index, storing them into a per-shard cache segment. A
+// final unsharded run over the merged segments replays all three steps
+// with zero executed simulations and a byte-identical report.
 #pragma once
 
 #include <atomic>
@@ -89,28 +84,6 @@ std::size_t shard_of_key(const std::string& key,
 std::string shard_segment_tag(std::size_t shard_index,
                               std::size_t shard_count);
 
-// Marker-file name shard I of N publishes once its step-1 records are
-// durably checkpointed ("step1.<fingerprint>.shard<I>of<N>"; the file
-// is "<name>.done" inside the cache dir — see
-// PersistentSimulationCache::marker_path). Marker names carry the plan
-// fingerprint (step1_fingerprint) and the geometry but NOT the run
-// token: siblings compute the same fingerprint independently, so they
-// can predict each other's marker names without communicating — while
-// two fleets running DIFFERENT plans with the same geometry in one
-// directory publish to distinct paths instead of clobbering each other.
-std::string step1_marker_name(const std::string& fingerprint,
-                              std::size_t shard_index,
-                              std::size_t shard_count);
-
-// Content identity of a study's step-1 unit set under `policy`: a hex
-// digest over the step-1 cache keys in fan order. Written INTO the
-// step-1 markers and expected back by the barrier, so a stale marker
-// from a different study, trace scale, cost model or step-1 policy
-// sharing the cache directory can never satisfy a waiting sibling.
-std::string step1_fingerprint(const CaseStudy& study,
-                              const energy::EnergyModel& model,
-                              Step1Policy policy);
-
 // One progress notification from a simulation step. `done` counts logical
 // simulations settled so far within the step — completed (executed or
 // replayed) or skipped (foreign-shard units, cancelled units); each step
@@ -133,14 +106,26 @@ struct StepProgress {
 // This is the hook future sharding / cancellation layers build on.
 using ProgressObserver = std::function<void(const StepProgress&)>;
 
-// Step-1 rendezvous hook of a step1_sharded worker (installed by the
-// api/dist layers, typically wrapping dist::SegmentBarrier). Called after
-// the worker has durably checkpointed its owned step-1 records and
-// published its marker; must block until every sibling's marker exists
-// (return normally), return early when the run's cancel flag is raised
-// (the engine re-checks the flag itself), and THROW on timeout — a
-// barrier that cannot complete must become a clean error, never a hang.
-using Step1Barrier = std::function<void()>;
+// Warm state a long-lived owner (serve::Server) keeps open across
+// explore() calls, so a run does not pay cache/pool setup. Borrowed, never
+// owned; everything it references must outlive the run.
+struct SharedState {
+  // explore() memoizes into this cache instead of a per-run one. Stats
+  // (hits/misses, thus executed counts) are reported as per-run DELTAS
+  // against the cache's state at entry, so a fully warm rerun still
+  // reports 0 executed simulations.
+  SimulationCache& cache;
+  // When set, explore() skips the per-run persistent load() — the owner
+  // loaded the file once and seeded `cache` from it — and only appends
+  // this run's new records via store_new(). The owner must serialize
+  // explore() calls that share one instance (store_new mutates the loaded
+  // set).
+  PersistentSimulationCache* persistent = nullptr;
+  // When set, the steps fan over this pool instead of a per-run one
+  // (lanes spawn once per service, not once per exploration). Safe to
+  // share: concurrent parallel_for calls keep per-call state.
+  support::ThreadPool* pool = nullptr;
+};
 
 struct ExplorationOptions {
   // Fraction of the combination space step 1 lets through (the paper
@@ -180,20 +165,6 @@ struct ExplorationOptions {
   // memoize_simulations and a cache_dir (enforced by explore()).
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
-  // Shard step 1 too (only meaningful with shard_count > 1): execute only
-  // this shard's step-1 units, checkpoint them into the cache segment,
-  // publish the step-1 marker, wait in step1_barrier for every sibling's
-  // marker, then merge all segments and replay the FULL step-1 set from
-  // cache — every worker still computes the identical survivor selection,
-  // and the report stays byte-identical to the unsharded run's. Requires
-  // step1_barrier (enforced by explore()). Off by default: the barrier
-  // needs all N workers alive simultaneously, which plain --shard
-  // sequential/partial fleets do not guarantee.
-  bool step1_sharded = false;
-  // The rendezvous hook a step1_sharded worker parks in (see
-  // Step1Barrier). Installed by api::Exploration around
-  // dist::SegmentBarrier; core only calls it.
-  Step1Barrier step1_barrier;
   // Uniquifies this run's cache-segment tag ("shard<I>of<N>.<token>") so
   // concurrent fleets sharing a cache directory with the same shard
   // geometry never write the same segment file. Auto-generated (pid + a
@@ -211,36 +182,17 @@ struct ExplorationOptions {
   // Does not affect the produced records: reports stay bit-identical with
   // or without an observer, at any lane count.
   ProgressObserver progress;
-  // --- Warm-serving hooks (see src/serve/) ------------------------------
-  // A long-lived service runs many explorations in one process and must
-  // not pay registry/cache/pool setup per run. These pointers let an
-  // owner (serve::Server) keep that state open across explore() calls;
-  // all three are borrowed, never owned, and must outlive the run.
-  //
-  // When set, explore() memoizes into this externally-owned cache instead
-  // of a per-run one. Stats (hits/misses, thus executed counts) are
-  // reported as per-run DELTAS against the cache's state at entry, so a
-  // fully warm rerun still reports 0 executed simulations. Requires
+  // Warm-serving state (see SharedState and src/serve/). Requires
   // memoize_simulations; mutually exclusive with sharding (serve sessions
   // are unsharded — the fleet story is src/dist/).
-  SimulationCache* shared_cache = nullptr;
-  // When set (requires shared_cache), explore() skips the per-run
-  // persistent load() — the owner loaded the file once at service start
-  // and seeded shared_cache from it — and only appends this run's new
-  // records via store_new(). The owner must serialize explore() calls
-  // that share one instance (store_new mutates the loaded set).
-  PersistentSimulationCache* shared_persistent = nullptr;
-  // When set, the steps fan over this pool instead of a per-run one
-  // (lanes spawn once per service, not once per exploration). Safe to
-  // share: concurrent parallel_for calls keep per-call state.
-  support::ThreadPool* shared_pool = nullptr;
+  SharedState* shared = nullptr;
   // --- Observability (see src/obs/) -------------------------------------
   // Optional span tracer: when set, explore() emits Chrome trace_event
   // spans (step1/select/step2/aggregate, every simulation fan unit, cache
-  // I/O, the step-1 barrier wait) into this writer. Borrowed, never
-  // owned; null disables tracing. Observation-only by contract: the
-  // produced records stay byte-identical with or without a sink, and the
-  // sink must never feed cache keys (see the determinism lint rule).
+  // I/O) into this writer. Borrowed, never owned; null disables tracing.
+  // Observation-only by contract: the produced records stay byte-identical
+  // with or without a sink, and the sink must never feed cache keys (see
+  // the determinism lint rule).
   obs::TraceWriter* trace_sink = nullptr;
 };
 
@@ -364,37 +316,26 @@ class ExplorationEngine {
 
   // Pool-threaded variants used by explore(), which owns ONE pool for the
   // whole three-step run (the public step methods build a transient pool).
-  // `shard_filter` makes the step-1 fans execute only owned units (the
-  // step1_sharded first pass); the post-barrier replay pass runs them
-  // unfiltered over the merged cache with `report_progress` off, so an
-  // observer still sees exactly ONE 0..total step-1 sequence per run
-  // (the StepProgress contract).
   FanOutcome run_step1_fan(const CaseStudy& study, SimulationCache* cache,
-                           support::ThreadPool& pool,
-                           bool shard_filter = false,
-                           bool report_progress = true) const;
+                           support::ThreadPool& pool) const;
   FanOutcome run_step1_greedy_fan(const CaseStudy& study,
                                   SimulationCache* cache,
-                                  support::ThreadPool& pool,
-                                  bool shard_filter = false,
-                                  bool report_progress = true) const;
+                                  support::ThreadPool& pool) const;
   FanOutcome run_step2_fan(const CaseStudy& study,
                            const std::vector<ddt::DdtCombination>& survivors,
                            SimulationCache* cache,
                            support::ThreadPool& pool) const;
   // Runs one simulation per unit index in [0, count), fanned over the
   // pool, writing records into index-addressed slots. `step` labels the
-  // StepProgress events this fan emits (none when `report_progress` is
-  // false — the step1_sharded replay pass, which would otherwise emit a
-  // second step-1 sequence). With `shard_filter` set, units owned by
-  // other shards are replayed from the cache when present and skipped
-  // otherwise; a raised cancel flag skips every not-yet-started unit.
+  // StepProgress events this fan emits. Step 2 is the sharded step: there,
+  // units owned by other shards are replayed from the cache when present
+  // and skipped otherwise; a raised cancel flag skips every
+  // not-yet-started unit.
   FanOutcome fan_simulations(
       std::size_t count,
       const std::function<const Scenario&(std::size_t)>& scenario_of,
       const std::function<const ddt::DdtCombination&(std::size_t)>& combo_of,
-      SimulationCache* cache, support::ThreadPool& pool, int step,
-      bool shard_filter, bool report_progress = true) const;
+      SimulationCache* cache, support::ThreadPool& pool, int step) const;
 
   bool cancel_requested() const noexcept {
     return options_.cancel &&

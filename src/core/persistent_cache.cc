@@ -1,18 +1,12 @@
 #include "core/persistent_cache.h"
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
-#include <random>
 #include <sstream>
 #include <utility>
 #include <vector>
-
-#ifndef _WIN32
-#include <unistd.h>
-#endif
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -69,7 +63,6 @@ constexpr std::uint64_t kMaxEntryBytes = 16ull << 20;
 
 constexpr char kSegmentPrefix[] = "sim_cache.";
 constexpr char kSegmentSuffix[] = ".seg";
-constexpr char kMarkerSuffix[] = ".done";
 
 bool has_suffix(const std::string& name, const char* suffix) {
   const std::size_t n = std::char_traits<char>::length(suffix);
@@ -295,88 +288,6 @@ std::vector<std::string> PersistentSimulationCache::segment_paths() const {
   return out;
 }
 
-std::string PersistentSimulationCache::marker_path(
-    const std::string& name) const {
-  return (std::filesystem::path(dir_) / (name + kMarkerSuffix)).string();
-}
-
-bool PersistentSimulationCache::write_marker(const std::string& name,
-                                             const std::string& content) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);  // best effort
-  const std::string target = marker_path(name);
-  // Per-writer temp name: two writers publishing the same marker must
-  // not interleave within one temp file; the final rename is atomic
-  // either way (and both publish identical content for identical plans).
-  // The pid alone does not discriminate in-process threads or containers
-  // sharing storage (pid namespaces collide), so add a process nonce and
-  // a sequence.
-#ifndef _WIN32
-  const long long writer_id = static_cast<long long>(::getpid());
-#else
-  const long long writer_id = 0;
-#endif
-  static std::atomic<std::uint64_t> marker_sequence{0};
-  static const std::uint64_t nonce = [] {
-    std::random_device rd;
-    return (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
-  }();
-  std::ostringstream tmp_name;
-  tmp_name << target << ".tmp." << writer_id << '.' << std::hex << nonce
-           << '.' << std::dec
-           << marker_sequence.fetch_add(1, std::memory_order_relaxed);
-  const std::string tmp = tmp_name.str();
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) return false;
-    os.write(content.data(), static_cast<std::streamsize>(content.size()));
-    if (!os) {
-      os.close();
-      std::filesystem::remove(tmp, ec);
-      return false;
-    }
-  }
-  // The marker asserts its writer's records are DURABLE: sync the marker
-  // content before publishing it (the segment itself was synced by the
-  // checkpoint that preceded this call).
-  if (!support::fsync_file(tmp)) {
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  std::filesystem::rename(tmp, target, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  support::fsync_dir(dir_);  // make the rename itself durable; best effort
-  return true;
-}
-
-std::optional<std::string> PersistentSimulationCache::read_marker(
-    const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return std::nullopt;
-  std::ostringstream content;
-  content << is.rdbuf();
-  if (is.bad()) return std::nullopt;
-  return content.str();
-}
-
-std::vector<std::string> PersistentSimulationCache::marker_paths() const {
-  std::vector<std::string> out;
-  std::error_code ec;
-  std::filesystem::directory_iterator it(dir_, ec);
-  if (ec) return out;
-  for (const auto& entry : it) {
-    if (!entry.is_regular_file(ec) || ec) continue;
-    if (has_suffix(entry.path().filename().string(), kMarkerSuffix)) {
-      out.push_back(entry.path().string());
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 void PersistentSimulationCache::set_segment(std::string tag) {
   segment_tag_ = std::move(tag);
   // The store target changed; its validity is re-established by the next
@@ -517,9 +428,8 @@ std::size_t PersistentSimulationCache::store_new(const SimulationCache& cache,
     }
   }
   os.close();
-  // Flush the appended frames to stable storage: a marker published after
-  // this store (see write_marker / dist::SegmentBarrier) asserts these
-  // records are durable, and that claim must hold across a crash.
+  // Flush the appended frames to stable storage: a shard worker's
+  // checkpoint (and the merge that later trusts it) must survive a crash.
   if (written != 0) support::fsync_file(target);
   metrics.entries_stored.add(written);
   metrics.store_us.observe(obs::now_us() - t0);

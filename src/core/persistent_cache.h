@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -85,26 +84,6 @@ class PersistentSimulationCache {
   // precedence order: later names supersede earlier ones and the main
   // file).
   std::vector<std::string> segment_paths() const;
-
-  // --- Marker files -----------------------------------------------------
-  // Tiny rendezvous files (`<name>.done`) inside dir() through which
-  // concurrent writers signal "my records for <name> are durably stored
-  // here" — the substrate of dist::SegmentBarrier. A marker's CONTENT is
-  // a caller-chosen assertion token (e.g. a step-1 plan fingerprint), so
-  // a stale marker from another study, scale or policy sharing the
-  // directory can never satisfy a waiter expecting a different token.
-
-  // Path of the marker file for `name` ("<dir>/<name>.done").
-  std::string marker_path(const std::string& name) const;
-  // Atomically publishes the marker for `name` with `content`: written to
-  // a temp file, fsynced, then renamed into place (readers never observe
-  // a partial marker; concurrent writers of the same marker are safe).
-  // Returns false on I/O failure (best-effort, like all persistence).
-  bool write_marker(const std::string& name, const std::string& content);
-  // The marker's content, or nullopt when absent/unreadable.
-  static std::optional<std::string> read_marker(const std::string& path);
-  // Existing marker files in dir(), sorted by file name.
-  std::vector<std::string> marker_paths() const;
 
   // Routes every subsequent store_new() to the per-writer segment file
   // for `tag` instead of the shared main file — the multi-writer fix: one

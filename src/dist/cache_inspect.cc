@@ -63,10 +63,6 @@ CacheStats inspect_cache(const std::string& dir) {
   }
   stats.apps = sorted_counts(apps);
   stats.model_fingerprints = sorted_counts(fingerprints);
-  for (const std::string& marker : cache.marker_paths()) {
-    stats.markers.push_back(
-        std::filesystem::path(marker).filename().string());
-  }
   return stats;
 }
 
@@ -88,14 +84,6 @@ std::size_t clear_cache(const std::string& dir) {
   std::size_t removed = 0;
   std::error_code ec;
   std::vector<std::string> victims = cache.segment_paths();
-  // Barrier markers assert records live in this directory; clearing the
-  // records must clear the assertions with them, or a later
-  // step-1-sharded fleet of the same plan would trust markers whose
-  // segments are gone (merge-on-load still degrades gracefully, but the
-  // workers would wastefully replay nothing).
-  for (const std::string& marker : cache.marker_paths()) {
-    victims.push_back(marker);
-  }
   victims.push_back(cache.file_path());
   for (const std::string& path : victims) {
     if (std::filesystem::remove(path, ec) && !ec) ++removed;
@@ -110,21 +98,16 @@ GcStats gc_cache(const std::string& dir, double max_age_s) {
   const auto cap = std::chrono::duration_cast<
       std::filesystem::file_time_type::duration>(
       std::chrono::duration<double>(max_age_s));
-  const auto sweep = [&](const std::vector<std::string>& paths,
-                         std::size_t& removed) {
-    for (const std::string& path : paths) {
-      std::error_code ec;
-      const auto mtime = std::filesystem::last_write_time(path, ec);
-      if (ec) continue;  // vanished concurrently: nothing to prune
-      if (now - mtime <= cap) {
-        ++stats.kept;
-        continue;
-      }
-      if (std::filesystem::remove(path, ec) && !ec) ++removed;
+  for (const std::string& path : cache.segment_paths()) {
+    std::error_code ec;
+    const auto mtime = std::filesystem::last_write_time(path, ec);
+    if (ec) continue;  // vanished concurrently: nothing to prune
+    if (now - mtime <= cap) {
+      ++stats.kept;
+      continue;
     }
-  };
-  sweep(cache.segment_paths(), stats.segments_removed);
-  sweep(cache.marker_paths(), stats.markers_removed);
+    if (std::filesystem::remove(path, ec) && !ec) ++stats.segments_removed;
+  }
   return stats;
 }
 

@@ -24,9 +24,6 @@ struct CacheStats {
   // SimulationCache::key_of, so both are recoverable from the keys).
   std::vector<std::pair<std::string, std::size_t>> apps;
   std::vector<std::pair<std::string, std::size_t>> model_fingerprints;
-  // Step-1 barrier marker files present ("<name>.done", file names only,
-  // sorted) — the rendezvous state a step1-sharded fleet left behind.
-  std::vector<std::string> markers;
 };
 
 CacheStats inspect_cache(const std::string& dir);
@@ -55,20 +52,18 @@ struct VerifyReport {
 
 VerifyReport verify_cache(const std::string& dir);
 
-// Deletes the main cache file, every segment and every barrier marker in
-// `dir` (the directory itself stays). Returns the number of files
-// removed.
+// Deletes the main cache file and every segment in `dir` (the directory
+// itself stays). Returns the number of files removed.
 std::size_t clear_cache(const std::string& dir);
 
 // What `ddtr cache gc` pruned and kept.
 struct GcStats {
   std::size_t segments_removed = 0;
-  std::size_t markers_removed = 0;
-  std::size_t kept = 0;  // segments + markers younger than the cap
+  std::size_t kept = 0;  // segments younger than the cap
 };
 
-// Prunes STALE distributed-run residue: segment files and barrier markers
-// whose mtime is older than `max_age_s` seconds. The main cache file is
+// Prunes STALE distributed-run residue: segment files whose mtime is
+// older than `max_age_s` seconds. The main cache file is
 // never touched (it is the consolidated record store, not residue), so gc
 // is always safe to run on a live directory — a worker actively writing
 // its segment keeps refreshing its mtime. Run `ddtr cache merge` first

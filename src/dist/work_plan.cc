@@ -7,8 +7,7 @@ namespace ddtr::dist {
 
 WorkPlan::WorkPlan(const core::CaseStudy& study,
                    const energy::EnergyModel& model, std::size_t shard_count)
-    : shard_count_(shard_count == 0 ? 1 : shard_count),
-      representative_(study.representative) {
+    : shard_count_(shard_count == 0 ? 1 : shard_count) {
   const std::vector<ddt::DdtCombination> combos =
       ddt::enumerate_combinations(study.slot_kind_sets());
   units_.reserve(study.scenarios.size() * combos.size());
@@ -27,23 +26,6 @@ WorkPlan::WorkPlan(const core::CaseStudy& study,
 std::vector<std::size_t> WorkPlan::shard_units(std::size_t shard) const {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < units_.size(); ++i) {
-    if (shard_of(units_[i]) == shard) out.push_back(i);
-  }
-  return out;
-}
-
-std::vector<std::size_t> WorkPlan::step1_units() const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < units_.size(); ++i) {
-    if (units_[i].scenario_index == representative_) out.push_back(i);
-  }
-  return out;
-}
-
-std::vector<std::size_t> WorkPlan::step1_shard_units(
-    std::size_t shard) const {
-  std::vector<std::size_t> out;
-  for (std::size_t i : step1_units()) {
     if (shard_of(units_[i]) == shard) out.push_back(i);
   }
   return out;

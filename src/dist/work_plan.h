@@ -43,9 +43,6 @@ class WorkPlan {
 
   std::size_t shard_count() const noexcept { return shard_count_; }
   const std::vector<WorkUnit>& units() const noexcept { return units_; }
-  // The study's representative scenario index — the scenario whose units
-  // form the step-1 (application-level) slice of the plan.
-  std::size_t representative() const noexcept { return representative_; }
 
   // The shard owning a unit — core::shard_of_key, the same function the
   // sharded engine applies, so a plan and the workers always agree.
@@ -58,18 +55,8 @@ class WorkPlan {
   // across process restarts and hosts.
   std::vector<std::size_t> shard_units(std::size_t shard) const;
 
-  // The step-1 slice: indices of the (representative-scenario x
-  // combination) units, in fan order. Under the same shard_of_key
-  // partition as everything else, so a step-1-sharded fleet (see
-  // ExplorationOptions::step1_sharded and dist::SegmentBarrier) divides
-  // them disjointly and coveringly too.
-  std::vector<std::size_t> step1_units() const;
-  // step1_units() restricted to `shard`.
-  std::vector<std::size_t> step1_shard_units(std::size_t shard) const;
-
  private:
   std::size_t shard_count_;
-  std::size_t representative_ = 0;
   std::vector<WorkUnit> units_;
 };
 

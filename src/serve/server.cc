@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -130,6 +131,7 @@ void Server::serve_forever() {
   scheduler_ = std::thread([this] { scheduler_loop(); });
 
   while (!stop_requested()) {
+    reap_sessions();
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, 200);
     if (ready <= 0) continue;  // timeout / EINTR: re-check the stop flag
@@ -171,6 +173,27 @@ void Server::serve_forever() {
            " sessions");
 }
 
+void Server::reap_sessions() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    if (finished_.empty()) return;
+    // A session queues its id while its thread is still in threads_ (it
+    // was emplaced under this lock before it could run that far).
+    const auto running = [this](const std::thread& t) {
+      return std::find(finished_.begin(), finished_.end(), t.get_id()) ==
+             finished_.end();
+    };
+    const auto split =
+        std::partition(threads_.begin(), threads_.end(), running);
+    std::move(split, threads_.end(), std::back_inserter(done));
+    threads_.erase(split, threads_.end());
+    finished_.clear();
+  }
+  // Outside the lock: a queued session may still be returning.
+  for (std::thread& t : done) t.join();
+}
+
 void Server::handle_connection(int fd) {
   obs::SpanScope connection_span(options_.trace, "serve.connection", "serve");
   Frame frame;
@@ -207,6 +230,7 @@ void Server::handle_connection(int fd) {
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     open_fds_.erase(fd);
+    finished_.push_back(std::this_thread::get_id());
   }
   ::close(fd);
   sessions_.fetch_add(1, std::memory_order_relaxed);
@@ -351,16 +375,13 @@ ResultFrame Server::run_job(std::uint64_t job_id, int progress_fd) {
 
     api::Exploration session(
         api::registry().make_study(request.app, study_options));
-    session.memoize_simulations(true).shared_cache(&cache_);
-    if (persistent_) session.shared_persistent(&*persistent_);
     // A per-submit jobs override gets a private pool of that width; the
     // default rides the long-lived shared pool (reports are bit-identical
     // at any lane count either way).
-    if (request.jobs > 0) {
-      session.jobs(request.jobs);
-    } else {
-      session.shared_pool(&*pool_);
-    }
+    core::SharedState shared{cache_, persistent_ ? &*persistent_ : nullptr,
+                             request.jobs > 0 ? nullptr : &*pool_};
+    session.memoize_simulations(true).shared_state(&shared);
+    if (request.jobs > 0) session.jobs(request.jobs);
     if (request.greedy == 1) {
       session.step1_policy(core::Step1Policy::kGreedyPerSlot);
     }

@@ -13,9 +13,11 @@
 // scheduler thread — but explorations SERIALIZE on run_mu_, because the
 // shared SimulationCache/PersistentSimulationCache pair admits one
 // explore() at a time (store_new mutates the loaded set; see
-// ExplorationOptions::shared_persistent). Sessions still multiplex: the
-// protocol conversation, progress streaming and status queries all run
-// concurrently, only the simulation phase queues.
+// core::SharedState). Sessions still multiplex: the protocol
+// conversation, progress streaming and status queries all run
+// concurrently, only the simulation phase queues. The accept loop joins
+// finished session threads as it goes, so a long-lived daemon holds one
+// thread per OPEN connection, not one per connection ever served.
 //
 // Shutdown: request_stop() is async-signal-safe (an atomic store — the
 // CLI's SIGTERM/SIGINT handler calls it directly). serve_forever() then
@@ -120,6 +122,9 @@ class Server {
     std::uint64_t finish_ms = 0;
   };
 
+  // Joins the session threads whose connections have closed (their ids
+  // are queued in finished_); called from the accept loop.
+  void reap_sessions();
   void handle_connection(int fd);
   // Serves one decoded client frame; returns false when the conversation
   // is over (shutdown) and the connection should close.
@@ -155,8 +160,8 @@ class Server {
   std::chrono::steady_clock::time_point boot_time_{};
   core::SimulationCache::Stats boot_cache_stats_{};
 
-  // Warm state, shared by every run through the ExplorationOptions
-  // shared_* hooks. run_mu_ admits one exploration at a time.
+  // Warm state, lent to every run as a core::SharedState. run_mu_ admits
+  // one exploration at a time.
   core::SimulationCache cache_;
   std::optional<core::PersistentSimulationCache> persistent_;
   std::optional<support::ThreadPool> pool_;
@@ -168,6 +173,7 @@ class Server {
 
   std::mutex conn_mu_;
   std::vector<std::thread> threads_;
+  std::vector<std::thread::id> finished_;  // sessions awaiting a join
   std::unordered_set<int> open_fds_;
 
   std::thread scheduler_;

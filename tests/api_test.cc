@@ -1,8 +1,8 @@
 // Public API layer: StudyRegistry registration/enumeration semantics,
 // StudyBuilder grid expansion and trace sharing, the Exploration session
 // (chainable options + progress observer), and the acceptance contract
-// that a registry/builder-built study produces a report byte-identical to
-// the legacy make_*_study path.
+// that a builder-built study produces a report byte-identical to the
+// registered built-in.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -225,7 +225,7 @@ TEST(Exploration, ProgressObserverSeesEverySimulationSerialized) {
   EXPECT_EQ(events.back().done, report.step2_simulations);
 }
 
-TEST(Api, BuilderStudyBitIdenticalToLegacyRouteShim) {
+TEST(Api, BuilderStudyBitIdenticalToRegistryRoute) {
   const core::CaseStudyOptions options = tiny_options();
 
   // The documented builder recipe for the paper's Route study...
@@ -239,25 +239,23 @@ TEST(Api, BuilderStudyBitIdenticalToLegacyRouteShim) {
   }
   const core::CaseStudy built = builder.build();
 
-  // ...versus the deprecated free-function path.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const core::CaseStudy legacy = core::make_route_study(options);
-#pragma GCC diagnostic pop
+  // ...versus the registered built-in.
+  const core::CaseStudy registered = registry().make_study("route", options);
 
-  ASSERT_EQ(built.scenarios.size(), legacy.scenarios.size());
+  ASSERT_EQ(built.scenarios.size(), registered.scenarios.size());
   for (std::size_t i = 0; i < built.scenarios.size(); ++i) {
-    EXPECT_EQ(built.scenarios[i].label(), legacy.scenarios[i].label());
+    EXPECT_EQ(built.scenarios[i].label(), registered.scenarios[i].label());
     // Same shared trace instance (both come from the global TraceStore).
-    EXPECT_EQ(built.scenarios[i].trace.get(), legacy.scenarios[i].trace.get());
+    EXPECT_EQ(built.scenarios[i].trace.get(),
+              registered.scenarios[i].trace.get());
   }
 
   // The whole report — every record, survivor and Pareto index — must be
   // byte-identical between the two construction paths.
   Exploration built_session(built);
-  Exploration legacy_session(legacy);
+  Exploration registered_session(registered);
   const core::ExplorationReport& a = built_session.run();
-  const core::ExplorationReport& b = legacy_session.run();
+  const core::ExplorationReport& b = registered_session.run();
   EXPECT_EQ(a.serialized_records(), b.serialized_records());
   EXPECT_EQ(a.survivors, b.survivors);
   EXPECT_EQ(a.pareto_optimal, b.pareto_optimal);

@@ -231,8 +231,8 @@ if(NOT cache_badop_out MATCHES "unknown cache operation")
       "unknown cache op not reported:\n${cache_badop_out}")
 endif()
 
-# 10. `ddtr cache gc` prunes stale segments and markers — never the main
-#     file — and validates --max-age-s.
+# 10. `ddtr cache gc` prunes stale segments — never the main file — and
+#     validates --max-age-s.
 set(GC_DIR "${WORK_DIR}/gc_cache")
 file(REMOVE_RECURSE "${GC_DIR}")
 # Shard first (writes a segment into the empty dir), then a plain run
@@ -273,21 +273,8 @@ if(NOT gc_no_age_out MATCHES "missing required flag")
   message(FATAL_ERROR "missing --max-age-s not reported:\n${gc_no_age_out}")
 endif()
 
-# 11. `ddtr cache stats` reports the barrier-marker inventory.
-run_cli(TRUE stats_markers_out cache stats ${GC_DIR})
-if(NOT stats_markers_out MATCHES "barrier marker")
-  message(FATAL_ERROR
-      "cache stats lacks the marker inventory:\n${stats_markers_out}")
-endif()
-
-# 12. Serve-daemon flag contract, daemonless: bounded numeric knobs and
+# 11. Serve-daemon flag contract, daemonless: bounded numeric knobs and
 #     required --socket values must fail fast, before any connect.
-run_cli(FALSE bad_timeout_out
-        explore --app url --scale 0.05 --barrier-timeout 0)
-if(NOT bad_timeout_out MATCHES "barrier-timeout expects seconds")
-  message(FATAL_ERROR
-      "out-of-range --barrier-timeout not reported:\n${bad_timeout_out}")
-endif()
 run_cli(FALSE bad_every_out
         submit --socket ${WORK_DIR}/nope.sock --app url --every inf)
 if(NOT bad_every_out MATCHES "every expects seconds")

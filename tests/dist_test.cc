@@ -4,20 +4,13 @@
 // process-restart / second-host case); (b) an N-shard run plus segment
 // merge yields a coordinator report byte-identical to the serial run,
 // with zero executed simulations; (c) merging overlapping or duplicate
-// segments is idempotent; (d) step-1 sharding: workers exchange step-1
-// records through segment files and a marker-file barrier
-// (dist::SegmentBarrier) and still produce byte-identical reports, with
-// each worker EXECUTING only its owned step-1 units; barrier timeout is
-// a clean error, cancellation while parked leaves a loadable segment,
-// and a straggler joining late still converges; (e) worker-pool process
-// supervision reaps only its own children; (f) concurrent fleets sharing
-// one cache dir write distinct segment files. Plus the satellites:
-// cache-file compaction and cooperative cancellation leaving a valid,
-// loadable segment.
+// segments is idempotent; (d) worker-pool process supervision reaps only
+// its own children; (e) concurrent fleets sharing one cache dir write
+// distinct segment files. Plus the satellites: cache-file compaction and
+// cooperative cancellation leaving a valid, loadable segment.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <latch>
 #include <set>
@@ -31,7 +24,6 @@
 #include "api/ddtr.h"
 #include "core/persistent_cache.h"
 #include "core/simulation_cache.h"
-#include "dist/barrier.h"
 #include "dist/cache_inspect.h"
 #include "dist/segment_merger.h"
 #include "dist/work_plan.h"
@@ -120,33 +112,6 @@ TEST(WorkPlan, StableAcrossIndependentlyRebuiltStudies) {
   }
 }
 
-TEST(WorkPlan, Step1UnitsPartitionUnderTheSameAssignment) {
-  const core::CaseStudy study = tiny_url_study();
-  const energy::EnergyModel model = core::make_paper_energy_model();
-  const std::size_t shards = 3;
-  const WorkPlan plan(study, model, shards);
-
-  // The step-1 slice is exactly (representative scenario x combinations).
-  const std::vector<std::size_t> step1 = plan.step1_units();
-  ASSERT_EQ(step1.size(), study.combination_count());
-  EXPECT_EQ(plan.representative(), study.representative);
-  for (std::size_t idx : step1) {
-    EXPECT_EQ(plan.units()[idx].scenario_index, study.representative);
-  }
-
-  // And the per-shard step-1 lists partition it under shard_of_key.
-  std::set<std::size_t> seen;
-  std::size_t total = 0;
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    for (std::size_t idx : plan.step1_shard_units(shard)) {
-      EXPECT_EQ(plan.shard_of(plan.units()[idx]), shard);
-      EXPECT_TRUE(seen.insert(idx).second) << "step-1 unit in two shards";
-      ++total;
-    }
-  }
-  EXPECT_EQ(total, step1.size());
-}
-
 TEST(WorkerPool, DoesNotReapForeignChildren) {
   // A host program's own child (the decoy) must survive the coordinator's
   // wait loop: waitpid(-1, ...) would steal its exit status.
@@ -164,195 +129,6 @@ TEST(WorkerPool, DoesNotReapForeignChildren) {
   EXPECT_EQ(waitpid(decoy, &status, 0), decoy);
   EXPECT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 42);
-}
-
-TEST_F(DistTest, SegmentBarrierHonorsMarkersContentAndCancel) {
-  core::PersistentSimulationCache cache(dir_);
-  BarrierOptions quick;
-  quick.timeout = std::chrono::milliseconds(250);
-  quick.poll_interval = std::chrono::milliseconds(5);
-  const SegmentBarrier barrier(dir_, 2, "fp", quick);
-
-  // No markers: a clean timeout error naming the missing shards.
-  try {
-    barrier.wait();
-    FAIL() << "barrier with no markers must time out";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("0/2"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("1/2"), std::string::npos);
-  }
-
-  // A marker with the WRONG content (a torn or spoofed file at the
-  // expected path) never releases it.
-  ASSERT_TRUE(cache.write_marker(core::step1_marker_name("fp", 0, 2), "fp"));
-  ASSERT_TRUE(
-      cache.write_marker(core::step1_marker_name("fp", 1, 2), "stale"));
-  EXPECT_EQ(barrier.missing_shards(), std::vector<std::size_t>{1});
-  EXPECT_THROW(barrier.wait(), std::runtime_error);
-
-  // A different plan's marker lives at a DIFFERENT path (fingerprint in
-  // the name), so same-geometry fleets cannot clobber each other.
-  ASSERT_TRUE(cache.write_marker(core::step1_marker_name("other-plan", 1, 2),
-                                 "other-plan"));
-  EXPECT_EQ(barrier.missing_shards(), std::vector<std::size_t>{1});
-
-  // The right content at the right path releases it immediately.
-  ASSERT_TRUE(cache.write_marker(core::step1_marker_name("fp", 1, 2), "fp"));
-  EXPECT_EQ(barrier.wait(), SegmentBarrier::Outcome::kReady);
-
-  // A raised cancel flag returns kCancelled instead of waiting.
-  BarrierOptions cancelling;
-  cancelling.cancel = std::make_shared<std::atomic<bool>>(true);
-  const SegmentBarrier cancelled(dir_, 3, "fp", cancelling);
-  EXPECT_EQ(cancelled.wait(), SegmentBarrier::Outcome::kCancelled);
-}
-
-TEST_F(DistTest, Step1ShardedWorkersMatchSerialByteForByte) {
-  const core::CaseStudy study = tiny_url_study();
-  api::Exploration serial(study);
-  const std::string serial_bytes = serial.run().serialized_records();
-
-  // Two concurrent step-1-sharded workers (the cross-host recipe needs
-  // the whole fleet alive at once: they rendezvous in the barrier).
-  const std::size_t shards = 2;
-  std::vector<core::ExplorationReport> reports(shards);
-  std::vector<std::thread> threads;
-  for (std::size_t s = 0; s < shards; ++s) {
-    threads.emplace_back([&, s] {
-      api::Exploration worker(tiny_url_study());
-      reports[s] = worker.cache_dir(dir_)
-                       .shard(s, shards)
-                       .step1_sharded()
-                       .barrier_timeout(std::chrono::minutes(2))
-                       .run();
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  // The acceptance invariant: every worker REPORTS the full logical
-  // step-1 set but EXECUTED only its owned slice — the slices partition
-  // the combination space.
-  std::size_t executed_total = 0;
-  for (const core::ExplorationReport& r : reports) {
-    EXPECT_EQ(r.step1_simulations, study.combination_count());
-    EXPECT_GT(r.step1_executed_simulations, 0u);
-    EXPECT_LT(r.step1_executed_simulations, study.combination_count());
-    executed_total += r.step1_executed_simulations;
-    EXPECT_FALSE(r.cancelled);
-  }
-  EXPECT_EQ(executed_total, study.combination_count());
-
-  // Both published their markers...
-  core::PersistentSimulationCache probe(dir_);
-  const std::string fingerprint = core::step1_fingerprint(
-      study, core::make_paper_energy_model(), core::Step1Policy::kExhaustive);
-  for (std::size_t s = 0; s < shards; ++s) {
-    EXPECT_TRUE(
-        core::PersistentSimulationCache::read_marker(
-            probe.marker_path(core::step1_marker_name(fingerprint, s, shards)))
-            .has_value());
-  }
-
-  // ...and the merged cache replays to the serial bytes with zero
-  // executed simulations.
-  SegmentMerger::merge(dir_);
-  api::Exploration coordinator(study);
-  const core::ExplorationReport& report = coordinator.cache_dir(dir_).run();
-  EXPECT_EQ(report.executed_simulations(), 0u);
-  EXPECT_EQ(report.serialized_records(), serial_bytes);
-}
-
-TEST_F(DistTest, WorkersApiRunsStep1ShardedFlow) {
-  const core::CaseStudy study = tiny_url_study();
-  api::Exploration serial(study);
-  const std::string serial_bytes = serial.run().serialized_records();
-
-  api::Exploration session(study);
-  const core::ExplorationReport& report = session.workers(2)
-                                              .step1_sharded()
-                                              .barrier_timeout(
-                                                  std::chrono::minutes(2))
-                                              .cache_dir(dir_)
-                                              .run();
-  EXPECT_EQ(report.executed_simulations(), 0u);
-  EXPECT_EQ(report.serialized_records(), serial_bytes);
-}
-
-TEST_F(DistTest, BarrierTimeoutFiresCleanErrorAndKeepsCheckpoint) {
-  // A lone worker of a 2-fleet: its sibling never arrives, so the run
-  // must fail with the barrier's timeout error — not hang — and its
-  // pre-barrier checkpoint must survive for a rerun to resume from.
-  api::Exploration worker(tiny_url_study());
-  worker.cache_dir(dir_)
-      .shard(0, 2)
-      .step1_sharded()
-      .barrier_timeout(std::chrono::milliseconds(300));
-  EXPECT_THROW(worker.run(), std::runtime_error);
-
-  core::PersistentSimulationCache probe(dir_);
-  EXPECT_GT(probe.load(), 0u);  // the owned step-1 records are durable
-  EXPECT_TRUE(verify_cache(dir_).ok());
-  // Its own marker was published before the wait.
-  EXPECT_EQ(probe.marker_paths().size(), 1u);
-}
-
-TEST_F(DistTest, CancelWhileParkedInBarrierCheckpointsSegment) {
-  api::Exploration worker(tiny_url_study());
-  worker.cache_dir(dir_)
-      .shard(0, 2)
-      .step1_sharded()
-      .barrier_timeout(std::chrono::minutes(2));
-  core::ExplorationReport report;
-  std::thread runner([&] { report = worker.run(); });
-
-  // The worker is parked once its own marker appears (published just
-  // before entering the barrier; the sibling never will).
-  core::PersistentSimulationCache probe(dir_);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::minutes(1);
-  while (probe.marker_paths().empty() &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_FALSE(probe.marker_paths().empty()) << "worker never parked";
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  worker.cancel();
-  runner.join();
-
-  EXPECT_TRUE(report.cancelled);
-  EXPECT_GT(report.persistent_stored, 0u);
-  // The checkpointed segment is valid and loadable — a rerun resumes.
-  EXPECT_TRUE(verify_cache(dir_).ok());
-  EXPECT_EQ(probe.load(), report.persistent_stored);
-}
-
-TEST_F(DistTest, StragglerJoiningLateStillProducesIdenticalReport) {
-  const core::CaseStudy study = tiny_url_study();
-  api::Exploration serial(study);
-  const std::string serial_bytes = serial.run().serialized_records();
-
-  // Shard 0 starts immediately and parks; shard 1 joins noticeably late.
-  std::thread early([&] {
-    api::Exploration worker(tiny_url_study());
-    worker.cache_dir(dir_)
-        .shard(0, 2)
-        .step1_sharded()
-        .barrier_timeout(std::chrono::minutes(2))
-        .run();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  api::Exploration late(tiny_url_study());
-  late.cache_dir(dir_)
-      .shard(1, 2)
-      .step1_sharded()
-      .barrier_timeout(std::chrono::minutes(2))
-      .run();
-  early.join();
-
-  api::Exploration coordinator(study);
-  const core::ExplorationReport& report = coordinator.cache_dir(dir_).run();
-  EXPECT_EQ(report.executed_simulations(), 0u);
-  EXPECT_EQ(report.serialized_records(), serial_bytes);
 }
 
 TEST_F(DistTest, TwoFleetsSharingOneDirWriteDistinctSegments) {
@@ -464,28 +240,7 @@ TEST_F(DistTest, CoordinatorReplaysUnmergedSegmentsToo) {
   EXPECT_EQ(report.serialized_records(), serial_bytes);
 }
 
-TEST_F(DistTest, WorkersApiRunsWholeDistributedFlow) {
-  const core::CaseStudy study = tiny_url_study();
-  api::Exploration serial(study);
-  const std::string serial_bytes = serial.run().serialized_records();
-
-  // workers(2): shard threads + merge + coordinator pass, one call.
-  api::Exploration session(study);
-  const core::ExplorationReport& report =
-      session.workers(2).cache_dir(dir_).run();
-  EXPECT_EQ(report.executed_simulations(), 0u);
-  EXPECT_EQ(report.shard_count, 1u);  // the report IS the coordinator's
-  EXPECT_EQ(report.serialized_records(), serial_bytes);
-  // The merge left one compacted main file and no segments.
-  core::PersistentSimulationCache probe(dir_);
-  EXPECT_TRUE(std::filesystem::exists(probe.file_path()));
-  EXPECT_TRUE(probe.segment_paths().empty());
-}
-
-TEST_F(DistTest, WorkersRequireCacheDir) {
-  api::Exploration session(tiny_url_study());
-  session.workers(2);
-  EXPECT_THROW(session.run(), std::invalid_argument);
+TEST_F(DistTest, ShardRequiresCacheDir) {
   api::Exploration sharded(tiny_url_study());
   sharded.shard(0, 2);
   EXPECT_THROW(sharded.run(), std::invalid_argument);

@@ -337,33 +337,6 @@ TEST_F(PersistentCacheTest, ZeroLengthFileIsToleratedAndReported) {
   EXPECT_EQ(healed.entries_ok, 1u);
 }
 
-TEST_F(PersistentCacheTest, MarkerFilesRoundTripAtomically) {
-  PersistentSimulationCache cache(dir_);
-  const std::string name = "step1.shard0of2";
-  EXPECT_FALSE(PersistentSimulationCache::read_marker(cache.marker_path(name))
-                   .has_value());
-
-  EXPECT_TRUE(cache.write_marker(name, "fingerprint-a"));
-  auto content = PersistentSimulationCache::read_marker(cache.marker_path(name));
-  ASSERT_TRUE(content.has_value());
-  EXPECT_EQ(*content, "fingerprint-a");
-
-  // Republishing replaces the content (rename over the old marker).
-  EXPECT_TRUE(cache.write_marker(name, "fingerprint-b"));
-  content = PersistentSimulationCache::read_marker(cache.marker_path(name));
-  ASSERT_TRUE(content.has_value());
-  EXPECT_EQ(*content, "fingerprint-b");
-
-  ASSERT_EQ(cache.marker_paths().size(), 1u);
-  EXPECT_EQ(cache.marker_paths().front(), cache.marker_path(name));
-
-  // No temp litter left behind.
-  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
-    EXPECT_EQ(entry.path().string().find(".tmp"), std::string::npos)
-        << entry.path();
-  }
-}
-
 TEST_F(PersistentCacheTest, ColdStartSessionsDoNotWipeEachOthersStores) {
   // Two sessions share one cache dir and both load() before the file
   // exists; the second store_new() must append to the first's file, not

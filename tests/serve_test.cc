@@ -5,12 +5,15 @@
 // returns byte-identical result records — the warm-cache guarantee,
 // verified through the full client -> daemon -> client round trip. Also:
 // job table, result re-fetch, version-mismatch refusal, the scheduler's
-// periodic re-exploration, and drain-and-flush shutdown (socket removed,
-// cache compacted and warm for the next daemon).
+// periodic re-exploration, finished sessions being reaped (bounded
+// virtual memory over many connections), and drain-and-flush shutdown
+// (socket removed, cache compacted and warm for the next daemon).
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -31,6 +34,17 @@ SubmitRequest tiny_url_request() {
   request.app = "url";
   request.packets = 200;  // minimal traces: the run must stay test-sized
   return request;
+}
+
+// This process's virtual memory size in KiB (/proc/self/status VmSize);
+// the daemon runs in-process, so its session threads' stacks count here.
+std::uint64_t vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7));
+  }
+  return 0;
 }
 
 class ServeTest : public ::testing::Test {
@@ -231,6 +245,34 @@ TEST_F(ServeTest, SchedulerReExploresRecurringJobs) {
   EXPECT_EQ(latest.records, first.records);
   // The daemon's introspection counts those reruns too.
   EXPECT_GE(client.stats().scheduler_reruns, 2u);
+}
+
+TEST_F(ServeTest, FinishedSessionsAreReaped) {
+  start_server();
+  const auto connect_and_poll = [this] {
+    Client client(socket_);
+    client.status();
+  };
+  // Warm-up: the first sessions settle the allocator's per-thread arenas.
+  for (int i = 0; i < 10; ++i) connect_and_poll();
+  const std::uint64_t before_kb = vm_size_kb();
+  ASSERT_GT(before_kb, 0u);
+
+  // Each unjoined session thread would keep its stack mapped (8 MiB by
+  // default): 200 of them would add ~1.6 GiB.
+  constexpr std::uint64_t kConnections = 200;
+  for (std::uint64_t i = 0; i < kConnections; ++i) connect_and_poll();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server_->sessions_served() < 10 + kConnections &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(server_->sessions_served(), 10 + kConnections);
+  const std::uint64_t after_kb = vm_size_kb();
+  EXPECT_LT(after_kb, before_kb + 64 * 1024)
+      << "VmSize grew from " << before_kb << " KiB to " << after_kb
+      << " KiB over " << kConnections << " connections";
 }
 
 TEST_F(ServeTest, ShutdownDrainsFlushesAndLeavesWarmCacheOnDisk) {

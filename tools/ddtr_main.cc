@@ -41,7 +41,6 @@
 // re-exploration.
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <fstream>
@@ -111,9 +110,7 @@ int usage() {
       "[--jobs N] [--greedy] [--progress]\n"
       "               [--survivor-cap F] [--cache-dir DIR] [--log FILE] "
       "[--csv PREFIX]\n"
-      "               [--shard I/N | --workers N] [--step1-sharded] "
-      "[--barrier-timeout S]\n"
-      "               [--trace FILE]\n"
+      "               [--shard I/N | --workers N] [--trace FILE]\n"
       "    --jobs N: concurrent simulation lanes (default 1; 0 = one per\n"
       "              hardware thread); output is identical at any N\n"
       "    --greedy: per-slot greedy step 1 (fewer simulations)\n"
@@ -128,13 +125,6 @@ int usage() {
       "    --workers N: single-machine coordinator (requires --cache-dir):\n"
       "              spawn N shard workers, merge their segments, then\n"
       "              replay the merged cache (0 executed simulations)\n"
-      "    --step1-sharded: split step 1 across the fleet too; workers\n"
-      "              checkpoint their step-1 units, publish\n"
-      "              step1.<fingerprint>.shard<I>of<N>.done markers, and\n"
-      "              rendezvous on them before selecting survivors (needs\n"
-      "              all N workers running concurrently)\n"
-      "    --barrier-timeout S: give up the step-1 rendezvous after S\n"
-      "              seconds with a clean error (default 600)\n"
       "    --trace FILE: write a Chrome trace_event JSON span timeline of\n"
       "              the run (open in Perfetto / chrome://tracing); purely\n"
       "              observational — reports are byte-identical either way\n"
@@ -157,8 +147,8 @@ int usage() {
       "  ddtr pareto --log FILE [--app NAME] [--x METRIC] [--y METRIC]\n"
       "  ddtr cache stats|verify|clear|merge DIR\n"
       "  ddtr cache gc DIR --max-age-s S\n"
-      "    gc: prune segment files and barrier markers older than S\n"
-      "        seconds (the main cache file is never touched)\n"
+      "    gc: prune segment files older than S seconds (the main cache\n"
+      "        file is never touched)\n"
       "  ddtr serve --socket PATH [--cache-dir DIR] [--jobs N]\n"
       "             [--progress-every S] [--trace FILE]\n"
       "    long-lived daemon: loads the cache once, accepts submissions\n"
@@ -446,21 +436,6 @@ int cmd_explore(const Args& args, const char* argv0) {
   const std::size_t worker_count =
       workers_flag ? parse_count_flag("workers", *workers_flag)
                    : std::size_t{1};
-  const bool step1_sharded = args.has("step1-sharded");
-  const auto barrier_timeout_flag = args.valued("barrier-timeout");
-  double barrier_timeout_s = 600.0;
-  if (barrier_timeout_flag) {
-    barrier_timeout_s =
-        parse_double_flag("barrier-timeout", *barrier_timeout_flag);
-    // Bounded above too: "inf" or 1e300 would overflow the
-    // milliseconds conversion into a negative (already-expired) timeout.
-    if (!std::isfinite(barrier_timeout_s) || barrier_timeout_s <= 0.0 ||
-        barrier_timeout_s > 1e7) {
-      throw std::runtime_error(
-          "flag --barrier-timeout expects seconds in (0, 1e7], got '" +
-          *barrier_timeout_flag + "'");
-    }
-  }
   if (shard_flag && workers_flag) {
     throw std::runtime_error(
         "--shard and --workers are mutually exclusive (a shard worker is "
@@ -470,11 +445,6 @@ int cmd_explore(const Args& args, const char* argv0) {
     throw std::runtime_error(
         "distributed exploration requires --cache-dir (shard workers meet "
         "only through cache segments)");
-  }
-  if (step1_sharded && !shard_flag && worker_count <= 1) {
-    throw std::runtime_error(
-        "--step1-sharded needs a fleet: combine it with --shard I/N or "
-        "--workers N");
   }
 
   if (worker_count > 1) {
@@ -542,9 +512,6 @@ int cmd_explore(const Args& args, const char* argv0) {
   if (jobs) session.jobs(job_count);
   if (survivor_cap) session.survivor_cap(survivor_cap_fraction);
   if (cache_dir) session.cache_dir(*cache_dir);
-  if (step1_sharded) session.step1_sharded(true);
-  session.barrier_timeout(std::chrono::milliseconds(
-      std::llround(barrier_timeout_s * 1000.0)));
   if (args.has("greedy")) {
     session.step1_policy(core::Step1Policy::kGreedyPerSlot);
   }
@@ -704,16 +671,6 @@ int cmd_cache(const Args& args) {
       }
       models.print(std::cout);
     }
-    std::cout << '\n' << stats.markers.size() << " barrier marker"
-              << (stats.markers.size() == 1 ? "" : "s");
-    if (!stats.markers.empty()) {
-      std::cout << ":\n";
-      for (const std::string& name : stats.markers) {
-        std::cout << "  " << name << '\n';
-      }
-    } else {
-      std::cout << '\n';
-    }
     return 0;
   }
 
@@ -771,9 +728,7 @@ int cmd_cache(const Args& args) {
     }
     const dist::GcStats stats = dist::gc_cache(dir, max_age_s);
     std::cout << "gc: removed " << stats.segments_removed << " segment"
-              << (stats.segments_removed == 1 ? "" : "s") << " and "
-              << stats.markers_removed << " marker"
-              << (stats.markers_removed == 1 ? "" : "s") << " older than "
+              << (stats.segments_removed == 1 ? "" : "s") << " older than "
               << support::format_double(max_age_s, 3) << " s (" << stats.kept
               << " kept) in " << dir << '\n';
     return 0;
@@ -852,8 +807,8 @@ int cmd_serve(const Args& args) {
   }
   if (const auto every = args.valued("progress-every")) {
     options.progress_every_s = parse_double_flag("progress-every", *every);
-    // Same bounding rationale as --barrier-timeout: "inf" or 1e300 would
-    // overflow the steady-clock duration conversion.
+    // Bounded above too: "inf" or 1e300 would overflow the steady-clock
+    // duration conversion.
     if (!std::isfinite(options.progress_every_s) ||
         options.progress_every_s <= 0.0 || options.progress_every_s > 1e7) {
       throw std::runtime_error(
@@ -931,8 +886,8 @@ int cmd_submit(const Args& args) {
   }
   if (const auto every = args.valued("every")) {
     request.every_s = parse_double_flag("every", *every);
-    // Same bounding rationale as --barrier-timeout: "inf" or 1e300 would
-    // overflow the deadline arithmetic.
+    // Bounded above too: "inf" or 1e300 would overflow the deadline
+    // arithmetic.
     if (!std::isfinite(request.every_s) || request.every_s <= 0.0 ||
         request.every_s > 1e7) {
       throw std::runtime_error(
