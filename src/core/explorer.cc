@@ -34,28 +34,21 @@ namespace {
 class ProgressReporter {
  public:
   ProgressReporter(const ProgressObserver& observer, int step,
-                   std::size_t total, std::size_t shard_index,
-                   std::size_t shard_count)
-      : observer_(observer),
-        step_(step),
-        total_(total),
-        shard_index_(shard_index),
-        shard_count_(shard_count) {
-    if (observer_) observer_({step_, 0, total_, shard_index_, shard_count_});
+                   std::size_t total)
+      : observer_(observer), step_(step), total_(total) {
+    if (observer_) observer_({step_, 0, total_});
   }
 
   void tick() {
     if (!observer_) return;
     std::lock_guard<std::mutex> lock(mu_);
-    observer_({step_, ++done_, total_, shard_index_, shard_count_});
+    observer_({step_, ++done_, total_});
   }
 
  private:
   const ProgressObserver& observer_;
   const int step_;
   const std::size_t total_;
-  const std::size_t shard_index_;
-  const std::size_t shard_count_;
   std::mutex mu_;
   std::size_t done_ = 0;
 };
@@ -170,8 +163,7 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
   std::vector<unsigned char> filled(count, 0);
   std::atomic<std::size_t> foreign{0};
   std::atomic<std::size_t> dropped{0};
-  ProgressReporter progress(options_.progress, step, count,
-                            options_.shard_index, options_.shard_count);
+  ProgressReporter progress(options_.progress, step, count);
   support::parallel_for(pool, count, [&](std::size_t i) {
     if (cancel_requested()) {
       dropped.fetch_add(1, std::memory_order_relaxed);
@@ -401,8 +393,8 @@ ExplorationEngine::FanOutcome ExplorationEngine::run_step2_fan(
   const std::size_t per_scenario = survivors.size();
   const std::size_t count = per_scenario * study.scenarios.size();
   if (count == 0) {
-    ProgressReporter progress(options_.progress, 2, 0,
-                              options_.shard_index, options_.shard_count);
+    // Still announce the (empty) step: observers see every step open.
+    ProgressReporter announce(options_.progress, 2, 0);
     return FanOutcome{};
   }
   return fan_simulations(
@@ -530,9 +522,7 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
       // multi-writer corruption segments exist to prevent).
       report.segment_tag =
           shard_segment_tag(options_.shard_index, options_.shard_count) +
-          "." +
-          (options_.run_token.empty() ? default_run_token()
-                                      : options_.run_token);
+          "." + default_run_token();
       persistent->set_segment(report.segment_tag);
     }
     obs::SpanScope load_span(options_.trace_sink, "cache.load", "cache");

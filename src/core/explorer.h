@@ -76,11 +76,10 @@ std::size_t shard_of_key(const std::string& key,
                          std::size_t shard_count) noexcept;
 
 // Base cache-segment tag of shard I of N ("shard<I>of<N>"). The engine
-// appends a per-run token (ExplorationOptions::run_token, auto-generated
-// from pid + a process-wide sequence when empty) so two fleets sharing a
-// cache directory with the same geometry can never write the same
-// segment file; the tag actually used is in ExplorationReport::
-// segment_tag.
+// appends a per-run token (pid, a per-process nonce and a process-wide
+// sequence) so two fleets sharing a cache directory with the same
+// geometry can never write the same segment file; the tag actually used
+// is in ExplorationReport::segment_tag.
 std::string shard_segment_tag(std::size_t shard_index,
                               std::size_t shard_count);
 
@@ -93,10 +92,6 @@ struct StepProgress {
   int step = 0;            // 1 (application level) or 2 (network level)
   std::size_t done = 0;    // simulations settled so far in this step
   std::size_t total = 0;   // simulations this step covers
-  // Shard identity of the emitting engine (0 of 1 when unsharded) — lets
-  // one observer multiplex several shard workers' streams.
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
 };
 
 // Observer invoked as a step advances. The engine serializes invocations
@@ -165,13 +160,6 @@ struct ExplorationOptions {
   // memoize_simulations and a cache_dir (enforced by explore()).
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
-  // Uniquifies this run's cache-segment tag ("shard<I>of<N>.<token>") so
-  // concurrent fleets sharing a cache directory with the same shard
-  // geometry never write the same segment file. Auto-generated (pid + a
-  // process-wide sequence) when empty; merge-on-load folds every
-  // segment regardless of tag, so resume-after-cancel and replay are
-  // unaffected by the token changing across runs.
-  std::string run_token;
   // Cooperative cancellation: when the pointed-to flag becomes true, the
   // fan-out stops starting new simulations (in-flight ones finish), the
   // run's executed records are still checkpointed to the persistent

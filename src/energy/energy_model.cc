@@ -15,6 +15,15 @@ bool dominates(const Metrics& a, const Metrics& b) noexcept {
   return strictly_better;
 }
 
+std::optional<std::size_t> metric_index(std::string_view name) noexcept {
+  static constexpr std::array<const char*, kMetricCount> kAliases = {
+      "energy", "time", "accesses", "footprint"};
+  for (std::size_t i = 0; i < kMetricCount; ++i) {
+    if (name == kMetricNames[i] || name == kAliases[i]) return i;
+  }
+  return std::nullopt;
+}
+
 EnergyModel::EnergyModel(MemoryHierarchy hierarchy)
     : EnergyModel(std::move(hierarchy), Config{}) {}
 

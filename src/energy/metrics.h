@@ -4,8 +4,11 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace ddtr::energy {
 
@@ -28,6 +31,11 @@ struct Metrics {
 inline constexpr std::size_t kMetricCount = 4;
 inline constexpr std::array<const char*, kMetricCount> kMetricNames = {
     "energy_mJ", "time_s", "accesses", "footprint_B"};
+
+// Index into kMetricNames of a metric name, also accepting the short
+// aliases energy|time|accesses|footprint; nullopt for anything else. The
+// one metric vocabulary of `ddtr pareto`, `ddtr submit` and the daemon.
+std::optional<std::size_t> metric_index(std::string_view name) noexcept;
 
 // True if `a` dominates `b`: no metric worse, at least one strictly better.
 bool dominates(const Metrics& a, const Metrics& b) noexcept;

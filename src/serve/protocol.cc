@@ -191,7 +191,6 @@ std::string encode_submit(const SubmitRequest& m) {
   support::write_u32(os, m.greedy);
   support::write_f64(os, m.survivor_cap);
   support::write_u64(os, m.jobs);
-  support::write_f64(os, m.every_s);
   support::write_string(os, m.metric_x);
   support::write_string(os, m.metric_y);
   return os.str();
@@ -204,7 +203,7 @@ bool decode_submit(const std::string& payload, SubmitRequest& m) {
          support::read_u64(is, m.seed_offset) &&
          support::read_u32(is, m.greedy) &&
          support::read_f64(is, m.survivor_cap) &&
-         support::read_u64(is, m.jobs) && support::read_f64(is, m.every_s) &&
+         support::read_u64(is, m.jobs) &&
          support::read_string(is, m.metric_x) &&
          support::read_string(is, m.metric_y) && at_end(is);
 }
@@ -240,7 +239,6 @@ std::string encode_result(const ResultFrame& m) {
   std::ostringstream os;
   support::write_u64(os, m.job_id);
   support::write_string(os, m.app);
-  support::write_u64(os, m.runs);
   support::write_u64(os, m.executed);
   support::write_u64(os, m.logical);
   support::write_u64(os, m.cache_hits);
@@ -257,7 +255,7 @@ std::string encode_result(const ResultFrame& m) {
 bool decode_result(const std::string& payload, ResultFrame& m) {
   std::istringstream is(payload);
   return support::read_u64(is, m.job_id) && support::read_string(is, m.app) &&
-         support::read_u64(is, m.runs) && support::read_u64(is, m.executed) &&
+         support::read_u64(is, m.executed) &&
          support::read_u64(is, m.logical) &&
          support::read_u64(is, m.cache_hits) &&
          support::read_u64(is, m.cache_misses) &&
@@ -288,9 +286,7 @@ std::string encode_status_reply(const StatusReply& m) {
     support::write_u64(os, job.id);
     support::write_string(os, job.app);
     support::write_string(os, job.state);
-    support::write_u64(os, job.runs);
     support::write_u64(os, job.last_executed);
-    support::write_f64(os, job.every_s);
   }
   return os.str();
 }
@@ -309,9 +305,7 @@ bool decode_status_reply(const std::string& payload, StatusReply& m) {
     JobStatus job;
     if (!support::read_u64(is, job.id) || !support::read_string(is, job.app) ||
         !support::read_string(is, job.state) ||
-        !support::read_u64(is, job.runs) ||
-        !support::read_u64(is, job.last_executed) ||
-        !support::read_f64(is, job.every_s)) {
+        !support::read_u64(is, job.last_executed)) {
       return false;
     }
     m.jobs.push_back(std::move(job));
@@ -360,15 +354,12 @@ std::string encode_stats_reply(const StatsReply& m) {
   support::write_u64(os, m.cache_hits);
   support::write_u64(os, m.cache_misses);
   support::write_u64(os, m.jobs_submitted);
-  support::write_u64(os, m.scheduler_reruns);
   support::write_u64(os, m.jobs.size());
   for (const JobStats& job : m.jobs) {
     support::write_u64(os, job.id);
     support::write_string(os, job.app);
     support::write_string(os, job.state);
-    support::write_u64(os, job.runs);
     support::write_u64(os, job.last_executed);
-    support::write_f64(os, job.every_s);
     support::write_u64(os, job.submit_ms);
     support::write_u64(os, job.start_ms);
     support::write_u64(os, job.finish_ms);
@@ -386,7 +377,6 @@ bool decode_stats_reply(const std::string& payload, StatsReply& m) {
       !support::read_u64(is, m.cache_hits) ||
       !support::read_u64(is, m.cache_misses) ||
       !support::read_u64(is, m.jobs_submitted) ||
-      !support::read_u64(is, m.scheduler_reruns) ||
       !support::read_u64(is, count)) {
     return false;
   }
@@ -399,9 +389,7 @@ bool decode_stats_reply(const std::string& payload, StatsReply& m) {
     JobStats job;
     if (!support::read_u64(is, job.id) || !support::read_string(is, job.app) ||
         !support::read_string(is, job.state) ||
-        !support::read_u64(is, job.runs) ||
         !support::read_u64(is, job.last_executed) ||
-        !support::read_f64(is, job.every_s) ||
         !support::read_u64(is, job.submit_ms) ||
         !support::read_u64(is, job.start_ms) ||
         !support::read_u64(is, job.finish_ms)) {

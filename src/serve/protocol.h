@@ -30,7 +30,9 @@ namespace ddtr::serve {
 // Bump on ANY frame or payload layout change; peers with different
 // versions refuse each other at the hello handshake.
 // v2: HelloAck gained progress_every; Stats/StatsReply introspection pair.
-inline constexpr std::uint32_t kProtocolVersion = 2;
+// v3: the re-exploration scheduler's fields are gone (SubmitRequest::
+// every_s, the runs/every_s job columns, StatsReply::scheduler_reruns).
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
 enum class FrameType : std::uint32_t {
   kHello = 1,        // client -> server, first frame on every connection
@@ -97,7 +99,6 @@ struct SubmitRequest {
   std::uint32_t greedy = 0;       // 1 = Step1Policy::kGreedyPerSlot
   double survivor_cap = 0.0;      // survivor_cap_fraction (0 = default)
   std::uint64_t jobs = 0;         // simulation lanes (0 = server's --jobs)
-  double every_s = 0.0;           // > 0: re-explore every S s (scheduler)
   std::string metric_x = "time";  // result-frame Pareto listing axes
   std::string metric_y = "energy";
 };
@@ -121,7 +122,6 @@ struct ProgressFrame {
 struct ResultFrame {
   std::uint64_t job_id = 0;
   std::string app;
-  std::uint64_t runs = 0;  // completed runs of this job so far
   std::uint64_t executed = 0;
   std::uint64_t logical = 0;
   std::uint64_t cache_hits = 0;
@@ -142,9 +142,7 @@ struct JobStatus {
   std::uint64_t id = 0;
   std::string app;
   std::string state;  // "queued" | "running" | "done" | "failed"
-  std::uint64_t runs = 0;
   std::uint64_t last_executed = 0;
-  double every_s = 0.0;
 };
 
 struct StatusReply {
@@ -170,9 +168,7 @@ struct JobStats {
   std::uint64_t id = 0;
   std::string app;
   std::string state;  // "queued" | "running" | "done" | "failed"
-  std::uint64_t runs = 0;
   std::uint64_t last_executed = 0;
-  double every_s = 0.0;
   std::uint64_t submit_ms = 0;
   std::uint64_t start_ms = 0;
   std::uint64_t finish_ms = 0;
@@ -185,7 +181,6 @@ struct StatsReply {
   std::uint64_t cache_hits = 0;    // in-memory cache hits since boot
   std::uint64_t cache_misses = 0;  // executed simulations since boot
   std::uint64_t jobs_submitted = 0;
-  std::uint64_t scheduler_reruns = 0;
   std::vector<JobStats> jobs;
   std::string metrics_text;  // obs::Registry::render_text(), on request
 };

@@ -27,18 +27,6 @@
 namespace ddtr::serve {
 namespace {
 
-std::optional<std::size_t> metric_index(const std::string& name) {
-  for (std::size_t i = 0; i < energy::kMetricCount; ++i) {
-    if (name == energy::kMetricNames[i]) return i;
-  }
-  // CLI-friendly aliases, same spellings `ddtr pareto` accepts.
-  if (name == "energy") return 0;
-  if (name == "time") return 1;
-  if (name == "accesses") return 2;
-  if (name == "footprint") return 3;
-  return std::nullopt;
-}
-
 // The 2-D Pareto front of the aggregated step-3 records on the requested
 // metric pair, preformatted one line per point (combo label + both
 // values) so clients print it verbatim.
@@ -128,7 +116,6 @@ std::uint64_t Server::uptime_ms() const {
 
 void Server::serve_forever() {
   if (listen_fd_ < 0) throw std::logic_error("serve_forever before start()");
-  scheduler_ = std::thread([this] { scheduler_loop(); });
 
   while (!stop_requested()) {
     reap_sessions();
@@ -143,7 +130,7 @@ void Server::serve_forever() {
   }
 
   // Drain: half-close every open connection so parked recv_frame calls
-  // return, then join the sessions and the scheduler.
+  // return, then join the sessions.
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     for (int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
@@ -157,7 +144,6 @@ void Server::serve_forever() {
     if (batch.empty()) break;
     for (std::thread& t : batch) t.join();
   }
-  if (scheduler_.joinable()) scheduler_.join();
 
   // Flush: fold main file + this service's appends into one compacted
   // main cache file (runs already appended incrementally via store_new).
@@ -300,14 +286,11 @@ std::string Server::validate(const SubmitRequest& request) const {
       !std::isfinite(request.survivor_cap)) {
     return "survivor-cap must be in [0, 1]";
   }
-  if (request.every_s < 0.0 || !std::isfinite(request.every_s)) {
-    return "every must be a finite non-negative number of seconds";
-  }
   if (request.greedy > 1) return "greedy must be 0 or 1";
-  if (!metric_index(request.metric_x)) {
+  if (!energy::metric_index(request.metric_x)) {
     return "unknown metric '" + request.metric_x + "'";
   }
-  if (!metric_index(request.metric_y)) {
+  if (!energy::metric_index(request.metric_y)) {
     return "unknown metric '" + request.metric_y + "'";
   }
   return {};
@@ -334,141 +317,118 @@ void Server::handle_submit(int fd, const SubmitRequest& request) {
     return;
   }
   log_line("job " + std::to_string(job_id) + ": " + request.app +
-           " scale=" + support::format_double(request.scale, 3) +
-           (request.every_s > 0.0
-                ? " every=" + support::format_double(request.every_s, 3) + "s"
-                : ""));
+           " scale=" + support::format_double(request.scale, 3));
   try {
-    const ResultFrame result = run_job(job_id, fd);
+    const ResultFrame result = run_job(job_id, request, fd);
     send_frame(fd, {FrameType::kResult, encode_result(result)});
   } catch (const std::exception& error) {
+    {
+      std::lock_guard<std::mutex> lock(jobs_mu_);
+      jobs_.at(job_id).state = "failed";
+    }
     send_error(fd, std::string("exploration failed: ") + error.what());
   }
 }
 
-ResultFrame Server::run_job(std::uint64_t job_id, int progress_fd) {
+ResultFrame Server::run_job(std::uint64_t job_id, const SubmitRequest& request,
+                            int fd) {
   obs::SpanScope job_span(options_.trace, "serve.job", "serve");
-  SubmitRequest request;
   {
     std::lock_guard<std::mutex> lock(jobs_mu_);
-    auto it = jobs_.find(job_id);
-    if (it == jobs_.end()) throw std::runtime_error("unknown job id");
-    request = it->second.request;
-    it->second.state = "running";
-    it->second.start_ms = uptime_ms();
+    Job& job = jobs_.at(job_id);
+    job.state = "running";
+    job.start_ms = uptime_ms();
   }
-  const auto fail = [this, job_id] {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    auto it = jobs_.find(job_id);
-    if (it != jobs_.end()) it->second.state = "failed";
+  core::CaseStudyOptions study_options =
+      core::CaseStudyOptions{}.scaled(request.scale);
+  if (request.packets > 0) {
+    study_options.route_packets = request.packets;
+    study_options.url_packets = request.packets;
+    study_options.ipchains_packets = request.packets;
+    study_options.drr_packets = request.packets;
+  }
+  study_options.seed_offset = request.seed_offset;
+
+  api::Exploration session(
+      api::registry().make_study(request.app, study_options));
+  // A per-submit jobs override gets a private pool of that width; the
+  // default rides the long-lived shared pool (reports are bit-identical
+  // at any lane count either way).
+  core::SharedState shared{cache_, persistent_ ? &*persistent_ : nullptr,
+                           request.jobs > 0 ? nullptr : &*pool_};
+  session.memoize_simulations(true).shared_state(&shared);
+  if (request.jobs > 0) session.jobs(request.jobs);
+  if (request.greedy == 1) {
+    session.step1_policy(core::Step1Policy::kGreedyPerSlot);
+  }
+  if (request.survivor_cap > 0.0) session.survivor_cap(request.survivor_cap);
+  session.trace_sink(options_.trace);
+  // Time-throttled StepProgress stream: at most one tick per
+  // --progress-every seconds, plus the exact endpoints (done==0 and
+  // done==total always go out, so clients see every step open and
+  // close). The engine serializes observer calls, so sends do not
+  // interleave. A vanished client only mutes progress — the run (and
+  // its cache warmth) completes regardless.
+  struct ProgressState {
+    bool client_alive = true;
+    std::chrono::steady_clock::time_point last_send{};
   };
-  try {
-    core::CaseStudyOptions study_options =
-        core::CaseStudyOptions{}.scaled(request.scale);
-    if (request.packets > 0) {
-      study_options.route_packets = request.packets;
-      study_options.url_packets = request.packets;
-      study_options.ipchains_packets = request.packets;
-      study_options.drr_packets = request.packets;
+  auto state = std::make_shared<ProgressState>();
+  const auto min_gap =
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(options_.progress_every_s));
+  session.on_progress([fd, job_id, state,
+                       min_gap](const core::StepProgress& p) {
+    if (!state->client_alive) return;
+    const auto now = std::chrono::steady_clock::now();
+    const bool endpoint = p.done == 0 || p.done == p.total;
+    if (!endpoint && now - state->last_send < min_gap) return;
+    state->last_send = now;
+    ProgressFrame tick;
+    tick.job_id = job_id;
+    tick.step = static_cast<std::uint32_t>(p.step);
+    tick.done = p.done;
+    tick.total = p.total;
+    if (!send_frame(fd, {FrameType::kProgress, encode_progress(tick)})) {
+      state->client_alive = false;
     }
-    study_options.seed_offset = request.seed_offset;
+  });
 
-    api::Exploration session(
-        api::registry().make_study(request.app, study_options));
-    // A per-submit jobs override gets a private pool of that width; the
-    // default rides the long-lived shared pool (reports are bit-identical
-    // at any lane count either way).
-    core::SharedState shared{cache_, persistent_ ? &*persistent_ : nullptr,
-                             request.jobs > 0 ? nullptr : &*pool_};
-    session.memoize_simulations(true).shared_state(&shared);
-    if (request.jobs > 0) session.jobs(request.jobs);
-    if (request.greedy == 1) {
-      session.step1_policy(core::Step1Policy::kGreedyPerSlot);
-    }
-    if (request.survivor_cap > 0.0) session.survivor_cap(request.survivor_cap);
-    session.trace_sink(options_.trace);
-    if (progress_fd >= 0) {
-      // Time-throttled StepProgress stream: at most one tick per
-      // --progress-every seconds, plus the exact endpoints (done==0 and
-      // done==total always go out, so clients see every step open and
-      // close). The engine serializes observer calls, so sends do not
-      // interleave. A vanished client only mutes progress — the run (and
-      // its cache warmth) completes regardless.
-      struct ProgressState {
-        bool client_alive = true;
-        std::chrono::steady_clock::time_point last_send{};
-      };
-      auto state = std::make_shared<ProgressState>();
-      const auto min_gap =
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(options_.progress_every_s));
-      session.on_progress([progress_fd, job_id, state,
-                           min_gap](const core::StepProgress& p) {
-        if (!state->client_alive) return;
-        const auto now = std::chrono::steady_clock::now();
-        const bool endpoint = p.done == 0 || p.done == p.total;
-        if (!endpoint && now - state->last_send < min_gap) return;
-        state->last_send = now;
-        ProgressFrame tick;
-        tick.job_id = job_id;
-        tick.step = static_cast<std::uint32_t>(p.step);
-        tick.done = p.done;
-        tick.total = p.total;
-        if (!send_frame(progress_fd,
-                        {FrameType::kProgress, encode_progress(tick)})) {
-          state->client_alive = false;
-        }
-      });
-    }
-
-    ResultFrame result;
-    {
-      std::lock_guard<std::mutex> run_lock(run_mu_);
-      const core::ExplorationReport& report = session.run();
-      result.job_id = job_id;
-      result.app = report.app_name;
-      result.executed = report.executed_simulations();
-      result.logical = report.reduced_simulations();
-      result.cache_hits = report.cache_hits;
-      result.cache_misses = report.cache_misses;
-      result.persistent_loaded = report.persistent_loaded;
-      result.persistent_stored = report.persistent_stored;
-      result.survivors = report.survivors.size();
-      result.pareto_count = report.pareto_optimal.size();
-      result.pareto = format_pareto(report, *metric_index(request.metric_x),
-                                    *metric_index(request.metric_y));
-      result.records = report.serialized_records();
-    }
-    job_span.arg("executed", result.executed)
-        .arg("cache_hits", result.cache_hits)
-        .arg("result_bytes", result.records.size());
-
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    auto it = jobs_.find(job_id);
-    if (it != jobs_.end()) {
-      Job& job = it->second;
-      job.state = "done";
-      job.runs += 1;
-      job.last_executed = result.executed;
-      job.finish_ms = uptime_ms();
-      result.runs = job.runs;
-      job.last_result = result;
-      if (request.every_s > 0.0) {
-        job.next_due = std::chrono::steady_clock::now() +
-                       std::chrono::duration_cast<
-                           std::chrono::steady_clock::duration>(
-                           std::chrono::duration<double>(request.every_s));
-      }
-    }
-    log_line("job " + std::to_string(job_id) + " run " +
-             std::to_string(result.runs) + ": executed " +
-             std::to_string(result.executed) + "/" +
-             std::to_string(result.logical) + " simulations");
-    return result;
-  } catch (...) {
-    fail();
-    throw;
+  ResultFrame result;
+  {
+    std::lock_guard<std::mutex> run_lock(run_mu_);
+    const core::ExplorationReport& report = session.run();
+    result.job_id = job_id;
+    result.app = report.app_name;
+    result.executed = report.executed_simulations();
+    result.logical = report.reduced_simulations();
+    result.cache_hits = report.cache_hits;
+    result.cache_misses = report.cache_misses;
+    result.persistent_loaded = report.persistent_loaded;
+    result.persistent_stored = report.persistent_stored;
+    result.survivors = report.survivors.size();
+    result.pareto_count = report.pareto_optimal.size();
+    result.pareto =
+        format_pareto(report, *energy::metric_index(request.metric_x),
+                      *energy::metric_index(request.metric_y));
+    result.records = report.serialized_records();
   }
+  job_span.arg("executed", result.executed)
+      .arg("cache_hits", result.cache_hits)
+      .arg("result_bytes", result.records.size());
+
+  {
+    std::lock_guard<std::mutex> lock(jobs_mu_);
+    Job& job = jobs_.at(job_id);
+    job.state = "done";
+    job.last_executed = result.executed;
+    job.finish_ms = uptime_ms();
+    job.last_result = result;
+  }
+  log_line("job " + std::to_string(job_id) + ": executed " +
+           std::to_string(result.executed) + "/" +
+           std::to_string(result.logical) + " simulations");
+  return result;
 }
 
 void Server::handle_status(int fd) {
@@ -482,9 +442,7 @@ void Server::handle_status(int fd) {
       status.id = id;
       status.app = job.request.app;
       status.state = job.state;
-      status.runs = job.runs;
       status.last_executed = job.last_executed;
-      status.every_s = job.request.every_s;
       reply.jobs.push_back(std::move(status));
     }
   }
@@ -502,7 +460,6 @@ void Server::handle_stats(int fd, const StatsRequest& request) {
   const core::SimulationCache::Stats now = cache_.stats();
   reply.cache_hits = now.hits - boot_cache_stats_.hits;
   reply.cache_misses = now.misses - boot_cache_stats_.misses;
-  reply.scheduler_reruns = scheduler_reruns_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(jobs_mu_);
     reply.jobs_submitted = next_job_id_ - 1;
@@ -512,9 +469,7 @@ void Server::handle_stats(int fd, const StatsRequest& request) {
       stats.id = id;
       stats.app = job.request.app;
       stats.state = job.state;
-      stats.runs = job.runs;
       stats.last_executed = job.last_executed;
-      stats.every_s = job.request.every_s;
       stats.submit_ms = job.submit_ms;
       stats.start_ms = job.start_ms;
       stats.finish_ms = job.finish_ms;
@@ -540,36 +495,6 @@ void Server::handle_results(int fd, const ResultsRequest& request) {
     return;
   }
   send_frame(fd, {FrameType::kResult, encode_result(*result)});
-}
-
-void Server::scheduler_loop() {
-  while (!stop_requested()) {
-    std::this_thread::sleep_for(options_.scheduler_tick);
-    std::vector<std::uint64_t> due;
-    const auto now = std::chrono::steady_clock::now();
-    {
-      std::lock_guard<std::mutex> lock(jobs_mu_);
-      for (auto& [id, job] : jobs_) {
-        if (job.request.every_s <= 0.0) continue;
-        if (job.state == "running" || job.state == "queued") continue;
-        if (job.runs == 0) continue;  // first run belongs to the submitter
-        if (now < job.next_due) continue;
-        due.push_back(id);
-      }
-    }
-    for (std::uint64_t id : due) {
-      if (stop_requested()) break;
-      try {
-        const ResultFrame result = run_job(id, /*progress_fd=*/-1);
-        scheduler_reruns_.fetch_add(1, std::memory_order_relaxed);
-        log_line("scheduler re-ran job " + std::to_string(id) +
-                 ": executed " + std::to_string(result.executed));
-      } catch (const std::exception& error) {
-        log_line("scheduler job " + std::to_string(id) +
-                 " failed: " + error.what());
-      }
-    }
-  }
 }
 
 bool Server::send_error(int fd, const std::string& message) {

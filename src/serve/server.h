@@ -4,15 +4,13 @@
 // instead of rebuilding them per CLI invocation. Clients connect over a
 // unix-domain socket (see serve/protocol.h), submit registered workloads
 // with builder knobs, watch core::StepProgress ticks stream back, and
-// receive the final report digest; a submission with `every_s` set also
-// registers with the scheduler thread, which re-explores it periodically
-// against the warm cache (the steady-state runs execute zero simulations
-// and replay byte-identically).
+// receive the final report digest (a resubmission replays from the warm
+// cache: zero executed simulations, byte-identical records).
 //
-// Concurrency model: one accept loop, one thread per connection, one
-// scheduler thread — but explorations SERIALIZE on run_mu_, because the
-// shared SimulationCache/PersistentSimulationCache pair admits one
-// explore() at a time (store_new mutates the loaded set; see
+// Concurrency model: one accept loop and one thread per connection — but
+// explorations SERIALIZE on run_mu_, because the shared
+// SimulationCache/PersistentSimulationCache pair admits one explore() at
+// a time (store_new mutates the loaded set; see
 // core::SharedState). Sessions still multiplex: the protocol
 // conversation, progress streaming and status queries all run
 // concurrently, only the simulation phase queues. The accept loop joins
@@ -22,8 +20,8 @@
 // Shutdown: request_stop() is async-signal-safe (an atomic store — the
 // CLI's SIGTERM/SIGINT handler calls it directly). serve_forever() then
 // falls out of its accept poll, half-closes every open connection to
-// unblock parked reads, joins the session and scheduler threads, compacts
-// the persistent cache, and removes the socket file.
+// unblock parked reads, joins the session threads, compacts the
+// persistent cache, and removes the socket file.
 #pragma once
 
 #include <atomic>
@@ -59,9 +57,6 @@ struct ServerOptions {
   // Simulation lanes of the shared pool (0 = one per hardware thread).
   // A submission's own `jobs` knob overrides per run with a private pool.
   std::size_t jobs = 0;
-  // Scheduler poll granularity; tests shrink it. Re-exploration deadlines
-  // are checked, not slept to, so --every periods far above this are fine.
-  std::chrono::milliseconds scheduler_tick{200};
   // Daemon log sink (nullptr = silent).
   std::ostream* log = nullptr;
   // Progress-frame throttle: a running job streams at most one
@@ -111,12 +106,10 @@ class Server {
     std::uint64_t id = 0;
     SubmitRequest request;
     std::string state = "queued";  // queued | running | done | failed
-    std::uint64_t runs = 0;
     std::uint64_t last_executed = 0;
     std::optional<ResultFrame> last_result;
-    std::chrono::steady_clock::time_point next_due{};
     // Lifecycle timestamps for introspection (ms since daemon boot;
-    // 0 = not reached). start/finish track the most recent run.
+    // 0 = not reached).
     std::uint64_t submit_ms = 0;
     std::uint64_t start_ms = 0;
     std::uint64_t finish_ms = 0;
@@ -137,16 +130,15 @@ class Server {
   // Milliseconds of steady-clock time since start() finished.
   std::uint64_t uptime_ms() const;
 
-  // Runs one exploration for `job_id` (serialized on run_mu_), streaming
-  // progress to `progress_fd` when >= 0, and updates the job table.
-  // Returns the result digest; throws on exploration failure (the job is
-  // marked failed first).
-  ResultFrame run_job(std::uint64_t job_id, int progress_fd);
+  // Runs the exploration of job `job_id` (serialized on run_mu_),
+  // streaming progress to `fd`, and records the result in the job table.
+  // Throws on exploration failure.
+  ResultFrame run_job(std::uint64_t job_id, const SubmitRequest& request,
+                      int fd);
 
   // Validates a submission; returns a non-empty error message on rejection.
   std::string validate(const SubmitRequest& request) const;
 
-  void scheduler_loop();
   void log_line(const std::string& line);
   static bool send_error(int fd, const std::string& message);
 
@@ -154,7 +146,6 @@ class Server {
   int listen_fd_ = -1;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> sessions_{0};
-  std::atomic<std::uint64_t> scheduler_reruns_{0};
   // Introspection baseline, fixed at the end of start(): uptime and the
   // since-boot cache-hit/miss deltas in StatsReply are measured from here.
   std::chrono::steady_clock::time_point boot_time_{};
@@ -176,7 +167,6 @@ class Server {
   std::vector<std::thread::id> finished_;  // sessions awaiting a join
   std::unordered_set<int> open_fds_;
 
-  std::thread scheduler_;
   std::mutex log_mu_;
 };
 

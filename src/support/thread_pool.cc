@@ -3,6 +3,8 @@
 #include <atomic>
 #include <exception>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -21,14 +23,28 @@ obs::Gauge& queue_depth_gauge() {
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t parallelism) {
+  if (parallelism > kMaxLanes) {
+    throw std::invalid_argument("thread pool: " + std::to_string(parallelism) +
+                                " lanes requested, at most " +
+                                std::to_string(kMaxLanes) + " allowed");
+  }
   const std::size_t lanes = resolve_jobs(parallelism);
   workers_.reserve(lanes > 0 ? lanes - 1 : 0);
-  for (std::size_t i = 1; i < lanes; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (std::size_t i = 1; i < lanes; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // The destructor does not run for a half-built pool, and destroying
+    // a joinable std::thread calls std::terminate.
+    stop_and_join();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() noexcept {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;

@@ -17,6 +17,11 @@
 
 namespace ddtr::support {
 
+// Upper bound on an explicit lane count. Far above any host this runs on;
+// its job is to turn a hostile or mistyped `jobs` (a CLI flag, a daemon
+// submission) into a clean error instead of thousands of thread spawns.
+inline constexpr std::size_t kMaxLanes = 1024;
+
 // A fixed-size pool of worker threads consuming a shared task queue.
 // `ThreadPool(jobs)` provides `jobs`-way parallelism: it spawns `jobs - 1`
 // workers and the caller participates as the final lane inside
@@ -24,6 +29,10 @@ namespace ddtr::support {
 // and runs everything inline — the serial path stays thread-free).
 class ThreadPool {
  public:
+  // Throws std::invalid_argument when `parallelism` exceeds kMaxLanes
+  // (0 — one lane per hardware thread — is always accepted). If a worker
+  // spawn fails, the lanes already started are stopped and joined before
+  // the std::system_error propagates.
   explicit ThreadPool(std::size_t parallelism);
   ~ThreadPool();
 
@@ -44,6 +53,7 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  void stop_and_join() noexcept;
 
   std::mutex mu_;
   std::condition_variable cv_;

@@ -2,8 +2,10 @@
 #   ddtr apps                                  -> lists the registry
 #   ddtr explore --app url --scale 0.05 --log f -> writes a result log
 #   ddtr pareto --log f                         -> post-processes it
-# plus the flag-parsing contract: a trailing --flag with no value must be
-# an error, not a silently swallowed positional.
+# plus the flag contract every subcommand gets from the one command table
+# in tools/ddtr_main.cc: unknown flags, missing or malformed or
+# out-of-range values and stray positionals are usage errors (exit 2)
+# naming the subcommand and the flag.
 #
 # Invoked by CMakeLists.txt as:
 #   cmake -DDDTR_CLI=<path-to-ddtr> -DWORK_DIR=<scratch-dir> -P cli_smoke.cmake
@@ -14,6 +16,22 @@ endif()
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(LOG_FILE "${WORK_DIR}/url.log")
+
+# Runs ddtr expecting a usage error: exit code 2 and output matching
+# `pattern`; the output is left in `usage_error_out`.
+function(expect_usage_error pattern)
+  execute_process(
+      COMMAND ${DDTR_CLI} ${ARGN}
+      RESULT_VARIABLE result
+      OUTPUT_VARIABLE output
+      ERROR_VARIABLE errout)
+  if(NOT result EQUAL 2 OR NOT "${output}${errout}" MATCHES "${pattern}")
+    message(FATAL_ERROR
+        "ddtr ${ARGN}: expected exit 2 matching '${pattern}', got exit "
+        "${result}:\n${output}\n${errout}")
+  endif()
+  set(usage_error_out "${output}${errout}" PARENT_SCOPE)
+endfunction()
 
 function(run_cli expect_success out_var)
   execute_process(
@@ -62,39 +80,20 @@ endif()
 # 4. Valueless boolean flags work (--greedy), unknown apps and trailing
 #    value-less flags are hard errors.
 run_cli(TRUE greedy_out explore --app drr --scale 0.05 --greedy)
-run_cli(FALSE missing_value_out explore --app)
-if(NOT missing_value_out MATCHES "requires a value")
-  message(FATAL_ERROR
-      "trailing --app did not report a missing value:\n${missing_value_out}")
-endif()
-run_cli(FALSE unknown_app_out explore --app not-registered)
-if(NOT unknown_app_out MATCHES "unknown app")
-  message(FATAL_ERROR
-      "unknown app not reported:\n${unknown_app_out}")
-endif()
+expect_usage_error("requires a value" explore --app)
+expect_usage_error("unknown app" explore --app not-registered)
 
 # 5. Malformed numeric flag values are clean usage errors, not uncaught
 #    std::invalid_argument crashes — for every numeric flag.
-run_cli(FALSE bad_scale_out explore --app url --scale abc)
-if(NOT bad_scale_out MATCHES "expects a number")
-  message(FATAL_ERROR "bad --scale not reported:\n${bad_scale_out}")
-endif()
-run_cli(FALSE bad_cap_out explore --app url --scale 0.05 --survivor-cap 0.2x)
-if(NOT bad_cap_out MATCHES "expects a number")
-  message(FATAL_ERROR "bad --survivor-cap not reported:\n${bad_cap_out}")
-endif()
-run_cli(FALSE bad_jobs_out explore --app url --scale 0.05 --jobs -1)
-if(NOT bad_jobs_out MATCHES "expects a non-negative integer")
-  message(FATAL_ERROR "bad --jobs not reported:\n${bad_jobs_out}")
-endif()
-run_cli(FALSE bad_packets_out tracegen --preset nlanr-campus --packets 10x)
-if(NOT bad_packets_out MATCHES "expects a non-negative integer")
-  message(FATAL_ERROR "bad --packets not reported:\n${bad_packets_out}")
-endif()
-run_cli(FALSE bad_offset_out tracegen --preset nlanr-campus --seed-offset z)
-if(NOT bad_offset_out MATCHES "expects a non-negative integer")
-  message(FATAL_ERROR "bad --seed-offset not reported:\n${bad_offset_out}")
-endif()
+expect_usage_error("expects a number" explore --app url --scale abc)
+expect_usage_error("expects a number"
+                   explore --app url --scale 0.05 --survivor-cap 0.2x)
+expect_usage_error("expects a non-negative integer"
+                   explore --app url --scale 0.05 --jobs -1)
+expect_usage_error("expects a non-negative integer"
+                   tracegen --preset nlanr-campus --packets 10x)
+expect_usage_error("expects a non-negative integer"
+                   tracegen --preset nlanr-campus --seed-offset z)
 
 # 6. Persistent simulation cache: a warm rerun executes ZERO simulations
 #    and writes a byte-identical result log.
@@ -203,36 +202,17 @@ endif()
 
 # 9. Distributed flag contract: --shard/--workers need --cache-dir, are
 #    mutually exclusive, and malformed --shard values are usage errors.
-run_cli(FALSE shard_nocache_out explore --app url --shard 0/2)
-if(NOT shard_nocache_out MATCHES "requires --cache-dir")
-  message(FATAL_ERROR
-      "--shard without --cache-dir not reported:\n${shard_nocache_out}")
-endif()
-run_cli(FALSE shard_bad_out
-        explore --app url --cache-dir ${DIST_DIR} --shard 2x)
-if(NOT shard_bad_out MATCHES "expects I/N")
-  message(FATAL_ERROR "bad --shard not reported:\n${shard_bad_out}")
-endif()
-run_cli(FALSE shard_range_out
-        explore --app url --cache-dir ${DIST_DIR} --shard 2/2)
-if(NOT shard_range_out MATCHES "must be < N")
-  message(FATAL_ERROR
-      "out-of-range --shard not reported:\n${shard_range_out}")
-endif()
-run_cli(FALSE shard_workers_out
-        explore --app url --cache-dir ${DIST_DIR} --shard 0/2 --workers 2)
-if(NOT shard_workers_out MATCHES "mutually exclusive")
-  message(FATAL_ERROR
-      "--shard with --workers not reported:\n${shard_workers_out}")
-endif()
-run_cli(FALSE cache_badop_out cache frobnicate ${DIST_DIR})
-if(NOT cache_badop_out MATCHES "unknown cache operation")
-  message(FATAL_ERROR
-      "unknown cache op not reported:\n${cache_badop_out}")
-endif()
+expect_usage_error("requires --cache-dir" explore --app url --shard 0/2)
+expect_usage_error("expects I/N"
+                   explore --app url --cache-dir ${DIST_DIR} --shard 2x)
+expect_usage_error("must be < N"
+                   explore --app url --cache-dir ${DIST_DIR} --shard 2/2)
+expect_usage_error("mutually exclusive" explore --app url
+                   --cache-dir ${DIST_DIR} --shard 0/2 --workers 2)
+expect_usage_error("unknown cache operation" cache frobnicate ${DIST_DIR})
 
 # 10. `ddtr cache gc` prunes stale segments — never the main file — and
-#     validates --max-age-s.
+#     validates --max-age-s, which no other cache operation accepts.
 set(GC_DIR "${WORK_DIR}/gc_cache")
 file(REMOVE_RECURSE "${GC_DIR}")
 # Shard first (writes a segment into the empty dir), then a plain run
@@ -264,37 +244,56 @@ endif()
 if(NOT EXISTS "${GC_DIR}/sim_cache.ddtr")
   message(FATAL_ERROR "gc removed the main cache file")
 endif()
-run_cli(FALSE gc_bad_age_out cache gc ${GC_DIR} --max-age-s abc)
-if(NOT gc_bad_age_out MATCHES "expects a number")
-  message(FATAL_ERROR "bad --max-age-s not reported:\n${gc_bad_age_out}")
-endif()
-run_cli(FALSE gc_no_age_out cache gc ${GC_DIR})
-if(NOT gc_no_age_out MATCHES "missing required flag")
-  message(FATAL_ERROR "missing --max-age-s not reported:\n${gc_no_age_out}")
-endif()
+expect_usage_error("expects a number" cache gc ${GC_DIR} --max-age-s abc)
+expect_usage_error("missing required flag" cache gc ${GC_DIR})
+expect_usage_error("cache stats: flag --max-age-s applies only to gc"
+                   cache stats ${GC_DIR} --max-age-s 5)
 
-# 11. Serve-daemon flag contract, daemonless: bounded numeric knobs and
-#     required --socket values must fail fast, before any connect.
-run_cli(FALSE bad_every_out
-        submit --socket ${WORK_DIR}/nope.sock --app url --every inf)
-if(NOT bad_every_out MATCHES "every expects seconds")
-  message(FATAL_ERROR "bad --every not reported:\n${bad_every_out}")
-endif()
-run_cli(FALSE serve_nosocket_out serve)
-if(NOT serve_nosocket_out MATCHES "missing required flag --socket")
-  message(FATAL_ERROR
-      "serve without --socket not reported:\n${serve_nosocket_out}")
-endif()
-run_cli(FALSE submit_socketvalue_out submit --app url --socket)
-if(NOT submit_socketvalue_out MATCHES "requires a value")
-  message(FATAL_ERROR
-      "valueless --socket not reported:\n${submit_socketvalue_out}")
-endif()
+# 11. Serve-daemon flag contract, daemonless: a missing or valueless
+#     --socket fails fast, before any connect.
+expect_usage_error("missing required flag --socket" serve)
+expect_usage_error("requires a value" submit --app url --socket)
 run_cli(FALSE submit_noconnect_out
         submit --socket ${WORK_DIR}/nope.sock --app url)
 if(NOT submit_noconnect_out MATCHES "cannot connect")
   message(FATAL_ERROR
       "dead-socket submit not reported:\n${submit_noconnect_out}")
 endif()
+
+# 12. The command table's contract, before any work starts. Unknown flags
+#     (leftovers of removed features, typos) name the subcommand and flag.
+expect_usage_error("explore: unknown flag --step1-sharded"
+                   explore --app url --step1-sharded)
+expect_usage_error("explore: unknown flag --barrier-timeout"
+                   explore --app url --barrier-timeout 5)
+expect_usage_error("explore: unknown flag --jbos"
+                   explore --app url --jbos 4)
+expect_usage_error("submit: unknown flag --every"
+                   submit --socket ${WORK_DIR}/nope.sock --app url --every 5)
+# Numeric ranges are the daemon's: scale in (0, 100], survivor-cap [0, 1].
+expect_usage_error("explore: flag --scale expects a number in \\(0,100\\]"
+                   explore --app url --scale 0)
+expect_usage_error("explore: flag --scale expects a number .*'nan'"
+                   explore --app url --scale nan)
+expect_usage_error("explore: flag --survivor-cap expects a number in \\[0,1\\]"
+                   explore --app url --survivor-cap 2)
+# A bad metric is named; a boolean never swallows the next token.
+expect_usage_error("pareto: flag --x .*'bogus'"
+                   pareto --log ${LOG_FILE} --x bogus)
+expect_usage_error("explore: unexpected argument 'stray'"
+                   explore --app url --greedy stray)
+# Bare `ddtr` prints the generated usage: it lists exactly the subcommands
+# that dispatch, each of which rejects an unknown flag.
+set(commands apps ddts presets tracegen traceparse explore pareto cache
+    serve submit status stats results shutdown tracecheck)
+expect_usage_error("^usage:\n")
+string(REGEX MATCHALL "\n  ddtr [a-z]+" listed "${usage_error_out}")
+string(REPLACE "\n  ddtr " "" listed "${listed}")
+if(NOT listed STREQUAL commands)
+  message(FATAL_ERROR "usage lists '${listed}', expected '${commands}'")
+endif()
+foreach(command ${commands})
+  expect_usage_error("${command}: unknown flag --bogus" ${command} --bogus)
+endforeach()
 
 message(STATUS "cli_smoke: all CLI flows passed")

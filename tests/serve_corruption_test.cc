@@ -161,7 +161,7 @@ TEST(ServeCorruptionSweep, PayloadCodecsRejectOrRoundTripExactly) {
   submit.app = "drr";
   submit.scale = 0.5;
   submit.packets = 123456;
-  submit.every_s = 2.5;
+  submit.survivor_cap = 0.5;
   sweep_codec<SubmitRequest>("submit", encode_submit(submit), decode_submit,
                              encode_submit, rng);
 
@@ -181,7 +181,7 @@ TEST(ServeCorruptionSweep, PayloadCodecsRejectOrRoundTripExactly) {
   ResultFrame result;
   result.job_id = 11;
   result.app = "ipchains";
-  result.runs = 2;
+  result.executed = 2;
   result.pareto = "front";
   result.records = std::string("\x01\x02\x00\xfe", 4);
   sweep_codec<ResultFrame>("result", encode_result(result), decode_result,
@@ -194,8 +194,8 @@ TEST(ServeCorruptionSweep, PayloadCodecsRejectOrRoundTripExactly) {
 
   StatusReply status;
   status.warm_entries = 77;
-  status.jobs.push_back({1, "url", "done", 3, 1200, 0.0});
-  status.jobs.push_back({2, "drr", "running", 1, 0, 5.0});
+  status.jobs.push_back({1, "url", "done", 1200});
+  status.jobs.push_back({2, "drr", "running", 0});
   sweep_codec<StatusReply>("status_reply", encode_status_reply(status),
                            decode_status_reply, encode_status_reply, rng);
 
@@ -223,10 +223,8 @@ TEST(ServeCorruptionSweep, PayloadCodecsRejectOrRoundTripExactly) {
   stats_reply.cache_hits = 1200;
   stats_reply.cache_misses = 34;
   stats_reply.jobs_submitted = 2;
-  stats_reply.scheduler_reruns = 5;
-  stats_reply.jobs.push_back(
-      {1, "url", "done", 3, 0, 0.25, 12, 15, 830});
-  stats_reply.jobs.push_back({2, "drr", "running", 1, 777, 0.0, 900, 905, 0});
+  stats_reply.jobs.push_back({1, "url", "done", 0, 12, 15, 830});
+  stats_reply.jobs.push_back({2, "drr", "running", 777, 900, 905, 0});
   stats_reply.metrics_text = "counter explore.runs 3\ngauge pool.queue_depth 0\n";
   sweep_codec<StatsReply>("stats_reply", encode_stats_reply(stats_reply),
                           decode_stats_reply, encode_stats_reply, rng);

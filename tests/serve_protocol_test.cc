@@ -146,7 +146,6 @@ TEST(ServeMessages, SubmitRoundTripAllFields) {
   in.greedy = 1;
   in.survivor_cap = 0.4;
   in.jobs = 6;
-  in.every_s = 2.5;
   in.metric_x = "accesses";
   in.metric_y = "footprint_B";
   SubmitRequest out;
@@ -158,7 +157,6 @@ TEST(ServeMessages, SubmitRoundTripAllFields) {
   EXPECT_EQ(out.greedy, 1u);
   EXPECT_DOUBLE_EQ(out.survivor_cap, 0.4);
   EXPECT_EQ(out.jobs, 6u);
-  EXPECT_DOUBLE_EQ(out.every_s, 2.5);
   EXPECT_EQ(out.metric_x, "accesses");
   EXPECT_EQ(out.metric_y, "footprint_B");
   // Any truncation must fail, at every cut point.
@@ -172,7 +170,6 @@ TEST(ServeMessages, ResultRoundTripKeepsRecordsByteExact) {
   ResultFrame in;
   in.job_id = 42;
   in.app = "Route";
-  in.runs = 3;
   in.executed = 0;
   in.logical = 176;
   in.cache_hits = 176;
@@ -185,7 +182,6 @@ TEST(ServeMessages, ResultRoundTripKeepsRecordsByteExact) {
   ASSERT_TRUE(decode_result(encode_result(in), out));
   EXPECT_EQ(out.job_id, 42u);
   EXPECT_EQ(out.app, "Route");
-  EXPECT_EQ(out.runs, 3u);
   EXPECT_EQ(out.executed, 0u);
   EXPECT_EQ(out.logical, 176u);
   EXPECT_EQ(out.cache_hits, 176u);
@@ -199,8 +195,8 @@ TEST(ServeMessages, ResultRoundTripKeepsRecordsByteExact) {
 TEST(ServeMessages, StatusReplyRoundTrip) {
   StatusReply in;
   in.warm_entries = 9;
-  in.jobs.push_back({1, "url", "done", 2, 0, 1.5});
-  in.jobs.push_back({2, "drr", "running", 0, 0, 0.0});
+  in.jobs.push_back({1, "url", "done", 1200});
+  in.jobs.push_back({2, "drr", "running", 0});
   StatusReply out;
   ASSERT_TRUE(decode_status_reply(encode_status_reply(in), out));
   EXPECT_EQ(out.warm_entries, 9u);
@@ -208,8 +204,7 @@ TEST(ServeMessages, StatusReplyRoundTrip) {
   EXPECT_EQ(out.jobs[0].id, 1u);
   EXPECT_EQ(out.jobs[0].app, "url");
   EXPECT_EQ(out.jobs[0].state, "done");
-  EXPECT_EQ(out.jobs[0].runs, 2u);
-  EXPECT_DOUBLE_EQ(out.jobs[0].every_s, 1.5);
+  EXPECT_EQ(out.jobs[0].last_executed, 1200u);
   EXPECT_EQ(out.jobs[1].app, "drr");
 }
 

@@ -1,15 +1,34 @@
 // Support-layer tests: deterministic RNG streams, distribution sanity,
-// text-table and CSV formatting, checked binary readers.
+// text-table and CSV formatting, checked binary readers, and the thread
+// pool's lane cap and spawn-failure cleanup.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <system_error>
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "support/binary_io.h"
 #include "support/csv.h"
 #include "support/rng.h"
 #include "support/table.h"
+#include "support/thread_pool.h"
+
+// Sanitizer runtimes reserve terabytes of shadow address space, so an
+// address-space limit breaks them long before the code under test runs.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DDTR_TEST_UNDER_SANITIZER 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DDTR_TEST_UNDER_SANITIZER 1
+#endif
+#endif
 
 namespace ddtr::support {
 namespace {
@@ -201,6 +220,55 @@ TEST(Csv, WritesRows) {
   CsvWriter w(os);
   w.write_row({"a", "b,c"});
   EXPECT_EQ(os.str(), "a,\"b,c\"\n");
+}
+
+TEST(ThreadPool, ExplicitLaneCountAboveTheCapIsRejected) {
+  EXPECT_THROW({ ThreadPool pool(kMaxLanes + 1); }, std::invalid_argument);
+  EXPECT_THROW({ ThreadPool pool(100000); }, std::invalid_argument);
+  // 0 means one lane per hardware thread and is never rejected.
+  ThreadPool per_hardware_thread(0);
+  EXPECT_EQ(per_hardware_thread.parallelism(), ThreadPool::resolve_jobs(0));
+  ThreadPool two(2);
+  EXPECT_EQ(two.parallelism(), 2u);
+}
+
+TEST(ThreadPool, SpawnFailureJoinsStartedLanesAndRethrows) {
+#ifdef DDTR_TEST_UNDER_SANITIZER
+  GTEST_SKIP() << "RLIMIT_AS cannot be lowered under a sanitizer runtime";
+#endif
+  // In a child with an address-space limit a few worker stacks above the
+  // current size, a kMaxLanes pool must fail part-way through spawning.
+  // A pool that leaks its started (joinable) lanes aborts the child.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    rlimit limit{};
+    rlim_t vm_pages = 0;  // the first field of statm: the VM size in pages
+    std::ifstream("/proc/self/statm") >> vm_pages;
+    const rlim_t cap = vm_pages * ::sysconf(_SC_PAGESIZE) + (64u << 20);
+    if (vm_pages == 0 || ::getrlimit(RLIMIT_AS, &limit) != 0) ::_exit(3);
+    if (limit.rlim_max == RLIM_INFINITY || cap < limit.rlim_max) {
+      limit.rlim_cur = cap;
+    }
+    if (::setrlimit(RLIMIT_AS, &limit) != 0) ::_exit(3);
+    try {
+      ThreadPool pool(kMaxLanes);
+      ::_exit(2);  // every spawn succeeded: the limit did not bite
+    } catch (const std::system_error&) {
+    }
+    // The started lanes were joined and their stacks released: a small
+    // pool fits again.
+    try {
+      ThreadPool pool(2);
+    } catch (...) {
+      ::_exit(4);
+    }
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died on signal " << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 }  // namespace

@@ -1,47 +1,19 @@
 // ddtr — the command-line front end of the exploration framework, the
 // counterpart of the paper's "fully automated tools" (§3.2/§3.3 tool
-// support, Figure 2). Subcommands:
+// support, Figure 2). Run `ddtr` without arguments for the subcommands
+// and their flags: that text is generated from the command table below,
+// the same table the parser, the flag validation and the dispatch read.
 //
-//   ddtr apps                             list the registered workloads
-//   ddtr presets                          list the synthetic network presets
-//   ddtr tracegen  --preset P [...]       generate a trace file
-//   ddtr traceparse FILE                  extract network parameters
-//   ddtr explore   --app A [...]          run the 3-step methodology
-//   ddtr pareto    --log FILE [...]       post-process a result log
-//   ddtr lint      [PATH ...]             project-invariant static analysis
-//   ddtr cache     OP DIR                 inspect/maintain a cache dir
-//   ddtr serve     --socket PATH [...]    long-lived exploration daemon
-//   ddtr submit    --socket PATH --app A  submit a study to the daemon
-//   ddtr status    --socket PATH          the daemon's job table
-//   ddtr stats     --socket PATH          live daemon introspection
-//   ddtr results   --socket PATH --job I  re-fetch a job's last result
-//   ddtr shutdown  --socket PATH          drain the daemon and exit
-//   ddtr tracecheck FILE                  validate a --trace output file
-//
-// `explore --app` accepts ANY workload in api::registry() — the four paper
-// studies are just the built-in registrations. Every exploration writes a
-// ResultLog that `pareto` can re-process later (the paper's "log files ->
-// Perl post-processing" flow).
-//
-// Distributed exploration (see src/dist/): `explore --shard I/N` runs one
-// worker of an N-way sharded exploration (simulates only its stable
-// subset, stores into a private cache segment — SIGTERM checkpoints and
-// exits); `explore --workers N` is the single-machine coordinator: it
-// fork/execs itself as N shard workers, merges their segments, then
-// replays the merged cache — zero executed simulations, byte-identical
-// report. `ddtr cache stats|verify|clear|merge|gc DIR` maintains the
-// shared cache directory those flows meet in.
-//
-// Serving (see src/serve/): `ddtr serve` keeps the persistent cache, the
-// generated traces and the simulation pool warm in one long-lived daemon;
-// `submit` sends a workload over the unix socket and streams progress
-// back — a resubmission of the same study replays entirely from the warm
-// cache (zero executed simulations, byte-identical records). `--every S`
-// registers the study with the daemon's scheduler for periodic
-// re-exploration.
+// `explore --app` accepts ANY workload in api::registry(). Every
+// exploration writes a ResultLog that `pareto` can re-process later (the
+// paper's "log files -> Perl post-processing" flow). `explore --shard I/N`
+// and `--workers N` distribute one exploration over processes sharing a
+// cache directory (src/dist/); `serve` keeps cache, traces and pool warm
+// in a daemon that `submit`, `status`, `stats`, `results` and `shutdown`
+// talk to over a unix socket (src/serve/).
 #include <algorithm>
 #include <atomic>
-#include <cmath>
+#include <charconv>
 #include <csignal>
 #include <fstream>
 #include <iostream>
@@ -50,6 +22,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -60,7 +34,6 @@
 #include "dist/cache_inspect.h"
 #include "dist/segment_merger.h"
 #include "dist/worker_pool.h"
-#include "lint.h"
 #include "nettrace/generator.h"
 #include "nettrace/parser.h"
 #include "nettrace/presets.h"
@@ -73,214 +46,115 @@ namespace {
 
 using namespace ddtr;
 
-// Usage text is generated from the single sources of truth — the workload
-// registry and energy::kMetricNames — so it cannot drift from the code.
-std::string app_list() {
-  std::ostringstream os;
-  bool first = true;
-  for (const std::string& name : api::registry().names()) {
-    if (!first) os << '|';
-    os << name;
-    first = false;
-  }
-  return os.str();
-}
+// --- The command table: types --------------------------------------------
+// Every subcommand and every flag is declared once, in commands() below;
+// the parser, the typed lookups, the dispatch in main() and the usage text
+// all read that table. An unknown flag, a missing, malformed or
+// out-of-range value, a stray positional or a missing required flag is a
+// UsageError (exit 2) raised before the handler runs.
 
-std::string metric_list() {
-  std::ostringstream os;
-  bool first = true;
-  for (const char* name : energy::kMetricNames) {
-    if (!first) os << ' ';
-    os << name;
-    first = false;
-  }
-  return os.str();
-}
+enum class FlagKind {
+  kBool,    // takes no value and never consumes the next token
+  kText,    // any string
+  kCount,   // a non-negative integer
+  kNumber,  // a number in [lo, hi], or (lo, hi] when lo_open; never NaN
+  kMetric,  // a metric name (energy::metric_index)
+  kShard,   // I/N with I < N
+};
 
-int usage() {
-  std::cerr <<
-      "usage:\n"
-      "  ddtr apps\n"
-      "  ddtr ddts\n"
-      "  ddtr presets\n"
-      "  ddtr tracegen --preset NAME [--packets N] [--seed-offset K] "
-      "[--out FILE]\n"
-      "  ddtr traceparse FILE\n"
-      "  ddtr explore --app " << app_list() << " [--scale S] "
-      "[--jobs N] [--greedy] [--progress]\n"
-      "               [--survivor-cap F] [--cache-dir DIR] [--log FILE] "
-      "[--csv PREFIX]\n"
-      "               [--shard I/N | --workers N] [--trace FILE]\n"
-      "    --jobs N: concurrent simulation lanes (default 1; 0 = one per\n"
-      "              hardware thread); output is identical at any N\n"
-      "    --greedy: per-slot greedy step 1 (fewer simulations)\n"
-      "    --progress: per-step simulation progress on stderr\n"
-      "    --cache-dir DIR: persist the simulation cache across runs in\n"
-      "              DIR; a warm rerun executes 0 simulations and emits\n"
-      "              an identical report\n"
-      "    --shard I/N: run as worker shard I of N (requires --cache-dir):\n"
-      "              simulate only this shard's units and store them into\n"
-      "              a private cache segment; a later unsharded run over\n"
-      "              the same --cache-dir replays all shards' work\n"
-      "    --workers N: single-machine coordinator (requires --cache-dir):\n"
-      "              spawn N shard workers, merge their segments, then\n"
-      "              replay the merged cache (0 executed simulations)\n"
-      "    --trace FILE: write a Chrome trace_event JSON span timeline of\n"
-      "              the run (open in Perfetto / chrome://tracing); purely\n"
-      "              observational — reports are byte-identical either way\n"
-      "  ddtr lint [DIR|FILE ...] [--repo-root DIR] [--update-accounting]\n"
-      "            [--fix [--dry-run]] [--diff REF] [--compile-commands F]\n"
-      "    run the project-invariant static-analysis pass (decoder\n"
-      "    safety, fsync-paired renames, pool-only DDT allocation,\n"
-      "    cache-key determinism, accounting-version coupling, header\n"
-      "    hygiene) plus the whole-program passes (layering vs\n"
-      "    tools/lint/layers.lock, include cycles/IWYU, include order,\n"
-      "    lock-order discipline, cv predicates) over the given paths\n"
-      "    (default: src tests tools bench under --repo-root, \".\");\n"
-      "    suppress one finding with // ddtr-lint: allow(<rule>) on the\n"
-      "    same or preceding line\n"
-      "    --fix: repair the mechanical families in place (missing\n"
-      "              #pragma once, unused includes, include order);\n"
-      "              --dry-run previews the rewrites as unified diffs\n"
-      "    --diff REF: report only findings in files changed vs the git\n"
-      "              ref — fast PR feedback (full tree stays in ctest)\n"
-      "  ddtr pareto --log FILE [--app NAME] [--x METRIC] [--y METRIC]\n"
-      "  ddtr cache stats|verify|clear|merge DIR\n"
-      "  ddtr cache gc DIR --max-age-s S\n"
-      "    gc: prune segment files older than S seconds (the main cache\n"
-      "        file is never touched)\n"
-      "  ddtr serve --socket PATH [--cache-dir DIR] [--jobs N]\n"
-      "             [--progress-every S] [--trace FILE]\n"
-      "    long-lived daemon: loads the cache once, accepts submissions\n"
-      "    on the unix socket, re-explores scheduled jobs, drains and\n"
-      "    flushes on SIGTERM/SIGINT\n"
-      "    --progress-every S: stream at most one progress tick per S\n"
-      "              seconds per running job (default 0.25; endpoints\n"
-      "              always sent); advertised to clients in the handshake\n"
-      "    --trace FILE: write the daemon's span timeline (connections,\n"
-      "              jobs, exploration internals) on clean shutdown\n"
-      "  ddtr submit --socket PATH --app " << app_list() << " [--scale S]\n"
-      "              [--packets N] [--seed-offset K] [--greedy]\n"
-      "              [--survivor-cap F] [--jobs N] [--every S]\n"
-      "              [--x METRIC] [--y METRIC] [--log FILE] [--progress]\n"
-      "    --every S: daemon re-explores this study every S seconds\n"
-      "    --log FILE: write the run's result records to FILE\n"
-      "  ddtr status --socket PATH\n"
-      "  ddtr stats --socket PATH [--metrics]\n"
-      "    live daemon introspection: uptime, since-boot cache hit/miss\n"
-      "    counters, scheduler re-runs, and the job table with\n"
-      "    submit/start/finish timestamps; --metrics appends the daemon's\n"
-      "    full metrics-registry dump\n"
-      "  ddtr results --socket PATH --job ID [--log FILE]\n"
-      "  ddtr shutdown --socket PATH\n"
-      "  ddtr tracecheck FILE\n"
-      "    validate a --trace file: well-formed Chrome trace_event JSON\n"
-      "    with balanced begin/end spans per thread (exit 1 otherwise)\n"
-      "metrics: " << metric_list() << '\n';
-  return 2;
-}
+struct Flag {
+  const char* name;
+  FlagKind kind;
+  const char* metavar;  // "" for kBool
+  const char* help;
+  bool required = false;
+  double lo = 0.0, hi = 0.0;  // kNumber range
+  bool lo_open = false;
+};
 
-// Minimal flag parsing: `--name value` pairs, valueless boolean flags
-// (`--greedy`), and positionals. A `--flag` followed by another flag — or
-// by nothing — is recorded with an empty value, so commands can tell
-// "boolean flag given" apart from "value missing" and error on the latter
-// instead of silently swallowing the flag as a positional.
-struct Args {
-  std::vector<std::string> positional;
-  std::vector<std::pair<std::string, std::string>> flags;
+// One given flag: the token as typed plus its validated reading.
+struct Value {
+  std::string text;
+  double number = 0.0;    // kNumber
+  std::size_t index = 0;  // kCount value, kMetric index, kShard I
+  std::size_t of = 0;     // kShard N
+};
 
-  bool has(const std::string& name) const {
-    for (const auto& [k, v] : flags) {
-      if (k == name) return true;
+struct CommandLine;
+
+struct Command {
+  const char* name;
+  std::vector<const char*> positionals;  // metavars, all required
+  const char* summary;
+  int (*handler)(const CommandLine&);
+  std::vector<Flag> flags;
+
+  const Flag* find(std::string_view flag_name) const {
+    for (const Flag& flag : flags) {
+      if (flag_name == flag.name) return &flag;
     }
-    return false;
-  }
-
-  // A flag that takes a value: returns it when given, std::nullopt when
-  // absent, and throws when the flag was given without a value.
-  std::optional<std::string> valued(const std::string& name) const {
-    for (const auto& [k, v] : flags) {
-      if (k != name) continue;
-      if (v.empty()) {
-        throw std::runtime_error("flag --" + name + " requires a value");
-      }
-      return v;
-    }
-    return std::nullopt;
-  }
-
-  // A flag that must be present with a value.
-  std::string require(const std::string& name) const {
-    auto v = valued(name);
-    if (!v) {
-      throw std::runtime_error("missing required flag --" + name);
-    }
-    return *v;
+    return nullptr;
   }
 };
 
-// Validated numeric flag values. std::stoul/std::stod alone would let a
-// malformed value escape as an uncaught std::invalid_argument (an ugly
-// crash instead of a usage error) — and stoul would happily wrap "-1" to
-// 2^64-1 or accept trailing garbage ("10x"). Every numeric flag goes
-// through one of these; the thrown runtime_error surfaces as a clean
-// "error: ..." message.
-std::size_t parse_count_flag(const std::string& flag,
-                             const std::string& value) {
-  if (value.empty() ||
-      value.find_first_not_of("0123456789") != std::string::npos) {
-    throw std::runtime_error("flag --" + flag +
-                             " expects a non-negative integer, got '" +
-                             value + "'");
-  }
-  try {
-    return std::stoul(value);
-  } catch (const std::out_of_range&) {
-    throw std::runtime_error("flag --" + flag + " value '" + value +
-                             "' is out of range");
-  }
-}
+// Command-line misuse; main() reports it with exit code 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
-double parse_double_flag(const std::string& flag, const std::string& value) {
-  std::size_t consumed = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(value, &consumed);
-  } catch (const std::invalid_argument&) {
-    throw std::runtime_error("flag --" + flag + " expects a number, got '" +
-                             value + "'");
-  } catch (const std::out_of_range&) {
-    throw std::runtime_error("flag --" + flag + " value '" + value +
-                             "' is out of range");
-  }
-  if (consumed != value.size()) {
-    throw std::runtime_error("flag --" + flag + " expects a number, got '" +
-                             value + "'");
-  }
-  return parsed;
-}
+// The parsed command line of one subcommand. Lookups are typed: they must
+// name a flag the subcommand declares with that kind. A repeated flag
+// reads as its first occurrence.
+struct CommandLine {
+  const Command& command;
+  const char* argv0;
+  std::vector<std::pair<const Flag*, Value>> given;
+  std::vector<std::string> positional;
 
-// "--shard I/N" — worker shard I of N.
-std::pair<std::size_t, std::size_t> parse_shard_flag(
-    const std::string& value) {
-  const std::size_t slash = value.find('/');
-  if (slash == std::string::npos || slash == 0 ||
-      slash + 1 == value.size()) {
-    throw std::runtime_error("flag --shard expects I/N (e.g. 0/4), got '" +
-                             value + "'");
+  const Value* find(const char* name, FlagKind kind) const {
+    const Flag* declared = command.find(name);
+    if (declared == nullptr || declared->kind != kind) {
+      throw std::logic_error(std::string("ddtr ") + command.name +
+                             " reads undeclared flag --" + name);
+    }
+    for (const auto& [flag, value] : given) {
+      if (flag == declared) return &value;
+    }
+    return nullptr;
   }
-  const std::size_t index =
-      parse_count_flag("shard", value.substr(0, slash));
-  const std::size_t count =
-      parse_count_flag("shard", value.substr(slash + 1));
-  if (count == 0) {
-    throw std::runtime_error("flag --shard count N must be >= 1");
+  template <typename T>
+  std::optional<T> get(const char* name, FlagKind kind,
+                       T Value::*field) const {
+    const Value* value = find(name, kind);
+    return value ? std::optional<T>(value->*field) : std::nullopt;
   }
-  if (index >= count) {
-    throw std::runtime_error("flag --shard index must be < N in I/N, got '" +
-                             value + "'");
+  bool flag(const char* name) const {
+    return find(name, FlagKind::kBool) != nullptr;
   }
-  return {index, count};
+  std::optional<std::string> text(const char* name) const {
+    return get(name, FlagKind::kText, &Value::text);
+  }
+  std::optional<std::size_t> count(const char* name) const {
+    return get(name, FlagKind::kCount, &Value::index);
+  }
+  std::optional<double> number(const char* name) const {
+    return get(name, FlagKind::kNumber, &Value::number);
+  }
+  std::optional<std::size_t> metric(const char* name) const {
+    return get(name, FlagKind::kMetric, &Value::index);
+  }
+};
+
+// Usage text and errors list the single sources of truth — the workload
+// registry and energy::kMetricNames — so they cannot drift from the code.
+template <typename Names>
+std::string join(const Names& names) {
+  std::string out;
+  for (const auto& name : names) {
+    if (!out.empty()) out += '|';
+    out += name;
+  }
+  return out;
 }
 
 // Cooperative cancellation for shard workers: SIGTERM/SIGINT raise this
@@ -298,23 +172,9 @@ std::shared_ptr<std::atomic<bool>> cancel_token() {
   return {&g_cancel, [](std::atomic<bool>*) {}};
 }
 
-Args parse_args(int argc, char** argv, int from) {
-  Args args;
-  for (int i = from; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) {
-      const std::string name = arg.substr(2);
-      const bool has_value =
-          i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0;
-      args.flags.emplace_back(name, has_value ? argv[++i] : "");
-    } else {
-      args.positional.push_back(arg);
-    }
-  }
-  return args;
-}
+// --- Handlers ---------------------------------------------------------------
 
-int cmd_apps() {
+int cmd_apps(const CommandLine&) {
   support::TextTable table({"name", "description"});
   for (const std::string& name : api::registry().names()) {
     table.add_row({name, api::registry().info(name).description});
@@ -326,7 +186,7 @@ int cmd_apps() {
 
 // ddtr ddts — the DDT library as the explorer sees it, generated from the
 // same kind table that drives name parsing (ddt/kinds.cc).
-int cmd_ddts() {
+int cmd_ddts(const CommandLine&) {
   support::TextTable table({"name", "description"});
   for (ddt::DdtKind kind : ddt::kAllDdtKinds) {
     table.add_row({std::string(ddt::to_string(kind)),
@@ -340,7 +200,7 @@ int cmd_ddts() {
   return 0;
 }
 
-int cmd_presets() {
+int cmd_presets(const CommandLine&) {
   support::TextTable table({"name", "nodes", "rate_pps", "burstiness",
                             "mtu", "http", "description"});
   for (const net::NetworkPreset& p : net::all_network_presets()) {
@@ -355,19 +215,13 @@ int cmd_presets() {
   return 0;
 }
 
-int cmd_tracegen(const Args& args) {
-  const std::string preset_name = args.require("preset");
+int cmd_tracegen(const CommandLine& args) {
   net::TraceGenerator::Options options;
-  if (const auto packets = args.valued("packets")) {
-    options.packet_count = parse_count_flag("packets", *packets);
-  }
-  if (const auto offset = args.valued("seed-offset")) {
-    options.seed_offset = parse_count_flag("seed-offset", *offset);
-  }
-  const net::Trace trace =
-      net::TraceGenerator::generate(net::network_preset(preset_name),
-                                    options);
-  if (const auto out = args.valued("out")) {
+  options.packet_count = args.count("packets").value_or(options.packet_count);
+  options.seed_offset = args.count("seed-offset").value_or(options.seed_offset);
+  const net::Trace trace = net::TraceGenerator::generate(
+      net::network_preset(*args.text("preset")), options);
+  if (const auto out = args.text("out")) {
     std::ofstream os(*out);
     trace.save(os);
     std::cout << "wrote " << trace.size() << " packets to " << *out << '\n';
@@ -377,11 +231,11 @@ int cmd_tracegen(const Args& args) {
   return 0;
 }
 
-int cmd_traceparse(const Args& args) {
-  if (args.positional.empty()) return usage();
-  std::ifstream is(args.positional[0]);
+int cmd_traceparse(const CommandLine& args) {
+  const std::string& path = args.positional[0];
+  std::ifstream is(path);
   if (!is) {
-    std::cerr << "cannot open " << args.positional[0] << '\n';
+    std::cerr << "cannot open " << path << '\n';
     return 1;
   }
   const net::Trace trace = net::Trace::load(is);
@@ -405,46 +259,27 @@ int cmd_traceparse(const Args& args) {
   return 0;
 }
 
-int cmd_explore(const Args& args, const char* argv0) {
-  const std::string app = args.require("app");
+int cmd_explore(const CommandLine& args) {
+  const std::string app = *args.text("app");
   if (!api::registry().contains(app)) {
-    std::cerr << "error: unknown app '" << app << "' (registered: "
-              << app_list() << ")\n";
-    return 2;
+    throw UsageError("explore: unknown app '" + app + "' (registered: " +
+                     join(api::registry().names()) + ")");
   }
-  // Every flag is validated up front: a bad --jobs or a missing --log
-  // value must fail before traces are generated and the exploration runs,
-  // not after the work is done.
-  double scale = 0.25;
-  if (const auto s = args.valued("scale")) {
-    scale = parse_double_flag("scale", *s);
+  const auto log_path = args.text("log");
+  const auto csv_prefix = args.text("csv");
+  const auto cache_dir = args.text("cache-dir");
+  const auto trace_path = args.text("trace");
+  const Value* shard = args.find("shard", FlagKind::kShard);
+  const std::size_t worker_count = args.count("workers").value_or(1);
+  if (shard && args.count("workers")) {
+    throw UsageError(
+        "explore: --shard and --workers are mutually exclusive (a shard "
+        "worker is spawned BY --workers)");
   }
-  const auto log_path = args.valued("log");
-  const auto csv_prefix = args.valued("csv");
-  const auto jobs = args.valued("jobs");
-  const std::size_t job_count =
-      jobs ? parse_count_flag("jobs", *jobs) : std::size_t{1};
-  const auto survivor_cap = args.valued("survivor-cap");
-  const double survivor_cap_fraction =
-      survivor_cap ? parse_double_flag("survivor-cap", *survivor_cap) : 0.0;
-  const auto cache_dir = args.valued("cache-dir");
-  const auto trace_path = args.valued("trace");
-  const auto shard_flag = args.valued("shard");
-  const auto workers_flag = args.valued("workers");
-  std::pair<std::size_t, std::size_t> shard{0, 1};
-  if (shard_flag) shard = parse_shard_flag(*shard_flag);
-  const std::size_t worker_count =
-      workers_flag ? parse_count_flag("workers", *workers_flag)
-                   : std::size_t{1};
-  if (shard_flag && workers_flag) {
-    throw std::runtime_error(
-        "--shard and --workers are mutually exclusive (a shard worker is "
-        "spawned BY --workers)");
-  }
-  if ((shard_flag || worker_count > 1) && !cache_dir) {
-    throw std::runtime_error(
-        "distributed exploration requires --cache-dir (shard workers meet "
-        "only through cache segments)");
+  if ((shard || worker_count > 1) && !cache_dir) {
+    throw UsageError(
+        "explore: distributed exploration requires --cache-dir (shard "
+        "workers meet only through cache segments)");
   }
 
   if (worker_count > 1) {
@@ -453,11 +288,13 @@ int cmd_explore(const Args& args, const char* argv0) {
     // segments they wrote, then fall through to the standard exploration
     // below — which replays the merged cache with zero executed
     // simulations and prints the usual (byte-identical) report.
-    std::vector<std::string> base{dist::self_executable(argv0), "explore"};
-    for (const auto& [key, value] : args.flags) {
-      if (key == "workers" || key == "log" || key == "csv") continue;
-      base.push_back("--" + key);
-      if (!value.empty()) base.push_back(value);
+    std::vector<std::string> base{dist::self_executable(args.argv0),
+                                  "explore"};
+    for (const auto& [flag, value] : args.given) {
+      const std::string_view name = flag->name;
+      if (name == "workers" || name == "log" || name == "csv") continue;
+      base.push_back(std::string("--").append(name));
+      if (flag->kind != FlagKind::kBool) base.push_back(value.text);
     }
     std::vector<std::vector<std::string>> commands;
     commands.reserve(worker_count);
@@ -492,7 +329,8 @@ int cmd_explore(const Args& args, const char* argv0) {
   }
 
   api::Exploration session(api::registry().make_study(
-      app, core::CaseStudyOptions{}.scaled(scale)));
+      app, core::CaseStudyOptions{}.scaled(args.number("scale").value_or(
+               0.25))));
   // Span tracing is observational only: the report (and the warm-cache
   // byte-identity guarantee) is unaffected by --trace.
   std::optional<obs::TraceWriter> tracer;
@@ -509,13 +347,13 @@ int cmd_explore(const Args& args, const char* argv0) {
     std::cerr << "wrote " << tracer->event_count() << " trace events to "
               << *trace_path << '\n';
   };
-  if (jobs) session.jobs(job_count);
-  if (survivor_cap) session.survivor_cap(survivor_cap_fraction);
+  if (const auto jobs = args.count("jobs")) session.jobs(*jobs);
+  if (const auto cap = args.number("survivor-cap")) session.survivor_cap(*cap);
   if (cache_dir) session.cache_dir(*cache_dir);
-  if (args.has("greedy")) {
+  if (args.flag("greedy")) {
     session.step1_policy(core::Step1Policy::kGreedyPerSlot);
   }
-  if (args.has("progress")) {
+  if (args.flag("progress")) {
     session.on_progress([](const core::StepProgress& p) {
       // One line per ~10% (and at the edges) to keep stderr readable.
       const std::size_t stride = std::max<std::size_t>(1, p.total / 10);
@@ -526,24 +364,24 @@ int cmd_explore(const Args& args, const char* argv0) {
     });
   }
 
-  if (shard_flag) {
+  if (shard) {
     // Worker mode: simulate this shard, checkpoint the segment, report on
     // stderr (stdout stays the coordinator's), skip the paper report —
     // a worker's in-memory report is partial by design.
     std::signal(SIGTERM, on_terminate_signal);
     std::signal(SIGINT, on_terminate_signal);
-    session.shard(shard.first, shard.second).cancel_token(cancel_token());
+    session.shard(shard->index, shard->of).cancel_token(cancel_token());
     const core::ExplorationReport& report = session.run();
     const std::string segment = core::PersistentSimulationCache(*cache_dir)
                                     .segment_path(report.segment_tag);
-    std::cerr << "[ddtr shard " << shard.first << '/' << shard.second << "] "
-              << report.app_name << ": executed "
+    std::cerr << "[ddtr shard " << shard->index << '/' << shard->of
+              << "] " << report.app_name << ": executed "
               << report.executed_simulations() << ", replayed "
               << report.cache_hits << ", foreign "
               << report.skipped_foreign_shard << ", stored "
               << report.persistent_stored << " -> " << segment << '\n';
     if (report.cancelled) {
-      std::cerr << "[ddtr shard " << shard.first << '/' << shard.second
+      std::cerr << "[ddtr shard " << shard->index << '/' << shard->of
                 << "] cancelled — segment checkpointed ("
                 << report.persistent_stored << " records)\n";
     }
@@ -608,42 +446,20 @@ int cmd_explore(const Args& args, const char* argv0) {
   return 0;
 }
 
-// ddtr lint [PATH ...] — the project linter (see tools/lint/lint.h), the
-// exact pass the `lint` ctest and the CI lint job run. Exit 1 on any
-// finding so scripts can gate on it.
-int cmd_lint(const Args& raw_args) {
-  // The generic parser attaches a following positional to any flag;
-  // lint's boolean flags must give theirs back (`lint --fix src`).
-  Args args = raw_args;
-  for (auto& [k, v] : args.flags) {
-    if ((k == "fix" || k == "dry-run" || k == "update-accounting") &&
-        !v.empty()) {
-      args.positional.push_back(v);
-      v.clear();
-    }
-  }
-  lint::RunOptions options;
-  options.repo_root = args.valued("repo-root").value_or(".");
-  options.update_accounting = args.has("update-accounting");
-  options.fix = args.has("fix");
-  options.dry_run = args.has("dry-run");
-  options.diff_ref = args.valued("diff").value_or("");
-  options.compile_commands = args.valued("compile-commands").value_or("");
-  options.roots = args.positional;
-  if (options.roots.empty()) {
-    for (const char* dir : {"src", "tests", "tools", "bench"}) {
-      options.roots.push_back(options.repo_root + "/" + dir);
-    }
-  }
-  return lint::run_lint(options, std::cout) == 0 ? 0 : 1;
-}
-
-// ddtr cache <stats|verify|clear|merge> DIR — inspection and maintenance
-// of a persistent-cache directory (main file + per-writer segments).
-int cmd_cache(const Args& args) {
-  if (args.positional.size() != 2) return usage();
+// ddtr cache <stats|verify|clear|merge|gc> DIR — inspection and
+// maintenance of a persistent-cache directory (main file + per-writer
+// segments).
+int cmd_cache(const CommandLine& args) {
   const std::string& op = args.positional[0];
   const std::string& dir = args.positional[1];
+
+  const auto max_age_s = args.number("max-age-s");
+  if (op == "gc" && !max_age_s) {
+    throw UsageError("cache gc: missing required flag --max-age-s");
+  }
+  if (op != "gc" && max_age_s) {
+    throw UsageError("cache " + op + ": flag --max-age-s applies only to gc");
+  }
 
   if (op == "stats") {
     const dist::CacheStats stats = dist::inspect_cache(dir);
@@ -719,35 +535,20 @@ int cmd_cache(const Args& args) {
   }
 
   if (op == "gc") {
-    const double max_age_s =
-        parse_double_flag("max-age-s", args.require("max-age-s"));
-    if (!std::isfinite(max_age_s) || max_age_s < 0.0 || max_age_s > 1e10) {
-      throw std::runtime_error(
-          "flag --max-age-s expects seconds in [0, 1e10], got '" +
-          args.require("max-age-s") + "'");
-    }
-    const dist::GcStats stats = dist::gc_cache(dir, max_age_s);
+    const dist::GcStats stats = dist::gc_cache(dir, *max_age_s);
     std::cout << "gc: removed " << stats.segments_removed << " segment"
               << (stats.segments_removed == 1 ? "" : "s") << " older than "
-              << support::format_double(max_age_s, 3) << " s (" << stats.kept
-              << " kept) in " << dir << '\n';
+              << support::format_double(*max_age_s, 3) << " s ("
+              << stats.kept << " kept) in " << dir << '\n';
     return 0;
   }
 
-  std::cerr << "error: unknown cache operation '" << op
-            << "' (stats|verify|clear|merge|gc)\n";
-  return 2;
+  throw UsageError("cache: unknown cache operation '" + op +
+                   "' (stats|verify|clear|merge|gc)");
 }
 
-std::optional<std::size_t> metric_index(const std::string& name) {
-  for (std::size_t m = 0; m < energy::kMetricCount; ++m) {
-    if (name == energy::kMetricNames[m]) return m;
-  }
-  return std::nullopt;
-}
-
-int cmd_pareto(const Args& args) {
-  const std::string log_path = args.require("log");
+int cmd_pareto(const CommandLine& args) {
+  const std::string log_path = *args.text("log");
   std::ifstream is(log_path);
   if (!is) {
     std::cerr << "cannot open " << log_path << '\n';
@@ -755,20 +556,11 @@ int cmd_pareto(const Args& args) {
   }
   core::ResultLog log = core::ResultLog::load(is);
   std::vector<core::SimulationRecord> records = log.records();
-  if (const auto app = args.valued("app")) records = log.for_app(*app);
+  if (const auto app = args.text("app")) records = log.for_app(*app);
 
-  std::size_t mx = 1, my = 0;  // default: time vs energy
-  if (const auto x = args.valued("x")) {
-    const auto idx = metric_index(*x);
-    if (!idx) return usage();
-    mx = *idx;
-  }
-  if (const auto y = args.valued("y")) {
-    const auto idx = metric_index(*y);
-    if (!idx) return usage();
-    my = *idx;
-  }
-
+  // Default: time vs energy.
+  const std::size_t mx = args.metric("x").value_or(1);
+  const std::size_t my = args.metric("y").value_or(0);
   std::vector<energy::Metrics> points;
   for (const auto& r : records) points.push_back(r.metrics);
   const auto front = core::pareto_front_2d(points, mx, my);
@@ -798,26 +590,15 @@ void on_serve_signal(int) {
   if (serve::Server* server = g_serve_server.load()) server->request_stop();
 }
 
-int cmd_serve(const Args& args) {
+int cmd_serve(const CommandLine& args) {
   serve::ServerOptions options;
-  options.socket_path = args.require("socket");
-  if (const auto dir = args.valued("cache-dir")) options.cache_dir = *dir;
-  if (const auto jobs = args.valued("jobs")) {
-    options.jobs = parse_count_flag("jobs", *jobs);
-  }
-  if (const auto every = args.valued("progress-every")) {
-    options.progress_every_s = parse_double_flag("progress-every", *every);
-    // Bounded above too: "inf" or 1e300 would overflow the steady-clock
-    // duration conversion.
-    if (!std::isfinite(options.progress_every_s) ||
-        options.progress_every_s <= 0.0 || options.progress_every_s > 1e7) {
-      throw std::runtime_error(
-          "flag --progress-every expects seconds in (0, 1e7], got '" +
-          *every + "'");
-    }
-  }
+  options.socket_path = *args.text("socket");
+  options.cache_dir = args.text("cache-dir").value_or("");
+  options.jobs = args.count("jobs").value_or(options.jobs);
+  options.progress_every_s =
+      args.number("progress-every").value_or(options.progress_every_s);
   options.log = &std::cout;
-  const auto trace_path = args.valued("trace");
+  const auto trace_path = args.text("trace");
   std::optional<obs::TraceWriter> tracer;
   if (trace_path) {
     tracer.emplace();
@@ -847,8 +628,7 @@ int cmd_serve(const Args& args) {
 // Shared result rendering of `submit` and `results`.
 void print_result(const serve::ResultFrame& result,
                   const std::optional<std::string>& log_path) {
-  std::cout << "job " << result.job_id << " (" << result.app << "), run "
-            << result.runs << ":\n"
+  std::cout << "job " << result.job_id << " (" << result.app << "):\n"
             << "executed simulations:  " << result.executed << " of "
             << result.logical << " logical (cache hits " << result.cache_hits
             << ")\n"
@@ -864,80 +644,54 @@ void print_result(const serve::ResultFrame& result,
   }
 }
 
-int cmd_submit(const Args& args) {
-  const std::string socket = args.require("socket");
+int cmd_submit(const CommandLine& args) {
   serve::SubmitRequest request;
-  request.app = args.require("app");
-  if (const auto scale = args.valued("scale")) {
-    request.scale = parse_double_flag("scale", *scale);
-  }
-  if (const auto packets = args.valued("packets")) {
-    request.packets = parse_count_flag("packets", *packets);
-  }
-  if (const auto offset = args.valued("seed-offset")) {
-    request.seed_offset = parse_count_flag("seed-offset", *offset);
-  }
-  request.greedy = args.has("greedy") ? 1 : 0;
-  if (const auto cap = args.valued("survivor-cap")) {
-    request.survivor_cap = parse_double_flag("survivor-cap", *cap);
-  }
-  if (const auto jobs = args.valued("jobs")) {
-    request.jobs = parse_count_flag("jobs", *jobs);
-  }
-  if (const auto every = args.valued("every")) {
-    request.every_s = parse_double_flag("every", *every);
-    // Bounded above too: "inf" or 1e300 would overflow the deadline
-    // arithmetic.
-    if (!std::isfinite(request.every_s) || request.every_s <= 0.0 ||
-        request.every_s > 1e7) {
-      throw std::runtime_error(
-          "flag --every expects seconds in (0, 1e7], got '" + *every + "'");
-    }
-  }
-  if (const auto x = args.valued("x")) request.metric_x = *x;
-  if (const auto y = args.valued("y")) request.metric_y = *y;
-  const auto log_path = args.valued("log");
+  request.app = *args.text("app");
+  request.scale = args.number("scale").value_or(request.scale);
+  request.packets = args.count("packets").value_or(0);
+  request.seed_offset = args.count("seed-offset").value_or(0);
+  request.greedy = args.flag("greedy") ? 1 : 0;
+  request.survivor_cap = args.number("survivor-cap").value_or(0.0);
+  request.jobs = args.count("jobs").value_or(0);
+  request.metric_x = energy::kMetricNames[args.metric("x").value_or(1)];
+  request.metric_y = energy::kMetricNames[args.metric("y").value_or(0)];
 
-  serve::Client client(socket);
+  serve::Client client(*args.text("socket"));
   std::cout << "daemon: " << client.hello().warm_entries
             << " warm records, " << client.hello().warm_traces
             << " warm traces\n";
   serve::Client::ProgressFn on_progress;
-  if (args.has("progress")) {
+  if (args.flag("progress")) {
     on_progress = [](const serve::ProgressFrame& tick) {
       std::cerr << "[job " << tick.job_id << " step " << tick.step << "] "
                 << tick.done << '/' << tick.total << " simulations\n";
     };
   }
-  print_result(client.submit(request, on_progress), log_path);
+  print_result(client.submit(request, on_progress), args.text("log"));
   return 0;
 }
 
-int cmd_status(const Args& args) {
-  serve::Client client(args.require("socket"));
+int cmd_status(const CommandLine& args) {
+  serve::Client client(*args.text("socket"));
   const serve::StatusReply reply = client.status();
   std::cout << reply.warm_entries << " warm records, " << reply.jobs.size()
             << " job" << (reply.jobs.size() == 1 ? "" : "s") << '\n';
   if (reply.jobs.empty()) return 0;
-  support::TextTable table(
-      {"job", "app", "state", "runs", "last executed", "every_s"});
+  support::TextTable table({"job", "app", "state", "last executed"});
   for (const serve::JobStatus& job : reply.jobs) {
     table.add_row({std::to_string(job.id), job.app, job.state,
-                   std::to_string(job.runs),
-                   std::to_string(job.last_executed),
-                   job.every_s > 0.0 ? support::format_double(job.every_s, 3)
-                                     : "-"});
+                   std::to_string(job.last_executed)});
   }
   table.print(std::cout);
   return 0;
 }
 
 // ddtr stats — live introspection of a running daemon: uptime, cache
-// behavior since boot, scheduler activity, and the full job lifecycle
-// table. With --metrics, the daemon's metrics-registry dump rides along.
-int cmd_stats(const Args& args) {
-  serve::Client client(args.require("socket"));
-  const serve::StatsReply reply = client.stats(args.has("metrics"));
+// behavior since boot, and the full job lifecycle table. With --metrics,
+// the daemon's metrics-registry dump rides along.
+int cmd_stats(const CommandLine& args) {
+  serve::Client client(*args.text("socket"));
+  const serve::StatsReply reply = client.stats(args.flag("metrics"));
   const std::uint64_t hit_total = reply.cache_hits + reply.cache_misses;
   const double hit_rate =
       hit_total == 0 ? 0.0
@@ -953,21 +707,14 @@ int cmd_stats(const Args& args) {
   table.add_row({"cache misses (boot)", std::to_string(reply.cache_misses)});
   table.add_row({"cache hit rate", support::format_percent(hit_rate)});
   table.add_row({"jobs submitted", std::to_string(reply.jobs_submitted)});
-  table.add_row({"scheduler re-runs",
-                 std::to_string(reply.scheduler_reruns)});
   table.print(std::cout);
   if (!reply.jobs.empty()) {
     std::cout << '\n';
-    support::TextTable jobs({"job", "app", "state", "runs", "last executed",
-                             "every_s", "submit_ms", "start_ms",
-                             "finish_ms"});
+    support::TextTable jobs({"job", "app", "state", "last executed",
+                             "submit_ms", "start_ms", "finish_ms"});
     for (const serve::JobStats& job : reply.jobs) {
       jobs.add_row({std::to_string(job.id), job.app, job.state,
-                    std::to_string(job.runs),
                     std::to_string(job.last_executed),
-                    job.every_s > 0.0
-                        ? support::format_double(job.every_s, 3)
-                        : "-",
                     std::to_string(job.submit_ms),
                     std::to_string(job.start_ms),
                     std::to_string(job.finish_ms)});
@@ -980,70 +727,298 @@ int cmd_stats(const Args& args) {
   return 0;
 }
 
-// ddtr tracecheck FILE — the CI-facing validator for --trace output:
-// strict JSON, the trace_event document shape, and balanced begin/end
-// spans per (pid, tid). Exit 1 with a one-line diagnostic on any defect.
-int cmd_tracecheck(const Args& args) {
-  if (args.positional.size() != 1) return usage();
-  std::ifstream is(args.positional[0], std::ios::binary);
-  if (!is) {
-    std::cerr << "cannot open " << args.positional[0] << '\n';
-    return 1;
-  }
-  std::ostringstream content;
-  content << is.rdbuf();
-  const std::string problem = obs::check_trace(content.str());
-  if (!problem.empty()) {
-    std::cerr << "tracecheck: " << args.positional[0] << ": " << problem
-              << '\n';
-    return 1;
-  }
-  std::cout << "tracecheck: " << args.positional[0] << ": OK\n";
+int cmd_results(const CommandLine& args) {
+  serve::Client client(*args.text("socket"));
+  print_result(client.results(*args.count("job")), args.text("log"));
   return 0;
 }
 
-int cmd_results(const Args& args) {
-  const std::string socket = args.require("socket");
-  const std::size_t job_id = parse_count_flag("job", args.require("job"));
-  serve::Client client(socket);
-  print_result(client.results(job_id), args.valued("log"));
-  return 0;
-}
-
-int cmd_shutdown(const Args& args) {
-  serve::Client client(args.require("socket"));
+int cmd_shutdown(const CommandLine& args) {
+  serve::Client client(*args.text("socket"));
   const serve::ShutdownAck ack = client.shutdown();
   std::cout << "daemon draining after " << ack.sessions_served
             << " session" << (ack.sessions_served == 1 ? "" : "s") << '\n';
   return 0;
 }
 
+// ddtr tracecheck FILE — the CI-facing validator for --trace output:
+// strict JSON, the trace_event document shape, and balanced begin/end
+// spans per (pid, tid). Exit 1 with a one-line diagnostic on any defect.
+int cmd_tracecheck(const CommandLine& args) {
+  const std::string& path = args.positional[0];
+  std::ifstream is(path, std::ios::binary);
+  if (!is) {
+    std::cerr << "cannot open " << path << '\n';
+    return 1;
+  }
+  std::ostringstream content;
+  content << is.rdbuf();
+  const std::string problem = obs::check_trace(content.str());
+  if (!problem.empty()) {
+    std::cerr << "tracecheck: " << path << ": " << problem << '\n';
+    return 1;
+  }
+  std::cout << "tracecheck: " << path << ": OK\n";
+  return 0;
+}
+
+// --- The command table ------------------------------------------------------
+
+std::vector<Flag> operator+(std::vector<Flag> a, const std::vector<Flag>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+const std::vector<Command>& commands() {
+  using K = FlagKind;
+  const Flag socket{"socket", K::kText, "PATH", "the daemon's unix socket",
+                    true};
+  // The study knobs `explore` and `submit` share; the ranges are the ones
+  // serve::Server::validate() enforces on every submission.
+  const std::vector<Flag> study = {
+      {"app", K::kText, "A", "registered workload, see apps below", true},
+      {"scale", K::kNumber, "S", "trace-length scale (default 0.25)", false,
+       0.0, 100.0, true},
+      {"greedy", K::kBool, "", "per-slot greedy step 1 (fewer simulations)"},
+      {"survivor-cap", K::kNumber, "F",
+       "fraction of combinations step 1 keeps", false, 0.0, 1.0},
+      {"progress", K::kBool, "", "per-step simulation progress on stderr"},
+      {"log", K::kText, "FILE", "write the run's result records to FILE"},
+  };
+  static const std::vector<Command> table = {
+      {"apps", {}, "list the registered workloads", cmd_apps, {}},
+      {"ddts", {}, "list the DDT library (the lattice axes)", cmd_ddts, {}},
+      {"presets", {}, "list the synthetic network presets", cmd_presets, {}},
+      {"tracegen", {}, "generate a synthetic trace", cmd_tracegen,
+       {{"preset", K::kText, "NAME", "network preset, see presets", true},
+        {"packets", K::kCount, "N", "packets to generate"},
+        {"seed-offset", K::kCount, "K", "generator seed offset"},
+        {"out", K::kText, "FILE", "write the trace to FILE, not stdout"}}},
+      {"traceparse", {"FILE"}, "extract the network parameters of a trace",
+       cmd_traceparse, {}},
+      {"explore", {},
+       "the 3-step methodology; --shard/--workers need --cache-dir",
+       cmd_explore,
+       study + std::vector<Flag>{
+           {"jobs", K::kCount, "N",
+            "lanes (default 1; 0 = one per hardware thread)"},
+           {"cache-dir", K::kText, "DIR",
+            "persistent simulation cache (warm reruns replay)"},
+           {"csv", K::kText, "PREFIX",
+            "write step-2 records and fronts to PREFIX_*.csv"},
+           {"shard", K::kShard, "I/N",
+            "be worker I of N: simulate only its shard's units"},
+           {"workers", K::kCount, "N",
+            "run N shard workers, merge, replay their cache"},
+           {"trace", K::kText, "FILE",
+            "write a Chrome trace_event span timeline"}}},
+      {"pareto", {}, "2-D Pareto front of a result log", cmd_pareto,
+       {{"log", K::kText, "FILE", "result log to read", true},
+        {"app", K::kText, "NAME", "only this workload's records"},
+        {"x", K::kMetric, "METRIC", "x axis (default time_s)"},
+        {"y", K::kMetric, "METRIC", "y axis (default energy_mJ)"}}},
+      {"cache", {"OP", "DIR"},
+       "maintain a cache dir: OP is stats|verify|clear|merge|gc", cmd_cache,
+       {{"max-age-s", K::kNumber, "S",
+         "gc (required): prune segments older than S s", false, 0.0,
+         1e10}}},
+      {"serve", {}, "long-lived daemon; drains and flushes on SIGTERM/SIGINT",
+       cmd_serve,
+       {socket,
+        {"cache-dir", K::kText, "DIR",
+         "persistent cache, loaded once, appended per run"},
+        {"jobs", K::kCount, "N",
+         "shared pool lanes (0 = one per hardware thread)"},
+        {"progress-every", K::kNumber, "S",
+         "progress tick period (default 0.25)", false, 0.0, 1e7, true},
+        {"trace", K::kText, "FILE",
+         "span timeline written on clean shutdown"}}},
+      {"submit", {}, "submit a study to the daemon and print its result",
+       cmd_submit,
+       std::vector<Flag>{socket} + study +
+           std::vector<Flag>{
+               {"packets", K::kCount, "N", "override every trace length"},
+               {"seed-offset", K::kCount, "K", "trace seed offset"},
+               {"jobs", K::kCount, "N",
+                "private lanes for this run (default: daemon's)"},
+               {"x", K::kMetric, "METRIC",
+                "Pareto listing x axis (default time_s)"},
+               {"y", K::kMetric, "METRIC",
+                "Pareto listing y axis (default energy_mJ)"}}},
+      {"status", {}, "the daemon's job table", cmd_status, {socket}},
+      {"stats", {},
+       "live daemon introspection: uptime, cache counters, job times",
+       cmd_stats,
+       {socket,
+        {"metrics", K::kBool, "", "append the metrics-registry dump"}}},
+      {"results", {}, "re-fetch a job's last result", cmd_results,
+       {socket,
+        {"job", K::kCount, "ID", "job id", true},
+        {"log", K::kText, "FILE", "write the result records to FILE"}}},
+      {"shutdown", {}, "drain the daemon and exit", cmd_shutdown, {socket}},
+      {"tracecheck", {"FILE"},
+       "validate a --trace file (strict JSON, balanced spans)",
+       cmd_tracecheck, {}},
+  };
+  return table;
+}
+
+// --- Usage text and parser, both read off the table -------------------------
+
+std::string format_range(const Flag& flag) {
+  std::ostringstream os;
+  os << (flag.lo_open ? '(' : '[') << flag.lo << ',' << flag.hi << ']';
+  return os.str();
+}
+
+// "ddtr explore [flags]" and its summary, then one line per flag.
+void print_usage(const Command& command) {
+  std::cerr << "  ddtr " << command.name;
+  for (const char* positional : command.positionals) {
+    std::cerr << ' ' << positional;
+  }
+  std::cerr << (command.flags.empty() ? "" : " [flags]") << "\n      "
+            << command.summary << '\n';
+  for (const Flag& flag : command.flags) {
+    std::string syntax = std::string("--") + flag.name;
+    if (flag.kind != FlagKind::kBool) syntax.append(" ").append(flag.metavar);
+    syntax.resize(std::max<std::size_t>(syntax.size(), 20), ' ');
+    std::cerr << "      " << syntax << ' ' << flag.help
+              << (flag.required ? " (required)" : "")
+              << (flag.kind == FlagKind::kNumber ? "; in " + format_range(flag)
+                                                 : "")
+              << '\n';
+  }
+}
+
+int usage() {
+  std::cerr << "usage:\n";
+  for (const Command& command : commands()) print_usage(command);
+  std::cerr << "apps: " << join(api::registry().names()) << '\n'
+            << "metrics: " << join(energy::kMetricNames)
+            << " (the unit suffix may be dropped)\n";
+  return 2;
+}
+
+std::optional<std::size_t> to_count(std::string_view token) {
+  std::size_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
+// Reads `token` as the value of `flag`, or throws a UsageError naming the
+// subcommand, the flag and the token.
+Value read_value(const Command& command, const Flag& flag,
+                 const std::string& token) {
+  const auto bad = [&](const std::string& expected) {
+    return UsageError(std::string(command.name) + ": flag --" + flag.name +
+                      " expects " + expected + ", got '" + token + "'");
+  };
+  Value value{token};
+  switch (flag.kind) {
+    case FlagKind::kBool:
+    case FlagKind::kText:
+      break;
+    case FlagKind::kCount: {
+      const auto count = to_count(token);
+      if (!count) throw bad("a non-negative integer");
+      value.index = *count;
+      break;
+    }
+    case FlagKind::kNumber: {
+      const char* end = token.data() + token.size();
+      const auto [ptr, ec] = std::from_chars(token.data(), end, value.number);
+      const double v = value.number;
+      if (ec != std::errc{} || ptr != end || v > flag.hi ||
+          !(flag.lo_open ? v > flag.lo : v >= flag.lo)) {
+        throw bad("a number in " + format_range(flag));
+      }
+      break;
+    }
+    case FlagKind::kMetric: {
+      const auto index = energy::metric_index(token);
+      if (!index) throw bad("a metric (" + join(energy::kMetricNames) + ")");
+      value.index = *index;
+      break;
+    }
+    case FlagKind::kShard: {
+      const std::size_t slash = token.find('/');
+      const auto index = to_count(std::string_view(token).substr(0, slash));
+      const auto count =
+          slash == std::string::npos
+              ? std::nullopt
+              : to_count(std::string_view(token).substr(slash + 1));
+      if (!index || !count || *index >= *count) {
+        throw bad("I/N (e.g. 0/4) where I must be < N");
+      }
+      value.index = *index;
+      value.of = *count;
+      break;
+    }
+  }
+  return value;
+}
+
+CommandLine parse_args(const Command& command, int argc, char** argv) {
+  CommandLine args{command, argv[0], {}, {}};
+  const std::string prefix = std::string(command.name) + ": ";
+  for (int i = 2; i < argc; ++i) {
+    const std::string token = argv[i];
+    if (token.rfind("--", 0) != 0) {
+      args.positional.push_back(token);
+      continue;
+    }
+    const Flag* flag = command.find(std::string_view(token).substr(2));
+    if (flag == nullptr) throw UsageError(prefix + "unknown flag " + token);
+    Value value;
+    if (flag->kind != FlagKind::kBool) {
+      if (i + 1 == argc || std::string_view(argv[i + 1]).rfind("--", 0) == 0) {
+        throw UsageError(prefix + "flag " + token + " requires a value");
+      }
+      value = read_value(command, *flag, argv[++i]);
+    }
+    args.given.emplace_back(flag, std::move(value));
+  }
+  const std::size_t expected = command.positionals.size();
+  if (args.positional.size() > expected) {
+    throw UsageError(prefix + "unexpected argument '" +
+                     args.positional[expected] + "'");
+  }
+  if (args.positional.size() < expected) {
+    throw UsageError(prefix + "missing " +
+                     command.positionals[args.positional.size()]);
+  }
+  for (const Flag& flag : command.flags) {
+    if (flag.required && args.find(flag.name, flag.kind) == nullptr) {
+      throw UsageError(prefix + "missing required flag --" + flag.name);
+    }
+  }
+  return args;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string command = argv[1];
-  const Args args = parse_args(argc, argv, 2);
+  const auto& table = commands();
+  const auto command =
+      std::find_if(table.begin(), table.end(), [&](const Command& c) {
+        return std::string_view(argv[1]) == c.name;
+      });
+  if (command == table.end()) {
+    std::cerr << "error: unknown command '" << argv[1] << "'\n";
+    return usage();
+  }
   try {
-    if (command == "apps") return cmd_apps();
-    if (command == "ddts") return cmd_ddts();
-    if (command == "presets") return cmd_presets();
-    if (command == "tracegen") return cmd_tracegen(args);
-    if (command == "traceparse") return cmd_traceparse(args);
-    if (command == "explore") return cmd_explore(args, argv[0]);
-    if (command == "pareto") return cmd_pareto(args);
-    if (command == "lint") return cmd_lint(args);
-    if (command == "cache") return cmd_cache(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "submit") return cmd_submit(args);
-    if (command == "status") return cmd_status(args);
-    if (command == "stats") return cmd_stats(args);
-    if (command == "results") return cmd_results(args);
-    if (command == "shutdown") return cmd_shutdown(args);
-    if (command == "tracecheck") return cmd_tracecheck(args);
+    return command->handler(parse_args(*command, argc, argv));
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << "\nusage:\n";
+    print_usage(*command);
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
   }
-  return usage();
 }

@@ -1,7 +1,6 @@
-// Standalone entry point of the project linter. `ddtr lint` (the CLI
-// subcommand) and the `lint` ctest are the same pass over the same
-// rules; this binary exists so CI and pre-commit hooks need nothing but
-// the tool itself.
+// Entry point of the project linter: the `lint` ctest, the CI lint job
+// and pre-commit hooks all run this binary, which needs nothing but the
+// lint sources themselves.
 #include <iostream>
 #include <string>
 #include <vector>

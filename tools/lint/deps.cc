@@ -582,7 +582,7 @@ void check_iwyu(const Graph& g, const LayerContract& contract,
           {path, d.inc->line, "include-unused",
            "\"" + d.inc->target + "\" is included but none of its names "
            "are used here",
-           "remove the include (autofixable: `ddtr lint --fix`)"});
+           "remove the include (autofixable: `ddtr_lint --fix`)"});
       analysis.removable[path].insert(d.inc->line);
     }
 

@@ -216,7 +216,7 @@ void check_include_order(const SourceFile& file, std::vector<Finding>& out) {
          "include block is not in canonical order (primary header, "
          "<c++-std>, <system.h>, \"project\" — alphabetical within "
          "groups)",
-         "run `ddtr lint --fix` to rewrite the block"});
+         "run `ddtr_lint --fix` to rewrite the block"});
   }
 }
 

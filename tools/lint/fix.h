@@ -1,4 +1,4 @@
-// The autofix pass — `ddtr lint --fix`.
+// The autofix pass — `ddtr_lint --fix`.
 //
 // Three rule families are mechanical enough to repair, not just report:
 // a header missing `#pragma once` gains one (after its leading comment

@@ -99,7 +99,7 @@ void rule_header_hygiene(const std::string& path, const Scrubbed& s,
     out.push_back({path, 1, "header-hygiene",
                    "header is missing `#pragma once`",
                    "add `#pragma once` as the first directive "
-                   "(autofixable: `ddtr lint --fix`)"});
+                   "(autofixable: `ddtr_lint --fix`)"});
   }
   static const std::regex using_ns(R"(\busing\s+namespace\b)");
   for (std::size_t line = 1; line <= s.line_off.size(); ++line) {

@@ -1,6 +1,6 @@
 // The lock-order discipline checker — ddtr_lint's concurrency pass.
 //
-// The daemon, the scheduler thread, the thread pool, both caches, the
+// The daemon's session threads, the thread pool, both caches, the
 // trace store and the obs registry each hold a mutex; TSan only sees the
 // interleavings a test happens to produce. This pass reads the locking
 // *discipline* statically: every `lock_guard`/`unique_lock`/`scoped_lock`
