@@ -59,6 +59,19 @@ class NetworkApplication {
   virtual RunResult run(const net::Trace& trace,
                         const ddt::DdtCombination& combo) = 0;
 
+  // Whether run()'s counters split per slot (the explorer's composition
+  // contract). A separable application promises, for every trace:
+  //  - per_structure[s] is slot s's profile, in slot order, and depends
+  //    only on combo[s] — never on the kinds of the other slots;
+  //  - the CPU remainder, total minus the sum of per_structure, is the
+  //    same for every combination.
+  // The explorer then computes a scenario's missing records from one run
+  // per slot kind (max over slots of the kinds needed) instead of one run
+  // per combination, and cross-checks one off-diagonal combination
+  // against a full run. The default is false: a custom workload keeps one
+  // run() per simulated combination until it opts in.
+  virtual bool separable() const { return false; }
+
   // A one-line description of the application-specific network parameter
   // configuration (radix-table size, rule count, ...), for logs.
   virtual std::string config_label() const { return ""; }

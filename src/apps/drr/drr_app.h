@@ -57,6 +57,10 @@ class DrrApp final : public NetworkApplication {
 
   std::string config_label() const override;
 
+  // Each slot charges its own profile; containers keep logical order, so
+  // the kernel's operation stream is the same whatever the kinds.
+  bool separable() const override { return true; }
+
   RunResult run(const net::Trace& trace,
                 const ddt::DdtCombination& combo) override;
 

@@ -66,6 +66,10 @@ class IpchainsApp final : public NetworkApplication {
     return "rules=" + std::to_string(config_.rule_count);
   }
 
+  // Each slot charges its own profile; containers keep logical order, so
+  // the kernel's operation stream is the same whatever the kinds.
+  bool separable() const override { return true; }
+
   RunResult run(const net::Trace& trace,
                 const ddt::DdtCombination& combo) override;
 

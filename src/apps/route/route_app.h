@@ -35,6 +35,10 @@ class RouteApp final : public NetworkApplication {
     return "table=" + std::to_string(config_.table_size);
   }
 
+  // Each slot charges its own profile; containers keep logical order, so
+  // the kernel's operation stream is the same whatever the kinds.
+  bool separable() const override { return true; }
+
   RunResult run(const net::Trace& trace,
                 const ddt::DdtCombination& combo) override;
 

@@ -50,6 +50,10 @@ class UrlApp final : public NetworkApplication {
     return "patterns=" + std::to_string(config_.pattern_count);
   }
 
+  // Each slot charges its own profile; containers keep logical order, so
+  // the kernel's operation stream is the same whatever the kinds.
+  bool separable() const override { return true; }
+
   RunResult run(const net::Trace& trace,
                 const ddt::DdtCombination& combo) override;
 

@@ -99,6 +99,143 @@ std::string default_run_token() {
   return os.str();
 }
 
+// --- Slot composition (NetworkApplication::separable()) -----------------
+//
+// One scenario's missing units within a fan, and how they are computed.
+// A composed group runs D = max_s |K_s| "diagonal" combinations (diagonal
+// d puts K_s[min(d, |K_s| - 1)] on slot s), which together cover every
+// (slot, kind) pair the misses need, plus one off-diagonal guard
+// combination in full. A monolithic group runs every unit in full.
+struct MissGroup {
+  const Scenario* scenario = nullptr;
+  std::vector<std::size_t> units;  // unit indices, in unit order
+  bool composed = false;
+  std::vector<std::vector<ddt::DdtKind>> kinds;  // K_s, first-seen order
+  std::vector<ddt::DdtCombination> diagonals;    // D of them
+  std::size_t guard = 0;                         // unit index run in full
+  std::size_t first_job = 0;  // kernel jobs: D diagonals, then the guard
+  // From the kernel runs: profiles[s][j] is slot s holding kinds[s][j].
+  std::vector<std::vector<prof::ProfileCounters>> profiles;
+  prof::ProfileCounters remainder;
+  prof::ProfileCounters guard_total;
+  bool ready = false;  // every run finished and both guards passed
+};
+
+// One NetworkApplication::run of a fan. A job with a unit produces that
+// unit's record itself (monolithic); a job without one feeds its group.
+struct KernelJob {
+  const Scenario* scenario = nullptr;
+  ddt::DdtCombination combo;
+  std::size_t unit = kNoUnit;
+  static constexpr std::size_t kNoUnit = static_cast<std::size_t>(-1);
+};
+
+std::size_t kind_index(const std::vector<ddt::DdtKind>& kinds,
+                       ddt::DdtKind kind) {
+  return static_cast<std::size_t>(
+      std::find(kinds.begin(), kinds.end(), kind) - kinds.begin());
+}
+
+// Decides whether `group` is composed and, if so, fills in its plan:
+// composition needs D + 1 runs, so it pays only with more misses than
+// that, and it needs an off-diagonal unit for the guard.
+void plan_group(MissGroup& group,
+                const std::function<const ddt::DdtCombination&(std::size_t)>&
+                    combo_of) {
+  if (!group.scenario->app->separable()) return;
+  const std::size_t slots = combo_of(group.units.front()).size();
+  std::vector<std::vector<ddt::DdtKind>> kinds(slots);
+  std::size_t d_count = 0;
+  for (std::size_t unit : group.units) {
+    const ddt::DdtCombination& combo = combo_of(unit);
+    for (std::size_t s = 0; s < slots; ++s) {
+      if (kind_index(kinds[s], combo[s]) == kinds[s].size()) {
+        kinds[s].push_back(combo[s]);
+        d_count = std::max(d_count, kinds[s].size());
+      }
+    }
+  }
+  if (d_count == 0 || d_count + 1 >= group.units.size()) return;
+  std::vector<ddt::DdtCombination> diagonals;
+  for (std::size_t d = 0; d < d_count; ++d) {
+    std::vector<ddt::DdtKind> combo;
+    for (const auto& set : kinds) {
+      combo.push_back(set[std::min(d, set.size() - 1)]);
+    }
+    diagonals.emplace_back(std::move(combo));
+  }
+  for (std::size_t unit : group.units) {
+    if (std::find(diagonals.begin(), diagonals.end(), combo_of(unit)) !=
+        diagonals.end()) {
+      continue;
+    }
+    group.composed = true;
+    group.kinds = std::move(kinds);
+    group.diagonals = std::move(diagonals);
+    group.guard = unit;
+    return;
+  }
+}
+
+prof::ProfileCounters compose(const MissGroup& group,
+                              const ddt::DdtCombination& combo) {
+  prof::ProfileCounters counters = group.remainder;
+  for (std::size_t s = 0; s < group.kinds.size(); ++s) {
+    counters += group.profiles[s][kind_index(group.kinds[s], combo[s])];
+  }
+  return counters;
+}
+
+[[noreturn]] void throw_not_separable(const Scenario& scenario,
+                                      const ddt::DdtCombination& combo,
+                                      const std::string& what) {
+  throw std::runtime_error(
+      "ExplorationEngine: " + scenario.app->name() +
+      " declares separable() but " + what + " (scenario " + scenario.label() +
+      ", combination " + combo.label() + ")");
+}
+
+// Reads a composed group's kernel runs (runs[first_job..], in job order)
+// into its slot profiles and CPU remainder, then applies both guards:
+// every diagonal must leave the same remainder, and the guard
+// combination's full run must equal its composition. Throws naming the
+// app, scenario and combination otherwise.
+void harvest(MissGroup& group, const apps::RunResult* runs,
+             const ddt::DdtCombination& guard_combo) {
+  const std::size_t slots = group.kinds.size();
+  for (std::size_t d = 0; d < group.diagonals.size(); ++d) {
+    if (runs[d].per_structure.size() != slots) {
+      throw_not_separable(*group.scenario, group.diagonals[d],
+                          "its run reports " +
+                              std::to_string(runs[d].per_structure.size()) +
+                              " per-structure profiles for " +
+                              std::to_string(slots) + " slots");
+    }
+    prof::ProfileCounters remainder = runs[d].total;
+    for (const auto& part : runs[d].per_structure) remainder -= part.second;
+    if (d == 0) {
+      group.remainder = remainder;
+    } else if (!(remainder == group.remainder)) {
+      throw_not_separable(*group.scenario, group.diagonals[d],
+                          "its CPU remainder differs from " +
+                              group.diagonals[0].label() + "'s");
+    }
+  }
+  // Diagonal j holds kinds[s][j] on every slot s with more than j kinds.
+  group.profiles.assign(slots, {});
+  for (std::size_t s = 0; s < slots; ++s) {
+    for (std::size_t j = 0; j < group.kinds[s].size(); ++j) {
+      group.profiles[s].push_back(runs[j].per_structure[s].second);
+    }
+  }
+  group.guard_total = runs[group.diagonals.size()].total;
+  if (!(compose(group, guard_combo) == group.guard_total)) {
+    throw_not_separable(*group.scenario, guard_combo,
+                        "its full run differs from its per-slot composition");
+  }
+  group.ready = true;
+}
+
 }  // namespace
 
 std::size_t shard_of_key(const std::string& key,
@@ -156,60 +293,174 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
     throw std::invalid_argument(
         "ExplorationEngine: sharded execution requires a simulation cache");
   }
+  // Per-record observability: a `sim` span per computed record (arg
+  // `composed`), a `kernel` span per NetworkApplication::run, and the
+  // wall time of every record a slot receives. Pure observation: timings
+  // never touch the produced records.
+  static obs::Histogram& sim_us = obs::registry().histogram("explore.sim_us");
+  static obs::Counter& kernel_counter =
+      obs::registry().counter("explore.kernel_runs");
+  const char* const cat = step == 1 ? "step1" : "step2";
+
   // Index-addressed slots: lane scheduling cannot affect record order, so
   // the parallel output is bit-identical to the serial one. Skipped units
   // leave their slot unfilled and are compacted away below.
   std::vector<SimulationRecord> slots(count);
   std::vector<unsigned char> filled(count, 0);
+  std::vector<unsigned char> missing(count, 0);
   std::atomic<std::size_t> foreign{0};
   std::atomic<std::size_t> dropped{0};
+  std::atomic<std::size_t> computed{0};
+  std::atomic<std::size_t> kernel_runs{0};
   ProgressReporter progress(options_.progress, step, count);
-  support::parallel_for(pool, count, [&](std::size_t i) {
-    if (cancel_requested()) {
-      dropped.fetch_add(1, std::memory_order_relaxed);
-      progress.tick();
-      return;
+  const auto drop = [&] {
+    dropped.fetch_add(1, std::memory_order_relaxed);
+    progress.tick();
+  };
+  // Stores a computed record: into its slot and, so the cache stats, the
+  // executed counts and the persistent file see it, into the cache.
+  const auto produce = [&](std::size_t i, SimulationRecord record) {
+    if (cache) {
+      cache->insert(
+          SimulationCache::key_of(scenario_of(i), combo_of(i), model_),
+          record);
     }
+    slots[i] = std::move(record);
+    filled[i] = 1;
+    computed.fetch_add(1, std::memory_order_relaxed);
+    progress.tick();
+  };
+  const auto run_kernel = [&](const Scenario& scenario,
+                              const ddt::DdtCombination& combo) {
+    obs::SpanScope span(options_.trace_sink, "kernel", cat);
+    kernel_runs.fetch_add(1, std::memory_order_relaxed);
+    return scenario.app->run(*scenario.trace, combo);
+  };
+
+  // Pass 1: settle every unit the cache (or, sharded, another shard)
+  // answers; the rest are misses.
+  support::parallel_for(pool, count, [&](std::size_t i) {
+    if (cancel_requested()) return drop();
     const Scenario& scenario = scenario_of(i);
     const ddt::DdtCombination& combo = combo_of(i);
+    const std::uint64_t t0 = obs::now_us();
+    std::optional<SimulationRecord> hit;
     if (sharded) {
       const std::string key = SimulationCache::key_of(scenario, combo, model_);
       if (shard_of_key(key, options_.shard_count) != options_.shard_index) {
         // Foreign unit: replay it when a prior step already cached it
         // (the representative scenario's survivors), otherwise leave it
         // to the shard that owns it.
-        if (auto hit = cache->find_cached(scenario, combo, model_)) {
-          slots[i] = std::move(*hit);
-          filled[i] = 1;
-        } else {
+        hit = cache->find_cached(scenario, combo, model_);
+        if (!hit) {
           foreign.fetch_add(1, std::memory_order_relaxed);
+          progress.tick();
+          return;
         }
-        progress.tick();
-        return;
       }
     }
-    {
-      // Per-unit observability: a span per fan unit plus a wall-time
-      // histogram over ALL units (executed or replayed — distinguishing
-      // them here would need an extra cache probe, and cache stats feed
-      // the byte-compared report). Pure observation: timings never touch
-      // the produced record.
-      static obs::Histogram& sim_us =
-          obs::registry().histogram("explore.sim_us");
-      obs::SpanScope span(options_.trace_sink, "sim",
-                          step == 1 ? "step1" : "step2");
+    if (!hit && cache) hit = cache->find(scenario, combo, model_);
+    if (!hit) {
+      missing[i] = 1;
+      return;
+    }
+    slots[i] = std::move(*hit);
+    filled[i] = 1;
+    sim_us.observe(obs::now_us() - t0);
+    progress.tick();
+  });
+
+  // Pass 2: plan the misses per scenario, in unit order.
+  std::vector<MissGroup> groups;
+  {
+    std::map<const Scenario*, std::size_t> group_of;
+    for (std::size_t i = 0; i < count; ++i) {
+      if (!missing[i]) continue;
+      const Scenario* scenario = &scenario_of(i);
+      const auto [it, fresh] = group_of.try_emplace(scenario, groups.size());
+      if (fresh) groups.emplace_back().scenario = scenario;
+      groups[it->second].units.push_back(i);
+    }
+  }
+  std::vector<KernelJob> jobs;
+  for (MissGroup& group : groups) {
+    plan_group(group, combo_of);
+    if (!group.composed) {
+      for (std::size_t unit : group.units) {
+        jobs.push_back({group.scenario, combo_of(unit), unit});
+      }
+      continue;
+    }
+    group.first_job = jobs.size();
+    for (const ddt::DdtCombination& combo : group.diagonals) {
+      jobs.push_back({group.scenario, combo, KernelJob::kNoUnit});
+    }
+    jobs.push_back({group.scenario, combo_of(group.guard), KernelJob::kNoUnit});
+  }
+
+  // Pass 3: every kernel run of the fan — all scenarios' diagonals and
+  // guards, and the monolithic units, which produce their records here.
+  std::vector<apps::RunResult> runs(jobs.size());
+  std::vector<unsigned char> ran(jobs.size(), 0);
+  support::parallel_for(pool, jobs.size(), [&](std::size_t j) {
+    const KernelJob& job = jobs[j];
+    if (cancel_requested()) return;
+    const Scenario& scenario = *job.scenario;
+    if (job.unit == KernelJob::kNoUnit) {
+      runs[j] = run_kernel(scenario, job.combo);
+    } else {
+      obs::SpanScope span(options_.trace_sink, "sim", cat);
+      span.arg("composed", std::uint64_t{0});
       const std::uint64_t t0 = obs::now_us();
-      slots[i] = cache ? cache->get_or_simulate(scenario, combo, model_)
-                       : simulate(scenario, combo, model_);
+      produce(job.unit, record_of(scenario, job.combo,
+                                  run_kernel(scenario, job.combo).total,
+                                  model_));
       sim_us.observe(obs::now_us() - t0);
     }
-    filled[i] = 1;
-    progress.tick();
+    ran[j] = 1;
+  });
+  kernel_counter.add(kernel_runs.load(std::memory_order_relaxed));
+
+  // Pass 4: check and compose. A composed group whose runs were cut short
+  // by cancellation drops all its units, as does a raised cancel flag.
+  std::vector<std::pair<std::size_t, const MissGroup*>> composed_units;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    if (jobs[j].unit != KernelJob::kNoUnit && !ran[j]) drop();
+  }
+  for (MissGroup& group : groups) {
+    if (!group.composed) continue;
+    const auto first = ran.begin() +
+                       static_cast<std::ptrdiff_t>(group.first_job);
+    const auto last =
+        first + static_cast<std::ptrdiff_t>(group.diagonals.size() + 1);
+    if (std::all_of(first, last, [](unsigned char r) { return r != 0; })) {
+      harvest(group, &runs[group.first_job], combo_of(group.guard));
+    }
+    for (std::size_t unit : group.units) {
+      composed_units.emplace_back(unit, &group);
+    }
+  }
+  support::parallel_for(pool, composed_units.size(), [&](std::size_t k) {
+    const auto [i, group_ptr] = composed_units[k];
+    const MissGroup& group = *group_ptr;
+    if (!group.ready || cancel_requested()) return drop();
+    // The guard's full run becomes its record (equal to its composition).
+    const bool guard = i == group.guard;
+    obs::SpanScope span(options_.trace_sink, "sim", cat);
+    span.arg("composed", std::uint64_t{guard ? 0u : 1u});
+    const std::uint64_t t0 = obs::now_us();
+    const ddt::DdtCombination& combo = combo_of(i);
+    produce(i, record_of(*group.scenario, combo,
+                         guard ? group.guard_total : compose(group, combo),
+                         model_));
+    sim_us.observe(obs::now_us() - t0);
   });
 
   FanOutcome out;
   out.skipped_foreign = foreign.load(std::memory_order_relaxed);
   out.skipped_cancelled = dropped.load(std::memory_order_relaxed);
+  out.computed = computed.load(std::memory_order_relaxed);
+  out.kernel_runs = kernel_runs.load(std::memory_order_relaxed);
   if (out.skipped_foreign == 0 && out.skipped_cancelled == 0) {
     out.records = std::move(slots);  // the common, complete case
     return out;
@@ -496,8 +747,8 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
     cache_ptr = shared ? &shared->cache : &local_cache;
   }
   // Stats baseline: a warm shared cache arrives with history, and the
-  // executed-simulation accounting below (executed == misses) must count
-  // only THIS run's traffic — everything is reported as a delta.
+  // hit/miss accounting below must count only THIS run's traffic — it is
+  // reported as a delta.
   const SimulationCache::Stats baseline =
       cache_ptr ? cache_ptr->stats() : SimulationCache::Stats{};
   // Cross-run persistence: seed the in-memory cache from the cache file
@@ -558,11 +809,7 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
         .arg("survivors", report.survivors.size());
   }
   report.step1_simulations = report.step1_records.size();
-  const SimulationCache::Stats after_step1 =
-      cache_ptr ? cache_ptr->stats() : SimulationCache::Stats{};
-  report.step1_executed_simulations =
-      cache_ptr ? after_step1.misses - baseline.misses
-                : report.step1_simulations;
+  report.step1_executed_simulations = step1.computed;
 
   FanOutcome step2 = [&] {
     obs::SpanScope span(options_.trace_sink, "step2", "explore");
@@ -572,13 +819,12 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
   }();
   report.step2_records = std::move(step2.records);
   report.step2_simulations = report.step2_records.size();
-  const SimulationCache::Stats after_step2 =
+  report.step2_executed_simulations = step2.computed;
+  report.kernel_runs = step1.kernel_runs + step2.kernel_runs;
+  const SimulationCache::Stats after =
       cache_ptr ? cache_ptr->stats() : SimulationCache::Stats{};
-  report.step2_executed_simulations =
-      cache_ptr ? after_step2.misses - after_step1.misses
-                : report.step2_simulations;
-  report.cache_hits = after_step2.hits - baseline.hits;
-  report.cache_misses = after_step2.misses - baseline.misses;
+  report.cache_hits = after.hits - baseline.hits;
+  report.cache_misses = after.misses - baseline.misses;
   report.skipped_foreign_shard = step2.skipped_foreign;
   report.skipped_after_cancel =
       step1.skipped_cancelled + step2.skipped_cancelled;

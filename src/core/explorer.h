@@ -14,10 +14,18 @@
 // independent, so steps 1 and 2 fan simulations over
 // ExplorationOptions::jobs work-stealing lanes (support::ThreadPool) with
 // index-addressed result slots — reports are bit-identical at every lane
-// count. A per-explore() SimulationCache memoizes records so step 2
-// replays the representative scenario's survivors from step 1 instead of
-// re-simulating them; with ExplorationOptions::cache_dir set, that cache
-// is seeded from — and appended to — a persistent cross-run cache file
+// count. A fan first settles every unit the cache answers, then computes
+// the misses. For a separable application (NetworkApplication::
+// separable()) it runs, per scenario, max over slots of the needed kinds
+// "diagonal" combinations, which cover every (slot, kind) pair, and
+// composes each missing record from their per-slot profiles plus the CPU
+// remainder: k runs stand in for k^slots. One off-diagonal combination
+// per composed scenario also runs in full and must equal its
+// composition, or the fan throws. A per-explore() SimulationCache
+// memoizes records so step 2 replays the representative scenario's
+// survivors from step 1 instead of re-simulating them; with
+// ExplorationOptions::cache_dir set, that cache is seeded from — and
+// appended to — a persistent cross-run cache file
 // (core::PersistentSimulationCache), so repeated invocations replay
 // previous runs' simulations too.
 //
@@ -193,11 +201,15 @@ struct ExplorationReport {
   // record, whether it was executed or replayed from the cache).
   std::size_t step1_simulations = 0;
   std::size_t step2_simulations = 0;
-  // Simulations actually executed per step (cache hits excluded). With
-  // memoization on, step2_executed_simulations drops by one per survivor:
-  // the whole representative scenario is replayed from step 1's records.
+  // Records computed per step rather than replayed (cache hits excluded),
+  // whether composed per slot or run in full. With memoization on,
+  // step2_executed_simulations drops by one per survivor: the whole
+  // representative scenario is replayed from step 1's records.
   std::size_t step1_executed_simulations = 0;
   std::size_t step2_executed_simulations = 0;
+  // NetworkApplication::run calls made to compute those records: fewer
+  // than the executed records when scenarios were composed.
+  std::size_t kernel_runs = 0;
   // Simulation-cache accounting across the whole explore() call.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
@@ -300,6 +312,8 @@ class ExplorationEngine {
     std::vector<SimulationRecord> records;
     std::size_t skipped_foreign = 0;
     std::size_t skipped_cancelled = 0;
+    std::size_t computed = 0;     // records not replayed from the cache
+    std::size_t kernel_runs = 0;  // NetworkApplication::run calls
   };
 
   // Pool-threaded variants used by explore(), which owns ONE pool for the
@@ -313,12 +327,13 @@ class ExplorationEngine {
                            const std::vector<ddt::DdtCombination>& survivors,
                            SimulationCache* cache,
                            support::ThreadPool& pool) const;
-  // Runs one simulation per unit index in [0, count), fanned over the
-  // pool, writing records into index-addressed slots. `step` labels the
-  // StepProgress events this fan emits. Step 2 is the sharded step: there,
-  // units owned by other shards are replayed from the cache when present
-  // and skipped otherwise; a raised cancel flag skips every
-  // not-yet-started unit.
+  // Produces one record per unit index in [0, count), fanned over the
+  // pool, writing records into index-addressed slots: cache hits first,
+  // then the misses, composed per slot where the app is separable (see
+  // the file comment). `step` labels the StepProgress events this fan
+  // emits. Step 2 is the sharded step: there, units owned by other shards
+  // are replayed from the cache when present and skipped otherwise; a
+  // raised cancel flag skips every not-yet-started unit and kernel run.
   FanOutcome fan_simulations(
       std::size_t count,
       const std::function<const Scenario&(std::size_t)>& scenario_of,

@@ -2,18 +2,25 @@
 
 namespace ddtr::core {
 
-SimulationRecord simulate(const Scenario& scenario,
-                          const ddt::DdtCombination& combo,
-                          const energy::EnergyModel& model) {
-  const apps::RunResult run = scenario.app->run(*scenario.trace, combo);
+SimulationRecord record_of(const Scenario& scenario,
+                           const ddt::DdtCombination& combo,
+                           const prof::ProfileCounters& counters,
+                           const energy::EnergyModel& model) {
   SimulationRecord record;
   record.app_name = scenario.app->name();
   record.combo = combo;
   record.network = scenario.network;
   record.config = scenario.config;
-  record.counters = run.total;
-  record.metrics = model.evaluate(run.total);
+  record.counters = counters;
+  record.metrics = model.evaluate(counters);
   return record;
+}
+
+SimulationRecord simulate(const Scenario& scenario,
+                          const ddt::DdtCombination& combo,
+                          const energy::EnergyModel& model) {
+  return record_of(scenario, combo,
+                   scenario.app->run(*scenario.trace, combo).total, model);
 }
 
 }  // namespace ddtr::core

@@ -48,6 +48,15 @@ struct SimulationRecord {
   }
 };
 
+// The record of `combo` on `scenario` for a run that produced `counters`:
+// labels from the scenario, metrics from `model`. simulate() is
+// record_of(scenario, combo, app->run(...).total, model); the explorer also
+// builds records from counters composed per slot.
+SimulationRecord record_of(const Scenario& scenario,
+                           const ddt::DdtCombination& combo,
+                           const prof::ProfileCounters& counters,
+                           const energy::EnergyModel& model);
+
 // Runs one (scenario, combination) simulation and evaluates its metrics.
 // Re-entrant: safe to call concurrently, including on the same scenario —
 // all mutable state (MemoryProfile counters, per-run RNG streams, DDT

@@ -29,10 +29,12 @@
 namespace ddtr::core {
 
 // Thread-safe: concurrent lanes of the parallel explorer share one cache.
-// The lock is never held across a simulate() call; two lanes racing on the
-// same missing key may both simulate it, which is benign (deterministic
-// records, last insert is a no-op) and cannot happen in the engine's usage
-// (each step visits distinct keys).
+// The engine probes with find()/find_cached() and insert()s the records it
+// computes (composed per slot or simulated in full), so the hit/miss stats
+// count one probe per unit. The lock is never held across a simulate()
+// call; two get_or_simulate() callers racing on the same missing key may
+// both simulate it, which is benign (deterministic records, the second
+// insert is a no-op).
 class SimulationCache {
  public:
   struct Stats {

@@ -1,6 +1,8 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <sstream>
 
 namespace ddtr::obs {
@@ -26,6 +28,29 @@ void Histogram::observe(std::uint64_t v) noexcept {
   const std::size_t b = std::bit_width(v);
   buckets_[b < kBuckets ? b : kBuckets - 1].fetch_add(
       1, std::memory_order_relaxed);
+}
+
+std::uint64_t Histogram::quantile(double q) const noexcept {
+  const std::uint64_t n = count();
+  if (n == 0) return 0;
+  const double wanted = std::ceil(std::clamp(q, 0.0, 1.0) *
+                                  static_cast<double>(n));
+  const std::uint64_t rank =
+      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(wanted));
+  // Concurrent observe() calls can leave the buckets a few values behind
+  // count(); the walk then ends at max().
+  std::uint64_t upper = max();
+  std::uint64_t seen = 0;
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    seen += bucket(b);
+    if (seen >= rank) {
+      upper = b == 0 ? 0
+              : b < kBuckets - 1 ? (std::uint64_t{1} << b) - 1
+                                 : UINT64_MAX;
+      break;
+    }
+  }
+  return std::clamp(upper, min(), max());
 }
 
 Counter& Registry::counter(const std::string& name) {
@@ -62,7 +87,9 @@ std::string Registry::render_text() const {
     os << "histogram " << name << " count=" << h->count()
        << " sum=" << h->sum();
     if (h->count() > 0) {
-      os << " min=" << h->min() << " max=" << h->max();
+      os << " min=" << h->min() << " max=" << h->max()
+         << " p50=" << h->quantile(0.50) << " p90=" << h->quantile(0.90)
+         << " p99=" << h->quantile(0.99);
       for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
         if (const std::uint64_t n = h->bucket(b)) os << " b" << b << '=' << n;
       }

@@ -103,6 +103,11 @@ class Histogram {
     return buckets_[b < kBuckets ? b : kBuckets - 1].load(
         std::memory_order_relaxed);
   }
+  // The q-quantile (q in [0, 1]) estimated from the buckets: the upper
+  // edge of the bucket holding the ceil(q * count())-th smallest value,
+  // clamped to [min(), max()] — so never below the true quantile and less
+  // than twice it. 0 while count() == 0.
+  std::uint64_t quantile(double q) const noexcept;
 
  private:
   std::atomic<std::uint64_t> count_{0};
@@ -125,7 +130,8 @@ class Registry {
   // Deterministic dump, sorted by name within each kind:
   //   counter explore.step1.executed 128
   //   gauge pool.queue_depth 0
-  //   histogram explore.sim_us count=128 sum=51234 min=120 max=960 b9=70 ...
+  //   histogram explore.sim_us count=128 sum=51234 min=120 max=960
+  //     p50=511 p90=960 p99=960 b9=70 ...  (one line)
   std::string render_text() const;
 
  private:

@@ -33,6 +33,13 @@ struct ProfileCounters {
   // one application), so the total footprint bound is the sum of the
   // individual bounds.
   ProfileCounters& operator+=(const ProfileCounters& other) noexcept;
+  // Element-wise inverse of +=: (a += b) -= b == a for any a, b (the
+  // fields wrap like unsigned arithmetic, so no order of operations can
+  // lose bits). Splits a run's total into its per-structure parts and the
+  // CPU remainder.
+  ProfileCounters& operator-=(const ProfileCounters& other) noexcept;
+
+  bool operator==(const ProfileCounters&) const noexcept = default;
 };
 
 // Mutable profile handed to DDT containers and application kernels.

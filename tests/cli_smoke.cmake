@@ -70,6 +70,11 @@ endif()
 if(NOT EXISTS "${LOG_FILE}")
   message(FATAL_ERROR "explore did not write ${LOG_FILE}")
 endif()
+# The kernel runs behind the executed records follow on the next line.
+if(NOT explore_out MATCHES
+   "executed simulations: +[0-9]+ [^\n]*\nkernel runs: +[0-9]+\n")
+  message(FATAL_ERROR "explore output lacks kernel runs:\n${explore_out}")
+endif()
 
 # 3. Post-process the log (the paper's "log files -> post-processing").
 run_cli(TRUE pareto_out pareto --log ${LOG_FILE})
@@ -209,6 +214,11 @@ expect_usage_error("must be < N"
                    explore --app url --cache-dir ${DIST_DIR} --shard 2/2)
 expect_usage_error("mutually exclusive" explore --app url
                    --cache-dir ${DIST_DIR} --shard 0/2 --workers 2)
+# --workers forks one process per worker: bounded like --jobs.
+foreach(count 0 1025 99999999)
+  expect_usage_error("explore: flag --workers expects a count in \\[1,1024\\]"
+                     explore --app url --cache-dir ${DIST_DIR} --workers ${count})
+endforeach()
 expect_usage_error("unknown cache operation" cache frobnicate ${DIST_DIR})
 
 # 10. `ddtr cache gc` prunes stale segments — never the main file — and

@@ -71,6 +71,22 @@ TEST(Metrics, HistogramTracksCountSumMinMaxAndLog2Buckets) {
   EXPECT_EQ(h.bucket(3), 0u);
 }
 
+TEST(Metrics, HistogramQuantilesReadTheLog2Buckets) {
+  Histogram h;
+  EXPECT_EQ(h.quantile(0.5), 0u);  // empty
+  for (std::uint64_t v = 1; v <= 100; ++v) h.observe(v);
+  // The 50th value lies in bucket 6, [32, 64): its upper edge is 63.
+  EXPECT_EQ(h.quantile(0.50), 63u);
+  // The 90th and 99th lie in bucket 7, [64, 128), clamped to max() = 100.
+  EXPECT_EQ(h.quantile(0.90), 100u);
+  EXPECT_EQ(h.quantile(0.99), 100u);
+  // q = 0 reads the first value's bucket, clamped to min() = 1.
+  EXPECT_EQ(h.quantile(0.0), 1u);
+  Histogram zeros;
+  zeros.observe(0);
+  EXPECT_EQ(zeros.quantile(0.99), 0u);
+}
+
 TEST(Metrics, RenderTextIsDeterministicAndSorted) {
   Registry reg;
   reg.counter("zz.last").add(2);
@@ -83,6 +99,8 @@ TEST(Metrics, RenderTextIsDeterministicAndSorted) {
   EXPECT_NE(text.find("counter zz.last 2"), std::string::npos) << text;
   EXPECT_NE(text.find("gauge pool.queue_depth 7"), std::string::npos) << text;
   EXPECT_NE(text.find("histogram explore.sim_us count=1"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("max=100 p50=100 p90=100 p99=100"), std::string::npos)
       << text;
   EXPECT_LT(text.find("aa.first"), text.find("zz.last"));
 }

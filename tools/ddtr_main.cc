@@ -41,6 +41,7 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "support/table.h"
+#include "support/thread_pool.h"
 
 namespace {
 
@@ -56,7 +57,7 @@ using namespace ddtr;
 enum class FlagKind {
   kBool,    // takes no value and never consumes the next token
   kText,    // any string
-  kCount,   // a non-negative integer
+  kCount,   // a non-negative integer, in [lo, hi] when hi > 0
   kNumber,  // a number in [lo, hi], or (lo, hi] when lo_open; never NaN
   kMetric,  // a metric name (energy::metric_index)
   kShard,   // I/N with I < N
@@ -68,7 +69,7 @@ struct Flag {
   const char* metavar;  // "" for kBool
   const char* help;
   bool required = false;
-  double lo = 0.0, hi = 0.0;  // kNumber range
+  double lo = 0.0, hi = 0.0;  // kNumber range; kCount range when hi > 0
   bool lo_open = false;
 };
 
@@ -400,7 +401,8 @@ int cmd_explore(const CommandLine& args) {
             << '\n'
             << "executed simulations:  " << report.executed_simulations()
             << " (cache hit rate "
-            << support::format_percent(report.cache_hit_rate()) << ")\n";
+            << support::format_percent(report.cache_hit_rate()) << ")\n"
+            << "kernel runs:           " << report.kernel_runs << '\n';
   if (cache_dir) {
     std::cout << "persistent cache:      loaded " << report.persistent_loaded
               << ", stored " << report.persistent_stored << " records in "
@@ -809,7 +811,8 @@ const std::vector<Command>& commands() {
            {"shard", K::kShard, "I/N",
             "be worker I of N: simulate only its shard's units"},
            {"workers", K::kCount, "N",
-            "run N shard workers, merge, replay their cache"},
+            "run N shard workers, merge, replay their cache", false, 1.0,
+            static_cast<double>(support::kMaxLanes)},
            {"trace", K::kText, "FILE",
             "write a Chrome trace_event span timeline"}}},
       {"pareto", {}, "2-D Pareto front of a result log", cmd_pareto,
@@ -865,6 +868,11 @@ const std::vector<Command>& commands() {
 
 // --- Usage text and parser, both read off the table -------------------------
 
+bool ranged(const Flag& flag) {
+  return flag.kind == FlagKind::kNumber ||
+         (flag.kind == FlagKind::kCount && flag.hi > 0.0);
+}
+
 std::string format_range(const Flag& flag) {
   std::ostringstream os;
   os << (flag.lo_open ? '(' : '[') << flag.lo << ',' << flag.hi << ']';
@@ -885,8 +893,7 @@ void print_usage(const Command& command) {
     syntax.resize(std::max<std::size_t>(syntax.size(), 20), ' ');
     std::cerr << "      " << syntax << ' ' << flag.help
               << (flag.required ? " (required)" : "")
-              << (flag.kind == FlagKind::kNumber ? "; in " + format_range(flag)
-                                                 : "")
+              << (ranged(flag) ? "; in " + format_range(flag) : "")
               << '\n';
   }
 }
@@ -923,7 +930,12 @@ Value read_value(const Command& command, const Flag& flag,
       break;
     case FlagKind::kCount: {
       const auto count = to_count(token);
-      if (!count) throw bad("a non-negative integer");
+      if (!ranged(flag)) {
+        if (!count) throw bad("a non-negative integer");
+      } else if (!count || static_cast<double>(*count) < flag.lo ||
+                 static_cast<double>(*count) > flag.hi) {
+        throw bad("a count in " + format_range(flag));
+      }
       value.index = *count;
       break;
     }
