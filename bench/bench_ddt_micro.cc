@@ -6,6 +6,8 @@
 // operation. One BenchJson line per (kind, pattern, policy) cell plus a
 // summary line with the arena-vs-heap speedup on the insert/remove-heavy
 // churn pattern — the number that justifies making the arena the default.
+// keyed_find sits beside keyed_scan, the reference traversal it must
+// charge identically; the bench exits 1 if a scan kind's accesses differ.
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -93,8 +95,13 @@ Batch seq_scan_batch(ddt::DdtKind kind, support::AllocPolicy policy) {
 }
 
 // Keyed lookup mix (~50% hits) — the ipchains conntrack / DRR flow-table
-// classification step, where HASH probes and UNR line-scans.
-Batch keyed_find_batch(ddt::DdtKind kind, support::AllocPolicy policy) {
+// classification step, where HASH probes, UNR line-scans and the other
+// kinds search their key column. `search` is find_key, or scan_find_key
+// for the reference walk that re-derives every visited record's key.
+using Search = std::size_t (ddt::Container<Rec>::*)(std::uint64_t) const;
+
+Batch keyed_batch(ddt::DdtKind kind, support::AllocPolicy policy,
+                  Search search) {
   prof::MemoryProfile profile;
   auto c = make(kind, profile, policy);
   for (std::size_t i = 0; i < kFill; ++i) c->push_back({i, i, i});
@@ -105,9 +112,17 @@ Batch keyed_find_batch(ddt::DdtKind kind, support::AllocPolicy policy) {
     x ^= x >> 12;
     x ^= x << 25;
     x ^= x >> 27;
-    g_sink = g_sink + c->find_key(x % (2 * kFill));
+    g_sink = g_sink + ((*c).*search)(x % (2 * kFill));
   }
   return {kLookups, profile.counters().accesses()};
+}
+
+Batch keyed_find_batch(ddt::DdtKind kind, support::AllocPolicy policy) {
+  return keyed_batch(kind, policy, &ddt::Container<Rec>::find_key);
+}
+
+Batch keyed_scan_batch(ddt::DdtKind kind, support::AllocPolicy policy) {
+  return keyed_batch(kind, policy, &ddt::Container<Rec>::scan_find_key);
 }
 
 struct Pattern {
@@ -120,6 +135,7 @@ constexpr Pattern kPatterns[] = {
     {"fill_clear", &fill_clear_batch},
     {"seq_scan", &seq_scan_batch},
     {"keyed_find", &keyed_find_batch},
+    {"keyed_scan", &keyed_scan_batch},
 };
 
 struct CellResult {
@@ -156,6 +172,23 @@ bool pool_backed(ddt::DdtKind kind) {
 }  // namespace
 
 int main() {
+  // HASH probes its index instead of scanning, so only the scan kinds
+  // must charge keyed_find exactly as keyed_scan.
+  for (const ddt::DdtKind kind : ddt::kAllDdtKinds) {
+    for (const auto policy :
+         {support::AllocPolicy::kArena, support::AllocPolicy::kHeap}) {
+      if (kind == ddt::DdtKind::kOpenHash) continue;
+      const std::uint64_t find = keyed_find_batch(kind, policy).accesses;
+      const std::uint64_t scan = keyed_scan_batch(kind, policy).accesses;
+      if (find != scan) {
+        std::cerr << "[ddt_micro] " << ddt::to_string(kind)
+                  << " keyed_find charges " << find
+                  << " accesses, keyed_scan " << scan << "\n";
+        return 1;
+      }
+    }
+  }
+
   std::vector<double> churn_ratios;
   for (const ddt::DdtKind kind : ddt::kAllDdtKinds) {
     for (const Pattern& pattern : kPatterns) {

@@ -14,9 +14,9 @@
 namespace ddtr::apps {
 
 // Packs the tuple into two words and finalizes with mix64 — a handful of
-// instructions instead of a byte-wise FNV loop, because the traversal
-// find_key of the scan-based kinds recomputes the stored-record key for
-// every record visited (this is the simulation hot path).
+// instructions instead of a byte-wise FNV loop. The containers derive a
+// stored record's key once per write into their host-side key column, and
+// every packet derives one for its lookup, so this stays on the hot path.
 inline std::uint64_t five_tuple_key(std::uint32_t src_ip,
                                     std::uint32_t dst_ip,
                                     std::uint16_t src_port,
@@ -32,7 +32,8 @@ inline std::uint64_t five_tuple_key(std::uint32_t src_ip,
 
 // CPU ops charged for deriving a packet's five-tuple key (per packet, on
 // the application's cpu profile — the stored-record side is charged by the
-// containers via kKeyHashCpuOps).
+// containers via kKeyHashCpuOps, per record a modeled scan visits, whether
+// or not the host re-derives it).
 inline constexpr std::uint64_t kFiveTupleKeyCpuOps = 6;
 
 }  // namespace ddtr::apps

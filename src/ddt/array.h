@@ -27,6 +27,7 @@ class ArrayContainer final : public Container<T> {
   void push_back(const T& value) override {
     reserve_for_one_more();
     data_.push_back(value);
+    this->column_push_back(value);
     this->count_write(sizeof(T));
     this->count_touch();
   }
@@ -38,6 +39,7 @@ class ArrayContainer final : public Container<T> {
     // streamed by the core (cheap cycles, expensive accesses).
     const std::size_t moved = data_.size() - index;
     data_.insert(data_.begin() + static_cast<std::ptrdiff_t>(index), value);
+    this->column_insert(index, value);
     this->count_read(sizeof(T), moved);
     this->count_write(sizeof(T), moved + 1);
     this->count_moves(moved);
@@ -53,6 +55,7 @@ class ArrayContainer final : public Container<T> {
   void set(std::size_t index, const T& value) override {
     assert(index < data_.size());
     data_[index] = value;
+    this->column_set(index, value);
     this->count_write(sizeof(T));
     this->count_touch();
   }
@@ -61,6 +64,7 @@ class ArrayContainer final : public Container<T> {
     assert(index < data_.size());
     const std::size_t moved = data_.size() - index - 1;
     data_.erase(data_.begin() + static_cast<std::ptrdiff_t>(index));
+    this->column_erase(index);
     this->count_read(sizeof(T), moved);
     this->count_write(sizeof(T), moved);
     this->count_moves(moved);
@@ -70,6 +74,7 @@ class ArrayContainer final : public Container<T> {
     release();
     data_.clear();
     data_.shrink_to_fit();
+    this->column_clear();
     reserved_ = 0;
   }
 
@@ -79,6 +84,16 @@ class ArrayContainer final : public Container<T> {
       this->count_touch();
       if (!visitor(i, data_[i])) break;
     }
+  }
+
+  // A column search charged as for_each's record reads up to the match.
+  std::size_t find_key(std::uint64_t key) const override {
+    const std::size_t found = this->column_find(key);
+    const std::size_t visits = this->scan_visits(found);
+    this->count_read(sizeof(T), visits);
+    this->count_touch(visits);
+    this->count_key_compares(visits);
+    return found;
   }
 
  private:

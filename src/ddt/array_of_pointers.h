@@ -30,6 +30,7 @@ class ArrayOfPointersContainer final : public Container<T> {
   void push_back(const T& value) override {
     reserve_for_one_more();
     slots_.push_back(make_record(value));
+    this->column_push_back(value);
     this->count_write(kPointerBytes);  // store the pointer
     this->count_touch();
   }
@@ -40,6 +41,7 @@ class ArrayOfPointersContainer final : public Container<T> {
     const std::size_t moved = slots_.size() - index;
     slots_.insert(slots_.begin() + static_cast<std::ptrdiff_t>(index),
                   make_record(value));
+    this->column_insert(index, value);
     this->count_read(kPointerBytes, moved);
     this->count_write(kPointerBytes, moved + 1);
     this->count_moves(moved);
@@ -57,6 +59,7 @@ class ArrayOfPointersContainer final : public Container<T> {
     assert(index < slots_.size());
     this->count_read(kPointerBytes);
     *slots_[index] = value;
+    this->column_set(index, value);
     this->count_write(sizeof(T));
     this->count_hops(1);
   }
@@ -66,6 +69,7 @@ class ArrayOfPointersContainer final : public Container<T> {
     this->count_free(sizeof(T));
     const std::size_t moved = slots_.size() - index - 1;
     slots_.erase(slots_.begin() + static_cast<std::ptrdiff_t>(index));
+    this->column_erase(index);
     this->count_read(kPointerBytes, moved);
     this->count_write(kPointerBytes, moved);
     this->count_moves(moved);
@@ -75,6 +79,7 @@ class ArrayOfPointersContainer final : public Container<T> {
     release_all();
     slots_.clear();
     slots_.shrink_to_fit();
+    this->column_clear();
     reserved_ = 0;
   }
 
@@ -85,6 +90,18 @@ class ArrayOfPointersContainer final : public Container<T> {
       this->count_hops(1);
       if (!visitor(i, *slots_[i])) break;
     }
+  }
+
+  // A column search charged as for_each's slot and record reads (one
+  // indirection each) up to the match.
+  std::size_t find_key(std::uint64_t key) const override {
+    const std::size_t found = this->column_find(key);
+    const std::size_t visits = this->scan_visits(found);
+    this->count_read(kPointerBytes, visits);
+    this->count_read(sizeof(T), visits);
+    this->count_hops(visits);
+    this->count_key_compares(visits);
+    return found;
   }
 
  private:

@@ -60,6 +60,7 @@ class ChunkedListContainer final : public Container<T> {
     this->count_write(kHeaderBytes);
     this->count_touch();
     ++size_;
+    this->column_push_back(value);
     // Indices of existing records are unchanged: roving cache survives.
   }
 
@@ -93,6 +94,7 @@ class ChunkedListContainer final : public Container<T> {
     this->count_write(sizeof(T));
     this->count_write(kHeaderBytes);
     ++size_;
+    this->column_insert(index, value);
     invalidate_roving();
   }
 
@@ -108,6 +110,7 @@ class ChunkedListContainer final : public Container<T> {
     assert(index < size_);
     const Pos pos = locate(index);
     pos.node->values[pos.offset] = value;
+    this->column_set(index, value);
     this->count_write(sizeof(T));
     this->count_touch();
   }
@@ -126,6 +129,7 @@ class ChunkedListContainer final : public Container<T> {
     --node->count;
     this->count_write(kHeaderBytes);
     --size_;
+    this->column_erase(index);
     if (node->count == 0) unlink_chunk(pos);
     invalidate_roving();
   }
@@ -135,6 +139,7 @@ class ChunkedListContainer final : public Container<T> {
     pool_.release();
     head_ = tail_ = nullptr;
     size_ = 0;
+    this->column_clear();
     invalidate_roving();
   }
 
@@ -159,6 +164,33 @@ class ChunkedListContainer final : public Container<T> {
       this->count_read(kPointerBytes);
       node = node->next;
     }
+  }
+
+  // A column search charged as for_each's walk up to the match: the head
+  // pointer, a header read and hop per chunk reached, a link read per
+  // chunk passed, a record read and touch per visit. The host walks the
+  // chunks only to count them; roving variants leave the cursor on the
+  // last chunk reached, as for_each does.
+  std::size_t find_key(std::uint64_t key) const override {
+    const std::size_t found = this->column_find(key);
+    const std::size_t visits = this->scan_visits(found);
+    std::size_t reached = 0;
+    std::size_t base = 0;
+    Node* node = head_;
+    while (node != nullptr && (found == npos || base <= found)) {
+      ++reached;
+      update_roving(node, base);
+      base += node->count;
+      node = node->next;
+    }
+    const std::size_t passed = found == npos ? reached : reached - 1;
+    this->count_read(kPointerBytes, 1 + passed);
+    this->count_read(kHeaderBytes, reached);
+    this->count_hops(reached);
+    this->count_read(sizeof(T), visits);
+    this->count_touch(visits);
+    this->count_key_compares(visits);
+    return found;
   }
 
  private:

@@ -14,11 +14,20 @@
 // node pays its own header — which is what makes fine-grained linked
 // structures pay the footprint premium the paper measures (a DLL needing
 // 68.8% more footprint than the best combination, §4).
+//
+// Keyed containers also keep a host-side key column: one 64-bit key per
+// record, in logical order, outside the modeled node types. It is never
+// charged. It only lets find_key settle a search without re-deriving the
+// key of every visited record; the modeled cost of that search is charged
+// separately, exactly as the layout's traversal would charge it.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "ddt/kinds.h"
 #include "profiling/memory_profile.h"
@@ -103,10 +112,17 @@ class Container {
   virtual void for_each(Visitor visitor) const = 0;
 
   // Position of the first record whose key (per the slot's key function)
-  // equals `key`, or npos. The default is the layout's natural traversal,
-  // re-deriving each record's key (kKeyHashCpuOps per record); kOpenHash
-  // overrides this with a probe of its index. Requires a key function.
-  virtual std::size_t find_key(std::uint64_t key) const {
+  // equals `key`, or npos. Requires a key function. The scan kinds search
+  // the key column and charge what scan_find_key's traversal charges for
+  // the records it would visit (kKeyHashCpuOps per record for the key it
+  // re-derives); kOpenHash probes its index instead.
+  virtual std::size_t find_key(std::uint64_t key) const = 0;
+
+  // The reference for find_key's charges: the layout's natural traversal,
+  // re-deriving each visited record's key. Same result, same counters and
+  // same roving cursor as find_key on the scan kinds; only tests and
+  // bench_ddt_micro call it.
+  virtual std::size_t scan_find_key(std::uint64_t key) const {
     require_key_fn();
     std::size_t found = npos;
     for_each([&](std::size_t i, const T& v) {
@@ -171,9 +187,58 @@ class Container {
   }
   std::uint64_t key_of(const T& value) const { return key_fn_(value); }
 
+  // Key column upkeep, one call per positional write. Host-only: nothing
+  // is charged, and an unkeyed container pays the null check only.
+  void column_push_back(const T& value) {
+    if (key_fn_ != nullptr) keys_.push_back(key_fn_(value));
+  }
+  void column_insert(std::size_t index, const T& value) {
+    if (key_fn_ != nullptr) {
+      keys_.insert(keys_.begin() + static_cast<std::ptrdiff_t>(index),
+                   key_fn_(value));
+    }
+  }
+  void column_set(std::size_t index, const T& value) {
+    if (key_fn_ != nullptr) keys_[index] = key_fn_(value);
+  }
+  void column_erase(std::size_t index) {
+    if (key_fn_ != nullptr) {
+      keys_.erase(keys_.begin() + static_cast<std::ptrdiff_t>(index));
+    }
+  }
+  void column_clear() {
+    keys_.clear();
+    keys_.shrink_to_fit();
+  }
+
+  // The stored key of the record at `index` (keyed containers only).
+  std::uint64_t column_key(std::size_t index) const { return keys_[index]; }
+
+  // Position of the first stored key equal to `key`, or npos. Uncharged:
+  // the caller charges the search its layout models.
+  std::size_t column_find(std::uint64_t key) const {
+    require_key_fn();
+    const auto it = std::find(keys_.begin(), keys_.end(), key);
+    return it == keys_.end() ? npos
+                             : static_cast<std::size_t>(it - keys_.begin());
+  }
+
+  // Records a front-to-back scan visits to settle a search whose first
+  // match is `found`: found + 1 on a hit, every record on a miss.
+  std::size_t scan_visits(std::size_t found) const {
+    return found == npos ? size() : found + 1;
+  }
+
+  // The key compare a scan pays per visited record on top of the
+  // traversal: re-deriving the record's key plus the compare itself.
+  void count_key_compares(std::size_t visits) const {
+    profile_->record_cpu_ops((kKeyHashCpuOps + kTouchCpuOps) * visits);
+  }
+
  private:
   prof::MemoryProfile* profile_;  // non-owning, never null
   KeyFn key_fn_;
+  std::vector<std::uint64_t> keys_;  // key column, logical order
 };
 
 }  // namespace ddtr::ddt

@@ -60,6 +60,7 @@ class ListContainer final : public Container<T> {
       tail_ = node;
     }
     ++size_;
+    this->column_push_back(value);
     // Appending never shifts logical indices, so the roving cache survives.
   }
 
@@ -91,6 +92,7 @@ class ListContainer final : public Container<T> {
       }
     }
     ++size_;
+    this->column_insert(index, value);
     invalidate_roving();
   }
 
@@ -105,6 +107,7 @@ class ListContainer final : public Container<T> {
     assert(index < size_);
     Node* node = walk_to(index);
     node->value = value;
+    this->column_set(index, value);
     this->count_write(sizeof(T));
   }
 
@@ -137,6 +140,7 @@ class ListContainer final : public Container<T> {
     }
     delete_node(victim);
     --size_;
+    this->column_erase(index);
     invalidate_roving();
   }
 
@@ -145,6 +149,7 @@ class ListContainer final : public Container<T> {
     pool_.release();
     head_ = tail_ = nullptr;
     size_ = 0;
+    this->column_clear();
     invalidate_roving();
   }
 
@@ -165,6 +170,27 @@ class ListContainer final : public Container<T> {
       node = node->next;
       ++index;
     }
+  }
+
+  // A column search charged as for_each's walk up to the match: the head
+  // pointer, a record read per visit, a link read and hop per record
+  // passed. Roving variants leave the cursor where for_each leaves it.
+  std::size_t find_key(std::uint64_t key) const override {
+    const std::size_t found = this->column_find(key);
+    const std::size_t visits = this->scan_visits(found);
+    const std::size_t passed = found == npos ? visits : found;
+    this->count_read(kPointerBytes, 1 + passed);
+    this->count_read(sizeof(T), visits);
+    this->count_hops(passed);
+    this->count_key_compares(visits);
+    if constexpr (Roving) {
+      if (found != npos) {
+        update_roving(node_at(found), found);
+      } else if (tail_ != nullptr) {
+        update_roving(tail_, size_ - 1);
+      }
+    }
+    return found;
   }
 
  private:
@@ -248,6 +274,19 @@ class ListContainer final : public Container<T> {
       for (std::size_t i = start_index; i < index; ++i) node = node->next;
     }
     update_roving(node, index);
+    return node;
+  }
+
+  // Uncharged host walk to position `index`, resuming from the roving
+  // cursor when it sits at or before `index`.
+  Node* node_at(std::size_t index) const {
+    Node* node = head_;
+    std::size_t at = 0;
+    if (rov_node_ != nullptr && rov_index_ <= index) {
+      node = rov_node_;
+      at = rov_index_;
+    }
+    for (; at < index; ++at) node = node->next;
     return node;
   }
 

@@ -8,11 +8,12 @@
 // The index is lazy and self-invalidating: structural edits that shift
 // positions (middle insert/erase) or rewrite keys just mark it dirty, and
 // the next find_key rebuilds it in one ascending pass (keeping the lowest
-// position per duplicated key, matching the scan semantics of the default
-// find_key). Appends and same-key overwrites — the hot path of the
-// connection/flow tables this kind exists for — maintain the index
-// incrementally. Unkeyed instances degrade to a plain AR and never build
-// an index (find_key throws, as for every unkeyed container).
+// position per duplicated key, matching the scan kinds' find_key). Keys
+// come from the host-side key column, charged as derivations. Appends and
+// same-key overwrites — the hot path of the connection/flow tables this
+// kind exists for — maintain the index incrementally. Unkeyed instances
+// degrade to a plain AR and never build an index (find_key throws, as for
+// every unkeyed container).
 #pragma once
 
 #include <cassert>
@@ -46,13 +47,15 @@ class OpenHashContainer final : public Container<T> {
   void push_back(const T& value) override {
     reserve_for_one_more();
     data_.push_back(value);
+    this->column_push_back(value);
     this->count_write(sizeof(T));
     this->count_touch();
     if (index_built() && !dirty_) {
       if (data_.size() * 2 > slot_capacity()) {
         dirty_ = true;  // over the load-factor bound: rebuild on next find
       } else {
-        index_insert_if_absent(hash_key_of(data_.back()), data_.size() - 1);
+        index_insert_if_absent(hashed_key(data_.size() - 1),
+                               data_.size() - 1);
       }
     }
   }
@@ -66,6 +69,7 @@ class OpenHashContainer final : public Container<T> {
     reserve_for_one_more();
     const std::size_t moved = data_.size() - index;
     data_.insert(data_.begin() + static_cast<std::ptrdiff_t>(index), value);
+    this->column_insert(index, value);
     this->count_read(sizeof(T), moved);
     this->count_write(sizeof(T), moved + 1);
     this->count_moves(moved);
@@ -81,13 +85,16 @@ class OpenHashContainer final : public Container<T> {
 
   void set(std::size_t index, const T& value) override {
     assert(index < data_.size());
-    if (index_built() && !dirty_) {
-      // Same-key overwrites (statistics updates on a keyed record — the
-      // hot path) keep the index valid; a key rewrite invalidates it.
-      this->count_read(sizeof(T));
-      if (hash_key_of(data_[index]) != hash_key_of(value)) dirty_ = true;
-    }
+    // Same-key overwrites (statistics updates on a keyed record — the hot
+    // path) keep the index valid; a key rewrite invalidates it.
+    const bool tracked = index_built() && !dirty_;
+    const std::uint64_t old_key = tracked ? hashed_key(index) : 0;
     data_[index] = value;
+    this->column_set(index, value);
+    if (tracked) {
+      this->count_read(sizeof(T));
+      if (hashed_key(index) != old_key) dirty_ = true;
+    }
     this->count_write(sizeof(T));
     this->count_touch();
   }
@@ -96,6 +103,7 @@ class OpenHashContainer final : public Container<T> {
     assert(index < data_.size());
     const std::size_t moved = data_.size() - index - 1;
     data_.erase(data_.begin() + static_cast<std::ptrdiff_t>(index));
+    this->column_erase(index);
     this->count_read(sizeof(T), moved);
     this->count_write(sizeof(T), moved);
     this->count_moves(moved);
@@ -106,6 +114,7 @@ class OpenHashContainer final : public Container<T> {
     release_data();
     data_.clear();
     data_.shrink_to_fit();
+    this->column_clear();
     reserved_ = 0;
     chunks_.clear();
     pool_.release();
@@ -161,9 +170,11 @@ class OpenHashContainer final : public Container<T> {
     if (index_built()) dirty_ = true;
   }
 
-  std::uint64_t hash_key_of(const T& value) const {
+  // The key of record `index`, charged as the derivation the model
+  // assumes; the host reads it from the key column.
+  std::uint64_t hashed_key(std::size_t index) const {
     this->profile().record_cpu_ops(kKeyHashCpuOps);
-    return this->key_of(value);
+    return this->column_key(index);
   }
 
   Slot& slot_at(std::size_t idx) const {
@@ -198,7 +209,7 @@ class OpenHashContainer final : public Container<T> {
   // One ascending pass over the records: capacity is sized to twice the
   // record count (power of two, >= kMinSlots), every chunk is zeroed (one
   // chunk-wide write each), then each record pays a record read, a key
-  // derivation and its probe traffic.
+  // derivation (read from the key column) and its probe traffic.
   void rebuild_index() const {
     std::size_t needed = kMinSlots;
     while (needed < data_.size() * 2) needed *= 2;
@@ -216,7 +227,7 @@ class OpenHashContainer final : public Container<T> {
     }
     for (std::size_t i = 0; i < data_.size(); ++i) {
       this->count_read(sizeof(T));
-      index_insert_if_absent(hash_key_of(data_[i]), i);
+      index_insert_if_absent(hashed_key(i), i);
     }
     dirty_ = false;
   }

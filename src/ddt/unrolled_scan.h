@@ -4,9 +4,11 @@
 // each chunk's payload as ONE line-wide read (plus header and link), not
 // one read per record, and the per-record key comparison inside a chunk is
 // charged as streaming SIMD work instead of serially dependent touches.
-// Positional edits behave like a singly linked chunked list (shift within
-// the chunk, split on full, unlink on empty); chunks come from the arena
-// pool, so churn recycles lines instead of calling the allocator.
+// The host side of that compare reads the key column (see container.h):
+// no key is re-derived during a search. Positional edits behave like a
+// singly linked chunked list (shift within the chunk, split on full,
+// unlink on empty); chunks come from the arena pool, so churn recycles
+// lines instead of calling the allocator.
 //
 // This is the shape of the related-work unrolled lists built for clique
 // enumeration: linear membership scans over packed lines beat both
@@ -59,6 +61,7 @@ class UnrolledScanContainer final : public Container<T> {
     this->count_write(kHeaderBytes);
     this->count_touch();
     ++size_;
+    this->column_push_back(value);
   }
 
   void insert(std::size_t index, const T& value) override {
@@ -90,6 +93,7 @@ class UnrolledScanContainer final : public Container<T> {
     this->count_write(sizeof(T));
     this->count_write(kHeaderBytes);
     ++size_;
+    this->column_insert(index, value);
   }
 
   T get(std::size_t index) const override {
@@ -104,6 +108,7 @@ class UnrolledScanContainer final : public Container<T> {
     assert(index < size_);
     const Pos pos = locate(index);
     pos.node->values[pos.offset] = value;
+    this->column_set(index, value);
     this->count_write(sizeof(T));
     this->count_touch();
   }
@@ -122,6 +127,7 @@ class UnrolledScanContainer final : public Container<T> {
     --node->count;
     this->count_write(kHeaderBytes);
     --size_;
+    this->column_erase(index);
     if (node->count == 0) unlink_chunk(node, pos.prev);
   }
 
@@ -130,6 +136,7 @@ class UnrolledScanContainer final : public Container<T> {
     pool_.release();
     head_ = tail_ = nullptr;
     size_ = 0;
+    this->column_clear();
   }
 
   // Line-granular traversal: one payload-wide read per chunk, one touch
@@ -153,8 +160,38 @@ class UnrolledScanContainer final : public Container<T> {
   }
 
   // Vectorizable membership scan: per chunk one line read plus streaming
-  // key compares (no per-record serial dependency), early exit on match.
+  // key compares (no per-record serial dependency), early exit on the
+  // chunk holding the match. The compares read the key column, so the
+  // host work is the chunk walk that sums the line-granular charge.
   std::size_t find_key(std::uint64_t key) const override {
+    const std::size_t found = this->column_find(key);
+    std::size_t reached = 0;
+    std::size_t line_bytes = 0;
+    std::uint64_t compare_ops = 0;
+    std::size_t base = 0;
+    for (const Node* node = head_;
+         node != nullptr && (found == npos || base <= found);
+         node = node->next) {
+      ++reached;
+      line_bytes += node->count * sizeof(T);
+      compare_ops += kKeyHashCpuOps + node->count / kMoveElemsPerCpuOp + 1;
+      base += node->count;
+    }
+    const std::size_t passed = found == npos ? reached : reached - 1;
+    this->count_read(kPointerBytes, 1 + passed);  // head pointer + links
+    this->count_read(kHeaderBytes, reached);
+    if (reached != 0) {  // one line read per chunk, line_bytes in all
+      this->count_read(line_bytes);
+      this->count_read(0, reached - 1);
+    }
+    this->count_hops(reached);
+    this->profile().record_cpu_ops(compare_ops);
+    return found;
+  }
+
+  // The reference scan: find_key's charges, re-deriving every key of each
+  // chunk reached.
+  std::size_t scan_find_key(std::uint64_t key) const override {
     this->require_key_fn();
     this->count_read(kPointerBytes);  // head pointer
     const Node* node = head_;

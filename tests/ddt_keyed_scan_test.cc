@@ -1,0 +1,208 @@
+// Counter neutrality of the key column: on every scan kind, find_key
+// (a search of the host-side key column plus a bulk charge) must return
+// what scan_find_key (the layout's traversal, re-deriving each visited
+// record's key) returns, charge exactly the same counters, and leave the
+// roving cursor in the same place. Twin containers replay one seeded
+// operation sequence; the only difference is which search they call.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "ddt/factory.h"
+#include "support/fnv_hash.h"
+#include "support/rng.h"
+
+namespace ddtr {
+namespace {
+
+// 24 bytes: two records per UNR line, ten per unrolled-list chunk, so the
+// chunk walks cross many boundaries.
+struct Rec {
+  std::uint64_t src = 0;
+  std::uint64_t dst = 0;
+  std::uint64_t hits = 0;
+  bool operator==(const Rec&) const = default;
+};
+
+// Derived, not a stored field: the key column must hold what the key
+// function computes.
+std::uint64_t rec_key(const Rec& r) {
+  return support::mix64(r.src * 31 + r.dst);
+}
+
+std::string describe(const prof::ProfileCounters& c) {
+  return "reads=" + std::to_string(c.reads) +
+         " writes=" + std::to_string(c.writes) +
+         " bytes_read=" + std::to_string(c.bytes_read) +
+         " bytes_written=" + std::to_string(c.bytes_written) +
+         " allocations=" + std::to_string(c.allocations) +
+         " deallocations=" + std::to_string(c.deallocations) +
+         " live=" + std::to_string(c.live_bytes) +
+         " peak=" + std::to_string(c.peak_bytes) +
+         " cpu_ops=" + std::to_string(c.cpu_ops);
+}
+
+using Param = std::tuple<ddt::DdtKind, support::AllocPolicy>;
+
+class KeyedScanTest : public ::testing::TestWithParam<Param> {
+ protected:
+  void SetUp() override {
+    const auto [kind, policy] = GetParam();
+    column_ = ddt::make_container<Rec>(kind, column_profile_, &rec_key,
+                                       policy);
+    scan_ = ddt::make_container<Rec>(kind, scan_profile_, &rec_key, policy);
+  }
+
+  // Both twins must have charged exactly the same so far.
+  void expect_same_counters(const std::string& after) const {
+    ASSERT_EQ(column_profile_.counters(), scan_profile_.counters())
+        << "after " << after << "\n  find_key:      "
+        << describe(column_profile_.counters())
+        << "\n  scan_find_key: " << describe(scan_profile_.counters());
+  }
+
+  // Searches both twins, then reads one record: a roving cursor left in a
+  // different place would charge that read differently.
+  void find_both(std::uint64_t key, support::Rng& rng,
+                 const std::string& step) {
+    const std::size_t got = column_->find_key(key);
+    const std::size_t want = scan_->scan_find_key(key);
+    ASSERT_EQ(got, want) << step;
+    expect_same_counters(step + " find_key");
+    if (HasFatalFailure() || column_->empty()) return;
+    const std::size_t i = got != ddt::npos && rng.chance(0.5)
+                              ? got
+                              : rng.uniform(0, column_->size() - 1);
+    ASSERT_EQ(column_->get(i), scan_->get(i)) << step;
+    expect_same_counters(step + " get after find");
+  }
+
+  prof::MemoryProfile column_profile_;
+  prof::MemoryProfile scan_profile_;
+  std::unique_ptr<ddt::Container<Rec>> column_;
+  std::unique_ptr<ddt::Container<Rec>> scan_;
+};
+
+TEST_P(KeyedScanTest, FindKeyChargesTheReferenceScan) {
+  support::Rng rng(0x5eed + static_cast<std::uint64_t>(
+                                std::get<0>(GetParam())));
+  // Keys from a small domain, so duplicates (first match wins) and hits
+  // deep in the container are common; misses come from outside it.
+  const auto fresh = [&](std::uint64_t hits) {
+    return Rec{rng.uniform(0, 11), rng.uniform(0, 5), hits};
+  };
+  std::vector<Rec> mirror;  // logical content, read without charges
+  find_both(rec_key(Rec{}), rng, "empty");
+  for (int step = 0; step < 1500; ++step) {
+    const std::string at = "step " + std::to_string(step);
+    const double roll = rng.next_double();
+    const std::size_t n = column_->size();
+    if (roll < 0.30 || n == 0) {
+      const Rec r = fresh(static_cast<std::uint64_t>(step));
+      column_->push_back(r);
+      scan_->push_back(r);
+      mirror.push_back(r);
+    } else if (roll < 0.40) {
+      const std::size_t i = rng.uniform(0, n);
+      const Rec r = fresh(static_cast<std::uint64_t>(step));
+      column_->insert(i, r);
+      scan_->insert(i, r);
+      mirror.insert(mirror.begin() + static_cast<std::ptrdiff_t>(i), r);
+    } else if (roll < 0.50) {
+      // Half the overwrites keep the record's key, half rewrite it.
+      const std::size_t i = rng.uniform(0, n - 1);
+      Rec r = mirror[i];
+      if (rng.chance(0.5)) {
+        ++r.hits;
+      } else {
+        r = fresh(r.hits + 1);
+      }
+      column_->set(i, r);
+      scan_->set(i, r);
+      mirror[i] = r;
+    } else if (roll < 0.60) {
+      const std::size_t i = rng.chance(0.5) ? 0 : rng.uniform(0, n - 1);
+      column_->erase(i);
+      scan_->erase(i);
+      mirror.erase(mirror.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (roll < 0.88) {
+      // A stored record's key (hit), or one no record carries (miss).
+      const std::uint64_t key =
+          rng.chance(0.7) ? rec_key(mirror[rng.uniform(0, n - 1)])
+                          : rec_key(Rec{100 + rng.uniform(0, 9), 0, 0});
+      find_both(key, rng, at);
+    } else if (roll < 0.94) {
+      const std::size_t i = rng.uniform(0, n - 1);
+      ASSERT_EQ(column_->get(i), mirror[i]) << at;
+      ASSERT_EQ(scan_->get(i), mirror[i]) << at;
+    } else if (roll < 0.99) {
+      const std::size_t stop = rng.uniform(0, n);
+      std::vector<Rec> a;
+      std::vector<Rec> b;
+      column_->for_each([&](std::size_t i, const Rec& r) {
+        a.push_back(r);
+        return i < stop;
+      });
+      scan_->for_each([&](std::size_t i, const Rec& r) {
+        b.push_back(r);
+        return i < stop;
+      });
+      ASSERT_EQ(a, b) << at;
+    } else {
+      column_->clear();
+      scan_->clear();
+      mirror.clear();
+      find_both(rec_key(Rec{}), rng, at + " cleared");
+    }
+    expect_same_counters(at);
+    if (HasFatalFailure()) return;
+  }
+}
+
+const ddt::DdtKind kScanKinds[] = {
+    ddt::DdtKind::kArray,          ddt::DdtKind::kArrayOfPointers,
+    ddt::DdtKind::kSll,            ddt::DdtKind::kDll,
+    ddt::DdtKind::kSllRoving,      ddt::DdtKind::kDllRoving,
+    ddt::DdtKind::kSllOfArrays,    ddt::DdtKind::kDllOfArrays,
+    ddt::DdtKind::kSllOfArraysRoving, ddt::DdtKind::kDllOfArraysRoving,
+    ddt::DdtKind::kUnrolledScan,
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    ScanKinds, KeyedScanTest,
+    ::testing::Combine(::testing::ValuesIn(kScanKinds),
+                       ::testing::Values(support::AllocPolicy::kArena,
+                                         support::AllocPolicy::kHeap)),
+    [](const ::testing::TestParamInfo<Param>& p) {
+      std::string name(ddt::to_string(std::get<0>(p.param)));
+      for (char& ch : name) {
+        if (ch == '(' || ch == ')') ch = '_';
+      }
+      return name + (std::get<1>(p.param) == support::AllocPolicy::kArena
+                         ? "_arena"
+                         : "_heap");
+    });
+
+// An unkeyed container keeps no column: its positional writes must leave
+// the (empty) column alone, and both searches refuse to run.
+TEST(KeyedScan, UnkeyedContainersRefuseBothSearches) {
+  for (const ddt::DdtKind kind : ddt::kAllDdtKinds) {
+    prof::MemoryProfile profile;
+    auto c = ddt::make_container<Rec>(kind, profile);
+    c->push_back(Rec{1, 2, 3});
+    c->set(0, Rec{4, 5, 6});
+    c->insert(0, Rec{7, 8, 9});
+    c->erase(1);
+    EXPECT_THROW(c->find_key(0), std::logic_error) << ddt::to_string(kind);
+    EXPECT_THROW(c->scan_find_key(0), std::logic_error)
+        << ddt::to_string(kind);
+  }
+}
+
+}  // namespace
+}  // namespace ddtr

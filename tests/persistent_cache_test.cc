@@ -3,12 +3,15 @@
 // hit; different cost models must not hit), the warm-rerun contract
 // (zero executed simulations, byte-identical report), round-trips through
 // the cache file, and tolerance of corrupt / truncated / stale-version
-// files.
+// files, including a seeded byte-level corruption sweep.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -18,6 +21,7 @@
 #include "core/persistent_cache.h"
 #include "core/simulation_cache.h"
 #include "dist/cache_inspect.h"
+#include "support/rng.h"
 
 namespace ddtr::core {
 namespace {
@@ -371,6 +375,109 @@ TEST_F(PersistentCacheTest, MissingDirectoryIsCreatedOnStore) {
   EXPECT_GT(cold.persistent_stored, 0u);
   EXPECT_TRUE(
       std::filesystem::exists(PersistentSimulationCache(nested).file_path()));
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is), {});
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+bool same_record(const SimulationRecord& a, const SimulationRecord& b) {
+  return a.app_name == b.app_name && a.combo == b.combo &&
+         a.network == b.network && a.config == b.config &&
+         std::bit_cast<std::uint64_t>(a.metrics.energy_mj) ==
+             std::bit_cast<std::uint64_t>(b.metrics.energy_mj) &&
+         std::bit_cast<std::uint64_t>(a.metrics.time_s) ==
+             std::bit_cast<std::uint64_t>(b.metrics.time_s) &&
+         a.metrics.accesses == b.metrics.accesses &&
+         a.metrics.footprint_bytes == b.metrics.footprint_bytes &&
+         a.counters == b.counters;
+}
+
+// Seeded byte flips, truncations and trailing junk against a main cache
+// file and a segment file holding the same entries. load() must never
+// crash, and damage may only drop entries: every entry it keeps must be
+// exactly the entry stored under that key. Trailing junk alone is a torn
+// tail and must keep every entry.
+TEST_F(PersistentCacheTest, CorruptionSweepDropsButNeverAltersEntries) {
+  const CaseStudy study =
+      api::registry().make_study("url", CaseStudyOptions{}.scaled(0.05));
+  explore_cached(study, dir_ + "/pristine");
+  PersistentSimulationCache pristine(dir_ + "/pristine");
+  const std::size_t full = pristine.load();
+  ASSERT_GT(full, 1u);
+  std::map<std::string, SimulationRecord> stored;
+  for (auto& [key, record] : pristine.entries()) stored.emplace(key, record);
+
+  SimulationCache seeded;
+  pristine.seed(seeded);
+  PersistentSimulationCache segment_writer(dir_ + "/segment");
+  segment_writer.set_segment("sweep");
+  ASSERT_EQ(segment_writer.store_new(seeded), full);
+
+  struct Target {
+    std::string path;   // where the mutated bytes go
+    std::string bytes;  // the intact file
+  };
+  std::filesystem::create_directories(dir_ + "/main_case");
+  std::filesystem::create_directories(dir_ + "/segment_case");
+  const Target targets[] = {
+      {PersistentSimulationCache(dir_ + "/main_case").file_path(),
+       read_bytes(pristine.file_path())},
+      {PersistentSimulationCache(dir_ + "/segment_case").segment_path("sweep"),
+       read_bytes(segment_writer.segment_path("sweep"))},
+  };
+
+  support::Rng rng(0xcac4ec0de5eedull);
+  std::size_t partial_loads = 0;  // some entries dropped, some kept
+  for (int iter = 0; iter < 2000; ++iter) {
+    const Target& target = targets[iter % 2];
+    std::string bytes = target.bytes;
+    const std::uint64_t mutation = rng.uniform(0, 3);
+    if (mutation == 0 || mutation == 3) {  // byte flips
+      const std::uint64_t flips = rng.uniform(1, 4);
+      for (std::uint64_t i = 0; i < flips; ++i) {
+        const auto pos =
+            static_cast<std::size_t>(rng.uniform(0, bytes.size() - 1));
+        bytes[pos] = static_cast<char>(bytes[pos] ^ rng.uniform(1, 255));
+      }
+    }
+    if (mutation == 1 || mutation == 3) {  // truncation
+      bytes.resize(static_cast<std::size_t>(rng.uniform(0, bytes.size() - 1)));
+    }
+    if (mutation == 2) {  // trailing junk
+      const std::uint64_t junk = rng.uniform(1, 64);
+      for (std::uint64_t i = 0; i < junk; ++i) {
+        bytes.push_back(static_cast<char>(rng.uniform(0, 255)));
+      }
+    }
+    write_bytes(target.path, bytes);
+
+    PersistentSimulationCache cache(
+        std::filesystem::path(target.path).parent_path().string());
+    const std::size_t loaded = cache.load();
+    PersistentSimulationCache::check_file(target.path);
+    const std::string where =
+        "iteration " + std::to_string(iter) + ", mutation " +
+        std::to_string(mutation) + ", " + target.path;
+    if (mutation == 2) {
+      ASSERT_EQ(loaded, full) << where;
+    }
+    if (loaded > 0 && loaded < full) ++partial_loads;
+    for (const auto& [key, record] : cache.entries()) {
+      const auto it = stored.find(key);
+      ASSERT_NE(it, stored.end()) << where << ": kept an unknown key";
+      ASSERT_TRUE(same_record(record, it->second))
+          << where << ": kept an altered entry for " << record.combo.label();
+    }
+  }
+  // The sweep reaches past the headers into individual frames.
+  EXPECT_GT(partial_loads, 100u);
 }
 
 }  // namespace
