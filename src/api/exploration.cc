@@ -10,11 +10,7 @@ Exploration::Exploration(core::CaseStudy study)
     : Exploration(std::move(study), core::make_paper_energy_model()) {}
 
 Exploration::Exploration(core::CaseStudy study, energy::EnergyModel model)
-    : study_(std::move(study)),
-      model_(std::move(model)),
-      cancel_(std::make_shared<std::atomic<bool>>(false)) {
-  options_.cancel = cancel_;
-}
+    : study_(std::move(study)), model_(std::move(model)) {}
 
 Exploration& Exploration::jobs(std::size_t lanes) {
   options_.jobs = lanes;
@@ -46,12 +42,6 @@ Exploration& Exploration::cache_dir(std::string dir) {
   return *this;
 }
 
-Exploration& Exploration::shard(std::size_t index, std::size_t count) {
-  options_.shard_index = index;
-  options_.shard_count = count == 0 ? 1 : count;
-  return *this;
-}
-
 Exploration& Exploration::on_progress(core::ProgressObserver observer) {
   options_.progress = std::move(observer);
   return *this;
@@ -64,20 +54,6 @@ Exploration& Exploration::shared_state(core::SharedState* state) {
 
 Exploration& Exploration::trace_sink(obs::TraceWriter* sink) {
   options_.trace_sink = sink;
-  return *this;
-}
-
-void Exploration::cancel() {
-  cancel_->store(true, std::memory_order_relaxed);
-}
-
-Exploration& Exploration::cancel_token(
-    std::shared_ptr<std::atomic<bool>> token) {
-  if (!token) {
-    throw std::invalid_argument("Exploration::cancel_token: null token");
-  }
-  cancel_ = std::move(token);
-  options_.cancel = cancel_;
   return *this;
 }
 

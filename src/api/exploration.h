@@ -10,21 +10,11 @@
 //
 // The progress observer fires per simulation within each step (see
 // core::StepProgress). Reports are bit-identical at every jobs count,
-// with or without an observer.
-//
-// Distributed execution (see src/dist/): shard(i, n) turns run() into one
-// worker of an n-way sharded exploration (requires cache_dir — shards
-// meet only through cache segments). Once every shard has run and
-// dist::SegmentMerger has merged the segments, an unsharded run over the
-// same cache_dir replays everything: zero executed simulations, a report
-// byte-identical to a single-process run.
-// cancel() cooperatively stops a running exploration from an observer,
-// another thread or a signal handler; the cancelled run still checkpoints
-// its executed records to the persistent cache.
+// with or without an observer. With cache_dir() set, a rerun replays
+// earlier runs' simulations from the persistent cache: zero executed
+// simulations, a byte-identical report.
 #pragma once
 
-#include <atomic>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -52,32 +42,18 @@ class Exploration {
   // and produces a byte-identical report; see
   // core::ExplorationOptions::cache_dir.
   Exploration& cache_dir(std::string dir);
-  // Run as worker shard `index` of `count`: execute only this shard's
-  // step-2 units and store them into the per-shard cache segment.
-  // Requires cache_dir(). count <= 1 restores single-process execution.
-  Exploration& shard(std::size_t index, std::size_t count);
   Exploration& on_progress(core::ProgressObserver observer);
 
   // Warm-serving session reuse (see src/serve/): memoize into the
   // externally-owned cache, append to the already-loaded persistent cache
   // and fan over the pool of `state`, all of which outlive this session
-  // (executed counts are per-run deltas). Mutually exclusive with shard();
-  // the owner must serialize run() calls sharing one persistent cache.
+  // (executed counts are per-run deltas). The owner must serialize run()
+  // calls sharing one persistent cache.
   Exploration& shared_state(core::SharedState* state);
   // Emit Chrome trace_event spans for this session's runs into an
   // externally-owned writer (see src/obs/trace.h). Null disables tracing;
   // purely observational — reports stay byte-identical either way.
   Exploration& trace_sink(obs::TraceWriter* sink);
-
-  // Cooperative cancellation: stops starting new simulations (running
-  // ones finish, executed records are checkpointed to the persistent
-  // cache) and marks the resulting report cancelled. Thread-safe;
-  // callable from a progress observer. One-way for the session.
-  void cancel();
-  // Replaces the session's cancel flag with an external one — e.g. a
-  // process-global flag a SIGTERM handler flips (the ddtr shard worker's
-  // checkpoint-on-terminate path).
-  Exploration& cancel_token(std::shared_ptr<std::atomic<bool>> token);
 
   const core::CaseStudy& study() const noexcept { return study_; }
   const core::ExplorationOptions& options() const noexcept {
@@ -97,7 +73,6 @@ class Exploration {
   core::CaseStudy study_;
   energy::EnergyModel model_;
   core::ExplorationOptions options_;
-  std::shared_ptr<std::atomic<bool>> cancel_;
   std::optional<core::ExplorationReport> report_;
 };
 

@@ -7,21 +7,15 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
-
-#ifndef _WIN32
-#include <unistd.h>
-#endif
 
 #include "core/pareto.h"
 #include "core/persistent_cache.h"
 #include "core/result_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "support/fnv_hash.h"
 #include "support/thread_pool.h"
 
 namespace ddtr::core {
@@ -76,29 +70,6 @@ std::vector<ddt::DdtCombination> greedy_step1_combos(
   return combos;
 }
 
-// Per-run segment-tag token: pid, a per-process random nonce, and a
-// process-wide sequence. The pid alone is NOT unique across hosts or
-// containers sharing one storage directory (every container's worker can
-// be pid 1), the sequence alone is not unique across processes — the
-// nonce covers both, the sequence distinguishes concurrent in-process
-// sessions.
-std::string default_run_token() {
-  static std::atomic<std::uint64_t> sequence{0};
-  static const std::uint64_t nonce = [] {
-    std::random_device rd;
-    return (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
-  }();
-  const std::uint64_t seq = sequence.fetch_add(1, std::memory_order_relaxed);
-#ifndef _WIN32
-  const long long pid = static_cast<long long>(::getpid());
-#else
-  const long long pid = 0;
-#endif
-  std::ostringstream os;
-  os << 'p' << pid << '-' << std::hex << nonce << '-' << std::dec << seq;
-  return os.str();
-}
-
 // --- Slot composition (NetworkApplication::separable()) -----------------
 //
 // One scenario's missing units within a fan, and how they are computed.
@@ -118,7 +89,6 @@ struct MissGroup {
   std::vector<std::vector<prof::ProfileCounters>> profiles;
   prof::ProfileCounters remainder;
   prof::ProfileCounters guard_total;
-  bool ready = false;  // every run finished and both guards passed
 };
 
 // One NetworkApplication::run of a fan. A job with a unit produces that
@@ -233,22 +203,9 @@ void harvest(MissGroup& group, const apps::RunResult* runs,
     throw_not_separable(*group.scenario, guard_combo,
                         "its full run differs from its per-slot composition");
   }
-  group.ready = true;
 }
 
 }  // namespace
-
-std::size_t shard_of_key(const std::string& key,
-                         std::size_t shard_count) noexcept {
-  if (shard_count <= 1) return 0;
-  return support::fnv1a64(key.data(), key.size()) % shard_count;
-}
-
-std::string shard_segment_tag(std::size_t shard_index,
-                              std::size_t shard_count) {
-  return "shard" + std::to_string(shard_index) + "of" +
-         std::to_string(shard_count);
-}
 
 std::vector<SimulationRecord> ExplorationReport::pareto_records() const {
   std::vector<SimulationRecord> out;
@@ -287,12 +244,6 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
     const std::function<const Scenario&(std::size_t)>& scenario_of,
     const std::function<const ddt::DdtCombination&(std::size_t)>& combo_of,
     SimulationCache* cache, support::ThreadPool& pool, int step) const {
-  // Only step 2 is sharded: step 1 is replicated on every worker.
-  const bool sharded = step == 2 && options_.shard_count > 1;
-  if (sharded && !cache) {
-    throw std::invalid_argument(
-        "ExplorationEngine: sharded execution requires a simulation cache");
-  }
   // Per-record observability: a `sim` span per computed record (arg
   // `composed`), a `kernel` span per NetworkApplication::run, and the
   // wall time of every record a slot receives. Pure observation: timings
@@ -303,20 +254,12 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
   const char* const cat = step == 1 ? "step1" : "step2";
 
   // Index-addressed slots: lane scheduling cannot affect record order, so
-  // the parallel output is bit-identical to the serial one. Skipped units
-  // leave their slot unfilled and are compacted away below.
+  // the parallel output is bit-identical to the serial one.
   std::vector<SimulationRecord> slots(count);
-  std::vector<unsigned char> filled(count, 0);
   std::vector<unsigned char> missing(count, 0);
-  std::atomic<std::size_t> foreign{0};
-  std::atomic<std::size_t> dropped{0};
   std::atomic<std::size_t> computed{0};
   std::atomic<std::size_t> kernel_runs{0};
   ProgressReporter progress(options_.progress, step, count);
-  const auto drop = [&] {
-    dropped.fetch_add(1, std::memory_order_relaxed);
-    progress.tick();
-  };
   // Stores a computed record: into its slot and, so the cache stats, the
   // executed counts and the persistent file see it, into the cache.
   const auto produce = [&](std::size_t i, SimulationRecord record) {
@@ -326,7 +269,6 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
           record);
     }
     slots[i] = std::move(record);
-    filled[i] = 1;
     computed.fetch_add(1, std::memory_order_relaxed);
     progress.tick();
   };
@@ -337,35 +279,16 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
     return scenario.app->run(*scenario.trace, combo);
   };
 
-  // Pass 1: settle every unit the cache (or, sharded, another shard)
-  // answers; the rest are misses.
+  // Pass 1: settle every unit the cache answers; the rest are misses.
   support::parallel_for(pool, count, [&](std::size_t i) {
-    if (cancel_requested()) return drop();
-    const Scenario& scenario = scenario_of(i);
-    const ddt::DdtCombination& combo = combo_of(i);
     const std::uint64_t t0 = obs::now_us();
     std::optional<SimulationRecord> hit;
-    if (sharded) {
-      const std::string key = SimulationCache::key_of(scenario, combo, model_);
-      if (shard_of_key(key, options_.shard_count) != options_.shard_index) {
-        // Foreign unit: replay it when a prior step already cached it
-        // (the representative scenario's survivors), otherwise leave it
-        // to the shard that owns it.
-        hit = cache->find_cached(scenario, combo, model_);
-        if (!hit) {
-          foreign.fetch_add(1, std::memory_order_relaxed);
-          progress.tick();
-          return;
-        }
-      }
-    }
-    if (!hit && cache) hit = cache->find(scenario, combo, model_);
+    if (cache) hit = cache->find(scenario_of(i), combo_of(i), model_);
     if (!hit) {
       missing[i] = 1;
       return;
     }
     slots[i] = std::move(*hit);
-    filled[i] = 1;
     sim_us.observe(obs::now_us() - t0);
     progress.tick();
   });
@@ -401,10 +324,8 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
   // Pass 3: every kernel run of the fan — all scenarios' diagonals and
   // guards, and the monolithic units, which produce their records here.
   std::vector<apps::RunResult> runs(jobs.size());
-  std::vector<unsigned char> ran(jobs.size(), 0);
   support::parallel_for(pool, jobs.size(), [&](std::size_t j) {
     const KernelJob& job = jobs[j];
-    if (cancel_requested()) return;
     const Scenario& scenario = *job.scenario;
     if (job.unit == KernelJob::kNoUnit) {
       runs[j] = run_kernel(scenario, job.combo);
@@ -417,25 +338,14 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
                                   model_));
       sim_us.observe(obs::now_us() - t0);
     }
-    ran[j] = 1;
   });
   kernel_counter.add(kernel_runs.load(std::memory_order_relaxed));
 
-  // Pass 4: check and compose. A composed group whose runs were cut short
-  // by cancellation drops all its units, as does a raised cancel flag.
+  // Pass 4: check and compose.
   std::vector<std::pair<std::size_t, const MissGroup*>> composed_units;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    if (jobs[j].unit != KernelJob::kNoUnit && !ran[j]) drop();
-  }
   for (MissGroup& group : groups) {
     if (!group.composed) continue;
-    const auto first = ran.begin() +
-                       static_cast<std::ptrdiff_t>(group.first_job);
-    const auto last =
-        first + static_cast<std::ptrdiff_t>(group.diagonals.size() + 1);
-    if (std::all_of(first, last, [](unsigned char r) { return r != 0; })) {
-      harvest(group, &runs[group.first_job], combo_of(group.guard));
-    }
+    harvest(group, &runs[group.first_job], combo_of(group.guard));
     for (std::size_t unit : group.units) {
       composed_units.emplace_back(unit, &group);
     }
@@ -443,7 +353,6 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
   support::parallel_for(pool, composed_units.size(), [&](std::size_t k) {
     const auto [i, group_ptr] = composed_units[k];
     const MissGroup& group = *group_ptr;
-    if (!group.ready || cancel_requested()) return drop();
     // The guard's full run becomes its record (equal to its composition).
     const bool guard = i == group.guard;
     obs::SpanScope span(options_.trace_sink, "sim", cat);
@@ -457,18 +366,9 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
   });
 
   FanOutcome out;
-  out.skipped_foreign = foreign.load(std::memory_order_relaxed);
-  out.skipped_cancelled = dropped.load(std::memory_order_relaxed);
+  out.records = std::move(slots);
   out.computed = computed.load(std::memory_order_relaxed);
   out.kernel_runs = kernel_runs.load(std::memory_order_relaxed);
-  if (out.skipped_foreign == 0 && out.skipped_cancelled == 0) {
-    out.records = std::move(slots);  // the common, complete case
-    return out;
-  }
-  out.records.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (filled[i]) out.records.push_back(std::move(slots[i]));
-  }
   return out;
 }
 
@@ -638,9 +538,7 @@ ExplorationEngine::FanOutcome ExplorationEngine::run_step2_fan(
     const CaseStudy& study, const std::vector<ddt::DdtCombination>& survivors,
     SimulationCache* cache, support::ThreadPool& pool) const {
   // Flatten (scenario x survivor) into one index space, scenario-major —
-  // the serial iteration order — and fan every pair over the pool. Step 2
-  // is the sharded step: a worker engine executes only the units
-  // shard_of_key assigns to it.
+  // the serial iteration order — and fan every pair over the pool.
   const std::size_t per_scenario = survivors.size();
   const std::size_t count = per_scenario * study.scenarios.size();
   if (count == 0) {
@@ -697,29 +595,7 @@ std::vector<SimulationRecord> ExplorationEngine::aggregate(
 }
 
 ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
-  const bool sharded = options_.shard_count > 1;
   SharedState* const shared = options_.shared;
-  if (sharded) {
-    if (options_.shard_index >= options_.shard_count) {
-      throw std::invalid_argument(
-          "ExplorationOptions: shard_index must be < shard_count");
-    }
-    if (!options_.memoize_simulations) {
-      throw std::invalid_argument(
-          "ExplorationOptions: sharded execution requires "
-          "memoize_simulations");
-    }
-    if (options_.cache_dir.empty()) {
-      throw std::invalid_argument(
-          "ExplorationOptions: sharded execution requires a cache_dir "
-          "(shards meet only through cache segments)");
-    }
-    if (shared) {
-      throw std::invalid_argument(
-          "ExplorationOptions: shared warm-serving state is mutually "
-          "exclusive with sharding");
-    }
-  }
   if (shared && !options_.memoize_simulations) {
     throw std::invalid_argument(
         "ExplorationOptions: shared state requires memoize_simulations");
@@ -730,8 +606,6 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
   report.combination_count = study.combination_count();
   report.scenario_count = study.scenarios.size();
   report.exhaustive_simulations = study.exhaustive_simulations();
-  report.shard_index = options_.shard_index;
-  report.shard_count = options_.shard_count;
 
   // Whole-run span; phase spans (cache.load, step1, select, step2,
   // cache.store, aggregate) nest inside it. All tracing is null-checked
@@ -754,11 +628,9 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
   // Cross-run persistence: seed the in-memory cache from the cache file
   // up front; new records are appended after the run. Content-hash keys
   // keep this invisible in the records — warm, cold or disabled, the
-  // report bytes are identical; only the executed counts change. Sharded
-  // workers store into a private segment file (never the shared file),
-  // which is what makes concurrent shard writers safe. With a shared
-  // persistent cache the load happened once at service start; the run
-  // only appends.
+  // report bytes are identical; only the executed counts change. With a
+  // shared persistent cache the load happened once at service start; the
+  // run only appends.
   std::optional<PersistentSimulationCache> persistent_local;
   PersistentSimulationCache* persistent = shared ? shared->persistent : nullptr;
   if (persistent) {
@@ -766,16 +638,6 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
   } else if (cache_ptr && !options_.cache_dir.empty()) {
     persistent_local.emplace(options_.cache_dir);
     persistent = &*persistent_local;
-    if (sharded) {
-      // Geometry tag + per-run token: two fleets sharing this directory
-      // with the same shard geometry still write distinct segment files
-      // (same-path concurrent appends interleave frames — the exact
-      // multi-writer corruption segments exist to prevent).
-      report.segment_tag =
-          shard_segment_tag(options_.shard_index, options_.shard_count) +
-          "." + default_run_token();
-      persistent->set_segment(report.segment_tag);
-    }
     obs::SpanScope load_span(options_.trace_sink, "cache.load", "cache");
     report.persistent_loaded = persistent->load();
     persistent->seed(*cache_ptr);
@@ -788,8 +650,6 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
   support::ThreadPool* pool = shared ? shared->pool : nullptr;
   if (!pool) pool = &local_pool.emplace(options_.jobs);
 
-  // Step 1 is replicated: every shard worker covers the full set, so all
-  // of them select the same survivors.
   FanOutcome step1 = [&] {
     obs::SpanScope span(options_.trace_sink, "step1", "explore");
     FanOutcome out = options_.step1_policy == Step1Policy::kGreedyPerSlot
@@ -825,25 +685,10 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
       cache_ptr ? cache_ptr->stats() : SimulationCache::Stats{};
   report.cache_hits = after.hits - baseline.hits;
   report.cache_misses = after.misses - baseline.misses;
-  report.skipped_foreign_shard = step2.skipped_foreign;
-  report.skipped_after_cancel =
-      step1.skipped_cancelled + step2.skipped_cancelled;
-  report.cancelled = cancel_requested();
 
-  // Checkpoint even after cancellation: whatever this run executed is
-  // sound and must survive (the cancellation contract — a cancelled run
-  // leaves a valid, loadable cache file or segment). A shard worker
-  // stores only the keys it owns, so segments stay a partition.
   if (persistent) {
     obs::SpanScope store_span(options_.trace_sink, "cache.store", "cache");
-    PersistentSimulationCache::KeyFilter owned_keys;
-    if (sharded) {
-      owned_keys = [index = options_.shard_index,
-                    count = options_.shard_count](const std::string& key) {
-        return shard_of_key(key, count) == index;
-      };
-    }
-    report.persistent_stored = persistent->store_new(*cache_ptr, owned_keys);
+    report.persistent_stored = persistent->store_new(*cache_ptr);
     store_span.arg("stored", report.persistent_stored);
   }
 
@@ -860,7 +705,7 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
         .arg("pareto", report.pareto_optimal.size());
   }
 
-  // Per-step executed/hit/skip counters from the same stats deltas the
+  // Per-step executed/hit counters from the same stats deltas the
   // report itself uses (the step fans run sequentially, so the deltas
   // attribute exactly). Pure observation — the report was already final.
   {
@@ -870,16 +715,10 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
     static obs::Counter& s2_exec =
         obs::registry().counter("explore.step2.executed");
     static obs::Counter& hits = obs::registry().counter("explore.cache_hits");
-    static obs::Counter& skip_foreign =
-        obs::registry().counter("explore.skipped_foreign");
-    static obs::Counter& skip_cancel =
-        obs::registry().counter("explore.skipped_cancelled");
     runs.add();
     s1_exec.add(report.step1_executed_simulations);
     s2_exec.add(report.step2_executed_simulations);
     hits.add(report.cache_hits);
-    skip_foreign.add(report.skipped_foreign_shard);
-    skip_cancel.add(report.skipped_after_cancel);
   }
   return report;
 }

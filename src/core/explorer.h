@@ -28,22 +28,10 @@
 // appended to — a persistent cross-run cache file
 // (core::PersistentSimulationCache), so repeated invocations replay
 // previous runs' simulations too.
-//
-// Distributed execution: with ExplorationOptions::shard_count > 1, this
-// engine is one WORKER of an N-way sharded exploration (see src/dist/).
-// Step 1 — one scenario, the seed of survivor selection — is replicated
-// on every worker, so all of them select the identical survivor list.
-// Step 2 — the scenario-dominated network level, the axis that scales
-// with deployment size — executes only the units whose shard_of_key(...)
-// matches shard_index, storing them into a per-shard cache segment. A
-// final unsharded run over the merged segments replays all three steps
-// with zero executed simulations and a byte-identical report.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -75,30 +63,13 @@ enum class Step1Policy {
   kGreedyPerSlot,
 };
 
-// Deterministic shard assignment of one simulation unit, identified by
-// its content-hash cache key (SimulationCache::key_of): FNV-1a of the key
-// modulo shard_count. The single definition shared by the engine's
-// sharded step 2 and dist::WorkPlan, so plans agree across processes and
-// hosts. shard_count <= 1 assigns everything to shard 0.
-std::size_t shard_of_key(const std::string& key,
-                         std::size_t shard_count) noexcept;
-
-// Base cache-segment tag of shard I of N ("shard<I>of<N>"). The engine
-// appends a per-run token (pid, a per-process nonce and a process-wide
-// sequence) so two fleets sharing a cache directory with the same
-// geometry can never write the same segment file; the tag actually used
-// is in ExplorationReport::segment_tag.
-std::string shard_segment_tag(std::size_t shard_index,
-                              std::size_t shard_count);
-
 // One progress notification from a simulation step. `done` counts logical
-// simulations settled so far within the step — completed (executed or
-// replayed) or skipped (foreign-shard units, cancelled units); each step
-// emits an initial {step, 0, total} event, then one event per settled
-// simulation, ending exactly once at done == total.
+// simulations completed (executed or replayed) so far within the step;
+// each step emits an initial {step, 0, total} event, then one event per
+// completed simulation, ending exactly once at done == total.
 struct StepProgress {
   int step = 0;            // 1 (application level) or 2 (network level)
-  std::size_t done = 0;    // simulations settled so far in this step
+  std::size_t done = 0;    // simulations completed so far in this step
   std::size_t total = 0;   // simulations this step covers
 };
 
@@ -106,7 +77,8 @@ struct StepProgress {
 // (worker lanes hand completions through one lock), so the callback itself
 // need not be thread-safe — but it runs on whichever lane finished the
 // simulation, and it should be cheap: it sits on the fan-out hot path.
-// This is the hook future sharding / cancellation layers build on.
+// The CLI's --progress lines and the serve daemon's progress frames are
+// built on it.
 using ProgressObserver = std::function<void(const StepProgress&)>;
 
 // Warm state a long-lived owner (serve::Server) keeps open across
@@ -160,27 +132,12 @@ struct ExplorationOptions {
   // cache is warm, cold or disabled — a fully warm rerun executes zero
   // simulations. Corrupt or stale cache files are ignored, not fatal.
   std::string cache_dir;
-  // Distributed work-sharding (see src/dist/ and the file comment): with
-  // shard_count > 1 this engine is worker shard_index of shard_count. It
-  // executes only its stable subset of step-2 units (shard_of_key) and
-  // stores its records into the per-shard cache segment
-  // "shard<I>of<N>" instead of the shared cache file. Requires
-  // memoize_simulations and a cache_dir (enforced by explore()).
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
-  // Cooperative cancellation: when the pointed-to flag becomes true, the
-  // fan-out stops starting new simulations (in-flight ones finish), the
-  // run's executed records are still checkpointed to the persistent
-  // cache, and the returned report is marked cancelled. Shared so signal
-  // handlers, progress observers and other threads can all flip it.
-  std::shared_ptr<std::atomic<bool>> cancel;
   // Optional per-simulation progress notifications (see StepProgress).
   // Does not affect the produced records: reports stay bit-identical with
   // or without an observer, at any lane count.
   ProgressObserver progress;
   // Warm-serving state (see SharedState and src/serve/). Requires
-  // memoize_simulations; mutually exclusive with sharding (serve sessions
-  // are unsharded — the fleet story is src/dist/).
+  // memoize_simulations.
   SharedState* shared = nullptr;
   // --- Observability (see src/obs/) -------------------------------------
   // Optional span tracer: when set, explore() emits Chrome trace_event
@@ -218,20 +175,6 @@ struct ExplorationReport {
   // appended to it afterwards.
   std::uint64_t persistent_loaded = 0;
   std::uint64_t persistent_stored = 0;
-  // Sharded-worker / cancellation accounting. Foreign-shard units are
-  // step-2 units owned by another shard and absent from the cache (their
-  // owner simulates them); cancelled units were skipped after the cancel
-  // flag was raised. Skipped units produce no record, so a worker's or a
-  // cancelled run's report is PARTIAL — only the final unsharded,
-  // uncancelled pass is the paper report.
-  std::size_t skipped_foreign_shard = 0;
-  std::size_t skipped_after_cancel = 0;
-  bool cancelled = false;
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
-  // The cache-segment tag this (sharded) run stored under — base geometry
-  // tag plus the per-run token; empty for unsharded runs.
-  std::string segment_tag;
 
   // Step-1 design space on the representative scenario (one record per
   // combination — Figure 3a's scatter).
@@ -304,14 +247,10 @@ class ExplorationEngine {
   const ExplorationOptions& options() const noexcept { return options_; }
 
  private:
-  // Outcome of one fan-out: the produced records (index order preserved,
-  // skipped slots compacted away) plus the skip accounting. In normal
-  // (unsharded, uncancelled) runs nothing is skipped and records matches
-  // the serial output exactly.
+  // Outcome of one fan-out: one record per unit, in unit order — exactly
+  // the serial output — plus the execution accounting.
   struct FanOutcome {
     std::vector<SimulationRecord> records;
-    std::size_t skipped_foreign = 0;
-    std::size_t skipped_cancelled = 0;
     std::size_t computed = 0;     // records not replayed from the cache
     std::size_t kernel_runs = 0;  // NetworkApplication::run calls
   };
@@ -331,19 +270,12 @@ class ExplorationEngine {
   // pool, writing records into index-addressed slots: cache hits first,
   // then the misses, composed per slot where the app is separable (see
   // the file comment). `step` labels the StepProgress events this fan
-  // emits. Step 2 is the sharded step: there, units owned by other shards
-  // are replayed from the cache when present and skipped otherwise; a
-  // raised cancel flag skips every not-yet-started unit and kernel run.
+  // emits.
   FanOutcome fan_simulations(
       std::size_t count,
       const std::function<const Scenario&(std::size_t)>& scenario_of,
       const std::function<const ddt::DdtCombination&(std::size_t)>& combo_of,
       SimulationCache* cache, support::ThreadPool& pool, int step) const;
-
-  bool cancel_requested() const noexcept {
-    return options_.cancel &&
-           options_.cancel->load(std::memory_order_relaxed);
-  }
 
   energy::EnergyModel model_;
   ExplorationOptions options_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <utility>
@@ -43,11 +45,9 @@ PcacheMetrics& pcache_metrics() {
 
 // Serializes cache-file I/O within the process: concurrent explorations
 // (e.g. bench_common fanning case studies over the thread pool) share one
-// cache directory, and interleaved appends would tear frames. Concurrent
-// *processes* write disjoint segment files when sharded (see
-// set_segment); unsharded cross-process appends to the main file remain
-// best-effort — the checksummed frames make a torn cross-process append a
-// skipped entry, never a crash.
+// cache directory, and interleaved appends would tear frames.
+// Cross-process appends remain best-effort — the checksummed frames make
+// a torn cross-process append a skipped entry, never a crash.
 std::mutex& io_mutex() {
   static std::mutex mu;
   return mu;
@@ -60,15 +60,6 @@ constexpr std::uint32_t kEntryMagic = 0x454d4953u;  // "SIME" little-endian
 // One entry is a key plus one record; far below this. A corrupt length
 // prefix must not look like a multi-gigabyte entry.
 constexpr std::uint64_t kMaxEntryBytes = 16ull << 20;
-
-constexpr char kSegmentPrefix[] = "sim_cache.";
-constexpr char kSegmentSuffix[] = ".seg";
-
-bool has_suffix(const std::string& name, const char* suffix) {
-  const std::size_t n = std::char_traits<char>::length(suffix);
-  return name.size() > n &&
-         name.compare(name.size() - n, n, suffix) == 0;
-}
 
 // Entry payload: key, then the full SimulationRecord. The combination is
 // stored as its label ("AR+DLL"), which is bijective with combinations.
@@ -254,6 +245,24 @@ void write_file_header(std::ostream& os) {
   support::write_u32(os, kFormatVersionValue);
 }
 
+// Cache keys are 0x1f-joined fields (see SimulationCache::key_of):
+// app, app cache_version, config, trace hash, combo, model fingerprint.
+constexpr char kKeySep = '\x1f';
+
+std::vector<std::string> split_key(const std::string& key) {
+  std::vector<std::string> fields;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t sep = key.find(kKeySep, start);
+    if (sep == std::string::npos) {
+      fields.push_back(key.substr(start));
+      return fields;
+    }
+    fields.push_back(key.substr(start, sep - start));
+    start = sep + 1;
+  }
+}
+
 }  // namespace
 
 PersistentSimulationCache::PersistentSimulationCache(std::string dir)
@@ -261,43 +270,6 @@ PersistentSimulationCache::PersistentSimulationCache(std::string dir)
 
 std::string PersistentSimulationCache::file_path() const {
   return (std::filesystem::path(dir_) / "sim_cache.ddtr").string();
-}
-
-std::string PersistentSimulationCache::segment_path(
-    const std::string& tag) const {
-  return (std::filesystem::path(dir_) /
-          (kSegmentPrefix + tag + kSegmentSuffix))
-      .string();
-}
-
-std::vector<std::string> PersistentSimulationCache::segment_paths() const {
-  std::vector<std::string> out;
-  std::error_code ec;
-  std::filesystem::directory_iterator it(dir_, ec);
-  if (ec) return out;
-  for (const auto& entry : it) {
-    if (!entry.is_regular_file(ec) || ec) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(kSegmentPrefix, 0) == 0 &&
-        name.size() > sizeof(kSegmentPrefix) + sizeof(kSegmentSuffix) - 2 &&
-        has_suffix(name, kSegmentSuffix)) {
-      out.push_back(entry.path().string());
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-void PersistentSimulationCache::set_segment(std::string tag) {
-  segment_tag_ = std::move(tag);
-  // The store target changed; its validity is re-established by the next
-  // load() or store_new() revalidation.
-  store_valid_ = false;
-  store_prefix_bytes_ = 0;
-}
-
-std::string PersistentSimulationCache::store_path() const {
-  return segment_tag_.empty() ? file_path() : segment_path(segment_tag_);
 }
 
 std::size_t PersistentSimulationCache::load() {
@@ -308,7 +280,6 @@ std::size_t PersistentSimulationCache::load() {
   load_stats_ = LoadStats{};
   store_valid_ = false;
   store_prefix_bytes_ = 0;
-  const std::string store_target = store_path();
 
   std::size_t absorbed = 0;
   const auto absorb = [&](std::string&& key, SimulationRecord&& record) {
@@ -319,28 +290,12 @@ std::size_t PersistentSimulationCache::load() {
     ++absorbed;
   };
 
-  // Main shared file first, then segments in name order: a segment's
-  // entry supersedes the main file's, later-named segments supersede
-  // earlier ones (merge-on-load).
-  const ParsedFile main_parsed = parse_cache_file(file_path(), absorb);
-  metrics.bytes_read.add(main_parsed.bytes);
-  load_stats_.main_entries = main_parsed.entries_ok;
-  load_stats_.corrupt_entries += main_parsed.entries_corrupt;
-  if (store_target == file_path()) {
-    store_valid_ = main_parsed.header_valid;
-    store_prefix_bytes_ = main_parsed.valid_prefix;
-  }
-  for (const std::string& seg : segment_paths()) {
-    const ParsedFile parsed = parse_cache_file(seg, absorb);
-    metrics.bytes_read.add(parsed.bytes);
-    ++load_stats_.segment_files;
-    load_stats_.segment_entries += parsed.entries_ok;
-    load_stats_.corrupt_entries += parsed.entries_corrupt;
-    if (seg == store_target) {
-      store_valid_ = parsed.header_valid;
-      store_prefix_bytes_ = parsed.valid_prefix;
-    }
-  }
+  const ParsedFile parsed = parse_cache_file(file_path(), absorb);
+  metrics.bytes_read.add(parsed.bytes);
+  load_stats_.main_entries = parsed.entries_ok;
+  load_stats_.corrupt_entries = parsed.entries_corrupt;
+  store_valid_ = parsed.header_valid;
+  store_prefix_bytes_ = parsed.valid_prefix;
   metrics.entries_loaded.add(absorbed);
   metrics.entries_corrupt.add(load_stats_.corrupt_entries);
   metrics.load_us.observe(obs::now_us() - t0);
@@ -361,12 +316,11 @@ PersistentSimulationCache::entries() const {
   return out;
 }
 
-std::size_t PersistentSimulationCache::store_new(const SimulationCache& cache,
-                                                 const KeyFilter& want) {
+std::size_t PersistentSimulationCache::store_new(
+    const SimulationCache& cache) {
   std::vector<std::pair<std::string, SimulationRecord>> fresh;
   for (auto& entry : cache.entries()) {
     if (loaded_.contains(entry.first)) continue;
-    if (want && !want(entry.first)) continue;
     fresh.push_back(std::move(entry));
   }
   if (fresh.empty()) return 0;
@@ -376,7 +330,7 @@ std::size_t PersistentSimulationCache::store_new(const SimulationCache& cache,
   std::lock_guard<std::mutex> io_lock(io_mutex());
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);  // best effort
-  const std::string target = store_path();
+  const std::string target = file_path();
 
   // Re-validate under the lock: another session sharing this directory
   // may have created a valid file since our load() (several cold-start
@@ -428,8 +382,8 @@ std::size_t PersistentSimulationCache::store_new(const SimulationCache& cache,
     }
   }
   os.close();
-  // Flush the appended frames to stable storage: a shard worker's
-  // checkpoint (and the merge that later trusts it) must survive a crash.
+  // Flush the appended frames to stable storage: a run that reported its
+  // records stored must find them after a crash, not a hollow tail.
   if (written != 0) support::fsync_file(target);
   metrics.entries_stored.add(written);
   metrics.store_us.observe(obs::now_us() - t0);
@@ -485,11 +439,10 @@ std::size_t PersistentSimulationCache::compact() {
     const auto size = std::filesystem::file_size(file_path(), size_ec);
     if (!size_ec) metrics.bytes_written.add(size);
   }
-  if (segment_tag_.empty()) {
-    store_valid_ = true;
+  {
     const auto size = std::filesystem::file_size(file_path(), ec);
+    store_valid_ = !ec;
     store_prefix_bytes_ = ec ? 0 : size;
-    if (ec) store_valid_ = false;
   }
   metrics.compact_us.observe(obs::now_us() - t0);
   return sorted.size();
@@ -518,6 +471,39 @@ PersistentSimulationCache::FileCheck PersistentSimulationCache::check_file(
       parsed.bytes > parsed.valid_prefix ? parsed.bytes - parsed.valid_prefix
                                          : 0;
   return check;
+}
+
+CacheStats inspect_cache(const std::string& dir) {
+  PersistentSimulationCache cache(dir);
+  CacheStats stats;
+  std::error_code ec;
+  stats.present = std::filesystem::exists(cache.file_path(), ec) && !ec;
+  if (stats.present) {
+    const auto size = std::filesystem::file_size(cache.file_path(), ec);
+    if (!ec) stats.bytes = size;
+  }
+
+  stats.entries = cache.load();
+  stats.duplicates = cache.load_stats().superseded;
+  stats.corrupt = cache.load_stats().corrupt_entries;
+
+  std::map<std::string, std::size_t> apps;
+  std::map<std::string, std::size_t> fingerprints;
+  for (const auto& [key, record] : cache.entries()) {
+    const std::vector<std::string> fields = split_key(key);
+    ++apps[fields.front()];
+    ++fingerprints[fields.back()];
+  }
+  stats.apps.assign(apps.begin(), apps.end());
+  stats.model_fingerprints.assign(fingerprints.begin(), fingerprints.end());
+  return stats;
+}
+
+bool clear_cache(const std::string& dir) {
+  std::error_code ec;
+  const bool removed =
+      std::filesystem::remove(PersistentSimulationCache(dir).file_path(), ec);
+  return removed && !ec;
 }
 
 }  // namespace ddtr::core

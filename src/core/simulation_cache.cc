@@ -81,17 +81,6 @@ std::optional<SimulationRecord> SimulationCache::find(
   return relabel(it->second, scenario);
 }
 
-std::optional<SimulationRecord> SimulationCache::find_cached(
-    const Scenario& scenario, const ddt::DdtCombination& combo,
-    const energy::EnergyModel& model) {
-  const std::string key = key_of(scenario, combo, model);
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = records_.find(key);
-  if (it == records_.end()) return std::nullopt;
-  ++stats_.hits;
-  return relabel(it->second, scenario);
-}
-
 void SimulationCache::insert(const std::string& key,
                              const SimulationRecord& record) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -29,7 +29,7 @@
 namespace ddtr::core {
 
 // Thread-safe: concurrent lanes of the parallel explorer share one cache.
-// The engine probes with find()/find_cached() and insert()s the records it
+// The engine probes with find() and insert()s the records it
 // computes (composed per slot or simulated in full), so the hit/miss stats
 // count one probe per unit. The lock is never held across a simulate()
 // call; two get_or_simulate() callers racing on the same missing key may
@@ -70,15 +70,6 @@ class SimulationCache {
   std::optional<SimulationRecord> find(const Scenario& scenario,
                                        const ddt::DdtCombination& combo,
                                        const energy::EnergyModel& model);
-
-  // Hit-only lookup: returns (and counts) a hit when the key is cached,
-  // but — unlike find() — records nothing on absence. Sharded workers use
-  // this to probe units owned by other shards: an absent foreign unit is
-  // another process's work, not a miss of this run, so it must not skew
-  // the executed-simulation accounting (executed == misses).
-  std::optional<SimulationRecord> find_cached(const Scenario& scenario,
-                                              const ddt::DdtCombination& combo,
-                                              const energy::EnergyModel& model);
 
   // Stores a record under `key` without touching the hit/miss stats (used
   // to seed the cache from a persistent store). Existing entries win.

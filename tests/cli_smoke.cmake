@@ -127,139 +127,33 @@ if(NOT cold_log_bytes STREQUAL warm_log_bytes)
       "warm-cache rerun log differs from the cold run's")
 endif()
 
-# 7. Distributed exploration, manual recipe: two shard workers sharing a
-#    cache dir write disjoint SEGMENT files (never the shared file — the
-#    concurrent-writer fix), `ddtr cache` inspects/merges them, and the
-#    coordinator pass replays everything: 0 executed simulations and a
-#    result log byte-identical to the plain serial run's.
-set(DIST_DIR "${WORK_DIR}/dist_cache")
-file(REMOVE_RECURSE "${DIST_DIR}")
-set(SERIAL_LOG "${WORK_DIR}/dist_serial.log")
-run_cli(TRUE dist_serial_out
-        explore --app url --scale 0.05 --log ${SERIAL_LOG})
-run_cli(TRUE shard0_out
-        explore --app url --scale 0.05 --cache-dir ${DIST_DIR} --shard 0/2)
-if(NOT shard0_out MATCHES "ddtr shard 0/2")
-  message(FATAL_ERROR "shard worker summary missing:\n${shard0_out}")
-endif()
-run_cli(TRUE shard1_out
-        explore --app url --scale 0.05 --cache-dir ${DIST_DIR} --shard 1/2)
-file(GLOB dist_segments "${DIST_DIR}/sim_cache.*.seg")
-list(LENGTH dist_segments dist_segment_count)
-if(NOT dist_segment_count EQUAL 2)
-  message(FATAL_ERROR
-      "expected 2 segment files, found ${dist_segment_count}")
-endif()
-if(EXISTS "${DIST_DIR}/sim_cache.ddtr")
-  message(FATAL_ERROR "shard workers wrote the shared cache file")
-endif()
-
-run_cli(TRUE cache_stats_out cache stats ${DIST_DIR})
+# 7. `ddtr cache` on section 6's warm cache dir: stats and verify read
+#    its one file, clear removes it, and the operations and flags of the
+#    removed distribution layer are usage errors naming the op or flag.
+run_cli(TRUE cache_stats_out cache stats ${CACHE_DIR})
 if(NOT cache_stats_out MATCHES "entries")
   message(FATAL_ERROR "cache stats output unexpected:\n${cache_stats_out}")
 endif()
-run_cli(TRUE cache_verify_out cache verify ${DIST_DIR})
+run_cli(TRUE cache_verify_out cache verify ${CACHE_DIR})
 if(NOT cache_verify_out MATCHES "cache verify: OK")
   message(FATAL_ERROR "cache verify failed:\n${cache_verify_out}")
 endif()
-run_cli(TRUE cache_merge_out cache merge ${DIST_DIR})
-if(NOT cache_merge_out MATCHES "merged 2 segments")
-  message(FATAL_ERROR "cache merge output unexpected:\n${cache_merge_out}")
+run_cli(TRUE cache_clear_out cache clear ${CACHE_DIR})
+if(NOT cache_clear_out MATCHES "removed 1 cache file ")
+  message(FATAL_ERROR "cache clear output unexpected:\n${cache_clear_out}")
 endif()
-file(GLOB dist_segments_after "${DIST_DIR}/sim_cache.*.seg")
-if(dist_segments_after)
-  message(FATAL_ERROR "segments left behind after merge")
+if(EXISTS "${CACHE_DIR}/sim_cache.ddtr")
+  message(FATAL_ERROR "cache clear left ${CACHE_DIR}/sim_cache.ddtr behind")
 endif()
+expect_usage_error("unknown cache operation" cache frobnicate ${CACHE_DIR})
+expect_usage_error("unknown cache operation 'merge'" cache merge ${CACHE_DIR})
+expect_usage_error("unknown cache operation 'gc'" cache gc ${CACHE_DIR})
+expect_usage_error("explore: unknown flag --shard"
+                   explore --app url --cache-dir ${CACHE_DIR} --shard 0/2)
+expect_usage_error("explore: unknown flag --workers"
+                   explore --app url --cache-dir ${CACHE_DIR} --workers 2)
 
-set(DIST_LOG "${WORK_DIR}/dist_coordinator.log")
-run_cli(TRUE dist_coord_out
-        explore --app url --scale 0.05 --cache-dir ${DIST_DIR}
-        --log ${DIST_LOG})
-if(NOT dist_coord_out MATCHES "executed simulations: +0 ")
-  message(FATAL_ERROR
-      "coordinator pass executed simulations:\n${dist_coord_out}")
-endif()
-file(READ "${SERIAL_LOG}" dist_serial_bytes)
-file(READ "${DIST_LOG}" dist_coord_bytes)
-if(NOT dist_serial_bytes STREQUAL dist_coord_bytes)
-  message(FATAL_ERROR "sharded+merged log differs from the serial run's")
-endif()
-
-# 8. Distributed exploration, one-command coordinator: --workers 2
-#    fork/execs the shard workers, merges, and replays.
-set(WORKERS_DIR "${WORK_DIR}/workers_cache")
-file(REMOVE_RECURSE "${WORKERS_DIR}")
-set(WORKERS_LOG "${WORK_DIR}/workers.log")
-run_cli(TRUE workers_out
-        explore --app url --scale 0.05 --cache-dir ${WORKERS_DIR}
-        --workers 2 --log ${WORKERS_LOG})
-if(NOT workers_out MATCHES "distributed: 2 workers, merged 2 segments")
-  message(FATAL_ERROR "coordinator summary missing:\n${workers_out}")
-endif()
-if(NOT workers_out MATCHES "executed simulations: +0 ")
-  message(FATAL_ERROR
-      "--workers coordinator executed simulations:\n${workers_out}")
-endif()
-file(READ "${WORKERS_LOG}" workers_bytes)
-if(NOT dist_serial_bytes STREQUAL workers_bytes)
-  message(FATAL_ERROR "--workers log differs from the serial run's")
-endif()
-
-# 9. Distributed flag contract: --shard/--workers need --cache-dir, are
-#    mutually exclusive, and malformed --shard values are usage errors.
-expect_usage_error("requires --cache-dir" explore --app url --shard 0/2)
-expect_usage_error("expects I/N"
-                   explore --app url --cache-dir ${DIST_DIR} --shard 2x)
-expect_usage_error("must be < N"
-                   explore --app url --cache-dir ${DIST_DIR} --shard 2/2)
-expect_usage_error("mutually exclusive" explore --app url
-                   --cache-dir ${DIST_DIR} --shard 0/2 --workers 2)
-# --workers forks one process per worker: bounded like --jobs.
-foreach(count 0 1025 99999999)
-  expect_usage_error("explore: flag --workers expects a count in \\[1,1024\\]"
-                     explore --app url --cache-dir ${DIST_DIR} --workers ${count})
-endforeach()
-expect_usage_error("unknown cache operation" cache frobnicate ${DIST_DIR})
-
-# 10. `ddtr cache gc` prunes stale segments — never the main file — and
-#     validates --max-age-s, which no other cache operation accepts.
-set(GC_DIR "${WORK_DIR}/gc_cache")
-file(REMOVE_RECURSE "${GC_DIR}")
-# Shard first (writes a segment into the empty dir), then a plain run
-# (replays the segment, stores the remainder into the main file) — so the
-# directory holds both a segment and a main file for gc to discriminate.
-run_cli(TRUE gc_seed_seg_out
-        explore --app url --scale 0.05 --cache-dir ${GC_DIR} --shard 0/2)
-run_cli(TRUE gc_seed_main_out
-        explore --app url --scale 0.05 --cache-dir ${GC_DIR})
-file(GLOB gc_segments "${GC_DIR}/sim_cache.*.seg")
-list(LENGTH gc_segments gc_segment_count)
-if(NOT gc_segment_count EQUAL 1)
-  message(FATAL_ERROR "expected 1 segment before gc, found ${gc_segment_count}")
-endif()
-# A generous age cap keeps everything...
-run_cli(TRUE gc_keep_out cache gc ${GC_DIR} --max-age-s 1000000)
-if(NOT gc_keep_out MATCHES "removed 0 segments")
-  message(FATAL_ERROR "gc with generous cap pruned files:\n${gc_keep_out}")
-endif()
-# ...a zero cap prunes every segment, but never the main cache file.
-run_cli(TRUE gc_out cache gc ${GC_DIR} --max-age-s 0)
-if(NOT gc_out MATCHES "removed 1 segment ")
-  message(FATAL_ERROR "gc did not prune the stale segment:\n${gc_out}")
-endif()
-file(GLOB gc_segments_after "${GC_DIR}/sim_cache.*.seg")
-if(gc_segments_after)
-  message(FATAL_ERROR "segments survived gc --max-age-s 0")
-endif()
-if(NOT EXISTS "${GC_DIR}/sim_cache.ddtr")
-  message(FATAL_ERROR "gc removed the main cache file")
-endif()
-expect_usage_error("expects a number" cache gc ${GC_DIR} --max-age-s abc)
-expect_usage_error("missing required flag" cache gc ${GC_DIR})
-expect_usage_error("cache stats: flag --max-age-s applies only to gc"
-                   cache stats ${GC_DIR} --max-age-s 5)
-
-# 11. Serve-daemon flag contract, daemonless: a missing or valueless
+# 8. Serve-daemon flag contract, daemonless: a missing or valueless
 #     --socket fails fast, before any connect.
 expect_usage_error("missing required flag --socket" serve)
 expect_usage_error("requires a value" submit --app url --socket)
@@ -270,7 +164,7 @@ if(NOT submit_noconnect_out MATCHES "cannot connect")
       "dead-socket submit not reported:\n${submit_noconnect_out}")
 endif()
 
-# 12. The command table's contract, before any work starts. Unknown flags
+# 9. The command table's contract, before any work starts. Unknown flags
 #     (leftovers of removed features, typos) name the subcommand and flag.
 expect_usage_error("explore: unknown flag --step1-sharded"
                    explore --app url --step1-sharded)

@@ -231,21 +231,21 @@ std::string make_run_token() {
   std::random_device rd;
   return std::to_string(::getpid()) + "." + std::to_string(rd());
 }
-std::uint64_t shard_of_key(const std::string& key, std::size_t n) {
-  return fnv1a64(key.data(), key.size()) % n;
+std::string preset_key(const NetworkPreset& p) {
+  return p.name + '#' + std::to_string(p.node_count);
 }
 )cc";
-  EXPECT_FALSE(has_rule(lint::lint_source("src/core/explorer.cc", good),
+  EXPECT_FALSE(has_rule(lint::lint_source("src/nettrace/trace_store.cc", good),
                         "determinism"));
 }
 
-TEST(Determinism, FiresInsideShardOfKeyBody) {
+TEST(Determinism, FiresInsidePresetKeyBody) {
   const std::string bad = R"cc(
-std::uint64_t shard_of_key(const std::string& key, std::size_t n) {
-  return (fnv1a64(key.data(), key.size()) ^ ::getpid()) % n;
+std::string preset_key(const NetworkPreset& p) {
+  return p.name + '#' + std::to_string(::getpid());
 }
 )cc";
-  EXPECT_TRUE(has_rule(lint::lint_source("src/core/explorer.cc", bad),
+  EXPECT_TRUE(has_rule(lint::lint_source("src/nettrace/trace_store.cc", bad),
                        "determinism"));
 }
 

@@ -2,8 +2,10 @@
 // cache: key soundness (same labels + different trace content must NOT
 // hit; different cost models must not hit), the warm-rerun contract
 // (zero executed simulations, byte-identical report), round-trips through
-// the cache file, and tolerance of corrupt / truncated / stale-version
-// files, including a seeded byte-level corruption sweep.
+// the cache file, tolerance of corrupt / truncated / stale-version
+// files, including a seeded byte-level corruption sweep, compaction,
+// `ddtr cache` inspection, and directories left by older versions that
+// still hold per-writer segment files.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -20,7 +22,6 @@
 #include "api/ddtr.h"
 #include "core/persistent_cache.h"
 #include "core/simulation_cache.h"
-#include "dist/cache_inspect.h"
 #include "support/rng.h"
 
 namespace ddtr::core {
@@ -323,7 +324,7 @@ TEST_F(PersistentCacheTest, ZeroLengthFileIsToleratedAndReported) {
   EXPECT_TRUE(check.empty);
   EXPECT_FALSE(check.header_valid);
   EXPECT_EQ(check.entries_corrupt, 0u);
-  EXPECT_TRUE(dist::verify_cache(dir_).ok());  // empty != corrupt
+  EXPECT_TRUE(check.ok());  // empty != corrupt
   EXPECT_EQ(cache.load(), 0u);
 
   // A store rewrites it with a valid header.
@@ -399,11 +400,10 @@ bool same_record(const SimulationRecord& a, const SimulationRecord& b) {
          a.counters == b.counters;
 }
 
-// Seeded byte flips, truncations and trailing junk against a main cache
-// file and a segment file holding the same entries. load() must never
-// crash, and damage may only drop entries: every entry it keeps must be
-// exactly the entry stored under that key. Trailing junk alone is a torn
-// tail and must keep every entry.
+// Seeded byte flips, truncations and trailing junk against a cache file.
+// load() must never crash, and damage may only drop entries: every entry
+// it keeps must be exactly the entry stored under that key. Trailing junk
+// alone is a torn tail and must keep every entry.
 TEST_F(PersistentCacheTest, CorruptionSweepDropsButNeverAltersEntries) {
   const CaseStudy study =
       api::registry().make_study("url", CaseStudyOptions{}.scaled(0.05));
@@ -414,30 +414,15 @@ TEST_F(PersistentCacheTest, CorruptionSweepDropsButNeverAltersEntries) {
   std::map<std::string, SimulationRecord> stored;
   for (auto& [key, record] : pristine.entries()) stored.emplace(key, record);
 
-  SimulationCache seeded;
-  pristine.seed(seeded);
-  PersistentSimulationCache segment_writer(dir_ + "/segment");
-  segment_writer.set_segment("sweep");
-  ASSERT_EQ(segment_writer.store_new(seeded), full);
-
-  struct Target {
-    std::string path;   // where the mutated bytes go
-    std::string bytes;  // the intact file
-  };
-  std::filesystem::create_directories(dir_ + "/main_case");
-  std::filesystem::create_directories(dir_ + "/segment_case");
-  const Target targets[] = {
-      {PersistentSimulationCache(dir_ + "/main_case").file_path(),
-       read_bytes(pristine.file_path())},
-      {PersistentSimulationCache(dir_ + "/segment_case").segment_path("sweep"),
-       read_bytes(segment_writer.segment_path("sweep"))},
-  };
+  const std::string intact = read_bytes(pristine.file_path());
+  const std::string case_dir = dir_ + "/case";
+  const std::string path = PersistentSimulationCache(case_dir).file_path();
+  std::filesystem::create_directories(case_dir);
 
   support::Rng rng(0xcac4ec0de5eedull);
   std::size_t partial_loads = 0;  // some entries dropped, some kept
   for (int iter = 0; iter < 2000; ++iter) {
-    const Target& target = targets[iter % 2];
-    std::string bytes = target.bytes;
+    std::string bytes = intact;
     const std::uint64_t mutation = rng.uniform(0, 3);
     if (mutation == 0 || mutation == 3) {  // byte flips
       const std::uint64_t flips = rng.uniform(1, 4);
@@ -456,15 +441,13 @@ TEST_F(PersistentCacheTest, CorruptionSweepDropsButNeverAltersEntries) {
         bytes.push_back(static_cast<char>(rng.uniform(0, 255)));
       }
     }
-    write_bytes(target.path, bytes);
+    write_bytes(path, bytes);
 
-    PersistentSimulationCache cache(
-        std::filesystem::path(target.path).parent_path().string());
+    PersistentSimulationCache cache(case_dir);
     const std::size_t loaded = cache.load();
-    PersistentSimulationCache::check_file(target.path);
-    const std::string where =
-        "iteration " + std::to_string(iter) + ", mutation " +
-        std::to_string(mutation) + ", " + target.path;
+    PersistentSimulationCache::check_file(path);
+    const std::string where = "iteration " + std::to_string(iter) +
+                              ", mutation " + std::to_string(mutation);
     if (mutation == 2) {
       ASSERT_EQ(loaded, full) << where;
     }
@@ -478,6 +461,91 @@ TEST_F(PersistentCacheTest, CorruptionSweepDropsButNeverAltersEntries) {
   }
   // The sweep reaches past the headers into individual frames.
   EXPECT_GT(partial_loads, 100u);
+}
+
+TEST_F(PersistentCacheTest, CompactDropsSupersededDuplicates) {
+  // Two cold-start sessions append the SAME record to the cache file (the
+  // benign duplicate-append path) — compact() folds them to one frame.
+  const CaseStudy study = tiny_url_study();
+  const energy::EnergyModel model = make_paper_energy_model();
+  SimulationCache cache;
+  cache.get_or_simulate(study.scenarios.front(),
+                        ddt::DdtCombination(
+                            {ddt::DdtKind::kArray, ddt::DdtKind::kSll}),
+                        model);
+
+  PersistentSimulationCache first(dir_);
+  PersistentSimulationCache second(dir_);
+  EXPECT_EQ(first.load(), 0u);
+  EXPECT_EQ(second.load(), 0u);
+  EXPECT_EQ(first.store_new(cache), 1u);
+  EXPECT_EQ(second.store_new(cache), 1u);  // duplicate frame appended
+
+  PersistentSimulationCache probe(dir_);
+  EXPECT_EQ(probe.load(), 1u);
+  EXPECT_EQ(probe.load_stats().superseded, 1u);
+  const auto before = std::filesystem::file_size(probe.file_path());
+  EXPECT_EQ(probe.compact(), 1u);
+  EXPECT_LT(std::filesystem::file_size(probe.file_path()), before);
+
+  PersistentSimulationCache reread(dir_);
+  EXPECT_EQ(reread.load(), 1u);
+  EXPECT_EQ(reread.load_stats().superseded, 0u);
+}
+
+TEST_F(PersistentCacheTest, InspectAndClearCoverTheCacheFile) {
+  const CaseStudy study = tiny_url_study();
+  explore_cached(study, dir_);
+  const CacheStats stats = inspect_cache(dir_);
+  EXPECT_TRUE(stats.present);
+  EXPECT_GT(stats.entries, 0u);
+  EXPECT_GT(stats.bytes, 0u);
+  ASSERT_EQ(stats.apps.size(), 1u);
+  EXPECT_EQ(stats.apps.front().first, study.scenarios.front().app->name());
+  ASSERT_EQ(stats.model_fingerprints.size(), 1u);
+
+  EXPECT_TRUE(clear_cache(dir_));  // the one file
+  EXPECT_EQ(inspect_cache(dir_).entries, 0u);
+}
+
+// A directory an older version left behind: half of a study's entries in
+// the cache file, the other half in a valid per-writer segment file
+// (`sim_cache.<tag>.seg`). Only the cache file is read; the segment's
+// records are recomputed once, appended to the cache file, and the
+// segment itself is never touched.
+TEST_F(PersistentCacheTest, LegacySegmentFilesAreIgnored) {
+  const CaseStudy study =
+      api::registry().make_study("url", CaseStudyOptions{}.scaled(0.05));
+  const ExplorationReport cold = explore_cached(study, dir_ + "/pristine");
+  PersistentSimulationCache pristine(dir_ + "/pristine");
+  ASSERT_GT(pristine.load(), 1u);
+  const auto entries = pristine.entries();
+
+  const std::string legacy = dir_ + "/legacy";
+  SimulationCache main_half;
+  SimulationCache segment_half;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    (i < entries.size() / 2 ? main_half : segment_half)
+        .insert(entries[i].first, entries[i].second);
+  }
+  PersistentSimulationCache main_writer(legacy);
+  ASSERT_EQ(main_writer.store_new(main_half), main_half.size());
+  PersistentSimulationCache segment_writer(dir_ + "/segment");
+  ASSERT_EQ(segment_writer.store_new(segment_half), segment_half.size());
+  const std::string segment = legacy + "/sim_cache.legacy.seg";
+  const std::string segment_bytes = read_bytes(segment_writer.file_path());
+  write_bytes(segment, segment_bytes);
+
+  PersistentSimulationCache probe(legacy);
+  EXPECT_EQ(probe.load(), main_half.size());
+
+  const ExplorationReport rerun = explore_cached(study, legacy);
+  EXPECT_EQ(rerun.persistent_loaded, main_half.size());
+  EXPECT_GT(rerun.executed_simulations(), 0u);
+  EXPECT_EQ(rerun.serialized_records(), cold.serialized_records());
+  EXPECT_EQ(read_bytes(segment), segment_bytes);
+
+  EXPECT_EQ(explore_cached(study, legacy).executed_simulations(), 0u);
 }
 
 }  // namespace

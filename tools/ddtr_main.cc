@@ -6,18 +6,16 @@
 //
 // `explore --app` accepts ANY workload in api::registry(). Every
 // exploration writes a ResultLog that `pareto` can re-process later (the
-// paper's "log files -> Perl post-processing" flow). `explore --shard I/N`
-// and `--workers N` distribute one exploration over processes sharing a
-// cache directory (src/dist/); `serve` keeps cache, traces and pool warm
-// in a daemon that `submit`, `status`, `stats`, `results` and `shutdown`
-// talk to over a unix socket (src/serve/).
+// paper's "log files -> Perl post-processing" flow). `serve` keeps
+// cache, traces and pool warm in a daemon that `submit`, `status`,
+// `stats`, `results` and `shutdown` talk to over a unix socket
+// (src/serve/).
 #include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <csignal>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -31,9 +29,6 @@
 #include "core/persistent_cache.h"
 #include "core/report.h"
 #include "core/result_log.h"
-#include "dist/cache_inspect.h"
-#include "dist/segment_merger.h"
-#include "dist/worker_pool.h"
 #include "nettrace/generator.h"
 #include "nettrace/parser.h"
 #include "nettrace/presets.h"
@@ -41,7 +36,6 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "support/table.h"
-#include "support/thread_pool.h"
 
 namespace {
 
@@ -60,7 +54,6 @@ enum class FlagKind {
   kCount,   // a non-negative integer, in [lo, hi] when hi > 0
   kNumber,  // a number in [lo, hi], or (lo, hi] when lo_open; never NaN
   kMetric,  // a metric name (energy::metric_index)
-  kShard,   // I/N with I < N
 };
 
 struct Flag {
@@ -77,8 +70,7 @@ struct Flag {
 struct Value {
   std::string text;
   double number = 0.0;    // kNumber
-  std::size_t index = 0;  // kCount value, kMetric index, kShard I
-  std::size_t of = 0;     // kShard N
+  std::size_t index = 0;  // kCount value, kMetric index
 };
 
 struct CommandLine;
@@ -108,7 +100,6 @@ struct UsageError : std::runtime_error {
 // reads as its first occurrence.
 struct CommandLine {
   const Command& command;
-  const char* argv0;
   std::vector<std::pair<const Flag*, Value>> given;
   std::vector<std::string> positional;
 
@@ -156,21 +147,6 @@ std::string join(const Names& names) {
     out += name;
   }
   return out;
-}
-
-// Cooperative cancellation for shard workers: SIGTERM/SIGINT raise this
-// flag, the engine stops starting simulations and checkpoints whatever it
-// executed into the worker's cache segment — a killed worker loses
-// wall-clock, never work. A signal handler may only touch lock-free
-// atomics, so the flag is a constant-initialized file-scope atomic (no
-// lazy init a handler could race or re-enter); the shared_ptr the engine
-// polls aliases it without owning it.
-std::atomic<bool> g_cancel{false};
-
-void on_terminate_signal(int) { g_cancel.store(true); }
-
-std::shared_ptr<std::atomic<bool>> cancel_token() {
-  return {&g_cancel, [](std::atomic<bool>*) {}};
 }
 
 // --- Handlers ---------------------------------------------------------------
@@ -270,64 +246,6 @@ int cmd_explore(const CommandLine& args) {
   const auto csv_prefix = args.text("csv");
   const auto cache_dir = args.text("cache-dir");
   const auto trace_path = args.text("trace");
-  const Value* shard = args.find("shard", FlagKind::kShard);
-  const std::size_t worker_count = args.count("workers").value_or(1);
-  if (shard && args.count("workers")) {
-    throw UsageError(
-        "explore: --shard and --workers are mutually exclusive (a shard "
-        "worker is spawned BY --workers)");
-  }
-  if ((shard || worker_count > 1) && !cache_dir) {
-    throw UsageError(
-        "explore: distributed exploration requires --cache-dir (shard "
-        "workers meet only through cache segments)");
-  }
-
-  if (worker_count > 1) {
-    // Coordinator: re-exec ourselves as one worker per shard (forwarding
-    // every exploration flag, swapping --workers for --shard), merge the
-    // segments they wrote, then fall through to the standard exploration
-    // below — which replays the merged cache with zero executed
-    // simulations and prints the usual (byte-identical) report.
-    std::vector<std::string> base{dist::self_executable(args.argv0),
-                                  "explore"};
-    for (const auto& [flag, value] : args.given) {
-      const std::string_view name = flag->name;
-      if (name == "workers" || name == "log" || name == "csv") continue;
-      base.push_back(std::string("--").append(name));
-      if (flag->kind != FlagKind::kBool) base.push_back(value.text);
-    }
-    std::vector<std::vector<std::string>> commands;
-    commands.reserve(worker_count);
-    for (std::size_t i = 0; i < worker_count; ++i) {
-      std::vector<std::string> command = base;
-      command.push_back("--shard");
-      command.push_back(std::to_string(i) + "/" +
-                        std::to_string(worker_count));
-      commands.push_back(std::move(command));
-    }
-    const std::vector<dist::ProcessResult> results =
-        dist::run_worker_processes(commands);
-    bool all_ok = true;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      if (results[i].ok()) continue;
-      all_ok = false;
-      std::cerr << "error: shard worker " << i << "/" << worker_count;
-      if (!results[i].spawned) {
-        std::cerr << " failed to spawn\n";
-      } else if (results[i].signaled) {
-        std::cerr << " died on signal " << results[i].term_signal << '\n';
-      } else {
-        std::cerr << " exited with code " << results[i].exit_code << '\n';
-      }
-    }
-    if (!all_ok) return 1;
-    const dist::MergeStats merged = dist::SegmentMerger::merge(*cache_dir);
-    std::cout << "distributed: " << worker_count << " workers, merged "
-              << merged.segment_files << " segments (" << merged.entries
-              << " entries, " << merged.duplicates_dropped
-              << " duplicates dropped)\n";
-  }
 
   api::Exploration session(api::registry().make_study(
       app, core::CaseStudyOptions{}.scaled(args.number("scale").value_or(
@@ -339,15 +257,6 @@ int cmd_explore(const CommandLine& args) {
     tracer.emplace();
     session.trace_sink(&*tracer);
   }
-  const auto flush_trace = [&] {
-    if (!tracer) return;
-    if (!tracer->write_file(*trace_path)) {
-      std::cerr << "error: cannot write trace file " << *trace_path << '\n';
-      return;
-    }
-    std::cerr << "wrote " << tracer->event_count() << " trace events to "
-              << *trace_path << '\n';
-  };
   if (const auto jobs = args.count("jobs")) session.jobs(*jobs);
   if (const auto cap = args.number("survivor-cap")) session.survivor_cap(*cap);
   if (cache_dir) session.cache_dir(*cache_dir);
@@ -365,33 +274,15 @@ int cmd_explore(const CommandLine& args) {
     });
   }
 
-  if (shard) {
-    // Worker mode: simulate this shard, checkpoint the segment, report on
-    // stderr (stdout stays the coordinator's), skip the paper report —
-    // a worker's in-memory report is partial by design.
-    std::signal(SIGTERM, on_terminate_signal);
-    std::signal(SIGINT, on_terminate_signal);
-    session.shard(shard->index, shard->of).cancel_token(cancel_token());
-    const core::ExplorationReport& report = session.run();
-    const std::string segment = core::PersistentSimulationCache(*cache_dir)
-                                    .segment_path(report.segment_tag);
-    std::cerr << "[ddtr shard " << shard->index << '/' << shard->of
-              << "] " << report.app_name << ": executed "
-              << report.executed_simulations() << ", replayed "
-              << report.cache_hits << ", foreign "
-              << report.skipped_foreign_shard << ", stored "
-              << report.persistent_stored << " -> " << segment << '\n';
-    if (report.cancelled) {
-      std::cerr << "[ddtr shard " << shard->index << '/' << shard->of
-                << "] cancelled — segment checkpointed ("
-                << report.persistent_stored << " records)\n";
-    }
-    flush_trace();
-    return 0;
-  }
-
   const core::ExplorationReport& report = session.run();
-  flush_trace();
+  if (tracer) {
+    if (tracer->write_file(*trace_path)) {
+      std::cerr << "wrote " << tracer->event_count() << " trace events to "
+                << *trace_path << '\n';
+    } else {
+      std::cerr << "error: cannot write trace file " << *trace_path << '\n';
+    }
+  }
 
   std::cout << "application: " << report.app_name << '\n'
             << "configurations: " << report.scenario_count << '\n'
@@ -448,26 +339,17 @@ int cmd_explore(const CommandLine& args) {
   return 0;
 }
 
-// ddtr cache <stats|verify|clear|merge|gc> DIR — inspection and
-// maintenance of a persistent-cache directory (main file + per-writer
-// segments).
+// ddtr cache <stats|verify|clear> DIR — inspection and maintenance of a
+// persistent-cache directory's one cache file.
 int cmd_cache(const CommandLine& args) {
   const std::string& op = args.positional[0];
   const std::string& dir = args.positional[1];
 
-  const auto max_age_s = args.number("max-age-s");
-  if (op == "gc" && !max_age_s) {
-    throw UsageError("cache gc: missing required flag --max-age-s");
-  }
-  if (op != "gc" && max_age_s) {
-    throw UsageError("cache " + op + ": flag --max-age-s applies only to gc");
-  }
-
   if (op == "stats") {
-    const dist::CacheStats stats = dist::inspect_cache(dir);
+    const core::CacheStats stats = core::inspect_cache(dir);
     support::TextTable table({"property", "value"});
     table.add_row({"directory", dir});
-    table.add_row({"files", std::to_string(stats.files)});
+    table.add_row({"file", stats.present ? "present" : "absent"});
     table.add_row({"bytes", support::format_bytes(stats.bytes)});
     table.add_row({"entries", std::to_string(stats.entries)});
     table.add_row({"duplicates", std::to_string(stats.duplicates)});
@@ -493,60 +375,37 @@ int cmd_cache(const CommandLine& args) {
   }
 
   if (op == "verify") {
-    const dist::VerifyReport report = dist::verify_cache(dir);
+    const std::string path = core::PersistentSimulationCache(dir).file_path();
+    const auto check = core::PersistentSimulationCache::check_file(path);
     support::TextTable table({"file", "header", "entries", "corrupt",
                               "torn tail bytes"});
-    for (const auto& [path, check] : report.files) {
-      if (!check.present) {
-        table.add_row({path, "absent", "-", "-", "-"});
-        continue;
-      }
-      if (check.empty) {
-        // Zero-length: the scar of a crash before the first write —
-        // tolerated, rewritten by the next store.
-        table.add_row({path, "empty", "0", "0", "0"});
-        continue;
-      }
+    if (!check.present) {
+      table.add_row({path, "absent", "-", "-", "-"});
+    } else if (check.empty) {
+      // Zero-length: the scar of a crash before the first write —
+      // tolerated, rewritten by the next store.
+      table.add_row({path, "empty", "0", "0", "0"});
+    } else {
       table.add_row({path, check.header_valid ? "ok" : "INVALID",
                      std::to_string(check.entries_ok),
                      std::to_string(check.entries_corrupt),
                      std::to_string(check.trailing_bytes)});
     }
     table.print(std::cout);
-    std::cout << (report.ok() ? "cache verify: OK\n"
-                              : "cache verify: CORRUPT\n");
-    return report.ok() ? 0 : 1;
+    std::cout << (check.ok() ? "cache verify: OK\n"
+                             : "cache verify: CORRUPT\n");
+    return check.ok() ? 0 : 1;
   }
 
   if (op == "clear") {
-    const std::size_t removed = dist::clear_cache(dir);
-    std::cout << "removed " << removed << " cache file"
-              << (removed == 1 ? "" : "s") << " from " << dir << '\n';
-    return 0;
-  }
-
-  if (op == "merge") {
-    const dist::MergeStats stats = dist::SegmentMerger::merge(dir);
-    std::cout << "merged " << stats.segment_files << " segments into "
-              << core::PersistentSimulationCache(dir).file_path() << ": "
-              << stats.entries << " entries, " << stats.duplicates_dropped
-              << " duplicates dropped, "
-              << support::format_bytes(stats.bytes_before) << " -> "
-              << support::format_bytes(stats.bytes_after) << '\n';
-    return 0;
-  }
-
-  if (op == "gc") {
-    const dist::GcStats stats = dist::gc_cache(dir, *max_age_s);
-    std::cout << "gc: removed " << stats.segments_removed << " segment"
-              << (stats.segments_removed == 1 ? "" : "s") << " older than "
-              << support::format_double(*max_age_s, 3) << " s ("
-              << stats.kept << " kept) in " << dir << '\n';
+    const bool removed = core::clear_cache(dir);
+    std::cout << "removed " << (removed ? 1 : 0) << " cache file"
+              << (removed ? "" : "s") << " from " << dir << '\n';
     return 0;
   }
 
   throw UsageError("cache: unknown cache operation '" + op +
-                   "' (stats|verify|clear|merge|gc)");
+                   "' (stats|verify|clear)");
 }
 
 int cmd_pareto(const CommandLine& args) {
@@ -798,9 +657,7 @@ const std::vector<Command>& commands() {
         {"out", K::kText, "FILE", "write the trace to FILE, not stdout"}}},
       {"traceparse", {"FILE"}, "extract the network parameters of a trace",
        cmd_traceparse, {}},
-      {"explore", {},
-       "the 3-step methodology; --shard/--workers need --cache-dir",
-       cmd_explore,
+      {"explore", {}, "the 3-step methodology", cmd_explore,
        study + std::vector<Flag>{
            {"jobs", K::kCount, "N",
             "lanes (default 1; 0 = one per hardware thread)"},
@@ -808,11 +665,6 @@ const std::vector<Command>& commands() {
             "persistent simulation cache (warm reruns replay)"},
            {"csv", K::kText, "PREFIX",
             "write step-2 records and fronts to PREFIX_*.csv"},
-           {"shard", K::kShard, "I/N",
-            "be worker I of N: simulate only its shard's units"},
-           {"workers", K::kCount, "N",
-            "run N shard workers, merge, replay their cache", false, 1.0,
-            static_cast<double>(support::kMaxLanes)},
            {"trace", K::kText, "FILE",
             "write a Chrome trace_event span timeline"}}},
       {"pareto", {}, "2-D Pareto front of a result log", cmd_pareto,
@@ -821,10 +673,7 @@ const std::vector<Command>& commands() {
         {"x", K::kMetric, "METRIC", "x axis (default time_s)"},
         {"y", K::kMetric, "METRIC", "y axis (default energy_mJ)"}}},
       {"cache", {"OP", "DIR"},
-       "maintain a cache dir: OP is stats|verify|clear|merge|gc", cmd_cache,
-       {{"max-age-s", K::kNumber, "S",
-         "gc (required): prune segments older than S s", false, 0.0,
-         1e10}}},
+       "maintain a cache dir: OP is stats|verify|clear", cmd_cache, {}},
       {"serve", {}, "long-lived daemon; drains and flushes on SIGTERM/SIGINT",
        cmd_serve,
        {socket,
@@ -955,26 +804,12 @@ Value read_value(const Command& command, const Flag& flag,
       value.index = *index;
       break;
     }
-    case FlagKind::kShard: {
-      const std::size_t slash = token.find('/');
-      const auto index = to_count(std::string_view(token).substr(0, slash));
-      const auto count =
-          slash == std::string::npos
-              ? std::nullopt
-              : to_count(std::string_view(token).substr(slash + 1));
-      if (!index || !count || *index >= *count) {
-        throw bad("I/N (e.g. 0/4) where I must be < N");
-      }
-      value.index = *index;
-      value.of = *count;
-      break;
-    }
   }
   return value;
 }
 
 CommandLine parse_args(const Command& command, int argc, char** argv) {
-  CommandLine args{command, argv[0], {}, {}};
+  CommandLine args{command, {}, {}};
   const std::string prefix = std::string(command.name) + ": ";
   for (int i = 2; i < argc; ++i) {
     const std::string token = argv[i];

@@ -39,9 +39,9 @@ bool determinism_file(const std::string& path) {
 // defined; their bodies must be pure.
 bool determinism_function(const std::string& name) {
   static const char* const names[] = {
-      "content_hash", "fingerprint",    "shard_of_key",
-      "preset_key",   "fnv1a64",        "fnv1a64_append",
-      "mix64",        "five_tuple_key"};
+      "content_hash", "fingerprint",    "preset_key",
+      "fnv1a64",      "fnv1a64_append", "mix64",
+      "five_tuple_key"};
   return std::any_of(std::begin(names), std::end(names),
                      [&](const char* n) { return name == n; });
 }

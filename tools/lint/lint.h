@@ -26,7 +26,7 @@
 //   determinism        no rand()/time()/system_clock/getpid()/
 //                      random_device in cache-key or fingerprint code —
 //                      whole key files, and the bodies of key functions
-//                      (content_hash, fingerprint, shard_of_key, ...)
+//                      (content_hash, fingerprint, preset_key, ...)
 //                      anywhere in the tree.
 //   accounting-version a checksum registry (tools/lint/accounting.lock)
 //                      over all `ddtr-accounting-begin/end` regions must
