@@ -1,0 +1,139 @@
+// Warm-replay costs: what a daemon resubmit spends once every record is
+// already in the shared in-memory simulation cache. One SimulationCache is
+// warmed by a cold run of every registered study at DDTR_BENCH_SCALE;
+// then, per study, the bench times
+//   * SimulationCache::key_of over every (scenario, combination) pair,
+//   * a warm Exploration::run on 1 lane over that cache (zero executed
+//     simulations, like `ddtr submit` against a warm daemon),
+//   * serialized_records() of the warm report (the records a client gets),
+// each as the median of several repetitions, and emits one BenchJson line.
+// Exits 1 if a warm run executes a simulation or its records differ from
+// the cold run's.
+#include <algorithm>
+#include <chrono>
+#include <iostream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "bench_common.h"
+#include "support/table.h"
+
+namespace {
+
+using namespace ddtr;
+
+constexpr int kRepetitions = 15;
+
+double median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// Median wall time of `body` over kRepetitions calls, in milliseconds.
+template <typename Fn>
+double median_ms(Fn&& body) {
+  std::vector<double> samples;
+  for (int i = 0; i < kRepetitions; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    body();
+    samples.push_back(ms_since(t0));
+  }
+  return median(std::move(samples));
+}
+
+// A 1-lane session memoizing into the shared cache, like a daemon submit.
+api::Exploration shared_session(const core::CaseStudy& study,
+                                core::SharedState& shared) {
+  api::Exploration session(study);
+  session.jobs(1).memoize_simulations(true).shared_state(&shared);
+  return session;
+}
+
+}  // namespace
+
+int main() {
+  const energy::EnergyModel model = core::make_paper_energy_model();
+  core::SimulationCache cache;
+  core::SharedState shared{cache};
+
+  support::TextTable table({"Application", "keys", "key_of ns",
+                            "warm run ms", "serialize ms", "record bytes"});
+  std::ostringstream apps_json;
+  apps_json << '[';
+  bool consistent = true;
+
+  const std::vector<std::string> names = api::registry().names();
+  for (std::size_t a = 0; a < names.size(); ++a) {
+    const core::CaseStudy study =
+        api::registry().make_study(names[a], bench::bench_options());
+    const std::string cold_records =
+        shared_session(study, shared).run().serialized_records();
+
+    // key_of over the whole exhaustive space of the study.
+    const auto combos = ddt::enumerate_combinations(study.slot_kind_sets());
+    const double keys_ms = median_ms([&] {
+      for (const core::Scenario& scenario : study.scenarios) {
+        for (const ddt::DdtCombination& combo : combos) {
+          core::SimulationCache::key_of(scenario, combo, model);
+        }
+      }
+    });
+    const std::size_t keys = study.scenarios.size() * combos.size();
+    const double key_ns = keys_ms * 1e6 / static_cast<double>(keys);
+
+    // Only run() is timed: building the session copies the study.
+    std::vector<double> run_samples;
+    core::ExplorationReport warm;
+    for (int i = 0; i < kRepetitions; ++i) {
+      api::Exploration session = shared_session(study, shared);
+      const auto t0 = std::chrono::steady_clock::now();
+      session.run();
+      run_samples.push_back(ms_since(t0));
+      warm = session.report();
+    }
+    const double run_ms = median(std::move(run_samples));
+    std::string records;
+    const double serialize_ms =
+        median_ms([&] { records = warm.serialized_records(); });
+
+    if (warm.executed_simulations() != 0 || records != cold_records) {
+      std::cerr << "[ddtr] " << study.name << ": warm run executed "
+                << warm.executed_simulations()
+                << " simulations or changed its records\n";
+      consistent = false;
+    }
+
+    table.add_row({study.name, std::to_string(keys),
+                   support::format_double(key_ns, 0),
+                   support::format_double(run_ms, 3),
+                   support::format_double(serialize_ms, 3),
+                   std::to_string(records.size())});
+    if (a > 0) apps_json << ',';
+    apps_json << "{\"app\":\"" << study.name << "\",\"keys\":" << keys
+              << ",\"key_of_ns\":" << key_ns << ",\"warm_run_ms\":" << run_ms
+              << ",\"serialize_ms\":" << serialize_ms
+              << ",\"record_bytes\":" << records.size() << '}';
+  }
+  apps_json << ']';
+
+  std::cout << "== Warm replay over one shared simulation cache (1 lane, "
+               "median of "
+            << kRepetitions << ") ==\n\n";
+  table.print(std::cout);
+  std::cout << '\n';
+
+  bench::BenchJson json("bench_warm_replay");
+  json.field("repetitions", static_cast<std::uint64_t>(kRepetitions))
+      .field("warm_entries", static_cast<std::uint64_t>(cache.size()))
+      .field("consistent", consistent)
+      .raw("apps", apps_json.str());
+  json.emit();
+  return consistent ? 0 : 1;
+}

@@ -7,7 +7,6 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -224,12 +223,7 @@ std::vector<SimulationRecord> ExplorationReport::scenario_records(
 }
 
 std::string ExplorationReport::serialized_records() const {
-  ResultLog log;
-  log.append_all(step1_records);
-  log.append_all(step2_records);
-  std::ostringstream os;
-  log.save(os);
-  return os.str();
+  return ResultLog::render({step1_records, step2_records});
 }
 
 ExplorationEngine::ExplorationEngine(energy::EnergyModel model)

@@ -318,11 +318,7 @@ PersistentSimulationCache::entries() const {
 
 std::size_t PersistentSimulationCache::store_new(
     const SimulationCache& cache) {
-  std::vector<std::pair<std::string, SimulationRecord>> fresh;
-  for (auto& entry : cache.entries()) {
-    if (loaded_.contains(entry.first)) continue;
-    fresh.push_back(std::move(entry));
-  }
+  auto fresh = cache.entries_missing_from(loaded_);
   if (fresh.empty()) return 0;
 
   PcacheMetrics& metrics = pcache_metrics();

@@ -1,6 +1,8 @@
 #include "core/result_log.h"
 
+#include <charconv>
 #include <istream>
+#include <locale>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -12,14 +14,66 @@ namespace {
 // Scenario labels and combination labels never contain spaces; free-form
 // fields (app, network, config) are written with a simple escape for
 // robustness.
-std::string escape(const std::string& s) {
-  if (s.empty()) return "-";
-  std::string out;
-  for (char ch : s) {
-    out += (ch == ' ' || ch == '\n') ? '_' : ch;
+void append_escaped(std::string& out, const std::string& s) {
+  if (s.empty()) {
+    out += '-';
+    return;
   }
-  return out;
+  for (char ch : s) out += (ch == ' ' || ch == '\n') ? '_' : ch;
 }
+
+// std::to_chars writes what a classic-locale ostream writes by default:
+// %g with 6 significant digits for a double, plain decimal for an integer.
+void append_number(std::string& out, double v) {
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), v,
+                                    std::chars_format::general, 6);
+  out.append(buf, result.ptr);
+}
+
+void append_number(std::string& out, std::uint64_t v) {
+  char buf[20];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, result.ptr);
+}
+
+void append_record(std::string& out, const SimulationRecord& r) {
+  append_escaped(out, r.app_name);
+  out += ' ';
+  append_escaped(out, r.combo.label());
+  out += ' ';
+  append_escaped(out, r.network);
+  out += ' ';
+  append_escaped(out, r.config);
+  for (const double v : {r.metrics.energy_mj, r.metrics.time_s}) {
+    out += ' ';
+    append_number(out, v);
+  }
+  for (const std::uint64_t v :
+       {r.metrics.accesses, r.metrics.footprint_bytes, r.counters.reads,
+        r.counters.writes, r.counters.bytes_read, r.counters.bytes_written,
+        r.counters.allocations, r.counters.deallocations,
+        r.counters.peak_bytes, r.counters.cpu_ops}) {
+    out += ' ';
+    append_number(out, v);
+  }
+  out += '\n';
+}
+
+// Reads under the classic locale and hands the stream its own locale back.
+class ClassicLocaleScope {
+ public:
+  explicit ClassicLocaleScope(std::istream& is)
+      : is_(is), previous_(is.imbue(std::locale::classic())) {}
+  ~ClassicLocaleScope() { is_.imbue(previous_); }
+
+  ClassicLocaleScope(const ClassicLocaleScope&) = delete;
+  ClassicLocaleScope& operator=(const ClassicLocaleScope&) = delete;
+
+ private:
+  std::istream& is_;
+  std::locale previous_;
+};
 
 std::string unescape(const std::string& s) { return s == "-" ? "" : s; }
 
@@ -38,21 +92,28 @@ std::vector<SimulationRecord> ResultLog::for_app(
   return out;
 }
 
-void ResultLog::save(std::ostream& os) const {
-  os << "ddtr-log 1 " << records_.size() << '\n';
-  for (const SimulationRecord& r : records_) {
-    os << escape(r.app_name) << ' ' << escape(r.combo.label()) << ' '
-       << escape(r.network) << ' ' << escape(r.config) << ' '
-       << r.metrics.energy_mj << ' ' << r.metrics.time_s << ' '
-       << r.metrics.accesses << ' ' << r.metrics.footprint_bytes << ' '
-       << r.counters.reads << ' ' << r.counters.writes << ' '
-       << r.counters.bytes_read << ' ' << r.counters.bytes_written << ' '
-       << r.counters.allocations << ' ' << r.counters.deallocations << ' '
-       << r.counters.peak_bytes << ' ' << r.counters.cpu_ops << '\n';
+std::string ResultLog::render(
+    std::initializer_list<std::span<const SimulationRecord>> parts) {
+  std::uint64_t count = 0;
+  for (const auto part : parts) count += part.size();
+  std::string out = "ddtr-log 1 ";
+  // Built-in record lines run 100-135 bytes: one reservation covers them.
+  out.reserve(out.size() + 24 + count * 144);
+  append_number(out, count);
+  out += '\n';
+  for (const auto part : parts) {
+    for (const SimulationRecord& r : part) append_record(out, r);
   }
+  return out;
+}
+
+void ResultLog::save(std::ostream& os) const {
+  const std::string text = render({records_});
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 ResultLog ResultLog::load(std::istream& is) {
+  const ClassicLocaleScope classic(is);
   std::string magic;
   int version = 0;
   std::size_t count = 0;

@@ -6,7 +6,9 @@
 // and can be merged across exploration runs.
 #pragma once
 
+#include <initializer_list>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,9 +33,16 @@ class ResultLog {
   std::vector<SimulationRecord> for_app(const std::string& app_name) const;
 
   // Line-oriented text serialization (version-tagged header, one record
-  // per line).
+  // per line). Numbers are written as the classic-locale stream would
+  // write them (doubles as %g with 6 significant digits) and read back
+  // under the classic locale, whatever the global or stream locale is.
   void save(std::ostream& os) const;
   static ResultLog load(std::istream& is);
+
+  // The bytes save() writes for a log holding `parts` back to back,
+  // rendered without copying the records into a ResultLog first.
+  static std::string render(
+      std::initializer_list<std::span<const SimulationRecord>> parts);
 
  private:
   std::vector<SimulationRecord> records_;

@@ -1,6 +1,6 @@
 #include "core/simulation_cache.h"
 
-#include <sstream>
+#include <charconv>
 
 namespace ddtr::core {
 
@@ -8,10 +8,13 @@ namespace {
 
 constexpr char kSep = '\x1f';  // unit separator: absent from every field
 
-std::string hex64(std::uint64_t v) {
-  std::ostringstream os;
-  os << std::hex << v;
-  return os.str();
+// Appends `v` in lowercase hex without a prefix — the persisted key
+// format. std::to_chars ignores the global locale, so keys cannot pick up
+// digit grouping from it.
+void append_hex(std::string& out, std::uint64_t v) {
+  char buf[16];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), v, 16);
+  out.append(buf, result.ptr);
 }
 
 // Rewrites a cached record's request-scoped labels (see key_of: network
@@ -28,8 +31,13 @@ SimulationRecord relabel(SimulationRecord record, const Scenario& scenario) {
 std::string SimulationCache::key_of(const Scenario& scenario,
                                     const ddt::DdtCombination& combo,
                                     const energy::EnergyModel& model) {
+  const std::string app_name = scenario.app->name();
+  const std::string combo_label = combo.label();
+  // Five separators, a 32-bit version and two 64-bit hex fields fit in 48.
   std::string key;
-  key += scenario.app->name();
+  key.reserve(app_name.size() + scenario.config.size() + combo_label.size() +
+              48);
+  key += app_name;
   key += kSep;
   // The app's simulation-semantics version: records persisted before a
   // workload's run() logic changed must stop hitting.
@@ -37,11 +45,11 @@ std::string SimulationCache::key_of(const Scenario& scenario,
   key += kSep;
   key += scenario.config;
   key += kSep;
-  key += hex64(scenario.trace->content_hash());
+  append_hex(key, scenario.trace->content_hash());
   key += kSep;
-  key += combo.label();
+  key += combo_label;
   key += kSep;
-  key += hex64(model.fingerprint());
+  append_hex(key, model.fingerprint());
   return key;
 }
 
@@ -93,6 +101,17 @@ std::vector<std::pair<std::string, SimulationRecord>> SimulationCache::entries()
   std::vector<std::pair<std::string, SimulationRecord>> out;
   out.reserve(records_.size());
   for (const auto& [key, record] : records_) out.emplace_back(key, record);
+  return out;
+}
+
+std::vector<std::pair<std::string, SimulationRecord>>
+SimulationCache::entries_missing_from(
+    const std::unordered_map<std::string, SimulationRecord>& known) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::pair<std::string, SimulationRecord>> out;
+  for (const auto& [key, record] : records_) {
+    if (!known.contains(key)) out.emplace_back(key, record);
+  }
   return out;
 }
 

@@ -78,6 +78,12 @@ class SimulationCache {
   // Snapshot of every (key, record) entry, in unspecified order.
   std::vector<std::pair<std::string, SimulationRecord>> entries() const;
 
+  // Copies of the entries whose key `known` lacks, in unspecified order —
+  // what a persistent store has yet to write. Only those are copied, so a
+  // fully persisted cache costs one probe per entry and no copies.
+  std::vector<std::pair<std::string, SimulationRecord>> entries_missing_from(
+      const std::unordered_map<std::string, SimulationRecord>& known) const;
+
   std::size_t size() const;
   Stats stats() const;
   void clear();

@@ -311,6 +311,7 @@ void Server::handle_submit(int fd, const SubmitRequest& request) {
     job.request = request;
     job.submit_ms = uptime_ms();
     jobs_.emplace(job_id, std::move(job));
+    trim_jobs();
   }
   if (!send_frame(fd, {FrameType::kSubmitAck,
                        encode_submit_ack(SubmitAck{job_id})})) {
@@ -325,6 +326,7 @@ void Server::handle_submit(int fd, const SubmitRequest& request) {
     {
       std::lock_guard<std::mutex> lock(jobs_mu_);
       jobs_.at(job_id).state = "failed";
+      trim_jobs();
     }
     send_error(fd, std::string("exploration failed: ") + error.what());
   }
@@ -424,11 +426,21 @@ ResultFrame Server::run_job(std::uint64_t job_id, const SubmitRequest& request,
     job.last_executed = result.executed;
     job.finish_ms = uptime_ms();
     job.last_result = result;
+    trim_jobs();
   }
   log_line("job " + std::to_string(job_id) + ": executed " +
            std::to_string(result.executed) + "/" +
            std::to_string(result.logical) + " simulations");
   return result;
+}
+
+void Server::trim_jobs() {
+  for (auto it = jobs_.begin();
+       jobs_.size() > kJobTableCap && it != jobs_.end();) {
+    const bool finished =
+        it->second.state == "done" || it->second.state == "failed";
+    it = finished ? jobs_.erase(it) : std::next(it);
+  }
 }
 
 void Server::handle_status(int fd) {

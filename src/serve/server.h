@@ -71,6 +71,12 @@ struct ServerOptions {
 
 class Server {
  public:
+  // Jobs the table keeps. Past this many, the oldest finished (done or
+  // failed) jobs are dropped with their results; queued and running jobs
+  // are never dropped. `results` of a dropped job gets the same Error
+  // frame as an unknown id, and jobs_submitted still counts every job.
+  static constexpr std::size_t kJobTableCap = 64;
+
   explicit Server(ServerOptions options);
   ~Server();
 
@@ -135,6 +141,10 @@ class Server {
   // Throws on exploration failure.
   ResultFrame run_job(std::uint64_t job_id, const SubmitRequest& request,
                       int fd);
+
+  // Drops the oldest finished jobs while the table holds more than
+  // kJobTableCap. Requires jobs_mu_.
+  void trim_jobs();
 
   // Validates a submission; returns a non-empty error message on rejection.
   std::string validate(const SubmitRequest& request) const;

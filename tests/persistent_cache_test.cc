@@ -4,8 +4,10 @@
 // (zero executed simulations, byte-identical report), round-trips through
 // the cache file, tolerance of corrupt / truncated / stale-version
 // files, including a seeded byte-level corruption sweep, compaction,
-// `ddtr cache` inspection, and directories left by older versions that
-// still hold per-writer segment files.
+// `ddtr cache` inspection, directories left by older versions that
+// still hold per-writer segment files, byte-identity of the keys with
+// their old stream-formatted form under any global locale, and
+// store_new() writing only entries not yet persisted.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -13,13 +15,16 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <locale>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "api/ddtr.h"
+#include "comma_locale.h"
 #include "core/persistent_cache.h"
 #include "core/simulation_cache.h"
 #include "support/rng.h"
@@ -168,6 +173,74 @@ TEST(SimulationCacheKeys, HitRelabelsToRequestingScenario) {
   const auto hit = cache.find(study.scenarios.front(), combo, model);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->network, study.scenarios.front().network);
+}
+
+// The stream construction key_of used to be, kept here as the byte
+// oracle of the persisted key format: lowercase hex, no prefix.
+std::string stream_key(const Scenario& scenario,
+                       const ddt::DdtCombination& combo,
+                       const energy::EnergyModel& model) {
+  const auto hex = [](std::uint64_t v) {
+    std::ostringstream os;
+    os.imbue(std::locale::classic());
+    os << std::hex << v;
+    return os.str();
+  };
+  const char sep = '\x1f';
+  return scenario.app->name() + sep +
+         std::to_string(scenario.app->cache_version()) + sep +
+         scenario.config + sep + hex(scenario.trace->content_hash()) + sep +
+         combo.label() + sep + hex(model.fingerprint());
+}
+
+using KeyFn = std::string (*)(const Scenario&, const ddt::DdtCombination&,
+                              const energy::EnergyModel&);
+
+// Every key of `study`, in (scenario, combination) order.
+std::vector<std::string> study_keys(const CaseStudy& study,
+                                    const energy::EnergyModel& model,
+                                    KeyFn key_fn = &SimulationCache::key_of) {
+  std::vector<std::string> keys;
+  for (const Scenario& scenario : study.scenarios) {
+    for (const ddt::DdtCombination& combo :
+         ddt::enumerate_combinations(study.slot_kind_sets())) {
+      keys.push_back(key_fn(scenario, combo, model));
+    }
+  }
+  return keys;
+}
+
+// Element-wise, so a mismatch names one key instead of dumping both lists.
+void expect_same_keys(const std::vector<std::string>& actual,
+                      const std::vector<std::string>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    ASSERT_EQ(actual[i], expected[i]) << "key " << i;
+  }
+}
+
+TEST(SimulationCacheKeys, KeysKeepTheStreamFormattedBytes) {
+  const CaseStudy study =
+      api::registry().make_study("url", CaseStudyOptions{}.scaled(0.05));
+  const energy::EnergyModel model = make_paper_energy_model();
+  const std::vector<std::string> keys = study_keys(study, model);
+  EXPECT_EQ(keys.size(), study.exhaustive_simulations());
+  expect_same_keys(keys, study_keys(study, model, &stream_key));
+}
+
+TEST(SimulationCacheKeys, GlobalLocaleChangesNoKeyOrRecordBytes) {
+  const CaseStudy study = tiny_url_study();
+  const energy::EnergyModel model = make_paper_energy_model();
+  const ExplorationEngine engine(make_paper_energy_model());
+  const std::vector<std::string> classic_keys = study_keys(study, model);
+  const std::string classic_records =
+      engine.explore(study).serialized_records();
+
+  // A locale that would write 0x1234567 as "1,234,567": keys formatted
+  // through it would silently miss every persisted record.
+  const test_support::ScopedCommaLocale comma;
+  expect_same_keys(study_keys(study, model), classic_keys);
+  EXPECT_EQ(engine.explore(study).serialized_records(), classic_records);
 }
 
 TEST_F(PersistentCacheTest, WarmRerunExecutesNothingAndIsByteIdentical) {
@@ -461,6 +534,35 @@ TEST_F(PersistentCacheTest, CorruptionSweepDropsButNeverAltersEntries) {
   }
   // The sweep reaches past the headers into individual frames.
   EXPECT_GT(partial_loads, 100u);
+}
+
+TEST_F(PersistentCacheTest, StoreNewWritesOnlyEntriesNotYetLoaded) {
+  explore_cached(tiny_url_study(), dir_);
+  PersistentSimulationCache persistent(dir_);
+  const std::size_t full = persistent.load();
+  ASSERT_GT(full, 3u);
+  SimulationCache cache;
+  persistent.seed(cache);
+  const std::uintmax_t warm_bytes =
+      std::filesystem::file_size(persistent.file_path());
+
+  // A fully loaded cache (the warm daemon's case) stores nothing.
+  EXPECT_EQ(persistent.store_new(cache), 0u);
+  EXPECT_EQ(std::filesystem::file_size(persistent.file_path()), warm_bytes);
+
+  // k entries under keys the file does not hold: exactly those go out.
+  constexpr std::size_t kFresh = 3;
+  const auto entries = persistent.entries();
+  for (std::size_t i = 0; i < kFresh; ++i) {
+    cache.insert(entries[i].first + "-fresh", entries[i].second);
+  }
+  EXPECT_EQ(persistent.store_new(cache), kFresh);
+  EXPECT_GT(std::filesystem::file_size(persistent.file_path()), warm_bytes);
+  EXPECT_EQ(persistent.store_new(cache), 0u);  // now loaded: no duplicates
+
+  PersistentSimulationCache reloaded(dir_);
+  EXPECT_EQ(reloaded.load(), full + kFresh);
+  EXPECT_EQ(reloaded.load_stats().superseded, 0u);
 }
 
 TEST_F(PersistentCacheTest, CompactDropsSupersededDuplicates) {

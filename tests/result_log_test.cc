@@ -1,9 +1,16 @@
 // ResultLog persistence tests: the log files the step-3 post-processing
-// consumes must round-trip exactly.
+// consumes must round-trip exactly, keep the bytes of the classic-locale
+// stream rendering and ignore the global locale.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cstdint>
+#include <limits>
+#include <locale>
 #include <sstream>
+#include <vector>
 
+#include "comma_locale.h"
 #include "core/result_log.h"
 
 namespace ddtr::core {
@@ -109,6 +116,91 @@ TEST(ResultLog, RejectsUnknownDdtKind) {
   std::stringstream ss("ddtr-log 1 1\nRoute AR+NOPE net - 1 1 1 1 "
                        "1 1 1 1 1 1 1 1\n");
   EXPECT_THROW(ResultLog::load(ss), std::runtime_error);
+}
+
+// The stream construction save() used to be, kept here as the byte
+// oracle: a classic-imbued ostringstream with operator<<.
+std::string stream_escape(const std::string& s) {
+  if (s.empty()) return "-";
+  std::string out;
+  for (char ch : s) out += (ch == ' ' || ch == '\n') ? '_' : ch;
+  return out;
+}
+
+std::string stream_reference(const ResultLog& log) {
+  std::ostringstream os;
+  os.imbue(std::locale::classic());
+  os << "ddtr-log 1 " << log.size() << '\n';
+  for (const SimulationRecord& r : log.records()) {
+    os << stream_escape(r.app_name) << ' ' << stream_escape(r.combo.label())
+       << ' ' << stream_escape(r.network) << ' ' << stream_escape(r.config)
+       << ' ' << r.metrics.energy_mj << ' ' << r.metrics.time_s << ' '
+       << r.metrics.accesses << ' ' << r.metrics.footprint_bytes << ' '
+       << r.counters.reads << ' ' << r.counters.writes << ' '
+       << r.counters.bytes_read << ' ' << r.counters.bytes_written << ' '
+       << r.counters.allocations << ' ' << r.counters.deallocations << ' '
+       << r.counters.peak_bytes << ' ' << r.counters.cpu_ops << '\n';
+  }
+  return os.str();
+}
+
+// Doubles at the edges of %g: zero, exponent switch-over both ways,
+// rounding, the 6-digit boundary, huge, subnormal and the largest finite.
+ResultLog edge_value_log() {
+  const std::vector<double> values = {0.0,      1e-7,      0.1 + 0.2,
+                                      123456.5, 1234567.0, 1e21,
+                                      5e-324,   DBL_MAX};
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  ResultLog log;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    SimulationRecord r = sample_record("Route", "AR", values[i]);
+    r.metrics.time_s = values[values.size() - 1 - i];
+    r.metrics.accesses = kMax;
+    r.counters.reads = kMax;
+    r.counters.cpu_ops = kMax - i;
+    if (i == 1) r.config.clear();
+    if (i == 2) r.network = "two words";
+    log.append(r);
+  }
+  return log;
+}
+
+TEST(ResultLog, SaveMatchesTheClassicStreamByteForByte) {
+  const ResultLog log = edge_value_log();
+  std::ostringstream saved;
+  log.save(saved);
+  EXPECT_EQ(saved.str(), stream_reference(log));
+  EXPECT_EQ(saved.str(), ResultLog::render({log.records()}));
+}
+
+TEST(ResultLog, RenderConcatenatesPartsLikeOneLog) {
+  const ResultLog log = edge_value_log();
+  const std::vector<SimulationRecord>& all = log.records();
+  const std::vector<SimulationRecord> head(all.begin(), all.begin() + 3);
+  const std::vector<SimulationRecord> tail(all.begin() + 3, all.end());
+  EXPECT_EQ(ResultLog::render({head, tail}), stream_reference(log));
+}
+
+TEST(ResultLog, GlobalLocaleChangesNoBytesAndRoundTrips) {
+  const ResultLog log = edge_value_log();
+  std::ostringstream classic;
+  log.save(classic);
+
+  const test_support::ScopedCommaLocale comma;
+  // A stream built now carries the grouping locale; the log must not.
+  std::stringstream ss;
+  log.save(ss);
+  EXPECT_EQ(ss.str(), classic.str());
+  const ResultLog loaded = ResultLog::load(ss);
+  ASSERT_EQ(loaded.size(), log.size());
+  std::ostringstream resaved;
+  loaded.save(resaved);
+  EXPECT_EQ(resaved.str(), classic.str());
+  EXPECT_EQ(loaded.records()[2].metrics.energy_mj, 0.3);
+  EXPECT_EQ(loaded.records()[0].metrics.accesses,
+            std::numeric_limits<std::uint64_t>::max());
+  // load() hands the stream its own locale back.
+  EXPECT_EQ(ss.getloc(), std::locale());
 }
 
 }  // namespace

@@ -4,10 +4,11 @@
 // check: a second identical submission executes ZERO simulations and
 // returns byte-identical result records — the warm-cache guarantee,
 // verified through the full client -> daemon -> client round trip. Also:
-// job table, result re-fetch, version-mismatch refusal, a hostile lane
-// count answered with an Error frame, finished sessions being reaped
-// (bounded virtual memory over many connections), and drain-and-flush
-// shutdown (socket removed, cache compacted and warm for the next daemon).
+// job table (bounded to the newest Server::kJobTableCap jobs), result
+// re-fetch, version-mismatch refusal, a hostile lane count answered with
+// an Error frame, finished sessions being reaped (bounded virtual memory
+// over many connections), and drain-and-flush shutdown (socket removed,
+// cache compacted and warm for the next daemon).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -132,6 +133,30 @@ TEST_F(ServeTest, StatusListsJobsAndResultsRefetches) {
   const ResultFrame refetched = client.results(first.job_id);
   EXPECT_EQ(refetched.records, first.records);
   EXPECT_THROW(client.results(9999), std::runtime_error);
+}
+
+TEST_F(ServeTest, JobTableKeepsTheNewestJobsOnly) {
+  start_server();
+  Client client(socket_);
+  constexpr std::size_t kJobs = Server::kJobTableCap + 5;
+  std::string last_records;
+  std::uint64_t first_id = 0;
+  std::uint64_t last_id = 0;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    const ResultFrame result = client.submit(tiny_url_request());
+    if (i == 0) first_id = result.job_id;
+    last_id = result.job_id;
+    last_records = result.records;
+  }
+
+  const StatusReply status = client.status();
+  // Every job finished, so the table is full to the cap, never past it.
+  ASSERT_EQ(status.jobs.size(), Server::kJobTableCap);
+  EXPECT_EQ(status.jobs.back().id, last_id);
+  EXPECT_EQ(client.stats().jobs_submitted, kJobs);
+  // The oldest job was dropped with its result; the newest refetches.
+  EXPECT_THROW(client.results(first_id), std::runtime_error);
+  EXPECT_EQ(client.results(last_id).records, last_records);
 }
 
 TEST_F(ServeTest, RejectsUnknownAppAndBadKnobs) {
