@@ -14,7 +14,7 @@ namespace ddtr::apps::route {
 
 namespace {
 
-// Synthesizes a routing table whose prefixes cover the trace's destination
+// Synthesizes a routing table's prefixes to cover the trace's destination
 // space (truncations of observed destinations at classic prefix lengths),
 // plus a default route, so that lookups exercise deep descents and real
 // matches — the access pattern the NetBench route kernel shows on a live
@@ -54,6 +54,22 @@ std::vector<std::pair<std::uint32_t, std::uint8_t>> synthesize_prefixes(
 
 }  // namespace
 
+std::vector<RouteApp::Route> RouteApp::synthesize_table(
+    const net::Trace& trace) const {
+  std::vector<Route> table;
+  support::Rng rng(config_.seed);
+  for (const auto& [prefix, len] :
+       synthesize_prefixes(trace, config_.table_size, config_.seed)) {
+    // The interface is drawn before the next hop: the order in which the
+    // table has always drawn them (GCC evaluated the two draws, passed as
+    // insert() arguments, right to left).
+    const auto interface = static_cast<std::uint16_t>(rng.uniform(0, 15));
+    const auto next_hop = static_cast<std::uint32_t>(rng.next_u64());
+    table.push_back({prefix, len, next_hop, interface});
+  }
+  return table;
+}
+
 RunResult RouteApp::run(const net::Trace& trace,
                         const ddt::DdtCombination& combo) {
   prof::MemoryProfile node_profile("radix_node");
@@ -64,13 +80,11 @@ RunResult RouteApp::run(const net::Trace& trace,
 
   std::uint64_t forwarded = 0;
   std::uint64_t dropped = 0;
+  const std::shared_ptr<const std::vector<Route>> routes = table_.get(
+      trace, [this](const net::Trace& t) { return synthesize_table(t); });
   const auto replay = [&](auto& table) {
-    support::Rng rng(config_.seed);
-    for (const auto& [prefix, len] :
-         synthesize_prefixes(trace, config_.table_size, config_.seed)) {
-      table.insert(prefix, len,
-                   static_cast<std::uint32_t>(rng.next_u64()),
-                   static_cast<std::uint16_t>(rng.uniform(0, 15)));
+    for (const Route& r : *routes) {
+      table.insert(r.prefix, r.prefix_len, r.next_hop, r.interface);
     }
     for (const net::PacketRecord& p : trace.packets()) {
       cpu_profile.record_cpu_ops(12);  // header parse + checksum update

@@ -6,8 +6,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <vector>
 
 #include "apps/common/app.h"
+#include "apps/common/trace_memo.h"
 
 namespace ddtr::apps::route {
 
@@ -53,7 +55,21 @@ class RouteApp final : public NetworkApplication {
   }
 
  private:
+  // One route of the synthesized table, as run() inserts it.
+  struct Route {
+    std::uint32_t prefix;
+    std::uint8_t prefix_len;
+    std::uint32_t next_hop;
+    std::uint16_t interface;
+  };
+
+  // The routing table run() installs before replaying the lookups: it
+  // depends on the trace and the config only, so it is built once per
+  // trace (table_) and every kernel run inserts the same routes.
+  std::vector<Route> synthesize_table(const net::Trace& trace) const;
+
   Config config_;
+  TraceMemo<std::vector<Route>> table_;
   std::atomic<std::uint64_t> forwarded_{0};
   std::atomic<std::uint64_t> dropped_{0};
 };

@@ -33,16 +33,25 @@ UrlPattern make_pattern(std::string_view text, std::uint16_t server) {
   return p;
 }
 
-// Naive substring search, charged as the CPU work it performs (the inner
-// comparison loop of the NetBench url kernel).
-bool matches(std::string_view url, const UrlPattern& p,
-             prof::MemoryProfile& cpu) {
-  const std::string_view needle(p.pattern, p.length);
-  cpu.record_cpu_ops(url.size());  // scan cost proxy
-  return url.find(needle) != std::string_view::npos;
-}
-
 }  // namespace
+
+std::vector<std::uint32_t> UrlApp::first_matches(
+    const net::Trace& trace) const {
+  std::vector<std::uint32_t> first(trace.payload_count(), kNoMatch);
+  for (std::uint32_t id = 0; id < first.size(); ++id) {
+    const std::string& url = trace.payload(id);
+    for (std::size_t i = 0; i < config_.pattern_count; ++i) {
+      const UrlPattern p =
+          make_pattern(kPatternPool[i % std::size(kPatternPool)], 0);
+      if (url.find(std::string_view(p.pattern, p.length)) !=
+          std::string::npos) {
+        first[id] = static_cast<std::uint32_t>(i);
+        break;
+      }
+    }
+  }
+  return first;
+}
 
 RunResult UrlApp::run(const net::Trace& trace,
                       const ddt::DdtCombination& combo) {
@@ -67,18 +76,29 @@ RunResult UrlApp::run(const net::Trace& trace,
     patterns->push_back(make_pattern(text, server));
   }
 
+  const std::shared_ptr<const std::vector<std::uint32_t>> first =
+      first_match_.get(
+          trace, [this](const net::Trace& t) { return first_matches(t); });
+
   std::uint64_t dispatched = 0;
   std::uint64_t defaulted = 0;
   for (const net::PacketRecord& packet : trace.packets()) {
     cpu_profile.record_cpu_ops(8);  // TCP reassembly bookkeeping
     if (!trace.has_payload(packet)) continue;
-    const std::string& url = trace.payload(packet.payload_id);
+    const std::size_t url_size = trace.payload(packet.payload_id).size();
+
+    // The rule scan: visit rules front to back up to the first match (all
+    // of them on a miss), paying the naive substring search's scan cost
+    // per visited rule — the inner comparison loop of the NetBench url
+    // kernel. The memo knows where it stops.
+    const std::uint32_t match = (*first)[packet.payload_id];
+    patterns->for_each([&](std::size_t i, const UrlPattern&) {
+      cpu_profile.record_cpu_ops(url_size);  // scan cost proxy
+      return i != match;
+    });
 
     std::uint16_t server_index = 0;  // default server
-    const std::size_t match = patterns->find_if([&](const UrlPattern& p) {
-      return matches(url, p, cpu_profile);
-    });
-    if (match != ddt::npos) {
+    if (match != kNoMatch) {
       // Update rule statistics in place (read-modify-write at the matched
       // position; roving DDTs resume here for free).
       UrlPattern p = patterns->get(match);

@@ -8,8 +8,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "apps/common/app.h"
+#include "apps/common/trace_memo.h"
 
 namespace ddtr::apps::url {
 
@@ -68,7 +71,17 @@ class UrlApp final : public NetworkApplication {
   }
 
  private:
+  static constexpr std::uint32_t kNoMatch =
+      std::numeric_limits<std::uint32_t>::max();
+
+  // The index of the first rule whose pattern occurs in each payload
+  // (kNoMatch if none), by payload id. It depends on the trace and the
+  // rule texts only, so it is computed once per trace (first_match_) and
+  // every kernel run replays the same rule scans.
+  std::vector<std::uint32_t> first_matches(const net::Trace& trace) const;
+
   Config config_;
+  TraceMemo<std::vector<std::uint32_t>> first_match_;
   std::atomic<std::uint64_t> dispatched_{0};
   std::atomic<std::uint64_t> defaulted_{0};
 };

@@ -239,7 +239,8 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
     const std::function<const ddt::DdtCombination&(std::size_t)>& combo_of,
     SimulationCache* cache, support::ThreadPool& pool, int step) const {
   // Per-record observability: a `sim` span per computed record (arg
-  // `composed`), a `kernel` span per NetworkApplication::run, and the
+  // `composed`), a `kernel` span per NetworkApplication::run (args app,
+  // scenario and combination, built only when a sink is attached), and the
   // wall time of every record a slot receives. Pure observation: timings
   // never touch the produced records.
   static obs::Histogram& sim_us = obs::registry().histogram("explore.sim_us");
@@ -269,6 +270,11 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
   const auto run_kernel = [&](const Scenario& scenario,
                               const ddt::DdtCombination& combo) {
     obs::SpanScope span(options_.trace_sink, "kernel", cat);
+    if (options_.trace_sink != nullptr) {
+      span.arg("app", scenario.app->name())
+          .arg("scenario", scenario.label())
+          .arg("combination", combo.label());
+    }
     kernel_runs.fetch_add(1, std::memory_order_relaxed);
     return scenario.app->run(*scenario.trace, combo);
   };

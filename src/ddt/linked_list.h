@@ -12,10 +12,18 @@
 //    charged per chunk (slack included) and node churn recycles through
 //    the free list; under the heap policy every node pays its own
 //    allocation header, giving lists the largest footprint per record.
+//
+// Beside the links, every list keeps a host-side node index: the node
+// pointers in logical order, outside the modeled node type and never
+// charged (like the key column). A walk to position i charges the hops
+// the cheapest entry point needs, then takes the node from the index
+// instead of chasing it.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <vector>
 
 #include "ddt/container.h"
 #include "ddt/kinds.h"
@@ -60,6 +68,7 @@ class ListContainer final : public Container<T> {
       tail_ = node;
     }
     ++size_;
+    nodes_.push_back(node);
     this->column_push_back(value);
     // Appending never shifts logical indices, so the roving cache survives.
   }
@@ -92,6 +101,7 @@ class ListContainer final : public Container<T> {
       }
     }
     ++size_;
+    nodes_.insert(nodes_.begin() + static_cast<std::ptrdiff_t>(index), node);
     this->column_insert(index, value);
     invalidate_roving();
   }
@@ -140,6 +150,7 @@ class ListContainer final : public Container<T> {
     }
     delete_node(victim);
     --size_;
+    nodes_.erase(nodes_.begin() + static_cast<std::ptrdiff_t>(index));
     this->column_erase(index);
     invalidate_roving();
   }
@@ -149,6 +160,8 @@ class ListContainer final : public Container<T> {
     pool_.release();
     head_ = tail_ = nullptr;
     size_ = 0;
+    nodes_.clear();
+    nodes_.shrink_to_fit();
     this->column_clear();
     invalidate_roving();
   }
@@ -163,7 +176,7 @@ class ListContainer final : public Container<T> {
     std::size_t index = 0;
     while (node != nullptr) {
       this->count_read(sizeof(T));
-      update_roving(node, index);
+      update_roving(index);
       if (!visitor(index, node->value)) break;
       this->count_read(kPointerBytes);  // node->next
       this->count_hops(1);
@@ -183,12 +196,10 @@ class ListContainer final : public Container<T> {
     this->count_read(sizeof(T), visits);
     this->count_hops(passed);
     this->count_key_compares(visits);
-    if constexpr (Roving) {
-      if (found != npos) {
-        update_roving(node_at(found), found);
-      } else if (tail_ != nullptr) {
-        update_roving(tail_, size_ - 1);
-      }
+    if (found != npos) {
+      update_roving(found);
+    } else if (size_ != 0) {
+      update_roving(size_ - 1);
     }
     return found;
   }
@@ -224,95 +235,44 @@ class ListContainer final : public Container<T> {
   }
 
   // Reaches logical position `index`, charging one pointer read for picking
-  // up the entry pointer (head/tail/roving cache) plus one per hop.
+  // up the entry pointer (head/tail/roving cache) plus one per hop, from
+  // whichever entry point needs the fewest.
   Node* walk_to(std::size_t index) const {
-    std::size_t from_head = index + 1;  // entry read + index hops
-    Node* start = head_;
-    std::size_t start_index = 0;
-    bool backward = false;
-    std::size_t best = from_head;
-
-    if constexpr (Doubly) {
-      const std::size_t from_tail = size_ - index;  // entry read + hops
-      if (from_tail < best) {
-        best = from_tail;
-        start = tail_;
-        start_index = size_ - 1;
-        backward = true;
-      }
-    }
+    std::size_t hops = index + 1;  // from the head
+    if constexpr (Doubly) hops = std::min(hops, size_ - index);  // tail
     if constexpr (Roving) {
-      if (rov_node_ != nullptr) {
+      if (rov_index_ != npos) {
         if (index >= rov_index_) {
-          const std::size_t cost = index - rov_index_ + 1;
-          if (cost < best) {
-            best = cost;
-            start = rov_node_;
-            start_index = rov_index_;
-            backward = false;
-          }
+          hops = std::min(hops, index - rov_index_ + 1);
         } else if constexpr (Doubly) {
-          const std::size_t cost = rov_index_ - index + 1;
-          if (cost < best) {
-            best = cost;
-            start = rov_node_;
-            start_index = rov_index_;
-            backward = true;
-          }
+          hops = std::min(hops, rov_index_ - index + 1);
         }
       }
     }
-
-    this->count_read(kPointerBytes, best);
-    this->count_hops(best);
-    Node* node = start;
-    if (backward) {
-      if constexpr (Doubly) {
-        for (std::size_t i = start_index; i > index; --i) node = node->prev;
-      }
-    } else {
-      for (std::size_t i = start_index; i < index; ++i) node = node->next;
-    }
-    update_roving(node, index);
-    return node;
+    this->count_read(kPointerBytes, hops);
+    this->count_hops(hops);
+    update_roving(index);
+    return nodes_[index];
   }
 
-  // Uncharged host walk to position `index`, resuming from the roving
-  // cursor when it sits at or before `index`.
-  Node* node_at(std::size_t index) const {
-    Node* node = head_;
-    std::size_t at = 0;
-    if (rov_node_ != nullptr && rov_index_ <= index) {
-      node = rov_node_;
-      at = rov_index_;
-    }
-    for (; at < index; ++at) node = node->next;
-    return node;
-  }
-
-  void update_roving(Node* node, std::size_t index) const {
+  void update_roving(std::size_t index) const {
     if constexpr (Roving) {
-      rov_node_ = node;
       rov_index_ = index;
     } else {
-      (void)node;
       (void)index;
     }
   }
 
   void invalidate_roving() const {
-    if constexpr (Roving) {
-      rov_node_ = nullptr;
-      rov_index_ = 0;
-    }
+    if constexpr (Roving) rov_index_ = npos;
   }
 
   support::Pool<Node> pool_;
   Node* head_ = nullptr;
   Node* tail_ = nullptr;
   std::size_t size_ = 0;
-  mutable Node* rov_node_ = nullptr;
-  mutable std::size_t rov_index_ = 0;
+  std::vector<Node*> nodes_;  // host-side node index, logical order
+  mutable std::size_t rov_index_ = npos;  // roving cursor, npos = unset
 };
 
 template <typename T>

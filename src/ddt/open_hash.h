@@ -38,7 +38,7 @@ class OpenHashContainer final : public Container<T> {
 
   ~OpenHashContainer() override {
     release_data();
-    // pool_ destructor releases the index chunks.
+    drop_index();  // pool_'s destructor releases the arena chunks
   }
 
   DdtKind kind() const noexcept override { return DdtKind::kOpenHash; }
@@ -116,7 +116,7 @@ class OpenHashContainer final : public Container<T> {
     data_.shrink_to_fit();
     this->column_clear();
     reserved_ = 0;
-    chunks_.clear();
+    drop_index();
     pool_.release();
     dirty_ = false;
   }
@@ -168,6 +168,14 @@ class OpenHashContainer final : public Container<T> {
 
   void mark_dirty() {
     if (index_built()) dirty_ = true;
+  }
+
+  // Forgets the index directory. Under kHeap every chunk is its own heap
+  // block, which pool_.release() does not see; clear() charges no free for
+  // them, so they go back to the host uncharged.
+  void drop_index() {
+    for (SlotChunk* chunk : chunks_) pool_.free_uncharged(chunk);
+    chunks_.clear();
   }
 
   // The key of record `index`, charged as the derivation the model

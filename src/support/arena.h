@@ -128,6 +128,16 @@ class Pool {
     --stats_.live_objects;
   }
 
+  // Frees a kHeap object's block without charging the profile or the
+  // stats; a no-op under kArena, whose chunks release() returns. For
+  // owners that drop objects their accounting never frees, so the host
+  // does not leak them.
+  void free_uncharged(T* object) noexcept {
+    if (policy_ != AllocPolicy::kHeap) return;
+    object->~T();
+    delete reinterpret_cast<Slot*>(object);
+  }
+
   // Returns every chunk to the system (kArena). Callers must have
   // destroyed all live objects first; the free list and bump region are
   // reset, so previously handed-out pointers become invalid.

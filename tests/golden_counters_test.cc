@@ -8,16 +8,33 @@
 // the digests pin the accounting model itself, not the energy model's
 // floating point. A deliberate accounting change bumps
 // kDdtAccountingVersion and re-records these digests in the same commit.
+//
+// The positional digests pin the containers themselves, below the apps:
+// every kind x {arena, heap} x {keyed, unkeyed} replays one seeded
+// sequence of positional operations, folding the counters and every
+// returned value after each operation. They catch a host-side change to a
+// container's bookkeeping (a node index, a cursor, a column) that moves a
+// charge or a result on an operation mix no built-in app happens to run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <string>
 
 #include "api/ddtr.h"
+#include "ddt/factory.h"
 #include "support/fnv_hash.h"
+#include "support/rng.h"
 
 namespace ddtr::core {
 namespace {
+
+void fold(support::Fnv1a64& hash, const prof::ProfileCounters& c) {
+  hash.u64(c.reads).u64(c.writes).u64(c.bytes_read).u64(c.bytes_written);
+  hash.u64(c.allocations).u64(c.deallocations).u64(c.live_bytes);
+  hash.u64(c.peak_bytes).u64(c.cpu_ops);
+}
 
 std::uint64_t study_digest(const std::string& app) {
   const CaseStudy study =
@@ -27,10 +44,7 @@ std::uint64_t study_digest(const std::string& app) {
   for (const Scenario& scenario : study.scenarios) {
     for (const ddt::DdtCombination& combo :
          ddt::enumerate_combinations(study.slot_kind_sets())) {
-      const prof::ProfileCounters c = simulate(scenario, combo, model).counters;
-      hash.u64(c.reads).u64(c.writes).u64(c.bytes_read).u64(c.bytes_written);
-      hash.u64(c.allocations).u64(c.deallocations).u64(c.live_bytes);
-      hash.u64(c.peak_bytes).u64(c.cpu_ops);
+      fold(hash, simulate(scenario, combo, model).counters);
     }
   }
   return hash.digest();
@@ -50,6 +64,124 @@ TEST(GoldenCounters, Ipchains) {
 
 TEST(GoldenCounters, Drr) {
   EXPECT_EQ(study_digest("drr"), 0xc0576db0557bd359ull);
+}
+
+// 24 bytes, so unrolled chunks and UNR lines hold several records.
+struct Rec {
+  std::uint64_t src = 0;
+  std::uint64_t dst = 0;
+  std::uint64_t hits = 0;
+};
+
+std::uint64_t rec_key(const Rec& r) {
+  return support::mix64(r.src * 31 + r.dst);
+}
+
+void fold(support::Fnv1a64& hash, const Rec& r) {
+  hash.u64(r.src).u64(r.dst).u64(r.hits);
+}
+
+// One seeded run of 3,000 positional operations on one container. The
+// size drifts up to a few hundred records, so list walks are long, and a
+// rare clear() restarts it from empty.
+void replay_positional_ops(ddt::Container<Rec>& c, bool keyed,
+                           std::uint64_t seed, support::Fnv1a64& hash) {
+  support::Rng rng(seed);
+  const auto fresh = [&](std::uint64_t hits) {
+    return Rec{rng.uniform(0, 15), rng.uniform(0, 7), hits};
+  };
+  for (std::uint64_t step = 0; step < 3000; ++step) {
+    const double roll = rng.next_double();
+    const std::size_t n = c.size();
+    if (roll < 0.22 || n == 0) {
+      c.push_back(fresh(step));
+    } else if (roll < 0.34) {
+      // Drawn in sequence: argument evaluation order is unspecified.
+      const Rec r = fresh(step);
+      c.insert(rng.uniform(0, n), r);
+    } else if (roll < 0.52) {
+      fold(hash, c.get(rng.uniform(0, n - 1)));
+    } else if (roll < 0.64) {
+      const std::size_t i = rng.uniform(0, n - 1);
+      Rec r = c.get(i);
+      if (rng.chance(0.5)) {
+        ++r.hits;
+      } else {
+        r = fresh(r.hits + 1);
+      }
+      c.set(i, r);
+    } else if (roll < 0.78) {
+      c.erase(rng.chance(0.3) ? 0 : rng.uniform(0, n - 1));
+    } else if (roll < 0.86) {
+      const std::size_t stop = rng.uniform(0, n);
+      std::uint64_t visited = 0;
+      c.for_each([&](std::size_t i, const Rec& r) {
+        fold(hash, r);
+        ++visited;
+        return i < stop;
+      });
+      hash.u64(visited);
+    } else if (roll < 0.998) {
+      if (keyed) {
+        const std::uint64_t key =
+            rng.chance(0.7) ? rec_key(Rec{rng.uniform(0, 15),
+                                          rng.uniform(0, 7), 0})
+                            : rec_key(Rec{100, rng.uniform(0, 9), 0});
+        hash.u64(c.find_key(key));
+      } else {
+        // Unkeyed containers search by predicate (a charged for_each).
+        const std::uint64_t src = rng.uniform(0, 15);
+        hash.u64(c.find_if([&](const Rec& r) { return r.src == src; }));
+      }
+    } else {
+      c.clear();
+    }
+    hash.u64(c.size());
+    fold(hash, c.profile().counters());
+  }
+}
+
+std::uint64_t positional_digest(ddt::DdtKind kind) {
+  support::Fnv1a64 hash;
+  for (const support::AllocPolicy policy :
+       {support::AllocPolicy::kArena, support::AllocPolicy::kHeap}) {
+    for (const bool keyed : {false, true}) {
+      prof::MemoryProfile profile;
+      auto c = ddt::make_container<Rec>(kind, profile,
+                                        keyed ? &rec_key : nullptr, policy);
+      replay_positional_ops(*c, keyed,
+                            0x90517 + static_cast<std::uint64_t>(kind),
+                            hash);
+    }
+  }
+  return hash.digest();
+}
+
+TEST(GoldenCounters, PositionalOps) {
+  struct Golden {
+    ddt::DdtKind kind;
+    std::uint64_t digest;
+  };
+  const Golden golden[] = {
+      {ddt::DdtKind::kArray, 0x7ce10a4b5b7ed3d5ull},
+      {ddt::DdtKind::kArrayOfPointers, 0xafec156d0b6bf281ull},
+      {ddt::DdtKind::kSll, 0x02ea110894ee9674ull},
+      {ddt::DdtKind::kDll, 0x46fa87e115730275ull},
+      {ddt::DdtKind::kSllRoving, 0x99c754c8a39f1b4aull},
+      {ddt::DdtKind::kDllRoving, 0x0d96fd9addfa1d1aull},
+      {ddt::DdtKind::kSllOfArrays, 0x1e12012b4663309full},
+      {ddt::DdtKind::kDllOfArrays, 0xfb35b9b6585dac79ull},
+      {ddt::DdtKind::kSllOfArraysRoving, 0xa15ea804cc01711bull},
+      {ddt::DdtKind::kDllOfArraysRoving, 0x2c88783d74d610c9ull},
+      {ddt::DdtKind::kOpenHash, 0x5ef69ef36d08c8cdull},
+      {ddt::DdtKind::kUnrolledScan, 0xddbd25550fbb4583ull},
+  };
+  static_assert(std::size(golden) == ddt::kAllDdtKinds.size());
+  for (const Golden& g : golden) {
+    const std::uint64_t got = positional_digest(g.kind);
+    EXPECT_EQ(got, g.digest)
+        << ddt::to_string(g.kind) << " digest 0x" << std::hex << got;
+  }
 }
 
 }  // namespace

@@ -202,6 +202,23 @@ TEST(Trace, ParallelExplorationTraceIsValidAndOutputInvariant) {
   // The engine's spans carry their unit counts (step fans, select,
   // aggregate) as per-span args.
   EXPECT_NE(cold_trace.str().find("\"args\":{"), std::string::npos);
+  // Every kernel span names its app, scenario and combination, so a
+  // trace alone attributes kernel time per DDT kind.
+  const std::string cold_json = cold_trace.str();
+  std::size_t kernel_ends = 0;
+  for (std::size_t at = cold_json.find("{\"name\":\"kernel\"");
+       at != std::string::npos;
+       at = cold_json.find("{\"name\":\"kernel\"", at + 1)) {
+    const std::string event =
+        cold_json.substr(at, cold_json.find('}', at) - at);
+    if (event.find("\"ph\":\"E\"") == std::string::npos) continue;
+    ++kernel_ends;
+    EXPECT_NE(event.find("\"args\":{\"app\":\"URL\",\"scenario\":\""),
+              std::string::npos)
+        << event;
+    EXPECT_NE(event.find("\"combination\":\""), std::string::npos) << event;
+  }
+  EXPECT_EQ(kernel_ends, cold_report.kernel_runs);
 
   TraceWriter warm_trace;
   api::Exploration warm(api::registry().make_study("url", tiny_options()));
