@@ -5,7 +5,13 @@
 // the study's representative scenario at DDTR_BENCH_SCALE. One discarded
 // run per study first fills the app's per-trace memos, so the timings are
 // the steady state every later kernel run of a scenario sees. Prints an
-// app x kind table and emits one BenchJson line.
+// app x kind table.
+//
+// A second table prices what step 2 actually pays: per app, one
+// exploration of the reduced flow names its survivors, then the median
+// run() ms of every survivor on every scenario is summed (the
+// exploration itself has warmed every scenario's memos). Both tables go
+// into one BenchJson line.
 #include <algorithm>
 #include <chrono>
 #include <iostream>
@@ -33,9 +39,10 @@ ddt::DdtCombination diagonal(
 }
 
 double median_run_ms(const core::Scenario& scenario,
-                     const ddt::DdtCombination& combo) {
+                     const ddt::DdtCombination& combo,
+                     int repetitions = kRepetitions) {
   std::vector<double> samples;
-  for (int i = 0; i < kRepetitions; ++i) {
+  for (int i = 0; i < repetitions; ++i) {
     const auto t0 = std::chrono::steady_clock::now();
     scenario.app->run(*scenario.trace, combo);
     samples.push_back(std::chrono::duration<double, std::milli>(
@@ -44,6 +51,25 @@ double median_run_ms(const core::Scenario& scenario,
   }
   std::sort(samples.begin(), samples.end());
   return samples[samples.size() / 2];
+}
+
+// Kernel ms of the reduced flow's step 2: every survivor on every
+// scenario, each timed as the median of a few runs, summed.
+struct Step2Cost {
+  std::size_t survivors = 0;
+  std::size_t scenarios = 0;
+  double kernel_ms = 0.0;
+};
+
+Step2Cost step2_cost(const core::CaseStudy& study) {
+  const core::ExplorationReport report = api::Exploration(study).run();
+  Step2Cost cost{report.survivors.size(), study.scenarios.size(), 0.0};
+  for (const core::Scenario& scenario : study.scenarios) {
+    for (const ddt::DdtCombination& combo : report.survivors) {
+      cost.kernel_ms += median_run_ms(scenario, combo, 3);
+    }
+  }
+  return cost;
 }
 
 }  // namespace
@@ -93,9 +119,36 @@ int main() {
   table.print(std::cout);
   std::cout << '\n';
 
+  support::TextTable step2_table(
+      {"Application", "survivors", "scenarios", "survivor runs",
+       "step-2 kernel ms"});
+  std::ostringstream step2_json;
+  step2_json << '[';
+  for (std::size_t a = 0; a < names.size(); ++a) {
+    const core::CaseStudy study =
+        api::registry().make_study(names[a], bench::bench_options());
+    const Step2Cost cost = step2_cost(study);
+    step2_table.add_row({study.name, std::to_string(cost.survivors),
+                         std::to_string(cost.scenarios),
+                         std::to_string(cost.survivors * cost.scenarios),
+                         support::format_double(cost.kernel_ms, 3)});
+    if (a > 0) step2_json << ',';
+    step2_json << "{\"app\":\"" << study.name
+               << "\",\"survivors\":" << cost.survivors
+               << ",\"scenarios\":" << cost.scenarios
+               << ",\"kernel_ms\":" << cost.kernel_ms << '}';
+  }
+  step2_json << ']';
+
+  std::cout << "== Step-2 kernel ms: every survivor of the reduced flow on "
+               "every scenario (median of 3 each, summed) ==\n\n";
+  step2_table.print(std::cout);
+  std::cout << '\n';
+
   bench::BenchJson json("bench_kernel_kinds");
   json.field("repetitions", static_cast<std::uint64_t>(kRepetitions))
-      .raw("apps", apps_json.str());
+      .raw("apps", apps_json.str())
+      .raw("step2", step2_json.str());
   json.emit();
   return 0;
 }

@@ -1,9 +1,10 @@
 // Per-trace memo of an application's host-side set-up work: the parts of
 // a run that depend only on the trace and the app's configuration, never
-// on the DDT combination (route's synthesized routing table, url's first
-// matching rule per request). The paper's contract (§3.1) is that only the
-// DDT implementation varies between runs, so a kernel run can take these
-// from the memo and do only the container operations and their charges.
+// on the DDT combination (route's routing table and recorded trie
+// descents, url's first matching rule per request). The paper's contract
+// (§3.1) is that only the DDT implementation varies between runs, so a
+// kernel run can take these from the memo and do only the container
+// operations and their charges.
 //
 // One entry per app instance, keyed by Trace::content_hash(): a scenario
 // owns its app and replays one trace, so the entry is filled by the first

@@ -2,11 +2,13 @@
 
 #include <memory>
 #include <set>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "apps/route/patricia_tree.h"
 #include "apps/route/radix_tree.h"
+#include "ddt/array.h"
 #include "ddt/factory.h"
 #include "support/rng.h"
 
@@ -52,6 +54,26 @@ std::vector<std::pair<std::uint32_t, std::uint8_t>> synthesize_prefixes(
   return prefixes;
 }
 
+// Host-side node store the descent plan is recorded on: a plain vector
+// with the node-container members RadixTree uses, charging nothing.
+// While a log is set, get() appends every index it reads to it.
+class RecordingNodes {
+ public:
+  std::size_t size() const { return nodes_.size(); }
+  bool empty() const { return nodes_.empty(); }
+  void push_back(const RadixNode& node) { nodes_.push_back(node); }
+  RadixNode get(std::size_t index) const {
+    if (log_ != nullptr) log_->push_back(static_cast<std::uint32_t>(index));
+    return nodes_[index];
+  }
+  void set(std::size_t index, const RadixNode& node) { nodes_[index] = node; }
+  void log_to(std::vector<std::uint32_t>* log) { log_ = log; }
+
+ private:
+  std::vector<RadixNode> nodes_;
+  std::vector<std::uint32_t>* log_ = nullptr;
+};
+
 }  // namespace
 
 std::vector<RouteApp::Route> RouteApp::synthesize_table(
@@ -70,6 +92,48 @@ std::vector<RouteApp::Route> RouteApp::synthesize_table(
   return table;
 }
 
+RouteApp::DescentPlan RouteApp::build_plan(const net::Trace& trace) const {
+  DescentPlan plan;
+  plan.routes = synthesize_table(trace);
+  if (config_.compressed_tree) return plan;
+
+  prof::MemoryProfile scratch;  // the charges the descents make
+  RecordingNodes nodes;
+  ddt::ArrayContainer<RouteEntry> entries(scratch);
+  RadixTree tree(nodes, entries, scratch);
+  for (const Route& r : plan.routes) {
+    tree.insert(r.prefix, r.prefix_len, r.next_hop, r.interface);
+  }
+  std::unordered_map<std::uint32_t, std::uint32_t> ids;
+  plan.offsets.push_back(0);
+  plan.packet_dest.reserve(trace.size());
+  for (const net::PacketRecord& p : trace.packets()) {
+    const auto [it, fresh] =
+        ids.try_emplace(p.dst_ip, static_cast<std::uint32_t>(ids.size()));
+    if (fresh) {
+      const std::uint64_t cpu_before = scratch.counters().cpu_ops;
+      nodes.log_to(&plan.path);
+      plan.entry.push_back(tree.descend(p.dst_ip));
+      nodes.log_to(nullptr);
+      plan.cpu_ops.push_back(static_cast<std::uint32_t>(
+          scratch.counters().cpu_ops - cpu_before));
+      plan.offsets.push_back(static_cast<std::uint32_t>(plan.path.size()));
+    }
+    plan.packet_dest.push_back(it->second);
+  }
+  plan.path.shrink_to_fit();
+  plan.offsets.shrink_to_fit();
+  plan.entry.shrink_to_fit();
+  plan.cpu_ops.shrink_to_fit();
+  return plan;
+}
+
+std::shared_ptr<const RouteApp::DescentPlan> RouteApp::descent_plan(
+    const net::Trace& trace) {
+  return plan_.get(trace,
+                   [this](const net::Trace& t) { return build_plan(t); });
+}
+
 RunResult RouteApp::run(const net::Trace& trace,
                         const ddt::DdtCombination& combo) {
   prof::MemoryProfile node_profile("radix_node");
@@ -80,41 +144,54 @@ RunResult RouteApp::run(const net::Trace& trace,
 
   std::uint64_t forwarded = 0;
   std::uint64_t dropped = 0;
-  const std::shared_ptr<const std::vector<Route>> routes = table_.get(
-      trace, [this](const net::Trace& t) { return synthesize_table(t); });
-  const auto replay = [&](auto& table) {
-    for (const Route& r : *routes) {
+  const std::shared_ptr<const DescentPlan> plan = descent_plan(trace);
+  const auto count = [&](bool matched) { ++(matched ? forwarded : dropped); };
+
+  // Node-container frees at destruction are not part of the run's
+  // charges: read the node counters while the container is alive.
+  prof::ProfileCounters node_counters;
+  if (config_.compressed_tree) {
+    const auto nodes =
+        ddt::make_container<PatriciaNode>(combo[0], node_profile);
+    PatriciaTree table(*nodes, *entries, cpu_profile);
+    for (const Route& r : plan->routes) {
       table.insert(r.prefix, r.prefix_len, r.next_hop, r.interface);
     }
     for (const net::PacketRecord& p : trace.packets()) {
       cpu_profile.record_cpu_ops(12);  // header parse + checksum update
-      if (table.lookup(p.dst_ip).has_value()) {
-        ++forwarded;
-      } else {
-        ++dropped;
-      }
+      count(table.lookup(p.dst_ip).has_value());
     }
-  };
-
-  std::unique_ptr<ddt::Container<RadixNode>> bit_nodes;
-  std::unique_ptr<ddt::Container<PatriciaNode>> pat_nodes;
-  if (config_.compressed_tree) {
-    pat_nodes = ddt::make_container<PatriciaNode>(combo[0], node_profile);
-    PatriciaTree table(*pat_nodes, *entries, cpu_profile);
-    replay(table);
+    node_counters = node_profile.counters();
   } else {
-    bit_nodes = ddt::make_container<RadixNode>(combo[0], node_profile);
-    RadixTree table(*bit_nodes, *entries, cpu_profile);
-    replay(table);
+    // Slot 0 is dispatched once: every node access below is a static
+    // call on the concrete container, and each lookup replays its
+    // planned descent instead of re-walking the trie.
+    ddt::visit_container<RadixNode>(
+        combo[0], node_profile, nullptr, [&](auto& nodes) {
+          RadixTree table(nodes, *entries, cpu_profile);
+          for (const Route& r : plan->routes) {
+            table.insert(r.prefix, r.prefix_len, r.next_hop, r.interface);
+          }
+          for (const std::uint32_t d : plan->packet_dest) {
+            cpu_profile.record_cpu_ops(12);  // header parse + checksum
+            for (std::uint32_t k = plan->offsets[d];
+                 k < plan->offsets[d + 1]; ++k) {
+              nodes.get(plan->path[k]);
+            }
+            cpu_profile.record_cpu_ops(plan->cpu_ops[d]);
+            count(table.use_entry(plan->entry[d]).has_value());
+          }
+          node_counters = node_profile.counters();
+        });
   }
 
   forwarded_.store(forwarded, std::memory_order_relaxed);
   dropped_.store(dropped, std::memory_order_relaxed);
 
   RunResult result;
-  result.per_structure.emplace_back("radix_node", node_profile.counters());
+  result.per_structure.emplace_back("radix_node", node_counters);
   result.per_structure.emplace_back("rtentry", entry_profile.counters());
-  result.total = node_profile.counters();
+  result.total = node_counters;
   result.total += entry_profile.counters();
   result.total += cpu_profile.counters();
   return result;

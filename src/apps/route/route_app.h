@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "apps/common/app.h"
@@ -54,7 +55,6 @@ class RouteApp final : public NetworkApplication {
     return dropped_.load(std::memory_order_relaxed);
   }
 
- private:
   // One route of the synthesized table, as run() inserts it.
   struct Route {
     std::uint32_t prefix;
@@ -63,13 +63,34 @@ class RouteApp final : public NetworkApplication {
     std::uint16_t interface;
   };
 
-  // The routing table run() installs before replaying the lookups: it
-  // depends on the trace and the config only, so it is built once per
-  // trace (table_) and every kernel run inserts the same routes.
+  // Everything run() replays that depends on the trace and the config
+  // only, never on the DDT combination. For the bit trie, each unique
+  // destination's lookup is recorded once: RadixTree::descend over a
+  // host-side node store, logging the node indices it reads. Destination
+  // d reads nodes path[offsets[d] .. offsets[d + 1]) in that order,
+  // charges cpu_ops[d] CPU ops and matches entry[d] (-1: no route); the
+  // trie never changes during the lookups, so every kernel run's descents
+  // are exactly these. The compressed tree keeps only `routes`.
+  struct DescentPlan {
+    std::vector<Route> routes;
+    std::vector<std::uint32_t> path;
+    std::vector<std::uint32_t> offsets;
+    std::vector<std::int32_t> entry;
+    std::vector<std::uint32_t> cpu_ops;
+    std::vector<std::uint32_t> packet_dest;  // destination id per packet
+  };
+
+  // The plan run() replays for `trace` (built on first use, then shared).
+  // Read-only; the descent-plan oracle test rebuilds a direct run from it.
+  std::shared_ptr<const DescentPlan> descent_plan(const net::Trace& trace);
+
+ private:
+  // The routing table run() installs before replaying the lookups.
   std::vector<Route> synthesize_table(const net::Trace& trace) const;
+  DescentPlan build_plan(const net::Trace& trace) const;
 
   Config config_;
-  TraceMemo<std::vector<Route>> table_;
+  TraceMemo<DescentPlan> plan_;
   std::atomic<std::uint64_t> forwarded_{0};
   std::atomic<std::uint64_t> dropped_{0};
 };

@@ -1,10 +1,18 @@
 // Run-time construction of any DDT implementation — the mechanism behind
 // "keeping the same instrumentation and changing the DDT implementation
 // for each dominant data structure" (paper §3.1).
+//
+// Two entry points share one kind switch. make_container returns a heap
+// container behind the virtual Container<T> interface. visit_container
+// builds the concrete, `final` container on the stack and hands it to a
+// generic callable, so a kernel written against it calls every operation
+// statically (and the compiler can inline it): the dispatch is paid once
+// per run instead of once per operation.
 #pragma once
 
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 
 #include "ddt/array.h"
 #include "ddt/array_of_pointers.h"
@@ -18,6 +26,59 @@
 
 namespace ddtr::ddt {
 
+namespace detail {
+
+// The one kind switch: calls `f(std::type_identity<C>{})` with the
+// concrete container class C of `kind`.
+template <typename T, typename F>
+decltype(auto) with_kind_type(DdtKind kind, F&& f) {
+  switch (kind) {
+    case DdtKind::kArray:
+      return f(std::type_identity<ArrayContainer<T>>{});
+    case DdtKind::kArrayOfPointers:
+      return f(std::type_identity<ArrayOfPointersContainer<T>>{});
+    case DdtKind::kSll:
+      return f(std::type_identity<SllContainer<T>>{});
+    case DdtKind::kDll:
+      return f(std::type_identity<DllContainer<T>>{});
+    case DdtKind::kSllRoving:
+      return f(std::type_identity<SllRovingContainer<T>>{});
+    case DdtKind::kDllRoving:
+      return f(std::type_identity<DllRovingContainer<T>>{});
+    case DdtKind::kSllOfArrays:
+      return f(std::type_identity<SllOfArraysContainer<T>>{});
+    case DdtKind::kDllOfArrays:
+      return f(std::type_identity<DllOfArraysContainer<T>>{});
+    case DdtKind::kSllOfArraysRoving:
+      return f(std::type_identity<SllOfArraysRovingContainer<T>>{});
+    case DdtKind::kDllOfArraysRoving:
+      return f(std::type_identity<DllOfArraysRovingContainer<T>>{});
+    case DdtKind::kOpenHash:
+      return f(std::type_identity<OpenHashContainer<T>>{});
+    case DdtKind::kUnrolledScan:
+      return f(std::type_identity<UnrolledScanContainer<T>>{});
+  }
+  throw std::invalid_argument("unknown DdtKind");
+}
+
+// Calls `build(args...)` with the constructor arguments of container C:
+// the node-allocating kinds take the allocation policy, the two array
+// kinds draw no pool nodes and take none.
+template <typename C, typename Build>
+decltype(auto) with_ctor_args(prof::MemoryProfile& profile,
+                              typename C::KeyFn key_fn,
+                              support::AllocPolicy policy, Build&& build) {
+  if constexpr (std::is_constructible_v<C, prof::MemoryProfile&,
+                                        typename C::KeyFn,
+                                        support::AllocPolicy>) {
+    return build(profile, key_fn, policy);
+  } else {
+    return build(profile, key_fn);
+  }
+}
+
+}  // namespace detail
+
 // Creates a container of the requested kind reporting into `profile`.
 // `key_fn` (optional) enables keyed lookups via Container::find_key; it is
 // required for kOpenHash to do anything beyond plain-array behavior, which
@@ -29,39 +90,40 @@ std::unique_ptr<Container<T>> make_container(
     DdtKind kind, prof::MemoryProfile& profile,
     typename Container<T>::KeyFn key_fn = nullptr,
     support::AllocPolicy policy = support::AllocPolicy::kArena) {
-  switch (kind) {
-    case DdtKind::kArray:
-      return std::make_unique<ArrayContainer<T>>(profile, key_fn);
-    case DdtKind::kArrayOfPointers:
-      return std::make_unique<ArrayOfPointersContainer<T>>(profile, key_fn);
-    case DdtKind::kSll:
-      return std::make_unique<SllContainer<T>>(profile, key_fn, policy);
-    case DdtKind::kDll:
-      return std::make_unique<DllContainer<T>>(profile, key_fn, policy);
-    case DdtKind::kSllRoving:
-      return std::make_unique<SllRovingContainer<T>>(profile, key_fn, policy);
-    case DdtKind::kDllRoving:
-      return std::make_unique<DllRovingContainer<T>>(profile, key_fn, policy);
-    case DdtKind::kSllOfArrays:
-      return std::make_unique<SllOfArraysContainer<T>>(profile, key_fn,
-                                                       policy);
-    case DdtKind::kDllOfArrays:
-      return std::make_unique<DllOfArraysContainer<T>>(profile, key_fn,
-                                                       policy);
-    case DdtKind::kSllOfArraysRoving:
-      return std::make_unique<SllOfArraysRovingContainer<T>>(profile, key_fn,
-                                                             policy);
-    case DdtKind::kDllOfArraysRoving:
-      return std::make_unique<DllOfArraysRovingContainer<T>>(profile, key_fn,
-                                                             policy);
-    case DdtKind::kOpenHash:
-      return std::make_unique<OpenHashContainer<T>>(profile, key_fn, policy);
-    case DdtKind::kUnrolledScan:
-      return std::make_unique<UnrolledScanContainer<T>>(profile, key_fn,
-                                                        policy);
-  }
-  throw std::invalid_argument("unknown DdtKind");
+  return detail::with_kind_type<T>(
+      kind, [&](auto type) -> std::unique_ptr<Container<T>> {
+        using C = typename decltype(type)::type;
+        return detail::with_ctor_args<C>(
+            profile, key_fn, policy,
+            [](auto&&... args) -> std::unique_ptr<Container<T>> {
+              return std::make_unique<C>(args...);
+            });
+      });
+}
+
+// Builds a container of the requested kind (same arguments and charges as
+// make_container) and returns `f(container)`, where `container` is an
+// lvalue of the concrete `final` class — `f` is a generic callable,
+// instantiated once per kind.
+//
+// Lifetime: the container lives exactly as long as the call to `f`, and
+// its destructor charges the frees of everything it still holds to
+// `profile`. A kernel that reports counters without those frees (every
+// app's run() does) must read `profile.counters()` inside `f`, not after
+// visit_container returns.
+template <typename T, typename F>
+decltype(auto) visit_container(
+    DdtKind kind, prof::MemoryProfile& profile,
+    typename Container<T>::KeyFn key_fn, F&& f,
+    support::AllocPolicy policy = support::AllocPolicy::kArena) {
+  return detail::with_kind_type<T>(kind, [&](auto type) -> decltype(auto) {
+    using C = typename decltype(type)::type;
+    return detail::with_ctor_args<C>(
+        profile, key_fn, policy, [&](auto&&... args) -> decltype(auto) {
+          C container(args...);
+          return f(container);
+        });
+  });
 }
 
 }  // namespace ddtr::ddt
-

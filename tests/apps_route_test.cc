@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "apps/route/radix_tree.h"
@@ -43,13 +44,13 @@ class RadixTreeFixture {
         entries_(ddt::make_container<RouteEntry>(kind, profile_)),
         tree_(*nodes_, *entries_, profile_) {}
 
-  RadixTree& tree() { return tree_; }
+  RadixTree<>& tree() { return tree_; }
 
  private:
   prof::MemoryProfile profile_;
   std::unique_ptr<ddt::Container<RadixNode>> nodes_;
   std::unique_ptr<ddt::Container<RouteEntry>> entries_;
-  RadixTree tree_;
+  RadixTree<> tree_;
 };
 
 TEST(RadixTree, EmptyTableMatchesNothing) {
@@ -241,6 +242,79 @@ TEST(RouteApp, LargerTableCostsMoreFootprint) {
   const auto small_run = small.run(trace, combo);
   const auto big_run = big.run(trace, combo);
   EXPECT_GT(big_run.total.peak_bytes, small_run.total.peak_bytes);
+}
+
+// The direct form of RouteApp::run on the bit trie: RadixTree<> over
+// make_container with the plan's routes, then lookup() per packet.
+struct DirectRun {
+  RunResult result;
+  std::uint64_t forwarded = 0;
+  std::uint64_t dropped = 0;
+};
+
+DirectRun direct_run(const std::vector<RouteApp::Route>& routes,
+                     const net::Trace& trace,
+                     const ddt::DdtCombination& combo) {
+  prof::MemoryProfile node_profile("radix_node");
+  prof::MemoryProfile entry_profile("rtentry");
+  prof::MemoryProfile cpu_profile("cpu");
+  const auto entries = ddt::make_container<RouteEntry>(combo[1], entry_profile);
+  const auto nodes = ddt::make_container<RadixNode>(combo[0], node_profile);
+  RadixTree<> tree(*nodes, *entries, cpu_profile);
+  for (const RouteApp::Route& r : routes) {
+    tree.insert(r.prefix, r.prefix_len, r.next_hop, r.interface);
+  }
+  DirectRun run;
+  for (const net::PacketRecord& p : trace.packets()) {
+    cpu_profile.record_cpu_ops(12);
+    if (tree.lookup(p.dst_ip).has_value()) {
+      ++run.forwarded;
+    } else {
+      ++run.dropped;
+    }
+  }
+  run.result.per_structure.emplace_back("radix_node", node_profile.counters());
+  run.result.per_structure.emplace_back("rtentry", entry_profile.counters());
+  run.result.total = node_profile.counters();
+  run.result.total += entry_profile.counters();
+  run.result.total += cpu_profile.counters();
+  return run;
+}
+
+TEST(RouteApp, DescentPlanMatchesDirectLookup) {
+  // The planned replay (one dispatch per run, recorded descents) must
+  // charge exactly what walking the trie per packet charges, on every
+  // slot-0 kind: a dropped node read or CPU op moves a counter here.
+  for (const std::size_t table : {128u, 256u}) {
+    for (const std::uint64_t seed_offset : {0u, 3u}) {
+      net::TraceGenerator::Options options;
+      options.packet_count = 700;
+      options.seed_offset = seed_offset;
+      const net::Trace trace = net::TraceGenerator::generate(
+          net::network_preset("nlanr-campus"), options);
+      RouteApp app(RouteApp::Config{table, 7});
+      const auto plan = app.descent_plan(trace);
+      for (std::size_t i = 0; i < ddt::kAllDdtKinds.size(); ++i) {
+        const ddt::DdtCombination combo(
+            {ddt::kAllDdtKinds[i],
+             ddt::kAllDdtKinds[(i + 5) % ddt::kAllDdtKinds.size()]});
+        SCOPED_TRACE("table " + std::to_string(table) + " offset " +
+                     std::to_string(seed_offset) + " " + combo.label());
+        const RunResult planned = app.run(trace, combo);
+        const DirectRun direct = direct_run(plan->routes, trace, combo);
+        ASSERT_EQ(planned.per_structure.size(), 2u);
+        for (std::size_t s = 0; s < 2; ++s) {
+          EXPECT_EQ(planned.per_structure[s].first,
+                    direct.result.per_structure[s].first);
+          EXPECT_EQ(planned.per_structure[s].second,
+                    direct.result.per_structure[s].second);
+        }
+        EXPECT_EQ(planned.total, direct.result.total);
+        EXPECT_EQ(app.forwarded(), direct.forwarded);
+        EXPECT_EQ(app.dropped(), direct.dropped);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -12,9 +12,11 @@
 // The positional digests pin the containers themselves, below the apps:
 // every kind x {arena, heap} x {keyed, unkeyed} replays one seeded
 // sequence of positional operations, folding the counters and every
-// returned value after each operation. They catch a host-side change to a
-// container's bookkeeping (a node index, a cursor, a column) that moves a
-// charge or a result on an operation mix no built-in app happens to run.
+// returned value after each operation, once through make_container's
+// virtual interface and once through visit_container's concrete class.
+// They catch a host-side change to a container's bookkeeping (a node
+// index, a cursor, a column) that moves a charge or a result on an
+// operation mix no built-in app happens to run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -84,7 +86,8 @@ void fold(support::Fnv1a64& hash, const Rec& r) {
 // One seeded run of 3,000 positional operations on one container. The
 // size drifts up to a few hundred records, so list walks are long, and a
 // rare clear() restarts it from empty.
-void replay_positional_ops(ddt::Container<Rec>& c, bool keyed,
+template <typename C>
+void replay_positional_ops(C& c, bool keyed,
                            std::uint64_t seed, support::Fnv1a64& hash) {
   support::Rng rng(seed);
   const auto fresh = [&](std::uint64_t hits) {
@@ -141,17 +144,26 @@ void replay_positional_ops(ddt::Container<Rec>& c, bool keyed,
   }
 }
 
-std::uint64_t positional_digest(ddt::DdtKind kind) {
+// `visit` drives the concrete container through ddt::visit_container
+// (static calls) instead of make_container's virtual interface; both
+// must produce the same digest.
+std::uint64_t positional_digest(ddt::DdtKind kind, bool visit) {
   support::Fnv1a64 hash;
   for (const support::AllocPolicy policy :
        {support::AllocPolicy::kArena, support::AllocPolicy::kHeap}) {
     for (const bool keyed : {false, true}) {
       prof::MemoryProfile profile;
-      auto c = ddt::make_container<Rec>(kind, profile,
-                                        keyed ? &rec_key : nullptr, policy);
-      replay_positional_ops(*c, keyed,
-                            0x90517 + static_cast<std::uint64_t>(kind),
-                            hash);
+      const auto key_fn = keyed ? &rec_key : nullptr;
+      const std::uint64_t seed = 0x90517 + static_cast<std::uint64_t>(kind);
+      if (visit) {
+        ddt::visit_container<Rec>(
+            kind, profile, key_fn,
+            [&](auto& c) { replay_positional_ops(c, keyed, seed, hash); },
+            policy);
+      } else {
+        auto c = ddt::make_container<Rec>(kind, profile, key_fn, policy);
+        replay_positional_ops(*c, keyed, seed, hash);
+      }
     }
   }
   return hash.digest();
@@ -178,9 +190,12 @@ TEST(GoldenCounters, PositionalOps) {
   };
   static_assert(std::size(golden) == ddt::kAllDdtKinds.size());
   for (const Golden& g : golden) {
-    const std::uint64_t got = positional_digest(g.kind);
-    EXPECT_EQ(got, g.digest)
-        << ddt::to_string(g.kind) << " digest 0x" << std::hex << got;
+    for (const bool visit : {false, true}) {
+      const std::uint64_t got = positional_digest(g.kind, visit);
+      EXPECT_EQ(got, g.digest)
+          << ddt::to_string(g.kind) << (visit ? " (visit_container)" : "")
+          << " digest 0x" << std::hex << got;
+    }
   }
 }
 
