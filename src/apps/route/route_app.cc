@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "apps/route/patricia_tree.h"
 #include "apps/route/radix_tree.h"
 #include "ddt/array.h"
 #include "ddt/factory.h"
@@ -95,7 +94,6 @@ std::vector<RouteApp::Route> RouteApp::synthesize_table(
 RouteApp::DescentPlan RouteApp::build_plan(const net::Trace& trace) const {
   DescentPlan plan;
   plan.routes = synthesize_table(trace);
-  if (config_.compressed_tree) return plan;
 
   prof::MemoryProfile scratch;  // the charges the descents make
   RecordingNodes nodes;
@@ -145,45 +143,31 @@ RunResult RouteApp::run(const net::Trace& trace,
   std::uint64_t forwarded = 0;
   std::uint64_t dropped = 0;
   const std::shared_ptr<const DescentPlan> plan = descent_plan(trace);
-  const auto count = [&](bool matched) { ++(matched ? forwarded : dropped); };
 
-  // Node-container frees at destruction are not part of the run's
-  // charges: read the node counters while the container is alive.
+  // Slot 0 is dispatched once: every node access below is a static call
+  // on the concrete container, and each lookup replays its planned
+  // descent instead of re-walking the trie. Node-container frees at
+  // destruction are not part of the run's charges: read the node
+  // counters while the container is alive.
   prof::ProfileCounters node_counters;
-  if (config_.compressed_tree) {
-    const auto nodes =
-        ddt::make_container<PatriciaNode>(combo[0], node_profile);
-    PatriciaTree table(*nodes, *entries, cpu_profile);
-    for (const Route& r : plan->routes) {
-      table.insert(r.prefix, r.prefix_len, r.next_hop, r.interface);
-    }
-    for (const net::PacketRecord& p : trace.packets()) {
-      cpu_profile.record_cpu_ops(12);  // header parse + checksum update
-      count(table.lookup(p.dst_ip).has_value());
-    }
-    node_counters = node_profile.counters();
-  } else {
-    // Slot 0 is dispatched once: every node access below is a static
-    // call on the concrete container, and each lookup replays its
-    // planned descent instead of re-walking the trie.
-    ddt::visit_container<RadixNode>(
-        combo[0], node_profile, nullptr, [&](auto& nodes) {
-          RadixTree table(nodes, *entries, cpu_profile);
-          for (const Route& r : plan->routes) {
-            table.insert(r.prefix, r.prefix_len, r.next_hop, r.interface);
+  ddt::visit_container<RadixNode>(
+      combo[0], node_profile, nullptr, [&](auto& nodes) {
+        RadixTree table(nodes, *entries, cpu_profile);
+        for (const Route& r : plan->routes) {
+          table.insert(r.prefix, r.prefix_len, r.next_hop, r.interface);
+        }
+        for (const std::uint32_t d : plan->packet_dest) {
+          cpu_profile.record_cpu_ops(12);  // header parse + checksum
+          for (std::uint32_t k = plan->offsets[d]; k < plan->offsets[d + 1];
+               ++k) {
+            nodes.get(plan->path[k]);
           }
-          for (const std::uint32_t d : plan->packet_dest) {
-            cpu_profile.record_cpu_ops(12);  // header parse + checksum
-            for (std::uint32_t k = plan->offsets[d];
-                 k < plan->offsets[d + 1]; ++k) {
-              nodes.get(plan->path[k]);
-            }
-            cpu_profile.record_cpu_ops(plan->cpu_ops[d]);
-            count(table.use_entry(plan->entry[d]).has_value());
-          }
-          node_counters = node_profile.counters();
-        });
-  }
+          cpu_profile.record_cpu_ops(plan->cpu_ops[d]);
+          ++(table.use_entry(plan->entry[d]).has_value() ? forwarded
+                                                         : dropped);
+        }
+        node_counters = node_profile.counters();
+      });
 
   forwarded_.store(forwarded, std::memory_order_relaxed);
   dropped_.store(dropped, std::memory_order_relaxed);

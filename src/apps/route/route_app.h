@@ -19,11 +19,6 @@ class RouteApp final : public NetworkApplication {
   struct Config {
     std::size_t table_size;  // routing-table entries (paper: 128 / 256)
     std::uint64_t seed;      // prefix synthesis stream
-    // false: one-bit-per-level trie (RadixTree); true: path-compressed
-    // PatriciaTree. The case studies use the bit trie; the compressed
-    // variant bounds how much trie depth magnifies DDT cost differences
-    // (EXPERIMENTS.md, deviations).
-    bool compressed_tree = false;
   };
 
   explicit RouteApp(Config config) : config_(config) {}
@@ -64,13 +59,12 @@ class RouteApp final : public NetworkApplication {
   };
 
   // Everything run() replays that depends on the trace and the config
-  // only, never on the DDT combination. For the bit trie, each unique
-  // destination's lookup is recorded once: RadixTree::descend over a
-  // host-side node store, logging the node indices it reads. Destination
-  // d reads nodes path[offsets[d] .. offsets[d + 1]) in that order,
-  // charges cpu_ops[d] CPU ops and matches entry[d] (-1: no route); the
-  // trie never changes during the lookups, so every kernel run's descents
-  // are exactly these. The compressed tree keeps only `routes`.
+  // only, never on the DDT combination. Each unique destination's lookup
+  // is recorded once: RadixTree::descend over a host-side node store,
+  // logging the node indices it reads. Destination d reads nodes
+  // path[offsets[d] .. offsets[d + 1]) in that order, charges cpu_ops[d]
+  // CPU ops and matches entry[d] (-1: no route); the trie never changes
+  // during the lookups, so every kernel run's descents are exactly these.
   struct DescentPlan {
     std::vector<Route> routes;
     std::vector<std::uint32_t> path;

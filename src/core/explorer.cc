@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -453,9 +454,19 @@ std::vector<ddt::DdtCombination> ExplorationEngine::select_survivors_greedy(
     }
     if (s == slots) break;
   }
+  // The cap is a fraction of the space the log swept: the product over
+  // slots of the distinct kinds tried there, the SLL baseline included.
+  std::size_t space = 1;
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    std::uint32_t seen = 0;  // bit k: DdtKind k appears in this slot
+    for (const SimulationRecord& r : step1_records) {
+      seen |= 1u << static_cast<unsigned>(r.combo[slot]);
+    }
+    space *= static_cast<std::size_t>(std::popcount(seen));
+  }
   const std::size_t cap = std::max<std::size_t>(
       4, static_cast<std::size_t>(std::llround(
-             options_.survivor_cap_fraction * 100.0)));
+             options_.survivor_cap_fraction * static_cast<double>(space))));
   if (survivors.size() > cap) survivors.resize(cap);
   return survivors;
 }

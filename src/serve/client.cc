@@ -129,16 +129,6 @@ ResultFrame Client::submit(const SubmitRequest& request,
   }
 }
 
-StatusReply Client::status() {
-  const Frame reply =
-      round_trip({FrameType::kStatus, {}}, FrameType::kStatusReply);
-  StatusReply out;
-  if (!decode_status_reply(reply.payload, out)) {
-    throw std::runtime_error("serve client: malformed status reply");
-  }
-  return out;
-}
-
 StatsReply Client::stats(bool include_metrics) {
   StatsRequest request;
   request.include_metrics = include_metrics ? 1 : 0;

@@ -278,41 +278,6 @@ bool decode_error(const std::string& payload, ErrorFrame& m) {
   return support::read_string(is, m.message) && at_end(is);
 }
 
-std::string encode_status_reply(const StatusReply& m) {
-  std::ostringstream os;
-  support::write_u64(os, m.warm_entries);
-  support::write_u64(os, m.jobs.size());
-  for (const JobStatus& job : m.jobs) {
-    support::write_u64(os, job.id);
-    support::write_string(os, job.app);
-    support::write_string(os, job.state);
-    support::write_u64(os, job.last_executed);
-  }
-  return os.str();
-}
-
-bool decode_status_reply(const std::string& payload, StatusReply& m) {
-  std::istringstream is(payload);
-  std::uint64_t count = 0;
-  if (!support::read_u64(is, m.warm_entries) || !support::read_u64(is, count))
-    return false;
-  // The job table is human-scale; a larger count is a corrupt payload,
-  // not a big daemon.
-  if (count > (1ull << 20)) return false;
-  m.jobs.clear();
-  m.jobs.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    JobStatus job;
-    if (!support::read_u64(is, job.id) || !support::read_string(is, job.app) ||
-        !support::read_string(is, job.state) ||
-        !support::read_u64(is, job.last_executed)) {
-      return false;
-    }
-    m.jobs.push_back(std::move(job));
-  }
-  return at_end(is);
-}
-
 std::string encode_results_request(const ResultsRequest& m) {
   std::ostringstream os;
   support::write_u64(os, m.job_id);
@@ -380,8 +345,8 @@ bool decode_stats_reply(const std::string& payload, StatsReply& m) {
       !support::read_u64(is, count)) {
     return false;
   }
-  // Same human-scale bound as decode_status_reply: a larger count is a
-  // corrupt payload, not a big daemon.
+  // The job table is human-scale; a larger count is a corrupt payload,
+  // not a big daemon.
   if (count > (1ull << 20)) return false;
   m.jobs.clear();
   m.jobs.reserve(static_cast<std::size_t>(count));

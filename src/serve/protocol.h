@@ -32,7 +32,9 @@ namespace ddtr::serve {
 // v2: HelloAck gained progress_every; Stats/StatsReply introspection pair.
 // v3: the re-exploration scheduler's fields are gone (SubmitRequest::
 // every_s, the runs/every_s job columns, StatsReply::scheduler_reruns).
-inline constexpr std::uint32_t kProtocolVersion = 3;
+// v4: the Status/StatusReply pair is gone (Stats lists the job table);
+// frame types 8 and 9 stay unassigned.
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 enum class FrameType : std::uint32_t {
   kHello = 1,        // client -> server, first frame on every connection
@@ -42,8 +44,6 @@ enum class FrameType : std::uint32_t {
   kProgress = 5,     // server -> client, StepProgress tick stream
   kResult = 6,       // server -> client, final ExplorationReport digest
   kError = 7,        // server -> client, request failed (message)
-  kStatus = 8,       // client -> server, list jobs (empty payload)
-  kStatusReply = 9,  // server -> client, job table snapshot
   kResults = 10,     // client -> server, fetch a job's last result
   kShutdown = 11,    // client -> server, drain and exit (empty payload)
   kShutdownAck = 12, // server -> client, shutdown under way
@@ -138,18 +138,6 @@ struct ErrorFrame {
   std::string message;
 };
 
-struct JobStatus {
-  std::uint64_t id = 0;
-  std::string app;
-  std::string state;  // "queued" | "running" | "done" | "failed"
-  std::uint64_t last_executed = 0;
-};
-
-struct StatusReply {
-  std::uint64_t warm_entries = 0;
-  std::vector<JobStatus> jobs;
-};
-
 struct ResultsRequest {
   std::uint64_t job_id = 0;
 };
@@ -203,8 +191,6 @@ std::string encode_result(const ResultFrame& m);
 bool decode_result(const std::string& payload, ResultFrame& m);
 std::string encode_error(const ErrorFrame& m);
 bool decode_error(const std::string& payload, ErrorFrame& m);
-std::string encode_status_reply(const StatusReply& m);
-bool decode_status_reply(const std::string& payload, StatusReply& m);
 std::string encode_results_request(const ResultsRequest& m);
 bool decode_results_request(const std::string& payload, ResultsRequest& m);
 std::string encode_shutdown_ack(const ShutdownAck& m);

@@ -233,9 +233,6 @@ bool Server::handle_request(int fd, const Frame& frame) {
       handle_submit(fd, request);
       return true;
     }
-    case FrameType::kStatus:
-      handle_status(fd);
-      return true;
     case FrameType::kStats: {
       StatsRequest request;
       if (!decode_stats_request(frame.payload, request)) {
@@ -441,24 +438,6 @@ void Server::trim_jobs() {
         it->second.state == "done" || it->second.state == "failed";
     it = finished ? jobs_.erase(it) : std::next(it);
   }
-}
-
-void Server::handle_status(int fd) {
-  StatusReply reply;
-  reply.warm_entries = cache_.size();
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    reply.jobs.reserve(jobs_.size());
-    for (const auto& [id, job] : jobs_) {
-      JobStatus status;
-      status.id = id;
-      status.app = job.request.app;
-      status.state = job.state;
-      status.last_executed = job.last_executed;
-      reply.jobs.push_back(std::move(status));
-    }
-  }
-  send_frame(fd, {FrameType::kStatusReply, encode_status_reply(reply)});
 }
 
 void Server::handle_stats(int fd, const StatsRequest& request) {

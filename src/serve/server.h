@@ -12,7 +12,7 @@
 // SimulationCache/PersistentSimulationCache pair admits one explore() at
 // a time (store_new mutates the loaded set; see
 // core::SharedState). Sessions still multiplex: the protocol
-// conversation, progress streaming and status queries all run
+// conversation, progress streaming and stats queries all run
 // concurrently, only the simulation phase queues. The accept loop joins
 // finished session threads as it goes, so a long-lived daemon holds one
 // thread per OPEN connection, not one per connection ever served.
@@ -129,7 +129,6 @@ class Server {
   // is over (shutdown) and the connection should close.
   bool handle_request(int fd, const Frame& frame);
   void handle_submit(int fd, const SubmitRequest& request);
-  void handle_status(int fd);
   void handle_stats(int fd, const StatsRequest& request);
   void handle_results(int fd, const ResultsRequest& request);
 

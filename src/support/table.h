@@ -1,6 +1,6 @@
-// Plain-text table rendering for the benchmark harnesses. Every table and
-// figure reproduction prints through this so that bench output is aligned
-// and diff-able against EXPERIMENTS.md.
+// Plain-text table rendering for the benchmark harnesses and the CLI.
+// Every table and figure reproduction prints through this so that output
+// is aligned and diff-able.
 #pragma once
 
 #include <cstddef>

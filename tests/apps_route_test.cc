@@ -103,13 +103,16 @@ TEST(RadixTree, UseCountIncrements) {
 
 TEST(RadixTree, MatchesBruteForceOnRandomTables) {
   support::Rng rng(4242);
-  for (int trial = 0; trial < 10; ++trial) {
+  for (int trial = 0; trial < 20; ++trial) {
+    // Octet-aligned lengths {0, 8, .., 32} first, then every length 0..32.
+    const bool any_length = trial >= 10;
     RadixTreeFixture f;
     std::vector<Prefix> table;
     for (int i = 0; i < 60; ++i) {
       Prefix p;
       p.prefix = static_cast<std::uint32_t>(rng.next_u64());
-      p.len = static_cast<std::uint8_t>(rng.uniform(0, 4) * 8);
+      p.len = static_cast<std::uint8_t>(any_length ? rng.uniform(0, 32)
+                                                   : rng.uniform(0, 4) * 8);
       const std::uint32_t mask =
           p.len == 0 ? 0 : 0xffffffffu << (32 - p.len);
       p.prefix &= mask;
@@ -135,9 +138,11 @@ TEST(RadixTree, MatchesBruteForceOnRandomTables) {
       }
       const auto expected = brute_force_lpm(table, dst);
       const auto got = f.tree().lookup(dst);
-      ASSERT_EQ(got.has_value(), expected.has_value()) << "dst " << dst;
+      ASSERT_EQ(got.has_value(), expected.has_value())
+          << "trial " << trial << " dst " << dst;
       if (expected) {
-        EXPECT_EQ(got->next_hop, *expected) << "dst " << dst;
+        EXPECT_EQ(got->next_hop, *expected)
+            << "trial " << trial << " dst " << dst;
       }
     }
   }

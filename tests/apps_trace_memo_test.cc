@@ -64,11 +64,6 @@ std::vector<Case> cases() {
          return std::make_unique<route::RouteApp>(
              route::RouteApp::Config{128, 7129});
        }},
-      {"route_patricia", "nlanr-campus",
-       [] {
-         return std::make_unique<route::RouteApp>(
-             route::RouteApp::Config{128, 7129, true});
-       }},
       {"url", "dart-berry",
        [] {
          return std::make_unique<url::UrlApp>(

@@ -189,7 +189,7 @@ expect_usage_error("explore: unexpected argument 'stray'"
 # Bare `ddtr` prints the generated usage: it lists exactly the subcommands
 # that dispatch, each of which rejects an unknown flag.
 set(commands apps ddts presets tracegen traceparse explore pareto cache
-    serve submit status stats results shutdown tracecheck)
+    serve submit stats results shutdown tracecheck)
 expect_usage_error("^usage:\n")
 string(REGEX MATCHALL "\n  ddtr [a-z]+" listed "${usage_error_out}")
 string(REPLACE "\n  ddtr " "" listed "${listed}")

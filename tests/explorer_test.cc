@@ -116,6 +116,36 @@ TEST(Explorer, GreedySurvivorsAreCrossOfPerSlotKeepers) {
   for (const auto& combo : survivors) EXPECT_EQ(combo.size(), 2u);
 }
 
+TEST(Explorer, GreedySurvivorCapIsAFractionOfTheSweptSpace) {
+  // A synthetic greedy log over two unkeyed slots: the SLL baseline plus
+  // each slot's 10 variations. Every kind trades energy against time, so
+  // all 11 are non-dominated per slot and the cross holds 121
+  // combinations. 5% of the 11 x 11 space is 6, not 5 (5% of 100).
+  const std::vector<ddt::DdtKind> kinds = ddt::default_slot_kinds();
+  const auto record = [&](std::size_t slot, std::size_t k) {
+    SimulationRecord r;
+    std::vector<ddt::DdtKind> combo(2, ddt::DdtKind::kSll);
+    combo[slot] = kinds[k];
+    r.combo = ddt::DdtCombination(combo);
+    r.metrics.energy_mj = static_cast<double>(k);
+    r.metrics.time_s = static_cast<double>(kinds.size() - k);
+    return r;
+  };
+  std::vector<SimulationRecord> log;
+  for (std::size_t slot = 0; slot < 2; ++slot) {
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+      if (slot == 1 && kinds[k] == ddt::DdtKind::kSll) continue;
+      log.push_back(record(slot, k));
+    }
+  }
+  ASSERT_EQ(log.size(), 1u + 2u * 10u);
+
+  ExplorationOptions options;
+  options.survivor_cap_fraction = 0.05;
+  const ExplorationEngine engine(model(), options);
+  EXPECT_EQ(engine.select_survivors_greedy(log, 2).size(), 6u);
+}
+
 TEST(Explorer, GreedyPolicyReducesStep1Simulations) {
   ExplorationOptions options;
   options.step1_policy = Step1Policy::kGreedyPerSlot;

@@ -35,7 +35,7 @@ using support::Rng;
 // A frame corpus spanning empty, small, binary and larger payloads.
 std::vector<std::string> frame_corpus() {
   std::vector<std::string> wires;
-  wires.push_back(encode_frame({FrameType::kStatus, ""}));
+  wires.push_back(encode_frame({FrameType::kShutdown, ""}));
   wires.push_back(encode_frame({FrameType::kHello, encode_hello(Hello{})}));
   SubmitRequest submit;
   submit.app = "url";
@@ -44,7 +44,7 @@ std::vector<std::string> frame_corpus() {
   wires.push_back(encode_frame({FrameType::kSubmit, encode_submit(submit)}));
   ResultFrame result;
   result.job_id = 7;
-  result.app = "patricia";
+  result.app = "route";
   result.executed = 1234;
   result.pareto = "a\tb\tc\n1\t2\t3\n";
   result.records = std::string(512, '\xab') + std::string("\x00\xff\x7f", 3);
@@ -191,13 +191,6 @@ TEST(ServeCorruptionSweep, PayloadCodecsRejectOrRoundTripExactly) {
   error.message = "unknown app 'nope'";
   sweep_codec<ErrorFrame>("error", encode_error(error), decode_error,
                           encode_error, rng);
-
-  StatusReply status;
-  status.warm_entries = 77;
-  status.jobs.push_back({1, "url", "done", 1200});
-  status.jobs.push_back({2, "drr", "running", 0});
-  sweep_codec<StatusReply>("status_reply", encode_status_reply(status),
-                           decode_status_reply, encode_status_reply, rng);
 
   ResultsRequest results_request;
   results_request.job_id = 5;

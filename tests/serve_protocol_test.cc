@@ -31,8 +31,8 @@ TEST(ServeFrame, RoundTripsPayload) {
 }
 
 TEST(ServeFrame, RoundTripsEmptyPayload) {
-  const Frame out = roundtrip({FrameType::kStatus, ""});
-  EXPECT_EQ(out.type, FrameType::kStatus);
+  const Frame out = roundtrip({FrameType::kShutdown, ""});
+  EXPECT_EQ(out.type, FrameType::kShutdown);
   EXPECT_TRUE(out.payload.empty());
 }
 
@@ -190,22 +190,6 @@ TEST(ServeMessages, ResultRoundTripKeepsRecordsByteExact) {
   EXPECT_EQ(out.pareto_count, 5u);
   EXPECT_EQ(out.pareto, in.pareto);
   EXPECT_EQ(out.records, in.records);
-}
-
-TEST(ServeMessages, StatusReplyRoundTrip) {
-  StatusReply in;
-  in.warm_entries = 9;
-  in.jobs.push_back({1, "url", "done", 1200});
-  in.jobs.push_back({2, "drr", "running", 0});
-  StatusReply out;
-  ASSERT_TRUE(decode_status_reply(encode_status_reply(in), out));
-  EXPECT_EQ(out.warm_entries, 9u);
-  ASSERT_EQ(out.jobs.size(), 2u);
-  EXPECT_EQ(out.jobs[0].id, 1u);
-  EXPECT_EQ(out.jobs[0].app, "url");
-  EXPECT_EQ(out.jobs[0].state, "done");
-  EXPECT_EQ(out.jobs[0].last_executed, 1200u);
-  EXPECT_EQ(out.jobs[1].app, "drr");
 }
 
 TEST(ServeMessages, SmallMessagesRoundTrip) {

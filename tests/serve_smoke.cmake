@@ -91,9 +91,11 @@ endif()
 
 # 4. The job table knows both submissions; a completed job's result can be
 #    re-fetched byte-identically.
-run_cli(TRUE status_out status --socket ${SOCKET})
-if(NOT status_out MATCHES "2 jobs")
-  fail("status does not list 2 jobs:\n${status_out}")
+run_cli(TRUE stats_out stats --socket ${SOCKET})
+if(NOT stats_out MATCHES "jobs submitted +2 *\n"
+   OR NOT stats_out MATCHES "\n1 +url +done "
+   OR NOT stats_out MATCHES "\n2 +url +done ")
+  fail("stats does not list 2 done url jobs:\n${stats_out}")
 endif()
 run_cli(TRUE results_out
         results --socket ${SOCKET} --job 1 --log ${WORK_DIR}/refetch.records)

@@ -5,10 +5,11 @@
 // returns byte-identical result records — the warm-cache guarantee,
 // verified through the full client -> daemon -> client round trip. Also:
 // job table (bounded to the newest Server::kJobTableCap jobs), result
-// re-fetch, version-mismatch refusal, a hostile lane count answered with
-// an Error frame, finished sessions being reaped (bounded virtual memory
-// over many connections), and drain-and-flush shutdown (socket removed,
-// cache compacted and warm for the next daemon).
+// re-fetch, version-mismatch refusal, a retired frame type and a hostile
+// lane count each answered with an Error frame, finished sessions being
+// reaped (bounded virtual memory over many connections), and
+// drain-and-flush shutdown (socket removed, cache compacted and warm for
+// the next daemon).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -82,6 +83,20 @@ class ServeTest : public ::testing::Test {
     server_.reset();
   }
 
+  // A raw connection to the daemon, before any handshake: for frames the
+  // Client would never send.
+  int raw_connect() const {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    socket_.copy(addr.sun_path, sizeof(addr.sun_path) - 1);
+    EXPECT_EQ(
+        ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+        0);
+    return fd;
+  }
+
   std::string dir_;
   std::string socket_;
   std::unique_ptr<Server> server_;
@@ -118,17 +133,17 @@ TEST_F(ServeTest, WarmResubmissionExecutesZeroAndIsByteIdentical) {
   EXPECT_EQ(warm.records, cold_records);  // byte-identical
 }
 
-TEST_F(ServeTest, StatusListsJobsAndResultsRefetches) {
+TEST_F(ServeTest, StatsListsJobsAndResultsRefetches) {
   start_server();
   Client client(socket_);
   const ResultFrame first = client.submit(tiny_url_request());
 
-  const StatusReply status = client.status();
-  EXPECT_GT(status.warm_entries, 0u);
-  ASSERT_EQ(status.jobs.size(), 1u);
-  EXPECT_EQ(status.jobs[0].id, first.job_id);
-  EXPECT_EQ(status.jobs[0].app, "url");
-  EXPECT_EQ(status.jobs[0].state, "done");
+  const StatsReply stats = client.stats();
+  EXPECT_GT(stats.warm_entries, 0u);
+  ASSERT_EQ(stats.jobs.size(), 1u);
+  EXPECT_EQ(stats.jobs[0].id, first.job_id);
+  EXPECT_EQ(stats.jobs[0].app, "url");
+  EXPECT_EQ(stats.jobs[0].state, "done");
 
   const ResultFrame refetched = client.results(first.job_id);
   EXPECT_EQ(refetched.records, first.records);
@@ -149,11 +164,11 @@ TEST_F(ServeTest, JobTableKeepsTheNewestJobsOnly) {
     last_records = result.records;
   }
 
-  const StatusReply status = client.status();
+  const StatsReply stats = client.stats();
   // Every job finished, so the table is full to the cap, never past it.
-  ASSERT_EQ(status.jobs.size(), Server::kJobTableCap);
-  EXPECT_EQ(status.jobs.back().id, last_id);
-  EXPECT_EQ(client.stats().jobs_submitted, kJobs);
+  ASSERT_EQ(stats.jobs.size(), Server::kJobTableCap);
+  EXPECT_EQ(stats.jobs.back().id, last_id);
+  EXPECT_EQ(stats.jobs_submitted, kJobs);
   // The oldest job was dropped with its result; the newest refetches.
   EXPECT_THROW(client.results(first_id), std::runtime_error);
   EXPECT_EQ(client.results(last_id).records, last_records);
@@ -184,14 +199,7 @@ TEST_F(ServeTest, RefusesVersionMismatchedHello) {
   start_server();
   // Raw connection: a future client speaking v999 must get an Error
   // frame, never a misparse.
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  socket_.copy(addr.sun_path, sizeof(addr.sun_path) - 1);
-  ASSERT_EQ(
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
-      0);
+  const int fd = raw_connect();
   Hello hello;
   hello.version = 999;
   ASSERT_TRUE(send_frame(fd, {FrameType::kHello, encode_hello(hello)}));
@@ -206,6 +214,30 @@ TEST_F(ServeTest, RefusesVersionMismatchedHello) {
   // A well-versed client still gets in afterwards.
   Client client(socket_);
   EXPECT_EQ(client.hello().version, kProtocolVersion);
+}
+
+TEST_F(ServeTest, RetiredStatusFrameGetsAnErrorAndTheDaemonServesOn) {
+  start_server();
+  // Frame type 8 was the job-table query of protocol v3; v4 leaves the
+  // value unassigned, so it is an unexpected frame like any other.
+  const int fd = raw_connect();
+  ASSERT_TRUE(send_frame(fd, {FrameType::kHello, encode_hello(Hello{})}));
+  Frame reply;
+  ASSERT_EQ(recv_frame(fd, reply), DecodeStatus::kOk);
+  ASSERT_EQ(reply.type, FrameType::kHelloAck);
+  ASSERT_TRUE(send_frame(fd, {static_cast<FrameType>(8), ""}));
+  ASSERT_EQ(recv_frame(fd, reply), DecodeStatus::kOk);
+  EXPECT_EQ(reply.type, FrameType::kError);
+  ErrorFrame error;
+  ASSERT_TRUE(decode_error(reply.payload, error));
+  EXPECT_NE(error.message.find("unexpected frame type 8"), std::string::npos)
+      << error.message;
+  ::close(fd);
+
+  // A fresh connection to the same daemon is still served.
+  Client client(socket_);
+  EXPECT_FALSE(client.submit(tiny_url_request()).records.empty());
+  EXPECT_EQ(client.stats().jobs_submitted, 1u);
 }
 
 TEST_F(ServeTest, StatsReportsSinceBootCountersAndJobTimestamps) {
@@ -256,9 +288,9 @@ TEST_F(ServeTest, HostileLaneCountIsAnErrorNotAnAbort) {
         << error.what();
   }
   // Same daemon, same connection: still serving, the job marked failed.
-  const StatusReply status = client.status();
-  ASSERT_EQ(status.jobs.size(), 1u);
-  EXPECT_EQ(status.jobs[0].state, "failed");
+  const StatsReply stats = client.stats();
+  ASSERT_EQ(stats.jobs.size(), 1u);
+  EXPECT_EQ(stats.jobs[0].state, "failed");
 }
 
 TEST_F(ServeTest, FinishedSessionsAreReaped) {
@@ -270,7 +302,7 @@ TEST_F(ServeTest, FinishedSessionsAreReaped) {
   start_server();
   const auto connect_and_poll = [this] {
     Client client(socket_);
-    client.status();
+    client.stats();
   };
   // Warm-up: the first sessions settle the allocator's per-thread arenas.
   for (int i = 0; i < 10; ++i) connect_and_poll();

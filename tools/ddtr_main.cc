@@ -7,9 +7,8 @@
 // `explore --app` accepts ANY workload in api::registry(). Every
 // exploration writes a ResultLog that `pareto` can re-process later (the
 // paper's "log files -> Perl post-processing" flow). `serve` keeps
-// cache, traces and pool warm in a daemon that `submit`, `status`,
-// `stats`, `results` and `shutdown` talk to over a unix socket
-// (src/serve/).
+// cache, traces and pool warm in a daemon that `submit`, `stats`,
+// `results` and `shutdown` talk to over a unix socket (src/serve/).
 #include <algorithm>
 #include <atomic>
 #include <charconv>
@@ -532,21 +531,6 @@ int cmd_submit(const CommandLine& args) {
   return 0;
 }
 
-int cmd_status(const CommandLine& args) {
-  serve::Client client(*args.text("socket"));
-  const serve::StatusReply reply = client.status();
-  std::cout << reply.warm_entries << " warm records, " << reply.jobs.size()
-            << " job" << (reply.jobs.size() == 1 ? "" : "s") << '\n';
-  if (reply.jobs.empty()) return 0;
-  support::TextTable table({"job", "app", "state", "last executed"});
-  for (const serve::JobStatus& job : reply.jobs) {
-    table.add_row({std::to_string(job.id), job.app, job.state,
-                   std::to_string(job.last_executed)});
-  }
-  table.print(std::cout);
-  return 0;
-}
-
 // ddtr stats — live introspection of a running daemon: uptime, cache
 // behavior since boot, and the full job lifecycle table. With --metrics,
 // the daemon's metrics-registry dump rides along.
@@ -697,7 +681,6 @@ const std::vector<Command>& commands() {
                 "Pareto listing x axis (default time_s)"},
                {"y", K::kMetric, "METRIC",
                 "Pareto listing y axis (default energy_mJ)"}}},
-      {"status", {}, "the daemon's job table", cmd_status, {socket}},
       {"stats", {},
        "live daemon introspection: uptime, cache counters, job times",
        cmd_stats,
