@@ -1,5 +1,7 @@
 #include "core/result_log.h"
 
+#include <algorithm>
+#include <cctype>
 #include <charconv>
 #include <istream>
 #include <locale>
@@ -85,9 +87,13 @@ void ResultLog::append_all(const std::vector<SimulationRecord>& records) {
 
 std::vector<SimulationRecord> ResultLog::for_app(
     const std::string& app_name) const {
+  const auto lower = [](unsigned char ch) { return std::tolower(ch); };
+  const auto same_app = [&](const std::string& name) {
+    return std::ranges::equal(name, app_name, {}, lower, lower);
+  };
   std::vector<SimulationRecord> out;
   for (const SimulationRecord& r : records_) {
-    if (r.app_name == app_name) out.push_back(r);
+    if (same_app(r.app_name)) out.push_back(r);
   }
   return out;
 }

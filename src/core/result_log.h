@@ -29,7 +29,9 @@ class ResultLog {
   std::size_t size() const noexcept { return records_.size(); }
   bool empty() const noexcept { return records_.empty(); }
 
-  // Records of one application only.
+  // Records of one application only, its name matched ignoring ASCII
+  // case: records carry the display name ("URL"), the registry the
+  // lowercase one ("url").
   std::vector<SimulationRecord> for_app(const std::string& app_name) const;
 
   // Line-oriented text serialization (version-tagged header, one record

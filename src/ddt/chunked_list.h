@@ -31,9 +31,8 @@ class ChunkedListContainer final : public Container<T> {
  public:
   explicit ChunkedListContainer(
       prof::MemoryProfile& profile,
-      typename Container<T>::KeyFn key = nullptr,
-      support::AllocPolicy policy = support::AllocPolicy::kArena)
-      : Container<T>(profile, key), pool_(profile, policy) {}
+      typename Container<T>::KeyFn key = nullptr)
+      : Container<T>(profile, key), pool_(profile) {}
 
   ~ChunkedListContainer() override { destroy_all(); }
 
@@ -141,10 +140,6 @@ class ChunkedListContainer final : public Container<T> {
     size_ = 0;
     this->column_clear();
     invalidate_roving();
-  }
-
-  const support::PoolStats& pool_stats() const noexcept {
-    return pool_.stats();
   }
 
   void for_each(typename Container<T>::Visitor visitor) const override {

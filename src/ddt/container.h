@@ -9,11 +9,11 @@
 // reported to the attached MemoryProfile with its byte width. Allocation
 // events report the allocated block size plus a fixed allocator header
 // (kAllocatorOverhead). Node-allocating containers draw their nodes from a
-// support::Pool: under the default arena policy footprint is charged per
-// chunk (slack included, headers amortized); under the heap policy every
-// node pays its own header — which is what makes fine-grained linked
-// structures pay the footprint premium the paper measures (a DLL needing
-// 68.8% more footprint than the best combination, §4).
+// support::Pool arena, so footprint is charged per chunk (slack included,
+// headers amortized). Fine-grained linked structures still pay a
+// footprint premium through their per-node links: the paper measures a
+// DLL needing 68.8% more footprint than the best combination (§4), and
+// bench_fig4_route prints the all-DLL premium on the arena beside it.
 //
 // Keyed containers also keep a host-side key column: one 64-bit key per
 // record, in logical order, outside the modeled node types. It is never

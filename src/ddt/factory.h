@@ -22,7 +22,6 @@
 #include "ddt/linked_list.h"
 #include "ddt/open_hash.h"
 #include "ddt/unrolled_scan.h"
-#include "support/arena.h"
 
 namespace ddtr::ddt {
 
@@ -61,43 +60,20 @@ decltype(auto) with_kind_type(DdtKind kind, F&& f) {
   throw std::invalid_argument("unknown DdtKind");
 }
 
-// Calls `build(args...)` with the constructor arguments of container C:
-// the node-allocating kinds take the allocation policy, the two array
-// kinds draw no pool nodes and take none.
-template <typename C, typename Build>
-decltype(auto) with_ctor_args(prof::MemoryProfile& profile,
-                              typename C::KeyFn key_fn,
-                              support::AllocPolicy policy, Build&& build) {
-  if constexpr (std::is_constructible_v<C, prof::MemoryProfile&,
-                                        typename C::KeyFn,
-                                        support::AllocPolicy>) {
-    return build(profile, key_fn, policy);
-  } else {
-    return build(profile, key_fn);
-  }
-}
-
 }  // namespace detail
 
 // Creates a container of the requested kind reporting into `profile`.
 // `key_fn` (optional) enables keyed lookups via Container::find_key; it is
 // required for kOpenHash to do anything beyond plain-array behavior, which
-// is why the explorer only offers that kind on keyed slots. `policy`
-// selects how node-allocating kinds draw their nodes (arena pool by
-// default; kHeap reproduces the historical per-node accounting).
+// is why the explorer only offers that kind on keyed slots.
 template <typename T>
 std::unique_ptr<Container<T>> make_container(
     DdtKind kind, prof::MemoryProfile& profile,
-    typename Container<T>::KeyFn key_fn = nullptr,
-    support::AllocPolicy policy = support::AllocPolicy::kArena) {
+    typename Container<T>::KeyFn key_fn = nullptr) {
   return detail::with_kind_type<T>(
       kind, [&](auto type) -> std::unique_ptr<Container<T>> {
         using C = typename decltype(type)::type;
-        return detail::with_ctor_args<C>(
-            profile, key_fn, policy,
-            [](auto&&... args) -> std::unique_ptr<Container<T>> {
-              return std::make_unique<C>(args...);
-            });
+        return std::make_unique<C>(profile, key_fn);
       });
 }
 
@@ -112,17 +88,12 @@ std::unique_ptr<Container<T>> make_container(
 // app's run() does) must read `profile.counters()` inside `f`, not after
 // visit_container returns.
 template <typename T, typename F>
-decltype(auto) visit_container(
-    DdtKind kind, prof::MemoryProfile& profile,
-    typename Container<T>::KeyFn key_fn, F&& f,
-    support::AllocPolicy policy = support::AllocPolicy::kArena) {
+decltype(auto) visit_container(DdtKind kind, prof::MemoryProfile& profile,
+                               typename Container<T>::KeyFn key_fn, F&& f) {
   return detail::with_kind_type<T>(kind, [&](auto type) -> decltype(auto) {
     using C = typename decltype(type)::type;
-    return detail::with_ctor_args<C>(
-        profile, key_fn, policy, [&](auto&&... args) -> decltype(auto) {
-          C container(args...);
-          return f(container);
-        });
+    C container(profile, key_fn);
+    return f(container);
   });
 }
 

@@ -16,15 +16,16 @@
 namespace ddtr::ddt {
 
 // Version of the DDT access-accounting model. Any change to how the
-// containers charge reads/writes/allocations (constants, arena policy,
+// containers charge reads/writes/allocations (constants, arena pool,
 // new kinds that alter the lattice) must bump this: it feeds every app's
 // cache_version(), so persistent simulation caches never mix numbers
 // produced under different accounting semantics.
 //  v1: per-node heap accounting, 10-kind lattice.
 //  v2: arena-backed pools (chunk-granular footprint), HASH/UNR kinds,
 //      keyed lookups (find_key).
+//  v3: per-node heap policy removed; arena charges exactly as v2.
 // ddtr-accounting-begin (accounting version + kind lattice)
-inline constexpr std::uint32_t kDdtAccountingVersion = 2;
+inline constexpr std::uint32_t kDdtAccountingVersion = 3;
 
 enum class DdtKind : std::uint8_t {
   kArray,               // AR: contiguous resizable array of records

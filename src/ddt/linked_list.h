@@ -8,10 +8,10 @@
 //  * a roving pointer caches the last visited (node, index) so sequential
 //    access patterns (the common case in trace-driven network kernels)
 //    cost O(1) per access instead of O(i);
-//  * nodes come from a support::Pool — under the arena policy footprint is
-//    charged per chunk (slack included) and node churn recycles through
-//    the free list; under the heap policy every node pays its own
-//    allocation header, giving lists the largest footprint per record.
+//  * nodes come from a support::Pool arena — footprint is charged per
+//    chunk (slack included) and node churn recycles through the free
+//    list; the links (one or two pointers per node) are the lists'
+//    footprint cost per record.
 //
 // Beside the links, every list keeps a host-side node index: the node
 // pointers in logical order, outside the modeled node type and never
@@ -36,9 +36,8 @@ class ListContainer final : public Container<T> {
  public:
   explicit ListContainer(
       prof::MemoryProfile& profile,
-      typename Container<T>::KeyFn key = nullptr,
-      support::AllocPolicy policy = support::AllocPolicy::kArena)
-      : Container<T>(profile, key), pool_(profile, policy) {}
+      typename Container<T>::KeyFn key = nullptr)
+      : Container<T>(profile, key), pool_(profile) {}
 
   ~ListContainer() override { destroy_all(); }
 
@@ -164,10 +163,6 @@ class ListContainer final : public Container<T> {
     nodes_.shrink_to_fit();
     this->column_clear();
     invalidate_roving();
-  }
-
-  const support::PoolStats& pool_stats() const noexcept {
-    return pool_.stats();
   }
 
   void for_each(typename Container<T>::Visitor visitor) const override {

@@ -32,14 +32,11 @@ class OpenHashContainer final : public Container<T> {
  public:
   explicit OpenHashContainer(
       prof::MemoryProfile& profile,
-      typename Container<T>::KeyFn key = nullptr,
-      support::AllocPolicy policy = support::AllocPolicy::kArena)
-      : Container<T>(profile, key), pool_(profile, policy) {}
+      typename Container<T>::KeyFn key = nullptr)
+      : Container<T>(profile, key), pool_(profile) {}
 
-  ~OpenHashContainer() override {
-    release_data();
-    drop_index();  // pool_'s destructor releases the arena chunks
-  }
+  // pool_'s destructor releases the index chunks.
+  ~OpenHashContainer() override { release_data(); }
 
   DdtKind kind() const noexcept override { return DdtKind::kOpenHash; }
   std::size_t size() const noexcept override { return data_.size(); }
@@ -116,7 +113,7 @@ class OpenHashContainer final : public Container<T> {
     data_.shrink_to_fit();
     this->column_clear();
     reserved_ = 0;
-    drop_index();
+    chunks_.clear();
     pool_.release();
     dirty_ = false;
   }
@@ -138,10 +135,6 @@ class OpenHashContainer final : public Container<T> {
     this->count_hops(1);
     const Slot& slot = probe(key);
     return slot.state == kFull ? static_cast<std::size_t>(slot.pos) : npos;
-  }
-
-  const support::PoolStats& pool_stats() const noexcept {
-    return pool_.stats();
   }
 
  private:
@@ -168,14 +161,6 @@ class OpenHashContainer final : public Container<T> {
 
   void mark_dirty() {
     if (index_built()) dirty_ = true;
-  }
-
-  // Forgets the index directory. Under kHeap every chunk is its own heap
-  // block, which pool_.release() does not see; clear() charges no free for
-  // them, so they go back to the host uncharged.
-  void drop_index() {
-    for (SlotChunk* chunk : chunks_) pool_.free_uncharged(chunk);
-    chunks_.clear();
   }
 
   // The key of record `index`, charged as the derivation the model

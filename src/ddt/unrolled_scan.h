@@ -41,9 +41,8 @@ class UnrolledScanContainer final : public Container<T> {
  public:
   explicit UnrolledScanContainer(
       prof::MemoryProfile& profile,
-      typename Container<T>::KeyFn key = nullptr,
-      support::AllocPolicy policy = support::AllocPolicy::kArena)
-      : Container<T>(profile, key), pool_(profile, policy) {}
+      typename Container<T>::KeyFn key = nullptr)
+      : Container<T>(profile, key), pool_(profile) {}
 
   ~UnrolledScanContainer() override { destroy_all(); }
 
@@ -210,10 +209,6 @@ class UnrolledScanContainer final : public Container<T> {
       node = node->next;
     }
     return npos;
-  }
-
-  const support::PoolStats& pool_stats() const noexcept {
-    return pool_.stats();
   }
 
  private:

@@ -3,14 +3,9 @@
 // through an intrusive free list, so steady-state insert/remove churn costs
 // a pointer swap instead of a malloc round-trip.
 //
-// Accounting is policy-driven so the profiling substrate can compare both
-// worlds with the same container code:
-//  - kArena charges the MemoryProfile per *chunk* (payload plus one
-//    allocator header), which makes footprint reflect allocator reality:
-//    chunk slack is charged, per-node headers are amortized away.
-//  - kHeap reproduces the historical per-node accounting exactly (one
-//    allocation event of sizeof(T)+kAllocatorOverhead per object), keeping
-//    the pre-arena numbers available as a baseline for the benches.
+// The pool charges the MemoryProfile per *chunk* (payload plus one
+// allocator header), which makes footprint reflect allocator reality:
+// chunk slack is charged, per-node headers are amortized away.
 #pragma once
 
 #include <cstddef>
@@ -25,26 +20,22 @@
 
 namespace ddtr::support {
 
-// Heap-allocator bookkeeping bytes charged per allocation event (one per
-// chunk under kArena, one per object under kHeap). ddt::kAllocatorOverhead
-// aliases this value.
+// Heap-allocator bookkeeping bytes charged per allocation event: one per
+// pool chunk here, one per Container::count_alloc block (array storage,
+// AR(P) records). ddt::kAllocatorOverhead aliases this value.
 // ddtr-accounting-begin (allocator cost constants + chunk geometry)
 inline constexpr std::size_t kAllocatorOverhead = 16;
 
-// CPU-op charges of the allocation paths. Heap values match the historical
-// count_alloc/count_free charges in ddt/container.h; arena paths are
-// cheaper because a bump or free-list pop is a couple of instructions.
+// CPU-op charges of the allocation paths. The heap values are what
+// Container::count_alloc/count_free charge per block (ddt/container.h);
+// arena paths are cheaper because a bump or free-list pop is a couple of
+// instructions.
 inline constexpr std::uint64_t kHeapAllocCpuOps = 8;
 inline constexpr std::uint64_t kHeapFreeCpuOps = 4;
 inline constexpr std::uint64_t kArenaChunkCpuOps = 8;    // new chunk
 inline constexpr std::uint64_t kArenaCreateCpuOps = 2;   // bump / pop
 inline constexpr std::uint64_t kArenaDestroyCpuOps = 1;  // free-list push
 inline constexpr std::uint64_t kArenaReleaseCpuOps = 4;  // per chunk
-
-enum class AllocPolicy : std::uint8_t {
-  kArena,  // chunked bump allocation + free-list reuse (default)
-  kHeap,   // one heap block per object (historical baseline)
-};
 
 // Chunk growth schedule: first chunk holds kFirstChunkObjects slots, each
 // subsequent chunk doubles, capped so a chunk's payload stays within
@@ -64,7 +55,7 @@ struct PoolStats {
   std::uint64_t reused = 0;     // creates served from the free list
   std::size_t live_objects = 0;
   std::size_t peak_objects = 0;
-  std::size_t chunk_count = 0;     // chunks currently reserved (kArena)
+  std::size_t chunk_count = 0;     // chunks currently reserved
   std::size_t reserved_bytes = 0;  // payload bytes currently reserved
 };
 
@@ -73,35 +64,27 @@ struct PoolStats {
 template <typename T>
 class Pool {
  public:
-  explicit Pool(prof::MemoryProfile& profile,
-                AllocPolicy policy = AllocPolicy::kArena)
-      : profile_(&profile), policy_(policy) {}
+  explicit Pool(prof::MemoryProfile& profile) : profile_(&profile) {}
 
   ~Pool() { release(); }
 
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
 
-  AllocPolicy policy() const noexcept { return policy_; }
   const PoolStats& stats() const noexcept { return stats_; }
 
   template <typename... Args>
   T* create(Args&&... args) {
     Slot* slot = nullptr;
-    if (policy_ == AllocPolicy::kHeap) {
-      profile_->on_alloc(sizeof(T) + kAllocatorOverhead);
-      profile_->record_cpu_ops(kHeapAllocCpuOps);
-      slot = new Slot;
-    } else if (free_list_ != nullptr) {
+    if (free_list_ != nullptr) {
       slot = free_list_;
       free_list_ = slot->next_free;
       ++stats_.reused;
-      profile_->record_cpu_ops(kArenaCreateCpuOps);
     } else {
       if (bump_ == bump_end_) grow();
       slot = bump_++;
-      profile_->record_cpu_ops(kArenaCreateCpuOps);
     }
+    profile_->record_cpu_ops(kArenaCreateCpuOps);
     T* object = ::new (static_cast<void*>(slot->storage))
         T(std::forward<Args>(args)...);
     ++stats_.created;
@@ -115,32 +98,16 @@ class Pool {
   void destroy(T* object) noexcept {
     object->~T();
     Slot* slot = reinterpret_cast<Slot*>(object);
-    if (policy_ == AllocPolicy::kHeap) {
-      profile_->on_free(sizeof(T) + kAllocatorOverhead);
-      profile_->record_cpu_ops(kHeapFreeCpuOps);
-      delete slot;
-    } else {
-      slot->next_free = free_list_;
-      free_list_ = slot;
-      profile_->record_cpu_ops(kArenaDestroyCpuOps);
-    }
+    slot->next_free = free_list_;
+    free_list_ = slot;
+    profile_->record_cpu_ops(kArenaDestroyCpuOps);
     ++stats_.destroyed;
     --stats_.live_objects;
   }
 
-  // Frees a kHeap object's block without charging the profile or the
-  // stats; a no-op under kArena, whose chunks release() returns. For
-  // owners that drop objects their accounting never frees, so the host
-  // does not leak them.
-  void free_uncharged(T* object) noexcept {
-    if (policy_ != AllocPolicy::kHeap) return;
-    object->~T();
-    delete reinterpret_cast<Slot*>(object);
-  }
-
-  // Returns every chunk to the system (kArena). Callers must have
-  // destroyed all live objects first; the free list and bump region are
-  // reset, so previously handed-out pointers become invalid.
+  // Returns every chunk to the system. Callers must have destroyed all
+  // live objects first; the free list and bump region are reset, so
+  // previously handed-out pointers become invalid.
   void release() noexcept {
     if (!chunks_.empty()) {
       // Chunk-granular telemetry only: the per-object fast paths (bump,
@@ -198,7 +165,6 @@ class Pool {
   }
 
   prof::MemoryProfile* profile_;  // non-owning, never null
-  AllocPolicy policy_;
   std::vector<Chunk> chunks_;
   Slot* free_list_ = nullptr;
   Slot* bump_ = nullptr;

@@ -86,21 +86,6 @@ TEST(Arena, PoolStatsAgreeWithMemoryProfileTotals) {
             profile.counters().deallocations);
 }
 
-TEST(Arena, HeapPolicyReproducesPerNodeAccounting) {
-  prof::MemoryProfile profile;
-  support::Pool<Rec> pool(profile, support::AllocPolicy::kHeap);
-  std::vector<Rec*> objects;
-  for (std::size_t i = 0; i < 32; ++i) objects.push_back(pool.create());
-  EXPECT_EQ(profile.counters().allocations, 32u);
-  EXPECT_EQ(profile.counters().live_bytes,
-            32u * (sizeof(Rec) + support::kAllocatorOverhead));
-  EXPECT_EQ(pool.stats().reused, 0u);
-  EXPECT_EQ(pool.stats().chunk_count, 0u);
-  for (Rec* object : objects) pool.destroy(object);
-  EXPECT_EQ(profile.counters().deallocations, 32u);
-  EXPECT_EQ(profile.counters().live_bytes, 0u);
-}
-
 TEST(Arena, ListContainerArenaBalancesOnClear) {
   // End-to-end: an arena-backed SLL allocates a handful of chunks for 64
   // nodes, serves churn from the free list, and clear() returns the whole

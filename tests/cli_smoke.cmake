@@ -81,6 +81,19 @@ run_cli(TRUE pareto_out pareto --log ${LOG_FILE})
 if(NOT pareto_out MATCHES "Pareto-optimal points out of")
   message(FATAL_ERROR "pareto output unexpected:\n${pareto_out}")
 endif()
+# --app takes the registry name the log was explored with, although the
+# records carry the display name ("URL"); an app the log lacks is an
+# error naming the apps it holds.
+run_cli(TRUE pareto_app_out pareto --log ${LOG_FILE} --app url)
+if(NOT pareto_app_out MATCHES
+   "[1-9][0-9]* Pareto-optimal points out of [1-9][0-9]* records")
+  message(FATAL_ERROR "pareto --app url found no records:\n${pareto_app_out}")
+endif()
+run_cli(FALSE pareto_noapp_out pareto --log ${LOG_FILE} --app drr)
+if(NOT pareto_noapp_out MATCHES "no record of app 'drr' .*holds: URL\\)")
+  message(FATAL_ERROR
+      "pareto --app drr not reported:\n${pareto_noapp_out}")
+endif()
 
 # 4. Valueless boolean flags work (--greedy), unknown apps and trailing
 #    value-less flags are hard errors.
@@ -174,13 +187,19 @@ expect_usage_error("explore: unknown flag --jbos"
                    explore --app url --jbos 4)
 expect_usage_error("submit: unknown flag --every"
                    submit --socket ${WORK_DIR}/nope.sock --app url --every 5)
-# Numeric ranges are the daemon's: scale in (0, 100], survivor-cap [0, 1].
+# Numeric ranges: scale in (0, 100], as the daemon's; survivor-cap in
+# (0, 1], the daemon's [0, 1] without the wire's "unset" 0.
 expect_usage_error("explore: flag --scale expects a number in \\(0,100\\]"
                    explore --app url --scale 0)
 expect_usage_error("explore: flag --scale expects a number .*'nan'"
                    explore --app url --scale nan)
-expect_usage_error("explore: flag --survivor-cap expects a number in \\[0,1\\]"
+expect_usage_error("explore: flag --survivor-cap expects a number in \\(0,1\\]"
                    explore --app url --survivor-cap 2)
+expect_usage_error("explore: flag --survivor-cap expects a number in \\(0,1\\]"
+                   explore --app drr --greedy --survivor-cap 0)
+expect_usage_error("submit: flag --survivor-cap expects a number in \\(0,1\\]"
+                   submit --socket ${WORK_DIR}/nope.sock --app drr --greedy
+                   --survivor-cap 0)
 # A bad metric is named; a boolean never swallows the next token.
 expect_usage_error("pareto: flag --x .*'bogus'"
                    pareto --log ${LOG_FILE} --x bogus)

@@ -180,48 +180,6 @@ TEST(DdtAccounting, ArrayOfPointersMovesOnlyPointers) {
   }
 }
 
-TEST(DdtAccounting, ChunkedAllocatesFewerBlocksThanSll) {
-  // Under the heap policy every list node is its own allocation, so the
-  // classic per-block comparison holds: one allocation per SLL record vs
-  // one per unrolled chunk.
-  prof::MemoryProfile sll_profile;
-  prof::MemoryProfile chunked_profile;
-  {
-    auto a = ddt::make_container<Rec>(ddt::DdtKind::kSll, sll_profile,
-                                      nullptr, support::AllocPolicy::kHeap);
-    auto b = ddt::make_container<Rec>(ddt::DdtKind::kSllOfArrays,
-                                      chunked_profile, nullptr,
-                                      support::AllocPolicy::kHeap);
-    for (std::size_t i = 0; i < kN; ++i) {
-      a->push_back({i, i});
-      b->push_back({i, i});
-    }
-  }
-  EXPECT_GT(sll_profile.counters().allocations,
-            chunked_profile.counters().allocations * 8);
-}
-
-TEST(DdtAccounting, ArenaAmortizesListNodeAllocations) {
-  // The arena pool batches node storage into doubling chunks, so the same
-  // workload performs an order of magnitude fewer allocator calls than the
-  // per-node heap policy.
-  prof::MemoryProfile heap_profile;
-  prof::MemoryProfile arena_profile;
-  {
-    auto a = ddt::make_container<Rec>(ddt::DdtKind::kSll, heap_profile,
-                                      nullptr, support::AllocPolicy::kHeap);
-    auto b = ddt::make_container<Rec>(ddt::DdtKind::kSll, arena_profile,
-                                      nullptr, support::AllocPolicy::kArena);
-    for (std::size_t i = 0; i < kN; ++i) {
-      a->push_back({i, i});
-      b->push_back({i, i});
-    }
-  }
-  EXPECT_EQ(heap_profile.counters().allocations, kN);
-  EXPECT_GT(heap_profile.counters().allocations,
-            arena_profile.counters().allocations * 8);
-}
-
 TEST(DdtAccounting, WritesAndReadsAreSeparated) {
   prof::MemoryProfile profile;
   auto c = ddt::make_container<Rec>(ddt::DdtKind::kArray, profile);

@@ -4,6 +4,7 @@
 // test against std::vector as the reference.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -146,18 +147,41 @@ TEST_P(DdtBehaviorTest, ClearReleasesEverything) {
   EXPECT_EQ(c->get(0).key, 1);
 }
 
+std::uint64_t record_key(const Record& r) {
+  return static_cast<std::uint64_t>(r.key);
+}
+
+// Keyed, a find_key before clear() builds HASH's index chunks, and one
+// after it builds a fresh index the destructor must return.
 TEST_P(DdtBehaviorTest, ClearThenDestroyBalancesAllocations) {
-  {
-    auto c = make();
-    for (int i = 0; i < 64; ++i) c->push_back({i, 0});
-    c->erase(10);
-    c->insert(3, {5, 5});
-    c->clear();
+  for (const bool keyed : {false, true}) {
+    prof::MemoryProfile profile;
+    {
+      auto c = ddt::make_container<Record>(GetParam(), profile,
+                                           keyed ? &record_key : nullptr);
+      for (int i = 0; i < 64; ++i) c->push_back({i, 0});
+      c->erase(10);
+      c->insert(3, {5, 5});
+      if (keyed) {
+        const std::uint64_t before = profile.counters().allocations;
+        EXPECT_EQ(c->find_key(40), 40u);
+        if (GetParam() == ddt::DdtKind::kOpenHash) {
+          EXPECT_GT(profile.counters().allocations, before)
+              << "find_key built no index";
+        }
+      }
+      c->clear();
+      if (keyed) {
+        c->push_back({7, 0});
+        EXPECT_EQ(c->find_key(7), 0u);
+      }
+    }
+    EXPECT_EQ(profile.counters().live_bytes, 0u)
+        << "container leaked charged bytes (keyed=" << keyed << ")";
+    EXPECT_EQ(profile.counters().allocations,
+              profile.counters().deallocations)
+        << "keyed=" << keyed;
   }
-  EXPECT_EQ(profile_.counters().live_bytes, 0u)
-      << "container leaked charged bytes";
-  EXPECT_EQ(profile_.counters().allocations,
-            profile_.counters().deallocations);
 }
 
 TEST_P(DdtBehaviorTest, DestructorReleasesWithoutClear) {

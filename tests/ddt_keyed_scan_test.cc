@@ -10,7 +10,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "ddt/factory.h"
@@ -47,15 +46,11 @@ std::string describe(const prof::ProfileCounters& c) {
          " cpu_ops=" + std::to_string(c.cpu_ops);
 }
 
-using Param = std::tuple<ddt::DdtKind, support::AllocPolicy>;
-
-class KeyedScanTest : public ::testing::TestWithParam<Param> {
+class KeyedScanTest : public ::testing::TestWithParam<ddt::DdtKind> {
  protected:
   void SetUp() override {
-    const auto [kind, policy] = GetParam();
-    column_ = ddt::make_container<Rec>(kind, column_profile_, &rec_key,
-                                       policy);
-    scan_ = ddt::make_container<Rec>(kind, scan_profile_, &rec_key, policy);
+    column_ = ddt::make_container<Rec>(GetParam(), column_profile_, &rec_key);
+    scan_ = ddt::make_container<Rec>(GetParam(), scan_profile_, &rec_key);
   }
 
   // Both twins must have charged exactly the same so far.
@@ -89,8 +84,7 @@ class KeyedScanTest : public ::testing::TestWithParam<Param> {
 };
 
 TEST_P(KeyedScanTest, FindKeyChargesTheReferenceScan) {
-  support::Rng rng(0x5eed + static_cast<std::uint64_t>(
-                                std::get<0>(GetParam())));
+  support::Rng rng(0x5eed + static_cast<std::uint64_t>(GetParam()));
   // Keys from a small domain, so duplicates (first match wins) and hits
   // deep in the container are common; misses come from outside it.
   const auto fresh = [&](std::uint64_t hits) {
@@ -174,18 +168,13 @@ const ddt::DdtKind kScanKinds[] = {
 };
 
 INSTANTIATE_TEST_SUITE_P(
-    ScanKinds, KeyedScanTest,
-    ::testing::Combine(::testing::ValuesIn(kScanKinds),
-                       ::testing::Values(support::AllocPolicy::kArena,
-                                         support::AllocPolicy::kHeap)),
-    [](const ::testing::TestParamInfo<Param>& p) {
-      std::string name(ddt::to_string(std::get<0>(p.param)));
+    ScanKinds, KeyedScanTest, ::testing::ValuesIn(kScanKinds),
+    [](const ::testing::TestParamInfo<ddt::DdtKind>& p) {
+      std::string name(ddt::to_string(p.param));
       for (char& ch : name) {
         if (ch == '(' || ch == ')') ch = '_';
       }
-      return name + (std::get<1>(p.param) == support::AllocPolicy::kArena
-                         ? "_arena"
-                         : "_heap");
+      return name;
     });
 
 // An unkeyed container keeps no column: its positional writes must leave

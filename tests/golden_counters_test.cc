@@ -10,10 +10,10 @@
 // kDdtAccountingVersion and re-records these digests in the same commit.
 //
 // The positional digests pin the containers themselves, below the apps:
-// every kind x {arena, heap} x {keyed, unkeyed} replays one seeded
-// sequence of positional operations, folding the counters and every
-// returned value after each operation, once through make_container's
-// virtual interface and once through visit_container's concrete class.
+// every kind x {unkeyed, keyed} replays one seeded sequence of positional
+// operations, folding the counters and every returned value after each
+// operation, once through make_container's virtual interface and once
+// through visit_container's concrete class.
 // They catch a host-side change to a container's bookkeeping (a node
 // index, a cursor, a column) that moves a charge or a result on an
 // operation mix no built-in app happens to run.
@@ -149,21 +149,17 @@ void replay_positional_ops(C& c, bool keyed,
 // must produce the same digest.
 std::uint64_t positional_digest(ddt::DdtKind kind, bool visit) {
   support::Fnv1a64 hash;
-  for (const support::AllocPolicy policy :
-       {support::AllocPolicy::kArena, support::AllocPolicy::kHeap}) {
-    for (const bool keyed : {false, true}) {
-      prof::MemoryProfile profile;
-      const auto key_fn = keyed ? &rec_key : nullptr;
-      const std::uint64_t seed = 0x90517 + static_cast<std::uint64_t>(kind);
-      if (visit) {
-        ddt::visit_container<Rec>(
-            kind, profile, key_fn,
-            [&](auto& c) { replay_positional_ops(c, keyed, seed, hash); },
-            policy);
-      } else {
-        auto c = ddt::make_container<Rec>(kind, profile, key_fn, policy);
-        replay_positional_ops(*c, keyed, seed, hash);
-      }
+  for (const bool keyed : {false, true}) {
+    prof::MemoryProfile profile;
+    const auto key_fn = keyed ? &rec_key : nullptr;
+    const std::uint64_t seed = 0x90517 + static_cast<std::uint64_t>(kind);
+    if (visit) {
+      ddt::visit_container<Rec>(kind, profile, key_fn, [&](auto& c) {
+        replay_positional_ops(c, keyed, seed, hash);
+      });
+    } else {
+      auto c = ddt::make_container<Rec>(kind, profile, key_fn);
+      replay_positional_ops(*c, keyed, seed, hash);
     }
   }
   return hash.digest();
@@ -175,18 +171,18 @@ TEST(GoldenCounters, PositionalOps) {
     std::uint64_t digest;
   };
   const Golden golden[] = {
-      {ddt::DdtKind::kArray, 0x7ce10a4b5b7ed3d5ull},
-      {ddt::DdtKind::kArrayOfPointers, 0xafec156d0b6bf281ull},
-      {ddt::DdtKind::kSll, 0x02ea110894ee9674ull},
-      {ddt::DdtKind::kDll, 0x46fa87e115730275ull},
-      {ddt::DdtKind::kSllRoving, 0x99c754c8a39f1b4aull},
-      {ddt::DdtKind::kDllRoving, 0x0d96fd9addfa1d1aull},
-      {ddt::DdtKind::kSllOfArrays, 0x1e12012b4663309full},
-      {ddt::DdtKind::kDllOfArrays, 0xfb35b9b6585dac79ull},
-      {ddt::DdtKind::kSllOfArraysRoving, 0xa15ea804cc01711bull},
-      {ddt::DdtKind::kDllOfArraysRoving, 0x2c88783d74d610c9ull},
-      {ddt::DdtKind::kOpenHash, 0x5ef69ef36d08c8cdull},
-      {ddt::DdtKind::kUnrolledScan, 0xddbd25550fbb4583ull},
+      {ddt::DdtKind::kArray, 0xa211233b57849a43ull},
+      {ddt::DdtKind::kArrayOfPointers, 0xfbeb778995463c9full},
+      {ddt::DdtKind::kSll, 0x34b787558c850a05ull},
+      {ddt::DdtKind::kDll, 0xe83b3d3fad8569e4ull},
+      {ddt::DdtKind::kSllRoving, 0xc3372bca4ef44a04ull},
+      {ddt::DdtKind::kDllRoving, 0xc966bc0fb58a90eeull},
+      {ddt::DdtKind::kSllOfArrays, 0xa84a6e1ef73173a1ull},
+      {ddt::DdtKind::kDllOfArrays, 0x20630490a21eab28ull},
+      {ddt::DdtKind::kSllOfArraysRoving, 0x4e90418ce0ec334full},
+      {ddt::DdtKind::kDllOfArraysRoving, 0x193d4ea1d83ebe0cull},
+      {ddt::DdtKind::kOpenHash, 0x9abf0a25137f5245ull},
+      {ddt::DdtKind::kUnrolledScan, 0xd3e0dab1e4a9854dull},
   };
   static_assert(std::size(golden) == ddt::kAllDdtKinds.size());
   for (const Golden& g : golden) {

@@ -416,7 +416,22 @@ int cmd_pareto(const CommandLine& args) {
   }
   core::ResultLog log = core::ResultLog::load(is);
   std::vector<core::SimulationRecord> records = log.records();
-  if (const auto app = args.text("app")) records = log.for_app(*app);
+  if (const auto app = args.text("app")) {
+    records = log.for_app(*app);
+    if (records.empty()) {
+      std::vector<std::string> held;
+      for (const auto& r : log.records()) {
+        if (std::ranges::find(held, r.app_name) == held.end()) {
+          held.push_back(r.app_name);
+        }
+      }
+      std::cerr << "pareto: no record of app '" << *app << "' in "
+                << log_path << " (it holds:";
+      for (const std::string& name : held) std::cerr << ' ' << name;
+      std::cerr << (held.empty() ? " no records)\n" : ")\n");
+      return 1;
+    }
+  }
 
   // Default: time vs energy.
   const std::size_t mx = args.metric("x").value_or(1);
@@ -619,14 +634,15 @@ const std::vector<Command>& commands() {
   const Flag socket{"socket", K::kText, "PATH", "the daemon's unix socket",
                     true};
   // The study knobs `explore` and `submit` share; the ranges are the ones
-  // serve::Server::validate() enforces on every submission.
+  // serve::Server::validate() enforces on every submission, except that
+  // the CLI refuses survivor-cap 0, which the wire reads as "unset".
   const std::vector<Flag> study = {
       {"app", K::kText, "A", "registered workload, see apps below", true},
       {"scale", K::kNumber, "S", "trace-length scale (default 0.25)", false,
        0.0, 100.0, true},
       {"greedy", K::kBool, "", "per-slot greedy step 1 (fewer simulations)"},
       {"survivor-cap", K::kNumber, "F",
-       "fraction of combinations step 1 keeps", false, 0.0, 1.0},
+       "fraction of combinations step 1 keeps", false, 0.0, 1.0, true},
       {"progress", K::kBool, "", "per-step simulation progress on stderr"},
       {"log", K::kText, "FILE", "write the run's result records to FILE"},
   };
