@@ -111,21 +111,12 @@ class ArrayOfPointersContainer final : public Container<T> {
     return std::make_unique<T>(value);
   }
 
+  // The slot array grows as AR's records do, a pointer per slot: far
+  // smaller than the records it points to.
   void reserve_for_one_more() {
-    if (slots_.size() < reserved_) return;
-    const std::size_t new_capacity = reserved_ == 0 ? 4 : reserved_ * 2;
-    // Alloc-copy-free: both pointer buffers coexist during growth (see
-    // ArrayContainer::reserve_for_one_more), though the slot array is far
-    // smaller than the records it points to.
-    this->count_alloc(new_capacity * kPointerBytes);
-    if (!slots_.empty()) {
-      this->count_read(kPointerBytes, slots_.size());
-      this->count_write(kPointerBytes, slots_.size());
-      this->count_moves(slots_.size());
-    }
-    if (reserved_ != 0) this->count_free(reserved_ * kPointerBytes);
-    slots_.reserve(new_capacity);
-    reserved_ = new_capacity;
+    reserved_ =
+        this->grow_for_one_more(slots_.size(), reserved_, kPointerBytes);
+    slots_.reserve(reserved_);
   }
 
   void release_all() {

@@ -1,15 +1,24 @@
-// SLL(AR) / DLL(AR) / SLL(ARO) / DLL(ARO) — the unrolled-list family:
-// linked chunks each holding up to kChunkCapacity records. Compared with
-// plain lists they amortize the pointer and allocator overhead over a whole
-// chunk (smaller footprint, fewer hops per position) at the price of
+// SLL(AR) / DLL(AR) / SLL(ARO) / DLL(ARO) / UNR — the unrolled-list
+// family: linked chunks each holding up to ChunkCapacity records. Compared
+// with plain lists they amortize the pointer and allocator overhead over a
+// whole chunk (smaller footprint, fewer hops per position) at the price of
 // intra-chunk element moves on insertion/removal. Roving variants cache the
 // last visited chunk and its base index.
+//
+// Two more parameters give UNR (ddt/unrolled_scan.h): the chunk header
+// type (the record count; its width is what a header read charges) and
+// LineScan. A line-scan list charges a traversal per chunk, not per
+// record: one payload-wide read for the whole chunk, and for find_key one
+// streaming compare of the chunk's keys (kKeyHashCpuOps plus a
+// kMoveElemsPerCpuOp-rate pass) instead of a serially dependent compare
+// per record. Positional operations are the same code for every flavour.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "ddt/container.h"
 #include "ddt/kinds.h"
@@ -26,8 +35,14 @@ inline constexpr std::size_t kDefaultChunkCapacity =
 // ddtr-accounting-end
 
 template <typename T, bool Doubly, bool Roving,
-          std::size_t ChunkCapacity = kDefaultChunkCapacity<T>>
+          std::size_t ChunkCapacity = kDefaultChunkCapacity<T>,
+          typename Header = std::uint32_t, bool LineScan = false>
 class ChunkedListContainer final : public Container<T> {
+  static_assert(ChunkCapacity <= std::numeric_limits<Header>::max(),
+                "the chunk header must hold a full chunk's count");
+  static_assert(!LineScan || (!Doubly && !Roving),
+                "the line scan exists as UNR only: singly linked, no cursor");
+
  public:
   explicit ChunkedListContainer(
       prof::MemoryProfile& profile,
@@ -37,7 +52,9 @@ class ChunkedListContainer final : public Container<T> {
   ~ChunkedListContainer() override { destroy_all(); }
 
   DdtKind kind() const noexcept override {
-    if constexpr (Doubly) {
+    if constexpr (LineScan) {
+      return DdtKind::kUnrolledScan;
+    } else if constexpr (Doubly) {
       return Roving ? DdtKind::kDllOfArraysRoving : DdtKind::kDllOfArrays;
     } else {
       return Roving ? DdtKind::kSllOfArraysRoving : DdtKind::kSllOfArrays;
@@ -142,16 +159,19 @@ class ChunkedListContainer final : public Container<T> {
     invalidate_roving();
   }
 
+  // A line scan reads each chunk's payload at once; otherwise every
+  // visited record is its own read.
   void for_each(typename Container<T>::Visitor visitor) const override {
     this->count_read(kPointerBytes);  // head pointer
     Node* node = head_;
     std::size_t base = 0;
     while (node != nullptr) {
       this->count_read(kHeaderBytes);
+      if constexpr (LineScan) this->count_read(node->count * sizeof(T));
       this->count_hops(1);
       update_roving(node, base);
       for (std::size_t i = 0; i < node->count; ++i) {
-        this->count_read(sizeof(T));
+        if constexpr (!LineScan) this->count_read(sizeof(T));
         this->count_touch();
         if (!visitor(base + i, node->values[i])) return;
       }
@@ -161,20 +181,26 @@ class ChunkedListContainer final : public Container<T> {
     }
   }
 
-  // A column search charged as for_each's walk up to the match: the head
-  // pointer, a header read and hop per chunk reached, a link read per
-  // chunk passed, a record read and touch per visit. The host walks the
-  // chunks only to count them; roving variants leave the cursor on the
-  // last chunk reached, as for_each does.
+  // A column search charged as scan_find_key's walk up to the match: the
+  // head pointer, a header read and hop per chunk reached, a link read per
+  // chunk passed; then a record read, touch and key compare per visit, or
+  // for a line scan one line read and one streaming compare per chunk
+  // reached. The host walks the chunks only to count them; roving variants
+  // leave the cursor on the last chunk reached, as for_each does.
   std::size_t find_key(std::uint64_t key) const override {
     const std::size_t found = this->column_find(key);
-    const std::size_t visits = this->scan_visits(found);
     std::size_t reached = 0;
+    std::size_t line_bytes = 0;
+    std::uint64_t compare_ops = 0;
     std::size_t base = 0;
     Node* node = head_;
     while (node != nullptr && (found == npos || base <= found)) {
       ++reached;
       update_roving(node, base);
+      if constexpr (LineScan) {
+        line_bytes += node->count * sizeof(T);
+        compare_ops += line_compare_ops(node);
+      }
       base += node->count;
       node = node->next;
     }
@@ -182,23 +208,59 @@ class ChunkedListContainer final : public Container<T> {
     this->count_read(kPointerBytes, 1 + passed);
     this->count_read(kHeaderBytes, reached);
     this->count_hops(reached);
-    this->count_read(sizeof(T), visits);
-    this->count_touch(visits);
-    this->count_key_compares(visits);
+    if constexpr (LineScan) {
+      if (reached != 0) {  // one line read per chunk, line_bytes in all
+        this->count_read(line_bytes);
+        this->count_read(0, reached - 1);
+      }
+      this->profile().record_cpu_ops(compare_ops);
+    } else {
+      const std::size_t visits = this->scan_visits(found);
+      this->count_read(sizeof(T), visits);
+      this->count_touch(visits);
+      this->count_key_compares(visits);
+    }
     return found;
   }
 
+  // The reference scan. A line scan re-derives every key of each chunk it
+  // reaches under that chunk's one streaming compare; otherwise it is the
+  // per-record walk every kind shares.
+  std::size_t scan_find_key(std::uint64_t key) const override {
+    if constexpr (!LineScan) {
+      return Container<T>::scan_find_key(key);
+    } else {
+      this->require_key_fn();
+      this->count_read(kPointerBytes);  // head pointer
+      const Node* node = head_;
+      std::size_t base = 0;
+      while (node != nullptr) {
+        this->count_read(kHeaderBytes);
+        this->count_read(node->count * sizeof(T));
+        this->count_hops(1);
+        this->profile().record_cpu_ops(line_compare_ops(node));
+        for (std::size_t i = 0; i < node->count; ++i) {
+          if (this->key_of(node->values[i]) == key) return base + i;
+        }
+        base += node->count;
+        this->count_read(kPointerBytes);
+        node = node->next;
+      }
+      return npos;
+    }
+  }
+
  private:
-  static constexpr std::size_t kHeaderBytes = sizeof(std::uint32_t);
+  static constexpr std::size_t kHeaderBytes = sizeof(Header);
 
   struct NodeSingle {
     T values[ChunkCapacity];
-    std::uint32_t count = 0;
+    Header count = 0;
     NodeSingle* next = nullptr;
   };
   struct NodeDouble {
     T values[ChunkCapacity];
-    std::uint32_t count = 0;
+    Header count = 0;
     NodeDouble* next = nullptr;
     NodeDouble* prev = nullptr;
   };
@@ -216,6 +278,12 @@ class ChunkedListContainer final : public Container<T> {
 
   static bool chunk_full(const Node* node) noexcept {
     return node->count == ChunkCapacity;
+  }
+
+  // A line scan's compare of one chunk's keys: one key derivation's worth
+  // of setup plus a streaming pass over the records.
+  static std::uint64_t line_compare_ops(const Node* node) noexcept {
+    return kKeyHashCpuOps + node->count / kMoveElemsPerCpuOp + 1;
   }
 
   Node* new_chunk() { return pool_.create(); }
@@ -321,8 +389,8 @@ class ChunkedListContainer final : public Container<T> {
     this->count_read(sizeof(T), moved);
     this->count_write(sizeof(T), moved);
     this->count_moves(moved);
-    tail_half->count = static_cast<std::uint32_t>(moved);
-    node->count = static_cast<std::uint32_t>(keep);
+    tail_half->count = static_cast<Header>(moved);
+    node->count = static_cast<Header>(keep);
     this->count_write(kHeaderBytes, 2);
 
     tail_half->next = node->next;

@@ -187,6 +187,27 @@ class Container {
   }
   std::uint64_t key_of(const T& value) const { return key_fn_(value); }
 
+  // The one growth policy of the contiguous kinds (AR, HASH's records,
+  // AR(P)'s slot array): a buffer of `width`-byte slots, `live` of the
+  // `reserved` charged ones in use. When full it grows to 4 slots, then
+  // doubles: the new buffer is allocated, every live slot copied, then the
+  // old buffer freed — old and new coexist during the copy, so the peak
+  // footprint charges both (the classic dynamic-array penalty in embedded
+  // memory budgets). Returns the slot count charged from now on.
+  std::size_t grow_for_one_more(std::size_t live, std::size_t reserved,
+                                std::size_t width) const {
+    if (live < reserved) return reserved;
+    const std::size_t grown = reserved == 0 ? 4 : reserved * 2;
+    count_alloc(grown * width);
+    if (live != 0) {
+      count_read(width, live);
+      count_write(width, live);
+      count_moves(live);
+    }
+    if (reserved != 0) count_free(reserved * width);
+    return grown;
+  }
+
   // Key column upkeep, one call per positional write. Host-only: nothing
   // is charged, and an unkeyed container pays the null check only.
   void column_push_back(const T& value) {

@@ -2,12 +2,14 @@
 // "keeping the same instrumentation and changing the DDT implementation
 // for each dominant data structure" (paper §3.1).
 //
-// Two entry points share one kind switch. make_container returns a heap
-// container behind the virtual Container<T> interface. visit_container
-// builds the concrete, `final` container on the stack and hands it to a
-// generic callable, so a kernel written against it calls every operation
-// statically (and the compiler can inline it): the dispatch is paid once
-// per run instead of once per operation.
+// The one kind switch maps each of the 12 kinds to its instantiation of
+// the four container templates (see ddt/kinds.h). Two entry points share
+// it. make_container returns a heap container behind the virtual
+// Container<T> interface. visit_container builds the concrete, `final`
+// container on the stack and hands it to a generic callable, so a kernel
+// written against it calls every operation statically (and the compiler
+// can inline it): the dispatch is paid once per run instead of once per
+// operation.
 #pragma once
 
 #include <memory>
@@ -20,7 +22,6 @@
 #include "ddt/container.h"
 #include "ddt/kinds.h"
 #include "ddt/linked_list.h"
-#include "ddt/open_hash.h"
 #include "ddt/unrolled_scan.h"
 
 namespace ddtr::ddt {
@@ -53,7 +54,7 @@ decltype(auto) with_kind_type(DdtKind kind, F&& f) {
     case DdtKind::kDllOfArraysRoving:
       return f(std::type_identity<DllOfArraysRovingContainer<T>>{});
     case DdtKind::kOpenHash:
-      return f(std::type_identity<OpenHashContainer<T>>{});
+      return f(std::type_identity<ArrayContainer<T, /*Indexed=*/true>>{});
     case DdtKind::kUnrolledScan:
       return f(std::type_identity<UnrolledScanContainer<T>>{});
   }

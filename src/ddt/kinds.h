@@ -4,6 +4,13 @@
 // flavours — plus two cache-conscious additions layered on the arena
 // allocator: an open-addressing hash index (HASH) and a cache-line-sized
 // unrolled list with a vectorizable membership scan (UNR).
+//
+// The twelve kinds are instantiations of four class templates, as the
+// paper builds its library from a few layouts: ArrayContainer (AR, and
+// HASH as its Indexed flavour), ArrayOfPointersContainer (AR(P)),
+// ListContainer (the four plain lists) and ChunkedListContainer (the four
+// unrolled lists, and UNR as its line-scan flavour). ddt/factory.h maps
+// each kind to its instantiation.
 #pragma once
 
 #include <array>

@@ -5,6 +5,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "support/fnv_hash.h"
@@ -125,6 +126,23 @@ void Trace::save(std::ostream& os) const {
   os.precision(saved_precision);
 }
 
+namespace {
+
+// Extracts one unsigned packet field. operator>> takes "-5" as its modular
+// wrap (4294967291 for a uint32_t), so a leading minus is refused here.
+template <typename U>
+void read_unsigned(std::istream& is, std::size_t packet, const char* field,
+                   U& out) {
+  is >> std::ws;
+  if (is.peek() == '-') {
+    throw std::runtime_error("packet " + std::to_string(packet) +
+                             ": negative " + field);
+  }
+  is >> out;
+}
+
+}  // namespace
+
 Trace Trace::load(std::istream& is) {
   std::string magic;
   int version = 0;
@@ -158,9 +176,22 @@ Trace Trace::load(std::istream& is) {
   for (std::size_t i = 0; i < packet_count; ++i) {
     PacketRecord p;
     unsigned protocol = 0;
-    is >> p.timestamp_s >> p.src_ip >> p.dst_ip >> p.src_port >> p.dst_port >>
-        protocol >> p.length >> p.payload_id;
-    if (!is) throw std::runtime_error("truncated packet section");
+    is >> p.timestamp_s;
+    read_unsigned(is, i, "src_ip", p.src_ip);
+    read_unsigned(is, i, "dst_ip", p.dst_ip);
+    read_unsigned(is, i, "src_port", p.src_port);
+    read_unsigned(is, i, "dst_port", p.dst_port);
+    read_unsigned(is, i, "protocol", protocol);
+    read_unsigned(is, i, "length", p.length);
+    read_unsigned(is, i, "payload_id", p.payload_id);
+    if (!is) {
+      throw std::runtime_error("packet " + std::to_string(i) +
+                               ": truncated or out-of-range field");
+    }
+    if (protocol > 0xFF) {
+      throw std::runtime_error("packet " + std::to_string(i) + ": protocol " +
+                               std::to_string(protocol) + " exceeds 255");
+    }
     p.protocol = static_cast<std::uint8_t>(protocol);
     trace.add_packet(p);
   }

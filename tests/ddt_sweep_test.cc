@@ -3,6 +3,7 @@
 // equivalence, and roving-cache stress under structural churn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -224,51 +225,92 @@ TEST(DdtKinds, TableIsCompleteAndRoundTrips) {
   EXPECT_FALSE(ddt::parse_ddt_kind("NOPE").has_value());
 }
 
-// Chunk capacity must not change functional behaviour, only costs.
+// Chunk capacity must not change functional behaviour, only costs. The
+// line-scan flavour (UNR's instantiation, 2-byte header) takes any
+// capacity too.
 template <std::size_t Cap>
-std::vector<Rec> run_chunk_workload() {
+using RovingChunkedDll = ddt::ChunkedListContainer<Rec, true, true, Cap>;
+template <std::size_t Cap>
+using LineScanList = ddt::ChunkedListContainer<Rec, false, false, Cap,
+                                               std::uint16_t, true>;
+
+// What a workload observes: the final records in order, and the position
+// find_key returned for every lookup along the way.
+struct ChunkOutcome {
+  std::vector<Rec> records;
+  std::vector<std::size_t> found;
+  bool operator==(const ChunkOutcome&) const = default;
+};
+
+template <typename C>
+ChunkOutcome run_chunk_workload() {
   prof::MemoryProfile profile;
-  ddt::ChunkedListContainer<Rec, true, true, Cap> c(profile);
+  C c(profile, [](const Rec& r) -> std::uint64_t { return r.key; });
   support::Rng rng(55);
-  std::vector<Rec> dummy;
+  ChunkOutcome out;
   for (int i = 0; i < 600; ++i) {
     const double roll = rng.next_double();
-    if (roll < 0.5 || c.size() == 0) {
+    if (roll < 0.45 || c.size() == 0) {
       c.push_back({rng.next_u64() % 1000, static_cast<std::uint64_t>(i)});
-    } else if (roll < 0.7) {
+    } else if (roll < 0.65) {
       c.insert(rng.uniform(0, c.size()), {999, 999});
-    } else if (roll < 0.9) {
+    } else if (roll < 0.85) {
       c.erase(rng.uniform(0, c.size() - 1));
-    } else {
+    } else if (roll < 0.95) {
       c.set(rng.uniform(0, c.size() - 1), {1, 2});
+    } else {
+      // Inserted records all carry key 999: alternate hits and random keys.
+      const std::uint64_t key = i % 2 == 0 ? 999 : rng.next_u64() % 1000;
+      out.found.push_back(c.find_key(key));
     }
   }
-  std::vector<Rec> out;
   c.for_each([&](std::size_t, const Rec& r) {
-    out.push_back(r);
+    out.records.push_back(r);
     return true;
   });
   return out;
 }
 
 TEST(ChunkCapacity, FunctionalBehaviourIndependentOfCapacity) {
-  const auto small = run_chunk_workload<4>();
-  const auto medium = run_chunk_workload<16>();
-  const auto large = run_chunk_workload<64>();
+  const auto small = run_chunk_workload<RovingChunkedDll<4>>();
+  const auto medium = run_chunk_workload<RovingChunkedDll<16>>();
+  const auto large = run_chunk_workload<RovingChunkedDll<64>>();
   EXPECT_EQ(small, medium);
   EXPECT_EQ(medium, large);
 }
 
+TEST(ChunkCapacity, LineScanFunctionalBehaviourIndependentOfCapacity) {
+  const auto reference = run_chunk_workload<RovingChunkedDll<16>>();
+  EXPECT_NE(std::count(reference.found.begin(), reference.found.end(),
+                       ddt::npos),
+            static_cast<std::ptrdiff_t>(reference.found.size()));
+  EXPECT_EQ(run_chunk_workload<LineScanList<2>>(), reference);
+  EXPECT_EQ(run_chunk_workload<LineScanList<4>>(), reference);
+  EXPECT_EQ(run_chunk_workload<LineScanList<16>>(), reference);
+}
+
+template <typename C>
+std::uint64_t allocations_for_512_appends() {
+  prof::MemoryProfile profile;
+  C c(profile);
+  for (std::size_t i = 0; i < 512; ++i) c.push_back({i, i});
+  return profile.counters().allocations;
+}
+
+template <std::size_t Cap>
+using ChunkedSll = ddt::ChunkedListContainer<Rec, false, false, Cap>;
+
 TEST(ChunkCapacity, SmallerChunksMoreAllocations) {
-  const auto allocs = [](auto cap_tag) {
-    prof::MemoryProfile profile;
-    ddt::ChunkedListContainer<Rec, false, false, decltype(cap_tag)::value> c(
-        profile);
-    for (std::size_t i = 0; i < 512; ++i) c.push_back({i, i});
-    return profile.counters().allocations;
-  };
-  EXPECT_GT(allocs(std::integral_constant<std::size_t, 4>{}),
-            allocs(std::integral_constant<std::size_t, 32>{}));
+  EXPECT_GT(allocations_for_512_appends<ChunkedSll<4>>(),
+            allocations_for_512_appends<ChunkedSll<32>>());
+}
+
+TEST(ChunkCapacity, LineScanSmallerChunksMoreAllocations) {
+  const std::uint64_t cap2 = allocations_for_512_appends<LineScanList<2>>();
+  const std::uint64_t cap4 = allocations_for_512_appends<LineScanList<4>>();
+  const std::uint64_t cap16 = allocations_for_512_appends<LineScanList<16>>();
+  EXPECT_GT(cap2, cap4);
+  EXPECT_GT(cap4, cap16);
 }
 
 }  // namespace

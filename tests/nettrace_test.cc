@@ -8,6 +8,7 @@
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -127,6 +128,76 @@ TEST(Trace, SaveLoadRoundTrip) {
 TEST(Trace, LoadRejectsGarbage) {
   std::stringstream ss("not a trace");
   EXPECT_THROW(Trace::load(ss), std::runtime_error);
+}
+
+// A two-packet trace whose second packet reads `fields` (src_ip dst_ip
+// src_port dst_port protocol length payload_id).
+std::string two_packet_trace(const std::string& fields) {
+  return "ddtr-trace 1 t\npayloads 0\npackets 2\n"
+         "0 1 2 3 4 6 60 4294967295\n0.5 " +
+         fields + "\n";
+}
+
+// The message Trace::load throws for `text`, or "" if it loads.
+std::string load_error(const std::string& text) {
+  std::stringstream ss(text);
+  try {
+    Trace::load(ss);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Trace, LoadAcceptsFieldBounds) {
+  std::stringstream ss(
+      two_packet_trace("4294967295 0 65535 0 255 65535 4294967295"));
+  const Trace t = Trace::load(ss);
+  ASSERT_EQ(t.size(), 2u);
+  EXPECT_EQ(t.packets()[1].src_ip, 4294967295u);
+  EXPECT_EQ(t.packets()[1].protocol, 255u);
+  EXPECT_EQ(t.packets()[1].length, 65535u);
+}
+
+// Protocol is one byte: 273 must not load as UDP (273 mod 256 = 17), nor
+// 262 as TCP.
+TEST(Trace, LoadRejectsProtocolAbove255) {
+  for (const char* protocol : {"256", "262", "273"}) {
+    const std::string error = load_error(
+        two_packet_trace(std::string("1 2 3 4 ") + protocol + " 60 0"));
+    EXPECT_NE(error.find("packet 1"), std::string::npos)
+        << protocol << ": " << error;
+    EXPECT_NE(error.find("protocol"), std::string::npos) << error;
+  }
+}
+
+// A negative value in any unsigned field must not wrap (-5 as src_ip
+// would load as 4294967291).
+TEST(Trace, LoadRejectsNegativeUnsignedFields) {
+  const char* names[] = {"src_ip",   "dst_ip", "src_port",  "dst_port",
+                         "protocol", "length", "payload_id"};
+  for (int field = 0; field < 7; ++field) {
+    std::string fields;
+    for (int i = 0; i < 7; ++i) {
+      fields += (i == field ? "-5" : "6");
+      fields += i + 1 < 7 ? " " : "";
+    }
+    const std::string error = load_error(two_packet_trace(fields));
+    EXPECT_NE(error.find("packet 1"), std::string::npos)
+        << fields << ": " << error;
+    EXPECT_NE(error.find(names[field]), std::string::npos) << error;
+  }
+}
+
+// Values past a field's width fail the extraction; the error still names
+// the packet.
+TEST(Trace, LoadNamesThePacketOfAnOverflowingField) {
+  for (const char* fields :
+       {"4294967296 2 3 4 6 60 0", "1 2 3 4 6 70000 0", "1 2 3"}) {
+    const std::string error = load_error(two_packet_trace(fields));
+    EXPECT_NE(error.find("packet 1"), std::string::npos)
+        << fields << ": " << error;
+  }
 }
 
 TEST(Trace, PayloadLookupOutOfRangeIsEmpty) {
