@@ -14,7 +14,6 @@
 #include "core/pareto.h"
 #include "core/persistent_cache.h"
 #include "core/result_log.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/thread_pool.h"
 
@@ -241,12 +240,8 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
     SimulationCache* cache, support::ThreadPool& pool, int step) const {
   // Per-record observability: a `sim` span per computed record (arg
   // `composed`), a `kernel` span per NetworkApplication::run (args app,
-  // scenario and combination, built only when a sink is attached), and the
-  // wall time of every record a slot receives. Pure observation: timings
-  // never touch the produced records.
-  static obs::Histogram& sim_us = obs::registry().histogram("explore.sim_us");
-  static obs::Counter& kernel_counter =
-      obs::registry().counter("explore.kernel_runs");
+  // scenario and combination, built only when a sink is attached). Pure
+  // observation: spans never touch the produced records.
   const char* const cat = step == 1 ? "step1" : "step2";
 
   // Index-addressed slots: lane scheduling cannot affect record order, so
@@ -282,7 +277,6 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
 
   // Pass 1: settle every unit the cache answers; the rest are misses.
   support::parallel_for(pool, count, [&](std::size_t i) {
-    const std::uint64_t t0 = obs::now_us();
     std::optional<SimulationRecord> hit;
     if (cache) hit = cache->find(scenario_of(i), combo_of(i), model_);
     if (!hit) {
@@ -290,7 +284,6 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
       return;
     }
     slots[i] = std::move(*hit);
-    sim_us.observe(obs::now_us() - t0);
     progress.tick();
   });
 
@@ -333,14 +326,11 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
     } else {
       obs::SpanScope span(options_.trace_sink, "sim", cat);
       span.arg("composed", std::uint64_t{0});
-      const std::uint64_t t0 = obs::now_us();
       produce(job.unit, record_of(scenario, job.combo,
                                   run_kernel(scenario, job.combo).total,
                                   model_));
-      sim_us.observe(obs::now_us() - t0);
     }
   });
-  kernel_counter.add(kernel_runs.load(std::memory_order_relaxed));
 
   // Pass 4: check and compose.
   std::vector<std::pair<std::size_t, const MissGroup*>> composed_units;
@@ -358,12 +348,10 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
     const bool guard = i == group.guard;
     obs::SpanScope span(options_.trace_sink, "sim", cat);
     span.arg("composed", std::uint64_t{guard ? 0u : 1u});
-    const std::uint64_t t0 = obs::now_us();
     const ddt::DdtCombination& combo = combo_of(i);
     produce(i, record_of(*group.scenario, combo,
                          guard ? group.guard_total : compose(group, combo),
                          model_));
-    sim_us.observe(obs::now_us() - t0);
   });
 
   FanOutcome out;
@@ -714,22 +702,6 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
     report.pareto_optimal = pareto_filter(points);
     agg_span.arg("aggregated", report.aggregated.size())
         .arg("pareto", report.pareto_optimal.size());
-  }
-
-  // Per-step executed/hit counters from the same stats deltas the
-  // report itself uses (the step fans run sequentially, so the deltas
-  // attribute exactly). Pure observation — the report was already final.
-  {
-    static obs::Counter& runs = obs::registry().counter("explore.runs");
-    static obs::Counter& s1_exec =
-        obs::registry().counter("explore.step1.executed");
-    static obs::Counter& s2_exec =
-        obs::registry().counter("explore.step2.executed");
-    static obs::Counter& hits = obs::registry().counter("explore.cache_hits");
-    runs.add();
-    s1_exec.add(report.step1_executed_simulations);
-    s2_exec.add(report.step2_executed_simulations);
-    hits.add(report.cache_hits);
   }
   return report;
 }

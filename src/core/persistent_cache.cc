@@ -6,42 +6,17 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "support/binary_io.h"
 #include "support/fnv_hash.h"
 
 namespace ddtr::core {
 
 namespace {
-
-// Cache I/O telemetry (see src/obs/). Timings are monotonic durations,
-// byte counters come from the structural walk / stream offsets — nothing
-// here reads the wall clock or feeds back into cache keys or contents.
-struct PcacheMetrics {
-  obs::Histogram& load_us = obs::registry().histogram("pcache.load_us");
-  obs::Histogram& store_us = obs::registry().histogram("pcache.store_us");
-  obs::Histogram& compact_us =
-      obs::registry().histogram("pcache.compact_us");
-  obs::Counter& bytes_read = obs::registry().counter("pcache.bytes_read");
-  obs::Counter& bytes_written =
-      obs::registry().counter("pcache.bytes_written");
-  obs::Counter& entries_loaded =
-      obs::registry().counter("pcache.entries_loaded");
-  obs::Counter& entries_stored =
-      obs::registry().counter("pcache.entries_stored");
-  obs::Counter& entries_corrupt =
-      obs::registry().counter("pcache.entries_corrupt");
-};
-
-PcacheMetrics& pcache_metrics() {
-  static PcacheMetrics m;
-  return m;
-}
 
 // Serializes cache-file I/O within the process: concurrent explorations
 // (e.g. bench_common fanning case studies over the thread pool) share one
@@ -85,19 +60,6 @@ void write_entry_payload(std::ostream& os, const std::string& key,
   support::write_u64(os, r.counters.cpu_ops);
 }
 
-bool parse_combo(const std::string& label, ddt::DdtCombination& combo) {
-  std::vector<ddt::DdtKind> kinds;
-  std::stringstream parts(label);
-  std::string part;
-  while (std::getline(parts, part, '+')) {
-    const auto kind = ddt::parse_ddt_kind(part);
-    if (!kind) return false;
-    kinds.push_back(*kind);
-  }
-  combo = ddt::DdtCombination(std::move(kinds));
-  return true;
-}
-
 bool read_entry_payload(std::istream& is, std::string& key,
                         SimulationRecord& r) {
   std::string combo_label;
@@ -121,7 +83,11 @@ bool read_entry_payload(std::istream& is, std::string& key,
       !support::read_u64(is, r.counters.cpu_ops)) {
     return false;
   }
-  return parse_combo(combo_label, r.combo);
+  std::optional<ddt::DdtCombination> combo =
+      ddt::parse_combination(combo_label);
+  if (!combo) return false;
+  r.combo = std::move(*combo);
+  return true;
 }
 
 // One full structural walk of a cache file. Shared by load() (absorbing
@@ -273,32 +239,24 @@ std::string PersistentSimulationCache::file_path() const {
 }
 
 std::size_t PersistentSimulationCache::load() {
-  PcacheMetrics& metrics = pcache_metrics();
-  const std::uint64_t t0 = obs::now_us();
   std::lock_guard<std::mutex> io_lock(io_mutex());
   loaded_.clear();
   load_stats_ = LoadStats{};
   store_valid_ = false;
   store_prefix_bytes_ = 0;
 
-  std::size_t absorbed = 0;
   const auto absorb = [&](std::string&& key, SimulationRecord&& record) {
     const auto [it, inserted] =
         loaded_.insert_or_assign(std::move(key), std::move(record));
     (void)it;
     if (!inserted) ++load_stats_.superseded;
-    ++absorbed;
   };
 
   const ParsedFile parsed = parse_cache_file(file_path(), absorb);
-  metrics.bytes_read.add(parsed.bytes);
   load_stats_.main_entries = parsed.entries_ok;
   load_stats_.corrupt_entries = parsed.entries_corrupt;
   store_valid_ = parsed.header_valid;
   store_prefix_bytes_ = parsed.valid_prefix;
-  metrics.entries_loaded.add(absorbed);
-  metrics.entries_corrupt.add(load_stats_.corrupt_entries);
-  metrics.load_us.observe(obs::now_us() - t0);
   return loaded_.size();
 }
 
@@ -321,8 +279,6 @@ std::size_t PersistentSimulationCache::store_new(
   auto fresh = cache.entries_missing_from(loaded_);
   if (fresh.empty()) return 0;
 
-  PcacheMetrics& metrics = pcache_metrics();
-  const std::uint64_t t0 = obs::now_us();
   std::lock_guard<std::mutex> io_lock(io_mutex());
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);  // best effort
@@ -361,7 +317,6 @@ std::size_t PersistentSimulationCache::store_new(
                             (store_valid_ ? std::ios::app : std::ios::trunc);
   std::ofstream os(target, mode);
   if (!os) return 0;
-  const std::uint64_t append_from = store_valid_ ? store_prefix_bytes_ : 0;
   if (!store_valid_) write_file_header(os);
   std::size_t written = 0;
   for (auto& [key, record] : fresh) {
@@ -373,22 +328,15 @@ std::size_t PersistentSimulationCache::store_new(
   if (os) {
     store_valid_ = true;
     store_prefix_bytes_ = static_cast<std::uint64_t>(os.tellp());
-    if (store_prefix_bytes_ > append_from) {
-      metrics.bytes_written.add(store_prefix_bytes_ - append_from);
-    }
   }
   os.close();
   // Flush the appended frames to stable storage: a run that reported its
   // records stored must find them after a crash, not a hollow tail.
   if (written != 0) support::fsync_file(target);
-  metrics.entries_stored.add(written);
-  metrics.store_us.observe(obs::now_us() - t0);
   return written;
 }
 
 std::size_t PersistentSimulationCache::compact() {
-  PcacheMetrics& metrics = pcache_metrics();
-  const std::uint64_t t0 = obs::now_us();
   std::lock_guard<std::mutex> io_lock(io_mutex());
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
@@ -431,16 +379,10 @@ std::size_t PersistentSimulationCache::compact() {
   }
   support::fsync_dir(dir_);  // make the rename durable; best effort
   {
-    std::error_code size_ec;
-    const auto size = std::filesystem::file_size(file_path(), size_ec);
-    if (!size_ec) metrics.bytes_written.add(size);
-  }
-  {
     const auto size = std::filesystem::file_size(file_path(), ec);
     store_valid_ = !ec;
     store_prefix_bytes_ = ec ? 0 : size;
   }
-  metrics.compact_us.observe(obs::now_us() - t0);
   return sorted.size();
 }
 

@@ -5,8 +5,8 @@
 #include <charconv>
 #include <istream>
 #include <locale>
+#include <optional>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace ddtr::core {
@@ -142,16 +142,12 @@ ResultLog ResultLog::load(std::istream& is) {
     r.network = unescape(network);
     r.config = unescape(config);
 
-    // Re-parse the combination label ("AR+DLL").
-    std::vector<ddt::DdtKind> kinds;
-    std::stringstream combo_stream(unescape(combo));
-    std::string part;
-    while (std::getline(combo_stream, part, '+')) {
-      const auto kind = ddt::parse_ddt_kind(part);
-      if (!kind) throw std::runtime_error("unknown DDT kind: " + part);
-      kinds.push_back(*kind);
+    const std::string label = unescape(combo);
+    std::optional<ddt::DdtCombination> parsed = ddt::parse_combination(label);
+    if (!parsed) {
+      throw std::runtime_error("unknown DDT combination: " + label);
     }
-    r.combo = ddt::DdtCombination(std::move(kinds));
+    r.combo = std::move(*parsed);
     log.append(r);
   }
   return log;

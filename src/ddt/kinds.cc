@@ -115,6 +115,20 @@ std::string DdtCombination::label() const {
   return out;
 }
 
+std::optional<DdtCombination> parse_combination(std::string_view label) {
+  std::vector<DdtKind> kinds;
+  while (!label.empty()) {
+    const std::size_t plus = label.find('+');
+    const auto kind = parse_ddt_kind(label.substr(0, plus));
+    if (!kind) return std::nullopt;
+    kinds.push_back(*kind);
+    if (plus == std::string_view::npos) break;
+    label.remove_prefix(plus + 1);
+    if (label.empty()) return std::nullopt;  // trailing '+'
+  }
+  return DdtCombination(std::move(kinds));
+}
+
 std::vector<DdtCombination> enumerate_combinations(std::size_t slots) {
   return enumerate_combinations(std::vector<std::vector<DdtKind>>(
       slots, {kAllDdtKinds.begin(), kAllDdtKinds.end()}));

@@ -98,6 +98,11 @@ class DdtCombination {
   std::vector<DdtKind> kinds_;
 };
 
+// Inverse of DdtCombination::label(): "AR+DLL" -> {AR, DLL}, and the empty
+// label -> the zero-slot combination. nullopt for an unknown kind or an
+// empty part ("AR+", "+AR", "AR++DLL").
+std::optional<DdtCombination> parse_combination(std::string_view label);
+
 // The full factorial space: all |kAllDdtKinds|^slots combinations, in a
 // deterministic lexicographic order (first slot varies slowest).
 std::vector<DdtCombination> enumerate_combinations(std::size_t slots);

@@ -129,12 +129,9 @@ ResultFrame Client::submit(const SubmitRequest& request,
   }
 }
 
-StatsReply Client::stats(bool include_metrics) {
-  StatsRequest request;
-  request.include_metrics = include_metrics ? 1 : 0;
+StatsReply Client::stats() {
   const Frame reply =
-      round_trip({FrameType::kStats, encode_stats_request(request)},
-                 FrameType::kStatsReply);
+      round_trip({FrameType::kStats, {}}, FrameType::kStatsReply);
   StatsReply out;
   if (!decode_stats_reply(reply.payload, out)) {
     throw std::runtime_error("serve client: malformed stats reply");

@@ -34,10 +34,9 @@ class Client {
   // for every streamed tick. Returns the result digest.
   ResultFrame submit(const SubmitRequest& request,
                      const ProgressFn& on_progress = nullptr);
-  // Introspection snapshot: uptime, since-boot cache counters, the job
-  // table with lifecycle timestamps, optionally the full metrics-registry
-  // dump.
-  StatsReply stats(bool include_metrics = false);
+  // Introspection snapshot: uptime, since-boot cache counters and the job
+  // table with lifecycle timestamps.
+  StatsReply stats();
   // Re-fetches the last completed result of `job_id`.
   ResultFrame results(std::uint64_t job_id);
   // Asks the daemon to drain and exit; returns its farewell.

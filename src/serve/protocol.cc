@@ -300,17 +300,6 @@ bool decode_shutdown_ack(const std::string& payload, ShutdownAck& m) {
   return support::read_u64(is, m.sessions_served) && at_end(is);
 }
 
-std::string encode_stats_request(const StatsRequest& m) {
-  std::ostringstream os;
-  support::write_u32(os, m.include_metrics);
-  return os.str();
-}
-
-bool decode_stats_request(const std::string& payload, StatsRequest& m) {
-  std::istringstream is(payload);
-  return support::read_u32(is, m.include_metrics) && at_end(is);
-}
-
 std::string encode_stats_reply(const StatsReply& m) {
   std::ostringstream os;
   support::write_u64(os, m.uptime_ms);
@@ -329,7 +318,6 @@ std::string encode_stats_reply(const StatsReply& m) {
     support::write_u64(os, job.start_ms);
     support::write_u64(os, job.finish_ms);
   }
-  support::write_string(os, m.metrics_text);
   return os.str();
 }
 
@@ -362,7 +350,7 @@ bool decode_stats_reply(const std::string& payload, StatsReply& m) {
     }
     m.jobs.push_back(std::move(job));
   }
-  return support::read_string(is, m.metrics_text) && at_end(is);
+  return at_end(is);
 }
 
 }  // namespace ddtr::serve

@@ -34,7 +34,9 @@ namespace ddtr::serve {
 // every_s, the runs/every_s job columns, StatsReply::scheduler_reruns).
 // v4: the Status/StatusReply pair is gone (Stats lists the job table);
 // frame types 8 and 9 stay unassigned.
-inline constexpr std::uint32_t kProtocolVersion = 4;
+// v5: the Stats request has an empty payload (its include_metrics field is
+// gone) and StatsReply lost metrics_text.
+inline constexpr std::uint32_t kProtocolVersion = 5;
 
 enum class FrameType : std::uint32_t {
   kHello = 1,        // client -> server, first frame on every connection
@@ -47,7 +49,7 @@ enum class FrameType : std::uint32_t {
   kResults = 10,     // client -> server, fetch a job's last result
   kShutdown = 11,    // client -> server, drain and exit (empty payload)
   kShutdownAck = 12, // server -> client, shutdown under way
-  kStats = 13,       // client -> server, introspection snapshot request
+  kStats = 13,       // client -> server, stats snapshot (empty payload)
   kStatsReply = 14,  // server -> client, uptime / cache / job-table stats
 };
 
@@ -88,6 +90,10 @@ struct HelloAck {
   std::uint64_t warm_traces = 0;   // traces held by the TraceStore
   double progress_every = 0.0;     // server's progress-frame throttle (s)
 };
+
+// Largest `packets` override a submission may ask for: the scale bound
+// (100) times the largest default trace (url, 10,000 packets).
+inline constexpr std::uint64_t kMaxPackets = 1'000'000;
 
 // One study submission: a registered workload name plus builder knobs.
 // Zero values mean "the workload's / server's default".
@@ -142,12 +148,6 @@ struct ResultsRequest {
   std::uint64_t job_id = 0;
 };
 
-// Live daemon introspection (ddtr stats). The request opts in or out of
-// the metrics-registry dump; everything else is always included.
-struct StatsRequest {
-  std::uint32_t include_metrics = 0;  // 1 = fill StatsReply::metrics_text
-};
-
 // One job-table row with its lifecycle timestamps. Timestamps are
 // steady-clock milliseconds since daemon boot (0 = not yet reached), so
 // they are comparable to StatsReply::uptime_ms and carry no wall-clock
@@ -170,7 +170,6 @@ struct StatsReply {
   std::uint64_t cache_misses = 0;  // executed simulations since boot
   std::uint64_t jobs_submitted = 0;
   std::vector<JobStats> jobs;
-  std::string metrics_text;  // obs::Registry::render_text(), on request
 };
 
 struct ShutdownAck {
@@ -195,8 +194,6 @@ std::string encode_results_request(const ResultsRequest& m);
 bool decode_results_request(const std::string& payload, ResultsRequest& m);
 std::string encode_shutdown_ack(const ShutdownAck& m);
 bool decode_shutdown_ack(const std::string& payload, ShutdownAck& m);
-std::string encode_stats_request(const StatsRequest& m);
-bool decode_stats_request(const std::string& payload, StatsRequest& m);
 std::string encode_stats_reply(const StatsReply& m);
 bool decode_stats_reply(const std::string& payload, StatsReply& m);
 

@@ -20,7 +20,6 @@
 #include "core/pareto.h"
 #include "energy/metrics.h"
 #include "nettrace/trace_store.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/table.h"
 
@@ -234,12 +233,11 @@ bool Server::handle_request(int fd, const Frame& frame) {
       return true;
     }
     case FrameType::kStats: {
-      StatsRequest request;
-      if (!decode_stats_request(frame.payload, request)) {
+      if (!frame.payload.empty()) {
         send_error(fd, "malformed stats payload");
         return false;
       }
-      handle_stats(fd, request);
+      handle_stats(fd);
       return true;
     }
     case FrameType::kResults: {
@@ -278,6 +276,9 @@ std::string Server::validate(const SubmitRequest& request) const {
   if (!(request.scale > 0.0) || !std::isfinite(request.scale) ||
       request.scale > 100.0) {
     return "scale must be finite and in (0, 100]";
+  }
+  if (request.packets > kMaxPackets) {
+    return "packets must be at most " + std::to_string(kMaxPackets);
   }
   if (request.survivor_cap < 0.0 || request.survivor_cap > 1.0 ||
       !std::isfinite(request.survivor_cap)) {
@@ -440,7 +441,7 @@ void Server::trim_jobs() {
   }
 }
 
-void Server::handle_stats(int fd, const StatsRequest& request) {
+void Server::handle_stats(int fd) {
   StatsReply reply;
   reply.uptime_ms = uptime_ms();
   reply.warm_entries = cache_.size();
@@ -466,9 +467,6 @@ void Server::handle_stats(int fd, const StatsRequest& request) {
       stats.finish_ms = job.finish_ms;
       reply.jobs.push_back(std::move(stats));
     }
-  }
-  if (request.include_metrics != 0) {
-    reply.metrics_text = obs::registry().render_text();
   }
   send_frame(fd, {FrameType::kStatsReply, encode_stats_reply(reply)});
 }

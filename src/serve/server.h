@@ -129,7 +129,7 @@ class Server {
   // is over (shutdown) and the connection should close.
   bool handle_request(int fd, const Frame& frame);
   void handle_submit(int fd, const SubmitRequest& request);
-  void handle_stats(int fd, const StatsRequest& request);
+  void handle_stats(int fd);
   void handle_results(int fd, const ResultsRequest& request);
 
   // Milliseconds of steady-clock time since start() finished.

@@ -5,7 +5,9 @@
 //
 // The pool charges the MemoryProfile per *chunk* (payload plus one
 // allocator header), which makes footprint reflect allocator reality:
-// chunk slack is charged, per-node headers are amortized away.
+// chunk slack is charged, per-node headers are amortized away. That
+// charge is the pool's only report: support sits below obs in the layer
+// lattice (tools/lint/layers.lock), so the allocator carries no telemetry.
 #pragma once
 
 #include <cstddef>
@@ -15,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "profiling/memory_profile.h"
 
 namespace ddtr::support {
@@ -109,13 +110,6 @@ class Pool {
   // live objects first; the free list and bump region are reset, so
   // previously handed-out pointers become invalid.
   void release() noexcept {
-    if (!chunks_.empty()) {
-      // Chunk-granular telemetry only: the per-object fast paths (bump,
-      // free-list swap) stay untouched. See src/obs/.
-      static obs::Counter& released =
-          obs::registry().counter("arena.chunks_released");
-      released.add(chunks_.size());
-    }
     for (const Chunk& chunk : chunks_) {
       profile_->on_free(chunk.objects * sizeof(Slot) + kAllocatorOverhead);
       profile_->record_cpu_ops(kArenaReleaseCpuOps);
@@ -154,14 +148,6 @@ class Pool {
     stats_.reserved_bytes += objects * sizeof(Slot);
     profile_->on_alloc(objects * sizeof(Slot) + kAllocatorOverhead);
     profile_->record_cpu_ops(kArenaChunkCpuOps);
-    // Chunk churn counters (see src/obs/); grow() already pays a malloc,
-    // so the relaxed-atomic adds are noise here.
-    static obs::Counter& grown =
-        obs::registry().counter("arena.chunks_allocated");
-    static obs::Counter& bytes =
-        obs::registry().counter("arena.chunk_bytes_reserved");
-    grown.add();
-    bytes.add(objects * sizeof(Slot));
   }
 
   prof::MemoryProfile* profile_;  // non-owning, never null

@@ -1,3 +1,6 @@
+// ThreadPool and parallel_for. No instrumentation: lane utilisation is
+// measured from outside (perfbench's support.pool.busy_frac), and support
+// may not include obs (tools/lint/layers.lock).
 #include "support/thread_pool.h"
 
 #include <atomic>
@@ -7,20 +10,7 @@
 #include <string>
 #include <utility>
 
-#include "obs/metrics.h"
-
 namespace ddtr::support {
-namespace {
-
-// Pool telemetry (see src/obs/): queue depth is a live gauge, the rest
-// are monotonic counters. All relaxed-atomic — nothing here syncs the
-// lanes, and none of it feeds scheduling decisions or results.
-obs::Gauge& queue_depth_gauge() {
-  static obs::Gauge& g = obs::registry().gauge("pool.queue_depth");
-  return g;
-}
-
-}  // namespace
 
 ThreadPool::ThreadPool(std::size_t parallelism) {
   if (parallelism > kMaxLanes) {
@@ -54,20 +44,14 @@ void ThreadPool::stop_and_join() noexcept {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  static obs::Counter& submitted =
-      obs::registry().counter("pool.tasks_submitted");
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));
   }
-  submitted.add();
-  queue_depth_gauge().add(1);
   cv_.notify_one();
 }
 
 void ThreadPool::worker_loop() {
-  static obs::Counter& executed =
-      obs::registry().counter("pool.tasks_executed");
   while (true) {
     std::function<void()> task;
     {
@@ -77,9 +61,7 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    queue_depth_gauge().add(-1);
     task();
-    executed.add();
   }
 }
 
@@ -105,15 +87,10 @@ struct ParallelForState {
 
   // Claims and runs indices until the pile is exhausted. On an exception
   // the pile is poisoned (next jumps past n) so other lanes stop quickly.
-  // `helper_lane` only labels the utilization counters: indices claimed
-  // by pool workers are the "steals" that balanced uneven unit costs
-  // away from the calling lane.
-  void drain(bool helper_lane) {
-    std::size_t claimed = 0;
+  void drain() {
     while (true) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) break;
-      ++claimed;
       try {
         (*body)(i);
       } catch (...) {
@@ -122,12 +99,6 @@ struct ParallelForState {
         next.store(n, std::memory_order_relaxed);
       }
     }
-    // One add per drain, not per index — the claim loop stays hot.
-    static obs::Counter& caller_claims =
-        obs::registry().counter("pool.caller_claims");
-    static obs::Counter& helper_claims =
-        obs::registry().counter("pool.helper_claims");
-    (helper_lane ? helper_claims : caller_claims).add(claimed);
   }
 };
 
@@ -152,7 +123,7 @@ void parallel_for(ThreadPool& pool, std::size_t n,
   state->pending_tasks = helpers;
   for (std::size_t t = 0; t < helpers; ++t) {
     pool.submit([state] {
-      state->drain(/*helper_lane=*/true);
+      state->drain();
       {
         std::lock_guard<std::mutex> lock(state->mu);
         --state->pending_tasks;
@@ -161,7 +132,7 @@ void parallel_for(ThreadPool& pool, std::size_t n,
     });
   }
 
-  state->drain(/*helper_lane=*/false);
+  state->drain();
   std::unique_lock<std::mutex> lock(state->mu);
   state->cv.wait(lock, [&state] { return state->pending_tasks == 0; });
   if (state->error) std::rethrow_exception(state->error);

@@ -187,6 +187,8 @@ expect_usage_error("explore: unknown flag --jbos"
                    explore --app url --jbos 4)
 expect_usage_error("submit: unknown flag --every"
                    submit --socket ${WORK_DIR}/nope.sock --app url --every 5)
+expect_usage_error("stats: unknown flag --metrics"
+                   stats --socket ${WORK_DIR}/nope.sock --metrics)
 # Numeric ranges: scale in (0, 100], as the daemon's; survivor-cap in
 # (0, 1], the daemon's [0, 1] without the wire's "unset" 0.
 expect_usage_error("explore: flag --scale expects a number in \\(0,100\\]"
@@ -200,6 +202,11 @@ expect_usage_error("explore: flag --survivor-cap expects a number in \\(0,1\\]"
 expect_usage_error("submit: flag --survivor-cap expects a number in \\(0,1\\]"
                    submit --socket ${WORK_DIR}/nope.sock --app drr --greedy
                    --survivor-cap 0)
+# The packets override is bounded as the daemon bounds it
+# (serve::kMaxPackets): refused before any connection is tried.
+expect_usage_error("submit: flag --packets expects a count in \\[0,1000000\\]"
+                   submit --socket ${WORK_DIR}/nope.sock --app url
+                   --packets 1000001)
 # A bad metric is named; a boolean never swallows the next token.
 expect_usage_error("pareto: flag --x .*'bogus'"
                    pareto --log ${LOG_FILE} --x bogus)

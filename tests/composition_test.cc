@@ -12,15 +12,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "api/ddtr.h"
-#include "obs/metrics.h"
 
 namespace ddtr::core {
 namespace {
@@ -43,41 +44,12 @@ void expect_same_record(const SimulationRecord& got,
       << where;
 }
 
-TEST(Composition, EveryCombinationOnEveryScenarioEqualsSimulate) {
-  const energy::EnergyModel model = make_paper_energy_model();
-  obs::Counter& kernel_runs = obs::registry().counter("explore.kernel_runs");
-  for (const char* app : kApps) {
-    const CaseStudy study = small_study(app);
-    const std::vector<ddt::DdtCombination> combos =
-        ddt::enumerate_combinations(study.slot_kind_sets());
-    // No cache: every (scenario, combination) unit is a miss, so step 2
-    // over the whole space composes every one of them.
-    const ExplorationEngine engine(model);
-    const std::uint64_t runs_before = kernel_runs.value();
-    const std::vector<SimulationRecord> records =
-        engine.run_step2(study, combos);
-    ASSERT_EQ(records.size(), combos.size() * study.scenarios.size()) << app;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      const Scenario& scenario = study.scenarios[i / combos.size()];
-      expect_same_record(records[i],
-                         simulate(scenario, combos[i % combos.size()], model));
-    }
-    // Per scenario: max |K_s| diagonal runs plus the guard's full run.
-    std::size_t diagonals = 0;
-    for (const auto& set : study.slot_kind_sets()) {
-      diagonals = std::max(diagonals, set.size());
-    }
-    EXPECT_EQ(kernel_runs.value() - runs_before,
-              study.scenarios.size() * (diagonals + 1))
-        << app;
-  }
-}
-
 // Forwards to a built-in app, optionally breaking the composition
-// contract it declares.
+// contract it declares, and counts its kernel runs.
 class WrappedApp : public apps::NetworkApplication {
  public:
   enum class Mode {
+    kForward,       // a plain separable forward
     kOpaque,        // does not opt in to composition
     kCoupledSlots,  // slot 1's charges depend on slot 0's kind
     kVaryingCpu,    // the CPU remainder depends on the combination
@@ -100,6 +72,7 @@ class WrappedApp : public apps::NetworkApplication {
 
   apps::RunResult run(const net::Trace& trace,
                       const ddt::DdtCombination& combo) override {
+    runs_.fetch_add(1, std::memory_order_relaxed);
     apps::RunResult result = inner_->run(trace, combo);
     if (mode_ == Mode::kCoupledSlots) {
       const auto extra = static_cast<std::uint64_t>(combo[0]) + 1;
@@ -111,9 +84,12 @@ class WrappedApp : public apps::NetworkApplication {
     return result;
   }
 
+  std::size_t runs() const { return runs_.load(std::memory_order_relaxed); }
+
  private:
   std::shared_ptr<apps::NetworkApplication> inner_;
   Mode mode_;
+  std::atomic<std::size_t> runs_{0};
 };
 
 CaseStudy wrapped(CaseStudy study, WrappedApp::Mode mode) {
@@ -124,6 +100,46 @@ CaseStudy wrapped(CaseStudy study, WrappedApp::Mode mode) {
     scenario.app = wrapper;
   }
   return study;
+}
+
+// Kernel runs summed over the distinct wrappers of a wrapped() study.
+std::size_t wrapped_runs(const CaseStudy& study) {
+  std::set<const WrappedApp*> seen;
+  std::size_t runs = 0;
+  for (const Scenario& scenario : study.scenarios) {
+    const auto* app = static_cast<const WrappedApp*>(scenario.app.get());
+    if (seen.insert(app).second) runs += app->runs();
+  }
+  return runs;
+}
+
+TEST(Composition, EveryCombinationOnEveryScenarioEqualsSimulate) {
+  const energy::EnergyModel model = make_paper_energy_model();
+  for (const char* app : kApps) {
+    const CaseStudy study = small_study(app);
+    const CaseStudy counted = wrapped(study, WrappedApp::Mode::kForward);
+    const std::vector<ddt::DdtCombination> combos =
+        ddt::enumerate_combinations(study.slot_kind_sets());
+    // No cache: every (scenario, combination) unit is a miss, so step 2
+    // over the whole space composes every one of them.
+    const ExplorationEngine engine(model);
+    const std::vector<SimulationRecord> records =
+        engine.run_step2(counted, combos);
+    ASSERT_EQ(records.size(), combos.size() * study.scenarios.size()) << app;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const Scenario& scenario = study.scenarios[i / combos.size()];
+      expect_same_record(records[i],
+                         simulate(scenario, combos[i % combos.size()], model));
+    }
+    // Per scenario: max |K_s| diagonal runs plus the guard's full run.
+    std::size_t diagonals = 0;
+    for (const auto& set : study.slot_kind_sets()) {
+      diagonals = std::max(diagonals, set.size());
+    }
+    EXPECT_EQ(wrapped_runs(counted),
+              study.scenarios.size() * (diagonals + 1))
+        << app;
+  }
 }
 
 void expect_explore_throws_naming(const CaseStudy& study,

@@ -198,6 +198,38 @@ TEST_P(KeyedDdtSweepTest, ContractMatchesArrayOracle) {
   EXPECT_EQ(c->find_key(5), ddt::npos);
 }
 
+// HASH's index must follow a key-rewriting set(): find_key builds the
+// index, set(i, r) gives record i a new key, and then both the new key and
+// the old one must answer as the oracle's reference walk does. Rewrites
+// onto a fresh key and onto a key another record already holds.
+TEST_P(KeyedDdtSweepTest, FindKeyFollowsKeyRewritingSet) {
+  prof::MemoryProfile profile;
+  prof::MemoryProfile oracle_profile;
+  auto c = ddt::make_container<Rec>(GetParam(), profile, &rec_key);
+  auto oracle = ddt::make_container<Rec>(ddt::DdtKind::kArray,
+                                         oracle_profile, &rec_key);
+  constexpr std::uint64_t kRecords = 40;
+  for (std::uint64_t k = 0; k < kRecords; ++k) {
+    c->push_back({k, k});
+    oracle->push_back({k, k});
+  }
+  const struct {
+    std::size_t index;
+    std::uint64_t new_key;
+  } rewrites[] = {{0, 1000}, {17, 1017}, {39, 1039}, {5, 6}, {6, 1000}};
+  for (const auto& [index, new_key] : rewrites) {
+    const std::uint64_t old_key = oracle->get(index).key;
+    EXPECT_EQ(c->find_key(old_key), oracle->scan_find_key(old_key));
+    const Rec r{new_key, 7000 + index};
+    c->set(index, r);
+    oracle->set(index, r);
+    for (const std::uint64_t key : {new_key, old_key}) {
+      EXPECT_EQ(c->find_key(key), oracle->scan_find_key(key))
+          << "key " << key << " after set(" << index << ")";
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, KeyedDdtSweepTest, ::testing::ValuesIn(ddt::kAllDdtKinds),
     [](const ::testing::TestParamInfo<ddt::DdtKind>& p) {
@@ -223,6 +255,22 @@ TEST(DdtKinds, TableIsCompleteAndRoundTrips) {
     EXPECT_EQ(*ddt::parse_ddt_kind(name), kind);
   }
   EXPECT_FALSE(ddt::parse_ddt_kind("NOPE").has_value());
+}
+
+// parse_combination inverts label() over every 1- and 2-slot combination
+// and rejects unknown kinds and empty parts.
+TEST(DdtKinds, CombinationLabelsRoundTrip) {
+  for (const std::size_t slots : {std::size_t{1}, std::size_t{2}}) {
+    for (const ddt::DdtCombination& combo :
+         ddt::enumerate_combinations(slots)) {
+      const auto parsed = ddt::parse_combination(combo.label());
+      ASSERT_TRUE(parsed.has_value()) << combo.label();
+      EXPECT_EQ(*parsed, combo);
+    }
+  }
+  for (const char* bad : {"AR+", "+AR", "AR++DLL", "NOPE", "AR+DLL+", "+"}) {
+    EXPECT_FALSE(ddt::parse_combination(bad).has_value()) << bad;
+  }
 }
 
 // Chunk capacity must not change functional behaviour, only costs. The

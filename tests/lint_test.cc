@@ -260,7 +260,7 @@ std::uint64_t content_hash() {
 }
 )cc";
   EXPECT_FALSE(has_rule(
-      lint::lint_source("src/obs/metrics.cc", clock_in_key_function),
+      lint::lint_source("src/obs/trace.cc", clock_in_key_function),
       "determinism"));
   EXPECT_TRUE(has_rule(
       lint::lint_source("src/core/explorer.cc", clock_in_key_function),

@@ -113,9 +113,19 @@ TEST(ResultLog, RejectsTruncated) {
 }
 
 TEST(ResultLog, RejectsUnknownDdtKind) {
-  std::stringstream ss("ddtr-log 1 1\nRoute AR+NOPE net - 1 1 1 1 "
-                       "1 1 1 1 1 1 1 1\n");
-  EXPECT_THROW(ResultLog::load(ss), std::runtime_error);
+  // An unknown kind, and an empty part after a trailing '+', both fail
+  // with the label named.
+  for (const std::string label : {"AR+NOPE", "AR+"}) {
+    std::stringstream ss("ddtr-log 1 1\nRoute " + label +
+                         " net - 1 1 1 1 1 1 1 1 1 1 1 1\n");
+    try {
+      ResultLog::load(ss);
+      ADD_FAILURE() << "accepted combination " << label;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(label), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // The stream construction save() used to be, kept here as the byte

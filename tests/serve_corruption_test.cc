@@ -203,12 +203,6 @@ TEST(ServeCorruptionSweep, PayloadCodecsRejectOrRoundTripExactly) {
   sweep_codec<ShutdownAck>("shutdown_ack", encode_shutdown_ack(shutdown_ack),
                            decode_shutdown_ack, encode_shutdown_ack, rng);
 
-  StatsRequest stats_request;
-  stats_request.include_metrics = 1;
-  sweep_codec<StatsRequest>(
-      "stats_request", encode_stats_request(stats_request),
-      decode_stats_request, encode_stats_request, rng);
-
   StatsReply stats_reply;
   stats_reply.uptime_ms = 91234;
   stats_reply.warm_entries = 61;
@@ -218,7 +212,6 @@ TEST(ServeCorruptionSweep, PayloadCodecsRejectOrRoundTripExactly) {
   stats_reply.jobs_submitted = 2;
   stats_reply.jobs.push_back({1, "url", "done", 0, 12, 15, 830});
   stats_reply.jobs.push_back({2, "drr", "running", 777, 900, 905, 0});
-  stats_reply.metrics_text = "counter explore.runs 3\ngauge pool.queue_depth 0\n";
   sweep_codec<StatsReply>("stats_reply", encode_stats_reply(stats_reply),
                           decode_stats_reply, encode_stats_reply, rng);
 }

@@ -5,8 +5,9 @@
 // returns byte-identical result records — the warm-cache guarantee,
 // verified through the full client -> daemon -> client round trip. Also:
 // job table (bounded to the newest Server::kJobTableCap jobs), result
-// re-fetch, version-mismatch refusal, a retired frame type and a hostile
-// lane count each answered with an Error frame, finished sessions being
+// re-fetch, version-mismatch refusal, a retired frame type, a hostile
+// lane count and an oversized packet count each answered with an Error
+// frame, finished sessions being
 // reaped (bounded virtual memory over many connections), and
 // drain-and-flush shutdown (socket removed, cache compacted and warm for
 // the next daemon).
@@ -197,19 +198,21 @@ TEST_F(ServeTest, RejectsUnknownAppAndBadKnobs) {
 
 TEST_F(ServeTest, RefusesVersionMismatchedHello) {
   start_server();
-  // Raw connection: a future client speaking v999 must get an Error
-  // frame, never a misparse.
-  const int fd = raw_connect();
-  Hello hello;
-  hello.version = 999;
-  ASSERT_TRUE(send_frame(fd, {FrameType::kHello, encode_hello(hello)}));
-  Frame reply;
-  ASSERT_EQ(recv_frame(fd, reply), DecodeStatus::kOk);
-  EXPECT_EQ(reply.type, FrameType::kError);
-  ErrorFrame error;
-  ASSERT_TRUE(decode_error(reply.payload, error));
-  EXPECT_NE(error.message.find("version"), std::string::npos);
-  ::close(fd);
+  // Raw connections: an older client (v4 still sent a Stats payload) or
+  // a future one speaking v999 must get an Error frame, never a misparse.
+  for (const std::uint32_t version : {std::uint32_t{4}, std::uint32_t{999}}) {
+    const int fd = raw_connect();
+    Hello hello;
+    hello.version = version;
+    ASSERT_TRUE(send_frame(fd, {FrameType::kHello, encode_hello(hello)}));
+    Frame reply;
+    ASSERT_EQ(recv_frame(fd, reply), DecodeStatus::kOk);
+    EXPECT_EQ(reply.type, FrameType::kError);
+    ErrorFrame error;
+    ASSERT_TRUE(decode_error(reply.payload, error));
+    EXPECT_NE(error.message.find("version"), std::string::npos);
+    ::close(fd);
+  }
 
   // A well-versed client still gets in afterwards.
   Client client(socket_);
@@ -250,7 +253,7 @@ TEST_F(ServeTest, StatsReportsSinceBootCountersAndJobTimestamps) {
   const ResultFrame warm = client.submit(tiny_url_request());
   EXPECT_EQ(warm.executed, 0u);
 
-  const StatsReply stats = client.stats(/*include_metrics=*/true);
+  const StatsReply stats = client.stats();
   // The acceptance check: the daemon's since-boot hit/miss counters are
   // exactly the sum of the per-run deltas it reported to clients.
   EXPECT_EQ(stats.cache_hits, cold.cache_hits + warm.cache_hits);
@@ -267,9 +270,37 @@ TEST_F(ServeTest, StatsReportsSinceBootCountersAndJobTimestamps) {
     EXPECT_LE(job.start_ms, job.finish_ms);
     EXPECT_LE(job.finish_ms, stats.uptime_ms);
   }
-  // Metrics text rides along only when asked for.
-  EXPECT_NE(stats.metrics_text.find("counter "), std::string::npos);
-  EXPECT_TRUE(client.stats().metrics_text.empty());
+}
+
+TEST_F(ServeTest, OversizedPacketCountIsRejectedBeforeAnyJobStarts) {
+  start_server();
+  Client client(socket_);
+  // The trace store is process-wide: other tests may have filled it.
+  const std::uint64_t traces_before = client.hello().warm_traces;
+  // An unbounded override would have the daemon build a trace of that
+  // many packets, holding run_mu_ against every other job meanwhile.
+  for (const std::uint64_t packets :
+       {kMaxPackets + 1, std::uint64_t{1} << 40}) {
+    SubmitRequest request = tiny_url_request();
+    request.packets = packets;
+    try {
+      client.submit(request);
+      FAIL() << "a " << packets << "-packet submission was accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find("packets must be at most " +
+                          std::to_string(kMaxPackets)),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  // Rejected at validation: no job was registered, none ran, and no
+  // trace was built.
+  const StatsReply stats = client.stats();
+  EXPECT_EQ(stats.jobs_submitted, 0u);
+  EXPECT_TRUE(stats.jobs.empty());
+  EXPECT_EQ(stats.cache_misses, 0u);
+  EXPECT_EQ(Client(socket_).hello().warm_traces, traces_before);
 }
 
 TEST_F(ServeTest, HostileLaneCountIsAnErrorNotAnAbort) {

@@ -547,11 +547,10 @@ int cmd_submit(const CommandLine& args) {
 }
 
 // ddtr stats — live introspection of a running daemon: uptime, cache
-// behavior since boot, and the full job lifecycle table. With --metrics,
-// the daemon's metrics-registry dump rides along.
+// behavior since boot, and the full job lifecycle table.
 int cmd_stats(const CommandLine& args) {
   serve::Client client(*args.text("socket"));
-  const serve::StatsReply reply = client.stats(args.flag("metrics"));
+  const serve::StatsReply reply = client.stats();
   const std::uint64_t hit_total = reply.cache_hits + reply.cache_misses;
   const double hit_rate =
       hit_total == 0 ? 0.0
@@ -580,9 +579,6 @@ int cmd_stats(const CommandLine& args) {
                     std::to_string(job.finish_ms)});
     }
     jobs.print(std::cout);
-  }
-  if (!reply.metrics_text.empty()) {
-    std::cout << "\nmetrics:\n" << reply.metrics_text;
   }
   return 0;
 }
@@ -689,7 +685,8 @@ const std::vector<Command>& commands() {
        cmd_submit,
        std::vector<Flag>{socket} + study +
            std::vector<Flag>{
-               {"packets", K::kCount, "N", "override every trace length"},
+               {"packets", K::kCount, "N", "override every trace length",
+                false, 0.0, static_cast<double>(serve::kMaxPackets)},
                {"seed-offset", K::kCount, "K", "trace seed offset"},
                {"jobs", K::kCount, "N",
                 "private lanes for this run (default: daemon's)"},
@@ -699,9 +696,7 @@ const std::vector<Command>& commands() {
                 "Pareto listing y axis (default energy_mJ)"}}},
       {"stats", {},
        "live daemon introspection: uptime, cache counters, job times",
-       cmd_stats,
-       {socket,
-        {"metrics", K::kBool, "", "append the metrics-registry dump"}}},
+       cmd_stats, {socket}},
       {"results", {}, "re-fetch a job's last result", cmd_results,
        {socket,
         {"job", K::kCount, "ID", "job id", true},
@@ -723,6 +718,7 @@ bool ranged(const Flag& flag) {
 
 std::string format_range(const Flag& flag) {
   std::ostringstream os;
+  os.precision(10);  // a count bound such as 1000000 prints in full
   os << (flag.lo_open ? '(' : '[') << flag.lo << ',' << flag.hi << ']';
   return os.str();
 }
