@@ -58,11 +58,6 @@ StudyBuilder& StudyBuilder::representative(std::size_t scenario_index) {
   return *this;
 }
 
-StudyBuilder& StudyBuilder::trace_store(net::TraceStore& store) {
-  store_ = &store;
-  return *this;
-}
-
 std::size_t StudyBuilder::scenario_count() const {
   return networks_.size() * configs_.size();
 }
@@ -96,7 +91,6 @@ core::CaseStudy StudyBuilder::build() const {
     }
   }
 
-  net::TraceStore& store = store_ ? *store_ : net::TraceStore::global();
   core::CaseStudy study;
   study.name = name_;
   study.slots = slots_;
@@ -109,7 +103,8 @@ core::CaseStudy StudyBuilder::build() const {
     trace_options.seed_offset = seed_offset_;
     // One immutable trace per network, shared by every config cell (and
     // every other study replaying the same preset at this length).
-    const auto trace = store.get_or_generate(preset, trace_options);
+    const auto trace =
+        net::TraceStore::global().get_or_generate(preset, trace_options);
     for (const ConfigCell& cell : configs_) {
       core::Scenario scenario;
       scenario.network = preset.name;

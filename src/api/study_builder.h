@@ -3,8 +3,9 @@
 // grid: a list of network presets crossed with a list of application
 // configurations (label + app factory). build() expands the cross-product
 // in network-major order (the order every paper study uses), builds each
-// network's trace exactly once through a net::TraceStore so all scenarios
-// of that network share one immutable trace, and validates the result.
+// network's trace exactly once through net::TraceStore::global() so all
+// scenarios of that network share one immutable trace, and validates the
+// result.
 //
 //   core::CaseStudy study =
 //       api::StudyBuilder("Route")
@@ -23,10 +24,6 @@
 #include <vector>
 
 #include "core/simulation.h"
-
-namespace ddtr::net {
-class TraceStore;
-}
 
 namespace ddtr::api {
 
@@ -63,9 +60,6 @@ class StudyBuilder {
   // Scenario index step 1 uses as the representative network
   // configuration (default 0, the first grid cell).
   StudyBuilder& representative(std::size_t scenario_index);
-  // Trace store to build/share traces through (default: the process-wide
-  // net::TraceStore::global()). Must outlive build().
-  StudyBuilder& trace_store(net::TraceStore& store);
 
   // Scenarios build() will produce: networks x configs.
   std::size_t scenario_count() const;
@@ -89,7 +83,6 @@ class StudyBuilder {
   std::vector<std::string> networks_;
   std::vector<ConfigCell> configs_;
   std::size_t representative_ = 0;
-  net::TraceStore* store_ = nullptr;  // nullptr = global()
 };
 
 }  // namespace ddtr::api

@@ -1,9 +1,10 @@
 #include "nettrace/trace_store.h"
 
-#include <fstream>
+#include <algorithm>
+#include <chrono>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
+#include <vector>
 
 namespace ddtr::net {
 
@@ -21,13 +22,15 @@ std::shared_ptr<const Trace> TraceStore::get_or_build(
     const auto it = traces_.find(key);
     if (it != traces_.end()) {
       ++hits_;
-      future = it->second;
+      it->second.last_request = ++requests_;
+      future = it->second.trace;
     } else {
       promise =
           std::make_shared<std::promise<std::shared_ptr<const Trace>>>();
       future = promise->get_future().share();
-      traces_.emplace(key, future);
+      traces_.emplace(key, Entry{future, ++requests_});
     }
+    evict_idle();
   }
   if (!promise) return future.get();  // ready, or waits on in-flight build
 
@@ -77,12 +80,23 @@ std::shared_ptr<const Trace> TraceStore::get_or_generate(
       key, [&] { return TraceGenerator::generate(preset, options); });
 }
 
-std::shared_ptr<const Trace> TraceStore::get_or_load(const std::string& path) {
-  return get_or_build("file:" + path, [&] {
-    std::ifstream is(path);
-    if (!is) throw std::runtime_error("cannot open trace file " + path);
-    return Trace::load(is);
+void TraceStore::evict_idle() {
+  if (traces_.size() <= kRetain) return;
+  std::vector<decltype(traces_)::iterator> idle;
+  for (auto it = traces_.begin(); it != traces_.end(); ++it) {
+    const auto& trace = it->second.trace;
+    // Idle: built, and the store's copy is the only reference left.
+    if (trace.wait_for(std::chrono::seconds(0)) == std::future_status::ready &&
+        trace.get().use_count() == 1) {
+      idle.push_back(it);
+    }
+  }
+  std::sort(idle.begin(), idle.end(), [](const auto& a, const auto& b) {
+    return a->second.last_request < b->second.last_request;
   });
+  const std::size_t excess =
+      std::min(traces_.size() - kRetain, idle.size());
+  for (std::size_t i = 0; i < excess; ++i) traces_.erase(idle[i]);
 }
 
 std::size_t TraceStore::size() const {

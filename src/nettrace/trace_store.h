@@ -27,17 +27,31 @@ namespace ddtr::net {
 //
 // Builds do not serialize behind one lock: each key owns a shared_future
 // slot, so concurrent requests for the SAME key wait on one build while
-// requests for DISTINCT keys build in parallel (PR-2's case-study fan-out
+// requests for DISTINCT keys build in parallel (a case-study fan-out
 // builds several networks' traces at once).
+//
+// Eviction: an entry is IDLE when its trace is built and no holder but the
+// store references it (every Scenario that replayed it is gone). Each
+// request that leaves more than kRetain entries drops the least recently
+// requested idle ones until kRetain remain (or none is idle); a later
+// request for a dropped key rebuilds the same content. Referenced and
+// in-flight traces count toward kRetain but are never evicted. So a
+// long-lived process (the `ddtr serve` daemon) pins at most kRetain
+// traces beyond the ones its live studies hold. A trace costs 32 bytes
+// per packet (one PacketRecord) plus its payload table (a few KB of URLs
+// for url), so the idle worst case is kRetain x 32 B x packets: about
+// 10 MB at scale 1 (at most 10,000 packets a trace) and about 1 GiB at
+// the daemon's bound of 1,000,000 packets a trace (serve::kMaxPackets).
 class TraceStore {
  public:
+  // Entries kept before idle ones are evicted: the four built-in studies
+  // at one option set ask for 7 + 5 + 7 + 5 = 24 traces, so resubmitting
+  // them stays warm.
+  static constexpr std::size_t kRetain = 32;
+
   // Builds (once) and returns the trace a preset + options pair generates.
   std::shared_ptr<const Trace> get_or_generate(
       const NetworkPreset& preset, const TraceGenerator::Options& options);
-
-  // Parses (once) and returns the trace stored in a text trace file.
-  // Throws std::runtime_error when the file cannot be opened.
-  std::shared_ptr<const Trace> get_or_load(const std::string& path);
 
   // Generic entry point: builds (once per key) and returns the trace. The
   // first requester of a key runs `build` outside the store lock; later
@@ -48,7 +62,7 @@ class TraceStore {
       const std::string& key,
       const std::function<Trace()>& build);
 
-  // Traces stored or being built.
+  // Traces stored or being built, idle ones included.
   std::size_t size() const;
   // How many requests were answered from the store without rebuilding
   // (ready entries and waits on another requester's in-flight build).
@@ -59,10 +73,18 @@ class TraceStore {
   static TraceStore& global();
 
  private:
+  struct Entry {
+    std::shared_future<std::shared_ptr<const Trace>> trace;
+    std::uint64_t last_request = 0;  // requests_ at the key's latest request
+  };
+
+  // Drops the least recently requested idle entries while more than
+  // kRetain entries are stored. Requires mu_.
+  void evict_idle();
+
   mutable std::mutex mu_;
-  std::unordered_map<std::string,
-                     std::shared_future<std::shared_ptr<const Trace>>>
-      traces_;
+  std::unordered_map<std::string, Entry> traces_;
+  std::uint64_t requests_ = 0;  // recency clock, one tick per request
   std::uint64_t hits_ = 0;
 };
 

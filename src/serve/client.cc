@@ -139,17 +139,6 @@ StatsReply Client::stats() {
   return out;
 }
 
-ResultFrame Client::results(std::uint64_t job_id) {
-  const Frame reply =
-      round_trip({FrameType::kResults, encode_results_request({job_id})},
-                 FrameType::kResult);
-  ResultFrame out;
-  if (!decode_result(reply.payload, out)) {
-    throw std::runtime_error("serve client: malformed result frame");
-  }
-  return out;
-}
-
 ShutdownAck Client::shutdown() {
   const Frame reply =
       round_trip({FrameType::kShutdown, {}}, FrameType::kShutdownAck);

@@ -37,8 +37,6 @@ class Client {
   // Introspection snapshot: uptime, since-boot cache counters and the job
   // table with lifecycle timestamps.
   StatsReply stats();
-  // Re-fetches the last completed result of `job_id`.
-  ResultFrame results(std::uint64_t job_id);
   // Asks the daemon to drain and exit; returns its farewell.
   ShutdownAck shutdown();
 

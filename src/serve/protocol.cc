@@ -170,7 +170,6 @@ std::string encode_hello_ack(const HelloAck& m) {
   support::write_u32(os, m.version);
   support::write_u64(os, m.warm_entries);
   support::write_u64(os, m.warm_traces);
-  support::write_f64(os, m.progress_every);
   return os.str();
 }
 
@@ -178,8 +177,7 @@ bool decode_hello_ack(const std::string& payload, HelloAck& m) {
   std::istringstream is(payload);
   return support::read_u32(is, m.version) &&
          support::read_u64(is, m.warm_entries) &&
-         support::read_u64(is, m.warm_traces) &&
-         support::read_f64(is, m.progress_every) && at_end(is);
+         support::read_u64(is, m.warm_traces) && at_end(is);
 }
 
 std::string encode_submit(const SubmitRequest& m) {
@@ -190,7 +188,6 @@ std::string encode_submit(const SubmitRequest& m) {
   support::write_u64(os, m.seed_offset);
   support::write_u32(os, m.greedy);
   support::write_f64(os, m.survivor_cap);
-  support::write_u64(os, m.jobs);
   support::write_string(os, m.metric_x);
   support::write_string(os, m.metric_y);
   return os.str();
@@ -203,7 +200,6 @@ bool decode_submit(const std::string& payload, SubmitRequest& m) {
          support::read_u64(is, m.seed_offset) &&
          support::read_u32(is, m.greedy) &&
          support::read_f64(is, m.survivor_cap) &&
-         support::read_u64(is, m.jobs) &&
          support::read_string(is, m.metric_x) &&
          support::read_string(is, m.metric_y) && at_end(is);
 }
@@ -276,17 +272,6 @@ std::string encode_error(const ErrorFrame& m) {
 bool decode_error(const std::string& payload, ErrorFrame& m) {
   std::istringstream is(payload);
   return support::read_string(is, m.message) && at_end(is);
-}
-
-std::string encode_results_request(const ResultsRequest& m) {
-  std::ostringstream os;
-  support::write_u64(os, m.job_id);
-  return os.str();
-}
-
-bool decode_results_request(const std::string& payload, ResultsRequest& m) {
-  std::istringstream is(payload);
-  return support::read_u64(is, m.job_id) && at_end(is);
 }
 
 std::string encode_shutdown_ack(const ShutdownAck& m) {

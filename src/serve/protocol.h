@@ -36,7 +36,10 @@ namespace ddtr::serve {
 // frame types 8 and 9 stay unassigned.
 // v5: the Stats request has an empty payload (its include_metrics field is
 // gone) and StatsReply lost metrics_text.
-inline constexpr std::uint32_t kProtocolVersion = 5;
+// v6: the Results re-fetch is gone (a warm resubmission replays a job);
+// frame type 10 stays unassigned. SubmitRequest lost jobs and HelloAck
+// lost progress_every.
+inline constexpr std::uint32_t kProtocolVersion = 6;
 
 enum class FrameType : std::uint32_t {
   kHello = 1,        // client -> server, first frame on every connection
@@ -46,7 +49,6 @@ enum class FrameType : std::uint32_t {
   kProgress = 5,     // server -> client, StepProgress tick stream
   kResult = 6,       // server -> client, final ExplorationReport digest
   kError = 7,        // server -> client, request failed (message)
-  kResults = 10,     // client -> server, fetch a job's last result
   kShutdown = 11,    // client -> server, drain and exit (empty payload)
   kShutdownAck = 12, // server -> client, shutdown under way
   kStats = 13,       // client -> server, stats snapshot (empty payload)
@@ -88,7 +90,6 @@ struct HelloAck {
   std::uint32_t version = kProtocolVersion;
   std::uint64_t warm_entries = 0;  // simulation records held in memory
   std::uint64_t warm_traces = 0;   // traces held by the TraceStore
-  double progress_every = 0.0;     // server's progress-frame throttle (s)
 };
 
 // Largest `packets` override a submission may ask for: the scale bound
@@ -96,7 +97,7 @@ struct HelloAck {
 inline constexpr std::uint64_t kMaxPackets = 1'000'000;
 
 // One study submission: a registered workload name plus builder knobs.
-// Zero values mean "the workload's / server's default".
+// Zero values mean "the workload's default".
 struct SubmitRequest {
   std::string app;
   double scale = 0.25;
@@ -104,7 +105,6 @@ struct SubmitRequest {
   std::uint64_t seed_offset = 0;  // trace generation seed offset
   std::uint32_t greedy = 0;       // 1 = Step1Policy::kGreedyPerSlot
   double survivor_cap = 0.0;      // survivor_cap_fraction (0 = default)
-  std::uint64_t jobs = 0;         // simulation lanes (0 = server's --jobs)
   std::string metric_x = "time";  // result-frame Pareto listing axes
   std::string metric_y = "energy";
 };
@@ -142,10 +142,6 @@ struct ResultFrame {
 
 struct ErrorFrame {
   std::string message;
-};
-
-struct ResultsRequest {
-  std::uint64_t job_id = 0;
 };
 
 // One job-table row with its lifecycle timestamps. Timestamps are
@@ -190,8 +186,6 @@ std::string encode_result(const ResultFrame& m);
 bool decode_result(const std::string& payload, ResultFrame& m);
 std::string encode_error(const ErrorFrame& m);
 bool decode_error(const std::string& payload, ErrorFrame& m);
-std::string encode_results_request(const ResultsRequest& m);
-bool decode_results_request(const std::string& payload, ResultsRequest& m);
 std::string encode_shutdown_ack(const ShutdownAck& m);
 bool decode_shutdown_ack(const std::string& payload, ShutdownAck& m);
 std::string encode_stats_reply(const StatsReply& m);

@@ -26,6 +26,11 @@
 namespace ddtr::serve {
 namespace {
 
+// Progress-frame throttle: a running job streams at most one
+// StepProgress tick per this period (the endpoints done==0 and
+// done==total always go out).
+constexpr std::chrono::milliseconds kProgressEvery{250};
+
 // The 2-D Pareto front of the aggregated step-3 records on the requested
 // metric pair, preformatted one line per point (combo label + both
 // values) so clients print it verbatim.
@@ -199,7 +204,6 @@ void Server::handle_connection(int fd) {
     HelloAck ack;
     ack.warm_entries = cache_.size();
     ack.warm_traces = net::TraceStore::global().size();
-    ack.progress_every = options_.progress_every_s;
     ok = send_frame(fd, {FrameType::kHelloAck, encode_hello_ack(ack)});
   }
 
@@ -238,15 +242,6 @@ bool Server::handle_request(int fd, const Frame& frame) {
         return false;
       }
       handle_stats(fd);
-      return true;
-    }
-    case FrameType::kResults: {
-      ResultsRequest request;
-      if (!decode_results_request(frame.payload, request)) {
-        send_error(fd, "malformed results payload");
-        return false;
-      }
-      handle_results(fd, request);
       return true;
     }
     case FrameType::kShutdown: {
@@ -305,8 +300,7 @@ void Server::handle_submit(int fd, const SubmitRequest& request) {
     std::lock_guard<std::mutex> lock(jobs_mu_);
     job_id = next_job_id_++;
     Job job;
-    job.id = job_id;
-    job.request = request;
+    job.app = request.app;
     job.submit_ms = uptime_ms();
     jobs_.emplace(job_id, std::move(job));
     trim_jobs();
@@ -351,20 +345,16 @@ ResultFrame Server::run_job(std::uint64_t job_id, const SubmitRequest& request,
 
   api::Exploration session(
       api::registry().make_study(request.app, study_options));
-  // A per-submit jobs override gets a private pool of that width; the
-  // default rides the long-lived shared pool (reports are bit-identical
-  // at any lane count either way).
   core::SharedState shared{cache_, persistent_ ? &*persistent_ : nullptr,
-                           request.jobs > 0 ? nullptr : &*pool_};
+                           &*pool_};
   session.memoize_simulations(true).shared_state(&shared);
-  if (request.jobs > 0) session.jobs(request.jobs);
   if (request.greedy == 1) {
     session.step1_policy(core::Step1Policy::kGreedyPerSlot);
   }
   if (request.survivor_cap > 0.0) session.survivor_cap(request.survivor_cap);
   session.trace_sink(options_.trace);
   // Time-throttled StepProgress stream: at most one tick per
-  // --progress-every seconds, plus the exact endpoints (done==0 and
+  // kProgressEvery, plus the exact endpoints (done==0 and
   // done==total always go out, so clients see every step open and
   // close). The engine serializes observer calls, so sends do not
   // interleave. A vanished client only mutes progress — the run (and
@@ -374,15 +364,11 @@ ResultFrame Server::run_job(std::uint64_t job_id, const SubmitRequest& request,
     std::chrono::steady_clock::time_point last_send{};
   };
   auto state = std::make_shared<ProgressState>();
-  const auto min_gap =
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(options_.progress_every_s));
-  session.on_progress([fd, job_id, state,
-                       min_gap](const core::StepProgress& p) {
+  session.on_progress([fd, job_id, state](const core::StepProgress& p) {
     if (!state->client_alive) return;
     const auto now = std::chrono::steady_clock::now();
     const bool endpoint = p.done == 0 || p.done == p.total;
-    if (!endpoint && now - state->last_send < min_gap) return;
+    if (!endpoint && now - state->last_send < kProgressEvery) return;
     state->last_send = now;
     ProgressFrame tick;
     tick.job_id = job_id;
@@ -423,7 +409,6 @@ ResultFrame Server::run_job(std::uint64_t job_id, const SubmitRequest& request,
     job.state = "done";
     job.last_executed = result.executed;
     job.finish_ms = uptime_ms();
-    job.last_result = result;
     trim_jobs();
   }
   log_line("job " + std::to_string(job_id) + ": executed " +
@@ -459,7 +444,7 @@ void Server::handle_stats(int fd) {
     for (const auto& [id, job] : jobs_) {
       JobStats stats;
       stats.id = id;
-      stats.app = job.request.app;
+      stats.app = job.app;
       stats.state = job.state;
       stats.last_executed = job.last_executed;
       stats.submit_ms = job.submit_ms;
@@ -469,21 +454,6 @@ void Server::handle_stats(int fd) {
     }
   }
   send_frame(fd, {FrameType::kStatsReply, encode_stats_reply(reply)});
-}
-
-void Server::handle_results(int fd, const ResultsRequest& request) {
-  std::optional<ResultFrame> result;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    auto it = jobs_.find(request.job_id);
-    if (it != jobs_.end()) result = it->second.last_result;
-  }
-  if (!result) {
-    send_error(fd, "job " + std::to_string(request.job_id) +
-                       " has no completed result");
-    return;
-  }
-  send_frame(fd, {FrameType::kResult, encode_result(*result)});
 }
 
 bool Server::send_error(int fd, const std::string& message) {

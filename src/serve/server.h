@@ -4,18 +4,21 @@
 // instead of rebuilding them per CLI invocation. Clients connect over a
 // unix-domain socket (see serve/protocol.h), submit registered workloads
 // with builder knobs, watch core::StepProgress ticks stream back, and
-// receive the final report digest (a resubmission replays from the warm
-// cache: zero executed simulations, byte-identical records).
+// receive the final report digest. Results are not kept: a client that
+// wants one again resubmits, and the warm cache replays it (zero executed
+// simulations, byte-identical records).
 //
 // Concurrency model: one accept loop and one thread per connection — but
 // explorations SERIALIZE on run_mu_, because the shared
 // SimulationCache/PersistentSimulationCache pair admits one explore() at
 // a time (store_new mutates the loaded set; see
-// core::SharedState). Sessions still multiplex: the protocol
-// conversation, progress streaming and stats queries all run
-// concurrently, only the simulation phase queues. The accept loop joins
-// finished session threads as it goes, so a long-lived daemon holds one
-// thread per OPEN connection, not one per connection ever served.
+// core::SharedState). Every run therefore has the daemon's one pool to
+// itself, its width fixed at start by ServerOptions::jobs. Sessions still
+// multiplex: the protocol conversation, progress streaming and stats
+// queries all run concurrently, only the simulation phase queues. The
+// accept loop joins finished session threads as it goes, so a long-lived
+// daemon holds one thread per OPEN connection, not one per connection
+// ever served.
 //
 // Shutdown: request_stop() is async-signal-safe (an atomic store — the
 // CLI's SIGTERM/SIGINT handler calls it directly). serve_forever() then
@@ -55,14 +58,9 @@ struct ServerOptions {
   // every run; empty = in-memory warmth only (cache dies with the daemon).
   std::string cache_dir;
   // Simulation lanes of the shared pool (0 = one per hardware thread).
-  // A submission's own `jobs` knob overrides per run with a private pool.
   std::size_t jobs = 0;
   // Daemon log sink (nullptr = silent).
   std::ostream* log = nullptr;
-  // Progress-frame throttle: a running job streams at most one
-  // StepProgress tick per this many seconds (the endpoints done==0 and
-  // done==total always go out). Advertised to clients in HelloAck.
-  double progress_every_s = 0.25;
   // Optional span tracer (see src/obs/trace.h): connection and job
   // lifecycles plus every exploration's internal spans. Borrowed, never
   // owned; null disables tracing.
@@ -72,9 +70,8 @@ struct ServerOptions {
 class Server {
  public:
   // Jobs the table keeps. Past this many, the oldest finished (done or
-  // failed) jobs are dropped with their results; queued and running jobs
-  // are never dropped. `results` of a dropped job gets the same Error
-  // frame as an unknown id, and jobs_submitted still counts every job.
+  // failed) jobs are dropped; queued and running jobs are never dropped,
+  // and jobs_submitted still counts every job.
   static constexpr std::size_t kJobTableCap = 64;
 
   explicit Server(ServerOptions options);
@@ -108,12 +105,11 @@ class Server {
   std::uint64_t warm_entries() const { return cache_.size(); }
 
  private:
+  // One job-table row: what `stats` lists, nothing more.
   struct Job {
-    std::uint64_t id = 0;
-    SubmitRequest request;
+    std::string app;
     std::string state = "queued";  // queued | running | done | failed
     std::uint64_t last_executed = 0;
-    std::optional<ResultFrame> last_result;
     // Lifecycle timestamps for introspection (ms since daemon boot;
     // 0 = not reached).
     std::uint64_t submit_ms = 0;
@@ -130,7 +126,6 @@ class Server {
   bool handle_request(int fd, const Frame& frame);
   void handle_submit(int fd, const SubmitRequest& request);
   void handle_stats(int fd);
-  void handle_results(int fd, const ResultsRequest& request);
 
   // Milliseconds of steady-clock time since start() finished.
   std::uint64_t uptime_ms() const;

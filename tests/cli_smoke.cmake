@@ -189,6 +189,10 @@ expect_usage_error("submit: unknown flag --every"
                    submit --socket ${WORK_DIR}/nope.sock --app url --every 5)
 expect_usage_error("stats: unknown flag --metrics"
                    stats --socket ${WORK_DIR}/nope.sock --metrics)
+expect_usage_error("submit: unknown flag --jobs"
+                   submit --socket ${WORK_DIR}/nope.sock --app url --jobs 2)
+expect_usage_error("serve: unknown flag --progress-every"
+                   serve --socket ${WORK_DIR}/nope.sock --progress-every 1)
 # Numeric ranges: scale in (0, 100], as the daemon's; survivor-cap in
 # (0, 1], the daemon's [0, 1] without the wire's "unset" 0.
 expect_usage_error("explore: flag --scale expects a number in \\(0,100\\]"
@@ -215,7 +219,7 @@ expect_usage_error("explore: unexpected argument 'stray'"
 # Bare `ddtr` prints the generated usage: it lists exactly the subcommands
 # that dispatch, each of which rejects an unknown flag.
 set(commands apps ddts presets tracegen traceparse explore pareto cache
-    serve submit stats results shutdown tracecheck)
+    serve submit stats shutdown tracecheck)
 expect_usage_error("^usage:\n")
 string(REGEX MATCHALL "\n  ddtr [a-z]+" listed "${usage_error_out}")
 string(REPLACE "\n  ddtr " "" listed "${listed}")

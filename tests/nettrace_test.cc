@@ -384,5 +384,41 @@ TEST(TraceStore, FailedBuildPropagatesAndAllowsRetry) {
   EXPECT_EQ(store.size(), 1u);
 }
 
+TEST(TraceStore, IdleTracesAreBoundedAndHeldTracesStay) {
+  TraceStore store;
+  // The first trace stays referenced by the test; every later one is
+  // dropped at once, so it is idle from its request on.
+  const auto held = store.get_or_build("key-0", [] { return Trace{"0"}; });
+  for (int i = 1; i < 40; ++i) {
+    const std::string key = "key-" + std::to_string(i);
+    store.get_or_build(key, [&] { return Trace{key}; });
+    EXPECT_LE(store.size(), TraceStore::kRetain) << "after " << key;
+  }
+  EXPECT_EQ(store.size(), TraceStore::kRetain);
+  // The held trace is the oldest request, yet it was never evicted: the
+  // store hands back the same instance without rebuilding.
+  const std::uint64_t hits = store.hits();
+  bool rebuilt = false;
+  const auto again = store.get_or_build("key-0", [&] {
+    rebuilt = true;
+    return Trace{"0"};
+  });
+  EXPECT_FALSE(rebuilt);
+  EXPECT_EQ(again.get(), held.get());
+  EXPECT_EQ(store.hits(), hits + 1);
+  // The newest idle key is still warm; the oldest idle one was evicted
+  // and builds afresh.
+  store.get_or_build("key-39", [&] {
+    rebuilt = true;
+    return Trace{"39"};
+  });
+  EXPECT_FALSE(rebuilt);
+  store.get_or_build("key-1", [&] {
+    rebuilt = true;
+    return Trace{"1"};
+  });
+  EXPECT_TRUE(rebuilt);
+}
+
 }  // namespace
 }  // namespace ddtr::net

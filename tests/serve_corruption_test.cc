@@ -192,12 +192,6 @@ TEST(ServeCorruptionSweep, PayloadCodecsRejectOrRoundTripExactly) {
   sweep_codec<ErrorFrame>("error", encode_error(error), decode_error,
                           encode_error, rng);
 
-  ResultsRequest results_request;
-  results_request.job_id = 5;
-  sweep_codec<ResultsRequest>(
-      "results_request", encode_results_request(results_request),
-      decode_results_request, encode_results_request, rng);
-
   ShutdownAck shutdown_ack;
   shutdown_ack.sessions_served = 8;
   sweep_codec<ShutdownAck>("shutdown_ack", encode_shutdown_ack(shutdown_ack),

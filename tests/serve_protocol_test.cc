@@ -130,11 +130,16 @@ TEST(ServeMessages, HelloAckRoundTrip) {
   HelloAck in;
   in.warm_entries = 165;
   in.warm_traces = 5;
+  const std::string wire = encode_hello_ack(in);
+  // v6 layout: u32 version, u64 warm_entries, u64 warm_traces.
+  EXPECT_EQ(wire.size(), 4u + 8u + 8u);
   HelloAck out;
-  ASSERT_TRUE(decode_hello_ack(encode_hello_ack(in), out));
+  ASSERT_TRUE(decode_hello_ack(wire, out));
   EXPECT_EQ(out.version, kProtocolVersion);
   EXPECT_EQ(out.warm_entries, 165u);
   EXPECT_EQ(out.warm_traces, 5u);
+  // A v5 ack (one more f64) is trailing garbage to a v6 peer.
+  EXPECT_FALSE(decode_hello_ack(wire + std::string(8, '\0'), out));
 }
 
 TEST(ServeMessages, SubmitRoundTripAllFields) {
@@ -145,7 +150,6 @@ TEST(ServeMessages, SubmitRoundTripAllFields) {
   in.seed_offset = 3;
   in.greedy = 1;
   in.survivor_cap = 0.4;
-  in.jobs = 6;
   in.metric_x = "accesses";
   in.metric_y = "footprint_B";
   SubmitRequest out;
@@ -156,11 +160,14 @@ TEST(ServeMessages, SubmitRoundTripAllFields) {
   EXPECT_EQ(out.seed_offset, 3u);
   EXPECT_EQ(out.greedy, 1u);
   EXPECT_DOUBLE_EQ(out.survivor_cap, 0.4);
-  EXPECT_EQ(out.jobs, 6u);
   EXPECT_EQ(out.metric_x, "accesses");
   EXPECT_EQ(out.metric_y, "footprint_B");
-  // Any truncation must fail, at every cut point.
+  // v6 layout: app, f64 scale, u64 packets, u64 seed_offset, u32 greedy,
+  // f64 survivor_cap, metric_x, metric_y; strings are u64-length-prefixed.
   const std::string wire = encode_submit(in);
+  EXPECT_EQ(wire.size(), (8u + 3u) + 8u + 8u + 8u + 4u + 8u + (8u + 8u) +
+                             (8u + 11u));
+  // Any truncation must fail, at every cut point.
   for (std::size_t cut = 0; cut < wire.size(); ++cut) {
     EXPECT_FALSE(decode_submit(wire.substr(0, cut), out)) << "cut=" << cut;
   }
@@ -211,11 +218,6 @@ TEST(ServeMessages, SmallMessagesRoundTrip) {
   ErrorFrame error_out;
   ASSERT_TRUE(decode_error(encode_error({"bad app"}), error_out));
   EXPECT_EQ(error_out.message, "bad app");
-
-  ResultsRequest results_out;
-  ASSERT_TRUE(
-      decode_results_request(encode_results_request({23}), results_out));
-  EXPECT_EQ(results_out.job_id, 23u);
 
   ShutdownAck bye_out;
   ASSERT_TRUE(decode_shutdown_ack(encode_shutdown_ack({8}), bye_out));

@@ -4,13 +4,12 @@
 // check: a second identical submission executes ZERO simulations and
 // returns byte-identical result records — the warm-cache guarantee,
 // verified through the full client -> daemon -> client round trip. Also:
-// job table (bounded to the newest Server::kJobTableCap jobs), result
-// re-fetch, version-mismatch refusal, a retired frame type, a hostile
-// lane count and an oversized packet count each answered with an Error
-// frame, finished sessions being
-// reaped (bounded virtual memory over many connections), and
-// drain-and-flush shutdown (socket removed, cache compacted and warm for
-// the next daemon).
+// job table (bounded to the newest Server::kJobTableCap jobs),
+// version-mismatch refusal, retired frame types and an oversized packet
+// count each answered with an Error frame, idle traces bounded across
+// many distinct submissions, finished sessions being reaped (bounded
+// virtual memory over many connections), and drain-and-flush shutdown
+// (socket removed, cache compacted and warm for the next daemon).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -26,6 +25,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "nettrace/trace_store.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -134,7 +134,7 @@ TEST_F(ServeTest, WarmResubmissionExecutesZeroAndIsByteIdentical) {
   EXPECT_EQ(warm.records, cold_records);  // byte-identical
 }
 
-TEST_F(ServeTest, StatsListsJobsAndResultsRefetches) {
+TEST_F(ServeTest, StatsListsJobs) {
   start_server();
   Client client(socket_);
   const ResultFrame first = client.submit(tiny_url_request());
@@ -145,34 +145,28 @@ TEST_F(ServeTest, StatsListsJobsAndResultsRefetches) {
   EXPECT_EQ(stats.jobs[0].id, first.job_id);
   EXPECT_EQ(stats.jobs[0].app, "url");
   EXPECT_EQ(stats.jobs[0].state, "done");
-
-  const ResultFrame refetched = client.results(first.job_id);
-  EXPECT_EQ(refetched.records, first.records);
-  EXPECT_THROW(client.results(9999), std::runtime_error);
+  EXPECT_EQ(stats.jobs[0].last_executed, first.executed);
 }
 
 TEST_F(ServeTest, JobTableKeepsTheNewestJobsOnly) {
   start_server();
   Client client(socket_);
   constexpr std::size_t kJobs = Server::kJobTableCap + 5;
-  std::string last_records;
   std::uint64_t first_id = 0;
   std::uint64_t last_id = 0;
   for (std::size_t i = 0; i < kJobs; ++i) {
     const ResultFrame result = client.submit(tiny_url_request());
     if (i == 0) first_id = result.job_id;
     last_id = result.job_id;
-    last_records = result.records;
   }
 
   const StatsReply stats = client.stats();
-  // Every job finished, so the table is full to the cap, never past it.
+  // Every job finished, so the table is full to the cap, never past it:
+  // the five oldest jobs were dropped.
   ASSERT_EQ(stats.jobs.size(), Server::kJobTableCap);
+  EXPECT_EQ(stats.jobs.front().id, first_id + 5);
   EXPECT_EQ(stats.jobs.back().id, last_id);
   EXPECT_EQ(stats.jobs_submitted, kJobs);
-  // The oldest job was dropped with its result; the newest refetches.
-  EXPECT_THROW(client.results(first_id), std::runtime_error);
-  EXPECT_EQ(client.results(last_id).records, last_records);
 }
 
 TEST_F(ServeTest, RejectsUnknownAppAndBadKnobs) {
@@ -221,21 +215,26 @@ TEST_F(ServeTest, RefusesVersionMismatchedHello) {
 
 TEST_F(ServeTest, RetiredStatusFrameGetsAnErrorAndTheDaemonServesOn) {
   start_server();
-  // Frame type 8 was the job-table query of protocol v3; v4 leaves the
-  // value unassigned, so it is an unexpected frame like any other.
-  const int fd = raw_connect();
-  ASSERT_TRUE(send_frame(fd, {FrameType::kHello, encode_hello(Hello{})}));
-  Frame reply;
-  ASSERT_EQ(recv_frame(fd, reply), DecodeStatus::kOk);
-  ASSERT_EQ(reply.type, FrameType::kHelloAck);
-  ASSERT_TRUE(send_frame(fd, {static_cast<FrameType>(8), ""}));
-  ASSERT_EQ(recv_frame(fd, reply), DecodeStatus::kOk);
-  EXPECT_EQ(reply.type, FrameType::kError);
-  ErrorFrame error;
-  ASSERT_TRUE(decode_error(reply.payload, error));
-  EXPECT_NE(error.message.find("unexpected frame type 8"), std::string::npos)
-      << error.message;
-  ::close(fd);
+  // Frame type 8 was the job-table query of protocol v3 and type 10 the
+  // result re-fetch of v5; both values stay unassigned, so each is an
+  // unexpected frame like any other.
+  for (const std::uint32_t type : {std::uint32_t{8}, std::uint32_t{10}}) {
+    const int fd = raw_connect();
+    ASSERT_TRUE(send_frame(fd, {FrameType::kHello, encode_hello(Hello{})}));
+    Frame reply;
+    ASSERT_EQ(recv_frame(fd, reply), DecodeStatus::kOk);
+    ASSERT_EQ(reply.type, FrameType::kHelloAck);
+    ASSERT_TRUE(send_frame(fd, {static_cast<FrameType>(type), ""}));
+    ASSERT_EQ(recv_frame(fd, reply), DecodeStatus::kOk);
+    EXPECT_EQ(reply.type, FrameType::kError);
+    ErrorFrame error;
+    ASSERT_TRUE(decode_error(reply.payload, error));
+    EXPECT_NE(error.message.find("unexpected frame type " +
+                                 std::to_string(type)),
+              std::string::npos)
+        << error.message;
+    ::close(fd);
+  }
 
   // A fresh connection to the same daemon is still served.
   Client client(socket_);
@@ -246,9 +245,6 @@ TEST_F(ServeTest, RetiredStatusFrameGetsAnErrorAndTheDaemonServesOn) {
 TEST_F(ServeTest, StatsReportsSinceBootCountersAndJobTimestamps) {
   start_server();
   Client client(socket_);
-  // The v2 HelloAck advertises the daemon's progress throttle.
-  EXPECT_DOUBLE_EQ(client.hello().progress_every, 0.25);
-
   const ResultFrame cold = client.submit(tiny_url_request());
   const ResultFrame warm = client.submit(tiny_url_request());
   EXPECT_EQ(warm.executed, 0u);
@@ -303,25 +299,23 @@ TEST_F(ServeTest, OversizedPacketCountIsRejectedBeforeAnyJobStarts) {
   EXPECT_EQ(Client(socket_).hello().warm_traces, traces_before);
 }
 
-TEST_F(ServeTest, HostileLaneCountIsAnErrorNotAnAbort) {
+TEST_F(ServeTest, IdleTracesAreBoundedAndTheNewestStayWarm) {
   start_server();
   Client client(socket_);
-  // 100000 private lanes used to throw out of the pool's spawn loop with
-  // joinable threads still owned, which aborts the whole daemon.
-  SubmitRequest request = tiny_url_request();
-  request.jobs = 100000;
-  try {
-    client.submit(request);
-    FAIL() << "a 100000-lane submission was accepted";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("exploration failed"),
-              std::string::npos)
-        << error.what();
+  // Route builds one trace per network (7), so six seed offsets ask for
+  // 42 distinct traces; once a submission's study is gone its traces are
+  // idle, and only the most recently requested ones stay.
+  SubmitRequest request;
+  request.app = "route";
+  request.scale = 0.05;
+  for (std::uint64_t offset = 1; offset <= 6; ++offset) {
+    request.seed_offset = offset;
+    EXPECT_GT(client.submit(request).executed, 0u) << "offset " << offset;
   }
-  // Same daemon, same connection: still serving, the job marked failed.
-  const StatsReply stats = client.stats();
-  ASSERT_EQ(stats.jobs.size(), 1u);
-  EXPECT_EQ(stats.jobs[0].state, "failed");
+  EXPECT_LE(Client(socket_).hello().warm_traces,
+            net::TraceStore::kRetain);
+  // The newest offset's traces and records are still warm.
+  EXPECT_EQ(client.submit(request).executed, 0u);
 }
 
 TEST_F(ServeTest, FinishedSessionsAreReaped) {

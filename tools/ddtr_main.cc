@@ -7,8 +7,9 @@
 // `explore --app` accepts ANY workload in api::registry(). Every
 // exploration writes a ResultLog that `pareto` can re-process later (the
 // paper's "log files -> Perl post-processing" flow). `serve` keeps
-// cache, traces and pool warm in a daemon that `submit`, `stats`,
-// `results` and `shutdown` talk to over a unix socket (src/serve/).
+// cache, traces and pool warm in a daemon that `submit`, `stats` and
+// `shutdown` talk to over a unix socket (src/serve/); to have a result
+// again, resubmit: the warm daemon replays it byte-identically.
 #include <algorithm>
 #include <atomic>
 #include <charconv>
@@ -470,8 +471,6 @@ int cmd_serve(const CommandLine& args) {
   options.socket_path = *args.text("socket");
   options.cache_dir = args.text("cache-dir").value_or("");
   options.jobs = args.count("jobs").value_or(options.jobs);
-  options.progress_every_s =
-      args.number("progress-every").value_or(options.progress_every_s);
   options.log = &std::cout;
   const auto trace_path = args.text("trace");
   std::optional<obs::TraceWriter> tracer;
@@ -500,25 +499,6 @@ int cmd_serve(const CommandLine& args) {
   return 0;
 }
 
-// Shared result rendering of `submit` and `results`.
-void print_result(const serve::ResultFrame& result,
-                  const std::optional<std::string>& log_path) {
-  std::cout << "job " << result.job_id << " (" << result.app << "):\n"
-            << "executed simulations:  " << result.executed << " of "
-            << result.logical << " logical (cache hits " << result.cache_hits
-            << ")\n"
-            << "persistent cache:      loaded " << result.persistent_loaded
-            << ", stored " << result.persistent_stored << '\n'
-            << "survivors after step 1: " << result.survivors << '\n'
-            << "Pareto-optimal combinations: " << result.pareto_count << '\n';
-  if (!result.pareto.empty()) std::cout << result.pareto;
-  if (log_path) {
-    std::ofstream os(*log_path);
-    os << result.records;
-    std::cout << "wrote result records to " << *log_path << '\n';
-  }
-}
-
 int cmd_submit(const CommandLine& args) {
   serve::SubmitRequest request;
   request.app = *args.text("app");
@@ -527,7 +507,6 @@ int cmd_submit(const CommandLine& args) {
   request.seed_offset = args.count("seed-offset").value_or(0);
   request.greedy = args.flag("greedy") ? 1 : 0;
   request.survivor_cap = args.number("survivor-cap").value_or(0.0);
-  request.jobs = args.count("jobs").value_or(0);
   request.metric_x = energy::kMetricNames[args.metric("x").value_or(1)];
   request.metric_y = energy::kMetricNames[args.metric("y").value_or(0)];
 
@@ -542,7 +521,21 @@ int cmd_submit(const CommandLine& args) {
                 << tick.done << '/' << tick.total << " simulations\n";
     };
   }
-  print_result(client.submit(request, on_progress), args.text("log"));
+  const serve::ResultFrame result = client.submit(request, on_progress);
+  std::cout << "job " << result.job_id << " (" << result.app << "):\n"
+            << "executed simulations:  " << result.executed << " of "
+            << result.logical << " logical (cache hits " << result.cache_hits
+            << ")\n"
+            << "persistent cache:      loaded " << result.persistent_loaded
+            << ", stored " << result.persistent_stored << '\n'
+            << "survivors after step 1: " << result.survivors << '\n'
+            << "Pareto-optimal combinations: " << result.pareto_count << '\n'
+            << result.pareto;
+  if (const auto log_path = args.text("log")) {
+    std::ofstream os(*log_path);
+    os << result.records;
+    std::cout << "wrote result records to " << *log_path << '\n';
+  }
   return 0;
 }
 
@@ -580,12 +573,6 @@ int cmd_stats(const CommandLine& args) {
     }
     jobs.print(std::cout);
   }
-  return 0;
-}
-
-int cmd_results(const CommandLine& args) {
-  serve::Client client(*args.text("socket"));
-  print_result(client.results(*args.count("job")), args.text("log"));
   return 0;
 }
 
@@ -677,8 +664,6 @@ const std::vector<Command>& commands() {
          "persistent cache, loaded once, appended per run"},
         {"jobs", K::kCount, "N",
          "shared pool lanes (0 = one per hardware thread)"},
-        {"progress-every", K::kNumber, "S",
-         "progress tick period (default 0.25)", false, 0.0, 1e7, true},
         {"trace", K::kText, "FILE",
          "span timeline written on clean shutdown"}}},
       {"submit", {}, "submit a study to the daemon and print its result",
@@ -688,8 +673,6 @@ const std::vector<Command>& commands() {
                {"packets", K::kCount, "N", "override every trace length",
                 false, 0.0, static_cast<double>(serve::kMaxPackets)},
                {"seed-offset", K::kCount, "K", "trace seed offset"},
-               {"jobs", K::kCount, "N",
-                "private lanes for this run (default: daemon's)"},
                {"x", K::kMetric, "METRIC",
                 "Pareto listing x axis (default time_s)"},
                {"y", K::kMetric, "METRIC",
@@ -697,10 +680,6 @@ const std::vector<Command>& commands() {
       {"stats", {},
        "live daemon introspection: uptime, cache counters, job times",
        cmd_stats, {socket}},
-      {"results", {}, "re-fetch a job's last result", cmd_results,
-       {socket,
-        {"job", K::kCount, "ID", "job id", true},
-        {"log", K::kText, "FILE", "write the result records to FILE"}}},
       {"shutdown", {}, "drain the daemon and exit", cmd_shutdown, {socket}},
       {"tracecheck", {"FILE"},
        "validate a --trace file (strict JSON, balanced spans)",
