@@ -1,4 +1,4 @@
-// Ablations of the methodology's design choices (DESIGN.md §7):
+// Ablations of the methodology's design choices (README, *Benches*):
 //  1. Step-1 pruning aggressiveness: survivor cap fraction vs exploration
 //     cost and result quality (does the reduced flow still find the
 //     combination the exhaustive flow would pick?).

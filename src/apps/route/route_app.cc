@@ -103,6 +103,7 @@ RouteApp::DescentPlan RouteApp::build_plan(const net::Trace& trace) const {
     tree.insert(r.prefix, r.prefix_len, r.next_hop, r.interface);
   }
   std::unordered_map<std::uint32_t, std::uint32_t> ids;
+  std::vector<std::uint64_t> descent_cpu_ops;  // per destination
   plan.offsets.push_back(0);
   plan.packet_dest.reserve(trace.size());
   for (const net::PacketRecord& p : trace.packets()) {
@@ -113,16 +114,19 @@ RouteApp::DescentPlan RouteApp::build_plan(const net::Trace& trace) const {
       nodes.log_to(&plan.path);
       plan.entry.push_back(tree.descend(p.dst_ip));
       nodes.log_to(nullptr);
-      plan.cpu_ops.push_back(static_cast<std::uint32_t>(
-          scratch.counters().cpu_ops - cpu_before));
+      descent_cpu_ops.push_back(scratch.counters().cpu_ops - cpu_before);
       plan.offsets.push_back(static_cast<std::uint32_t>(plan.path.size()));
+      plan.packets.push_back(0);
     }
-    plan.packet_dest.push_back(it->second);
+    const std::uint32_t d = it->second;
+    ++plan.packets[d];
+    plan.packet_dest.push_back(d);
+    plan.cpu_ops += 12 + descent_cpu_ops[d];  // header parse + checksum
   }
   plan.path.shrink_to_fit();
   plan.offsets.shrink_to_fit();
   plan.entry.shrink_to_fit();
-  plan.cpu_ops.shrink_to_fit();
+  plan.packets.shrink_to_fit();
   return plan;
 }
 
@@ -145,8 +149,12 @@ RunResult RouteApp::run(const net::Trace& trace,
   const std::shared_ptr<const DescentPlan> plan = descent_plan(trace);
 
   // Slot 0 is dispatched once: every node access below is a static call
-  // on the concrete container, and each lookup replays its planned
-  // descent instead of re-walking the trie. Node-container frees at
+  // on the concrete container, and each unique destination's planned
+  // descent is replayed once and charged for all of its packets. That is
+  // exact on every kind: a descent opens with get(0), which costs the
+  // same wherever a roving cursor was and leaves it at the root. The
+  // rtentry slot stays per packet, in trace order: its roving kinds
+  // resume from the previous packet's entry. Node-container frees at
   // destruction are not part of the run's charges: read the node
   // counters while the container is alive.
   prof::ProfileCounters node_counters;
@@ -156,13 +164,16 @@ RunResult RouteApp::run(const net::Trace& trace,
         for (const Route& r : plan->routes) {
           table.insert(r.prefix, r.prefix_len, r.next_hop, r.interface);
         }
-        for (const std::uint32_t d : plan->packet_dest) {
-          cpu_profile.record_cpu_ops(12);  // header parse + checksum
+        for (std::size_t d = 0; d < plan->packets.size(); ++d) {
+          const prof::ProfileCounters before = node_profile.counters();
           for (std::uint32_t k = plan->offsets[d]; k < plan->offsets[d + 1];
                ++k) {
             nodes.get(plan->path[k]);
           }
-          cpu_profile.record_cpu_ops(plan->cpu_ops[d]);
+          node_profile.repeat_since(before, plan->packets[d] - 1);
+        }
+        cpu_profile.record_cpu_ops(plan->cpu_ops);
+        for (const std::uint32_t d : plan->packet_dest) {
           ++(table.use_entry(plan->entry[d]).has_value() ? forwarded
                                                          : dropped);
         }

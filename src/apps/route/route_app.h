@@ -62,16 +62,19 @@ class RouteApp final : public NetworkApplication {
   // only, never on the DDT combination. Each unique destination's lookup
   // is recorded once: RadixTree::descend over a host-side node store,
   // logging the node indices it reads. Destination d reads nodes
-  // path[offsets[d] .. offsets[d + 1]) in that order, charges cpu_ops[d]
-  // CPU ops and matches entry[d] (-1: no route); the trie never changes
-  // during the lookups, so every kernel run's descents are exactly these.
+  // path[offsets[d] .. offsets[d + 1]) in that order, matches entry[d]
+  // (-1: no route) and is the destination of packets[d] packets; the trie
+  // never changes during the lookups, so every kernel run's descents are
+  // exactly these. cpu_ops is the lookups' CPU work over the whole trace
+  // (header parse plus each packet's descent), which no kind changes.
   struct DescentPlan {
     std::vector<Route> routes;
     std::vector<std::uint32_t> path;
     std::vector<std::uint32_t> offsets;
     std::vector<std::int32_t> entry;
-    std::vector<std::uint32_t> cpu_ops;
+    std::vector<std::uint32_t> packets;      // packet count per destination
     std::vector<std::uint32_t> packet_dest;  // destination id per packet
+    std::uint64_t cpu_ops = 0;
   };
 
   // The plan run() replays for `trace` (built on first use, then shared).

@@ -35,22 +35,47 @@ UrlPattern make_pattern(std::string_view text, std::uint16_t server) {
 
 }  // namespace
 
-std::vector<std::uint32_t> UrlApp::first_matches(
-    const net::Trace& trace) const {
-  std::vector<std::uint32_t> first(trace.payload_count(), kNoMatch);
-  for (std::uint32_t id = 0; id < first.size(); ++id) {
+std::vector<UrlPattern> UrlApp::rule_table() const {
+  std::vector<UrlPattern> rules;
+  support::Rng rng(config_.seed);
+  for (std::size_t i = 0; i < config_.pattern_count; ++i) {
+    const char* text = kPatternPool[i % std::size(kPatternPool)];
+    const std::uint16_t server =
+        static_cast<std::uint16_t>(rng.uniform(0, config_.server_count - 1));
+    rules.push_back(make_pattern(text, server));
+  }
+  return rules;
+}
+
+UrlApp::ScanPlan UrlApp::build_plan(const net::Trace& trace) const {
+  const std::vector<UrlPattern> rules = rule_table();
+  ScanPlan plan;
+  plan.first_match.assign(trace.payload_count(), kNoMatch);
+  plan.packets.assign(trace.payload_count(), 0);
+  for (std::uint32_t id = 0; id < plan.first_match.size(); ++id) {
     const std::string& url = trace.payload(id);
-    for (std::size_t i = 0; i < config_.pattern_count; ++i) {
-      const UrlPattern p =
-          make_pattern(kPatternPool[i % std::size(kPatternPool)], 0);
-      if (url.find(std::string_view(p.pattern, p.length)) !=
+    for (std::size_t i = 0; i < rules.size(); ++i) {
+      if (url.find(std::string_view(rules[i].pattern, rules[i].length)) !=
           std::string::npos) {
-        first[id] = static_cast<std::uint32_t>(i);
+        plan.first_match[id] = static_cast<std::uint32_t>(i);
         break;
       }
     }
   }
-  return first;
+  for (const net::PacketRecord& packet : trace.packets()) {
+    plan.cpu_ops += 8;  // TCP reassembly bookkeeping
+    if (!trace.has_payload(packet)) continue;
+    ++plan.packets[packet.payload_id];
+    // The rule scan pays the naive substring search's cost per visited
+    // rule (the inner comparison loop of the NetBench url kernel): up to
+    // the first match, every rule on a miss.
+    const std::uint32_t match = plan.first_match[packet.payload_id];
+    const std::uint64_t visited =
+        match == kNoMatch ? rules.size() : match + std::uint64_t{1};
+    plan.cpu_ops += visited * trace.payload(packet.payload_id).size();
+    plan.cpu_ops += 20;  // NAT rewrite + forward
+  }
+  return plan;
 }
 
 RunResult UrlApp::run(const net::Trace& trace,
@@ -62,59 +87,55 @@ RunResult UrlApp::run(const net::Trace& trace,
   auto patterns = ddt::make_container<UrlPattern>(combo[0], pattern_profile);
   auto servers = ddt::make_container<ServerInfo>(combo[1], server_profile);
 
-  support::Rng rng(config_.seed);
   for (std::size_t s = 0; s < config_.server_count; ++s) {
     ServerInfo server;
     server.ip = net::make_ip(192, 168, 10, static_cast<std::uint8_t>(s + 1));
     server.port = 8000 + static_cast<std::uint16_t>(s);
     servers->push_back(server);
   }
-  for (std::size_t i = 0; i < config_.pattern_count; ++i) {
-    const char* text = kPatternPool[i % std::size(kPatternPool)];
-    const std::uint16_t server =
-        static_cast<std::uint16_t>(rng.uniform(0, config_.server_count - 1));
-    patterns->push_back(make_pattern(text, server));
-  }
+  for (const UrlPattern& rule : rule_table()) patterns->push_back(rule);
 
-  const std::shared_ptr<const std::vector<std::uint32_t>> first =
-      first_match_.get(
-          trace, [this](const net::Trace& t) { return first_matches(t); });
+  const std::shared_ptr<const ScanPlan> plan = plan_.get(
+      trace, [this](const net::Trace& t) { return build_plan(t); });
 
+  // One rule scan per distinct payload, charged for every packet that
+  // carries it: visit rules front to back up to the first match (all of
+  // them on a miss), then update the matched rule's statistics in place
+  // (read-modify-write at the matched position; roving DDTs resume there
+  // for free). Exact on every kind: for_each starts at the head and leaves
+  // a roving cursor on the last rule it visits.
+  std::vector<std::uint16_t> server_of(plan->packets.size(), 0);
   std::uint64_t dispatched = 0;
   std::uint64_t defaulted = 0;
-  for (const net::PacketRecord& packet : trace.packets()) {
-    cpu_profile.record_cpu_ops(8);  // TCP reassembly bookkeeping
-    if (!trace.has_payload(packet)) continue;
-    const std::size_t url_size = trace.payload(packet.payload_id).size();
-
-    // The rule scan: visit rules front to back up to the first match (all
-    // of them on a miss), paying the naive substring search's scan cost
-    // per visited rule — the inner comparison loop of the NetBench url
-    // kernel. The memo knows where it stops.
-    const std::uint32_t match = (*first)[packet.payload_id];
-    patterns->for_each([&](std::size_t i, const UrlPattern&) {
-      cpu_profile.record_cpu_ops(url_size);  // scan cost proxy
-      return i != match;
-    });
-
-    std::uint16_t server_index = 0;  // default server
+  for (std::uint32_t id = 0; id < plan->packets.size(); ++id) {
+    const std::uint32_t packets = plan->packets[id];
+    if (packets == 0) continue;
+    const std::uint32_t match = plan->first_match[id];
+    const prof::ProfileCounters before = pattern_profile.counters();
+    patterns->for_each(
+        [match](std::size_t i, const UrlPattern&) { return i != match; });
     if (match != kNoMatch) {
-      // Update rule statistics in place (read-modify-write at the matched
-      // position; roving DDTs resume here for free).
       UrlPattern p = patterns->get(match);
-      ++p.hits;
+      p.hits += packets;
       patterns->set(match, p);
-      server_index = p.server;
-      ++dispatched;
+      server_of[id] = p.server;
+      dispatched += packets;
     } else {
-      ++defaulted;
+      defaulted += packets;  // default server 0
     }
+    pattern_profile.repeat_since(before, packets - 1);
+  }
+  cpu_profile.record_cpu_ops(plan->cpu_ops);
 
+  // The server table stays per request, in trace order: its roving kinds
+  // resume from the previous request's server.
+  for (const net::PacketRecord& packet : trace.packets()) {
+    if (!trace.has_payload(packet)) continue;
+    const std::uint16_t server_index = server_of[packet.payload_id];
     ServerInfo server = servers->get(server_index);
     ++server.active_requests;
     server.bytes_routed += packet.length;
     servers->set(server_index, server);
-    cpu_profile.record_cpu_ops(20);  // NAT rewrite + forward
   }
 
   dispatched_.store(dispatched, std::memory_order_relaxed);

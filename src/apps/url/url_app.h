@@ -70,18 +70,31 @@ class UrlApp final : public NetworkApplication {
     return defaulted_.load(std::memory_order_relaxed);
   }
 
+  // The switching rules run() installs, in scan order. They depend on the
+  // config only; the scan-plan oracle test rebuilds a direct per-packet
+  // run from them.
+  std::vector<UrlPattern> rule_table() const;
+
  private:
   static constexpr std::uint32_t kNoMatch =
       std::numeric_limits<std::uint32_t>::max();
 
-  // The index of the first rule whose pattern occurs in each payload
-  // (kNoMatch if none), by payload id. It depends on the trace and the
-  // rule texts only, so it is computed once per trace (first_match_) and
-  // every kernel run replays the same rule scans.
-  std::vector<std::uint32_t> first_matches(const net::Trace& trace) const;
+  // Everything run() replays that depends on the trace and the rule texts
+  // only, never on the DDT combination, computed once per trace (plan_).
+  // By payload id: the index of the first rule whose pattern occurs in the
+  // payload (kNoMatch if none) and how many packets carry the payload.
+  // cpu_ops is the kernel's CPU work over the whole trace (TCP
+  // bookkeeping per packet; per request the scan cost of every visited
+  // rule and the NAT rewrite), which no kind changes.
+  struct ScanPlan {
+    std::vector<std::uint32_t> first_match;
+    std::vector<std::uint32_t> packets;
+    std::uint64_t cpu_ops = 0;
+  };
+  ScanPlan build_plan(const net::Trace& trace) const;
 
   Config config_;
-  TraceMemo<std::vector<std::uint32_t>> first_match_;
+  TraceMemo<ScanPlan> plan_;
   std::atomic<std::uint64_t> dispatched_{0};
   std::atomic<std::uint64_t> defaulted_{0};
 };

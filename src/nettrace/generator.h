@@ -1,7 +1,7 @@
 // Synthetic trace generator. Produces flow-structured, Zipf-skewed,
 // bursty packet traces from a NetworkPreset, deterministically from the
 // preset seed — the stand-in for replaying NLANR / Dartmouth captures
-// (DESIGN.md §5 records the substitution).
+// (README, *Explore from the command line*, records the substitution).
 #pragma once
 
 #include <cstdint>

@@ -81,6 +81,14 @@ class MemoryProfile {
                                 : counters_.live_bytes;
   }
 
+  // Charges `extra` more copies of everything charged since `before` (an
+  // earlier counters() snapshot): reads, writes, their bytes and CPU ops.
+  // A kernel whose operation block costs the same every time it recurs
+  // runs it once and weights it by its multiplicity. Throws
+  // std::logic_error if the block allocated or freed: footprint events do
+  // not scale.
+  void repeat_since(const ProfileCounters& before, std::uint64_t extra);
+
   const ProfileCounters& counters() const noexcept { return counters_; }
   const std::string& name() const noexcept { return name_; }
 

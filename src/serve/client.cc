@@ -53,6 +53,10 @@ Frame Client::round_trip(const Frame& frame, FrameType expected,
   if (!send_frame(fd_, frame)) {
     throw std::runtime_error("serve client: send failed (daemon gone?)");
   }
+  return receive(expected, on_progress);
+}
+
+Frame Client::receive(FrameType expected, const ProgressFn& on_progress) {
   for (;;) {
     Frame reply;
     const DecodeStatus status = recv_frame(fd_, reply);
@@ -97,36 +101,12 @@ ResultFrame Client::submit(const SubmitRequest& request,
   if (!decode_submit_ack(ack_frame.payload, ack)) {
     throw std::runtime_error("serve client: malformed submit ack");
   }
-  // An empty frame is never sent for the second leg: reuse round_trip's
-  // receive loop by waiting on the already-in-flight result.
-  for (;;) {
-    Frame reply;
-    const DecodeStatus status = recv_frame(fd_, reply);
-    if (status != DecodeStatus::kOk) {
-      throw std::runtime_error("serve client: connection lost mid-run");
-    }
-    if (reply.type == FrameType::kProgress) {
-      ProgressFrame tick;
-      if (!decode_progress(reply.payload, tick)) {
-        throw std::runtime_error("serve client: malformed progress frame");
-      }
-      if (on_progress) on_progress(tick);
-      continue;
-    }
-    if (reply.type == FrameType::kError) {
-      ErrorFrame error;
-      decode_error(reply.payload, error);
-      throw std::runtime_error("daemon: " + error.message);
-    }
-    if (reply.type != FrameType::kResult) {
-      throw std::runtime_error("serve client: unexpected frame during run");
-    }
-    ResultFrame result;
-    if (!decode_result(reply.payload, result)) {
-      throw std::runtime_error("serve client: malformed result frame");
-    }
-    return result;
+  const Frame reply = receive(FrameType::kResult, on_progress);
+  ResultFrame result;
+  if (!decode_result(reply.payload, result)) {
+    throw std::runtime_error("serve client: malformed result frame");
   }
+  return result;
 }
 
 StatsReply Client::stats() {

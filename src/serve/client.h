@@ -46,6 +46,9 @@ class Client {
   // is returned.
   Frame round_trip(const Frame& frame, FrameType expected,
                    const ProgressFn& on_progress = nullptr);
+  // round_trip's receive loop alone: reads frames until the reply of
+  // `expected` type (submit's second leg waits on its in-flight result).
+  Frame receive(FrameType expected, const ProgressFn& on_progress);
 
   int fd_ = -1;
   HelloAck hello_;

@@ -2,9 +2,13 @@
 // combinations, conservation laws, and per-app semantics.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "apps/drr/drr_app.h"
 #include "apps/ipchains/ipchains_app.h"
 #include "apps/url/url_app.h"
+#include "ddt/factory.h"
 #include "nettrace/generator.h"
 #include "nettrace/presets.h"
 
@@ -75,6 +79,113 @@ TEST(UrlApp, PatternTableDominatesServerTable) {
   ASSERT_EQ(result.per_structure.size(), 2u);
   EXPECT_GT(result.per_structure[0].second.accesses(),
             result.per_structure[1].second.accesses());
+}
+
+// The url kernel as NetBench runs it, per packet and without the memo:
+// scan the rules with a substring search up to the first match, bump the
+// matched rule, then update its server. The oracle of run()'s weighted
+// replay.
+struct DirectUrlRun {
+  RunResult result;
+  std::uint64_t dispatched = 0;
+  std::uint64_t defaulted = 0;
+};
+
+DirectUrlRun direct_url_run(const url::UrlApp& app, std::size_t server_count,
+                            const net::Trace& trace,
+                            const ddt::DdtCombination& combo) {
+  prof::MemoryProfile pattern_profile("pattern_table");
+  prof::MemoryProfile server_profile("server_table");
+  prof::MemoryProfile cpu_profile("cpu");
+  const auto patterns =
+      ddt::make_container<url::UrlPattern>(combo[0], pattern_profile);
+  const auto servers =
+      ddt::make_container<url::ServerInfo>(combo[1], server_profile);
+  for (std::size_t s = 0; s < server_count; ++s) {
+    servers->push_back(url::ServerInfo{});
+  }
+  for (const url::UrlPattern& rule : app.rule_table()) {
+    patterns->push_back(rule);
+  }
+  DirectUrlRun run;
+  for (const net::PacketRecord& packet : trace.packets()) {
+    cpu_profile.record_cpu_ops(8);
+    if (!trace.has_payload(packet)) continue;
+    const std::string& payload = trace.payload(packet.payload_id);
+    bool matched = false;
+    std::size_t match = 0;
+    patterns->for_each([&](std::size_t i, const url::UrlPattern& rule) {
+      cpu_profile.record_cpu_ops(payload.size());
+      if (payload.find(std::string_view(rule.pattern, rule.length)) ==
+          std::string::npos) {
+        return true;
+      }
+      matched = true;
+      match = i;
+      return false;
+    });
+    std::uint16_t server_index = 0;
+    if (matched) {
+      url::UrlPattern rule = patterns->get(match);
+      ++rule.hits;
+      patterns->set(match, rule);
+      server_index = rule.server;
+      ++run.dispatched;
+    } else {
+      ++run.defaulted;
+    }
+    url::ServerInfo server = servers->get(server_index);
+    ++server.active_requests;
+    servers->set(server_index, server);
+    cpu_profile.record_cpu_ops(20);
+  }
+  run.result.per_structure.emplace_back("pattern_table",
+                                        pattern_profile.counters());
+  run.result.per_structure.emplace_back("server_table",
+                                        server_profile.counters());
+  run.result.total = pattern_profile.counters();
+  run.result.total += server_profile.counters();
+  run.result.total += cpu_profile.counters();
+  return run;
+}
+
+TEST(UrlApp, WeightedReplayMatchesDirectPerPacketRun) {
+  // run() scans each distinct payload once and weights it by its packet
+  // count; it must charge exactly what the per-packet kernel charges, on
+  // every kind of either slot (the server table's roving kinds see the
+  // requests in trace order).
+  for (const std::size_t pattern_count : {8u, 32u}) {
+    for (const std::uint64_t seed_offset : {0u, 3u}) {
+      net::TraceGenerator::Options options;
+      options.packet_count = 2000;
+      options.seed_offset = seed_offset;
+      const net::Trace trace = net::TraceGenerator::generate(
+          net::network_preset("dart-berry"), options);
+      const url::UrlApp::Config config{pattern_count, 8, 8101};
+      url::UrlApp app(config);
+      for (std::size_t i = 0; i < ddt::kAllDdtKinds.size(); ++i) {
+        const ddt::DdtCombination combo(
+            {ddt::kAllDdtKinds[i],
+             ddt::kAllDdtKinds[(i + 5) % ddt::kAllDdtKinds.size()]});
+        SCOPED_TRACE("patterns " + std::to_string(pattern_count) +
+                     " offset " + std::to_string(seed_offset) + " " +
+                     combo.label());
+        const RunResult weighted = app.run(trace, combo);
+        const DirectUrlRun direct =
+            direct_url_run(app, config.server_count, trace, combo);
+        ASSERT_EQ(weighted.per_structure.size(), 2u);
+        for (std::size_t s = 0; s < 2; ++s) {
+          EXPECT_EQ(weighted.per_structure[s].first,
+                    direct.result.per_structure[s].first);
+          EXPECT_EQ(weighted.per_structure[s].second,
+                    direct.result.per_structure[s].second);
+        }
+        EXPECT_EQ(weighted.total, direct.result.total);
+        EXPECT_EQ(app.dispatched(), direct.dispatched);
+        EXPECT_EQ(app.defaulted(), direct.defaulted);
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------- IPchains --

@@ -8,10 +8,12 @@
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "corrupt_bytes.h"
 #include "nettrace/generator.h"
 #include "nettrace/parser.h"
 #include "nettrace/presets.h"
@@ -198,6 +200,39 @@ TEST(Trace, LoadNamesThePacketOfAnOverflowingField) {
     EXPECT_NE(error.find("packet 1"), std::string::npos)
         << fields << ": " << error;
   }
+}
+
+// Seeded corruption of a saved trace (byte flips, truncations, an
+// inserted digit or '-'): every input either loads or throws
+// std::runtime_error, never another exception, a crash or a hang.
+TEST(Trace, CorruptionSweepLoadsOrThrowsRuntimeError) {
+  TraceGenerator::Options options;
+  options.packet_count = 40;
+  const Trace trace =
+      TraceGenerator::generate(network_preset("dart-whittemore"), options);
+  ASSERT_GT(trace.payload_count(), 0u);
+  std::ostringstream os;
+  trace.save(os);
+  const std::string intact = os.str();
+
+  support::Rng rng(0x77ace5eedull);
+  std::size_t loaded = 0;
+  std::size_t rejected = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    const std::uint64_t kind = rng.uniform(0, test_support::kMutationKinds - 1);
+    std::istringstream is(test_support::corrupt_bytes(intact, kind, rng));
+    try {
+      Trace::load(is);
+      ++loaded;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    } catch (...) {
+      ADD_FAILURE() << "iteration " << iter << ", mutation " << kind
+                    << ": load threw something other than runtime_error";
+    }
+  }
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(Trace, PayloadLookupOutOfRangeIsEmpty) {

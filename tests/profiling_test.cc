@@ -1,6 +1,10 @@
 // MemoryProfile bookkeeping tests.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
 #include "profiling/memory_profile.h"
 
 namespace ddtr::prof {
@@ -67,6 +71,50 @@ TEST(ProfileCounters, SumCombinesDisjointMemories) {
   // Coexisting structures: footprints add.
   EXPECT_EQ(a.peak_bytes, 150u);
   EXPECT_EQ(a.cpu_ops, 5u);
+}
+
+// An access-only block: what a weighted kernel runs once and repeats.
+void charge_block(MemoryProfile& p) {
+  p.record_read(8, 3);
+  p.record_write(16, 2);
+  p.record_read(4);
+  p.record_cpu_ops(5);
+}
+
+TEST(MemoryProfile, RepeatSinceEqualsRunningTheBlockAgain) {
+  for (const std::uint64_t extra : {0u, 1u, 6u}) {
+    SCOPED_TRACE("extra " + std::to_string(extra));
+    MemoryProfile repeated;
+    MemoryProfile looped;
+    for (MemoryProfile* p : {&repeated, &looped}) {
+      p->on_alloc(64);  // charges before the block stay as they are
+      p->record_read(2, 7);
+      p->record_cpu_ops(3);
+    }
+    const ProfileCounters before = repeated.counters();
+    charge_block(repeated);
+    repeated.repeat_since(before, extra);
+    for (std::uint64_t n = 0; n <= extra; ++n) charge_block(looped);
+    EXPECT_EQ(repeated.counters(), looped.counters());
+  }
+}
+
+TEST(MemoryProfile, RepeatSinceRejectsABlockThatAllocatesOrFrees) {
+  MemoryProfile p;
+  p.on_alloc(32);
+  ProfileCounters before = p.counters();
+  p.record_read(8);
+  p.on_alloc(16);
+  ProfileCounters after = p.counters();
+  EXPECT_THROW(p.repeat_since(before, 2), std::logic_error);
+  EXPECT_EQ(p.counters(), after);  // nothing charged on refusal
+
+  before = p.counters();
+  p.record_write(8);
+  p.on_free(16);
+  after = p.counters();
+  EXPECT_THROW(p.repeat_since(before, 1), std::logic_error);
+  EXPECT_EQ(p.counters(), after);
 }
 
 }  // namespace

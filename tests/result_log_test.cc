@@ -8,10 +8,13 @@
 #include <limits>
 #include <locale>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "comma_locale.h"
 #include "core/result_log.h"
+#include "corrupt_bytes.h"
 
 namespace ddtr::core {
 namespace {
@@ -211,6 +214,38 @@ TEST(ResultLog, GlobalLocaleChangesNoBytesAndRoundTrips) {
             std::numeric_limits<std::uint64_t>::max());
   // load() hands the stream its own locale back.
   EXPECT_EQ(ss.getloc(), std::locale());
+}
+
+// Seeded corruption of a saved log (byte flips, truncations, an inserted
+// digit or '-'): every input either loads or throws std::runtime_error,
+// never another exception, a crash or a hang.
+TEST(ResultLog, CorruptionSweepLoadsOrThrowsRuntimeError) {
+  ResultLog log;
+  log.append(sample_record("Route", "SLL", 1.5));
+  log.append(sample_record("URL", "AR", 0.25));
+  log.append(sample_record("DRR", "HASH", 3.0));
+  std::ostringstream os;
+  log.save(os);
+  const std::string intact = os.str();
+
+  support::Rng rng(0x1065eedull);
+  std::size_t loaded = 0;
+  std::size_t rejected = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    const std::uint64_t kind = rng.uniform(0, test_support::kMutationKinds - 1);
+    std::istringstream is(test_support::corrupt_bytes(intact, kind, rng));
+    try {
+      ResultLog::load(is);
+      ++loaded;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    } catch (...) {
+      ADD_FAILURE() << "iteration " << iter << ", mutation " << kind
+                    << ": load threw something other than runtime_error";
+    }
+  }
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

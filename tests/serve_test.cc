@@ -6,10 +6,12 @@
 // verified through the full client -> daemon -> client round trip. Also:
 // job table (bounded to the newest Server::kJobTableCap jobs),
 // version-mismatch refusal, retired frame types and an oversized packet
-// count each answered with an Error frame, idle traces bounded across
-// many distinct submissions, finished sessions being reaped (bounded
-// virtual memory over many connections), and drain-and-flush shutdown
-// (socket removed, cache compacted and warm for the next daemon).
+// count each answered with an Error frame, a throwing kernel leaving its
+// job `failed` while the daemon serves on, a malformed Error frame
+// reported as such by the client, idle traces bounded across many
+// distinct submissions, finished sessions being reaped (bounded virtual
+// memory over many connections), and drain-and-flush shutdown (socket
+// removed, cache compacted and warm for the next daemon).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -25,6 +27,9 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "api/registry.h"
+#include "api/study_builder.h"
+#include "apps/common/app.h"
 #include "nettrace/trace_store.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -39,6 +44,18 @@ SubmitRequest tiny_url_request() {
   request.packets = 200;  // minimal traces: the run must stay test-sized
   return request;
 }
+
+// A workload whose kernel always throws: the way a job reaches `failed`.
+class FaultyKernelApp final : public apps::NetworkApplication {
+ public:
+  std::string name() const override { return "FaultyKernel"; }
+  std::vector<std::string> dominant_structures() const override {
+    return {"table", "queue"};
+  }
+  apps::RunResult run(const net::Trace&, const ddt::DdtCombination&) override {
+    throw std::runtime_error("injected kernel fault");
+  }
+};
 
 // This process's virtual memory size in KiB (/proc/self/status VmSize);
 // the daemon runs in-process, so its session threads' stacks count here.
@@ -240,6 +257,79 @@ TEST_F(ServeTest, RetiredStatusFrameGetsAnErrorAndTheDaemonServesOn) {
   Client client(socket_);
   EXPECT_FALSE(client.submit(tiny_url_request()).records.empty());
   EXPECT_EQ(client.stats().jobs_submitted, 1u);
+}
+
+TEST_F(ServeTest, FailingKernelMarksTheJobFailedAndTheDaemonServesOn) {
+  if (!api::registry().contains("faulty-kernel")) {
+    api::registry().add(
+        {"faulty-kernel", "a kernel that always throws",
+         [](const core::CaseStudyOptions& options) {
+           return api::StudyBuilder("FaultyKernel")
+               .slots(2)
+               .packets(options.url_packets)
+               .network("dart-berry")
+               .app([] { return std::make_shared<FaultyKernelApp>(); })
+               .build();
+         }});
+  }
+  start_server();
+  Client client(socket_);
+  SubmitRequest request = tiny_url_request();
+  request.app = "faulty-kernel";
+  try {
+    client.submit(request);
+    ADD_FAILURE() << "a throwing kernel's submission returned a result";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()).rfind("daemon: exploration failed:", 0),
+              0u)
+        << error.what();
+  }
+  const StatsReply stats = client.stats();
+  ASSERT_EQ(stats.jobs.size(), 1u);
+  EXPECT_EQ(stats.jobs[0].app, "faulty-kernel");
+  EXPECT_EQ(stats.jobs[0].state, "failed");
+
+  // The same connection still gets a built-in study served.
+  EXPECT_FALSE(client.submit(tiny_url_request()).records.empty());
+  const StatsReply after = client.stats();
+  ASSERT_EQ(after.jobs.size(), 2u);
+  EXPECT_EQ(after.jobs[1].state, "done");
+}
+
+TEST_F(ServeTest, MalformedErrorFrameMidRunIsReportedAsMalformed) {
+  // A scripted peer, not the daemon: it answers the handshake and the
+  // submit ack, then sends an Error frame whose payload does not decode.
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  socket_.copy(addr.sun_path, sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(
+      ::bind(listener, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+      0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  std::thread peer([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    Frame frame;
+    if (recv_frame(fd, frame) == DecodeStatus::kOk) {
+      send_frame(fd, {FrameType::kHelloAck, encode_hello_ack(HelloAck{})});
+    }
+    if (recv_frame(fd, frame) == DecodeStatus::kOk) {
+      send_frame(fd, {FrameType::kSubmitAck, encode_submit_ack(SubmitAck{1})});
+      send_frame(fd, {FrameType::kError, "\x01"});  // a cut-off length
+    }
+    ::close(fd);
+  });
+  try {
+    Client client(socket_);
+    client.submit(tiny_url_request());
+    ADD_FAILURE() << "the submission returned a result";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "serve client: malformed error frame");
+  }
+  peer.join();
+  ::close(listener);
 }
 
 TEST_F(ServeTest, StatsReportsSinceBootCountersAndJobTimestamps) {
