@@ -5,6 +5,7 @@
 // operation. One BenchJson line per (kind, pattern) cell.
 // keyed_find sits beside keyed_scan, the reference traversal it must
 // charge identically; the bench exits 1 if a scan kind's accesses differ.
+// positional is the trie's indexed walk, the unrolled lists' finger path.
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -118,6 +119,37 @@ Batch keyed_scan_batch(ddt::DdtKind kind) {
   return keyed_batch(kind, &ddt::Container<Rec>::scan_find_key);
 }
 
+// The radix trie's node pattern (route's slot 0): descents of gets at
+// ascending indices that restart at 0, a set now and then, and a new node
+// appended and read back after each descent.
+Batch positional_batch(ddt::DdtKind kind) {
+  prof::MemoryProfile profile;
+  auto c = make(kind, profile);
+  for (std::size_t i = 0; i < kFill; ++i) c->push_back({i, i, i});
+  profile.reset();
+  constexpr std::size_t kDescents = 64;
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t ops = 0;
+  for (std::size_t d = 0; d < kDescents; ++d) {
+    for (std::size_t i = 0; i < c->size(); i += 1 + x % 48) {
+      x ^= x >> 12;
+      x ^= x << 25;
+      x ^= x >> 27;
+      const Rec r = c->get(i);
+      g_sink = g_sink + r.a;
+      ++ops;
+      if (x % 4 == 0) {
+        c->set(i, r);
+        ++ops;
+      }
+    }
+    c->push_back({d, d, d});
+    g_sink = g_sink + c->get(c->size() - 1).a;
+    ops += 2;
+  }
+  return {ops, profile.counters().accesses()};
+}
+
 struct Pattern {
   const char* name;
   Batch (*run)(ddt::DdtKind);
@@ -129,6 +161,7 @@ constexpr Pattern kPatterns[] = {
     {"seq_scan", &seq_scan_batch},
     {"keyed_find", &keyed_find_batch},
     {"keyed_scan", &keyed_scan_batch},
+    {"positional", &positional_batch},
 };
 
 struct CellResult {

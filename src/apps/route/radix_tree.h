@@ -29,7 +29,7 @@
 
 namespace ddtr::apps::route {
 
-// Trie node; -1 child / entry means absent. 16 bytes.
+// Trie node; -1 child / entry means absent. 12 bytes.
 struct RadixNode {
   std::int32_t left = -1;
   std::int32_t right = -1;
@@ -114,12 +114,14 @@ class RadixTree {
     return best_entry;
   }
 
-  // The match half of lookup(): bumps entry `index`'s use_count and
-  // returns the entry, or nullopt when `index` is -1 (no match).
-  std::optional<RouteEntry> use_entry(std::int32_t index) {
+  // The match half of lookup(): adds `uses` to entry `index`'s use_count
+  // (one get and one set whatever `uses` is) and returns the entry, or
+  // nullopt when `index` is -1 (no match).
+  std::optional<RouteEntry> use_entry(std::int32_t index,
+                                      std::uint32_t uses = 1) {
     if (index < 0) return std::nullopt;
     RouteEntry entry = entries_.get(static_cast<std::size_t>(index));
-    ++entry.use_count;
+    entry.use_count += uses;
     entries_.set(static_cast<std::size_t>(index), entry);
     cpu_.record_cpu_ops(2);
     return entry;

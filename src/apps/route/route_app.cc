@@ -153,10 +153,13 @@ RunResult RouteApp::run(const net::Trace& trace,
   // descent is replayed once and charged for all of its packets. That is
   // exact on every kind: a descent opens with get(0), which costs the
   // same wherever a roving cursor was and leaves it at the root. The
-  // rtentry slot stays per packet, in trace order: its roving kinds
-  // resume from the previous packet's entry. Node-container frees at
-  // destruction are not part of the run's charges: read the node
-  // counters while the container is alive.
+  // rtentry slot follows trace order, since its roving kinds resume from
+  // the previous packet's entry, one run of consecutive packets on the
+  // same entry at a time: the first use_entry of a run is charged as it
+  // falls, and leaves every kind's cursor on the entry, so the second
+  // costs what each later one does and is repeated for the rest of the
+  // run. Node-container frees at destruction are not part of the run's
+  // charges: read the node counters while the container is alive.
   prof::ProfileCounters node_counters;
   ddt::visit_container<RadixNode>(
       combo[0], node_profile, nullptr, [&](auto& nodes) {
@@ -173,9 +176,26 @@ RunResult RouteApp::run(const net::Trace& trace,
           node_profile.repeat_since(before, plan->packets[d] - 1);
         }
         cpu_profile.record_cpu_ops(plan->cpu_ops);
-        for (const std::uint32_t d : plan->packet_dest) {
-          ++(table.use_entry(plan->entry[d]).has_value() ? forwarded
-                                                         : dropped);
+        const std::vector<std::uint32_t>& dest = plan->packet_dest;
+        for (std::size_t p = 0; p < dest.size();) {
+          const std::int32_t e = plan->entry[dest[p]];
+          std::uint32_t run = 1;
+          while (p + run < dest.size() && plan->entry[dest[p + run]] == e) {
+            ++run;
+          }
+          p += run;
+          if (e < 0) {
+            dropped += run;
+            continue;
+          }
+          forwarded += run;
+          table.use_entry(e);
+          if (run == 1) continue;
+          const prof::ProfileCounters entry_before = entry_profile.counters();
+          const prof::ProfileCounters cpu_before = cpu_profile.counters();
+          table.use_entry(e, run - 1);
+          entry_profile.repeat_since(entry_before, run - 2);
+          cpu_profile.repeat_since(cpu_before, run - 2);
         }
         node_counters = node_profile.counters();
       });

@@ -2,8 +2,8 @@
 // family: linked chunks each holding up to ChunkCapacity records. Compared
 // with plain lists they amortize the pointer and allocator overhead over a
 // whole chunk (smaller footprint, fewer hops per position) at the price of
-// intra-chunk element moves on insertion/removal. Roving variants cache the
-// last visited chunk and its base index.
+// intra-chunk element moves on insertion/removal. Roving variants resume
+// walks from the last visited chunk.
 //
 // Two more parameters give UNR (ddt/unrolled_scan.h): the chunk header
 // type (the record count; its width is what a header read charges) and
@@ -12,6 +12,32 @@
 // streaming compare of the chunk's keys (kKeyHashCpuOps plus a
 // kMoveElemsPerCpuOp-rate pass) instead of a serially dependent compare
 // per record. Positional operations are the same code for every flavour.
+//
+// Host-side finger. Beside the modeled chunks every list keeps, never
+// charged: the chunk count, for a line scan the sum of its chunks'
+// count / kMoveElemsPerCpuOp, and a finger on the chunk the last access
+// settled on (the chunk, its base index, its ordinal, its forward
+// predecessor when the host passed it, and for a line scan that sum over
+// the chunks before it). Invariant: the finger's base, ordinal and prefix
+// sum are exact for its chunk, or the finger is empty. Edits keep it so:
+// push_back changes only the tail; insert and erase first settle the
+// finger on the chunk they edit, so only later chunks shift; unlinking
+// the finger's chunk and clear() drop it. A roving list's cursor is the
+// finger itself, valid until the next insert or erase.
+//
+// A positional walk keeps its modeled entry point (head, tail, or the
+// roving cursor) and settles the target on the host from there, or, from
+// the head, from the tail chunk or the finger when the target lies there
+// or past it. It then charges |ordinal(target) - ordinal(entry)| hops in
+// one bulk charge. find_key charges a miss from the running totals and a
+// hit from the ordinal of the chunk holding the match.
+//
+// Known predecessor: the modeled walk knows the predecessor of the chunk
+// it lands on after any forward hop (and the head has none), whichever
+// way the host settled, so unlinking that chunk charges nothing to find
+// it. Only a roving entry that lands with 0 hops on a chunk past the head
+// leaves it unknown; a singly linked list then charges the pointer walk
+// from the head to it.
 #pragma once
 
 #include <algorithm>
@@ -71,7 +97,7 @@ class ChunkedListContainer final : public Container<T> {
     }
     this->count_read(kHeaderBytes);  // tail count
     tail_->values[tail_->count] = value;
-    ++tail_->count;
+    set_count(tail_, tail_->count + 1u);
     this->count_write(sizeof(T));
     this->count_write(kHeaderBytes);
     this->count_touch();
@@ -88,11 +114,9 @@ class ChunkedListContainer final : public Container<T> {
     }
     Pos pos = locate(index);
     if (chunk_full(pos.node)) {
-      split_chunk(pos);
+      split_chunk(pos.node);
       if (pos.offset >= pos.node->count) {
         pos.offset -= pos.node->count;
-        pos.base += pos.node->count;
-        pos.prev = pos.node;
         pos.node = pos.node->next;
         this->count_read(kPointerBytes);
       }
@@ -106,7 +130,7 @@ class ChunkedListContainer final : public Container<T> {
     this->count_write(sizeof(T), moved);
     this->count_moves(moved);
     node->values[pos.offset] = value;
-    ++node->count;
+    set_count(node, node->count + 1u);
     this->count_write(sizeof(T));
     this->count_write(kHeaderBytes);
     ++size_;
@@ -133,7 +157,7 @@ class ChunkedListContainer final : public Container<T> {
 
   void erase(std::size_t index) override {
     assert(index < size_);
-    Pos pos = locate(index);
+    const Pos pos = locate(index);
     Node* node = pos.node;
     const std::size_t moved = node->count - pos.offset - 1;
     for (std::size_t i = pos.offset; i + 1 < node->count; ++i) {
@@ -142,7 +166,7 @@ class ChunkedListContainer final : public Container<T> {
     this->count_read(sizeof(T), moved);
     this->count_write(sizeof(T), moved);
     this->count_moves(moved);
-    --node->count;
+    set_count(node, node->count - 1u);
     this->count_write(kHeaderBytes);
     --size_;
     this->column_erase(index);
@@ -155,65 +179,67 @@ class ChunkedListContainer final : public Container<T> {
     pool_.release();
     head_ = tail_ = nullptr;
     size_ = 0;
+    chunks_ = 0;
+    stream_ops_ = 0;
+    finger_ = Finger{};
     this->column_clear();
     invalidate_roving();
   }
 
   // A line scan reads each chunk's payload at once; otherwise every
-  // visited record is its own read.
+  // visited record is its own read. Leaves the finger (and the roving
+  // cursor) on the last chunk visited.
   void for_each(typename Container<T>::Visitor visitor) const override {
     this->count_read(kPointerBytes);  // head pointer
-    Node* node = head_;
-    std::size_t base = 0;
-    while (node != nullptr) {
+    if (head_ == nullptr) return;
+    for (Finger f = head_finger(); f.node != nullptr; step_forward(f)) {
+      const Node* node = f.node;
       this->count_read(kHeaderBytes);
       if constexpr (LineScan) this->count_read(node->count * sizeof(T));
       this->count_hops(1);
-      update_roving(node, base);
       for (std::size_t i = 0; i < node->count; ++i) {
         if constexpr (!LineScan) this->count_read(sizeof(T));
         this->count_touch();
-        if (!visitor(base + i, node->values[i])) return;
+        if (!visitor(f.base + i, node->values[i])) {
+          finger_ = f;
+          update_roving();
+          return;
+        }
       }
-      base += node->count;
       this->count_read(kPointerBytes);
-      node = node->next;
     }
+    finger_ = tail_finger();
+    update_roving();
   }
 
   // A column search charged as scan_find_key's walk up to the match: the
   // head pointer, a header read and hop per chunk reached, a link read per
   // chunk passed; then a record read, touch and key compare per visit, or
   // for a line scan one line read and one streaming compare per chunk
-  // reached. The host walks the chunks only to count them; roving variants
-  // leave the cursor on the last chunk reached, as for_each does.
+  // reached. The finger settles on the last chunk reached (the match's,
+  // or on a miss the tail, from the running totals), and its ordinal,
+  // base and stream sum price the whole walk. Roving variants leave the
+  // cursor on that chunk, as for_each does.
   std::size_t find_key(std::uint64_t key) const override {
     const std::size_t found = this->column_find(key);
     std::size_t reached = 0;
-    std::size_t line_bytes = 0;
-    std::uint64_t compare_ops = 0;
-    std::size_t base = 0;
-    Node* node = head_;
-    while (node != nullptr && (found == npos || base <= found)) {
-      ++reached;
-      update_roving(node, base);
-      if constexpr (LineScan) {
-        line_bytes += node->count * sizeof(T);
-        compare_ops += line_compare_ops(node);
-      }
-      base += node->count;
-      node = node->next;
+    Finger f;
+    if (size_ != 0) {
+      f = settle(found == npos ? size_ - 1 : found, head_finger());
+      reached = f.ord + 1;
+      update_roving();
     }
     const std::size_t passed = found == npos ? reached : reached - 1;
     this->count_read(kPointerBytes, 1 + passed);
     this->count_read(kHeaderBytes, reached);
     this->count_hops(reached);
     if constexpr (LineScan) {
-      if (reached != 0) {  // one line read per chunk, line_bytes in all
-        this->count_read(line_bytes);
+      if (reached != 0) {  // one line read per chunk, every record in all
+        this->count_read((f.base + f.node->count) * sizeof(T));
         this->count_read(0, reached - 1);
+        this->profile().record_cpu_ops((kKeyHashCpuOps + 1) * reached +
+                                       f.stream_before + stream_of(f.node));
       }
-      this->profile().record_cpu_ops(compare_ops);
     } else {
       const std::size_t visits = this->scan_visits(found);
       this->count_read(sizeof(T), visits);
@@ -238,7 +264,7 @@ class ChunkedListContainer final : public Container<T> {
         this->count_read(kHeaderBytes);
         this->count_read(node->count * sizeof(T));
         this->count_hops(1);
-        this->profile().record_cpu_ops(line_compare_ops(node));
+        this->profile().record_cpu_ops(kKeyHashCpuOps + 1 + stream_of(node));
         for (std::size_t i = 0; i < node->count; ++i) {
           if (this->key_of(node->values[i]) == key) return base + i;
         }
@@ -266,27 +292,51 @@ class ChunkedListContainer final : public Container<T> {
   };
   using Node = std::conditional_t<Doubly, NodeDouble, NodeSingle>;
 
-  // A located logical position: the chunk, the chunk preceding it in
-  // forward order (nullptr when unknown or none), the logical index of the
-  // chunk's first record, and the offset within the chunk.
+  // The host-side finger (see the file comment). `prev` is the forward
+  // predecessor, nullptr when the chunk is the head or the host did not
+  // pass it (doubly linked lists read node->prev instead);
+  // `stream_before` is kept by line scans only.
+  struct Finger {
+    Node* node = nullptr;
+    Node* prev = nullptr;
+    std::size_t base = 0;
+    std::size_t ord = 0;
+    std::uint64_t stream_before = 0;
+  };
+
+  // A located logical position: the chunk (the finger's), the offset
+  // within it, and whether the modeled walk knows the chunk's predecessor.
   struct Pos {
     Node* node;
-    Node* prev;
-    std::size_t base;
     std::size_t offset;
+    bool prev_known;
   };
 
   static bool chunk_full(const Node* node) noexcept {
     return node->count == ChunkCapacity;
   }
 
-  // A line scan's compare of one chunk's keys: one key derivation's worth
-  // of setup plus a streaming pass over the records.
-  static std::uint64_t line_compare_ops(const Node* node) noexcept {
-    return kKeyHashCpuOps + node->count / kMoveElemsPerCpuOp + 1;
+  // The streaming part of a line scan's compare of one chunk's keys; the
+  // compare also pays kKeyHashCpuOps + 1 of setup per chunk.
+  static std::uint64_t stream_of(const Node* node) noexcept {
+    return node->count / kMoveElemsPerCpuOp;
   }
 
-  Node* new_chunk() { return pool_.create(); }
+  // Sets a chunk's record count and keeps the stream total current.
+  void set_count(Node* node, std::size_t count) {
+    if constexpr (LineScan) {
+      stream_ops_ -= stream_of(node);
+      node->count = static_cast<Header>(count);
+      stream_ops_ += stream_of(node);
+    } else {
+      node->count = static_cast<Header>(count);
+    }
+  }
+
+  Node* new_chunk() {
+    ++chunks_;
+    return pool_.create();
+  }
 
   void free_chunk(Node* node) { pool_.destroy(node); }
 
@@ -314,72 +364,94 @@ class ChunkedListContainer final : public Container<T> {
     }
   }
 
-  // Walks to the chunk containing `index`. Charges one entry pointer read
-  // plus, per chunk advanced over, a header read and a pointer read.
-  Pos locate(std::size_t index) const {
-    // Candidate starts: head (forward), tail (backward, doubly only),
-    // roving cache (forward; both directions when doubly).
-    Node* node = head_;
-    Node* prev = nullptr;
-    std::size_t base = 0;
-    bool backward = false;
+  // Moves the finger onto the chunk holding `index` (< size_) and returns
+  // it. The host walks from `f`, the modeled entry point, except that
+  // from the head it starts at the tail chunk or at the finger when the
+  // target lies there or past it. Charges nothing. Works on a local copy,
+  // stored once: the profile's counters may alias the finger's fields.
+  // Forced inline, as is locate: out of line, the call and the result
+  // passed through memory cost more than a short list's walk.
+  [[gnu::always_inline]] Finger settle(std::size_t index, Finger f) const {
+    if (f.node == head_) {
+      if (index >= size_ - tail_->count) {
+        f = tail_finger();
+      } else if (finger_.node != nullptr && index >= finger_.base) {
+        f = finger_;
+      }
+    }
+    if constexpr (Doubly) {
+      while (index < f.base) {
+        f.node = f.node->prev;
+        f.base -= f.node->count;
+        --f.ord;
+      }
+    }
+    while (index >= f.base + f.node->count) step_forward(f);
+    finger_ = f;
+    return f;
+  }
 
+  // Moves a finger one chunk forward, past its chunk's records.
+  static void step_forward(Finger& f) noexcept {
+    if constexpr (LineScan) f.stream_before += stream_of(f.node);
+    f.base += f.node->count;
+    f.prev = f.node;
+    f.node = f.node->next;
+    ++f.ord;
+  }
+
+  Finger head_finger() const { return Finger{head_, nullptr, 0, 0, 0}; }
+
+  // A finger on the tail chunk, from the running totals; its predecessor
+  // is not known on the host.
+  Finger tail_finger() const {
+    return Finger{tail_, nullptr, size_ - tail_->count, chunks_ - 1,
+                  LineScan ? stream_ops_ - stream_of(tail_) : 0};
+  }
+
+  // Settles the chunk containing `index`, then charges the modeled walk
+  // to it: one entry pointer read and its chunk's header read, plus per
+  // chunk advanced over a pointer read, a header read and a hop.
+  [[gnu::always_inline]] Pos locate(std::size_t index) const {
+    // Candidate entries: head (forward), tail (backward, doubly only),
+    // roving cursor (forward; both directions when doubly).
+    Finger entry = head_finger();
+    bool from_tail = false;
+    bool roving_entry = false;
     if constexpr (Doubly) {
       // Distances measured in records are a proxy for chunk hops.
       if (index > size_ / 2) {
-        node = tail_;
-        base = size_ - tail_->count;
-        backward = true;
+        entry = tail_finger();
+        from_tail = true;
       }
     }
     if constexpr (Roving) {
-      if (rov_node_ != nullptr) {
-        const bool ahead = index >= rov_base_;
+      if (rov_valid_) {
+        const bool ahead = index >= finger_.base;
         const std::size_t dist =
-            ahead ? index - rov_base_ : rov_base_ - index;
-        const std::size_t cur_dist =
-            backward ? (index > size_ - 1 ? 0 : size_ - 1 - index) : index;
+            ahead ? index - finger_.base : finger_.base - index;
+        const std::size_t cur_dist = from_tail ? size_ - 1 - index : index;
         if ((ahead || Doubly) && dist < cur_dist) {
-          node = rov_node_;
-          prev = nullptr;
-          base = rov_base_;
-          backward = !ahead;
+          entry = finger_;
+          roving_entry = true;
         }
       }
     }
 
-    this->count_read(kPointerBytes);  // entry pointer
-    if (backward) {
-      if constexpr (Doubly) {
-        this->count_read(kHeaderBytes);
-        while (index < base) {
-          node = node->prev;
-          this->count_read(kPointerBytes);
-          this->count_read(kHeaderBytes);
-          this->count_hops(1);
-          base -= node->count;
-        }
-        prev = node->prev;
-      }
-    } else {
-      this->count_read(kHeaderBytes);
-      while (index >= base + node->count) {
-        base += node->count;
-        prev = node;
-        node = node->next;
-        this->count_read(kPointerBytes);
-        this->count_read(kHeaderBytes);
-        this->count_hops(1);
-      }
-    }
-    update_roving(node, base);
-    return Pos{node, prev, base, index - base};
+    const Finger f = settle(index, entry);
+    const std::size_t hops =
+        f.ord >= entry.ord ? f.ord - entry.ord : entry.ord - f.ord;
+    this->count_read(kPointerBytes, 1 + hops);
+    this->count_read(kHeaderBytes, 1 + hops);
+    this->count_hops(hops);
+    update_roving();
+    return Pos{f.node, index - f.base,
+               !roving_entry || hops != 0 || f.node == head_};
   }
 
   // Splits a full chunk in two, moving the upper half into a fresh chunk
   // linked right after it.
-  void split_chunk(Pos& pos) {
-    Node* node = pos.node;
+  void split_chunk(Node* node) {
     Node* tail_half = new_chunk();
     const std::size_t keep = ChunkCapacity / 2;
     const std::size_t moved = ChunkCapacity - keep;
@@ -389,8 +461,8 @@ class ChunkedListContainer final : public Container<T> {
     this->count_read(sizeof(T), moved);
     this->count_write(sizeof(T), moved);
     this->count_moves(moved);
-    tail_half->count = static_cast<Header>(moved);
-    node->count = static_cast<Header>(keep);
+    set_count(tail_half, moved);
+    set_count(node, keep);
     this->count_write(kHeaderBytes, 2);
 
     tail_half->next = node->next;
@@ -404,18 +476,20 @@ class ChunkedListContainer final : public Container<T> {
     if (tail_ == node) tail_ = tail_half;
   }
 
-  void unlink_chunk(Pos& pos) {
+  // Unlinks an emptied chunk (the finger's, as erase settled it) and drops
+  // the finger.
+  void unlink_chunk(const Pos& pos) {
     Node* node = pos.node;
-    Node* prev = pos.prev;
+    Node* prev = finger_.prev;
     if constexpr (Doubly) {
       prev = node->prev;
-    } else if (prev == nullptr && node != head_) {
-      // Forward predecessor unknown (roving entry): find it from the head.
-      prev = head_;
-      this->count_read(kPointerBytes);
-      while (prev->next != node) {
-        prev = prev->next;
-        this->count_read(kPointerBytes);
+    } else if (node != head_) {
+      // Forward predecessor unknown to the model (roving entry, 0 hops):
+      // charge the pointer walk from the head to it.
+      if (!pos.prev_known) this->count_read(kPointerBytes, finger_.ord);
+      if (prev == nullptr) {  // not passed on the host: find it there
+        prev = head_;
+        while (prev->next != node) prev = prev->next;
       }
     }
     if (node == head_) head_ = node->next;
@@ -431,31 +505,28 @@ class ChunkedListContainer final : public Container<T> {
       }
     }
     free_chunk(node);
+    --chunks_;
+    finger_ = Finger{};
   }
 
-  void update_roving(Node* node, std::size_t base) const {
-    if constexpr (Roving) {
-      rov_node_ = node;
-      rov_base_ = base;
-    } else {
-      (void)node;
-      (void)base;
-    }
+  // A roving list's cursor is the finger, valid from the first access
+  // after an insert or erase until the next one.
+  void update_roving() const {
+    if constexpr (Roving) rov_valid_ = true;
   }
 
   void invalidate_roving() const {
-    if constexpr (Roving) {
-      rov_node_ = nullptr;
-      rov_base_ = 0;
-    }
+    if constexpr (Roving) rov_valid_ = false;
   }
 
   support::Pool<Node> pool_;
   Node* head_ = nullptr;
   Node* tail_ = nullptr;
   std::size_t size_ = 0;
-  mutable Node* rov_node_ = nullptr;
-  mutable std::size_t rov_base_ = 0;
+  std::size_t chunks_ = 0;       // running total, host-side
+  std::uint64_t stream_ops_ = 0;  // line scans: sum of stream_of, host-side
+  mutable Finger finger_;
+  mutable bool rov_valid_ = false;  // roving lists: cursor at the finger
 };
 
 template <typename T>

@@ -1,6 +1,6 @@
 #include "profiling/memory_profile.h"
 
-#include <algorithm>
+#include <ostream>
 #include <stdexcept>
 
 namespace ddtr::prof {
@@ -31,6 +31,16 @@ ProfileCounters& ProfileCounters::operator-=(
   peak_bytes -= other.peak_bytes;
   cpu_ops -= other.cpu_ops;
   return *this;
+}
+
+std::ostream& operator<<(std::ostream& os, const ProfileCounters& c) {
+  return os << "reads=" << c.reads << " writes=" << c.writes
+            << " bytes_read=" << c.bytes_read
+            << " bytes_written=" << c.bytes_written
+            << " allocations=" << c.allocations
+            << " deallocations=" << c.deallocations
+            << " live_bytes=" << c.live_bytes
+            << " peak_bytes=" << c.peak_bytes << " cpu_ops=" << c.cpu_ops;
 }
 
 void MemoryProfile::repeat_since(const ProfileCounters& before,

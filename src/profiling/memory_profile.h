@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 
 namespace ddtr::prof {
@@ -41,6 +42,10 @@ struct ProfileCounters {
 
   bool operator==(const ProfileCounters&) const noexcept = default;
 };
+
+// Prints every field by name ("reads=3 writes=2 ..."), so a failed
+// EXPECT_EQ on two counter sets says which counter moved.
+std::ostream& operator<<(std::ostream& os, const ProfileCounters& c);
 
 // Mutable profile handed to DDT containers and application kernels.
 // Deliberately lock-free and unsynchronized: each simulation owns its

@@ -34,18 +34,6 @@ std::uint64_t rec_key(const Rec& r) {
   return support::mix64(r.src * 31 + r.dst);
 }
 
-std::string describe(const prof::ProfileCounters& c) {
-  return "reads=" + std::to_string(c.reads) +
-         " writes=" + std::to_string(c.writes) +
-         " bytes_read=" + std::to_string(c.bytes_read) +
-         " bytes_written=" + std::to_string(c.bytes_written) +
-         " allocations=" + std::to_string(c.allocations) +
-         " deallocations=" + std::to_string(c.deallocations) +
-         " live=" + std::to_string(c.live_bytes) +
-         " peak=" + std::to_string(c.peak_bytes) +
-         " cpu_ops=" + std::to_string(c.cpu_ops);
-}
-
 class KeyedScanTest : public ::testing::TestWithParam<ddt::DdtKind> {
  protected:
   void SetUp() override {
@@ -56,9 +44,7 @@ class KeyedScanTest : public ::testing::TestWithParam<ddt::DdtKind> {
   // Both twins must have charged exactly the same so far.
   void expect_same_counters(const std::string& after) const {
     ASSERT_EQ(column_profile_.counters(), scan_profile_.counters())
-        << "after " << after << "\n  find_key:      "
-        << describe(column_profile_.counters())
-        << "\n  scan_find_key: " << describe(scan_profile_.counters());
+        << "after " << after;
   }
 
   // Searches both twins, then reads one record: a roving cursor left in a
