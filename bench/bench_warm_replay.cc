@@ -7,16 +7,21 @@
 //     simulations, like `ddtr submit` against a warm daemon),
 //   * serialized_records() of the warm report (the records a client gets),
 // each as the median of several repetitions, and emits one BenchJson line.
-// Exits 1 if a warm run executes a simulation or its records differ from
-// the cold run's.
+// A set-up block also times, per study, a cold make_study from an empty
+// net::TraceStore (trace synthesis and hashing, app construction) and
+// Trace::content_hash per distinct trace, each the median of several
+// repetitions. Exits 1 if a warm run executes a simulation or its records
+// differ from the cold run's.
 #include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "nettrace/trace_store.h"
 #include "support/table.h"
 
 namespace {
@@ -56,6 +61,30 @@ api::Exploration shared_session(const core::CaseStudy& study,
   return session;
 }
 
+// Median content_hash() ms per distinct trace of `study`, hashing fresh
+// copies (set_name drops the cached digest; only the hash is timed).
+double content_hash_ms_per_trace(const core::CaseStudy& study) {
+  std::vector<net::Trace> traces;
+  std::set<const net::Trace*> seen;
+  for (const core::Scenario& scenario : study.scenarios) {
+    if (seen.insert(scenario.trace.get()).second) {
+      traces.push_back(*scenario.trace);
+    }
+  }
+  std::vector<double> samples;
+  for (int i = 0; i < kRepetitions; ++i) {
+    double total_ms = 0.0;
+    for (net::Trace& trace : traces) {
+      trace.set_name(trace.name());
+      const auto t0 = std::chrono::steady_clock::now();
+      trace.content_hash();
+      total_ms += ms_since(t0);
+    }
+    samples.push_back(total_ms / static_cast<double>(traces.size()));
+  }
+  return median(std::move(samples));
+}
+
 }  // namespace
 
 int main() {
@@ -65,14 +94,29 @@ int main() {
 
   support::TextTable table({"Application", "keys", "key_of ns",
                             "warm run ms", "serialize ms", "record bytes"});
+  support::TextTable setup_table(
+      {"Application", "traces", "cold make_study ms", "content_hash ms/trace"});
   std::ostringstream apps_json;
   apps_json << '[';
   bool consistent = true;
 
   const std::vector<std::string> names = api::registry().names();
   for (std::size_t a = 0; a < names.size(); ++a) {
+    // Set-up: every repetition builds the study from an empty store.
+    const double make_study_ms = median_ms([&] {
+      net::TraceStore::global().clear();
+      api::registry().make_study(names[a], bench::bench_options());
+    });
     const core::CaseStudy study =
         api::registry().make_study(names[a], bench::bench_options());
+    std::set<const net::Trace*> distinct;
+    for (const core::Scenario& scenario : study.scenarios) {
+      distinct.insert(scenario.trace.get());
+    }
+    const double hash_ms = content_hash_ms_per_trace(study);
+    setup_table.add_row({study.name, std::to_string(distinct.size()),
+                         support::format_double(make_study_ms, 2),
+                         support::format_double(hash_ms, 3)});
     const std::string cold_records =
         shared_session(study, shared).run().serialized_records();
 
@@ -119,7 +163,10 @@ int main() {
     apps_json << "{\"app\":\"" << study.name << "\",\"keys\":" << keys
               << ",\"key_of_ns\":" << key_ns << ",\"warm_run_ms\":" << run_ms
               << ",\"serialize_ms\":" << serialize_ms
-              << ",\"record_bytes\":" << records.size() << '}';
+              << ",\"record_bytes\":" << records.size()
+              << ",\"traces\":" << distinct.size()
+              << ",\"make_study_ms\":" << make_study_ms
+              << ",\"content_hash_ms_per_trace\":" << hash_ms << '}';
   }
   apps_json << ']';
 
@@ -127,6 +174,10 @@ int main() {
                "median of "
             << kRepetitions << ") ==\n\n";
   table.print(std::cout);
+  std::cout << "\n== Set-up: cold make_study from an empty trace store, "
+               "content_hash per trace (median of "
+            << kRepetitions << ") ==\n\n";
+  setup_table.print(std::cout);
   std::cout << '\n';
 
   bench::BenchJson json("bench_warm_replay");

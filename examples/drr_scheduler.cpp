@@ -20,10 +20,9 @@ int main() {
 
   // Shared immutable trace via the store — the same instance any study
   // replaying dart-dorm at this length would get.
-  net::TraceGenerator::Options options;
-  options.packet_count = 5000;
-  const auto trace = net::TraceStore::global().get_or_generate(
-      net::network_preset("dart-dorm"), options);
+  net::TraceRecipe recipe{net::network_preset("dart-dorm"), {}};
+  recipe.options.packet_count = 5000;
+  const auto trace = net::TraceStore::global().get_or_generate({recipe})[0];
 
   std::cout << "DRR on " << trace->name() << ": " << trace->size()
             << " packets\n\n== Queue DDT sweep (flow table fixed to AR) "

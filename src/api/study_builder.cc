@@ -2,8 +2,8 @@
 
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
-#include "nettrace/generator.h"
 #include "nettrace/presets.h"
 #include "nettrace/trace_store.h"
 
@@ -96,20 +96,24 @@ core::CaseStudy StudyBuilder::build() const {
   study.slots = slots_;
   study.representative = representative_;
   study.scenarios.reserve(scenario_count());
+  // One immutable trace per network, shared by every config cell (and
+  // every other study replaying the same preset at this length). The
+  // store builds the missing ones concurrently.
+  std::vector<net::TraceRecipe> recipes;
+  recipes.reserve(networks_.size());
   for (const std::string& network : networks_) {
-    const net::NetworkPreset& preset = net::network_preset(network);
-    net::TraceGenerator::Options trace_options;
-    trace_options.packet_count = packets_;
-    trace_options.seed_offset = seed_offset_;
-    // One immutable trace per network, shared by every config cell (and
-    // every other study replaying the same preset at this length).
-    const auto trace =
-        net::TraceStore::global().get_or_generate(preset, trace_options);
+    net::TraceRecipe& recipe = recipes.emplace_back();
+    recipe.preset = net::network_preset(network);
+    recipe.options.packet_count = packets_;
+    recipe.options.seed_offset = seed_offset_;
+  }
+  const auto traces = net::TraceStore::global().get_or_generate(recipes);
+  for (std::size_t n = 0; n < recipes.size(); ++n) {
     for (const ConfigCell& cell : configs_) {
       core::Scenario scenario;
-      scenario.network = preset.name;
+      scenario.network = recipes[n].preset.name;
       scenario.config = cell.label;
-      scenario.trace = trace;
+      scenario.trace = traces[n];
       scenario.app = cell.factory();
       if (!scenario.app) {
         throw std::invalid_argument("study '" + name_ +

@@ -4,8 +4,9 @@
 // configurations (label + app factory). build() expands the cross-product
 // in network-major order (the order every paper study uses), builds each
 // network's trace exactly once through net::TraceStore::global() so all
-// scenarios of that network share one immutable trace, and validates the
-// result.
+// scenarios of that network share one immutable trace (the networks the
+// store lacks are synthesized concurrently, one batch request per build),
+// and validates the result.
 //
 //   core::CaseStudy study =
 //       api::StudyBuilder("Route")

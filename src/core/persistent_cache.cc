@@ -38,26 +38,26 @@ constexpr std::uint64_t kMaxEntryBytes = 16ull << 20;
 
 // Entry payload: key, then the full SimulationRecord. The combination is
 // stored as its label ("AR+DLL"), which is bijective with combinations.
-void write_entry_payload(std::ostream& os, const std::string& key,
-                         const SimulationRecord& r) {
-  support::write_string(os, key);
-  support::write_string(os, r.app_name);
-  support::write_string(os, r.combo.label());
-  support::write_string(os, r.network);
-  support::write_string(os, r.config);
-  support::write_f64(os, r.metrics.energy_mj);
-  support::write_f64(os, r.metrics.time_s);
-  support::write_u64(os, r.metrics.accesses);
-  support::write_u64(os, r.metrics.footprint_bytes);
-  support::write_u64(os, r.counters.reads);
-  support::write_u64(os, r.counters.writes);
-  support::write_u64(os, r.counters.bytes_read);
-  support::write_u64(os, r.counters.bytes_written);
-  support::write_u64(os, r.counters.allocations);
-  support::write_u64(os, r.counters.deallocations);
-  support::write_u64(os, r.counters.live_bytes);
-  support::write_u64(os, r.counters.peak_bytes);
-  support::write_u64(os, r.counters.cpu_ops);
+void append_entry_payload(std::string& out, const std::string& key,
+                          const SimulationRecord& r) {
+  support::append_string(out, key);
+  support::append_string(out, r.app_name);
+  support::append_string(out, r.combo.label());
+  support::append_string(out, r.network);
+  support::append_string(out, r.config);
+  support::append_f64(out, r.metrics.energy_mj);
+  support::append_f64(out, r.metrics.time_s);
+  support::append_u64(out, r.metrics.accesses);
+  support::append_u64(out, r.metrics.footprint_bytes);
+  support::append_u64(out, r.counters.reads);
+  support::append_u64(out, r.counters.writes);
+  support::append_u64(out, r.counters.bytes_read);
+  support::append_u64(out, r.counters.bytes_written);
+  support::append_u64(out, r.counters.allocations);
+  support::append_u64(out, r.counters.deallocations);
+  support::append_u64(out, r.counters.live_bytes);
+  support::append_u64(out, r.counters.peak_bytes);
+  support::append_u64(out, r.counters.cpu_ops);
 }
 
 bool read_entry_payload(std::istream& is, std::string& key,
@@ -195,20 +195,27 @@ std::uint64_t scan_valid_frames(const std::string& path, std::uint64_t from) {
   return pos;
 }
 
-void write_entry(std::ostream& os, const std::string& key,
-                 const SimulationRecord& r) {
-  std::ostringstream payload_stream;
-  write_entry_payload(payload_stream, key, r);
-  const std::string payload = payload_stream.str();
-  support::write_u32(os, kEntryMagic);
-  support::write_u64(os, payload.size());
-  support::write_u64(os, support::fnv1a64(payload.data(), payload.size()));
-  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+// Appends one frame (magic, payload size, payload checksum, payload) to
+// `out`. `payload` is scratch space, reused across entries.
+void append_entry(std::string& out, std::string& payload,
+                  const std::string& key, const SimulationRecord& r) {
+  payload.clear();
+  append_entry_payload(payload, key, r);
+  support::append_u32(out, kEntryMagic);
+  support::append_u64(out, payload.size());
+  support::append_u64(out, support::fnv1a64(payload.data(), payload.size()));
+  out += payload;
 }
 
-void write_file_header(std::ostream& os) {
-  os.write(kFileMagic, sizeof(kFileMagic));
-  support::write_u32(os, kFormatVersionValue);
+void append_file_header(std::string& out) {
+  out.append(kFileMagic, sizeof(kFileMagic));
+  support::append_u32(out, kFormatVersionValue);
+}
+
+// One write of the whole buffer; false when the stream failed.
+bool write_all(std::ofstream& os, const std::string& bytes) {
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return static_cast<bool>(os);
 }
 
 // Cache keys are 0x1f-joined fields (see SimulationCache::key_of):
@@ -312,28 +319,27 @@ std::size_t PersistentSimulationCache::store_new(
   }
 
   // Append to a valid file; rewrite (header included) a missing or
-  // invalid one.
+  // invalid one. The whole append is assembled first and written at once.
+  std::string bytes;
+  std::string payload;
+  if (!store_valid_) append_file_header(bytes);
+  for (const auto& [key, record] : fresh) {
+    append_entry(bytes, payload, key, record);
+  }
   std::ios::openmode mode = std::ios::binary |
                             (store_valid_ ? std::ios::app : std::ios::trunc);
   std::ofstream os(target, mode);
-  if (!os) return 0;
-  if (!store_valid_) write_file_header(os);
-  std::size_t written = 0;
-  for (auto& [key, record] : fresh) {
-    write_entry(os, key, record);
-    if (!os) break;
-    ++written;
-    loaded_.insert_or_assign(std::move(key), std::move(record));
-  }
-  if (os) {
-    store_valid_ = true;
-    store_prefix_bytes_ = static_cast<std::uint64_t>(os.tellp());
-  }
+  if (!os || !write_all(os, bytes)) return 0;
+  store_valid_ = true;
+  store_prefix_bytes_ = static_cast<std::uint64_t>(os.tellp());
   os.close();
   // Flush the appended frames to stable storage: a run that reported its
   // records stored must find them after a crash, not a hollow tail.
-  if (written != 0) support::fsync_file(target);
-  return written;
+  support::fsync_file(target);
+  for (auto& [key, record] : fresh) {
+    loaded_.insert_or_assign(std::move(key), std::move(record));
+  }
+  return fresh.size();
 }
 
 std::size_t PersistentSimulationCache::compact() {
@@ -349,15 +355,17 @@ std::size_t PersistentSimulationCache::compact() {
   std::sort(sorted.begin(), sorted.end(),
             [](const auto* a, const auto* b) { return a->first < b->first; });
 
+  std::string bytes;
+  std::string payload;
+  append_file_header(bytes);
+  for (const auto* entry : sorted) {
+    append_entry(bytes, payload, entry->first, entry->second);
+  }
   const std::string tmp = file_path() + ".tmp";
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     if (!os) return 0;
-    write_file_header(os);
-    for (const auto* entry : sorted) {
-      write_entry(os, entry->first, entry->second);
-    }
-    if (!os) {
+    if (!write_all(os, bytes)) {
       std::filesystem::remove(tmp, ec);
       return 0;
     }

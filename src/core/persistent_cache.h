@@ -34,10 +34,12 @@ namespace ddtr::core {
 
 class PersistentSimulationCache {
  public:
-  // On-disk format version; bump on any layout change. A file with a
-  // different version is invalid as a whole (stale-version invalidation)
-  // and gets rewritten by the next store_new().
-  static constexpr std::uint32_t kFormatVersion = 1;
+  // On-disk format version; bump on any layout change, and on any change
+  // to the keys' meaning (2: Trace::content_hash became word-wise, so
+  // version-1 keys name traces no run asks for). A file with a different
+  // version is invalid as a whole (stale-version invalidation) and gets
+  // rewritten by the next store_new().
+  static constexpr std::uint32_t kFormatVersion = 2;
 
   // What the last load() consumed.
   struct LoadStats {

@@ -95,6 +95,7 @@ Trace TraceGenerator::generate(const NetworkPreset& preset,
     trace_name += std::to_string(options.seed_offset);
   }
   Trace trace(trace_name);
+  trace.reserve(options.packet_count);
 
   // Flow population: a few flows per node, clamped to keep small presets
   // meaningful and big ones tractable.

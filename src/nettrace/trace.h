@@ -36,6 +36,9 @@ class Trace {
   }
   std::size_t size() const noexcept { return packets_.size(); }
   bool empty() const noexcept { return packets_.empty(); }
+  // Capacity for `packets` records, so a builder that knows its length
+  // appends without regrowing the packet array.
+  void reserve(std::size_t packets) { packets_.reserve(packets); }
 
   void add_packet(const PacketRecord& packet) {
     packets_.push_back(packet);
@@ -58,9 +61,15 @@ class Trace {
   // and every packet field — the *content identity* the caching layers key
   // on (never the trace's label: two traces may share a name yet differ in
   // content, and cache entries outlive the process that wrote them).
-  // Computed once and cached; safe to call concurrently on a shared
-  // immutable trace (the cache slot is atomic and the digest idempotent).
-  // Never returns 0, so 0 can serve as an "unhashed" sentinel.
+  // The name and payloads go through length-prefixed FNV-1a; the packets
+  // are hashed word-wise: each record packs into four 64-bit words (field
+  // values, never raw struct bytes, which hold padding), and word j of
+  // every packet feeds lane j of four multiply-xorshift chains. Each step
+  // is a bijection of the lane state, so changing any one field of one
+  // packet always changes the digest. Computed once and cached; safe to
+  // call concurrently on a shared immutable trace (the cache slot is
+  // atomic and the digest idempotent). Never returns 0, so 0 can serve as
+  // an "unhashed" sentinel.
   std::uint64_t content_hash() const noexcept;
 
   // Text serialization: a header line, one "payload <id> <string>" line per

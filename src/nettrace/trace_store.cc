@@ -3,51 +3,82 @@
 #include <algorithm>
 #include <chrono>
 #include <sstream>
+#include <system_error>
 #include <utility>
 #include <vector>
 
+#include "support/thread_pool.h"
+
 namespace ddtr::net {
 
-std::shared_ptr<const Trace> TraceStore::get_or_build(
-    const std::string& key, const std::function<Trace()>& build) {
-  // Per-key future slots instead of holding the lock across build():
-  // concurrent requests for the same trace still build it exactly once
-  // (waiters block on that key's future), but requests for distinct keys
-  // build concurrently — a case-study fan-out generating several networks'
-  // traces must not serialize behind one store-wide lock.
-  std::shared_future<std::shared_ptr<const Trace>> future;
-  std::shared_ptr<std::promise<std::shared_ptr<const Trace>>> promise;
+std::vector<std::shared_ptr<const Trace>> TraceStore::get_or_build(
+    const std::vector<std::string>& keys,
+    const std::function<Trace(std::size_t)>& build) {
+  struct Claim {
+    std::size_t key;  // index into keys
+    std::promise<std::shared_ptr<const Trace>> promise;
+  };
+  std::vector<std::shared_future<std::shared_ptr<const Trace>>> futures;
+  futures.reserve(keys.size());
+  std::vector<Claim> claims;
+  claims.reserve(keys.size());
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = traces_.find(key);
-    if (it != traces_.end()) {
-      ++hits_;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const auto [it, inserted] = traces_.try_emplace(keys[i]);
       it->second.last_request = ++requests_;
-      future = it->second.trace;
-    } else {
-      promise =
-          std::make_shared<std::promise<std::shared_ptr<const Trace>>>();
-      future = promise->get_future().share();
-      traces_.emplace(key, Entry{future, ++requests_});
+      if (inserted) {
+        Claim& claim = claims.emplace_back();
+        claim.key = i;
+        it->second.trace = claim.promise.get_future().share();
+      } else {
+        ++hits_;
+      }
+      futures.push_back(it->second.trace);
     }
     evict_idle();
   }
-  if (!promise) return future.get();  // ready, or waits on in-flight build
 
-  try {
-    auto trace = std::make_shared<const Trace>(build());
-    promise->set_value(trace);
-    return trace;
-  } catch (...) {
-    // Vacate the slot first so a later request retries the build, then
-    // deliver the failure to every waiter already holding the future.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      traces_.erase(key);
+  // Builds run outside the lock, so requests for other keys proceed.
+  const auto build_claim = [&](std::size_t c) {
+    Claim& claim = claims[c];
+    try {
+      auto trace = std::make_shared<const Trace>(build(claim.key));
+      trace->content_hash();  // on this lane, not on the first reader's
+      claim.promise.set_value(std::move(trace));
+    } catch (...) {
+      // Vacate the slot first so a later request retries the build, then
+      // deliver the failure to every waiter already holding the future.
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        traces_.erase(keys[claim.key]);
+      }
+      claim.promise.set_exception(std::current_exception());
     }
-    promise->set_exception(std::current_exception());
-    throw;
+  };
+  if (!claims.empty()) {
+    const std::size_t lanes =
+        std::min(claims.size(), support::ThreadPool::resolve_jobs(0));
+    try {
+      support::parallel_for(lanes, claims.size(), build_claim);
+    } catch (const std::system_error&) {
+      // No helper lane could start, and the pool ran no build: every
+      // claim still owes its waiters a trace.
+      for (std::size_t c = 0; c < claims.size(); ++c) build_claim(c);
+    }
   }
+
+  std::vector<std::shared_ptr<const Trace>> traces;
+  traces.reserve(keys.size());
+  for (const auto& future : futures) traces.push_back(future.get());
+  return traces;
+}
+
+std::shared_ptr<const Trace> TraceStore::get_or_build(
+    const std::string& key, const std::function<Trace()>& build) {
+  return get_or_build(std::vector<std::string>{key},
+                      [&](std::size_t) { return build(); })
+      .front();
 }
 
 namespace {
@@ -71,13 +102,18 @@ std::string preset_key(const NetworkPreset& p) {
 
 }  // namespace
 
-std::shared_ptr<const Trace> TraceStore::get_or_generate(
-    const NetworkPreset& preset, const TraceGenerator::Options& options) {
-  const std::string key = "gen:" + preset_key(preset) + '#' +
-                          std::to_string(options.packet_count) + '#' +
-                          std::to_string(options.seed_offset);
-  return get_or_build(
-      key, [&] { return TraceGenerator::generate(preset, options); });
+std::vector<std::shared_ptr<const Trace>> TraceStore::get_or_generate(
+    const std::vector<TraceRecipe>& recipes) {
+  std::vector<std::string> keys;
+  keys.reserve(recipes.size());
+  for (const TraceRecipe& recipe : recipes) {
+    keys.push_back("gen:" + preset_key(recipe.preset) + '#' +
+                   std::to_string(recipe.options.packet_count) + '#' +
+                   std::to_string(recipe.options.seed_offset));
+  }
+  return get_or_build(keys, [&](std::size_t i) {
+    return TraceGenerator::generate(recipes[i].preset, recipes[i].options);
+  });
 }
 
 void TraceStore::evict_idle() {

@@ -14,6 +14,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "nettrace/generator.h"
 #include "nettrace/presets.h"
@@ -21,14 +22,25 @@
 
 namespace ddtr::net {
 
+// One trace to generate: a network preset and the generator's options.
+struct TraceRecipe {
+  NetworkPreset preset;
+  TraceGenerator::Options options;
+};
+
 // Thread-safe memoization of shared_ptr<const Trace>. The shared_ptr
 // aliasing is the sharing contract: holders may replay the trace from any
 // thread because a stored Trace is never mutated again.
 //
 // Builds do not serialize behind one lock: each key owns a shared_future
-// slot, so concurrent requests for the SAME key wait on one build while
-// requests for DISTINCT keys build in parallel (a case-study fan-out
-// builds several networks' traces at once).
+// slot. A request claims, under one lock, every key of its batch that no
+// one holds yet, then builds only its claims, concurrently (the calling
+// thread is one lane; at most ThreadPool::resolve_jobs(0) lanes run), and
+// each lane also computes its trace's content_hash(). Keys already built,
+// or claimed by another request, are answered through their futures, so
+// concurrent requests for the SAME key wait on one build, and a batch
+// whose keys are all stored (a warm resubmit) starts no thread. A batch
+// with one missing key builds it on the calling thread.
 //
 // Eviction: an entry is IDLE when its trace is built and no holder but the
 // store references it (every Scenario that replayed it is gone). Each
@@ -49,18 +61,22 @@ class TraceStore {
   // them stays warm.
   static constexpr std::size_t kRetain = 32;
 
-  // Builds (once) and returns the trace a preset + options pair generates.
-  std::shared_ptr<const Trace> get_or_generate(
-      const NetworkPreset& preset, const TraceGenerator::Options& options);
+  // Returns the traces `recipes` generate, in order, building the missing
+  // ones once (see the class comment).
+  std::vector<std::shared_ptr<const Trace>> get_or_generate(
+      const std::vector<TraceRecipe>& recipes);
 
-  // Generic entry point: builds (once per key) and returns the trace. The
-  // first requester of a key runs `build` outside the store lock; later
-  // requesters of the same key wait on its future, and other keys are
-  // unaffected. A build that throws propagates to every waiter and vacates
-  // the slot, so a later request can retry.
+  // Generic entry point: returns the trace of each key, in order;
+  // `build(i)` makes keys[i]'s trace and runs on one of the call's lanes
+  // for each key this call claims. A build that throws vacates its slot,
+  // so a later request can retry, and propagates to every waiter on that
+  // key, this call included (after its other claims are built).
+  std::vector<std::shared_ptr<const Trace>> get_or_build(
+      const std::vector<std::string>& keys,
+      const std::function<Trace(std::size_t)>& build);
+  // One key, built on the calling thread if it is missing.
   std::shared_ptr<const Trace> get_or_build(
-      const std::string& key,
-      const std::function<Trace()>& build);
+      const std::string& key, const std::function<Trace()>& build);
 
   // Traces stored or being built, idle ones included.
   std::size_t size() const;

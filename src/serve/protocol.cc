@@ -80,15 +80,14 @@ bool at_end(std::istream& is) {
 }  // namespace
 
 std::string encode_frame(const Frame& frame) {
-  std::ostringstream os;
-  support::write_u32(os, kFrameMagic);
-  support::write_u32(os, static_cast<std::uint32_t>(frame.type));
-  support::write_u64(os, frame.payload.size());
-  support::write_u64(
-      os, support::fnv1a64(frame.payload.data(), frame.payload.size()));
-  os.write(frame.payload.data(),
-           static_cast<std::streamsize>(frame.payload.size()));
-  return os.str();
+  std::string out;
+  support::append_u32(out, kFrameMagic);
+  support::append_u32(out, static_cast<std::uint32_t>(frame.type));
+  support::append_u64(out, frame.payload.size());
+  support::append_u64(
+      out, support::fnv1a64(frame.payload.data(), frame.payload.size()));
+  out += frame.payload;
+  return out;
 }
 
 DecodeStatus decode_frame(std::istream& is, Frame& frame) {
@@ -155,9 +154,9 @@ DecodeStatus recv_frame(int fd, Frame& frame) {
 // longer than its message is as suspect as a short one.
 
 std::string encode_hello(const Hello& m) {
-  std::ostringstream os;
-  support::write_u32(os, m.version);
-  return os.str();
+  std::string out;
+  support::append_u32(out, m.version);
+  return out;
 }
 
 bool decode_hello(const std::string& payload, Hello& m) {
@@ -166,11 +165,11 @@ bool decode_hello(const std::string& payload, Hello& m) {
 }
 
 std::string encode_hello_ack(const HelloAck& m) {
-  std::ostringstream os;
-  support::write_u32(os, m.version);
-  support::write_u64(os, m.warm_entries);
-  support::write_u64(os, m.warm_traces);
-  return os.str();
+  std::string out;
+  support::append_u32(out, m.version);
+  support::append_u64(out, m.warm_entries);
+  support::append_u64(out, m.warm_traces);
+  return out;
 }
 
 bool decode_hello_ack(const std::string& payload, HelloAck& m) {
@@ -181,16 +180,16 @@ bool decode_hello_ack(const std::string& payload, HelloAck& m) {
 }
 
 std::string encode_submit(const SubmitRequest& m) {
-  std::ostringstream os;
-  support::write_string(os, m.app);
-  support::write_f64(os, m.scale);
-  support::write_u64(os, m.packets);
-  support::write_u64(os, m.seed_offset);
-  support::write_u32(os, m.greedy);
-  support::write_f64(os, m.survivor_cap);
-  support::write_string(os, m.metric_x);
-  support::write_string(os, m.metric_y);
-  return os.str();
+  std::string out;
+  support::append_string(out, m.app);
+  support::append_f64(out, m.scale);
+  support::append_u64(out, m.packets);
+  support::append_u64(out, m.seed_offset);
+  support::append_u32(out, m.greedy);
+  support::append_f64(out, m.survivor_cap);
+  support::append_string(out, m.metric_x);
+  support::append_string(out, m.metric_y);
+  return out;
 }
 
 bool decode_submit(const std::string& payload, SubmitRequest& m) {
@@ -205,9 +204,9 @@ bool decode_submit(const std::string& payload, SubmitRequest& m) {
 }
 
 std::string encode_submit_ack(const SubmitAck& m) {
-  std::ostringstream os;
-  support::write_u64(os, m.job_id);
-  return os.str();
+  std::string out;
+  support::append_u64(out, m.job_id);
+  return out;
 }
 
 bool decode_submit_ack(const std::string& payload, SubmitAck& m) {
@@ -216,12 +215,12 @@ bool decode_submit_ack(const std::string& payload, SubmitAck& m) {
 }
 
 std::string encode_progress(const ProgressFrame& m) {
-  std::ostringstream os;
-  support::write_u64(os, m.job_id);
-  support::write_u32(os, m.step);
-  support::write_u64(os, m.done);
-  support::write_u64(os, m.total);
-  return os.str();
+  std::string out;
+  support::append_u64(out, m.job_id);
+  support::append_u32(out, m.step);
+  support::append_u64(out, m.done);
+  support::append_u64(out, m.total);
+  return out;
 }
 
 bool decode_progress(const std::string& payload, ProgressFrame& m) {
@@ -232,20 +231,20 @@ bool decode_progress(const std::string& payload, ProgressFrame& m) {
 }
 
 std::string encode_result(const ResultFrame& m) {
-  std::ostringstream os;
-  support::write_u64(os, m.job_id);
-  support::write_string(os, m.app);
-  support::write_u64(os, m.executed);
-  support::write_u64(os, m.logical);
-  support::write_u64(os, m.cache_hits);
-  support::write_u64(os, m.cache_misses);
-  support::write_u64(os, m.persistent_loaded);
-  support::write_u64(os, m.persistent_stored);
-  support::write_u64(os, m.survivors);
-  support::write_u64(os, m.pareto_count);
-  support::write_string(os, m.pareto);
-  support::write_string(os, m.records);
-  return os.str();
+  std::string out;
+  support::append_u64(out, m.job_id);
+  support::append_string(out, m.app);
+  support::append_u64(out, m.executed);
+  support::append_u64(out, m.logical);
+  support::append_u64(out, m.cache_hits);
+  support::append_u64(out, m.cache_misses);
+  support::append_u64(out, m.persistent_loaded);
+  support::append_u64(out, m.persistent_stored);
+  support::append_u64(out, m.survivors);
+  support::append_u64(out, m.pareto_count);
+  support::append_string(out, m.pareto);
+  support::append_string(out, m.records);
+  return out;
 }
 
 bool decode_result(const std::string& payload, ResultFrame& m) {
@@ -264,9 +263,9 @@ bool decode_result(const std::string& payload, ResultFrame& m) {
 }
 
 std::string encode_error(const ErrorFrame& m) {
-  std::ostringstream os;
-  support::write_string(os, m.message);
-  return os.str();
+  std::string out;
+  support::append_string(out, m.message);
+  return out;
 }
 
 bool decode_error(const std::string& payload, ErrorFrame& m) {
@@ -275,9 +274,9 @@ bool decode_error(const std::string& payload, ErrorFrame& m) {
 }
 
 std::string encode_shutdown_ack(const ShutdownAck& m) {
-  std::ostringstream os;
-  support::write_u64(os, m.sessions_served);
-  return os.str();
+  std::string out;
+  support::append_u64(out, m.sessions_served);
+  return out;
 }
 
 bool decode_shutdown_ack(const std::string& payload, ShutdownAck& m) {
@@ -286,24 +285,24 @@ bool decode_shutdown_ack(const std::string& payload, ShutdownAck& m) {
 }
 
 std::string encode_stats_reply(const StatsReply& m) {
-  std::ostringstream os;
-  support::write_u64(os, m.uptime_ms);
-  support::write_u64(os, m.warm_entries);
-  support::write_u64(os, m.sessions_served);
-  support::write_u64(os, m.cache_hits);
-  support::write_u64(os, m.cache_misses);
-  support::write_u64(os, m.jobs_submitted);
-  support::write_u64(os, m.jobs.size());
+  std::string out;
+  support::append_u64(out, m.uptime_ms);
+  support::append_u64(out, m.warm_entries);
+  support::append_u64(out, m.sessions_served);
+  support::append_u64(out, m.cache_hits);
+  support::append_u64(out, m.cache_misses);
+  support::append_u64(out, m.jobs_submitted);
+  support::append_u64(out, m.jobs.size());
   for (const JobStats& job : m.jobs) {
-    support::write_u64(os, job.id);
-    support::write_string(os, job.app);
-    support::write_string(os, job.state);
-    support::write_u64(os, job.last_executed);
-    support::write_u64(os, job.submit_ms);
-    support::write_u64(os, job.start_ms);
-    support::write_u64(os, job.finish_ms);
+    support::append_u64(out, job.id);
+    support::append_string(out, job.app);
+    support::append_string(out, job.state);
+    support::append_u64(out, job.last_executed);
+    support::append_u64(out, job.submit_ms);
+    support::append_u64(out, job.start_ms);
+    support::append_u64(out, job.finish_ms);
   }
-  return os.str();
+  return out;
 }
 
 bool decode_stats_reply(const std::string& payload, StatsReply& m) {

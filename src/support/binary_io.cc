@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <istream>
-#include <ostream>
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -14,12 +13,12 @@ namespace ddtr::support {
 
 namespace {
 
-void write_le(std::ostream& os, std::uint64_t v, int width) {
+void append_le(std::string& out, std::uint64_t v, int width) {
   char buf[8];
   for (int i = 0; i < width; ++i) {
     buf[i] = static_cast<char>(v >> (8 * i));
   }
-  os.write(buf, width);
+  out.append(buf, static_cast<std::size_t>(width));
 }
 
 bool read_le(std::istream& is, std::uint64_t& v, int width) {
@@ -35,19 +34,18 @@ bool read_le(std::istream& is, std::uint64_t& v, int width) {
 
 }  // namespace
 
-void write_u32(std::ostream& os, std::uint32_t v) { write_le(os, v, 4); }
-void write_u64(std::ostream& os, std::uint64_t v) { write_le(os, v, 8); }
-
-void write_f64(std::ostream& os, double v) {
+void append_u32(std::string& out, std::uint32_t v) { append_le(out, v, 4); }
+void append_u64(std::string& out, std::uint64_t v) { append_le(out, v, 8); }
+void append_f64(std::string& out, double v) {
   std::uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(v));
   std::memcpy(&bits, &v, sizeof(bits));
-  write_le(os, bits, 8);
+  append_le(out, bits, 8);
 }
 
-void write_string(std::ostream& os, const std::string& s) {
-  write_u64(os, s.size());
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
+void append_string(std::string& out, const std::string& s) {
+  append_u64(out, s.size());
+  out += s;
 }
 
 bool read_u32(std::istream& is, std::uint32_t& v) {

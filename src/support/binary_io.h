@@ -14,11 +14,13 @@
 
 namespace ddtr::support {
 
-void write_u32(std::ostream& os, std::uint32_t v);
-void write_u64(std::ostream& os, std::uint64_t v);
-void write_f64(std::ostream& os, double v);
+// Writers append to a buffer, so a caller assembles a whole frame or
+// file append in memory and hands it to the stream or socket at once.
+void append_u32(std::string& out, std::uint32_t v);
+void append_u64(std::string& out, std::uint64_t v);
+void append_f64(std::string& out, double v);
 // Length-prefixed (u64) raw bytes.
-void write_string(std::ostream& os, const std::string& s);
+void append_string(std::string& out, const std::string& s);
 
 bool read_u32(std::istream& is, std::uint32_t& v);
 bool read_u64(std::istream& is, std::uint64_t& v);

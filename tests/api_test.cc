@@ -1,17 +1,23 @@
 // Public API layer: StudyRegistry registration/enumeration semantics,
-// StudyBuilder grid expansion and trace sharing, the Exploration session
+// StudyBuilder grid expansion and trace sharing (concurrent builds from an
+// empty trace store generate each trace once), the Exploration session
 // (chainable options + progress observer), and the acceptance contract
 // that a builder-built study produces a report byte-identical to the
 // registered built-in.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "api/ddtr.h"
 #include "apps/route/route_app.h"
 #include "apps/url/url_app.h"
+#include "nettrace/generator.h"
+#include "nettrace/presets.h"
+#include "nettrace/trace_store.h"
 
 namespace ddtr::api {
 namespace {
@@ -101,6 +107,46 @@ TEST(StudyBuilder, ExpandsNetworkMajorGridAndSharesTraces) {
   EXPECT_NE(study.scenarios[0].trace.get(), study.scenarios[2].trace.get());
   // Each cell gets its own application instance.
   EXPECT_NE(study.scenarios[0].app.get(), study.scenarios[1].app.get());
+}
+
+TEST(StudyBuilder, ConcurrentBuildsGenerateEachTraceOnceAndWarmBuildsNone) {
+  net::TraceStore& store = net::TraceStore::global();
+  store.clear();
+  StudyBuilder builder("Toy");
+  builder.slots(2).packets(300).seed_offset(91).first_networks(7);
+  builder.config("a=1", tiny_url_app()).config("a=2", tiny_url_app());
+
+  // Two builders race from an empty store: 14 requests for 7 traces.
+  core::CaseStudy studies[2];
+  std::thread racer([&] { studies[1] = builder.build(); });
+  studies[0] = builder.build();
+  racer.join();
+  EXPECT_EQ(store.size(), 7u);
+  EXPECT_EQ(store.hits(), 7u);  // so 14 - 7 = 7 builds: each trace once
+  ASSERT_EQ(studies[0].scenarios.size(), 14u);
+  ASSERT_EQ(studies[1].scenarios.size(), 14u);
+  for (std::size_t i = 0; i < studies[0].scenarios.size(); ++i) {
+    const core::Scenario& scenario = studies[0].scenarios[i];
+    EXPECT_EQ(scenario.trace.get(), studies[1].scenarios[i].trace.get());
+    net::TraceGenerator::Options options;
+    options.packet_count = 300;
+    options.seed_offset = 91;
+    const net::Trace direct = net::TraceGenerator::generate(
+        net::network_preset(scenario.network), options);
+    std::ostringstream stored_text;
+    std::ostringstream direct_text;
+    scenario.trace->save(stored_text);
+    direct.save(direct_text);
+    EXPECT_EQ(stored_text.str(), direct_text.str()) << scenario.label();
+    EXPECT_EQ(scenario.trace->content_hash(), direct.content_hash());
+  }
+
+  // A warm build is answered entirely from the store.
+  const core::CaseStudy warm = builder.build();
+  EXPECT_EQ(store.hits(), 14u);
+  EXPECT_EQ(store.size(), 7u);
+  EXPECT_EQ(warm.scenarios[13].trace.get(),
+            studies[0].scenarios[13].trace.get());
 }
 
 TEST(StudyBuilder, ValidatesTheDescription) {

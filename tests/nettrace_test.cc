@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "corrupt_bytes.h"
@@ -19,6 +20,7 @@
 #include "nettrace/presets.h"
 #include "nettrace/trace.h"
 #include "nettrace/trace_store.h"
+#include "support/thread_pool.h"
 
 namespace ddtr::net {
 namespace {
@@ -306,6 +308,62 @@ TEST(ContentHash, StableAndSensitiveToEveryMutation) {
   EXPECT_NE(payloaded.content_hash(), a.content_hash());
 }
 
+// Rebuilds `t` with `edit` applied to its packets and payload table.
+template <typename Edit>
+Trace rebuilt(const Trace& t, Edit edit) {
+  std::vector<PacketRecord> packets = t.packets();
+  std::vector<std::string> payloads;
+  for (std::size_t i = 0; i < t.payload_count(); ++i) {
+    payloads.push_back(t.payload(static_cast<std::uint32_t>(i)));
+  }
+  edit(packets, payloads);
+  Trace out(t.name());
+  for (std::string& payload : payloads) out.add_payload(std::move(payload));
+  for (const PacketRecord& p : packets) out.add_packet(p);
+  return out;
+}
+
+TEST(ContentHash, EveryPacketFieldAndPayloadByteCounts) {
+  const Trace base =
+      TraceGenerator::generate(network_preset("dart-berry"), small_options());
+  ASSERT_GT(base.payload_count(), 0u);
+  const std::uint64_t digest = base.content_hash();
+  EXPECT_EQ(rebuilt(base, [](auto&, auto&) {}).content_hash(), digest);
+
+  using Field = void (*)(PacketRecord&);
+  const std::vector<std::pair<const char*, Field>> fields = {
+      {"timestamp", [](PacketRecord& p) { p.timestamp_s += 1e-9; }},
+      {"src_ip", [](PacketRecord& p) { p.src_ip ^= 1u; }},
+      {"src_ip high bit", [](PacketRecord& p) { p.src_ip ^= 1u << 31; }},
+      {"dst_ip", [](PacketRecord& p) { p.dst_ip ^= 1u; }},
+      {"dst_ip high bit", [](PacketRecord& p) { p.dst_ip ^= 1u << 31; }},
+      {"src_port", [](PacketRecord& p) { p.src_port ^= 1u; }},
+      {"dst_port", [](PacketRecord& p) { p.dst_port ^= 0x8000u; }},
+      {"protocol", [](PacketRecord& p) { p.protocol ^= 1u; }},
+      {"length", [](PacketRecord& p) { p.length ^= 1u; }},
+      {"payload_id", [](PacketRecord& p) { p.payload_id ^= 1u; }},
+  };
+  for (const std::size_t at : {std::size_t{0}, base.size() / 2,
+                               base.size() - 1}) {
+    for (const auto& [name, mutate] : fields) {
+      const Trace edited = rebuilt(base, [&](auto& packets, auto&) {
+        mutate(packets[at]);
+      });
+      EXPECT_NE(edited.content_hash(), digest)
+          << name << " of packet " << at;
+    }
+  }
+  // Two packets trading places is a different trace too.
+  EXPECT_NE(rebuilt(base, [](auto& packets, auto&) {
+              std::swap(packets[0], packets[1]);
+            }).content_hash(),
+            digest);
+  const Trace byte_edited = rebuilt(base, [](auto&, auto& payloads) {
+    payloads.back().back() ^= 1;
+  });
+  EXPECT_NE(byte_edited.content_hash(), digest);
+}
+
 TEST(ContentHash, SurvivesTextRoundTrip) {
   const Trace original =
       TraceGenerator::generate(network_preset("dart-berry"), small_options());
@@ -326,8 +384,10 @@ TEST(TraceStore, PresetKeyKeepsFullDoublePrecision) {
   b.zipf_skew += 1e-7;  // differs in the 7th significant digit
   ASSERT_NE(a.zipf_skew, b.zipf_skew);
 
-  const auto trace_a = store.get_or_generate(a, small_options());
-  const auto trace_b = store.get_or_generate(b, small_options());
+  const auto traces =
+      store.get_or_generate({{a, small_options()}, {b, small_options()}});
+  const auto& trace_a = traces[0];
+  const auto& trace_b = traces[1];
   EXPECT_EQ(store.size(), 2u);  // two keys, two builds — no collision
   EXPECT_EQ(store.hits(), 0u);
   EXPECT_NE(trace_a.get(), trace_b.get());
@@ -336,7 +396,7 @@ TEST(TraceStore, PresetKeyKeepsFullDoublePrecision) {
   EXPECT_NE(trace_a->content_hash(), trace_b->content_hash());
 
   // Equal presets still share one trace.
-  const auto trace_a2 = store.get_or_generate(a, small_options());
+  const auto trace_a2 = store.get_or_generate({{a, small_options()}})[0];
   EXPECT_EQ(trace_a2.get(), trace_a.get());
   EXPECT_EQ(store.hits(), 1u);
 }
@@ -351,7 +411,7 @@ TEST(TraceStore, SameKeyConcurrentRequestsBuildOnce) {
   std::vector<std::shared_ptr<const Trace>> results(4);
   for (std::size_t i = 0; i < results.size(); ++i) {
     threads.emplace_back([&, i] {
-      results[i] = store.get_or_generate(preset, options);
+      results[i] = store.get_or_generate({{preset, options}})[0];
     });
   }
   for (auto& t : threads) t.join();
@@ -404,6 +464,69 @@ TEST(TraceStore, DistinctKeysBuildConcurrently) {
   EXPECT_TRUE(saw_peer_a);
   EXPECT_TRUE(saw_peer_b);
   EXPECT_EQ(store.size(), 2u);
+}
+
+TEST(TraceStore, BatchBuildsOnlyItsMissingKeysOnBoundedLanes) {
+  TraceStore store;
+  store.get_or_build("warm", [] { return Trace{"warm"}; });
+
+  std::mutex mu;
+  std::set<std::thread::id> lanes;
+  std::vector<std::string> built;
+  const auto build = [&](const std::vector<std::string>& keys) {
+    return [&](std::size_t i) {
+      std::lock_guard<std::mutex> lock(mu);
+      lanes.insert(std::this_thread::get_id());
+      built.push_back(keys[i]);
+      return Trace{keys[i]};
+    };
+  };
+
+  // A repeated key inside one batch is built once and shared.
+  const std::vector<std::string> keys = {"a", "b", "warm", "c", "a",
+                                         "d", "e", "f"};
+  const auto traces = store.get_or_build(keys, build(keys));
+  ASSERT_EQ(traces.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(traces[i]->name(), keys[i]);
+  }
+  EXPECT_EQ(traces[0].get(), traces[4].get());
+  EXPECT_EQ(built.size(), 6u);  // a b c d e f
+  EXPECT_EQ(store.hits(), 2u);  // "warm" and the second "a"
+  EXPECT_LE(lanes.size(), support::ThreadPool::resolve_jobs(0));
+
+  // Fully stored: no build at all. One key missing: built on this thread.
+  built.clear();
+  lanes.clear();
+  const std::vector<std::string> warm = {"a", "b", "c"};
+  store.get_or_build(warm, build(warm));
+  EXPECT_TRUE(built.empty());
+  const std::vector<std::string> one_cold = {"a", "g", "b"};
+  store.get_or_build(one_cold, build(one_cold));
+  EXPECT_EQ(built, std::vector<std::string>{"g"});
+  EXPECT_EQ(lanes, std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
+TEST(TraceStore, FailedBuildInABatchKeepsTheOthers) {
+  TraceStore store;
+  const std::vector<std::string> keys = {"ok-1", "bad", "ok-2"};
+  EXPECT_THROW(store.get_or_build(keys,
+                                  [&](std::size_t i) -> Trace {
+                                    if (keys[i] == "bad") {
+                                      throw std::runtime_error("exploded");
+                                    }
+                                    return Trace{keys[i]};
+                                  }),
+               std::runtime_error);
+  // The two good builds are stored; the failed slot was vacated.
+  EXPECT_EQ(store.size(), 2u);
+  bool rebuilt = false;
+  const auto again = store.get_or_build(keys, [&](std::size_t i) {
+    rebuilt = rebuilt || keys[i] != "bad";
+    return Trace{keys[i]};
+  });
+  EXPECT_FALSE(rebuilt);
+  EXPECT_EQ(again[1]->name(), "bad");
 }
 
 TEST(TraceStore, FailedBuildPropagatesAndAllowsRetry) {

@@ -6,11 +6,13 @@
 // files, including a seeded byte-level corruption sweep, compaction,
 // `ddtr cache` inspection, directories left by older versions that
 // still hold per-writer segment files, byte-identity of the keys with
-// their old stream-formatted form under any global locale, and
-// store_new() writing only entries not yet persisted.
+// their old stream-formatted form under any global locale,
+// store_new() writing only entries not yet persisted, and the exact bytes
+// of one stored frame.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -27,6 +29,7 @@
 #include "comma_locale.h"
 #include "core/persistent_cache.h"
 #include "core/simulation_cache.h"
+#include "support/fnv_hash.h"
 #include "support/rng.h"
 
 namespace ddtr::core {
@@ -648,6 +651,76 @@ TEST_F(PersistentCacheTest, LegacySegmentFilesAreIgnored) {
   EXPECT_EQ(read_bytes(segment), segment_bytes);
 
   EXPECT_EQ(explore_cached(study, legacy).executed_simulations(), 0u);
+}
+
+// Little-endian encodings written out by hand, independent of
+// support/binary_io, so the expected frame below pins the format itself.
+void put_le(std::string& out, std::uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+void put_str(std::string& out, const std::string& s) {
+  put_le(out, s.size(), 8);
+  out += s;
+}
+
+TEST_F(PersistentCacheTest, StoredFrameBytesArePinned) {
+  SimulationRecord r;
+  r.app_name = "URL";
+  r.combo = ddt::DdtCombination({ddt::DdtKind::kArray, ddt::DdtKind::kSll});
+  r.network = "dart-berry";
+  r.config = "rules=8";
+  r.metrics.energy_mj = 1.5;  // 0x3ff8000000000000
+  r.metrics.time_s = -0.25;   // 0xbfd0000000000000
+  r.metrics.accesses = 7;
+  r.metrics.footprint_bytes = 0x0102030405060708ull;
+  r.counters.reads = 1;
+  r.counters.writes = 2;
+  r.counters.bytes_read = 3;
+  r.counters.bytes_written = 4;
+  r.counters.allocations = 5;
+  r.counters.deallocations = 6;
+  r.counters.live_bytes = 0;
+  r.counters.peak_bytes = 8;
+  r.counters.cpu_ops = 9;
+  SimulationCache cache;
+  cache.insert("key\x1f" "1", r);
+
+  std::string payload;
+  put_str(payload, "key\x1f" "1");
+  put_str(payload, "URL");
+  put_str(payload, "AR+SLL");
+  put_str(payload, "dart-berry");
+  put_str(payload, "rules=8");
+  put_le(payload, 0x3ff8000000000000ull, 8);
+  put_le(payload, 0xbfd0000000000000ull, 8);
+  for (std::uint64_t v : {std::uint64_t{7}, std::uint64_t{0x0102030405060708},
+                          std::uint64_t{1}, std::uint64_t{2},
+                          std::uint64_t{3}, std::uint64_t{4},
+                          std::uint64_t{5}, std::uint64_t{6},
+                          std::uint64_t{0}, std::uint64_t{8},
+                          std::uint64_t{9}}) {
+    put_le(payload, v, 8);
+  }
+  std::string expected = "DDTRSIMC";
+  put_le(expected, 2, 4);           // format version
+  put_le(expected, 0x454d4953, 4);  // "SIME"
+  put_le(expected, payload.size(), 8);
+  put_le(expected, support::fnv1a64(payload.data(), payload.size()), 8);
+  expected += payload;
+  ASSERT_EQ(payload.size(), 5 * 8 + 5 + 3 + 6 + 10 + 7 + 13 * 8);
+
+  PersistentSimulationCache writer(dir_);
+  ASSERT_EQ(writer.store_new(cache), 1u);
+  EXPECT_EQ(read_bytes(writer.file_path()), expected);
+
+  // compact() rewrites the same single frame, byte for byte.
+  PersistentSimulationCache compactor(dir_);
+  ASSERT_EQ(compactor.load(), 1u);
+  ASSERT_EQ(compactor.compact(), 1u);
+  EXPECT_EQ(read_bytes(compactor.file_path()), expected);
 }
 
 }  // namespace

@@ -34,19 +34,19 @@ namespace ddtr::support {
 namespace {
 
 TEST(BinaryIo, StringRoundTrips) {
-  std::ostringstream os;
+  std::string bytes;
   const std::string value("bin\x00\xff-data", 9);
-  write_string(os, value);
-  std::istringstream is(os.str());
+  append_string(bytes, value);
+  std::istringstream is(bytes);
   std::string out;
   ASSERT_TRUE(read_string(is, out));
   EXPECT_EQ(out, value);
 }
 
 TEST(BinaryIo, StringLengthAboveCapIsRejected) {
-  std::ostringstream os;
-  write_string(os, "abcdef");
-  std::istringstream is(os.str());
+  std::string bytes;
+  append_string(bytes, "abcdef");
+  std::istringstream is(bytes);
   std::string out;
   EXPECT_FALSE(read_string(is, out, /*max_size=*/3));
 }
@@ -57,10 +57,10 @@ TEST(BinaryIo, StringLengthAboveCapIsRejected) {
 // The reader now grows in bounded chunks, so the failure must leave
 // only chunk-sized storage behind.
 TEST(BinaryIo, HostileLengthPrefixCannotForceHugeAllocation) {
-  std::ostringstream os;
-  write_u64(os, (1ull << 30) - 1);  // claimed length, just under the cap
-  os << "only-a-few-bytes";
-  std::istringstream is(os.str());
+  std::string bytes;
+  append_u64(bytes, (1ull << 30) - 1);  // claimed length, just under the cap
+  bytes += "only-a-few-bytes";
+  std::istringstream is(bytes);
   std::string out;
   EXPECT_FALSE(read_string(is, out));
   EXPECT_LT(out.capacity(), 1u << 20)

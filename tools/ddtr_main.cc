@@ -247,16 +247,22 @@ int cmd_explore(const CommandLine& args) {
   const auto cache_dir = args.text("cache-dir");
   const auto trace_path = args.text("trace");
 
-  api::Exploration session(api::registry().make_study(
-      app, core::CaseStudyOptions{}.scaled(args.number("scale").value_or(
-               0.25))));
   // Span tracing is observational only: the report (and the warm-cache
   // byte-identity guarantee) is unaffected by --trace.
   std::optional<obs::TraceWriter> tracer;
-  if (trace_path) {
-    tracer.emplace();
-    session.trace_sink(&*tracer);
-  }
+  if (trace_path) tracer.emplace();
+  obs::TraceWriter* const sink = tracer ? &*tracer : nullptr;
+  // Set-up (trace synthesis and hashing, app construction) is one span:
+  // nettrace may not include obs, so it has no per-trace spans.
+  core::CaseStudy study = [&] {
+    obs::SpanScope span(sink, "study.build", "setup");
+    span.arg("app", app);
+    return api::registry().make_study(
+        app, core::CaseStudyOptions{}.scaled(
+                 args.number("scale").value_or(0.25)));
+  }();
+  api::Exploration session(std::move(study));
+  session.trace_sink(sink);
   if (const auto jobs = args.count("jobs")) session.jobs(*jobs);
   if (const auto cap = args.number("survivor-cap")) session.survivor_cap(*cap);
   if (cache_dir) session.cache_dir(*cache_dir);
