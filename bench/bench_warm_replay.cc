@@ -57,7 +57,7 @@ double median_ms(Fn&& body) {
 api::Exploration shared_session(const core::CaseStudy& study,
                                 core::SharedState& shared) {
   api::Exploration session(study);
-  session.jobs(1).memoize_simulations(true).shared_state(&shared);
+  session.jobs(1).shared_state(&shared);
   return session;
 }
 

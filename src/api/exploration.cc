@@ -32,11 +32,6 @@ Exploration& Exploration::step1_policy(core::Step1Policy policy) {
   return *this;
 }
 
-Exploration& Exploration::memoize_simulations(bool enabled) {
-  options_.memoize_simulations = enabled;
-  return *this;
-}
-
 Exploration& Exploration::cache_dir(std::string dir) {
   options_.cache_dir = std::move(dir);
   return *this;

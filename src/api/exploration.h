@@ -36,7 +36,6 @@ class Exploration {
   Exploration& survivor_cap(double fraction);
   Exploration& champions_per_metric(std::size_t count);
   Exploration& step1_policy(core::Step1Policy policy);
-  Exploration& memoize_simulations(bool enabled);
   // Persist the simulation cache across runs in this directory (empty =
   // in-memory only). A rerun with a warm cache executes zero simulations
   // and produces a byte-identical report; see
@@ -45,7 +44,7 @@ class Exploration {
   Exploration& on_progress(core::ProgressObserver observer);
 
   // Warm-serving session reuse (see src/serve/): memoize into the
-  // externally-owned cache, append to the already-loaded persistent cache
+  // externally-owned cache, store into the already-loaded persistent cache
   // and fan over the pool of `state`, all of which outlive this session
   // (executed counts are per-run deltas). The owner must serialize run()
   // calls sharing one persistent cache.

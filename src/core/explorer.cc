@@ -595,11 +595,6 @@ std::vector<SimulationRecord> ExplorationEngine::aggregate(
 
 ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
   SharedState* const shared = options_.shared;
-  if (shared && !options_.memoize_simulations) {
-    throw std::invalid_argument(
-        "ExplorationOptions: shared state requires memoize_simulations");
-  }
-
   ExplorationReport report;
   report.app_name = study.name;
   report.combination_count = study.combination_count();
@@ -615,31 +610,27 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
   // long-lived warm cache (serve mode), which keeps records across
   // explore() calls so a repeated study replays entirely from memory.
   SimulationCache local_cache;
-  SimulationCache* cache_ptr = nullptr;
-  if (options_.memoize_simulations) {
-    cache_ptr = shared ? &shared->cache : &local_cache;
-  }
+  SimulationCache* const cache = shared ? &shared->cache : &local_cache;
   // Stats baseline: a warm shared cache arrives with history, and the
   // hit/miss accounting below must count only THIS run's traffic — it is
   // reported as a delta.
-  const SimulationCache::Stats baseline =
-      cache_ptr ? cache_ptr->stats() : SimulationCache::Stats{};
+  const SimulationCache::Stats baseline = cache->stats();
   // Cross-run persistence: seed the in-memory cache from the cache file
-  // up front; new records are appended after the run. Content-hash keys
-  // keep this invisible in the records — warm, cold or disabled, the
+  // up front; new records are stored after the run. Content-hash keys
+  // keep this invisible in the records — warm, cold or absent, the
   // report bytes are identical; only the executed counts change. With a
   // shared persistent cache the load happened once at service start; the
-  // run only appends.
+  // run only stores.
   std::optional<PersistentSimulationCache> persistent_local;
   PersistentSimulationCache* persistent = shared ? shared->persistent : nullptr;
   if (persistent) {
     report.persistent_loaded = persistent->loaded_count();
-  } else if (cache_ptr && !options_.cache_dir.empty()) {
+  } else if (!options_.cache_dir.empty()) {
     persistent_local.emplace(options_.cache_dir);
     persistent = &*persistent_local;
     obs::SpanScope load_span(options_.trace_sink, "cache.load", "cache");
     report.persistent_loaded = persistent->load();
-    persistent->seed(*cache_ptr);
+    persistent->seed(*cache);
     load_span.arg("records", report.persistent_loaded);
   }
   // One pool for the whole run: spawning lanes once, not per step — or
@@ -652,8 +643,8 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
   FanOutcome step1 = [&] {
     obs::SpanScope span(options_.trace_sink, "step1", "explore");
     FanOutcome out = options_.step1_policy == Step1Policy::kGreedyPerSlot
-                         ? run_step1_greedy_fan(study, cache_ptr, *pool)
-                         : run_step1_fan(study, cache_ptr, *pool);
+                         ? run_step1_greedy_fan(study, cache, *pool)
+                         : run_step1_fan(study, cache, *pool);
     span.arg("records", out.records.size());
     return out;
   }();
@@ -672,7 +663,7 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
 
   FanOutcome step2 = [&] {
     obs::SpanScope span(options_.trace_sink, "step2", "explore");
-    FanOutcome out = run_step2_fan(study, report.survivors, cache_ptr, *pool);
+    FanOutcome out = run_step2_fan(study, report.survivors, cache, *pool);
     span.arg("records", out.records.size());
     return out;
   }();
@@ -680,14 +671,13 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
   report.step2_simulations = report.step2_records.size();
   report.step2_executed_simulations = step2.computed;
   report.kernel_runs = step1.kernel_runs + step2.kernel_runs;
-  const SimulationCache::Stats after =
-      cache_ptr ? cache_ptr->stats() : SimulationCache::Stats{};
+  const SimulationCache::Stats after = cache->stats();
   report.cache_hits = after.hits - baseline.hits;
   report.cache_misses = after.misses - baseline.misses;
 
   if (persistent) {
     obs::SpanScope store_span(options_.trace_sink, "cache.store", "cache");
-    report.persistent_stored = persistent->store_new(*cache_ptr);
+    report.persistent_stored = persistent->store_new(*cache);
     store_span.arg("stored", report.persistent_stored);
   }
 

@@ -25,7 +25,7 @@
 // memoizes records so step 2 replays the representative scenario's
 // survivors from step 1 instead of re-simulating them; with
 // ExplorationOptions::cache_dir set, that cache is seeded from — and
-// appended to — a persistent cross-run cache file
+// stored back into — a persistent cross-run cache file
 // (core::PersistentSimulationCache), so repeated invocations replay
 // previous runs' simulations too.
 #pragma once
@@ -91,10 +91,10 @@ struct SharedState {
   // reports 0 executed simulations.
   SimulationCache& cache;
   // When set, explore() skips the per-run persistent load() — the owner
-  // loaded the file once and seeded `cache` from it — and only appends
+  // loaded the file once and seeded `cache` from it — and only stores
   // this run's new records via store_new(). The owner must serialize
-  // explore() calls that share one instance (store_new mutates the loaded
-  // set).
+  // explore() calls that share one instance (store_new updates its key
+  // set; the file itself is safe under any number of writers).
   PersistentSimulationCache* persistent = nullptr;
   // When set, the steps fan over this pool instead of a per-run one
   // (lanes spawn once per service, not once per exploration). Safe to
@@ -119,25 +119,19 @@ struct ExplorationOptions {
   // any lane count. 1 = serial (no threads); 0 = one lane per hardware
   // thread.
   std::size_t jobs = 1;
-  // Memoize simulate() results within one explore() call so step 2 replays
-  // the representative scenario's survivors from step 1's records instead
-  // of re-simulating them (the representative scenario then costs step 2
-  // zero executed simulations).
-  bool memoize_simulations = true;
-  // When non-empty (and memoize_simulations is on), the simulation cache
-  // persists across runs in this directory: loaded before step 1, appended
-  // after step 3 with whatever this run had to execute. Keys are content
-  // hashes (trace content + energy-model fingerprint, see
-  // SimulationCache::key_of), so reports stay byte-identical whether the
-  // cache is warm, cold or disabled — a fully warm rerun executes zero
-  // simulations. Corrupt or stale cache files are ignored, not fatal.
+  // When non-empty, the simulation cache persists across runs in this
+  // directory: loaded before step 1, extended after step 2 with whatever
+  // this run had to execute. Keys are content hashes (trace content +
+  // energy-model fingerprint, see SimulationCache::key_of), so reports
+  // stay byte-identical whether the cache is warm, cold or absent — a
+  // fully warm rerun executes zero simulations. Corrupt or stale cache
+  // files are ignored, not fatal.
   std::string cache_dir;
   // Optional per-simulation progress notifications (see StepProgress).
   // Does not affect the produced records: reports stay bit-identical with
   // or without an observer, at any lane count.
   ProgressObserver progress;
-  // Warm-serving state (see SharedState and src/serve/). Requires
-  // memoize_simulations.
+  // Warm-serving state (see SharedState and src/serve/).
   SharedState* shared = nullptr;
   // --- Observability (see src/obs/) -------------------------------------
   // Optional span tracer: when set, explore() emits Chrome trace_event
@@ -159,8 +153,8 @@ struct ExplorationReport {
   std::size_t step1_simulations = 0;
   std::size_t step2_simulations = 0;
   // Records computed per step rather than replayed (cache hits excluded),
-  // whether composed per slot or run in full. With memoization on,
-  // step2_executed_simulations drops by one per survivor: the whole
+  // whether composed per slot or run in full. step2_executed_simulations
+  // is one per survivor below step2_simulations on a cold run: the whole
   // representative scenario is replayed from step 1's records.
   std::size_t step1_executed_simulations = 0;
   std::size_t step2_executed_simulations = 0;
@@ -172,7 +166,7 @@ struct ExplorationReport {
   std::uint64_t cache_misses = 0;
   // Persistent-cache accounting (0 unless options.cache_dir was set):
   // records loaded from the cache file before the run, and new records
-  // appended to it afterwards.
+  // added to it afterwards.
   std::uint64_t persistent_loaded = 0;
   std::uint64_t persistent_stored = 0;
 

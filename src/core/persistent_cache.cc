@@ -4,8 +4,8 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -17,16 +17,6 @@
 namespace ddtr::core {
 
 namespace {
-
-// Serializes cache-file I/O within the process: concurrent explorations
-// (e.g. bench_common fanning case studies over the thread pool) share one
-// cache directory, and interleaved appends would tear frames.
-// Cross-process appends remain best-effort — the checksummed frames make
-// a torn cross-process append a skipped entry, never a crash.
-std::mutex& io_mutex() {
-  static std::mutex mu;
-  return mu;
-}
 
 constexpr char kFileMagic[8] = {'D', 'D', 'T', 'R', 'S', 'I', 'M', 'C'};
 constexpr std::uint32_t kFormatVersionValue =
@@ -90,14 +80,13 @@ bool read_entry_payload(std::istream& is, std::string& key,
   return true;
 }
 
-// One full structural walk of a cache file. Shared by load() (absorbing
-// entries), check_file() (counting only) and the store-target
-// revalidation, so the three can never disagree about what "well-formed"
-// means.
+// One full structural walk of a cache file. Shared by every reader —
+// load(), seed(), entries(), the store's re-read and check_file() — so
+// they can never disagree about what "well-formed" means.
 struct ParsedFile {
   bool header_valid = false;
-  // End of the last structurally complete frame: where an append may
-  // start, and past which any bytes are a torn tail.
+  // End of the last structurally complete frame, past which any bytes
+  // are a torn tail.
   std::uint64_t valid_prefix = 0;
   std::size_t entries_ok = 0;
   std::size_t entries_corrupt = 0;
@@ -128,7 +117,7 @@ ParsedFile parse_cache_file(
   out.valid_prefix = static_cast<std::uint64_t>(is.tellg());
 
   // Entries until EOF. A short or unrecognizable frame ends the file (a
-  // torn append loses only the tail); a frame whose checksum or payload
+  // torn tail loses only itself); a frame whose checksum or payload
   // fails to parse is skipped individually (its length is known).
   while (true) {
     std::uint32_t entry_magic = 0;
@@ -145,8 +134,8 @@ ParsedFile parse_cache_file(
                  static_cast<std::streamsize>(payload_size))) {
       break;
     }
-    // The frame is structurally complete: later appends may follow it
-    // even if this entry's content is rejected below.
+    // The frame is structurally complete, even if its content is
+    // rejected below.
     out.valid_prefix = static_cast<std::uint64_t>(is.tellg());
     if (support::fnv1a64(payload.data(), payload.size()) != checksum) {
       ++out.entries_corrupt;  // bit-corrupted; the frame length let us skip
@@ -163,36 +152,6 @@ ParsedFile parse_cache_file(
     if (on_entry) on_entry(std::move(key), std::move(record));
   }
   return out;
-}
-
-// Walks structurally complete frames from `from`, returning the offset
-// where they end. Used before appending: anything past that offset is a
-// torn tail to truncate — but frames another (in-process) writer appended
-// after our load() walk fine and are preserved.
-std::uint64_t scan_valid_frames(const std::string& path, std::uint64_t from) {
-  constexpr std::uint64_t kFrameHeaderBytes = 4 + 8 + 8;
-  std::error_code ec;
-  const std::uint64_t size = std::filesystem::file_size(path, ec);
-  if (ec || size <= from) return from;
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return from;
-  is.seekg(static_cast<std::streamoff>(from));
-  std::uint64_t pos = from;
-  while (pos + kFrameHeaderBytes <= size) {
-    std::uint32_t entry_magic = 0;
-    std::uint64_t payload_size = 0;
-    std::uint64_t checksum = 0;
-    if (!support::read_u32(is, entry_magic) || entry_magic != kEntryMagic ||
-        !support::read_u64(is, payload_size) ||
-        payload_size > kMaxEntryBytes || !support::read_u64(is, checksum) ||
-        pos + kFrameHeaderBytes + payload_size > size) {
-      break;
-    }
-    is.seekg(static_cast<std::streamoff>(payload_size), std::ios::cur);
-    if (!is) break;
-    pos += kFrameHeaderBytes + payload_size;
-  }
-  return pos;
 }
 
 // Appends one frame (magic, payload size, payload checksum, payload) to
@@ -212,10 +171,48 @@ void append_file_header(std::string& out) {
   support::append_u32(out, kFormatVersionValue);
 }
 
-// One write of the whole buffer; false when the stream failed.
-bool write_all(std::ofstream& os, const std::string& bytes) {
+// Every entry of the file at `path`, sorted by key; of a key's duplicate
+// frames the newest wins.
+std::map<std::string, SimulationRecord> read_entries(const std::string& path) {
+  std::map<std::string, SimulationRecord> out;
+  parse_cache_file(path, [&](std::string&& key, SimulationRecord&& record) {
+    out.insert_or_assign(std::move(key), std::move(record));
+  });
+  return out;
+}
+
+// Replaces the file at `path` in `dir` with the encoding of `entries`:
+// a temp file, an fsync of it, a rename over `path`, an fsync of the
+// directory. A crash anywhere in the sequence leaves either the old file
+// or the complete new one, never an empty or truncated file — rename
+// alone only orders the metadata, so the temp file's content must reach
+// stable storage first. The temp name is fixed: the caller holds the
+// directory lock, and a stale temp file of a killed writer is
+// overwritten.
+bool replace_file(const std::string& dir, const std::string& path,
+                  const std::map<std::string, SimulationRecord>& entries) {
+  std::string bytes;
+  std::string payload;
+  append_file_header(bytes);
+  for (const auto& [key, record] : entries) {
+    append_entry(bytes, payload, key, record);
+  }
+  const std::string tmp = path + ".tmp";
+  std::error_code ec;
+  std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return static_cast<bool>(os);
+  os.close();
+  if (!os || !support::fsync_file(tmp)) {
+    std::filesystem::remove(tmp, ec);
+    return false;
+  }
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    std::filesystem::remove(tmp, ec);
+    return false;
+  }
+  support::fsync_dir(dir);  // make the rename durable; best effort
+  return true;
 }
 
 // Cache keys are 0x1f-joined fields (see SimulationCache::key_of):
@@ -246,152 +243,51 @@ std::string PersistentSimulationCache::file_path() const {
 }
 
 std::size_t PersistentSimulationCache::load() {
-  std::lock_guard<std::mutex> io_lock(io_mutex());
-  loaded_.clear();
+  keys_.clear();
   load_stats_ = LoadStats{};
-  store_valid_ = false;
-  store_prefix_bytes_ = 0;
-
-  const auto absorb = [&](std::string&& key, SimulationRecord&& record) {
-    const auto [it, inserted] =
-        loaded_.insert_or_assign(std::move(key), std::move(record));
-    (void)it;
-    if (!inserted) ++load_stats_.superseded;
-  };
-
-  const ParsedFile parsed = parse_cache_file(file_path(), absorb);
+  const ParsedFile parsed = parse_cache_file(
+      file_path(), [&](std::string&& key, SimulationRecord&&) {
+        if (!keys_.insert(std::move(key)).second) ++load_stats_.superseded;
+      });
   load_stats_.main_entries = parsed.entries_ok;
   load_stats_.corrupt_entries = parsed.entries_corrupt;
-  store_valid_ = parsed.header_valid;
-  store_prefix_bytes_ = parsed.valid_prefix;
-  return loaded_.size();
+  return keys_.size();
 }
 
 void PersistentSimulationCache::seed(SimulationCache& cache) const {
-  for (const auto& [key, record] : loaded_) cache.insert(key, record);
+  for (const auto& [key, record] : read_entries(file_path())) {
+    cache.insert(key, record);
+  }
 }
 
 std::vector<std::pair<std::string, SimulationRecord>>
 PersistentSimulationCache::entries() const {
-  std::vector<std::pair<std::string, SimulationRecord>> out;
-  out.reserve(loaded_.size());
-  for (const auto& [key, record] : loaded_) out.emplace_back(key, record);
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
+  std::map<std::string, SimulationRecord> all = read_entries(file_path());
+  return {std::make_move_iterator(all.begin()),
+          std::make_move_iterator(all.end())};
 }
 
 std::size_t PersistentSimulationCache::store_new(
     const SimulationCache& cache) {
-  auto fresh = cache.entries_missing_from(loaded_);
+  auto fresh = cache.entries_missing_from(keys_);
   if (fresh.empty()) return 0;
 
-  std::lock_guard<std::mutex> io_lock(io_mutex());
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);  // best effort
-  const std::string target = file_path();
+  const support::DirLock lock(dir_);
+  if (!lock.locked()) return 0;
 
-  // Re-validate under the lock: another session sharing this directory
-  // may have created a valid file since our load() (several cold-start
-  // sessions racing), and opening it ios::trunc below would wipe their
-  // stores. Appending possibly-duplicate entries instead is benign
-  // (load() keeps the last occurrence of a key).
-  if (!store_valid_) {
-    const ParsedFile parsed = parse_cache_file(target, nullptr);
-    if (parsed.header_valid) {
-      store_valid_ = true;
-      store_prefix_bytes_ = parsed.valid_prefix;
-    }
-  }
-
-  // Drop a torn tail (a run killed mid-append) before appending: frames
-  // written after a torn frame would be unreachable to the loader. Frames
-  // appended by another writer since our load() are complete and survive
-  // the re-scan.
-  if (store_valid_) {
-    const std::uint64_t valid_end =
-        scan_valid_frames(target, store_prefix_bytes_);
-    const auto size = std::filesystem::file_size(target, ec);
-    if (!ec && size > valid_end) {
-      std::filesystem::resize_file(target, valid_end, ec);
-      if (ec) return 0;
-    }
-  }
-
-  // Append to a valid file; rewrite (header included) a missing or
-  // invalid one. The whole append is assembled first and written at once.
-  std::string bytes;
-  std::string payload;
-  if (!store_valid_) append_file_header(bytes);
-  for (const auto& [key, record] : fresh) {
-    append_entry(bytes, payload, key, record);
-  }
-  std::ios::openmode mode = std::ios::binary |
-                            (store_valid_ ? std::ios::app : std::ios::trunc);
-  std::ofstream os(target, mode);
-  if (!os || !write_all(os, bytes)) return 0;
-  store_valid_ = true;
-  store_prefix_bytes_ = static_cast<std::uint64_t>(os.tellp());
-  os.close();
-  // Flush the appended frames to stable storage: a run that reported its
-  // records stored must find them after a crash, not a hollow tail.
-  support::fsync_file(target);
+  // Under the lock the file is whatever the last writer renamed in —
+  // possibly another session's stores since our load(): merge into it.
+  std::map<std::string, SimulationRecord> merged = read_entries(file_path());
+  std::size_t added = 0;
   for (auto& [key, record] : fresh) {
-    loaded_.insert_or_assign(std::move(key), std::move(record));
+    added += merged.try_emplace(std::move(key), std::move(record)).second;
   }
-  return fresh.size();
-}
-
-std::size_t PersistentSimulationCache::compact() {
-  std::lock_guard<std::mutex> io_lock(io_mutex());
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-
-  // Deterministic (sorted-key) order: compacted files are byte-identical
-  // for identical entry sets, whatever history produced them.
-  std::vector<const std::pair<const std::string, SimulationRecord>*> sorted;
-  sorted.reserve(loaded_.size());
-  for (const auto& entry : loaded_) sorted.push_back(&entry);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-
-  std::string bytes;
-  std::string payload;
-  append_file_header(bytes);
-  for (const auto* entry : sorted) {
-    append_entry(bytes, payload, entry->first, entry->second);
-  }
-  const std::string tmp = file_path() + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) return 0;
-    if (!write_all(os, bytes)) {
-      std::filesystem::remove(tmp, ec);
-      return 0;
-    }
-  }
-  // Flush the temp file to stable storage BEFORE renaming it over the
-  // main file: rename alone only orders the metadata, so a crash right
-  // after it could surface an empty or truncated sim_cache.ddtr where a
-  // complete one used to be. (Cache files are disposable, but silently
-  // replacing good data with a hollow file is the one corruption the
-  // temp+rename pattern exists to prevent.)
-  if (!support::fsync_file(tmp)) {
-    std::filesystem::remove(tmp, ec);
-    return 0;
-  }
-  std::filesystem::rename(tmp, file_path(), ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return 0;
-  }
-  support::fsync_dir(dir_);  // make the rename durable; best effort
-  {
-    const auto size = std::filesystem::file_size(file_path(), ec);
-    store_valid_ = !ec;
-    store_prefix_bytes_ = ec ? 0 : size;
-  }
-  return sorted.size();
+  if (!replace_file(dir_, file_path(), merged)) return 0;
+  keys_.clear();
+  for (const auto& entry : merged) keys_.insert(entry.first);
+  return added;
 }
 
 PersistentSimulationCache::FileCheck PersistentSimulationCache::check_file(
@@ -404,7 +300,7 @@ PersistentSimulationCache::FileCheck PersistentSimulationCache::check_file(
   if (!ec && size == 0) {
     // Zero-length: a crash between creation and the first write (or a
     // lost rename). Nothing to parse, nothing corrupt — the next
-    // store_new() rewrites it from scratch.
+    // store_new() replaces it.
     check.empty = true;
     return check;
   }

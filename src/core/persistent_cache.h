@@ -3,27 +3,35 @@
 // studies, ablations and repeated `ddtr` invocations; this class makes
 // those replays survive the process: a versioned binary file per cache
 // directory, loaded at session start to seed the in-memory
-// SimulationCache, appended after the run with whatever that run had to
+// SimulationCache, extended after the run with whatever that run had to
 // simulate. Soundness comes from the cache keys (content hashes +
 // energy-model fingerprint, see SimulationCache::key_of), so a warm cache
 // yields byte-identical reports with zero executed simulations.
 //
-// A cache directory holds exactly one file, sim_cache.ddtr. Concurrent
-// processes sharing a directory are best-effort: each appends to the same
-// file, and a torn cross-process append costs one checksummed entry that
-// the next run recomputes. Any other file in the directory — e.g. a
-// `sim_cache.*.seg` left by an older version — is ignored.
+// A cache directory holds exactly one file, sim_cache.ddtr. It has one
+// writer, store_new(): under an exclusive flock on the directory (one
+// lock for threads and processes alike) it re-reads the file, merges in
+// the entries the file lacks and replaces the file whole — the union
+// sorted by key, written to sim_cache.ddtr.tmp, fsynced and renamed over
+// the file. So every file a store leaves is the sorted, duplicate-free
+// encoding of its entry set, and concurrent writers sharing a directory
+// never lose each other's entries. Readers take no lock: the file only
+// ever changes by rename, so a reader sees one complete version. Any
+// other file in the directory — e.g. a `sim_cache.*.seg` left by an
+// older version — is ignored.
 //
 // Robustness contract: the cache file is disposable acceleration state,
 // never a source of truth. A missing, truncated, corrupt or
 // version-mismatched file is ignored (the run just starts cold and
-// rewrites it); per-entry checksums drop damaged entries individually, so
-// a torn append — e.g. a run killed mid-store — only costs the tail.
+// rewrites it); per-entry checksums drop damaged entries individually.
+// A torn tail or a duplicate frame can only come from outside this
+// writer (an older version's append, external damage); the next store
+// drops both.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -65,7 +73,8 @@ class PersistentSimulationCache {
 
     // True for an absent or empty file, or a valid header with zero
     // corrupt entries. A torn tail (trailing_bytes > 0) alone passes: it
-    // is the expected scar of a killed run and heals on the next append.
+    // is the scar of an interrupted append by an older version and
+    // heals on the next store.
     bool ok() const {
       return !present || empty || (header_valid && entries_corrupt == 0);
     }
@@ -77,39 +86,34 @@ class PersistentSimulationCache {
   // The cache file inside dir().
   std::string file_path() const;
 
-  // Reads the cache file into memory, deduplicating by key (the newest
-  // occurrence of a key wins; keys are content hashes of deterministic
-  // simulations, so colliding entries agree and the order is a
-  // tie-break, not a correctness concern). Returns the number of distinct
-  // entries loaded; 0 (never a throw) when nothing readable.
+  // Reads the cache file and keeps its key set: what lets a warm
+  // store_new() return before any I/O. Returns the number of distinct
+  // entries; 0 (never a throw) when nothing readable.
   std::size_t load();
 
   const LoadStats& load_stats() const noexcept { return load_stats_; }
-  std::size_t loaded_count() const noexcept { return loaded_.size(); }
+  // Distinct keys the file held at the last load() or store_new().
+  std::size_t loaded_count() const noexcept { return keys_.size(); }
 
-  // Seeds `cache` with every loaded entry (existing entries win, stats
-  // untouched — seeded records count as hits only when a lookup replays
-  // them).
+  // Seeds `cache` with every entry the file holds now (existing entries
+  // win, stats untouched — seeded records count as hits only when a
+  // lookup replays them). Of a key's duplicate frames the newest wins;
+  // keys are content hashes of deterministic simulations, so colliding
+  // entries agree and the order is a tie-break, not a correctness
+  // concern.
   void seed(SimulationCache& cache) const;
 
-  // Snapshot of the loaded entries, sorted by key (deterministic order
+  // Every entry the file holds now, sorted by key (deterministic order
   // for inspection tools).
   std::vector<std::pair<std::string, SimulationRecord>> entries() const;
 
-  // Appends every entry of `cache` that was not loaded from disk to the
-  // cache file, creating directory and file, or rewriting a file load()
-  // found invalid. Returns the number of entries written; 0 on I/O
-  // failure (persistence is best-effort by design). Written entries join
-  // the loaded set, so calling store_new() again does not duplicate them.
+  // Adds every entry of `cache` the file lacks: under the directory lock,
+  // re-reads the file, merges and replaces it (see the file comment),
+  // creating the directory if needed. Returns the number of entries
+  // added; 0 on I/O failure (persistence is best-effort by design). When
+  // every key of `cache` is one the file held at the last load() or
+  // store_new(), returns 0 before any I/O.
   std::size_t store_new(const SimulationCache& cache);
-
-  // Rewrites the cache file with exactly the loaded entry set —
-  // duplicates and superseded entries dropped, deterministic (sorted-key)
-  // order — via a temp file, an fsync of file and directory, then a
-  // rename (a crash anywhere in the sequence leaves either the old file
-  // or the complete new one, never an empty/truncated file). Run after
-  // load(). Returns the number of entries written; 0 on I/O failure.
-  std::size_t compact();
 
   // Structural walk of one cache file: header, per-frame checksums,
   // payload parses, torn tail. Never throws; never modifies the file.
@@ -117,13 +121,8 @@ class PersistentSimulationCache {
 
  private:
   std::string dir_;
-  // Validity/extent of the cache file as last parsed. A torn tail (a
-  // run killed mid-append) is truncated away before the next append —
-  // frames written after a torn frame would be unreachable to the loader.
-  bool store_valid_ = false;
-  std::uint64_t store_prefix_bytes_ = 0;
   LoadStats load_stats_;
-  std::unordered_map<std::string, SimulationRecord> loaded_;
+  std::unordered_set<std::string> keys_;
 };
 
 // What a cache directory holds — the substrate of `ddtr cache stats`.

@@ -53,28 +53,6 @@ std::string SimulationCache::key_of(const Scenario& scenario,
   return key;
 }
 
-SimulationRecord SimulationCache::get_or_simulate(
-    const Scenario& scenario, const ddt::DdtCombination& combo,
-    const energy::EnergyModel& model) {
-  const std::string key = key_of(scenario, combo, model);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = records_.find(key);
-    if (it != records_.end()) {
-      ++stats_.hits;
-      return relabel(it->second, scenario);
-    }
-    ++stats_.misses;
-  }
-  // Simulate outside the lock so concurrent lanes keep overlapping.
-  SimulationRecord record = simulate(scenario, combo, model);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    records_.try_emplace(key, record);
-  }
-  return record;
-}
-
 std::optional<SimulationRecord> SimulationCache::find(
     const Scenario& scenario, const ddt::DdtCombination& combo,
     const energy::EnergyModel& model) {
@@ -106,7 +84,7 @@ std::vector<std::pair<std::string, SimulationRecord>> SimulationCache::entries()
 
 std::vector<std::pair<std::string, SimulationRecord>>
 SimulationCache::entries_missing_from(
-    const std::unordered_map<std::string, SimulationRecord>& known) const {
+    const std::unordered_set<std::string>& known) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<std::string, SimulationRecord>> out;
   for (const auto& [key, record] : records_) {
@@ -123,12 +101,6 @@ std::size_t SimulationCache::size() const {
 SimulationCache::Stats SimulationCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-void SimulationCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  records_.clear();
-  stats_ = Stats{};
 }
 
 }  // namespace ddtr::core

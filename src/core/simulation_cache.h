@@ -21,6 +21,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -31,10 +32,9 @@ namespace ddtr::core {
 // Thread-safe: concurrent lanes of the parallel explorer share one cache.
 // The engine probes with find() and insert()s the records it
 // computes (composed per slot or simulated in full), so the hit/miss stats
-// count one probe per unit. The lock is never held across a simulate()
-// call; two get_or_simulate() callers racing on the same missing key may
-// both simulate it, which is benign (deterministic records, the second
-// insert is a no-op).
+// count one probe per unit. The lock is never held across a simulation;
+// two lanes racing on the same missing key may both compute it, which is
+// benign (deterministic records, the second insert is a no-op).
 class SimulationCache {
  public:
   struct Stats {
@@ -56,17 +56,11 @@ class SimulationCache {
                             const ddt::DdtCombination& combo,
                             const energy::EnergyModel& model);
 
-  // Returns the cached record, or simulates, caches and returns it. On a
-  // hit the record's network/config labels are rewritten to the requesting
-  // scenario's: the metrics depend only on the key's content identity, but
-  // the labels belong to the request (the hit may come from a run that
-  // replayed identical content under another network name).
-  SimulationRecord get_or_simulate(const Scenario& scenario,
-                                   const ddt::DdtCombination& combo,
-                                   const energy::EnergyModel& model);
-
-  // Pure lookup; counts a hit or a miss like get_or_simulate, and
-  // relabels hits the same way.
+  // Pure lookup; counts a hit or a miss. On a hit the record's
+  // network/config labels are rewritten to the requesting scenario's:
+  // the metrics depend only on the key's content identity, but the labels
+  // belong to the request (the hit may come from a run that replayed
+  // identical content under another network name).
   std::optional<SimulationRecord> find(const Scenario& scenario,
                                        const ddt::DdtCombination& combo,
                                        const energy::EnergyModel& model);
@@ -82,11 +76,10 @@ class SimulationCache {
   // what a persistent store has yet to write. Only those are copied, so a
   // fully persisted cache costs one probe per entry and no copies.
   std::vector<std::pair<std::string, SimulationRecord>> entries_missing_from(
-      const std::unordered_map<std::string, SimulationRecord>& known) const;
+      const std::unordered_set<std::string>& known) const;
 
   std::size_t size() const;
   Stats stats() const;
-  void clear();
 
  private:
   mutable std::mutex mu_;

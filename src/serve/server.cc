@@ -149,13 +149,6 @@ void Server::serve_forever() {
     for (std::thread& t : batch) t.join();
   }
 
-  // Flush: fold main file + this service's appends into one compacted
-  // main cache file (runs already appended incrementally via store_new).
-  if (persistent_) {
-    std::lock_guard<std::mutex> lock(run_mu_);
-    const std::size_t entries = persistent_->compact();
-    log_line("compacted cache: " + std::to_string(entries) + " records");
-  }
   ::close(listen_fd_);
   listen_fd_ = -1;
   ::unlink(options_.socket_path.c_str());
@@ -347,7 +340,7 @@ ResultFrame Server::run_job(std::uint64_t job_id, const SubmitRequest& request,
       api::registry().make_study(request.app, study_options));
   core::SharedState shared{cache_, persistent_ ? &*persistent_ : nullptr,
                            &*pool_};
-  session.memoize_simulations(true).shared_state(&shared);
+  session.shared_state(&shared);
   if (request.greedy == 1) {
     session.step1_policy(core::Step1Policy::kGreedyPerSlot);
   }

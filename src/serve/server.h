@@ -10,10 +10,11 @@
 //
 // Concurrency model: one accept loop and one thread per connection — but
 // explorations SERIALIZE on run_mu_, because the shared
-// SimulationCache/PersistentSimulationCache pair admits one explore() at
-// a time (store_new mutates the loaded set; see
-// core::SharedState). Every run therefore has the daemon's one pool to
-// itself, its width fixed at start by ServerOptions::jobs. Sessions still
+// PersistentSimulationCache admits one explore() at a time (store_new
+// updates its key set; the file itself is guarded by the cache
+// directory's lock, see core::SharedState). Every run therefore has the
+// daemon's one pool to itself, its width fixed at start by
+// ServerOptions::jobs. Sessions still
 // multiplex: the protocol conversation, progress streaming and stats
 // queries all run concurrently, only the simulation phase queues. The
 // accept loop joins finished session threads as it goes, so a long-lived
@@ -23,8 +24,9 @@
 // Shutdown: request_stop() is async-signal-safe (an atomic store — the
 // CLI's SIGTERM/SIGINT handler calls it directly). serve_forever() then
 // falls out of its accept poll, half-closes every open connection to
-// unblock parked reads, joins the session threads, compacts the
-// persistent cache, and removes the socket file.
+// unblock parked reads, joins the session threads and removes the socket
+// file. There is nothing to flush: every run stored its new records into
+// the cache file as it finished.
 #pragma once
 
 #include <atomic>
@@ -54,7 +56,7 @@ struct ServerOptions {
   // Unix-domain socket path the daemon binds (required; must fit
   // sockaddr_un::sun_path). A stale file at this path is replaced.
   std::string socket_path;
-  // Persistent cache directory loaded once at start() and appended to by
+  // Persistent cache directory loaded once at start() and stored into by
   // every run; empty = in-memory warmth only (cache dies with the daemon).
   std::string cache_dir;
   // Simulation lanes of the shared pool (0 = one per hardware thread).

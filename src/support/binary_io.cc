@@ -1,11 +1,13 @@
 #include "support/binary_io.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <istream>
 
 #ifndef _WIN32
 #include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 #endif
 
@@ -110,10 +112,26 @@ bool fsync_dir(const std::string& dir) {
   return fsync_fd_of(dir.c_str(), O_RDONLY | O_DIRECTORY);
 }
 
+DirLock::DirLock(const std::string& dir)
+    : fd_(::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC)) {
+  if (fd_ < 0) return;
+  while (::flock(fd_, LOCK_EX) != 0) {
+    if (errno != EINTR) return;
+  }
+  locked_ = true;
+}
+
+DirLock::~DirLock() {
+  if (fd_ >= 0) ::close(fd_);  // closing the description drops the lock
+}
+
 #else
 
 bool fsync_file(const std::string&) { return true; }
 bool fsync_dir(const std::string&) { return true; }
+
+DirLock::DirLock(const std::string&) : locked_(true) {}
+DirLock::~DirLock() = default;
 
 #endif
 

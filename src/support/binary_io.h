@@ -40,5 +40,24 @@ bool read_string(std::istream& is, std::string& s,
 bool fsync_file(const std::string& path);
 bool fsync_dir(const std::string& dir);
 
+// Exclusive advisory lock (flock) on a directory, held until destruction.
+// The lock belongs to the open file description, so two DirLocks on one
+// directory exclude each other across threads and processes alike.
+// locked() is false when the directory cannot be opened or locked; on
+// platforms without flock the lock is a no-op that reports true.
+class DirLock {
+ public:
+  explicit DirLock(const std::string& dir);
+  ~DirLock();
+  DirLock(const DirLock&) = delete;
+  DirLock& operator=(const DirLock&) = delete;
+
+  bool locked() const noexcept { return locked_; }
+
+ private:
+  int fd_ = -1;
+  bool locked_ = false;
+};
+
 }  // namespace ddtr::support
 

@@ -221,7 +221,6 @@ TEST(Exploration, ReportThrowsBeforeRunAndOptionsChain) {
   session.jobs(2)
       .survivor_cap(0.1)
       .champions_per_metric(1)
-      .memoize_simulations(true)
       .step1_policy(core::Step1Policy::kGreedyPerSlot);
   EXPECT_EQ(session.options().jobs, 2u);
   EXPECT_EQ(session.options().survivor_cap_fraction, 0.1);

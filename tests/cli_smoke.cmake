@@ -166,7 +166,51 @@ expect_usage_error("explore: unknown flag --shard"
 expect_usage_error("explore: unknown flag --workers"
                    explore --app url --cache-dir ${CACHE_DIR} --workers 2)
 
-# 8. Serve-daemon flag contract, daemonless: a missing or valueless
+# 8. Two explore processes store into one cache dir at once: the
+#    directory lock serializes their read-merge-replace stores, so the
+#    file holds both workloads' records, verifies clean, and each warm
+#    rerun executes nothing.
+set(SHARED_DIR "${WORK_DIR}/shared_cache")
+file(REMOVE_RECURSE "${SHARED_DIR}")
+execute_process(
+    COMMAND sh -c "\"$0\" explore --app route --scale 0.05 --cache-dir \"$1\" \
+> \"$2/route_shared.out\" 2>&1 & r=$!; \
+\"$0\" explore --app url --scale 0.05 --cache-dir \"$1\" \
+> \"$2/url_shared.out\" 2>&1 & u=$!; wait $r && wait $u"
+        ${DDTR_CLI} ${SHARED_DIR} ${WORK_DIR}
+    RESULT_VARIABLE shared_result)
+if(NOT shared_result EQUAL 0)
+  message(FATAL_ERROR "concurrent explores failed (exit ${shared_result})")
+endif()
+run_cli(TRUE shared_stats_out cache stats ${SHARED_DIR})
+# <registry name>:<workload name as cache stats lists it>
+foreach(pair route:Route url:URL)
+  string(REPLACE ":" ";" pair "${pair}")
+  list(GET pair 0 app)
+  list(GET pair 1 name)
+  file(READ "${WORK_DIR}/${app}_shared.out" shared_out)
+  if(NOT shared_out MATCHES
+     "persistent cache: +loaded [0-9]+, stored ([1-9][0-9]*) ")
+    message(FATAL_ERROR "concurrent ${app} run stored nothing:\n${shared_out}")
+  endif()
+  set(stored ${CMAKE_MATCH_1})
+  if(NOT shared_stats_out MATCHES "\n${name} +${stored} *\n")
+    message(FATAL_ERROR
+        "cache stats lacks ${name} with ${stored} entries:\n${shared_stats_out}")
+  endif()
+  run_cli(TRUE shared_warm_out
+          explore --app ${app} --scale 0.05 --cache-dir ${SHARED_DIR})
+  if(NOT shared_warm_out MATCHES "executed simulations: +0 ")
+    message(FATAL_ERROR
+        "warm ${app} rerun over the shared dir executed:\n${shared_warm_out}")
+  endif()
+endforeach()
+run_cli(TRUE shared_verify_out cache verify ${SHARED_DIR})
+if(NOT shared_verify_out MATCHES "cache verify: OK")
+  message(FATAL_ERROR "shared cache verify failed:\n${shared_verify_out}")
+endif()
+
+# 9. Serve-daemon flag contract, daemonless: a missing or valueless
 #     --socket fails fast, before any connect.
 expect_usage_error("missing required flag --socket" serve)
 expect_usage_error("requires a value" submit --app url --socket)
@@ -177,7 +221,7 @@ if(NOT submit_noconnect_out MATCHES "cannot connect")
       "dead-socket submit not reported:\n${submit_noconnect_out}")
 endif()
 
-# 9. The command table's contract, before any work starts. Unknown flags
+# 10. The command table's contract, before any work starts. Unknown flags
 #     (leftovers of removed features, typos) name the subcommand and flag.
 expect_usage_error("explore: unknown flag --step1-sharded"
                    explore --app url --step1-sharded)

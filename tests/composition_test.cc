@@ -217,15 +217,31 @@ TEST(Composition, RecordsAreByteIdenticalToSimulateAcrossTheMatrix) {
       for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
         const std::string dir = (root / app).string();
         fs::remove_all(dir);
-        const auto run = [&](bool memoize) {
+        const auto run = [&] {
           api::Exploration session(study);
-          session.step1_policy(policy).jobs(jobs).memoize_simulations(memoize);
-          if (memoize) session.cache_dir(dir);
+          session.step1_policy(policy).jobs(jobs).cache_dir(dir);
           return session.run();
         };
-        const ExplorationReport disabled = run(false);
-        const ExplorationReport cold = run(true);
-        const ExplorationReport warm = run(true);
+        // The uncached step methods: every unit simulated.
+        const ExplorationReport disabled = [&] {
+          ExplorationOptions options;
+          options.jobs = jobs;
+          const ExplorationEngine engine(make_paper_energy_model(), options);
+          ExplorationReport report;
+          const bool greedy = policy == Step1Policy::kGreedyPerSlot;
+          report.step1_records = greedy
+                                     ? engine.run_step1_greedy(study, nullptr)
+                                     : engine.run_step1(study, nullptr);
+          report.step2_records = engine.run_step2(
+              study,
+              greedy ? engine.select_survivors_greedy(report.step1_records,
+                                                      study.slots)
+                     : engine.select_survivors(report.step1_records),
+              nullptr);
+          return report;
+        }();
+        const ExplorationReport cold = run();
+        const ExplorationReport warm = run();
         const std::string context = std::string(app) +
                                     (policy == Step1Policy::kExhaustive
                                          ? " exhaustive"

@@ -3,14 +3,18 @@
 // hit; different cost models must not hit), the warm-rerun contract
 // (zero executed simulations, byte-identical report), round-trips through
 // the cache file, tolerance of corrupt / truncated / stale-version
-// files, including a seeded byte-level corruption sweep, compaction,
-// `ddtr cache` inspection, directories left by older versions that
-// still hold per-writer segment files, byte-identity of the keys with
-// their old stream-formatted form under any global locale,
-// store_new() writing only entries not yet persisted, and the exact bytes
-// of one stored frame.
+// files, including a seeded byte-level corruption sweep, `ddtr cache`
+// inspection, directories left by older versions that still hold
+// per-writer segment files, byte-identity of the keys with their old
+// stream-formatted form under any global locale, and the one writer:
+// store_new() writing only entries not yet persisted, files sorted and
+// independent of store history, an older version's appended file
+// normalized by one store, concurrent writers keeping each other's
+// entries, no temp file left behind, and the exact bytes of one stored
+// frame.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -22,8 +26,11 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#include <sys/stat.h>
 
 #include "api/ddtr.h"
 #include "comma_locale.h"
@@ -65,6 +72,17 @@ class PersistentCacheTest : public ::testing::Test {
   std::string dir_;
 };
 
+// Simulates one (scenario, combination) into `cache` the way the engine
+// records a miss; returns the record.
+SimulationRecord cache_simulation(SimulationCache& cache,
+                                  const Scenario& scenario,
+                                  const ddt::DdtCombination& combo,
+                                  const energy::EnergyModel& model) {
+  SimulationRecord record = simulate(scenario, combo, model);
+  cache.insert(SimulationCache::key_of(scenario, combo, model), record);
+  return record;
+}
+
 ExplorationReport explore_cached(const CaseStudy& study,
                                  const std::string& cache_dir) {
   ExplorationOptions options;
@@ -92,7 +110,7 @@ TEST(SimulationCacheKeys, SameLabelsDifferentTraceContentDoNotCollide) {
             SimulationCache::key_of(relabeled, combo, model));
 
   SimulationCache cache;
-  cache.get_or_simulate(original, combo, model);
+  cache_simulation(cache, original, combo, model);
   EXPECT_FALSE(cache.find(relabeled, combo, model).has_value());
   EXPECT_EQ(cache.stats().hits, 0u);
 }
@@ -113,7 +131,7 @@ TEST(SimulationCacheKeys, DifferentEnergyModelsDoNotCollide) {
             SimulationCache::key_of(scenario, combo, faster));
 
   SimulationCache cache;
-  cache.get_or_simulate(scenario, combo, paper);
+  cache_simulation(cache, scenario, combo, paper);
   EXPECT_FALSE(cache.find(scenario, combo, faster).has_value());
 }
 
@@ -156,7 +174,7 @@ TEST(SimulationCacheKeys, AppCacheVersionInvalidatesOldRecords) {
       SimulationCache::key_of(evolved, combo, model));
 
   SimulationCache cache;
-  cache.get_or_simulate(study.scenarios.front(), combo, model);
+  cache_simulation(cache, study.scenarios.front(), combo, model);
   EXPECT_FALSE(cache.find(evolved, combo, model).has_value());
 }
 
@@ -172,7 +190,7 @@ TEST(SimulationCacheKeys, HitRelabelsToRequestingScenario) {
   renamed.network = "some-other-name";
 
   SimulationCache cache;
-  cache.get_or_simulate(renamed, combo, model);
+  cache_simulation(cache, renamed, combo, model);
   const auto hit = cache.find(study.scenarios.front(), combo, model);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->network, study.scenarios.front().network);
@@ -291,11 +309,11 @@ TEST_F(PersistentCacheTest, RoundTripPreservesRecordsExactly) {
 
   SimulationCache cache;
   const SimulationRecord original =
-      cache.get_or_simulate(scenario, combo, model);
+      cache_simulation(cache, scenario, combo, model);
   PersistentSimulationCache writer(dir_);
   EXPECT_EQ(writer.load(), 0u);
   EXPECT_EQ(writer.store_new(cache), 1u);
-  // A second store with no new entries appends nothing.
+  // A second store with no new entries writes nothing.
   EXPECT_EQ(writer.store_new(cache), 0u);
 
   PersistentSimulationCache reader(dir_);
@@ -389,8 +407,8 @@ TEST_F(PersistentCacheTest, StaleFormatVersionInvalidatesWholeFile) {
 
 TEST_F(PersistentCacheTest, ZeroLengthFileIsToleratedAndReported) {
   // The scar of a crash between creating the file and the first durable
-  // write (what compact()'s fsync-before-rename prevents for the rename
-  // path): tolerated on load, reported distinctly, healed by a store.
+  // write (what the store's fsync-before-rename prevents): tolerated on
+  // load, reported distinctly, healed by a store.
   std::filesystem::create_directories(dir_);
   PersistentSimulationCache cache(dir_);
   { std::ofstream os(cache.file_path(), std::ios::binary); }
@@ -407,10 +425,10 @@ TEST_F(PersistentCacheTest, ZeroLengthFileIsToleratedAndReported) {
   const energy::EnergyModel model = make_paper_energy_model();
   const CaseStudy study = tiny_url_study();
   SimulationCache sim;
-  sim.get_or_simulate(study.scenarios.front(),
-                      ddt::DdtCombination(
-                          {ddt::DdtKind::kArray, ddt::DdtKind::kSll}),
-                      model);
+  cache_simulation(sim, study.scenarios.front(),
+                   ddt::DdtCombination(
+                       {ddt::DdtKind::kArray, ddt::DdtKind::kSll}),
+                   model);
   EXPECT_EQ(cache.store_new(sim), 1u);
   const auto healed = PersistentSimulationCache::check_file(cache.file_path());
   EXPECT_FALSE(healed.empty);
@@ -420,8 +438,8 @@ TEST_F(PersistentCacheTest, ZeroLengthFileIsToleratedAndReported) {
 
 TEST_F(PersistentCacheTest, ColdStartSessionsDoNotWipeEachOthersStores) {
   // Two sessions share one cache dir and both load() before the file
-  // exists; the second store_new() must append to the first's file, not
-  // rewrite it from scratch.
+  // exists; the second store_new() must merge into the first's file, not
+  // replace it with its own entries only.
   const CaseStudy study = tiny_url_study();
   const energy::EnergyModel model = make_paper_energy_model();
   PersistentSimulationCache first(dir_);
@@ -430,15 +448,15 @@ TEST_F(PersistentCacheTest, ColdStartSessionsDoNotWipeEachOthersStores) {
   EXPECT_EQ(second.load(), 0u);
 
   SimulationCache cache_a;
-  cache_a.get_or_simulate(study.scenarios.front(),
-                          ddt::DdtCombination(
-                              {ddt::DdtKind::kArray, ddt::DdtKind::kSll}),
-                          model);
+  cache_simulation(cache_a, study.scenarios.front(),
+                   ddt::DdtCombination(
+                       {ddt::DdtKind::kArray, ddt::DdtKind::kSll}),
+                   model);
   SimulationCache cache_b;
-  cache_b.get_or_simulate(study.scenarios.front(),
-                          ddt::DdtCombination(
-                              {ddt::DdtKind::kDll, ddt::DdtKind::kSll}),
-                          model);
+  cache_simulation(cache_b, study.scenarios.front(),
+                   ddt::DdtCombination(
+                       {ddt::DdtKind::kDll, ddt::DdtKind::kSll}),
+                   model);
   EXPECT_EQ(first.store_new(cache_a), 1u);
   EXPECT_EQ(second.store_new(cache_b), 1u);
 
@@ -462,6 +480,47 @@ std::string read_bytes(const std::string& path) {
 void write_bytes(const std::string& path, const std::string& bytes) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+ino_t inode_of(const std::string& path) {
+  struct stat st {};
+  return ::stat(path.c_str(), &st) == 0 ? st.st_ino : 0;
+}
+
+constexpr std::size_t kHeaderBytes = 8 + 4;  // magic + format version
+
+// Little-endian field of `bytes` at `at`, `width` bytes wide.
+std::uint64_t get_le(const std::string& bytes, std::size_t at, int width) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < width; ++i) {
+    v |= std::uint64_t{static_cast<unsigned char>(bytes[at + i])} << (8 * i);
+  }
+  return v;
+}
+
+// The keys of a cache file's complete frames, in file order. A frame is
+// u32 magic, u64 payload size, u64 checksum, then the payload, which
+// opens with the u64-length-prefixed key.
+std::vector<std::string> frame_keys(const std::string& path) {
+  const std::string bytes = read_bytes(path);
+  std::vector<std::string> keys;
+  std::size_t pos = kHeaderBytes;
+  while (pos + 20 + 8 <= bytes.size()) {
+    const std::uint64_t payload = get_le(bytes, pos + 4, 8);
+    const std::uint64_t key = get_le(bytes, pos + 20, 8);
+    if (pos + 20 + payload > bytes.size()) break;
+    keys.push_back(bytes.substr(pos + 28, key));
+    pos += 20 + payload;
+  }
+  return keys;
+}
+
+// Strictly increasing: sorted and duplicate-free.
+bool strictly_sorted(const std::vector<std::string>& keys) {
+  return std::adjacent_find(keys.begin(), keys.end(),
+                            [](const std::string& a, const std::string& b) {
+                              return a >= b;
+                            }) == keys.end();
 }
 
 bool same_record(const SimulationRecord& a, const SimulationRecord& b) {
@@ -548,10 +607,13 @@ TEST_F(PersistentCacheTest, StoreNewWritesOnlyEntriesNotYetLoaded) {
   persistent.seed(cache);
   const std::uintmax_t warm_bytes =
       std::filesystem::file_size(persistent.file_path());
+  const ino_t warm_inode = inode_of(persistent.file_path());
 
-  // A fully loaded cache (the warm daemon's case) stores nothing.
+  // A fully loaded cache (the warm daemon's case) stores nothing and
+  // leaves the file alone: same size, same inode (no replace).
   EXPECT_EQ(persistent.store_new(cache), 0u);
   EXPECT_EQ(std::filesystem::file_size(persistent.file_path()), warm_bytes);
+  EXPECT_EQ(inode_of(persistent.file_path()), warm_inode);
 
   // k entries under keys the file does not hold: exactly those go out.
   constexpr std::size_t kFresh = 3;
@@ -561,41 +623,203 @@ TEST_F(PersistentCacheTest, StoreNewWritesOnlyEntriesNotYetLoaded) {
   }
   EXPECT_EQ(persistent.store_new(cache), kFresh);
   EXPECT_GT(std::filesystem::file_size(persistent.file_path()), warm_bytes);
-  EXPECT_EQ(persistent.store_new(cache), 0u);  // now loaded: no duplicates
+  const ino_t stored_inode = inode_of(persistent.file_path());
+  EXPECT_NE(stored_inode, warm_inode);  // the store replaced the file
+  EXPECT_EQ(persistent.store_new(cache), 0u);  // now known: no duplicates
+  EXPECT_EQ(inode_of(persistent.file_path()), stored_inode);
 
   PersistentSimulationCache reloaded(dir_);
   EXPECT_EQ(reloaded.load(), full + kFresh);
   EXPECT_EQ(reloaded.load_stats().superseded, 0u);
 }
 
-TEST_F(PersistentCacheTest, CompactDropsSupersededDuplicates) {
-  // Two cold-start sessions append the SAME record to the cache file (the
-  // benign duplicate-append path) — compact() folds them to one frame.
-  const CaseStudy study = tiny_url_study();
-  const energy::EnergyModel model = make_paper_energy_model();
-  SimulationCache cache;
-  cache.get_or_simulate(study.scenarios.front(),
-                        ddt::DdtCombination(
-                            {ddt::DdtKind::kArray, ddt::DdtKind::kSll}),
-                        model);
+// The frame `store_new` writes for one entry: a one-entry file minus its
+// header.
+std::string frame_of(const std::string& scratch_dir, const std::string& key,
+                     const SimulationRecord& record) {
+  std::filesystem::remove_all(scratch_dir);
+  SimulationCache one;
+  one.insert(key, record);
+  PersistentSimulationCache writer(scratch_dir);
+  EXPECT_EQ(writer.store_new(one), 1u);
+  return read_bytes(writer.file_path()).substr(kHeaderBytes);
+}
 
-  PersistentSimulationCache first(dir_);
-  PersistentSimulationCache second(dir_);
-  EXPECT_EQ(first.load(), 0u);
-  EXPECT_EQ(second.load(), 0u);
-  EXPECT_EQ(first.store_new(cache), 1u);
-  EXPECT_EQ(second.store_new(cache), 1u);  // duplicate frame appended
+// The entries a tiny url exploration stores, sorted by key.
+std::vector<std::pair<std::string, SimulationRecord>> study_entries(
+    const std::string& dir) {
+  explore_cached(tiny_url_study(), dir);
+  return PersistentSimulationCache(dir).entries();
+}
 
-  PersistentSimulationCache probe(dir_);
-  EXPECT_EQ(probe.load(), 1u);
-  EXPECT_EQ(probe.load_stats().superseded, 1u);
-  const auto before = std::filesystem::file_size(probe.file_path());
-  EXPECT_EQ(probe.compact(), 1u);
-  EXPECT_LT(std::filesystem::file_size(probe.file_path()), before);
+TEST_F(PersistentCacheTest, StoresAreSortedAndIndependentOfHistory) {
+  const auto entries = study_entries(dir_ + "/pristine");
+  ASSERT_GT(entries.size(), 6u);
 
-  PersistentSimulationCache reread(dir_);
-  EXPECT_EQ(reread.load(), 1u);
+  // One store of every entry, inserted in reverse key order.
+  SimulationCache all;
+  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+    all.insert(it->first, it->second);
+  }
+  PersistentSimulationCache at_once(dir_ + "/at_once");
+  ASSERT_EQ(at_once.store_new(all), entries.size());
+
+  // The same set through three sessions: odd entries first, then the
+  // back half (overlapping), then everything.
+  const std::string piecewise = dir_ + "/piecewise";
+  SimulationCache odd;
+  SimulationCache back;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (i % 2 == 1) odd.insert(entries[i].first, entries[i].second);
+    if (i >= entries.size() / 2) {
+      back.insert(entries[i].first, entries[i].second);
+    }
+  }
+  PersistentSimulationCache first(piecewise);
+  PersistentSimulationCache second(piecewise);
+  EXPECT_GT(first.store_new(odd), 0u);
+  EXPECT_GT(second.store_new(back), 0u);
+  EXPECT_GT(PersistentSimulationCache(piecewise).store_new(all), 0u);
+
+  const std::string bytes = read_bytes(at_once.file_path());
+  EXPECT_EQ(read_bytes(PersistentSimulationCache(piecewise).file_path()),
+            bytes);
+  const std::vector<std::string> keys = frame_keys(at_once.file_path());
+  EXPECT_EQ(keys.size(), entries.size());
+  EXPECT_TRUE(strictly_sorted(keys));
+}
+
+// A file an older version left: appended frames in store order, among
+// them a duplicate, a bit-corrupted frame and a torn tail. It loads as
+// before; one store replaces it with the sorted, duplicate-free encoding
+// of its readable entries plus the new ones.
+TEST_F(PersistentCacheTest, OneStoreNormalizesAnAppendedFile) {
+  const auto entries = study_entries(dir_ + "/pristine");
+  ASSERT_GT(entries.size(), 4u);
+  const std::string scratch = dir_ + "/frame";
+  const auto frame = [&](std::size_t i) {
+    return frame_of(scratch, entries[i].first, entries[i].second);
+  };
+  std::string corrupt = frame(2);
+  corrupt.back() = static_cast<char>(corrupt.back() ^ 0x5a);
+  const std::string torn = frame(4).substr(0, 30);
+  const std::string header = read_bytes(
+      PersistentSimulationCache(dir_ + "/pristine").file_path())
+                                 .substr(0, kHeaderBytes);
+  PersistentSimulationCache appended(dir_ + "/appended");
+  std::filesystem::create_directories(appended.dir());
+  write_bytes(appended.file_path(), header + frame(3) + frame(0) + frame(3) +
+                                        corrupt + frame(1) + torn);
+
+  const auto before = PersistentSimulationCache::check_file(
+      appended.file_path());
+  EXPECT_TRUE(before.header_valid);
+  EXPECT_EQ(before.entries_ok, 4u);
+  EXPECT_EQ(before.entries_corrupt, 1u);
+  EXPECT_EQ(before.trailing_bytes, torn.size());
+  ASSERT_EQ(appended.load(), 3u);
+  EXPECT_EQ(appended.load_stats().superseded, 1u);
+  EXPECT_EQ(appended.load_stats().corrupt_entries, 1u);
+  SimulationCache seeded;
+  appended.seed(seeded);
+  EXPECT_EQ(seeded.size(), 3u);
+
+  // The corrupted and the torn entry are new to the file: one store.
+  SimulationCache fresh;
+  fresh.insert(entries[2].first, entries[2].second);
+  fresh.insert(entries[4].first, entries[4].second);
+  EXPECT_EQ(appended.store_new(fresh), 2u);
+
+  const auto after = PersistentSimulationCache::check_file(
+      appended.file_path());
+  EXPECT_TRUE(after.ok());
+  EXPECT_EQ(after.entries_ok, 5u);
+  EXPECT_EQ(after.entries_corrupt, 0u);
+  EXPECT_EQ(after.trailing_bytes, 0u);
+  PersistentSimulationCache reread(appended.dir());
+  EXPECT_EQ(reread.load(), 5u);
   EXPECT_EQ(reread.load_stats().superseded, 0u);
+  const std::vector<std::string> keys = frame_keys(appended.file_path());
+  EXPECT_EQ(keys.size(), 5u);
+  EXPECT_TRUE(strictly_sorted(keys));
+  for (const auto& [key, record] : reread.entries()) {
+    const auto it = std::find_if(
+        entries.begin(), entries.end(),
+        [&key = key](const auto& entry) { return entry.first == key; });
+    ASSERT_NE(it, entries.end());
+    EXPECT_TRUE(same_record(record, it->second)) << record.combo.label();
+  }
+}
+
+// Writers in eight threads, each with its own instance (like separate
+// processes sharing a --cache-dir), store disjoint entries round after
+// round. The directory lock serializes their read-merge-replace, so the
+// file ends up holding every entry any of them stored.
+TEST_F(PersistentCacheTest, ConcurrentWritersKeepEveryEntry) {
+  const auto entries = study_entries(dir_ + "/pristine");
+  ASSERT_FALSE(entries.empty());
+  const SimulationRecord& record = entries.front().second;
+  const std::string& base = entries.front().first;
+  constexpr std::size_t kWriters = 8;
+  constexpr std::size_t kRounds = 4;
+  constexpr std::size_t kPerRound = 3;
+
+  const std::string shared = dir_ + "/shared";
+  std::vector<std::size_t> stored(kWriters, 0);
+  std::vector<std::thread> writers;
+  for (std::size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      PersistentSimulationCache persistent(shared);
+      persistent.load();
+      SimulationCache cache;
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < kPerRound; ++i) {
+          cache.insert(base + "-w" + std::to_string(w) + "-r" +
+                           std::to_string(round) + "-" + std::to_string(i),
+                       record);
+        }
+        stored[w] += persistent.store_new(cache);
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+
+  constexpr std::size_t kTotal = kWriters * kRounds * kPerRound;
+  for (std::size_t w = 0; w < kWriters; ++w) {
+    EXPECT_EQ(stored[w], kRounds * kPerRound) << "writer " << w;
+  }
+  PersistentSimulationCache reader(shared);
+  EXPECT_EQ(reader.load(), kTotal);
+  EXPECT_EQ(reader.load_stats().superseded, 0u);
+  EXPECT_EQ(reader.load_stats().corrupt_entries, 0u);
+  EXPECT_TRUE(strictly_sorted(frame_keys(reader.file_path())));
+}
+
+// The store writes through sim_cache.ddtr.tmp: none is left behind, and
+// a stale one (a writer killed mid-write) is overwritten, not read.
+TEST_F(PersistentCacheTest, StoresLeaveNoTempFile) {
+  const auto entries = study_entries(dir_ + "/pristine");
+  ASSERT_GT(entries.size(), 1u);
+  const auto temp_files = [&] {
+    std::size_t n = 0;
+    for (const auto& file : std::filesystem::directory_iterator(dir_)) {
+      n += file.path().extension() == ".tmp";
+    }
+    return n;
+  };
+  PersistentSimulationCache persistent(dir_);
+  SimulationCache cache;
+  cache.insert(entries[0].first, entries[0].second);
+  ASSERT_EQ(persistent.store_new(cache), 1u);
+  EXPECT_EQ(temp_files(), 0u);
+
+  write_bytes(persistent.file_path() + ".tmp", "torn leftovers of a writer");
+  cache.insert(entries[1].first, entries[1].second);
+  ASSERT_EQ(persistent.store_new(cache), 1u);
+  EXPECT_EQ(temp_files(), 0u);
+  EXPECT_EQ(PersistentSimulationCache(dir_).load(), 2u);
+  EXPECT_TRUE(PersistentSimulationCache::check_file(persistent.file_path())
+                  .ok());
 }
 
 TEST_F(PersistentCacheTest, InspectAndClearCoverTheCacheFile) {
@@ -716,11 +940,11 @@ TEST_F(PersistentCacheTest, StoredFrameBytesArePinned) {
   ASSERT_EQ(writer.store_new(cache), 1u);
   EXPECT_EQ(read_bytes(writer.file_path()), expected);
 
-  // compact() rewrites the same single frame, byte for byte.
-  PersistentSimulationCache compactor(dir_);
-  ASSERT_EQ(compactor.load(), 1u);
-  ASSERT_EQ(compactor.compact(), 1u);
-  EXPECT_EQ(read_bytes(compactor.file_path()), expected);
+  // A second store of the same entry, by a session that never loaded
+  // the file, rewrites the same single frame, byte for byte.
+  PersistentSimulationCache second(dir_);
+  ASSERT_EQ(second.store_new(cache), 0u);
+  EXPECT_EQ(read_bytes(second.file_path()), expected);
 }
 
 }  // namespace

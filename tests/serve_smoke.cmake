@@ -3,7 +3,7 @@
 # study twice over the unix socket, and require the warm second run to
 # execute ZERO simulations with byte-identical result records (the ISSUE's
 # acceptance check, at the process level); then job table and clean
-# shutdown (socket removed, compacted cache left warm).
+# shutdown (socket removed, cache file left warm).
 #
 # Invoked by CMakeLists.txt as:
 #   cmake -DDDTR_CLI=<path-to-ddtr> -DWORK_DIR=<scratch-dir> -P serve_smoke.cmake
@@ -97,7 +97,7 @@ if(NOT stats_out MATCHES "jobs submitted +2 *\n"
   fail("stats does not list 2 done url jobs:\n${stats_out}")
 endif()
 
-# 5. Clean shutdown: socket removed, compacted main cache file on disk.
+# 5. Clean shutdown: socket removed, the runs' cache file on disk.
 run_cli(TRUE bye_out shutdown --socket ${SOCKET})
 foreach(attempt RANGE 60)
   if(NOT EXISTS "${SOCKET}")
@@ -109,15 +109,15 @@ if(EXISTS "${SOCKET}")
   fail("daemon did not remove its socket file on shutdown")
 endif()
 if(NOT EXISTS "${CACHE_DIR}/sim_cache.ddtr")
-  fail("daemon did not flush a compacted cache file on shutdown")
+  fail("daemon left no cache file after its runs")
 endif()
 
-# 6. The flushed cache is genuinely warm: a plain (daemon-less) explore
+# 6. The cache file is genuinely warm: a plain (daemon-less) explore
 #    over the same directory replays everything.
 run_cli(TRUE replay_out
         explore --app url --scale 0.05 --cache-dir ${CACHE_DIR})
 if(NOT replay_out MATCHES "executed simulations: +0 ")
-  fail("explore over the daemon's flushed cache re-executed:\n${replay_out}")
+  fail("explore over the daemon's cache file re-executed:\n${replay_out}")
 endif()
 
 message(STATUS "serve_smoke: daemon round trip passed")

@@ -10,8 +10,8 @@
 // job `failed` while the daemon serves on, a malformed Error frame
 // reported as such by the client, idle traces bounded across many
 // distinct submissions, finished sessions being reaped (bounded virtual
-// memory over many connections), and drain-and-flush shutdown (socket
-// removed, cache compacted and warm for the next daemon).
+// memory over many connections), and drain shutdown (socket removed,
+// cache file warm for the next daemon).
 #include <gtest/gtest.h>
 
 #include <chrono>

@@ -487,8 +487,9 @@ int cmd_serve(const CommandLine& args) {
 
   serve::Server server(options);
   server.start();
-  // Drain-and-flush on SIGTERM/SIGINT: in-flight sessions finish, the
-  // persistent cache is compacted, the socket file is removed.
+  // Drain on SIGTERM/SIGINT: in-flight sessions finish (each run has
+  // already stored its records into the cache file), the socket file is
+  // removed.
   g_serve_server.store(&server);
   std::signal(SIGTERM, on_serve_signal);
   std::signal(SIGINT, on_serve_signal);
@@ -667,7 +668,7 @@ const std::vector<Command>& commands() {
        cmd_serve,
        {socket,
         {"cache-dir", K::kText, "DIR",
-         "persistent cache, loaded once, appended per run"},
+         "persistent cache, loaded once, stored into per run"},
         {"jobs", K::kCount, "N",
          "shared pool lanes (0 = one per hardware thread)"},
         {"trace", K::kText, "FILE",
