@@ -1,10 +1,11 @@
 // Warm-replay costs: what a daemon resubmit spends once every record is
-// already in the shared in-memory simulation cache. One SimulationCache is
-// warmed by a cold run of every registered study at DDTR_BENCH_SCALE;
-// then, per study, the bench times
+// already in the daemon's in-memory simulation cache. One SimulationCache
+// and one 1-lane pool, handed to ExplorationEngine::explore like the
+// daemon's, are warmed by a cold run of every registered study at
+// DDTR_BENCH_SCALE; then, per study, the bench times
 //   * SimulationCache::key_of over every (scenario, combination) pair,
-//   * a warm Exploration::run on 1 lane over that cache (zero executed
-//     simulations, like `ddtr submit` against a warm daemon),
+//   * a warm explore() over that cache (zero executed simulations, like
+//     `ddtr submit` against a warm daemon),
 //   * serialized_records() of the warm report (the records a client gets),
 // each as the median of several repetitions, and emits one BenchJson line.
 // A set-up block also times, per study, a cold make_study from an empty
@@ -23,6 +24,7 @@
 #include "bench_common.h"
 #include "nettrace/trace_store.h"
 #include "support/table.h"
+#include "support/thread_pool.h"
 
 namespace {
 
@@ -53,14 +55,6 @@ double median_ms(Fn&& body) {
   return median(std::move(samples));
 }
 
-// A 1-lane session memoizing into the shared cache, like a daemon submit.
-api::Exploration shared_session(const core::CaseStudy& study,
-                                core::SharedState& shared) {
-  api::Exploration session(study);
-  session.jobs(1).shared_state(&shared);
-  return session;
-}
-
 // Median content_hash() ms per distinct trace of `study`, hashing fresh
 // copies (set_name drops the cached digest; only the hash is timed).
 double content_hash_ms_per_trace(const core::CaseStudy& study) {
@@ -89,8 +83,13 @@ double content_hash_ms_per_trace(const core::CaseStudy& study) {
 
 int main() {
   const energy::EnergyModel model = core::make_paper_energy_model();
+  const core::ExplorationEngine engine(model);
   core::SimulationCache cache;
-  core::SharedState shared{cache};
+  support::ThreadPool pool(1);
+  // One run over the warm state, like a daemon submit.
+  const auto explore = [&](const core::CaseStudy& study) {
+    return engine.explore(study, cache, pool, nullptr);
+  };
 
   support::TextTable table({"Application", "keys", "key_of ns",
                             "warm run ms", "serialize ms", "record bytes"});
@@ -117,8 +116,7 @@ int main() {
     setup_table.add_row({study.name, std::to_string(distinct.size()),
                          support::format_double(make_study_ms, 2),
                          support::format_double(hash_ms, 3)});
-    const std::string cold_records =
-        shared_session(study, shared).run().serialized_records();
+    const std::string cold_records = explore(study).serialized_records();
 
     // key_of over the whole exhaustive space of the study.
     const auto combos = ddt::enumerate_combinations(study.slot_kind_sets());
@@ -132,15 +130,14 @@ int main() {
     const std::size_t keys = study.scenarios.size() * combos.size();
     const double key_ns = keys_ms * 1e6 / static_cast<double>(keys);
 
-    // Only run() is timed: building the session copies the study.
     std::vector<double> run_samples;
     core::ExplorationReport warm;
     for (int i = 0; i < kRepetitions; ++i) {
-      api::Exploration session = shared_session(study, shared);
       const auto t0 = std::chrono::steady_clock::now();
-      session.run();
+      core::ExplorationReport report = explore(study);
       run_samples.push_back(ms_since(t0));
-      warm = session.report();
+      // Untimed: replacing `warm` frees the previous run's records.
+      warm = std::move(report);
     }
     const double run_ms = median(std::move(run_samples));
     std::string records;

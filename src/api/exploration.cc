@@ -42,11 +42,6 @@ Exploration& Exploration::on_progress(core::ProgressObserver observer) {
   return *this;
 }
 
-Exploration& Exploration::shared_state(core::SharedState* state) {
-  options_.shared = state;
-  return *this;
-}
-
 Exploration& Exploration::trace_sink(obs::TraceWriter* sink) {
   options_.trace_sink = sink;
   return *this;

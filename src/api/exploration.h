@@ -43,12 +43,6 @@ class Exploration {
   Exploration& cache_dir(std::string dir);
   Exploration& on_progress(core::ProgressObserver observer);
 
-  // Warm-serving session reuse (see src/serve/): memoize into the
-  // externally-owned cache, store into the already-loaded persistent cache
-  // and fan over the pool of `state`, all of which outlive this session
-  // (executed counts are per-run deltas). The owner must serialize run()
-  // calls sharing one persistent cache.
-  Exploration& shared_state(core::SharedState* state);
   // Emit Chrome trace_event spans for this session's runs into an
   // externally-owned writer (see src/obs/trace.h). Null disables tracing;
   // purely observational — reports stay byte-identical either way.

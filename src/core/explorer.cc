@@ -69,6 +69,71 @@ std::vector<ddt::DdtCombination> greedy_step1_combos(
   return combos;
 }
 
+// Survivor selection for a greedy step-1 log (Step1Policy::kGreedyPerSlot);
+// the slot count is the width of the log's combinations.
+std::vector<ddt::DdtCombination> greedy_survivors(
+    const std::vector<SimulationRecord>& step1_records, double cap_fraction) {
+  if (step1_records.empty()) return {};
+  const std::size_t slots = step1_records.front().combo.size();
+  // Per slot, keep the kinds whose single-slot variation is 4-D
+  // non-dominated among that slot's variations (the baseline record
+  // participates in every slot's comparison).
+  std::vector<std::vector<ddt::DdtKind>> kept_kinds(slots);
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    std::vector<const SimulationRecord*> slot_records;
+    for (const SimulationRecord& r : step1_records) {
+      // A record belongs to this slot's sweep when every other slot is
+      // at the SLL baseline.
+      bool belongs = true;
+      for (std::size_t s = 0; s < slots; ++s) {
+        if (s != slot && r.combo[s] != ddt::DdtKind::kSll) belongs = false;
+      }
+      if (belongs) slot_records.push_back(&r);
+    }
+    std::vector<energy::Metrics> points;
+    points.reserve(slot_records.size());
+    for (const auto* r : slot_records) points.push_back(r->metrics);
+    for (std::size_t idx : pareto_filter(points)) {
+      kept_kinds[slot].push_back(slot_records[idx]->combo[slot]);
+    }
+    if (kept_kinds[slot].empty()) {
+      kept_kinds[slot].push_back(ddt::DdtKind::kSll);
+    }
+  }
+
+  // Cross the per-slot keepers into full combinations.
+  std::vector<ddt::DdtCombination> survivors;
+  std::vector<std::size_t> digit(slots, 0);
+  while (true) {
+    std::vector<ddt::DdtKind> kinds(slots);
+    for (std::size_t s = 0; s < slots; ++s) {
+      kinds[s] = kept_kinds[s][digit[s]];
+    }
+    survivors.emplace_back(std::move(kinds));
+    std::size_t s = 0;
+    while (s < slots && ++digit[s] == kept_kinds[s].size()) {
+      digit[s] = 0;
+      ++s;
+    }
+    if (s == slots) break;
+  }
+  // The cap is a fraction of the space the log swept: the product over
+  // slots of the distinct kinds tried there, the SLL baseline included.
+  std::size_t space = 1;
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    std::uint32_t seen = 0;  // bit k: DdtKind k appears in this slot
+    for (const SimulationRecord& r : step1_records) {
+      seen |= 1u << static_cast<unsigned>(r.combo[slot]);
+    }
+    space *= static_cast<std::size_t>(std::popcount(seen));
+  }
+  const std::size_t cap = std::max<std::size_t>(
+      4, static_cast<std::size_t>(std::llround(
+             cap_fraction * static_cast<double>(space))));
+  if (survivors.size() > cap) survivors.resize(cap);
+  return survivors;
+}
+
 // --- Slot composition (NetworkApplication::separable()) -----------------
 //
 // One scenario's missing units within a fan, and how they are computed.
@@ -372,95 +437,20 @@ ExplorationEngine::FanOutcome ExplorationEngine::run_step1_fan(
     support::ThreadPool& pool) const {
   const Scenario& scenario = study.scenarios.at(study.representative);
   const std::vector<ddt::DdtCombination> combos =
-      ddt::enumerate_combinations(study.slot_kind_sets());
+      options_.step1_policy == Step1Policy::kGreedyPerSlot
+          ? greedy_step1_combos(study.slot_kind_sets())
+          : ddt::enumerate_combinations(study.slot_kind_sets());
   return fan_simulations(
       combos.size(), [&](std::size_t) -> const Scenario& { return scenario; },
       [&](std::size_t i) -> const ddt::DdtCombination& { return combos[i]; },
       cache, pool, 1);
-}
-
-std::vector<SimulationRecord> ExplorationEngine::run_step1_greedy(
-    const CaseStudy& study, SimulationCache* cache) const {
-  support::ThreadPool pool(options_.jobs);
-  return run_step1_greedy_fan(study, cache, pool).records;
-}
-
-ExplorationEngine::FanOutcome ExplorationEngine::run_step1_greedy_fan(
-    const CaseStudy& study, SimulationCache* cache,
-    support::ThreadPool& pool) const {
-  const Scenario& scenario = study.scenarios.at(study.representative);
-  const std::vector<ddt::DdtCombination> combos =
-      greedy_step1_combos(study.slot_kind_sets());
-  return fan_simulations(
-      combos.size(), [&](std::size_t) -> const Scenario& { return scenario; },
-      [&](std::size_t i) -> const ddt::DdtCombination& { return combos[i]; },
-      cache, pool, 1);
-}
-
-std::vector<ddt::DdtCombination> ExplorationEngine::select_survivors_greedy(
-    const std::vector<SimulationRecord>& step1_records,
-    std::size_t slots) const {
-  // Per slot, keep the kinds whose single-slot variation is 4-D
-  // non-dominated among that slot's variations (the baseline record
-  // participates in every slot's comparison).
-  std::vector<std::vector<ddt::DdtKind>> kept_kinds(slots);
-  for (std::size_t slot = 0; slot < slots; ++slot) {
-    std::vector<const SimulationRecord*> slot_records;
-    for (const SimulationRecord& r : step1_records) {
-      // A record belongs to this slot's sweep when every other slot is
-      // at the SLL baseline.
-      bool belongs = true;
-      for (std::size_t s = 0; s < slots; ++s) {
-        if (s != slot && r.combo[s] != ddt::DdtKind::kSll) belongs = false;
-      }
-      if (belongs) slot_records.push_back(&r);
-    }
-    std::vector<energy::Metrics> points;
-    points.reserve(slot_records.size());
-    for (const auto* r : slot_records) points.push_back(r->metrics);
-    for (std::size_t idx : pareto_filter(points)) {
-      kept_kinds[slot].push_back(slot_records[idx]->combo[slot]);
-    }
-    if (kept_kinds[slot].empty()) {
-      kept_kinds[slot].push_back(ddt::DdtKind::kSll);
-    }
-  }
-
-  // Cross the per-slot keepers into full combinations.
-  std::vector<ddt::DdtCombination> survivors;
-  std::vector<std::size_t> digit(slots, 0);
-  while (true) {
-    std::vector<ddt::DdtKind> kinds(slots);
-    for (std::size_t s = 0; s < slots; ++s) {
-      kinds[s] = kept_kinds[s][digit[s]];
-    }
-    survivors.emplace_back(std::move(kinds));
-    std::size_t s = 0;
-    while (s < slots && ++digit[s] == kept_kinds[s].size()) {
-      digit[s] = 0;
-      ++s;
-    }
-    if (s == slots) break;
-  }
-  // The cap is a fraction of the space the log swept: the product over
-  // slots of the distinct kinds tried there, the SLL baseline included.
-  std::size_t space = 1;
-  for (std::size_t slot = 0; slot < slots; ++slot) {
-    std::uint32_t seen = 0;  // bit k: DdtKind k appears in this slot
-    for (const SimulationRecord& r : step1_records) {
-      seen |= 1u << static_cast<unsigned>(r.combo[slot]);
-    }
-    space *= static_cast<std::size_t>(std::popcount(seen));
-  }
-  const std::size_t cap = std::max<std::size_t>(
-      4, static_cast<std::size_t>(std::llround(
-             options_.survivor_cap_fraction * static_cast<double>(space))));
-  if (survivors.size() > cap) survivors.resize(cap);
-  return survivors;
 }
 
 std::vector<ddt::DdtCombination> ExplorationEngine::select_survivors(
     const std::vector<SimulationRecord>& step1_records) const {
+  if (options_.step1_policy == Step1Policy::kGreedyPerSlot) {
+    return greedy_survivors(step1_records, options_.survivor_cap_fraction);
+  }
   std::vector<energy::Metrics> points;
   points.reserve(step1_records.size());
   for (const SimulationRecord& r : step1_records) points.push_back(r.metrics);
@@ -594,67 +584,47 @@ std::vector<SimulationRecord> ExplorationEngine::aggregate(
 }
 
 ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
-  SharedState* const shared = options_.shared;
+  SimulationCache cache;
+  support::ThreadPool pool(options_.jobs);
+  // Cross-run persistence: one read of the cache file seeds the cache up
+  // front; the body stores the run's new records. Content-hash keys keep
+  // this invisible in the records — warm, cold or absent, the report
+  // bytes are identical; only the executed counts change.
+  std::optional<PersistentSimulationCache> persistent;
+  if (!options_.cache_dir.empty()) {
+    obs::SpanScope load_span(options_.trace_sink, "cache.load", "cache");
+    const std::size_t seeded =
+        persistent.emplace(options_.cache_dir).seed(cache);
+    load_span.arg("records", seeded);
+  }
+  return explore(study, cache, pool, persistent ? &*persistent : nullptr);
+}
+
+ExplorationReport ExplorationEngine::explore(
+    const CaseStudy& study, SimulationCache& cache, support::ThreadPool& pool,
+    PersistentSimulationCache* persistent) const {
   ExplorationReport report;
   report.app_name = study.name;
   report.combination_count = study.combination_count();
   report.scenario_count = study.scenarios.size();
   report.exhaustive_simulations = study.exhaustive_simulations();
+  if (persistent) report.persistent_loaded = persistent->loaded_count();
 
-  // Whole-run span; phase spans (cache.load, step1, select, step2,
-  // cache.store, aggregate) nest inside it. All tracing is null-checked
-  // through SpanScope, so the untraced path pays nothing.
+  // Whole-run span; phase spans (step1, select, step2, cache.store,
+  // aggregate) nest inside it. All tracing is null-checked through
+  // SpanScope, so the untraced path pays nothing.
   obs::SpanScope explore_span(options_.trace_sink, "explore", "explore");
-
-  // The memoization cache: a per-run one by default, or the caller's
-  // long-lived warm cache (serve mode), which keeps records across
-  // explore() calls so a repeated study replays entirely from memory.
-  SimulationCache local_cache;
-  SimulationCache* const cache = shared ? &shared->cache : &local_cache;
-  // Stats baseline: a warm shared cache arrives with history, and the
-  // hit/miss accounting below must count only THIS run's traffic — it is
-  // reported as a delta.
-  const SimulationCache::Stats baseline = cache->stats();
-  // Cross-run persistence: seed the in-memory cache from the cache file
-  // up front; new records are stored after the run. Content-hash keys
-  // keep this invisible in the records — warm, cold or absent, the
-  // report bytes are identical; only the executed counts change. With a
-  // shared persistent cache the load happened once at service start; the
-  // run only stores.
-  std::optional<PersistentSimulationCache> persistent_local;
-  PersistentSimulationCache* persistent = shared ? shared->persistent : nullptr;
-  if (persistent) {
-    report.persistent_loaded = persistent->loaded_count();
-  } else if (!options_.cache_dir.empty()) {
-    persistent_local.emplace(options_.cache_dir);
-    persistent = &*persistent_local;
-    obs::SpanScope load_span(options_.trace_sink, "cache.load", "cache");
-    report.persistent_loaded = persistent->load();
-    persistent->seed(*cache);
-    load_span.arg("records", report.persistent_loaded);
-  }
-  // One pool for the whole run: spawning lanes once, not per step — or
-  // the owner's long-lived pool (serve mode: lanes spawn once per
-  // service, concurrent sessions multiplex over them).
-  std::optional<support::ThreadPool> local_pool;
-  support::ThreadPool* pool = shared ? shared->pool : nullptr;
-  if (!pool) pool = &local_pool.emplace(options_.jobs);
 
   FanOutcome step1 = [&] {
     obs::SpanScope span(options_.trace_sink, "step1", "explore");
-    FanOutcome out = options_.step1_policy == Step1Policy::kGreedyPerSlot
-                         ? run_step1_greedy_fan(study, cache, *pool)
-                         : run_step1_fan(study, cache, *pool);
+    FanOutcome out = run_step1_fan(study, &cache, pool);
     span.arg("records", out.records.size());
     return out;
   }();
   report.step1_records = std::move(step1.records);
   {
     obs::SpanScope select_span(options_.trace_sink, "select", "explore");
-    report.survivors =
-        options_.step1_policy == Step1Policy::kGreedyPerSlot
-            ? select_survivors_greedy(report.step1_records, study.slots)
-            : select_survivors(report.step1_records);
+    report.survivors = select_survivors(report.step1_records);
     select_span.arg("candidates", report.step1_records.size())
         .arg("survivors", report.survivors.size());
   }
@@ -663,7 +633,7 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
 
   FanOutcome step2 = [&] {
     obs::SpanScope span(options_.trace_sink, "step2", "explore");
-    FanOutcome out = run_step2_fan(study, report.survivors, cache, *pool);
+    FanOutcome out = run_step2_fan(study, report.survivors, &cache, pool);
     span.arg("records", out.records.size());
     return out;
   }();
@@ -671,13 +641,15 @@ ExplorationReport ExplorationEngine::explore(const CaseStudy& study) const {
   report.step2_simulations = report.step2_records.size();
   report.step2_executed_simulations = step2.computed;
   report.kernel_runs = step1.kernel_runs + step2.kernel_runs;
-  const SimulationCache::Stats after = cache->stats();
-  report.cache_hits = after.hits - baseline.hits;
-  report.cache_misses = after.misses - baseline.misses;
+  // Each fan probes every unit once before it computes any, so its misses
+  // are exactly the records it executed.
+  report.cache_misses = report.executed_simulations();
+  report.cache_hits =
+      report.reduced_simulations() - report.executed_simulations();
 
   if (persistent) {
     obs::SpanScope store_span(options_.trace_sink, "cache.store", "cache");
-    report.persistent_stored = persistent->store_new(*cache);
+    report.persistent_stored = persistent->store_new(cache);
     store_span.arg("stored", report.persistent_stored);
   }
 

@@ -21,13 +21,20 @@
 // composes each missing record from their per-slot profiles plus the CPU
 // remainder: k runs stand in for k^slots. One off-diagonal combination
 // per composed scenario also runs in full and must equal its
-// composition, or the fan throws. A per-explore() SimulationCache
-// memoizes records so step 2 replays the representative scenario's
-// survivors from step 1 instead of re-simulating them; with
-// ExplorationOptions::cache_dir set, that cache is seeded from — and
-// stored back into — a persistent cross-run cache file
-// (core::PersistentSimulationCache), so repeated invocations replay
-// previous runs' simulations too.
+// composition, or the fan throws.
+//
+// Warm state is handed to explore(), never picked by it: one body,
+// explore(study, cache, pool, persistent), runs the three steps over the
+// SimulationCache, ThreadPool and optional PersistentSimulationCache its
+// caller passes. The cache memoizes records so step 2 replays the
+// representative scenario's survivors from step 1 instead of
+// re-simulating them. explore(study) is the owning caller: it builds a
+// per-run cache and a pool of ExplorationOptions::jobs lanes and, with
+// ExplorationOptions::cache_dir set, a persistent cross-run cache file
+// seeded into that cache by one read, so repeated invocations replay
+// previous runs' simulations too. A long-lived owner (serve::Server)
+// calls the body with its own cache, pool and persistent cache, so a
+// repeated study replays entirely from memory.
 #pragma once
 
 #include <cstdint>
@@ -81,27 +88,6 @@ struct StepProgress {
 // built on it.
 using ProgressObserver = std::function<void(const StepProgress&)>;
 
-// Warm state a long-lived owner (serve::Server) keeps open across
-// explore() calls, so a run does not pay cache/pool setup. Borrowed, never
-// owned; everything it references must outlive the run.
-struct SharedState {
-  // explore() memoizes into this cache instead of a per-run one. Stats
-  // (hits/misses, thus executed counts) are reported as per-run DELTAS
-  // against the cache's state at entry, so a fully warm rerun still
-  // reports 0 executed simulations.
-  SimulationCache& cache;
-  // When set, explore() skips the per-run persistent load() — the owner
-  // loaded the file once and seeded `cache` from it — and only stores
-  // this run's new records via store_new(). The owner must serialize
-  // explore() calls that share one instance (store_new updates its key
-  // set; the file itself is safe under any number of writers).
-  PersistentSimulationCache* persistent = nullptr;
-  // When set, the steps fan over this pool instead of a per-run one
-  // (lanes spawn once per service, not once per exploration). Safe to
-  // share: concurrent parallel_for calls keep per-call state.
-  support::ThreadPool* pool = nullptr;
-};
-
 struct ExplorationOptions {
   // Fraction of the combination space step 1 lets through (the paper
   // observes ~20% of combinations are worth keeping).
@@ -112,27 +98,27 @@ struct ExplorationOptions {
   // (§3.1). The remaining cap budget is filled with the best-ranked 4-D
   // non-dominated combinations.
   std::size_t champions_per_metric = 3;
+  // Followed by run_step1(), select_survivors() and explore().
   Step1Policy step1_policy = Step1Policy::kExhaustive;
-  // Concurrent simulation lanes. Every (scenario, combination) simulation
-  // is independent, so the steps fan them over `jobs` lanes with
-  // index-addressed result slots — output is bit-identical to jobs = 1 at
-  // any lane count. 1 = serial (no threads); 0 = one lane per hardware
-  // thread.
+  // Concurrent simulation lanes of the pool explore(study) and the step
+  // methods build (the explore() body fans over the pool it is handed).
+  // Every (scenario, combination) simulation is independent, so the steps
+  // fan them over `jobs` lanes with index-addressed result slots — output
+  // is bit-identical to jobs = 1 at any lane count. 1 = serial (no
+  // threads); 0 = one lane per hardware thread.
   std::size_t jobs = 1;
-  // When non-empty, the simulation cache persists across runs in this
-  // directory: loaded before step 1, extended after step 2 with whatever
-  // this run had to execute. Keys are content hashes (trace content +
-  // energy-model fingerprint, see SimulationCache::key_of), so reports
-  // stay byte-identical whether the cache is warm, cold or absent — a
-  // fully warm rerun executes zero simulations. Corrupt or stale cache
-  // files are ignored, not fatal.
+  // When non-empty, explore(study) persists the simulation cache across
+  // runs in this directory: seeded before step 1, extended after step 2
+  // with whatever this run had to execute. Keys are content hashes
+  // (trace content + energy-model fingerprint, see
+  // SimulationCache::key_of), so reports stay byte-identical whether the
+  // cache is warm, cold or absent — a fully warm rerun executes zero
+  // simulations. Corrupt or stale cache files are ignored, not fatal.
   std::string cache_dir;
   // Optional per-simulation progress notifications (see StepProgress).
   // Does not affect the produced records: reports stay bit-identical with
   // or without an observer, at any lane count.
   ProgressObserver progress;
-  // Warm-serving state (see SharedState and src/serve/).
-  SharedState* shared = nullptr;
   // --- Observability (see src/obs/) -------------------------------------
   // Optional span tracer: when set, explore() emits Chrome trace_event
   // spans (step1/select/step2/aggregate, every simulation fan unit, cache
@@ -161,12 +147,14 @@ struct ExplorationReport {
   // NetworkApplication::run calls made to compute those records: fewer
   // than the executed records when scenarios were composed.
   std::size_t kernel_runs = 0;
-  // Simulation-cache accounting across the whole explore() call.
+  // Simulation-cache accounting of this explore() call, from its fans:
+  // every unit is probed once before any unit is computed, so the misses
+  // are the executed records and the hits the logical rest.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  // Persistent-cache accounting (0 unless options.cache_dir was set):
-  // records loaded from the cache file before the run, and new records
-  // added to it afterwards.
+  // Persistent-cache accounting (0 without a persistent cache): records
+  // the cache file held before the run, and new records added to it
+  // afterwards.
   std::uint64_t persistent_loaded = 0;
   std::uint64_t persistent_stored = 0;
 
@@ -209,27 +197,34 @@ class ExplorationEngine {
   explicit ExplorationEngine(energy::EnergyModel model);
   ExplorationEngine(energy::EnergyModel model, ExplorationOptions options);
 
-  // Runs all three steps.
+  // Runs all three steps on a per-run cache and pool (see the file
+  // comment), seeding from and storing into options().cache_dir when set.
   ExplorationReport explore(const CaseStudy& study) const;
+  // Runs all three steps over the caller's warm state: records are
+  // replayed from / memoized into `cache`, the steps fan over `pool`, and
+  // when `persistent` is set (already seeded into `cache` by the caller)
+  // this run's new records are stored into it. options().cache_dir and
+  // options().jobs are not consulted. Calls sharing one `persistent` must
+  // be serialized (store_new updates its key set); the file itself is
+  // safe under any number of writers.
+  ExplorationReport explore(const CaseStudy& study, SimulationCache& cache,
+                            support::ThreadPool& pool,
+                            PersistentSimulationCache* persistent) const;
 
   // Individual steps, exposed for tests, benches and partial reuse. Each
   // step fans its simulations over options().jobs lanes with
   // index-addressed result slots, so record order (and content) is
   // identical at every lane count. When `cache` is non-null, simulations
-  // are replayed from / recorded into it.
+  // are replayed from / recorded into it. Step 1 and the survivor
+  // selection follow options().step1_policy; for the greedy policy the
+  // slot count is the width of the records' combinations, and survivors
+  // are the per-slot non-dominated kinds crossed into combinations
+  // (capped like the exhaustive selection).
   std::vector<SimulationRecord> run_step1(const CaseStudy& study,
                                           SimulationCache* cache = nullptr)
       const;
-  // Greedy per-slot variant of step 1 (see Step1Policy::kGreedyPerSlot).
-  std::vector<SimulationRecord> run_step1_greedy(
-      const CaseStudy& study, SimulationCache* cache = nullptr) const;
   std::vector<ddt::DdtCombination> select_survivors(
       const std::vector<SimulationRecord>& step1_records) const;
-  // Survivor selection for greedy step-1 logs: per-slot non-dominated
-  // kinds crossed into combinations (capped like select_survivors).
-  std::vector<ddt::DdtCombination> select_survivors_greedy(
-      const std::vector<SimulationRecord>& step1_records,
-      std::size_t slots) const;
   std::vector<SimulationRecord> run_step2(
       const CaseStudy& study,
       const std::vector<ddt::DdtCombination>& survivors,
@@ -249,13 +244,11 @@ class ExplorationEngine {
     std::size_t kernel_runs = 0;  // NetworkApplication::run calls
   };
 
-  // Pool-threaded variants used by explore(), which owns ONE pool for the
-  // whole three-step run (the public step methods build a transient pool).
+  // Pool-threaded variants used by explore(), which fans the whole
+  // three-step run over ONE pool (the public step methods build a
+  // transient pool).
   FanOutcome run_step1_fan(const CaseStudy& study, SimulationCache* cache,
                            support::ThreadPool& pool) const;
-  FanOutcome run_step1_greedy_fan(const CaseStudy& study,
-                                  SimulationCache* cache,
-                                  support::ThreadPool& pool) const;
   FanOutcome run_step2_fan(const CaseStudy& study,
                            const std::vector<ddt::DdtCombination>& survivors,
                            SimulationCache* cache,

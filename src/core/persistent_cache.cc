@@ -81,8 +81,8 @@ bool read_entry_payload(std::istream& is, std::string& key,
 }
 
 // One full structural walk of a cache file. Shared by every reader —
-// load(), seed(), entries(), the store's re-read and check_file() — so
-// they can never disagree about what "well-formed" means.
+// load(), seed(), the store's re-read and inspect_cache() — so they can
+// never disagree about what "well-formed" means.
 struct ParsedFile {
   bool header_valid = false;
   // End of the last structurally complete frame, past which any bytes
@@ -244,27 +244,20 @@ std::string PersistentSimulationCache::file_path() const {
 
 std::size_t PersistentSimulationCache::load() {
   keys_.clear();
-  load_stats_ = LoadStats{};
-  const ParsedFile parsed = parse_cache_file(
-      file_path(), [&](std::string&& key, SimulationRecord&&) {
-        if (!keys_.insert(std::move(key)).second) ++load_stats_.superseded;
-      });
-  load_stats_.main_entries = parsed.entries_ok;
-  load_stats_.corrupt_entries = parsed.entries_corrupt;
+  parse_cache_file(file_path(), [&](std::string&& key, SimulationRecord&&) {
+    keys_.insert(std::move(key));
+  });
   return keys_.size();
 }
 
-void PersistentSimulationCache::seed(SimulationCache& cache) const {
-  for (const auto& [key, record] : read_entries(file_path())) {
-    cache.insert(key, record);
-  }
-}
-
-std::vector<std::pair<std::string, SimulationRecord>>
-PersistentSimulationCache::entries() const {
-  std::map<std::string, SimulationRecord> all = read_entries(file_path());
-  return {std::make_move_iterator(all.begin()),
-          std::make_move_iterator(all.end())};
+std::size_t PersistentSimulationCache::seed(SimulationCache& cache) {
+  keys_.clear();
+  parse_cache_file(file_path(),
+                   [&](std::string&& key, SimulationRecord&& record) {
+                     cache.insert(key, record);
+                     keys_.insert(std::move(key));
+                   });
+  return keys_.size();
 }
 
 std::size_t PersistentSimulationCache::store_new(
@@ -278,7 +271,7 @@ std::size_t PersistentSimulationCache::store_new(
   if (!lock.locked()) return 0;
 
   // Under the lock the file is whatever the last writer renamed in —
-  // possibly another session's stores since our load(): merge into it.
+  // possibly another session's stores since our last read: merge into it.
   std::map<std::string, SimulationRecord> merged = read_entries(file_path());
   std::size_t added = 0;
   for (auto& [key, record] : fresh) {
@@ -290,55 +283,39 @@ std::size_t PersistentSimulationCache::store_new(
   return added;
 }
 
-PersistentSimulationCache::FileCheck PersistentSimulationCache::check_file(
-    const std::string& path) {
-  FileCheck check;
+CacheInspection inspect_cache(const std::string& dir) {
+  const std::string path = PersistentSimulationCache(dir).file_path();
+  CacheInspection out;
   std::error_code ec;
-  check.present = std::filesystem::exists(path, ec) && !ec;
-  if (!check.present) return check;
-  const auto size = std::filesystem::file_size(path, ec);
-  if (!ec && size == 0) {
-    // Zero-length: a crash between creation and the first write (or a
-    // lost rename). Nothing to parse, nothing corrupt — the next
-    // store_new() replaces it.
-    check.empty = true;
-    return check;
-  }
-  const ParsedFile parsed = parse_cache_file(path, nullptr);
-  check.header_valid = parsed.header_valid;
-  check.bytes = parsed.bytes;
-  check.entries_ok = parsed.entries_ok;
-  check.entries_corrupt = parsed.entries_corrupt;
-  check.trailing_bytes =
-      parsed.bytes > parsed.valid_prefix ? parsed.bytes - parsed.valid_prefix
-                                         : 0;
-  return check;
-}
+  out.present = std::filesystem::exists(path, ec) && !ec;
+  if (!out.present) return out;
 
-CacheStats inspect_cache(const std::string& dir) {
-  PersistentSimulationCache cache(dir);
-  CacheStats stats;
-  std::error_code ec;
-  stats.present = std::filesystem::exists(cache.file_path(), ec) && !ec;
-  if (stats.present) {
-    const auto size = std::filesystem::file_size(cache.file_path(), ec);
-    if (!ec) stats.bytes = size;
-  }
-
-  stats.entries = cache.load();
-  stats.duplicates = cache.load_stats().superseded;
-  stats.corrupt = cache.load_stats().corrupt_entries;
-
+  std::unordered_set<std::string> keys;
   std::map<std::string, std::size_t> apps;
   std::map<std::string, std::size_t> fingerprints;
-  for (const auto& [key, record] : cache.entries()) {
-    const std::vector<std::string> fields = split_key(key);
-    ++apps[fields.front()];
-    ++fingerprints[fields.back()];
-  }
-  stats.apps.assign(apps.begin(), apps.end());
-  stats.model_fingerprints.assign(fingerprints.begin(), fingerprints.end());
-  return stats;
+  const ParsedFile parsed =
+      parse_cache_file(path, [&](std::string&& key, SimulationRecord&&) {
+        const auto [it, fresh] = keys.insert(std::move(key));
+        if (!fresh) return;
+        const std::vector<std::string> fields = split_key(*it);
+        ++apps[fields.front()];
+        ++fingerprints[fields.back()];
+      });
+  // Zero-length: a crash between creation and the first write (or a lost
+  // rename). Nothing parsed, nothing corrupt — the next store_new()
+  // replaces it.
+  out.empty = parsed.bytes == 0;
+  out.header_valid = parsed.header_valid;
+  out.bytes = parsed.bytes;
+  out.entries = keys.size();
+  out.duplicates = parsed.entries_ok - keys.size();
+  out.corrupt = parsed.entries_corrupt;
+  out.trailing_bytes = parsed.bytes > parsed.valid_prefix
+                           ? parsed.bytes - parsed.valid_prefix
+                           : 0;
+  out.apps.assign(apps.begin(), apps.end());
+  out.model_fingerprints.assign(fingerprints.begin(), fingerprints.end());
+  return out;
 }
 
 bool clear_cache(const std::string& dir) {

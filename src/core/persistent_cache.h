@@ -2,11 +2,12 @@
 // re-runs the same (trace, configuration, combination) simulations across
 // studies, ablations and repeated `ddtr` invocations; this class makes
 // those replays survive the process: a versioned binary file per cache
-// directory, loaded at session start to seed the in-memory
-// SimulationCache, extended after the run with whatever that run had to
-// simulate. Soundness comes from the cache keys (content hashes +
-// energy-model fingerprint, see SimulationCache::key_of), so a warm cache
-// yields byte-identical reports with zero executed simulations.
+// directory, read once at session start by seed() — one parse fills the
+// in-memory SimulationCache and the file's key set — and extended after
+// the run with whatever that run had to simulate. Soundness comes from
+// the cache keys (content hashes + energy-model fingerprint, see
+// SimulationCache::key_of), so a warm cache yields byte-identical
+// reports with zero executed simulations.
 //
 // A cache directory holds exactly one file, sim_cache.ddtr. It has one
 // writer, store_new(): under an exclusive flock on the directory (one
@@ -35,7 +36,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/simulation.h"
 #include "core/simulation_cache.h"
 
 namespace ddtr::core {
@@ -49,97 +49,76 @@ class PersistentSimulationCache {
   // rewritten by the next store_new().
   static constexpr std::uint32_t kFormatVersion = 2;
 
-  // What the last load() consumed.
-  struct LoadStats {
-    std::size_t main_entries = 0;     // parsed from sim_cache.ddtr
-    std::size_t superseded = 0;       // duplicate keys overwritten loading
-    std::size_t corrupt_entries = 0;  // frames dropped (checksum/payload)
-  };
-
-  // Structural health of one cache file — the substrate of
-  // `ddtr cache verify`.
-  struct FileCheck {
-    bool present = false;
-    // A zero-length file: the recognizable scar of a crash between file
-    // creation and the first durable write. Tolerated (the next run
-    // rewrites it), reported distinctly so verify does not flag it as
-    // corruption.
-    bool empty = false;
-    bool header_valid = false;         // magic + current format version
-    std::uint64_t bytes = 0;           // file size
-    std::size_t entries_ok = 0;        // frames with valid checksum+payload
-    std::size_t entries_corrupt = 0;   // frames dropped
-    std::uint64_t trailing_bytes = 0;  // torn tail past the last frame
-
-    // True for an absent or empty file, or a valid header with zero
-    // corrupt entries. A torn tail (trailing_bytes > 0) alone passes: it
-    // is the scar of an interrupted append by an older version and
-    // heals on the next store.
-    bool ok() const {
-      return !present || empty || (header_valid && entries_corrupt == 0);
-    }
-  };
-
   explicit PersistentSimulationCache(std::string dir);
 
   const std::string& dir() const noexcept { return dir_; }
   // The cache file inside dir().
   std::string file_path() const;
 
-  // Reads the cache file and keeps its key set: what lets a warm
-  // store_new() return before any I/O. Returns the number of distinct
-  // entries; 0 (never a throw) when nothing readable.
+  // Reads the cache file's key set only: what lets a warm store_new()
+  // return before any I/O. Returns the number of distinct entries; 0
+  // (never a throw) when nothing readable.
   std::size_t load();
 
-  const LoadStats& load_stats() const noexcept { return load_stats_; }
-  // Distinct keys the file held at the last load() or store_new().
-  std::size_t loaded_count() const noexcept { return keys_.size(); }
-
-  // Seeds `cache` with every entry the file holds now (existing entries
-  // win, stats untouched — seeded records count as hits only when a
-  // lookup replays them). Of a key's duplicate frames the newest wins;
+  // The warm-start read: one parse of the file seeds `cache` with every
+  // entry it holds and keeps the file's key set, as load() does. Returns
+  // the number of distinct entries. Existing entries of `cache` win and
+  // its stats are untouched — seeded records count as hits only when a
+  // lookup replays them. Of a key's duplicate frames the first wins;
   // keys are content hashes of deterministic simulations, so colliding
   // entries agree and the order is a tie-break, not a correctness
   // concern.
-  void seed(SimulationCache& cache) const;
+  std::size_t seed(SimulationCache& cache);
 
-  // Every entry the file holds now, sorted by key (deterministic order
-  // for inspection tools).
-  std::vector<std::pair<std::string, SimulationRecord>> entries() const;
+  // Distinct keys the file held at the last load(), seed() or
+  // store_new().
+  std::size_t loaded_count() const noexcept { return keys_.size(); }
 
   // Adds every entry of `cache` the file lacks: under the directory lock,
   // re-reads the file, merges and replaces it (see the file comment),
   // creating the directory if needed. Returns the number of entries
   // added; 0 on I/O failure (persistence is best-effort by design). When
-  // every key of `cache` is one the file held at the last load() or
-  // store_new(), returns 0 before any I/O.
+  // every key of `cache` is one the file held at the last load(),
+  // seed() or store_new(), returns 0 before any I/O.
   std::size_t store_new(const SimulationCache& cache);
-
-  // Structural walk of one cache file: header, per-frame checksums,
-  // payload parses, torn tail. Never throws; never modifies the file.
-  static FileCheck check_file(const std::string& path);
 
  private:
   std::string dir_;
-  LoadStats load_stats_;
   std::unordered_set<std::string> keys_;
 };
 
-// What a cache directory holds — the substrate of `ddtr cache stats`.
-struct CacheStats {
-  bool present = false;        // the cache file exists
-  std::uint64_t bytes = 0;     // its size
-  std::size_t entries = 0;     // distinct entries after load()
-  std::size_t duplicates = 0;  // superseded keys within the file
-  std::size_t corrupt = 0;     // frames dropped while loading
+// What a cache directory's file holds, from one parse — the substrate of
+// both `ddtr cache stats` and `ddtr cache verify`. Never throws; never
+// modifies the file.
+struct CacheInspection {
+  bool present = false;  // the cache file exists
+  // A zero-length file: the recognizable scar of a crash between file
+  // creation and the first durable write. Tolerated (the next run
+  // rewrites it), reported distinctly so verify does not flag it as
+  // corruption.
+  bool empty = false;
+  bool header_valid = false;         // magic + current format version
+  std::uint64_t bytes = 0;           // file size
+  std::size_t entries = 0;           // distinct keys among readable frames
+  std::size_t duplicates = 0;        // readable frames repeating a key
+  std::size_t corrupt = 0;           // frames dropped (checksum/payload)
+  std::uint64_t trailing_bytes = 0;  // torn tail past the last frame
   // Distinct workloads and energy-model fingerprints present, with entry
   // counts (sorted by name/fingerprint — cache keys are structured, see
   // SimulationCache::key_of, so both are recoverable from the keys).
   std::vector<std::pair<std::string, std::size_t>> apps;
   std::vector<std::pair<std::string, std::size_t>> model_fingerprints;
+
+  // True for an absent or empty file, or a valid header with zero
+  // corrupt entries. A torn tail (trailing_bytes > 0) alone passes: it is
+  // the scar of an interrupted append by an older version and heals on
+  // the next store.
+  bool ok() const {
+    return !present || empty || (header_valid && corrupt == 0);
+  }
 };
 
-CacheStats inspect_cache(const std::string& dir);
+CacheInspection inspect_cache(const std::string& dir);
 
 // Deletes the cache file in `dir` (the directory itself stays). Returns
 // whether a file was removed.

@@ -74,13 +74,6 @@ std::vector<std::shared_ptr<const Trace>> TraceStore::get_or_build(
   return traces;
 }
 
-std::shared_ptr<const Trace> TraceStore::get_or_build(
-    const std::string& key, const std::function<Trace()>& build) {
-  return get_or_build(std::vector<std::string>{key},
-                      [&](std::size_t) { return build(); })
-      .front();
-}
-
 namespace {
 
 // Every generation-relevant preset field goes into the key: a caller who

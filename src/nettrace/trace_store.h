@@ -74,9 +74,6 @@ class TraceStore {
   std::vector<std::shared_ptr<const Trace>> get_or_build(
       const std::vector<std::string>& keys,
       const std::function<Trace(std::size_t)>& build);
-  // One key, built on the calling thread if it is missing.
-  std::shared_ptr<const Trace> get_or_build(
-      const std::string& key, const std::function<Trace()>& build);
 
   // Traces stored or being built, idle ones included.
   std::size_t size() const;

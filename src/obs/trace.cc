@@ -94,15 +94,6 @@ void TraceWriter::end(const std::string& name, const std::string& cat,
   record(name, cat, 'E', std::move(args));
 }
 
-void TraceWriter::instant(const std::string& name, const std::string& cat) {
-  record(name, cat, 'i', {});
-}
-
-void TraceWriter::instant(const std::string& name, const std::string& cat,
-                          TraceArgs args) {
-  record(name, cat, 'i', std::move(args));
-}
-
 std::size_t TraceWriter::event_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return events_.size();

@@ -78,10 +78,6 @@ class TraceWriter {
   void begin(const std::string& name, const std::string& cat, TraceArgs args);
   void end(const std::string& name, const std::string& cat);
   void end(const std::string& name, const std::string& cat, TraceArgs args);
-  // One-shot instant event (ph "i"), for point-in-time markers.
-  void instant(const std::string& name, const std::string& cat);
-  void instant(const std::string& name, const std::string& cat,
-               TraceArgs args);
 
   std::size_t event_count() const;
 
@@ -95,7 +91,7 @@ class TraceWriter {
   struct Event {
     std::string name;
     std::string cat;
-    char phase;  // 'B', 'E' or 'i'
+    char phase;  // 'B' or 'E'
     std::uint64_t ts_us;
     std::uint32_t tid;
     TraceArgs args;

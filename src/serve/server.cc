@@ -13,7 +13,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "api/exploration.h"
 #include "api/registry.h"
 #include "core/case_studies.h"
 #include "core/explorer.h"
@@ -81,9 +80,8 @@ void Server::start() {
   }
 
   if (!options_.cache_dir.empty()) {
-    persistent_.emplace(options_.cache_dir);
-    const std::size_t loaded = persistent_->load();
-    persistent_->seed(cache_);
+    const std::size_t loaded =
+        persistent_.emplace(options_.cache_dir).seed(cache_);
     log_line("cache dir '" + options_.cache_dir + "': " +
              std::to_string(loaded) + " records warm");
   }
@@ -104,11 +102,8 @@ void Server::start() {
   }
   log_line("listening on " + options_.socket_path + " (" +
            std::to_string(pool_->parallelism()) + " lanes)");
-  // Introspection baseline: everything StatsReply reports "since boot"
-  // is a delta from this instant (after the persistent seed, which does
-  // not touch the hit/miss stats anyway).
+  // Uptime baseline for StatsReply and the job table's timestamps.
   boot_time_ = std::chrono::steady_clock::now();
-  boot_cache_stats_ = cache_.stats();
 }
 
 std::uint64_t Server::uptime_ms() const {
@@ -336,16 +331,16 @@ ResultFrame Server::run_job(std::uint64_t job_id, const SubmitRequest& request,
   }
   study_options.seed_offset = request.seed_offset;
 
-  api::Exploration session(
-      api::registry().make_study(request.app, study_options));
-  core::SharedState shared{cache_, persistent_ ? &*persistent_ : nullptr,
-                           &*pool_};
-  session.shared_state(&shared);
+  const core::CaseStudy study =
+      api::registry().make_study(request.app, study_options);
+  core::ExplorationOptions options;
   if (request.greedy == 1) {
-    session.step1_policy(core::Step1Policy::kGreedyPerSlot);
+    options.step1_policy = core::Step1Policy::kGreedyPerSlot;
   }
-  if (request.survivor_cap > 0.0) session.survivor_cap(request.survivor_cap);
-  session.trace_sink(options_.trace);
+  if (request.survivor_cap > 0.0) {
+    options.survivor_cap_fraction = request.survivor_cap;
+  }
+  options.trace_sink = options_.trace;
   // Time-throttled StepProgress stream: at most one tick per
   // kProgressEvery, plus the exact endpoints (done==0 and
   // done==total always go out, so clients see every step open and
@@ -356,27 +351,30 @@ ResultFrame Server::run_job(std::uint64_t job_id, const SubmitRequest& request,
     bool client_alive = true;
     std::chrono::steady_clock::time_point last_send{};
   };
-  auto state = std::make_shared<ProgressState>();
-  session.on_progress([fd, job_id, state](const core::StepProgress& p) {
-    if (!state->client_alive) return;
+  ProgressState state;
+  options.progress = [fd, job_id, &state](const core::StepProgress& p) {
+    if (!state.client_alive) return;
     const auto now = std::chrono::steady_clock::now();
     const bool endpoint = p.done == 0 || p.done == p.total;
-    if (!endpoint && now - state->last_send < kProgressEvery) return;
-    state->last_send = now;
+    if (!endpoint && now - state.last_send < kProgressEvery) return;
+    state.last_send = now;
     ProgressFrame tick;
     tick.job_id = job_id;
     tick.step = static_cast<std::uint32_t>(p.step);
     tick.done = p.done;
     tick.total = p.total;
     if (!send_frame(fd, {FrameType::kProgress, encode_progress(tick)})) {
-      state->client_alive = false;
+      state.client_alive = false;
     }
-  });
+  };
+  const core::ExplorationEngine engine(core::make_paper_energy_model(),
+                                       std::move(options));
 
   ResultFrame result;
   {
     std::lock_guard<std::mutex> run_lock(run_mu_);
-    const core::ExplorationReport& report = session.run();
+    const core::ExplorationReport report = engine.explore(
+        study, cache_, *pool_, persistent_ ? &*persistent_ : nullptr);
     result.job_id = job_id;
     result.app = report.app_name;
     result.executed = report.executed_simulations();
@@ -424,12 +422,11 @@ void Server::handle_stats(int fd) {
   reply.uptime_ms = uptime_ms();
   reply.warm_entries = cache_.size();
   reply.sessions_served = sessions_served();
-  // Since-boot deltas against the baseline fixed in start(): the seed
-  // load predates it, so these match the sum of the per-run hit/miss
-  // deltas each ResultFrame reported.
-  const core::SimulationCache::Stats now = cache_.stats();
-  reply.cache_hits = now.hits - boot_cache_stats_.hits;
-  reply.cache_misses = now.misses - boot_cache_stats_.misses;
+  // Since boot: seeding does not touch the cache's stats, so these are
+  // the sums of the per-run hit/miss counts each ResultFrame reported.
+  const core::SimulationCache::Stats since_boot = cache_.stats();
+  reply.cache_hits = since_boot.hits;
+  reply.cache_misses = since_boot.misses;
   {
     std::lock_guard<std::mutex> lock(jobs_mu_);
     reply.jobs_submitted = next_job_id_ - 1;

@@ -8,13 +8,18 @@
 // wants one again resubmits, and the warm cache replays it (zero executed
 // simulations, byte-identical records).
 //
+// Warm state: start() seeds the daemon's SimulationCache from the cache
+// directory with one read (PersistentSimulationCache::seed) and spawns
+// its pool; every job hands that cache, pool and persistent cache to
+// core::ExplorationEngine::explore, so a repeated study replays entirely
+// from memory.
+//
 // Concurrency model: one accept loop and one thread per connection — but
-// explorations SERIALIZE on run_mu_, because the shared
+// explorations SERIALIZE on run_mu_, because the daemon's
 // PersistentSimulationCache admits one explore() at a time (store_new
 // updates its key set; the file itself is guarded by the cache
-// directory's lock, see core::SharedState). Every run therefore has the
-// daemon's one pool to itself, its width fixed at start by
-// ServerOptions::jobs. Sessions still
+// directory's lock). Every run therefore has the daemon's one pool to
+// itself, its width fixed at start by ServerOptions::jobs. Sessions still
 // multiplex: the protocol conversation, progress streaming and stats
 // queries all run concurrently, only the simulation phase queues. The
 // accept loop joins finished session threads as it goes, so a long-lived
@@ -56,10 +61,10 @@ struct ServerOptions {
   // Unix-domain socket path the daemon binds (required; must fit
   // sockaddr_un::sun_path). A stale file at this path is replaced.
   std::string socket_path;
-  // Persistent cache directory loaded once at start() and stored into by
+  // Persistent cache directory read once at start() and stored into by
   // every run; empty = in-memory warmth only (cache dies with the daemon).
   std::string cache_dir;
-  // Simulation lanes of the shared pool (0 = one per hardware thread).
+  // Simulation lanes of the daemon's pool (0 = one per hardware thread).
   std::size_t jobs = 0;
   // Daemon log sink (nullptr = silent).
   std::ostream* log = nullptr;
@@ -82,8 +87,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Loads the persistent cache, seeds the warm in-memory cache, spawns
-  // the shared pool, binds + listens on the socket. Throws
+  // Seeds the warm in-memory cache from the persistent cache, spawns the
+  // pool, binds + listens on the socket. Throws
   // std::runtime_error on socket failure or an over-long path.
   void start();
 
@@ -103,8 +108,6 @@ class Server {
   std::uint64_t sessions_served() const noexcept {
     return sessions_.load(std::memory_order_relaxed);
   }
-  // Warm in-memory simulation records.
-  std::uint64_t warm_entries() const { return cache_.size(); }
 
  private:
   // One job-table row: what `stats` lists, nothing more.
@@ -152,13 +155,11 @@ class Server {
   int listen_fd_ = -1;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> sessions_{0};
-  // Introspection baseline, fixed at the end of start(): uptime and the
-  // since-boot cache-hit/miss deltas in StatsReply are measured from here.
+  // Uptime baseline, fixed at the end of start().
   std::chrono::steady_clock::time_point boot_time_{};
-  core::SimulationCache::Stats boot_cache_stats_{};
 
-  // Warm state, lent to every run as a core::SharedState. run_mu_ admits
-  // one exploration at a time.
+  // Warm state, handed to every run's explore(). run_mu_ admits one
+  // exploration at a time.
   core::SimulationCache cache_;
   std::optional<core::PersistentSimulationCache> persistent_;
   std::optional<support::ThreadPool> pool_;

@@ -114,21 +114,25 @@ expect_usage_error("expects a non-negative integer"
                    tracegen --preset nlanr-campus --seed-offset z)
 
 # 6. Persistent simulation cache: a warm rerun executes ZERO simulations
-#    and writes a byte-identical result log.
+#    and writes a byte-identical result log. Both runs are traced, and
+#    tracing is observation-only: each trace must pass tracecheck and the
+#    traced warm rerun still executes nothing.
 set(CACHE_DIR "${WORK_DIR}/sim_cache")
 file(REMOVE_RECURSE "${CACHE_DIR}")
 set(COLD_LOG "${WORK_DIR}/cache_cold.log")
 set(WARM_LOG "${WORK_DIR}/cache_warm.log")
+set(COLD_TRACE "${WORK_DIR}/cache_cold_trace.json")
+set(WARM_TRACE "${WORK_DIR}/cache_warm_trace.json")
 run_cli(TRUE cache_cold_out
         explore --app url --scale 0.05 --cache-dir ${CACHE_DIR}
-        --log ${COLD_LOG})
+        --log ${COLD_LOG} --trace ${COLD_TRACE})
 if(NOT cache_cold_out MATCHES "persistent cache: +loaded 0, stored [1-9]")
   message(FATAL_ERROR
       "cold run did not store cache records:\n${cache_cold_out}")
 endif()
 run_cli(TRUE cache_warm_out
         explore --app url --scale 0.05 --cache-dir ${CACHE_DIR}
-        --log ${WARM_LOG})
+        --log ${WARM_LOG} --trace ${WARM_TRACE})
 if(NOT cache_warm_out MATCHES "executed simulations: +0 ")
   message(FATAL_ERROR
       "warm rerun executed simulations:\n${cache_warm_out}")
@@ -139,6 +143,12 @@ if(NOT cold_log_bytes STREQUAL warm_log_bytes)
   message(FATAL_ERROR
       "warm-cache rerun log differs from the cold run's")
 endif()
+foreach(trace ${COLD_TRACE} ${WARM_TRACE})
+  run_cli(TRUE tracecheck_out tracecheck ${trace})
+  if(NOT tracecheck_out MATCHES ": OK")
+    message(FATAL_ERROR "tracecheck ${trace}:\n${tracecheck_out}")
+  endif()
+endforeach()
 
 # 7. `ddtr cache` on section 6's warm cache dir: stats and verify read
 #    its one file, clear removes it, and the operations and flags of the

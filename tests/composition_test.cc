@@ -225,19 +225,13 @@ TEST(Composition, RecordsAreByteIdenticalToSimulateAcrossTheMatrix) {
         // The uncached step methods: every unit simulated.
         const ExplorationReport disabled = [&] {
           ExplorationOptions options;
+          options.step1_policy = policy;
           options.jobs = jobs;
           const ExplorationEngine engine(make_paper_energy_model(), options);
           ExplorationReport report;
-          const bool greedy = policy == Step1Policy::kGreedyPerSlot;
-          report.step1_records = greedy
-                                     ? engine.run_step1_greedy(study, nullptr)
-                                     : engine.run_step1(study, nullptr);
+          report.step1_records = engine.run_step1(study, nullptr);
           report.step2_records = engine.run_step2(
-              study,
-              greedy ? engine.select_survivors_greedy(report.step1_records,
-                                                      study.slots)
-                     : engine.select_survivors(report.step1_records),
-              nullptr);
+              study, engine.select_survivors(report.step1_records), nullptr);
           return report;
         }();
         const ExplorationReport cold = run();

@@ -38,6 +38,12 @@ CaseStudy tiny_url_study(std::size_t scenario_count = 2,
 
 energy::EnergyModel model() { return make_paper_energy_model(); }
 
+ExplorationOptions greedy_options() {
+  ExplorationOptions options;
+  options.step1_policy = Step1Policy::kGreedyPerSlot;
+  return options;
+}
+
 TEST(Simulate, ProducesPopulatedRecord) {
   const CaseStudy study = tiny_url_study(1);
   const ddt::DdtCombination combo(
@@ -99,18 +105,18 @@ TEST(Explorer, SurvivorCapConfigurable) {
 }
 
 TEST(Explorer, GreedyStep1CostsTenPerSlot) {
-  const ExplorationEngine engine(model());
+  const ExplorationEngine engine(model(), greedy_options());
   const CaseStudy study = tiny_url_study(1, 300);
-  const auto records = engine.run_step1_greedy(study);
+  const auto records = engine.run_step1(study);
   // Baseline + 10 non-baseline kinds per slot.
   EXPECT_EQ(records.size(), 1u + 2u * 10u);
 }
 
 TEST(Explorer, GreedySurvivorsAreCrossOfPerSlotKeepers) {
-  const ExplorationEngine engine(model());
+  const ExplorationEngine engine(model(), greedy_options());
   const CaseStudy study = tiny_url_study(1, 300);
-  const auto records = engine.run_step1_greedy(study);
-  const auto survivors = engine.select_survivors_greedy(records, 2);
+  const auto records = engine.run_step1(study);
+  const auto survivors = engine.select_survivors(records);
   EXPECT_GE(survivors.size(), 1u);
   EXPECT_LE(survivors.size(), 20u);
   for (const auto& combo : survivors) EXPECT_EQ(combo.size(), 2u);
@@ -140,10 +146,10 @@ TEST(Explorer, GreedySurvivorCapIsAFractionOfTheSweptSpace) {
   }
   ASSERT_EQ(log.size(), 1u + 2u * 10u);
 
-  ExplorationOptions options;
+  ExplorationOptions options = greedy_options();
   options.survivor_cap_fraction = 0.05;
   const ExplorationEngine engine(model(), options);
-  EXPECT_EQ(engine.select_survivors_greedy(log, 2).size(), 6u);
+  EXPECT_EQ(engine.select_survivors(log).size(), 6u);
 }
 
 TEST(Explorer, GreedyPolicyReducesStep1Simulations) {

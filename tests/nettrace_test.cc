@@ -5,6 +5,8 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -24,6 +26,13 @@
 
 namespace ddtr::net {
 namespace {
+
+// One key through the batch form; a missing key builds on this thread.
+std::shared_ptr<const Trace> get_one(TraceStore& store, const std::string& key,
+                                     const std::function<Trace()>& build) {
+  return store.get_or_build({key}, [&](std::size_t) { return build(); })
+      .front();
+}
 
 TraceGenerator::Options small_options() {
   TraceGenerator::Options options;
@@ -446,14 +455,14 @@ TEST(TraceStore, DistinctKeysBuildConcurrently) {
   };
 
   std::thread thread_a([&] {
-    store.get_or_build("key-a", [&] {
+    get_one(store, "key-a", [&] {
       announce(started_a);
       saw_peer_a = wait_for(started_b);
       return Trace{"a"};
     });
   });
   std::thread thread_b([&] {
-    store.get_or_build("key-b", [&] {
+    get_one(store, "key-b", [&] {
       announce(started_b);
       saw_peer_b = wait_for(started_a);
       return Trace{"b"};
@@ -468,7 +477,7 @@ TEST(TraceStore, DistinctKeysBuildConcurrently) {
 
 TEST(TraceStore, BatchBuildsOnlyItsMissingKeysOnBoundedLanes) {
   TraceStore store;
-  store.get_or_build("warm", [] { return Trace{"warm"}; });
+  get_one(store, "warm", [] { return Trace{"warm"}; });
 
   std::mutex mu;
   std::set<std::thread::id> lanes;
@@ -531,13 +540,13 @@ TEST(TraceStore, FailedBuildInABatchKeepsTheOthers) {
 
 TEST(TraceStore, FailedBuildPropagatesAndAllowsRetry) {
   TraceStore store;
-  EXPECT_THROW(store.get_or_build(
-                   "flaky", []() -> Trace {
-                     throw std::runtime_error("build exploded");
-                   }),
+  EXPECT_THROW(get_one(store, "flaky",
+                       []() -> Trace {
+                         throw std::runtime_error("build exploded");
+                       }),
                std::runtime_error);
   // The failed slot was vacated: a retry builds fresh and succeeds.
-  const auto trace = store.get_or_build("flaky", [] { return Trace{"ok"}; });
+  const auto trace = get_one(store, "flaky", [] { return Trace{"ok"}; });
   EXPECT_EQ(trace->name(), "ok");
   EXPECT_EQ(store.size(), 1u);
 }
@@ -546,10 +555,10 @@ TEST(TraceStore, IdleTracesAreBoundedAndHeldTracesStay) {
   TraceStore store;
   // The first trace stays referenced by the test; every later one is
   // dropped at once, so it is idle from its request on.
-  const auto held = store.get_or_build("key-0", [] { return Trace{"0"}; });
+  const auto held = get_one(store, "key-0", [] { return Trace{"0"}; });
   for (int i = 1; i < 40; ++i) {
     const std::string key = "key-" + std::to_string(i);
-    store.get_or_build(key, [&] { return Trace{key}; });
+    get_one(store, key, [&] { return Trace{key}; });
     EXPECT_LE(store.size(), TraceStore::kRetain) << "after " << key;
   }
   EXPECT_EQ(store.size(), TraceStore::kRetain);
@@ -557,7 +566,7 @@ TEST(TraceStore, IdleTracesAreBoundedAndHeldTracesStay) {
   // store hands back the same instance without rebuilding.
   const std::uint64_t hits = store.hits();
   bool rebuilt = false;
-  const auto again = store.get_or_build("key-0", [&] {
+  const auto again = get_one(store, "key-0", [&] {
     rebuilt = true;
     return Trace{"0"};
   });
@@ -566,12 +575,12 @@ TEST(TraceStore, IdleTracesAreBoundedAndHeldTracesStay) {
   EXPECT_EQ(store.hits(), hits + 1);
   // The newest idle key is still warm; the oldest idle one was evicted
   // and builds afresh.
-  store.get_or_build("key-39", [&] {
+  get_one(store, "key-39", [&] {
     rebuilt = true;
     return Trace{"39"};
   });
   EXPECT_FALSE(rebuilt);
-  store.get_or_build("key-1", [&] {
+  get_one(store, "key-1", [&] {
     rebuilt = true;
     return Trace{"1"};
   });

@@ -2,7 +2,9 @@
 // SimulationCache hit/miss accounting, and the determinism contract —
 // explore() with jobs=4 must produce records, survivors and Pareto sets
 // identical to jobs=1 on the URL and DRR case studies, and the simulation
-// cache must make step 2 free for the representative scenario.
+// cache must make step 2 free for the representative scenario. A caller
+// that hands explore() its own cache and pool replays a warm run from
+// memory, and the report's hit/miss counts are the cache's own.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -212,6 +214,33 @@ TEST(ParallelExplorer, CacheMakesRepresentativeScenarioFreeInStep2) {
       study, uncached.select_survivors(raw.step1_records), nullptr);
   EXPECT_EQ(raw.step2_records.size(), report.step2_simulations);
   EXPECT_EQ(raw.serialized_records(), report.serialized_records());
+}
+
+TEST(ParallelExplorer, HandedCacheAndPoolReplayAWarmRunFromMemory) {
+  const CaseStudy study =
+      api::registry().make_study("url", CaseStudyOptions{}.scaled(0.05));
+  const ExplorationEngine engine(make_paper_energy_model());
+  SimulationCache cache;
+  support::ThreadPool pool(2);
+
+  const ExplorationReport cold = engine.explore(study, cache, pool, nullptr);
+  const SimulationCache::Stats after_cold = cache.stats();
+  const ExplorationReport warm = engine.explore(study, cache, pool, nullptr);
+  for (const ExplorationReport* report : {&cold, &warm}) {
+    EXPECT_EQ(report->cache_misses, report->executed_simulations());
+    EXPECT_EQ(report->cache_hits, report->reduced_simulations() -
+                                      report->executed_simulations());
+    EXPECT_EQ(report->persistent_loaded, 0u);
+  }
+  EXPECT_GT(cold.executed_simulations(), 0u);
+  EXPECT_EQ(warm.executed_simulations(), 0u);
+  EXPECT_EQ(warm.kernel_runs, 0u);
+  EXPECT_EQ(warm.serialized_records(), cold.serialized_records());
+  // The fans' counts are what the cache itself counted, run by run.
+  EXPECT_EQ(after_cold.misses, cold.cache_misses);
+  EXPECT_EQ(after_cold.hits, cold.cache_hits);
+  EXPECT_EQ(cache.stats().misses, after_cold.misses);
+  EXPECT_EQ(cache.stats().hits, after_cold.hits + warm.cache_hits);
 }
 
 }  // namespace

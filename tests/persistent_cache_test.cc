@@ -7,7 +7,8 @@
 // inspection, directories left by older versions that still hold
 // per-writer segment files, byte-identity of the keys with their old
 // stream-formatted form under any global locale, and the one writer:
-// store_new() writing only entries not yet persisted, files sorted and
+// store_new() writing only entries not yet persisted (the key set from
+// seed() alone), files sorted and
 // independent of store history, an older version's appended file
 // normalized by one store, concurrent writers keeping each other's
 // entries, no temp file left behind, and the exact bytes of one stored
@@ -89,6 +90,17 @@ ExplorationReport explore_cached(const CaseStudy& study,
   options.cache_dir = cache_dir;
   const ExplorationEngine engine(make_paper_energy_model(), options);
   return engine.explore(study);
+}
+
+// Every entry of `dir`'s cache file, read through seed(), sorted by key.
+std::vector<std::pair<std::string, SimulationRecord>> file_entries(
+    const std::string& dir) {
+  SimulationCache cache;
+  PersistentSimulationCache(dir).seed(cache);
+  auto entries = cache.entries();
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return entries;
 }
 
 TEST(SimulationCacheKeys, SameLabelsDifferentTraceContentDoNotCollide) {
@@ -317,9 +329,8 @@ TEST_F(PersistentCacheTest, RoundTripPreservesRecordsExactly) {
   EXPECT_EQ(writer.store_new(cache), 0u);
 
   PersistentSimulationCache reader(dir_);
-  ASSERT_EQ(reader.load(), 1u);
   SimulationCache seeded;
-  reader.seed(seeded);
+  ASSERT_EQ(reader.seed(seeded), 1u);
   const auto replayed = seeded.find(scenario, combo, model);
   ASSERT_TRUE(replayed.has_value());
   EXPECT_EQ(replayed->app_name, original.app_name);
@@ -413,11 +424,11 @@ TEST_F(PersistentCacheTest, ZeroLengthFileIsToleratedAndReported) {
   PersistentSimulationCache cache(dir_);
   { std::ofstream os(cache.file_path(), std::ios::binary); }
 
-  const auto check = PersistentSimulationCache::check_file(cache.file_path());
+  const CacheInspection check = inspect_cache(dir_);
   EXPECT_TRUE(check.present);
   EXPECT_TRUE(check.empty);
   EXPECT_FALSE(check.header_valid);
-  EXPECT_EQ(check.entries_corrupt, 0u);
+  EXPECT_EQ(check.corrupt, 0u);
   EXPECT_TRUE(check.ok());  // empty != corrupt
   EXPECT_EQ(cache.load(), 0u);
 
@@ -430,10 +441,10 @@ TEST_F(PersistentCacheTest, ZeroLengthFileIsToleratedAndReported) {
                        {ddt::DdtKind::kArray, ddt::DdtKind::kSll}),
                    model);
   EXPECT_EQ(cache.store_new(sim), 1u);
-  const auto healed = PersistentSimulationCache::check_file(cache.file_path());
+  const CacheInspection healed = inspect_cache(dir_);
   EXPECT_FALSE(healed.empty);
   EXPECT_TRUE(healed.header_valid);
-  EXPECT_EQ(healed.entries_ok, 1u);
+  EXPECT_EQ(healed.entries, 1u);
 }
 
 TEST_F(PersistentCacheTest, ColdStartSessionsDoNotWipeEachOthersStores) {
@@ -547,7 +558,9 @@ TEST_F(PersistentCacheTest, CorruptionSweepDropsButNeverAltersEntries) {
   const std::size_t full = pristine.load();
   ASSERT_GT(full, 1u);
   std::map<std::string, SimulationRecord> stored;
-  for (auto& [key, record] : pristine.entries()) stored.emplace(key, record);
+  for (auto& [key, record] : file_entries(pristine.dir())) {
+    stored.emplace(key, record);
+  }
 
   const std::string intact = read_bytes(pristine.file_path());
   const std::string case_dir = dir_ + "/case";
@@ -579,15 +592,18 @@ TEST_F(PersistentCacheTest, CorruptionSweepDropsButNeverAltersEntries) {
     write_bytes(path, bytes);
 
     PersistentSimulationCache cache(case_dir);
-    const std::size_t loaded = cache.load();
-    PersistentSimulationCache::check_file(path);
+    SimulationCache seeded;
+    const std::size_t loaded = cache.seed(seeded);
     const std::string where = "iteration " + std::to_string(iter) +
                               ", mutation " + std::to_string(mutation);
+    // Every reader agrees on what the damaged file holds.
+    ASSERT_EQ(cache.load(), loaded) << where;
+    ASSERT_EQ(inspect_cache(case_dir).entries, loaded) << where;
     if (mutation == 2) {
       ASSERT_EQ(loaded, full) << where;
     }
     if (loaded > 0 && loaded < full) ++partial_loads;
-    for (const auto& [key, record] : cache.entries()) {
+    for (const auto& [key, record] : seeded.entries()) {
       const auto it = stored.find(key);
       ASSERT_NE(it, stored.end()) << where << ": kept an unknown key";
       ASSERT_TRUE(same_record(record, it->second))
@@ -600,11 +616,12 @@ TEST_F(PersistentCacheTest, CorruptionSweepDropsButNeverAltersEntries) {
 
 TEST_F(PersistentCacheTest, StoreNewWritesOnlyEntriesNotYetLoaded) {
   explore_cached(tiny_url_study(), dir_);
+  // seed() alone, as a warm start does: its one parse keeps the file's
+  // key set too.
   PersistentSimulationCache persistent(dir_);
-  const std::size_t full = persistent.load();
-  ASSERT_GT(full, 3u);
   SimulationCache cache;
-  persistent.seed(cache);
+  const std::size_t full = persistent.seed(cache);
+  ASSERT_GT(full, 3u);
   const std::uintmax_t warm_bytes =
       std::filesystem::file_size(persistent.file_path());
   const ino_t warm_inode = inode_of(persistent.file_path());
@@ -617,7 +634,7 @@ TEST_F(PersistentCacheTest, StoreNewWritesOnlyEntriesNotYetLoaded) {
 
   // k entries under keys the file does not hold: exactly those go out.
   constexpr std::size_t kFresh = 3;
-  const auto entries = persistent.entries();
+  const auto entries = file_entries(dir_);
   for (std::size_t i = 0; i < kFresh; ++i) {
     cache.insert(entries[i].first + "-fresh", entries[i].second);
   }
@@ -630,7 +647,7 @@ TEST_F(PersistentCacheTest, StoreNewWritesOnlyEntriesNotYetLoaded) {
 
   PersistentSimulationCache reloaded(dir_);
   EXPECT_EQ(reloaded.load(), full + kFresh);
-  EXPECT_EQ(reloaded.load_stats().superseded, 0u);
+  EXPECT_EQ(inspect_cache(dir_).duplicates, 0u);
 }
 
 // The frame `store_new` writes for one entry: a one-entry file minus its
@@ -649,7 +666,7 @@ std::string frame_of(const std::string& scratch_dir, const std::string& key,
 std::vector<std::pair<std::string, SimulationRecord>> study_entries(
     const std::string& dir) {
   explore_cached(tiny_url_study(), dir);
-  return PersistentSimulationCache(dir).entries();
+  return file_entries(dir);
 }
 
 TEST_F(PersistentCacheTest, StoresAreSortedAndIndependentOfHistory) {
@@ -711,17 +728,15 @@ TEST_F(PersistentCacheTest, OneStoreNormalizesAnAppendedFile) {
   write_bytes(appended.file_path(), header + frame(3) + frame(0) + frame(3) +
                                         corrupt + frame(1) + torn);
 
-  const auto before = PersistentSimulationCache::check_file(
-      appended.file_path());
+  const CacheInspection before = inspect_cache(appended.dir());
   EXPECT_TRUE(before.header_valid);
-  EXPECT_EQ(before.entries_ok, 4u);
-  EXPECT_EQ(before.entries_corrupt, 1u);
+  EXPECT_EQ(before.entries, 3u);
+  EXPECT_EQ(before.duplicates, 1u);
+  EXPECT_EQ(before.corrupt, 1u);
   EXPECT_EQ(before.trailing_bytes, torn.size());
-  ASSERT_EQ(appended.load(), 3u);
-  EXPECT_EQ(appended.load_stats().superseded, 1u);
-  EXPECT_EQ(appended.load_stats().corrupt_entries, 1u);
+  EXPECT_FALSE(before.ok());
   SimulationCache seeded;
-  appended.seed(seeded);
+  ASSERT_EQ(appended.seed(seeded), 3u);
   EXPECT_EQ(seeded.size(), 3u);
 
   // The corrupted and the torn entry are new to the file: one store.
@@ -730,19 +745,17 @@ TEST_F(PersistentCacheTest, OneStoreNormalizesAnAppendedFile) {
   fresh.insert(entries[4].first, entries[4].second);
   EXPECT_EQ(appended.store_new(fresh), 2u);
 
-  const auto after = PersistentSimulationCache::check_file(
-      appended.file_path());
+  const CacheInspection after = inspect_cache(appended.dir());
   EXPECT_TRUE(after.ok());
-  EXPECT_EQ(after.entries_ok, 5u);
-  EXPECT_EQ(after.entries_corrupt, 0u);
+  EXPECT_EQ(after.entries, 5u);
+  EXPECT_EQ(after.duplicates, 0u);
+  EXPECT_EQ(after.corrupt, 0u);
   EXPECT_EQ(after.trailing_bytes, 0u);
-  PersistentSimulationCache reread(appended.dir());
-  EXPECT_EQ(reread.load(), 5u);
-  EXPECT_EQ(reread.load_stats().superseded, 0u);
+  EXPECT_EQ(PersistentSimulationCache(appended.dir()).load(), 5u);
   const std::vector<std::string> keys = frame_keys(appended.file_path());
   EXPECT_EQ(keys.size(), 5u);
   EXPECT_TRUE(strictly_sorted(keys));
-  for (const auto& [key, record] : reread.entries()) {
+  for (const auto& [key, record] : file_entries(appended.dir())) {
     const auto it = std::find_if(
         entries.begin(), entries.end(),
         [&key = key](const auto& entry) { return entry.first == key; });
@@ -790,8 +803,9 @@ TEST_F(PersistentCacheTest, ConcurrentWritersKeepEveryEntry) {
   }
   PersistentSimulationCache reader(shared);
   EXPECT_EQ(reader.load(), kTotal);
-  EXPECT_EQ(reader.load_stats().superseded, 0u);
-  EXPECT_EQ(reader.load_stats().corrupt_entries, 0u);
+  const CacheInspection inspection = inspect_cache(shared);
+  EXPECT_EQ(inspection.duplicates, 0u);
+  EXPECT_EQ(inspection.corrupt, 0u);
   EXPECT_TRUE(strictly_sorted(frame_keys(reader.file_path())));
 }
 
@@ -818,14 +832,13 @@ TEST_F(PersistentCacheTest, StoresLeaveNoTempFile) {
   ASSERT_EQ(persistent.store_new(cache), 1u);
   EXPECT_EQ(temp_files(), 0u);
   EXPECT_EQ(PersistentSimulationCache(dir_).load(), 2u);
-  EXPECT_TRUE(PersistentSimulationCache::check_file(persistent.file_path())
-                  .ok());
+  EXPECT_TRUE(inspect_cache(dir_).ok());
 }
 
 TEST_F(PersistentCacheTest, InspectAndClearCoverTheCacheFile) {
   const CaseStudy study = tiny_url_study();
   explore_cached(study, dir_);
-  const CacheStats stats = inspect_cache(dir_);
+  const CacheInspection stats = inspect_cache(dir_);
   EXPECT_TRUE(stats.present);
   EXPECT_GT(stats.entries, 0u);
   EXPECT_GT(stats.bytes, 0u);
@@ -834,7 +847,9 @@ TEST_F(PersistentCacheTest, InspectAndClearCoverTheCacheFile) {
   ASSERT_EQ(stats.model_fingerprints.size(), 1u);
 
   EXPECT_TRUE(clear_cache(dir_));  // the one file
-  EXPECT_EQ(inspect_cache(dir_).entries, 0u);
+  const CacheInspection cleared = inspect_cache(dir_);
+  EXPECT_FALSE(cleared.present);
+  EXPECT_EQ(cleared.entries, 0u);
 }
 
 // A directory an older version left behind: half of a study's entries in
@@ -846,9 +861,8 @@ TEST_F(PersistentCacheTest, LegacySegmentFilesAreIgnored) {
   const CaseStudy study =
       api::registry().make_study("url", CaseStudyOptions{}.scaled(0.05));
   const ExplorationReport cold = explore_cached(study, dir_ + "/pristine");
-  PersistentSimulationCache pristine(dir_ + "/pristine");
-  ASSERT_GT(pristine.load(), 1u);
-  const auto entries = pristine.entries();
+  const auto entries = file_entries(dir_ + "/pristine");
+  ASSERT_GT(entries.size(), 1u);
 
   const std::string legacy = dir_ + "/legacy";
   SimulationCache main_half;

@@ -1,9 +1,11 @@
 # End-to-end smoke of the serve daemon against the real binary, run as a
-# ctest: start `ddtr serve` in the background, submit the same small url
-# study twice over the unix socket, and require the warm second run to
-# execute ZERO simulations with byte-identical result records (the ISSUE's
-# acceptance check, at the process level); then job table and clean
-# shutdown (socket removed, cache file left warm).
+# ctest: start a traced `ddtr serve` in the background, submit the same
+# small url study twice over the unix socket, and require the warm second
+# run to execute ZERO simulations with byte-identical result records;
+# then the job table, a SIGTERM drain (socket removed, a valid trace
+# written, cache file left warm and verified), a fresh daemon on the same
+# cache directory whose first submit executes nothing, and a daemonless
+# explore over that directory that replays everything.
 #
 # Invoked by CMakeLists.txt as:
 #   cmake -DDDTR_CLI=<path-to-ddtr> -DWORK_DIR=<scratch-dir> -P serve_smoke.cmake
@@ -17,6 +19,7 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 set(SOCKET "${WORK_DIR}/daemon.sock")
 set(CACHE_DIR "${WORK_DIR}/cache")
 set(SERVE_LOG "${WORK_DIR}/serve.out")
+set(SERVE_TRACE "${WORK_DIR}/serve_trace.json")
 set(DAEMON_PID "")
 
 # Fails the test after killing the background daemon (a FATAL_ERROR alone
@@ -47,21 +50,39 @@ function(run_cli expect_success out_var)
   set(${out_var} "${output}\n${errout}" PARENT_SCOPE)
 endfunction()
 
-# 1. Start the daemon detached (output to a file so this script does not
-#    block on the pipe) and wait for the socket to appear.
-execute_process(
-    COMMAND sh -c "'${DDTR_CLI}' serve --socket '${SOCKET}' --cache-dir '${CACHE_DIR}' --jobs 2 > '${SERVE_LOG}' 2>&1 & echo $!"
-    OUTPUT_VARIABLE DAEMON_PID
-    OUTPUT_STRIP_TRAILING_WHITESPACE)
-foreach(attempt RANGE 60)
-  if(EXISTS "${SOCKET}")
-    break()
+# Starts a daemon on ${SOCKET} over ${CACHE_DIR} detached (output to
+# ${SERVE_LOG}, so this script does not block on the pipe), with any
+# extra serve flags, and waits for the socket to appear.
+macro(start_daemon)
+  execute_process(
+      COMMAND sh -c "'${DDTR_CLI}' serve --socket '${SOCKET}' \
+--cache-dir '${CACHE_DIR}' --jobs 2 ${ARGN} > '${SERVE_LOG}' 2>&1 & echo $!"
+      OUTPUT_VARIABLE DAEMON_PID
+      OUTPUT_STRIP_TRAILING_WHITESPACE)
+  foreach(attempt RANGE 60)
+    if(EXISTS "${SOCKET}")
+      break()
+    endif()
+    execute_process(COMMAND ${CMAKE_COMMAND} -E sleep 0.5)
+  endforeach()
+  if(NOT EXISTS "${SOCKET}")
+    fail("daemon never bound ${SOCKET}")
   endif()
-  execute_process(COMMAND ${CMAKE_COMMAND} -E sleep 0.5)
-endforeach()
-if(NOT EXISTS "${SOCKET}")
-  fail("daemon never bound ${SOCKET}")
-endif()
+endmacro()
+
+# Waits until the daemon has removed its socket file.
+function(wait_socket_gone)
+  foreach(attempt RANGE 60)
+    if(NOT EXISTS "${SOCKET}")
+      return()
+    endif()
+    execute_process(COMMAND ${CMAKE_COMMAND} -E sleep 0.5)
+  endforeach()
+  fail("daemon did not remove its socket file on shutdown")
+endfunction()
+
+# 1. Start a traced daemon.
+start_daemon("--trace '${SERVE_TRACE}'")
 
 # 2. Cold submission: executes simulations, stores records, writes the
 #    result records to a file.
@@ -93,26 +114,57 @@ endif()
 run_cli(TRUE stats_out stats --socket ${SOCKET})
 if(NOT stats_out MATCHES "jobs submitted +2 *\n"
    OR NOT stats_out MATCHES "\n1 +url +done "
-   OR NOT stats_out MATCHES "\n2 +url +done ")
-  fail("stats does not list 2 done url jobs:\n${stats_out}")
+   OR NOT stats_out MATCHES "\n2 +url +done "
+   OR NOT stats_out MATCHES "cache hits")
+  fail("stats does not list 2 done url jobs and the cache hits:\n${stats_out}")
 endif()
 
-# 5. Clean shutdown: socket removed, the runs' cache file on disk.
-run_cli(TRUE bye_out shutdown --socket ${SOCKET})
+# 5. SIGTERM drains the daemon: socket removed, the trace written on the
+#    way out (its log line is the last the daemon prints) and valid, the
+#    runs' cache file on disk and intact.
+execute_process(COMMAND kill -TERM ${DAEMON_PID})
+wait_socket_gone()
 foreach(attempt RANGE 60)
-  if(NOT EXISTS "${SOCKET}")
+  file(READ "${SERVE_LOG}" serve_log)
+  if(serve_log MATCHES "wrote [0-9]+ trace events")
     break()
   endif()
   execute_process(COMMAND ${CMAKE_COMMAND} -E sleep 0.5)
 endforeach()
-if(EXISTS "${SOCKET}")
-  fail("daemon did not remove its socket file on shutdown")
+if(NOT serve_log MATCHES "wrote [0-9]+ trace events")
+  fail("daemon did not write its trace after SIGTERM")
+endif()
+set(DAEMON_PID "")
+run_cli(TRUE tracecheck_out tracecheck ${SERVE_TRACE})
+if(NOT tracecheck_out MATCHES ": OK")
+  fail("daemon trace is invalid:\n${tracecheck_out}")
 endif()
 if(NOT EXISTS "${CACHE_DIR}/sim_cache.ddtr")
   fail("daemon left no cache file after its runs")
 endif()
+run_cli(TRUE verify_out cache verify ${CACHE_DIR})
+if(NOT verify_out MATCHES "cache verify: OK")
+  fail("cache verify failed on the daemon's cache dir:\n${verify_out}")
+endif()
 
-# 6. The cache file is genuinely warm: a plain (daemon-less) explore
+# 6. A fresh daemon over the same cache dir starts warm: its first
+#    submission already executes nothing, with byte-identical records.
+start_daemon()
+run_cli(TRUE restart_out
+        submit --socket ${SOCKET} --app url --scale 0.05
+        --log ${WORK_DIR}/restart.records)
+if(NOT restart_out MATCHES "executed simulations: +0 of")
+  fail("a restarted daemon re-executed simulations:\n${restart_out}")
+endif()
+file(READ "${WORK_DIR}/restart.records" restart_bytes)
+if(NOT cold_bytes STREQUAL restart_bytes)
+  fail("the restarted daemon's records differ from the cold run's")
+endif()
+run_cli(TRUE bye_out shutdown --socket ${SOCKET})
+wait_socket_gone()
+set(DAEMON_PID "")
+
+# 7. The cache file is genuinely warm: a plain (daemon-less) explore
 #    over the same directory replays everything.
 run_cli(TRUE replay_out
         explore --app url --scale 0.05 --cache-dir ${CACHE_DIR})

@@ -352,7 +352,7 @@ int cmd_cache(const CommandLine& args) {
   const std::string& dir = args.positional[1];
 
   if (op == "stats") {
-    const core::CacheStats stats = core::inspect_cache(dir);
+    const core::CacheInspection stats = core::inspect_cache(dir);
     support::TextTable table({"property", "value"});
     table.add_row({"directory", dir});
     table.add_row({"file", stats.present ? "present" : "absent"});
@@ -382,7 +382,7 @@ int cmd_cache(const CommandLine& args) {
 
   if (op == "verify") {
     const std::string path = core::PersistentSimulationCache(dir).file_path();
-    const auto check = core::PersistentSimulationCache::check_file(path);
+    const core::CacheInspection check = core::inspect_cache(dir);
     support::TextTable table({"file", "header", "entries", "corrupt",
                               "torn tail bytes"});
     if (!check.present) {
@@ -393,8 +393,8 @@ int cmd_cache(const CommandLine& args) {
       table.add_row({path, "empty", "0", "0", "0"});
     } else {
       table.add_row({path, check.header_valid ? "ok" : "INVALID",
-                     std::to_string(check.entries_ok),
-                     std::to_string(check.entries_corrupt),
+                     std::to_string(check.entries + check.duplicates),
+                     std::to_string(check.corrupt),
                      std::to_string(check.trailing_bytes)});
     }
     table.print(std::cout);
