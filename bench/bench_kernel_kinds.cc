@@ -1,11 +1,12 @@
-// Kernel time per DDT kind: for every registered study and every kind
-// legal on its slot 0, the median wall time of one NetworkApplication::run
-// of the composition diagonal that puts that kind on slot 0 (diagonal d
-// holds K_s[min(d, |K_s| - 1)] on slot s, as the explorer runs it), on
-// the study's representative scenario at DDTR_BENCH_SCALE. One discarded
-// run per study first fills the app's per-trace memos, so the timings are
-// the steady state every later kernel run of a scenario sees. Prints an
-// app x kind table.
+// Kernel time per DDT kind and slot: for every registered study, every
+// slot s and every kind k legal on it, the median wall time of one
+// NetworkApplication::run of the combination that puts k on slot s and
+// AR (legal on every slot) on every other slot, on the study's
+// representative scenario at DDTR_BENCH_SCALE. So a cell is charged to
+// the slot that pays it, never to the kind a composition diagonal
+// happens to pair it with. One discarded run per study first fills the
+// app's per-trace memos, so the timings are the steady state every later
+// kernel run of a scenario sees. Prints one row per app x slot.
 //
 // A second table prices what step 2 actually pays: per app, one
 // exploration of the reduced flow names its survivors, then the median
@@ -28,13 +29,11 @@ using namespace ddtr;
 
 constexpr int kRepetitions = 7;
 
-// The explorer's diagonal `d` over the per-slot kind sets.
-ddt::DdtCombination diagonal(
-    const std::vector<std::vector<ddt::DdtKind>>& sets, std::size_t d) {
-  std::vector<ddt::DdtKind> kinds;
-  for (const auto& set : sets) {
-    kinds.push_back(set[std::min(d, set.size() - 1)]);
-  }
+// `kind` on slot `slot` of a `slots`-slot study, AR on every other slot.
+ddt::DdtCombination on_slot(std::size_t slots, std::size_t slot,
+                            ddt::DdtKind kind) {
+  std::vector<ddt::DdtKind> kinds(slots, ddt::DdtKind::kArray);
+  kinds[slot] = kind;
   return ddt::DdtCombination(std::move(kinds));
 }
 
@@ -75,45 +74,54 @@ Step2Cost step2_cost(const core::CaseStudy& study) {
 }  // namespace
 
 int main() {
-  std::vector<std::string> header = {"Application", "scenario"};
+  std::vector<std::string> header = {"Application", "slot", "scenario"};
   for (const ddt::DdtKind kind : ddt::kAllDdtKinds) {
     header.emplace_back(ddt::to_string(kind));
   }
   support::TextTable table(std::move(header));
-  std::ostringstream apps_json;
-  apps_json << '[';
+  std::ostringstream slots_json;
+  slots_json << '[';
 
   const std::vector<std::string> names = api::registry().names();
-  for (std::size_t a = 0; a < names.size(); ++a) {
+  bool first_row = true;
+  for (const std::string& name : names) {
     const core::CaseStudy study =
-        api::registry().make_study(names[a], bench::bench_options());
+        api::registry().make_study(name, bench::bench_options());
     const core::Scenario& scenario = study.scenarios[study.representative];
     const auto sets = study.slot_kind_sets();
-    scenario.app->run(*scenario.trace, diagonal(sets, 0));  // fills memos
+    // Fills the per-trace memos.
+    scenario.app->run(*scenario.trace,
+                      on_slot(sets.size(), 0, ddt::DdtKind::kArray));
 
-    std::vector<std::string> row(2 + ddt::kAllDdtKinds.size(), "-");
-    row[0] = study.name;
-    row[1] = scenario.label();
-    if (a > 0) apps_json << ',';
-    apps_json << "{\"app\":\"" << study.name << "\",\"scenario\":\""
-              << scenario.label() << "\",\"run_ms\":{";
-    for (std::size_t d = 0; d < sets[0].size(); ++d) {
-      const ddt::DdtKind kind = sets[0][d];
-      const double ms = median_run_ms(scenario, diagonal(sets, d));
-      const auto column = std::find(ddt::kAllDdtKinds.begin(),
-                                    ddt::kAllDdtKinds.end(), kind) -
-                          ddt::kAllDdtKinds.begin();
-      row[2 + static_cast<std::size_t>(column)] =
-          support::format_double(ms, 3);
-      apps_json << (d > 0 ? "," : "") << '"' << ddt::to_string(kind)
-                << "\":" << ms;
+    for (std::size_t slot = 0; slot < sets.size(); ++slot) {
+      std::vector<std::string> row(3 + ddt::kAllDdtKinds.size(), "-");
+      row[0] = study.name;
+      row[1] = std::to_string(slot);
+      row[2] = scenario.label();
+      if (!first_row) slots_json << ',';
+      first_row = false;
+      slots_json << "{\"app\":\"" << study.name << "\",\"slot\":" << slot
+                 << ",\"scenario\":\"" << scenario.label()
+                 << "\",\"run_ms\":{";
+      for (std::size_t k = 0; k < sets[slot].size(); ++k) {
+        const ddt::DdtKind kind = sets[slot][k];
+        const double ms =
+            median_run_ms(scenario, on_slot(sets.size(), slot, kind));
+        const auto column = std::find(ddt::kAllDdtKinds.begin(),
+                                      ddt::kAllDdtKinds.end(), kind) -
+                            ddt::kAllDdtKinds.begin();
+        row[3 + static_cast<std::size_t>(column)] =
+            support::format_double(ms, 3);
+        slots_json << (k > 0 ? "," : "") << '"' << ddt::to_string(kind)
+                   << "\":" << ms;
+      }
+      slots_json << "}}";
+      table.add_row(std::move(row));
     }
-    apps_json << "}}";
-    table.add_row(std::move(row));
   }
-  apps_json << ']';
+  slots_json << ']';
 
-  std::cout << "== Kernel run() ms per slot-0 kind (composition diagonal, "
+  std::cout << "== Kernel run() ms per slot and kind (other slots on AR, "
                "representative scenario, median of "
             << kRepetitions << ") ==\n\n";
   table.print(std::cout);
@@ -147,7 +155,7 @@ int main() {
 
   bench::BenchJson json("bench_kernel_kinds");
   json.field("repetitions", static_cast<std::uint64_t>(kRepetitions))
-      .raw("apps", apps_json.str())
+      .raw("slots", slots_json.str())
       .raw("step2", step2_json.str());
   json.emit();
   return 0;

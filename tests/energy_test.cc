@@ -2,10 +2,19 @@
 // deterministic and monotone — these tests pin exactly those properties.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <sstream>
+#include <string>
+#include <utility>
+
+#include "core/case_studies.h"
 #include "energy/energy_model.h"
 #include "energy/memory_hierarchy.h"
 #include "energy/metrics.h"
 #include "energy/sram_macro.h"
+#include "profiling/memory_profile.h"
+#include "support/rng.h"
 
 namespace ddtr::energy {
 namespace {
@@ -127,6 +136,71 @@ TEST(EnergyModel, EnergyMonotoneInAccesses) {
     EXPECT_GT(m.energy_mj, prev);
     prev = m.energy_mj;
   }
+}
+
+// The premise of per-slot dominance pruning: raising any one counter of a
+// run never lowers any of its metrics. Seeded random counters (each field
+// 0 to 2^40, scale drawn per field), every field raised in turn by a
+// random amount, under both hierarchies and the paper's model.
+using CounterField = std::uint64_t prof::ProfileCounters::*;
+constexpr std::array<std::pair<CounterField, const char*>, 9>
+    kCounterFields = {{
+    {&prof::ProfileCounters::reads, "reads"},
+    {&prof::ProfileCounters::writes, "writes"},
+    {&prof::ProfileCounters::bytes_read, "bytes_read"},
+    {&prof::ProfileCounters::bytes_written, "bytes_written"},
+    {&prof::ProfileCounters::allocations, "allocations"},
+    {&prof::ProfileCounters::deallocations, "deallocations"},
+    {&prof::ProfileCounters::live_bytes, "live_bytes"},
+    {&prof::ProfileCounters::peak_bytes, "peak_bytes"},
+    {&prof::ProfileCounters::cpu_ops, "cpu_ops"},
+}};
+static_assert(sizeof(prof::ProfileCounters) ==
+                  kCounterFields.size() * sizeof(std::uint64_t),
+              "a new counter field must join kCounterFields");
+
+// Uniform in [0, 2^bits) for a bits drawn uniformly from [0, 40]: every
+// magnitude from empty runs to 10^12 is drawn about equally often.
+std::uint64_t draw_counter(support::Rng& rng) {
+  const std::uint64_t bits = rng.uniform(0, 40);
+  return bits == 0 ? 0 : rng.next_u64() >> (64 - bits);
+}
+
+TEST(EnergyModel, NoMetricDecreasesWhenAnyCounterRises) {
+  const std::array<std::pair<const char*, EnergyModel>, 3> models = {{
+      {"scratchpad", EnergyModel{MemoryHierarchy::scratchpad()}},
+      {"cached", EnergyModel{MemoryHierarchy::cached()}},
+      {"paper", core::make_paper_energy_model()},
+  }};
+  support::Rng rng(20);
+  std::size_t violations = 0;
+  std::string first;
+  for (int draw = 0; draw < 4000; ++draw) {
+    prof::ProfileCounters base;
+    for (const auto& [field, name] : kCounterFields) {
+      base.*field = draw_counter(rng);
+    }
+    for (const auto& [field, field_name] : kCounterFields) {
+      prof::ProfileCounters raised = base;
+      raised.*field += 1 + draw_counter(rng);
+      for (const auto& [model_name, model] : models) {
+        const auto before = model.evaluate(base).as_array();
+        const auto after = model.evaluate(raised).as_array();
+        for (std::size_t m = 0; m < kMetricCount; ++m) {
+          if (after[m] >= before[m]) continue;
+          if (violations++ == 0) {
+            std::ostringstream os;
+            os << model_name << ": raising " << field_name << " of {"
+               << base << "} to " << raised.*field << " lowers "
+               << kMetricNames[m] << " " << before[m] << " -> "
+               << after[m];
+            first = os.str();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(violations, 0u) << first;
 }
 
 TEST(Dominates, StrictAndEqualCases) {

@@ -1,6 +1,6 @@
-// Entry point of the project linter: the `lint` ctest, the CI lint job
-// and pre-commit hooks all run this binary, which needs nothing but the
-// lint sources themselves.
+// Entry point of the project linter: the `lint` ctest and pre-commit
+// hooks run this binary, which needs nothing but the lint sources
+// themselves.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -11,27 +11,17 @@ namespace {
 
 int usage() {
   std::cerr
-      << "usage: ddtr_lint [--repo-root DIR] [--update-accounting]\n"
-         "                 [--fix [--dry-run]] [--diff REF]\n"
-         "                 [--compile-commands FILE] [PATH ...]\n"
+      << "usage: ddtr_lint [--repo-root DIR] [--update-accounting] [PATH ...]\n"
          "  Scans every *.h/*.cc/*.cpp under the given files/directories\n"
-         "  (default: src tests tools bench under the repo root) against\n"
-         "  the project's invariant rules, the layering/include and\n"
-         "  lock-order whole-program passes, and the accounting-version\n"
-         "  registry check. Exits 1 when anything is found.\n"
+         "  (default: src tests tools bench examples under the repo root)\n"
+         "  against the project's invariant rules, the layering and\n"
+         "  include-cycle passes, and the accounting-version registry\n"
+         "  check. Exits 1 when anything is found.\n"
          "  --repo-root DIR       tree containing src/ and tools/lint/\n"
          "                        (default: .)\n"
          "  --update-accounting   re-record tools/lint/accounting.lock\n"
          "                        (refused if kDdtAccountingVersion was\n"
          "                        not bumped alongside a table change)\n"
-         "  --fix                 repair the mechanical families in place\n"
-         "                        (missing #pragma once, unused includes,\n"
-         "                        include order) and report what remains\n"
-         "  --dry-run             with --fix: print unified diffs only\n"
-         "  --diff REF            report only findings in files changed\n"
-         "                        vs the git ref (registry checks stay)\n"
-         "  --compile-commands F  seed the scan with the translation\n"
-         "                        units of a compile_commands.json\n"
          "  Suppress a finding with `// ddtr-lint: allow(<rule>)` on the\n"
          "  same or preceding line; a file with allow-file(<rule>).\n";
   return 2;
@@ -49,18 +39,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--repo-root") {
       if (i + 1 >= argc) return usage();
       options.repo_root = argv[++i];
-    } else if (arg == "--fix") {
-      options.fix = true;
-    } else if (arg == "--dry-run") {
-      options.dry_run = true;
-    } else if (arg == "--diff") {
-      if (i + 1 >= argc) return usage();
-      options.diff_ref = argv[++i];
-    } else if (arg == "--compile-commands") {
-      if (i + 1 >= argc) return usage();
-      options.compile_commands = argv[++i];
-    } else if (arg == "--help" || arg == "-h") {
-      return usage();
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "ddtr_lint: unknown flag " << arg << "\n";
       return usage();
@@ -69,7 +47,7 @@ int main(int argc, char** argv) {
     }
   }
   if (options.roots.empty()) {
-    for (const char* dir : {"src", "tests", "tools", "bench"}) {
+    for (const char* dir : {"src", "tests", "tools", "bench", "examples"}) {
       options.roots.push_back(options.repo_root + "/" + dir);
     }
   }

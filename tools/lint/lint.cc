@@ -1,12 +1,9 @@
 #include "lint.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <ostream>
 #include <regex>
 #include <set>
@@ -15,8 +12,6 @@
 #include <tuple>
 
 #include "deps.h"
-#include "fix.h"
-#include "locks.h"
 #include "scan.h"
 #include "support/fnv_hash.h"
 
@@ -98,8 +93,7 @@ void rule_header_hygiene(const std::string& path, const Scrubbed& s,
   if (s.code.find("#pragma once") == std::string::npos) {
     out.push_back({path, 1, "header-hygiene",
                    "header is missing `#pragma once`",
-                   "add `#pragma once` as the first directive "
-                   "(autofixable: `ddtr_lint --fix`)"});
+                   "add `#pragma once` as the first directive"});
   }
   static const std::regex using_ns(R"(\busing\s+namespace\b)");
   for (std::size_t line = 1; line <= s.line_off.size(); ++line) {
@@ -302,13 +296,6 @@ std::vector<Finding> lint_source(const std::string& path,
 
 namespace {
 
-std::string trimmed(const std::string& s) {
-  const auto b = s.find_first_not_of(" \t\r");
-  if (b == std::string::npos) return "";
-  const auto e = s.find_last_not_of(" \t\r");
-  return s.substr(b, e - b + 1);
-}
-
 // Appends the normalized text of every marked accounting region of one
 // file to the running checksum. Marker comments themselves, blank lines
 // and comment-only lines are excluded, so commentary and formatting can
@@ -490,109 +477,28 @@ bool update_accounting(const std::string& repo_root, std::string& error) {
 
 namespace {
 
-// Files changed vs a git ref (plus untracked files), repo-relative.
-// nullopt when git is unavailable or the ref is malformed.
-std::optional<std::set<std::string>> git_changed_files(
-    const std::string& repo_root, const std::string& ref) {
-#ifdef _WIN32
-  (void)repo_root;
-  (void)ref;
-  return std::nullopt;
-#else
-  const bool ref_ok =
-      !ref.empty() &&
-      std::all_of(ref.begin(), ref.end(), [](char c) {
-        return std::isalnum(static_cast<unsigned char>(c)) != 0 ||
-               c == '_' || c == '-' || c == '.' || c == '/' || c == '~' ||
-               c == '^' || c == '@';
-      });
-  if (!ref_ok) return std::nullopt;
-  std::set<std::string> changed;
-  const std::string root = repo_root.empty() ? "." : repo_root;
-  for (const std::string& cmd :
-       {"git -C '" + root + "' diff --name-only '" + ref +
-            "' -- 2>/dev/null",
-        "git -C '" + root + "' ls-files --others --exclude-standard "
-            "2>/dev/null"}) {
-    FILE* pipe = popen(cmd.c_str(), "r");
-    if (pipe == nullptr) return std::nullopt;
-    char buf[4096];
-    std::string text;
-    while (fgets(buf, sizeof(buf), pipe) != nullptr) text += buf;
-    const int rc = pclose(pipe);
-    if (rc != 0) return std::nullopt;
-    std::istringstream lines(text);
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (!line.empty()) changed.insert(normalize_path(line));
-    }
-  }
-  return changed;
-#endif
-}
-
-bool fix_scope(const std::string& path) {
-  return path.rfind("src/", 0) == 0 || path.rfind("tools/", 0) == 0;
-}
-
-struct TreeScan {
-  std::vector<SourceFile> files;            // path = repo-relative
-  std::vector<std::filesystem::path> disk;  // same index: where to write
-};
-
-// One full analysis over the scanned tree: per-file rules, include
-// order, the dependency/layering pass and the lock-order pass, with
-// suppressions applied to everything.
-std::vector<Finding> collect_findings(
-    const TreeScan& tree, const LintConfig& config,
-    const LayerContract& contract,
-    std::map<std::string, std::set<std::size_t>>* removable) {
+// One full analysis over the scanned tree: per-file rules and the
+// dependency/layering pass, with suppressions applied to everything.
+std::vector<Finding> collect_findings(const std::vector<SourceFile>& files,
+                                      const LintConfig& config,
+                                      const LayerContract& contract) {
   std::vector<Finding> findings;
   std::map<std::string, const SourceFile*> by_path;
-  for (const SourceFile& f : tree.files) by_path[f.path] = &f;
-
-  for (const SourceFile& f : tree.files) {
+  for (const SourceFile& f : files) {
+    by_path[f.path] = &f;
     std::vector<Finding> per = lint_file(f, config);
     findings.insert(findings.end(), per.begin(), per.end());
-    if (fix_scope(f.path)) check_include_order(f, findings);
   }
 
-  std::vector<SourceFile> srcs;
-  for (const SourceFile& f : tree.files) {
-    if (f.path.rfind("src/", 0) == 0) srcs.push_back(f);
-  }
-  DepAnalysis deps = analyze_dependencies(srcs, contract);
-  findings.insert(findings.end(), deps.findings.begin(),
-                  deps.findings.end());
-  if (removable != nullptr) *removable = std::move(deps.removable);
-
-  std::vector<Finding> locks = check_locks(srcs);
-  findings.insert(findings.end(), locks.begin(), locks.end());
-
-  // Whole-program passes emit raw findings; honor suppressions here.
-  findings.erase(
-      std::remove_if(findings.begin(), findings.end(),
-                     [&](const Finding& f) {
-                       auto it = by_path.find(f.path);
-                       return it != by_path.end() &&
-                              suppressed(it->second->scrubbed, f);
-                     }),
-      findings.end());
-  // A suppressed include-unused must not be auto-removed either.
-  if (removable != nullptr) {
-    for (auto& [path, lines] : *removable) {
-      auto it = by_path.find(path);
-      if (it == by_path.end()) continue;
-      for (auto line_it = lines.begin(); line_it != lines.end();) {
-        Finding probe{path, *line_it, "include-unused", "", ""};
-        if (suppressed(it->second->scrubbed, probe)) {
-          line_it = lines.erase(line_it);
-        } else {
-          ++line_it;
-        }
-      }
-    }
-  }
+  std::vector<Finding> deps = analyze_dependencies(files, contract);
+  // The whole-program pass emits raw findings; honor suppressions here.
+  deps.erase(std::remove_if(deps.begin(), deps.end(),
+                            [&](const Finding& f) {
+                              return suppressed(by_path.at(f.path)->scrubbed,
+                                                f);
+                            }),
+             deps.end());
+  findings.insert(findings.end(), deps.begin(), deps.end());
 
   std::stable_sort(findings.begin(), findings.end(),
                    [](const Finding& a, const Finding& b) {
@@ -636,32 +542,12 @@ std::size_t run_lint(const RunOptions& options, std::ostream& out) {
       out << "ddtr_lint: warning: no such path: " << root << "\n";
     }
   }
-  // A compile_commands.json contributes its translation units — the
-  // build's ground truth of what is actually compiled (generated or
-  // out-of-root files would only be visible here).
-  if (!options.compile_commands.empty()) {
-    if (auto cc = compile_commands_files(options.compile_commands,
-                                         options.repo_root)) {
-      for (const std::string& f : *cc) {
-        const fs::path p = fs::path(options.repo_root.empty()
-                                        ? "."
-                                        : options.repo_root) /
-                           f;
-        std::error_code ec;
-        if (fs::is_regular_file(p, ec)) paths.push_back(p);
-      }
-    } else {
-      out << "ddtr_lint: warning: cannot read compile database "
-          << options.compile_commands << "\n";
-    }
-  }
   std::sort(paths.begin(), paths.end());
-  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
 
   // Scan once; every pass shares the records. Paths are normalized to
   // be repo-relative so rule scopes and the module graph line up no
   // matter how the roots were spelled.
-  TreeScan tree;
+  std::vector<SourceFile> files;
   std::set<std::string> seen;
   const fs::path root_path(options.repo_root.empty() ? "."
                                                      : options.repo_root);
@@ -673,63 +559,18 @@ std::size_t run_lint(const RunOptions& options, std::ostream& out) {
     }
     if (!seen.insert(rel).second) continue;
     if (auto content = read_file_text(p.string())) {
-      tree.files.push_back(make_source_file(rel, std::move(*content)));
-      tree.disk.push_back(p);
+      files.push_back(make_source_file(rel, *content));
     } else {
       out << "ddtr_lint: warning: cannot read " << p.string() << "\n";
     }
   }
 
-  std::map<std::string, std::set<std::size_t>> removable;
-  std::vector<Finding> findings =
-      collect_findings(tree, config, contract, &removable);
+  std::vector<Finding> findings = collect_findings(files, config, contract);
   if (!layers_error.empty()) {
     findings.insert(findings.begin(),
                     {kLayersLockPath, 1, "layering", layers_error,
                      "fix the contract file; the layering pass is "
                      "skipped until it parses"});
-  }
-
-  // --fix: apply the mechanical repairs, then re-run the analysis on
-  // the repaired tree so the report shows what remains.
-  if (options.fix) {
-    std::size_t fixed = 0;
-    for (std::size_t i = 0; i < tree.files.size(); ++i) {
-      SourceFile& f = tree.files[i];
-      if (!fix_scope(f.path)) continue;
-      const auto rem_it = removable.find(f.path);
-      const std::set<std::size_t> rem = rem_it != removable.end()
-                                            ? rem_it->second
-                                            : std::set<std::size_t>{};
-      const std::optional<FileFix> fix = fix_source(f, rem);
-      if (!fix) continue;
-      ++fixed;
-      if (options.dry_run) {
-        out << unified_diff(f.content, fix->after, f.path);
-        continue;
-      }
-      std::ofstream os(tree.disk[i], std::ios::binary | std::ios::trunc);
-      os << fix->after;
-      if (!os.good()) {
-        out << "ddtr_lint: error: cannot write " << tree.disk[i].string()
-            << "\n";
-        continue;
-      }
-      out << "ddtr_lint: fixed " << f.path;
-      for (const std::string& note : fix->notes) out << " [" << note << "]";
-      out << "\n";
-      f = make_source_file(f.path, fix->after);
-    }
-    if (options.dry_run) {
-      out << "ddtr_lint: --dry-run: " << fixed
-          << " file(s) would be rewritten\n";
-    } else if (fixed != 0) {
-      findings = collect_findings(tree, config, contract, nullptr);
-      if (!layers_error.empty()) {
-        findings.insert(findings.begin(),
-                        {kLayersLockPath, 1, "layering", layers_error, ""});
-      }
-    }
   }
 
   if (!options.repo_root.empty()) {
@@ -745,41 +586,13 @@ std::size_t run_lint(const RunOptions& options, std::ostream& out) {
     findings.insert(findings.end(), f.begin(), f.end());
   }
 
-  // --diff REF: report only findings in files changed vs the ref (the
-  // registry/contract checks are global and always reported).
-  if (!options.diff_ref.empty()) {
-    const auto changed = git_changed_files(options.repo_root,
-                                           options.diff_ref);
-    if (!changed) {
-      out << "ddtr_lint: warning: cannot resolve --diff "
-          << options.diff_ref << " (is this a git checkout?); "
-          << "reporting all findings\n";
-    } else {
-      const std::size_t before = findings.size();
-      findings.erase(
-          std::remove_if(findings.begin(), findings.end(),
-                         [&](const Finding& f) {
-                           if (f.path == kAccountingLockPath ||
-                               f.path == kLayersLockPath ||
-                               f.path == "src/ddt/kinds.h") {
-                             return false;
-                           }
-                           return changed->count(f.path) == 0;
-                         }),
-          findings.end());
-      out << "ddtr_lint: --diff " << options.diff_ref << ": "
-          << changed->size() << " changed file(s), " << before
-          << " finding(s) before restriction\n";
-    }
-  }
-
   for (const Finding& f : findings) {
     out << f.path << ":" << f.line << ": [" << f.rule << "] " << f.message
         << "\n";
     if (!f.fixit.empty()) out << "    hint: " << f.fixit << "\n";
   }
   out << "ddtr_lint: " << findings.size() << " finding(s) in "
-      << tree.files.size() << " file(s) scanned\n";
+      << files.size() << " file(s) scanned\n";
   return findings.size();
 }
 

@@ -35,24 +35,18 @@
 //   header-hygiene     headers use `#pragma once` and never
 //                      `using namespace` at any scope.
 //
-// v2 adds three whole-program passes over the same scanner core (see
-// deps.h, locks.h, fix.h for the machinery):
+// Two whole-program passes run over the same scanner core (deps.h):
 //
 //   layering           every src/ module's include edges must be
 //                      declared in tools/lint/layers.lock.
 //   include-cycle      no cycle through project includes.
-//   include-unused     a direct include none of whose names are used
-//                      (and whose closure stays reachable without it)
-//                      is dead weight. Autofixable.
-//   include-transitive a name reached only through a middleman header
-//                      should be included directly.
-//   include-order      include regions follow the canonical grouping
-//                      (primary, <c++-std>, <system.h>, "project",
-//                      alphabetical within groups). Autofixable.
-//   lock-order         no acquisition cycles in the global mutex graph,
-//                      no re-acquisition of a held mutex (directly or
-//                      through a same-file call edge).
-//   cv-wait            condition-variable waits take a predicate.
+//
+// Include hygiene and lock order are deliberately not rules. An unused,
+// misordered or transitively reached include builds warning-clean and
+// leaves every record byte-identical, so no contract rides on it. Lock
+// order is TSan's: its deadlock detector sees every inversion the
+// threaded suites execute, across files and call chains, where a scan
+// of one file sees only nested guards within it.
 #pragma once
 
 #include <cstdint>
@@ -108,7 +102,7 @@ struct AccountingState {
 inline constexpr const char* kAccountingLockPath = "tools/lint/accounting.lock";
 
 // Computes the accounting state of the tree rooted at `repo_root`
-// (reads src/ddt/, src/support/arena.*, and the lock file).
+// (reads every marked region under src/, and the lock file).
 AccountingState read_accounting_state(const std::string& repo_root);
 
 // The accounting-version rule over a precomputed state. Split from the
@@ -128,18 +122,12 @@ struct RunOptions {
   std::string repo_root;  // for the registries + whole-program passes;
                           // "" skips both
   bool update_accounting = false;
-  bool fix = false;       // apply mechanical repairs in place
-  bool dry_run = false;   // with fix: print unified diffs, write nothing
-  std::string diff_ref;   // restrict findings to files changed vs a ref
-  std::string compile_commands;  // optional compile_commands.json path
 };
 
 // Scans every *.h/*.cc/*.cpp under the roots once, runs the per-file
-// rules plus the whole-program passes (layering/IWYU over src/, lock
-// order, include order, the accounting registry), prints findings to
-// `out`, and returns the number of findings (0 means a clean tree).
-// With `fix` set the mechanical families are repaired first and the
-// count reflects the tree after repair.
+// rules plus the whole-program passes (layering and include cycles over
+// src/, the accounting registry), prints findings to `out`, and returns
+// the number of findings (0 means a clean tree).
 std::size_t run_lint(const RunOptions& options, std::ostream& out);
 
 }  // namespace ddtr::lint

@@ -7,9 +7,13 @@
 
 namespace ddtr::lint {
 
+namespace {
+
 bool ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
+
+}  // namespace
 
 Scrubbed scrub(const std::string& text) {
   Scrubbed out;
@@ -120,8 +124,6 @@ bool is_keyword(std::string_view id) {
                      [&](const char* k) { return id == k; });
 }
 
-}  // namespace
-
 std::vector<FuncDef> find_functions(const Scrubbed& s) {
   std::vector<FuncDef> defs;
   const std::string& code = s.code;
@@ -197,6 +199,8 @@ std::vector<FuncDef> find_functions(const Scrubbed& s) {
   return defs;
 }
 
+}  // namespace
+
 const FuncDef* enclosing_function(const std::vector<FuncDef>& defs,
                                   std::size_t offset) {
   const FuncDef* best = nullptr;
@@ -207,31 +211,24 @@ const FuncDef* enclosing_function(const std::vector<FuncDef>& defs,
   return best;
 }
 
+namespace {
+
+// `raw` is the unscrubbed content: the string scrubber blanks quoted
+// targets in the code view.
 std::vector<IncludeDirective> find_includes(const Scrubbed& s,
                                             const std::string& raw) {
   std::vector<IncludeDirective> out;
-  int if_depth = 0;
   for (std::size_t line = 1; line <= s.line_off.size(); ++line) {
     const std::string text = code_line(s, line);
     std::size_t p = text.find_first_not_of(" \t");
     if (p == std::string::npos || text[p] != '#') continue;
     ++p;
     p = text.find_first_not_of(" \t", p);
-    if (p == std::string::npos) continue;
-    if (text.compare(p, 2, "if") == 0) {
-      ++if_depth;
-      continue;
-    }
-    if (text.compare(p, 5, "endif") == 0) {
-      if (if_depth > 0) --if_depth;
-      continue;
-    }
-    if (text.compare(p, 7, "include") != 0) continue;
+    if (p == std::string::npos || text.compare(p, 7, "include") != 0) continue;
     p = text.find_first_not_of(" \t", p + 7);
     if (p == std::string::npos) continue;
     IncludeDirective inc;
     inc.line = line;
-    inc.conditional = if_depth > 0;
     char close = '\0';
     if (text[p] == '<') {
       inc.angle = true;
@@ -255,6 +252,8 @@ std::vector<IncludeDirective> find_includes(const Scrubbed& s,
   return out;
 }
 
+}  // namespace
+
 std::string normalize_path(const std::string& path) {
   std::string p = path;
   std::replace(p.begin(), p.end(), '\\', '/');
@@ -270,6 +269,15 @@ bool is_header_path(const std::string& path) {
   return p.ends_with(".h") || p.ends_with(".hpp");
 }
 
+std::string trimmed(const std::string& s) {
+  const auto b = s.find_first_not_of(" \t\r");
+  if (b == std::string::npos) return "";
+  const auto e = s.find_last_not_of(" \t\r");
+  return s.substr(b, e - b + 1);
+}
+
+namespace {
+
 bool comment_allows(const std::string& comment, const std::string& rule,
                     bool file_scope) {
   const std::string tag =
@@ -282,15 +290,14 @@ bool comment_allows(const std::string& comment, const std::string& rule,
     std::istringstream list(comment.substr(open, close - open));
     std::string item;
     while (std::getline(list, item, ',')) {
-      const auto b = item.find_first_not_of(" \t");
-      const auto e = item.find_last_not_of(" \t");
-      if (b != std::string::npos && item.substr(b, e - b + 1) == rule)
-        return true;
+      if (trimmed(item) == rule) return true;
     }
     pos = comment.find(tag, close);
   }
   return false;
 }
+
+}  // namespace
 
 bool suppressed(const Scrubbed& s, const Finding& f) {
   for (const std::string& c : s.comment) {
@@ -303,13 +310,13 @@ bool suppressed(const Scrubbed& s, const Finding& f) {
   return at(f.line) || (f.line > 1 && at(f.line - 1));
 }
 
-SourceFile make_source_file(std::string path, std::string content) {
+SourceFile make_source_file(const std::string& path,
+                            const std::string& content) {
   SourceFile file;
   file.path = normalize_path(path);
-  file.content = std::move(content);
-  file.scrubbed = scrub(file.content);
+  file.scrubbed = scrub(content);
   file.defs = find_functions(file.scrubbed);
-  file.includes = find_includes(file.scrubbed, file.content);
+  file.includes = find_includes(file.scrubbed, content);
   return file;
 }
 

@@ -1,10 +1,10 @@
-// The shared scanner core of every ddtr_lint pass. PR 8's rule engine,
-// the dependency/layering analyzer, the lock-order checker and the
-// autofix rewriter all consume the same primitives: a "code view" of the
-// file with comments and literals blanked (offsets preserved 1:1), a
-// token-level function-definition finder, an include-directive scanner,
-// and the `// ddtr-lint: allow(...)` suppression machinery. One scan per
-// file (SourceFile) feeds every pass — no file is tokenized twice.
+// The shared scanner core of every ddtr_lint pass. The per-file rules,
+// the dependency/layering analyzer and the accounting registry consume
+// the same primitives: a "code view" of the file with comments and
+// literals blanked (offsets preserved 1:1), a token-level
+// function-definition finder, an include-directive scanner, and the
+// `// ddtr-lint: allow(...)` suppression machinery. One scan per file
+// (SourceFile) feeds every pass — no file is tokenized twice.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +32,6 @@ struct Scrubbed {
 
 Scrubbed scrub(const std::string& text);
 
-bool ident_char(char c);
-
 // 1-based line number of a byte offset.
 std::size_t line_of(const Scrubbed& s, std::size_t offset);
 
@@ -54,8 +52,6 @@ struct FuncDef {
   std::size_t body_end = 0;    // offset past matching '}'
 };
 
-std::vector<FuncDef> find_functions(const Scrubbed& s);
-
 // Innermost definition whose body contains `offset` (nullptr if none).
 const FuncDef* enclosing_function(const std::vector<FuncDef>& defs,
                                   std::size_t offset);
@@ -66,15 +62,7 @@ struct IncludeDirective {
   std::size_t line = 0;  // 1-based
   bool angle = false;    // <...> vs "..."
   std::string target;    // the bytes between the delimiters
-  bool conditional = false;  // inside an #if/#ifdef/#ifndef block
 };
-
-// Every #include directive of the file, in order, with #if-nesting
-// tracked so conditional includes can be left alone by reordering and
-// removal passes. `raw` is the unscrubbed content (the string scrubber
-// blanks quoted targets in the code view).
-std::vector<IncludeDirective> find_includes(const Scrubbed& s,
-                                            const std::string& raw);
 
 // --- Path helpers -------------------------------------------------------
 
@@ -82,10 +70,10 @@ std::string normalize_path(const std::string& path);
 bool path_has(const std::string& path, std::string_view needle);
 bool is_header_path(const std::string& path);
 
-// --- Suppressions -------------------------------------------------------
+// `s` without leading and trailing blanks (spaces, tabs, CRs).
+std::string trimmed(const std::string& s);
 
-bool comment_allows(const std::string& comment, const std::string& rule,
-                    bool file_scope);
+// --- Suppressions -------------------------------------------------------
 
 // `// ddtr-lint: allow(rule)` on the finding's line or the one before;
 // `allow-file(rule)` anywhere in the file.
@@ -95,13 +83,13 @@ bool suppressed(const Scrubbed& s, const Finding& f);
 
 struct SourceFile {
   std::string path;  // normalized; repo-relative when scanned from a tree
-  std::string content;
   Scrubbed scrubbed;
   std::vector<FuncDef> defs;
-  std::vector<IncludeDirective> includes;
+  std::vector<IncludeDirective> includes;  // every #include, in order
 };
 
-SourceFile make_source_file(std::string path, std::string content);
+SourceFile make_source_file(const std::string& path,
+                            const std::string& content);
 
 // Reads a file as bytes; nullopt when unreadable.
 std::optional<std::string> read_file_text(const std::string& path);
