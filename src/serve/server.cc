@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <exception>
 #include <iterator>
@@ -8,6 +9,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -52,13 +54,32 @@ std::string format_pareto(const core::ExplorationReport& report,
 
 }  // namespace
 
-Server::Server(ServerOptions options) : options_(std::move(options)) {}
+Server::Server(ServerOptions options) : options_(std::move(options)) {
+  int wake[2] = {-1, -1};
+  if (::pipe2(wake, O_CLOEXEC | O_NONBLOCK) != 0) {
+    throw std::runtime_error("serve: pipe2() failed");
+  }
+  wake_r_ = wake[0];
+  wake_w_ = wake[1];
+}
 
 Server::~Server() {
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     ::unlink(options_.socket_path.c_str());
   }
+  ::close(wake_r_);
+  ::close(wake_w_);
+}
+
+void Server::request_stop() noexcept {
+  stop_.store(true, std::memory_order_relaxed);
+  // A full pipe (EAGAIN) already holds a wake byte. A signal handler may
+  // run here, so the interrupted code's errno survives the write.
+  const int saved_errno = errno;
+  const char byte = 0;
+  [[maybe_unused]] const ssize_t written = ::write(wake_w_, &byte, 1);
+  errno = saved_errno;
 }
 
 void Server::log_line(const std::string& line) {
@@ -118,9 +139,10 @@ void Server::serve_forever() {
 
   while (!stop_requested()) {
     reap_sessions();
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 200);
-    if (ready <= 0) continue;  // timeout / EINTR: re-check the stop flag
+    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_r_, POLLIN, 0}};
+    if (::poll(fds, 2, -1) <= 0) continue;  // EINTR: re-check the stop flag
+    // A wake byte means a stop, even before this thread sees the flag.
+    if (fds[1].revents != 0) break;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
     std::lock_guard<std::mutex> lock(conn_mu_);

@@ -22,16 +22,17 @@
 // itself, its width fixed at start by ServerOptions::jobs. Sessions still
 // multiplex: the protocol conversation, progress streaming and stats
 // queries all run concurrently, only the simulation phase queues. The
-// accept loop joins finished session threads as it goes, so a long-lived
-// daemon holds one thread per OPEN connection, not one per connection
-// ever served.
+// accept loop joins the finished session threads before each accept, so
+// a long-lived daemon holds one thread per connection that was open at
+// its last accept, not one per connection ever served.
 //
-// Shutdown: request_stop() is async-signal-safe (an atomic store — the
-// CLI's SIGTERM/SIGINT handler calls it directly). serve_forever() then
-// falls out of its accept poll, half-closes every open connection to
-// unblock parked reads, joins the session threads and removes the socket
-// file. There is nothing to flush: every run stored its new records into
-// the cache file as it finished.
+// Shutdown: request_stop() is async-signal-safe (an atomic store and a
+// one-byte write(2) to a wake pipe — the CLI's SIGTERM/SIGINT handler
+// calls it directly). The byte wakes serve_forever() out of its accept
+// poll at once; it then half-closes every open connection to unblock
+// parked reads, joins the session threads and removes the socket file.
+// There is nothing to flush: every run stored its new records into the
+// cache file as it finished.
 #pragma once
 
 #include <atomic>
@@ -96,10 +97,11 @@ class Server {
   // frame) and every in-flight session has drained. Requires start().
   void serve_forever();
 
-  // Requests a drain-and-exit. Async-signal-safe: only an atomic store,
-  // so a SIGTERM handler may call it directly; serve_forever() notices
-  // within one poll interval.
-  void request_stop() noexcept { stop_.store(true, std::memory_order_relaxed); }
+  // Requests a drain-and-exit from any thread, before or after start().
+  // Async-signal-safe (an atomic store and a write(2) to the wake pipe,
+  // errno preserved), so a SIGTERM handler may call it directly; it wakes
+  // serve_forever() at once.
+  void request_stop() noexcept;
   bool stop_requested() const noexcept {
     return stop_.load(std::memory_order_relaxed);
   }
@@ -154,6 +156,10 @@ class Server {
   ServerOptions options_;
   int listen_fd_ = -1;
   std::atomic<bool> stop_{false};
+  // Self-pipe (read end, write end), non-blocking: request_stop() writes
+  // a byte to wake_w_, serve_forever() polls wake_r_ beside listen_fd_.
+  int wake_r_ = -1;
+  int wake_w_ = -1;
   std::atomic<std::uint64_t> sessions_{0};
   // Uptime baseline, fixed at the end of start().
   std::chrono::steady_clock::time_point boot_time_{};

@@ -21,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "api/ddtr.h"
 
 namespace ddtr::core {
@@ -209,7 +211,9 @@ std::string simulate_reference(const CaseStudy& study,
 
 TEST(Composition, RecordsAreByteIdenticalToSimulateAcrossTheMatrix) {
   namespace fs = std::filesystem;
-  const fs::path root = fs::temp_directory_path() / "ddtr_composition_test";
+  const fs::path root =
+      fs::temp_directory_path() /
+      ("ddtr_composition_test_" + std::to_string(::getpid()));
   for (const char* app : kApps) {
     const CaseStudy study = small_study(app);
     for (const Step1Policy policy :

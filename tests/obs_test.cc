@@ -13,6 +13,8 @@
 #include <sstream>
 #include <string>
 
+#include <unistd.h>
+
 #include "api/ddtr.h"
 #include "obs/trace.h"
 
@@ -109,7 +111,9 @@ TEST(Trace, CheckTraceRejectsMalformedDocuments) {
 TEST(Trace, ParallelExplorationTraceIsValidAndOutputInvariant) {
   namespace fs = std::filesystem;
   const std::string dir =
-      (fs::temp_directory_path() / "ddtr_obs_trace_test").string();
+      (fs::temp_directory_path() /
+       ("ddtr_obs_trace_test_" + std::to_string(::getpid())))
+          .string();
   fs::remove_all(dir);
   fs::create_directories(dir);
 

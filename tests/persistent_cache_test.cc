@@ -32,6 +32,7 @@
 #include <vector>
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include "api/ddtr.h"
 #include "comma_locale.h"
@@ -58,13 +59,14 @@ CaseStudy tiny_url_study() {
   return study;
 }
 
-// A unique empty scratch directory per test.
+// A unique empty scratch directory per test and process.
 class PersistentCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
     dir_ = (std::filesystem::temp_directory_path() /
-            (std::string("ddtr_cache_") + info->name()))
+            ("ddtr_cache_" + std::to_string(::getpid()) + "_" +
+             info->name()))
                .string();
     std::filesystem::remove_all(dir_);
   }

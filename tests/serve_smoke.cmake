@@ -52,11 +52,17 @@ endfunction()
 
 # Starts a daemon on ${SOCKET} over ${CACHE_DIR} detached (output to
 # ${SERVE_LOG}, so this script does not block on the pipe), with any
-# extra serve flags, and waits for the socket to appear.
+# extra serve flags, and waits for the socket to appear. The daemon runs
+# under coreutils `timeout`, so it cannot outlive a killed or hung script:
+# after DAEMON_BOUND_S (far above this script's own run time) it gets a
+# SIGTERM, and a SIGKILL 30 s after any SIGTERM it has not exited on.
+# DAEMON_PID is timeout's pid; timeout forwards SIGTERM to the daemon.
+set(DAEMON_BOUND_S 300)
 macro(start_daemon)
   execute_process(
-      COMMAND sh -c "'${DDTR_CLI}' serve --socket '${SOCKET}' \
---cache-dir '${CACHE_DIR}' --jobs 2 ${ARGN} > '${SERVE_LOG}' 2>&1 & echo $!"
+      COMMAND sh -c "timeout -k 30 ${DAEMON_BOUND_S} '${DDTR_CLI}' serve \
+--socket '${SOCKET}' --cache-dir '${CACHE_DIR}' --jobs 2 ${ARGN} \
+> '${SERVE_LOG}' 2>&1 & echo $!"
       OUTPUT_VARIABLE DAEMON_PID
       OUTPUT_STRIP_TRAILING_WHITESPACE)
   foreach(attempt RANGE 60)

@@ -10,11 +10,14 @@
 // job `failed` while the daemon serves on, a malformed Error frame
 // reported as such by the client, idle traces bounded across many
 // distinct submissions, finished sessions being reaped (bounded virtual
-// memory over many connections), and drain shutdown (socket removed,
-// cache file warm for the next daemon).
+// memory over many connections), a stop waking the accept loop at once
+// (from another thread or a signal handler), and drain shutdown (socket
+// removed, cache file warm for the next daemon).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -57,6 +60,13 @@ class FaultyKernelApp final : public apps::NetworkApplication {
   }
 };
 
+// The daemon a raised signal stops, as the CLI's SIGTERM handler does.
+std::atomic<Server*> g_signal_target{nullptr};
+
+void stop_signal_target(int) {
+  if (Server* server = g_signal_target.load()) server->request_stop();
+}
+
 // This process's virtual memory size in KiB (/proc/self/status VmSize);
 // the daemon runs in-process, so its session threads' stacks count here.
 std::uint64_t vm_size_kb() {
@@ -73,11 +83,14 @@ class ServeTest : public ::testing::Test {
   void SetUp() override {
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
     dir_ = (std::filesystem::temp_directory_path() /
-            (std::string("ddtr_serve_") + info->name()))
+            ("ddtr_serve_" + std::to_string(::getpid()) + "_" +
+             info->name()))
                .string();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
     socket_ = dir_ + "/d.sock";
+    ASSERT_LT(socket_.size(), sizeof(sockaddr_un{}.sun_path))
+        << "socket path over the unix-domain limit: " << socket_;
   }
 
   void TearDown() override {
@@ -439,6 +452,44 @@ TEST_F(ServeTest, FinishedSessionsAreReaped) {
   EXPECT_LT(after_kb, before_kb + 64 * 1024)
       << "VmSize grew from " << before_kb << " KiB to " << after_kb
       << " KiB over " << kConnections << " connections";
+}
+
+TEST_F(ServeTest, StopWakesTheAcceptLoopAtOnce) {
+  // Each stop lands while the accept loop is parked in poll: the
+  // handshake proves it accepted, and it polls again right after. A
+  // timed poll would make every stop wait out part of its timeout.
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 10; ++i) {
+    start_server();
+    Client(socket_).stats();
+    std::thread([this] { server_->request_stop(); }).join();
+    thread_.join();
+    server_.reset();
+    EXPECT_FALSE(std::filesystem::exists(socket_)) << "daemon " << i;
+  }
+
+  // A process-directed SIGTERM can land on any thread, not only the
+  // accept loop's: raise one on this thread.
+  start_server();
+  Client(socket_).stats();
+  g_signal_target.store(server_.get());
+  struct sigaction action {};
+  struct sigaction previous {};
+  action.sa_handler = stop_signal_target;
+  sigemptyset(&action.sa_mask);
+  ASSERT_EQ(::sigaction(SIGTERM, &action, &previous), 0);
+  std::raise(SIGTERM);
+  ::sigaction(SIGTERM, &previous, nullptr);
+  g_signal_target.store(nullptr);
+  thread_.join();
+  server_.reset();
+  EXPECT_FALSE(std::filesystem::exists(socket_));
+
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  EXPECT_LT(elapsed_s, 0.5) << "11 idle daemons took " << elapsed_s
+                            << " s to start and stop";
 }
 
 TEST_F(ServeTest, ShutdownDrainsFlushesAndLeavesWarmCacheOnDisk) {

@@ -463,9 +463,10 @@ int cmd_pareto(const CommandLine& args) {
 
 // --- serve: the long-lived exploration daemon and its client -----------
 
-// The running daemon, for the signal handlers. request_stop() is a bare
-// atomic store, so calling it from a handler is safe; the pointer itself
-// is atomic for the same reason.
+// The running daemon, for the signal handlers. request_stop() is an
+// atomic store and a write(2) to the daemon's wake pipe (errno kept), so
+// calling it from a handler is safe; the pointer itself is atomic for the
+// same reason.
 std::atomic<serve::Server*> g_serve_server{nullptr};
 
 void on_serve_signal(int) {
