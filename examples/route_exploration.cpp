@@ -1,8 +1,8 @@
 // Route exploration end to end: looks the paper's first case study up in
 // the workload registry (IPv4 radix-tree forwarding over 7 networks x 2
 // table sizes), runs the 3-step methodology through an api::Exploration
-// session — with a live progress observer — and walks through what each
-// step produced. The programmatic version of `ddtr explore --app route`.
+// session and walks through what each step produced. The programmatic
+// version of `ddtr explore --app route`.
 //
 //   $ ./route_exploration [scale]
 #include <iostream>
@@ -24,17 +24,14 @@ int main(int argc, char** argv) {
             << study.exhaustive_simulations()
             << " exhaustive simulations)\n\n";
 
-  // One session drives all three steps; the observer sees every
-  // simulation complete (step 1 = application level on the representative
-  // scenario, step 2 = survivors x all network configurations).
+  // One session drives all three steps (step 1 = application level on
+  // the representative scenario, step 2 = survivors x all network
+  // configurations).
   api::Exploration session(study);
-  session.on_progress([](const core::StepProgress& p) {
-    if (p.total != 0 && p.done == p.total) {
-      std::cout << "step " << p.step << ": " << p.total
-                << " simulations done\n";
-    }
-  });
   const core::ExplorationReport& report = session.run();
+  std::cout << "step 1: " << report.step1_simulations
+            << " simulations done\nstep 2: " << report.step2_simulations
+            << " simulations done\n";
 
   // ---- Step 1: application-level exploration -------------------------
   std::cout << "\nstep 1 per-metric winners on "

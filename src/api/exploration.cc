@@ -37,19 +37,14 @@ Exploration& Exploration::cache_dir(std::string dir) {
   return *this;
 }
 
-Exploration& Exploration::on_progress(core::ProgressObserver observer) {
-  options_.progress = std::move(observer);
-  return *this;
-}
-
 Exploration& Exploration::trace_sink(obs::TraceWriter* sink) {
   options_.trace_sink = sink;
   return *this;
 }
 
 const core::ExplorationReport& Exploration::run() {
-  // Cleared up front: if this run throws (e.g. out of a progress
-  // observer), a stale report from an earlier run must not masquerade as
+  // Cleared up front: if this run throws (e.g. a composition guard
+  // mismatch), a stale report from an earlier run must not masquerade as
   // the new configuration's result.
   report_.reset();
   const core::ExplorationEngine engine(model_, options_);

@@ -3,16 +3,13 @@
 // options and owns the resulting report:
 //
 //   api::Exploration session(api::registry().make_study("url", options));
-//   session.jobs(4)
-//       .survivor_cap(0.2)
-//       .on_progress([](const core::StepProgress& p) { ... });
-//   const core::ExplorationReport& report = session.run();
+//   const core::ExplorationReport& report =
+//       session.jobs(4).survivor_cap(0.2).run();
 //
-// The progress observer fires per simulation within each step (see
-// core::StepProgress). Reports are bit-identical at every jobs count,
-// with or without an observer. With cache_dir() set, a rerun replays
-// earlier runs' simulations from the persistent cache: zero executed
-// simulations, a byte-identical report.
+// Reports are bit-identical at every jobs count, with or without a
+// trace sink. With cache_dir() set, a rerun replays earlier runs'
+// simulations from the persistent cache: zero executed simulations, a
+// byte-identical report.
 #pragma once
 
 #include <optional>
@@ -41,7 +38,6 @@ class Exploration {
   // and produces a byte-identical report; see
   // core::ExplorationOptions::cache_dir.
   Exploration& cache_dir(std::string dir);
-  Exploration& on_progress(core::ProgressObserver observer);
 
   // Emit Chrome trace_event spans for this session's runs into an
   // externally-owned writer (see src/obs/trace.h). Null disables tracing;

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -20,31 +19,6 @@
 namespace ddtr::core {
 
 namespace {
-
-// Serializes StepProgress emission from the worker lanes: ticks are handed
-// through one lock, so the observer sees a strictly increasing `done` and
-// never runs concurrently with itself.
-class ProgressReporter {
- public:
-  ProgressReporter(const ProgressObserver& observer, int step,
-                   std::size_t total)
-      : observer_(observer), step_(step), total_(total) {
-    if (observer_) observer_({step_, 0, total_});
-  }
-
-  void tick() {
-    if (!observer_) return;
-    std::lock_guard<std::mutex> lock(mu_);
-    observer_({step_, ++done_, total_});
-  }
-
- private:
-  const ProgressObserver& observer_;
-  const int step_;
-  const std::size_t total_;
-  std::mutex mu_;
-  std::size_t done_ = 0;
-};
 
 // The greedy step-1 combination set: every slot SLL (the original
 // NetBench implementations), followed by every single-slot variation in
@@ -315,7 +289,6 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
   std::vector<unsigned char> missing(count, 0);
   std::atomic<std::size_t> computed{0};
   std::atomic<std::size_t> kernel_runs{0};
-  ProgressReporter progress(options_.progress, step, count);
   // Stores a computed record: into its slot and, so the cache stats, the
   // executed counts and the persistent file see it, into the cache.
   const auto produce = [&](std::size_t i, SimulationRecord record) {
@@ -326,7 +299,6 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
     }
     slots[i] = std::move(record);
     computed.fetch_add(1, std::memory_order_relaxed);
-    progress.tick();
   };
   const auto run_kernel = [&](const Scenario& scenario,
                               const ddt::DdtCombination& combo) {
@@ -349,7 +321,6 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
       return;
     }
     slots[i] = std::move(*hit);
-    progress.tick();
   });
 
   // Pass 2: plan the misses per scenario, in unit order.
@@ -529,14 +500,8 @@ ExplorationEngine::FanOutcome ExplorationEngine::run_step2_fan(
   // Flatten (scenario x survivor) into one index space, scenario-major —
   // the serial iteration order — and fan every pair over the pool.
   const std::size_t per_scenario = survivors.size();
-  const std::size_t count = per_scenario * study.scenarios.size();
-  if (count == 0) {
-    // Still announce the (empty) step: observers see every step open.
-    ProgressReporter announce(options_.progress, 2, 0);
-    return FanOutcome{};
-  }
   return fan_simulations(
-      count,
+      per_scenario * study.scenarios.size(),
       [&](std::size_t i) -> const Scenario& {
         return study.scenarios[i / per_scenario];
       },

@@ -70,24 +70,6 @@ enum class Step1Policy {
   kGreedyPerSlot,
 };
 
-// One progress notification from a simulation step. `done` counts logical
-// simulations completed (executed or replayed) so far within the step;
-// each step emits an initial {step, 0, total} event, then one event per
-// completed simulation, ending exactly once at done == total.
-struct StepProgress {
-  int step = 0;            // 1 (application level) or 2 (network level)
-  std::size_t done = 0;    // simulations completed so far in this step
-  std::size_t total = 0;   // simulations this step covers
-};
-
-// Observer invoked as a step advances. The engine serializes invocations
-// (worker lanes hand completions through one lock), so the callback itself
-// need not be thread-safe — but it runs on whichever lane finished the
-// simulation, and it should be cheap: it sits on the fan-out hot path.
-// The CLI's --progress lines and the serve daemon's progress frames are
-// built on it.
-using ProgressObserver = std::function<void(const StepProgress&)>;
-
 struct ExplorationOptions {
   // Fraction of the combination space step 1 lets through (the paper
   // observes ~20% of combinations are worth keeping).
@@ -115,10 +97,6 @@ struct ExplorationOptions {
   // cache is warm, cold or absent — a fully warm rerun executes zero
   // simulations. Corrupt or stale cache files are ignored, not fatal.
   std::string cache_dir;
-  // Optional per-simulation progress notifications (see StepProgress).
-  // Does not affect the produced records: reports stay bit-identical with
-  // or without an observer, at any lane count.
-  ProgressObserver progress;
   // --- Observability (see src/obs/) -------------------------------------
   // Optional span tracer: when set, explore() emits Chrome trace_event
   // spans (step1/select/step2/aggregate, every simulation fan unit, cache
@@ -256,8 +234,8 @@ class ExplorationEngine {
   // Produces one record per unit index in [0, count), fanned over the
   // pool, writing records into index-addressed slots: cache hits first,
   // then the misses, composed per slot where the app is separable (see
-  // the file comment). `step` labels the StepProgress events this fan
-  // emits.
+  // the file comment). `step` (1 or 2) names the trace span category of
+  // the fan's `sim` and `kernel` spans.
   FanOutcome fan_simulations(
       std::size_t count,
       const std::function<const Scenario&(std::size_t)>& scenario_of,

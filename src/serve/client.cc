@@ -1,6 +1,8 @@
 #include "serve/client.h"
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -48,60 +50,35 @@ Client::~Client() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Frame Client::round_trip(const Frame& frame, FrameType expected,
-                         const ProgressFn& on_progress) {
+Frame Client::round_trip(const Frame& frame, FrameType expected) {
   if (!send_frame(fd_, frame)) {
     throw std::runtime_error("serve client: send failed (daemon gone?)");
   }
-  return receive(expected, on_progress);
+  Frame reply;
+  const DecodeStatus status = recv_frame(fd_, reply);
+  if (status != DecodeStatus::kOk) {
+    throw std::runtime_error(status == DecodeStatus::kEof
+                                 ? "serve client: daemon closed the connection"
+                                 : "serve client: corrupt frame from daemon");
+  }
+  if (reply.type == FrameType::kError) {
+    ErrorFrame error;
+    if (!decode_error(reply.payload, error)) {
+      throw std::runtime_error("serve client: malformed error frame");
+    }
+    throw std::runtime_error("daemon: " + error.message);
+  }
+  if (reply.type != expected) {
+    throw std::runtime_error("serve client: unexpected frame type " +
+                             std::to_string(static_cast<std::uint32_t>(
+                                 reply.type)));
+  }
+  return reply;
 }
 
-Frame Client::receive(FrameType expected, const ProgressFn& on_progress) {
-  for (;;) {
-    Frame reply;
-    const DecodeStatus status = recv_frame(fd_, reply);
-    if (status != DecodeStatus::kOk) {
-      throw std::runtime_error(
-          status == DecodeStatus::kEof
-              ? "serve client: daemon closed the connection"
-              : "serve client: corrupt frame from daemon");
-    }
-    if (reply.type == FrameType::kError) {
-      ErrorFrame error;
-      if (!decode_error(reply.payload, error)) {
-        throw std::runtime_error("serve client: malformed error frame");
-      }
-      throw std::runtime_error("daemon: " + error.message);
-    }
-    if (reply.type == FrameType::kProgress) {
-      ProgressFrame tick;
-      if (!decode_progress(reply.payload, tick)) {
-        throw std::runtime_error("serve client: malformed progress frame");
-      }
-      if (on_progress) on_progress(tick);
-      continue;
-    }
-    if (reply.type != expected) {
-      throw std::runtime_error("serve client: unexpected frame type " +
-                               std::to_string(static_cast<std::uint32_t>(
-                                   reply.type)));
-    }
-    return reply;
-  }
-}
-
-ResultFrame Client::submit(const SubmitRequest& request,
-                           const ProgressFn& on_progress) {
-  // The ack arrives first (job registered), then the progress stream,
-  // then the result.
-  const Frame ack_frame =
-      round_trip({FrameType::kSubmit, encode_submit(request)},
-                 FrameType::kSubmitAck, on_progress);
-  SubmitAck ack;
-  if (!decode_submit_ack(ack_frame.payload, ack)) {
-    throw std::runtime_error("serve client: malformed submit ack");
-  }
-  const Frame reply = receive(FrameType::kResult, on_progress);
+ResultFrame Client::submit(const SubmitRequest& request) {
+  const Frame reply = round_trip(
+      {FrameType::kSubmit, encode_submit(request)}, FrameType::kResult);
   ResultFrame result;
   if (!decode_result(reply.payload, result)) {
     throw std::runtime_error("serve client: malformed result frame");

@@ -1,13 +1,11 @@
 // Client side of the serve protocol: one RAII connection to a running
 // `ddtr serve` daemon. Connecting performs the versioned hello handshake;
-// each method is one request/response conversation (submit additionally
-// streams ProgressFrame ticks into a callback until the result arrives).
+// each method is one request/response conversation: one frame out, one
+// reply frame (or an Error frame) back.
 // Server-reported failures (Error frames) and protocol violations both
 // surface as std::runtime_error — a client never half-parses a stream.
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <string>
 
 #include "serve/protocol.h"
@@ -16,8 +14,6 @@ namespace ddtr::serve {
 
 class Client {
  public:
-  using ProgressFn = std::function<void(const ProgressFrame&)>;
-
   // Connects to the daemon at `socket_path` and completes the hello
   // handshake. Throws std::runtime_error when the socket is absent, the
   // daemon refuses, or the protocol versions mismatch.
@@ -30,10 +26,8 @@ class Client {
   // The daemon's handshake reply (warm-cache and trace counts).
   const HelloAck& hello() const noexcept { return hello_; }
 
-  // Submits one study and blocks until its result, invoking `on_progress`
-  // for every streamed tick. Returns the result digest.
-  ResultFrame submit(const SubmitRequest& request,
-                     const ProgressFn& on_progress = nullptr);
+  // Submits one study and blocks until its result digest.
+  ResultFrame submit(const SubmitRequest& request);
   // Introspection snapshot: uptime, since-boot cache counters and the job
   // table with lifecycle timestamps.
   StatsReply stats();
@@ -41,14 +35,9 @@ class Client {
   ShutdownAck shutdown();
 
  private:
-  // Sends `frame`, then reads frames until a terminal reply: Error frames
-  // throw, Progress frames feed `on_progress`, a frame of `expected` type
-  // is returned.
-  Frame round_trip(const Frame& frame, FrameType expected,
-                   const ProgressFn& on_progress = nullptr);
-  // round_trip's receive loop alone: reads frames until the reply of
-  // `expected` type (submit's second leg waits on its in-flight result).
-  Frame receive(FrameType expected, const ProgressFn& on_progress);
+  // Sends `frame` and reads its one reply: an Error frame throws, a frame
+  // of `expected` type is returned, anything else is a protocol violation.
+  Frame round_trip(const Frame& frame, FrameType expected);
 
   int fd_ = -1;
   HelloAck hello_;

@@ -23,9 +23,22 @@ constexpr std::uint32_t kFrameMagic = 0x56525344u;
 // prefix cannot trigger a runaway allocation.
 constexpr std::uint64_t kMaxPayloadBytes = 1ull << 28;
 
+// Exactly the assigned FrameType values: an unassigned or retired type is
+// as corrupt as a bad magic.
 bool valid_type(std::uint32_t raw) {
-  return raw >= static_cast<std::uint32_t>(FrameType::kHello) &&
-         raw <= static_cast<std::uint32_t>(FrameType::kStatsReply);
+  switch (static_cast<FrameType>(raw)) {
+    case FrameType::kHello:
+    case FrameType::kHelloAck:
+    case FrameType::kSubmit:
+    case FrameType::kResult:
+    case FrameType::kError:
+    case FrameType::kShutdown:
+    case FrameType::kShutdownAck:
+    case FrameType::kStats:
+    case FrameType::kStatsReply:
+      return true;
+  }
+  return false;
 }
 
 // Reads exactly `size` bytes from a connected fd. Returns 1 on success,
@@ -203,33 +216,6 @@ bool decode_submit(const std::string& payload, SubmitRequest& m) {
          support::read_string(is, m.metric_y) && at_end(is);
 }
 
-std::string encode_submit_ack(const SubmitAck& m) {
-  std::string out;
-  support::append_u64(out, m.job_id);
-  return out;
-}
-
-bool decode_submit_ack(const std::string& payload, SubmitAck& m) {
-  std::istringstream is(payload);
-  return support::read_u64(is, m.job_id) && at_end(is);
-}
-
-std::string encode_progress(const ProgressFrame& m) {
-  std::string out;
-  support::append_u64(out, m.job_id);
-  support::append_u32(out, m.step);
-  support::append_u64(out, m.done);
-  support::append_u64(out, m.total);
-  return out;
-}
-
-bool decode_progress(const std::string& payload, ProgressFrame& m) {
-  std::istringstream is(payload);
-  return support::read_u64(is, m.job_id) && support::read_u32(is, m.step) &&
-         support::read_u64(is, m.done) && support::read_u64(is, m.total) &&
-         at_end(is);
-}
-
 std::string encode_result(const ResultFrame& m) {
   std::string out;
   support::append_u64(out, m.job_id);
@@ -317,11 +303,10 @@ bool decode_stats_reply(const std::string& payload, StatsReply& m) {
       !support::read_u64(is, count)) {
     return false;
   }
-  // The job table is human-scale; a larger count is a corrupt payload,
-  // not a big daemon.
-  if (count > (1ull << 20)) return false;
+  // Rows grow as they decode, never reserved from `count`: a corrupt
+  // count fails when the payload runs dry, not after an allocation it
+  // sized (the read_string rule).
   m.jobs.clear();
-  m.jobs.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     JobStats job;
     if (!support::read_u64(is, job.id) || !support::read_string(is, job.app) ||

@@ -39,15 +39,17 @@ namespace ddtr::serve {
 // v6: the Results re-fetch is gone (a warm resubmission replays a job);
 // frame type 10 stays unassigned. SubmitRequest lost jobs and HelloAck
 // lost progress_every.
-inline constexpr std::uint32_t kProtocolVersion = 6;
+// v7: a submit is answered by one Result or Error frame; the submit ack
+// and progress frames are gone and types 4 and 5 stay unassigned.
+inline constexpr std::uint32_t kProtocolVersion = 7;
 
+// Frame types. Only these values decode: a retired type (4, 5 and 8-10)
+// is a corrupt frame.
 enum class FrameType : std::uint32_t {
   kHello = 1,        // client -> server, first frame on every connection
   kHelloAck = 2,     // server -> client, handshake accepted
   kSubmit = 3,       // client -> server, one study submission
-  kSubmitAck = 4,    // server -> client, job registered (job_id)
-  kProgress = 5,     // server -> client, StepProgress tick stream
-  kResult = 6,       // server -> client, final ExplorationReport digest
+  kResult = 6,       // server -> client, the submit's report digest
   kError = 7,        // server -> client, request failed (message)
   kShutdown = 11,    // client -> server, drain and exit (empty payload)
   kShutdownAck = 12, // server -> client, shutdown under way
@@ -109,18 +111,6 @@ struct SubmitRequest {
   std::string metric_y = "energy";
 };
 
-struct SubmitAck {
-  std::uint64_t job_id = 0;
-};
-
-// One core::StepProgress tick of a running submission.
-struct ProgressFrame {
-  std::uint64_t job_id = 0;
-  std::uint32_t step = 0;
-  std::uint64_t done = 0;
-  std::uint64_t total = 0;
-};
-
 // Digest of one completed exploration. `records` is the serialized
 // ResultLog (ExplorationReport::serialized_records()) — the repo-wide
 // definition of "byte-identical reports", which is what makes the
@@ -178,10 +168,6 @@ std::string encode_hello_ack(const HelloAck& m);
 bool decode_hello_ack(const std::string& payload, HelloAck& m);
 std::string encode_submit(const SubmitRequest& m);
 bool decode_submit(const std::string& payload, SubmitRequest& m);
-std::string encode_submit_ack(const SubmitAck& m);
-bool decode_submit_ack(const std::string& payload, SubmitAck& m);
-std::string encode_progress(const ProgressFrame& m);
-bool decode_progress(const std::string& payload, ProgressFrame& m);
 std::string encode_result(const ResultFrame& m);
 bool decode_result(const std::string& payload, ResultFrame& m);
 std::string encode_error(const ErrorFrame& m);

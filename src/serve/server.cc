@@ -27,11 +27,6 @@
 namespace ddtr::serve {
 namespace {
 
-// Progress-frame throttle: a running job streams at most one
-// StepProgress tick per this period (the endpoints done==0 and
-// done==total always go out).
-constexpr std::chrono::milliseconds kProgressEvery{250};
-
 // The 2-D Pareto front of the aggregated step-3 records on the requested
 // metric pair, preformatted one line per point (combo label + both
 // values) so clients print it verbatim.
@@ -315,14 +310,10 @@ void Server::handle_submit(int fd, const SubmitRequest& request) {
     jobs_.emplace(job_id, std::move(job));
     trim_jobs();
   }
-  if (!send_frame(fd, {FrameType::kSubmitAck,
-                       encode_submit_ack(SubmitAck{job_id})})) {
-    return;
-  }
   log_line("job " + std::to_string(job_id) + ": " + request.app +
            " scale=" + support::format_double(request.scale, 3));
   try {
-    const ResultFrame result = run_job(job_id, request, fd);
+    const ResultFrame result = run_job(job_id, request);
     send_frame(fd, {FrameType::kResult, encode_result(result)});
   } catch (const std::exception& error) {
     {
@@ -334,8 +325,8 @@ void Server::handle_submit(int fd, const SubmitRequest& request) {
   }
 }
 
-ResultFrame Server::run_job(std::uint64_t job_id, const SubmitRequest& request,
-                            int fd) {
+ResultFrame Server::run_job(std::uint64_t job_id,
+                            const SubmitRequest& request) {
   obs::SpanScope job_span(options_.trace, "serve.job", "serve");
   {
     std::lock_guard<std::mutex> lock(jobs_mu_);
@@ -363,32 +354,6 @@ ResultFrame Server::run_job(std::uint64_t job_id, const SubmitRequest& request,
     options.survivor_cap_fraction = request.survivor_cap;
   }
   options.trace_sink = options_.trace;
-  // Time-throttled StepProgress stream: at most one tick per
-  // kProgressEvery, plus the exact endpoints (done==0 and
-  // done==total always go out, so clients see every step open and
-  // close). The engine serializes observer calls, so sends do not
-  // interleave. A vanished client only mutes progress — the run (and
-  // its cache warmth) completes regardless.
-  struct ProgressState {
-    bool client_alive = true;
-    std::chrono::steady_clock::time_point last_send{};
-  };
-  ProgressState state;
-  options.progress = [fd, job_id, &state](const core::StepProgress& p) {
-    if (!state.client_alive) return;
-    const auto now = std::chrono::steady_clock::now();
-    const bool endpoint = p.done == 0 || p.done == p.total;
-    if (!endpoint && now - state.last_send < kProgressEvery) return;
-    state.last_send = now;
-    ProgressFrame tick;
-    tick.job_id = job_id;
-    tick.step = static_cast<std::uint32_t>(p.step);
-    tick.done = p.done;
-    tick.total = p.total;
-    if (!send_frame(fd, {FrameType::kProgress, encode_progress(tick)})) {
-      state.client_alive = false;
-    }
-  };
   const core::ExplorationEngine engine(core::make_paper_energy_model(),
                                        std::move(options));
 

@@ -3,10 +3,10 @@
 // traces, the simulation thread pool — warm across study submissions
 // instead of rebuilding them per CLI invocation. Clients connect over a
 // unix-domain socket (see serve/protocol.h), submit registered workloads
-// with builder knobs, watch core::StepProgress ticks stream back, and
-// receive the final report digest. Results are not kept: a client that
-// wants one again resubmits, and the warm cache replays it (zero executed
-// simulations, byte-identical records).
+// with builder knobs, and receive the report digest as the one reply to
+// each submit. Results are not kept: a client that wants one again
+// resubmits, and the warm cache replays it (zero executed simulations,
+// byte-identical records).
 //
 // Warm state: start() seeds the daemon's SimulationCache from the cache
 // directory with one read (PersistentSimulationCache::seed) and spawns
@@ -20,8 +20,9 @@
 // updates its key set; the file itself is guarded by the cache
 // directory's lock). Every run therefore has the daemon's one pool to
 // itself, its width fixed at start by ServerOptions::jobs. Sessions still
-// multiplex: the protocol conversation, progress streaming and stats
-// queries all run concurrently, only the simulation phase queues. The
+// multiplex: the protocol conversation and stats queries run
+// concurrently, only the simulation phase queues; no socket write runs
+// under run_mu_ (a job's reply is sent after its run releases it). The
 // accept loop joins the finished session threads before each accept, so
 // a long-lived daemon holds one thread per connection that was open at
 // its last accept, not one per connection ever served.
@@ -137,11 +138,9 @@ class Server {
   // Milliseconds of steady-clock time since start() finished.
   std::uint64_t uptime_ms() const;
 
-  // Runs the exploration of job `job_id` (serialized on run_mu_),
-  // streaming progress to `fd`, and records the result in the job table.
-  // Throws on exploration failure.
-  ResultFrame run_job(std::uint64_t job_id, const SubmitRequest& request,
-                      int fd);
+  // Runs the exploration of job `job_id` (serialized on run_mu_) and
+  // records the result in the job table. Throws on exploration failure.
+  ResultFrame run_job(std::uint64_t job_id, const SubmitRequest& request);
 
   // Drops the oldest finished jobs while the table holds more than
   // kJobTableCap. Requires jobs_mu_.

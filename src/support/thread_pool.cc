@@ -133,9 +133,16 @@ void parallel_for(ThreadPool& pool, std::size_t n,
   }
 
   state->drain();
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&state] { return state->pending_tasks == 0; });
-  if (state->error) std::rethrow_exception(state->error);
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(state->mu);
+    state->cv.wait(lock, [&state] { return state->pending_tasks == 0; });
+    // Taken out of the shared state so that the exception is freed on
+    // this thread, not by a worker dropping the last state reference
+    // (TSan cannot see the exception's own reference count).
+    error = std::exchange(state->error, nullptr);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 void parallel_for(std::size_t jobs, std::size_t n,

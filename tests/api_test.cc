@@ -1,12 +1,11 @@
 // Public API layer: StudyRegistry registration/enumeration semantics,
 // StudyBuilder grid expansion and trace sharing (concurrent builds from an
 // empty trace store generate each trace once), the Exploration session
-// (chainable options + progress observer), and the acceptance contract
+// (chainable options), and the acceptance contract
 // that a builder-built study produces a report byte-identical to the
 // registered built-in.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -232,42 +231,6 @@ TEST(Exploration, ReportThrowsBeforeRunAndOptionsChain) {
   EXPECT_TRUE(session.has_report());
   // Greedy step 1: 1 baseline + 2 slots x 10 variations = 21 simulations.
   EXPECT_EQ(session.report().step1_simulations, 21u);
-}
-
-TEST(Exploration, ProgressObserverSeesEverySimulationSerialized) {
-  Exploration session(registry().make_study("url", tiny_options()));
-  std::vector<core::StepProgress> events;
-  const core::ExplorationReport& report =
-      session.jobs(4)
-          .on_progress([&](const core::StepProgress& p) {
-            events.push_back(p);  // serialized by the engine: no lock here
-          })
-          .run();
-
-  ASSERT_FALSE(events.empty());
-  // Events arrive in step order, `done` increments by one from 0 to total
-  // within each step, and each step ends exactly once at done == total.
-  std::set<int> steps;
-  std::size_t i = 0;
-  for (const int step : {1, 2}) {
-    ASSERT_LT(i, events.size());
-    EXPECT_EQ(events[i].step, step);
-    EXPECT_EQ(events[i].done, 0u);
-    const std::size_t total = events[i].total;
-    for (std::size_t done = 0; done <= total; ++done, ++i) {
-      ASSERT_LT(i, events.size());
-      EXPECT_EQ(events[i].step, step);
-      EXPECT_EQ(events[i].done, done);
-      EXPECT_EQ(events[i].total, total);
-      steps.insert(events[i].step);
-    }
-  }
-  EXPECT_EQ(i, events.size());
-  EXPECT_EQ(steps, (std::set<int>{1, 2}));
-  // Totals are the report's logical simulation counts.
-  EXPECT_EQ(events.front().total, report.step1_simulations);
-  EXPECT_EQ(events.back().total, report.step2_simulations);
-  EXPECT_EQ(events.back().done, report.step2_simulations);
 }
 
 TEST(Api, BuilderStudyBitIdenticalToRegistryRoute) {

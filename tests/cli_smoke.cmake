@@ -247,6 +247,10 @@ expect_usage_error("submit: unknown flag --jobs"
                    submit --socket ${WORK_DIR}/nope.sock --app url --jobs 2)
 expect_usage_error("serve: unknown flag --progress-every"
                    serve --socket ${WORK_DIR}/nope.sock --progress-every 1)
+expect_usage_error("explore: unknown flag --progress"
+                   explore --app url --progress)
+expect_usage_error("submit: unknown flag --progress"
+                   submit --socket ${WORK_DIR}/nope.sock --app url --progress)
 # Numeric ranges: scale in (0, 100], as the daemon's; survivor-cap in
 # (0, 1], the daemon's [0, 1] without the wire's "unset" 0.
 expect_usage_error("explore: flag --scale expects a number in \\(0,100\\]"

@@ -165,19 +165,6 @@ TEST(ServeCorruptionSweep, PayloadCodecsRejectOrRoundTripExactly) {
   sweep_codec<SubmitRequest>("submit", encode_submit(submit), decode_submit,
                              encode_submit, rng);
 
-  SubmitAck submit_ack;
-  submit_ack.job_id = 9;
-  sweep_codec<SubmitAck>("submit_ack", encode_submit_ack(submit_ack),
-                         decode_submit_ack, encode_submit_ack, rng);
-
-  ProgressFrame progress;
-  progress.job_id = 3;
-  progress.step = 2;
-  progress.done = 10;
-  progress.total = 64;
-  sweep_codec<ProgressFrame>("progress", encode_progress(progress),
-                             decode_progress, encode_progress, rng);
-
   ResultFrame result;
   result.job_id = 11;
   result.app = "ipchains";

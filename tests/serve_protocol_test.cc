@@ -5,6 +5,7 @@
 // truncation, absurd counts), which must decode to false, never crash.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -12,6 +13,7 @@
 #include <unistd.h>
 
 #include "serve/protocol.h"
+#include "support/binary_io.h"
 
 namespace ddtr::serve {
 namespace {
@@ -80,6 +82,26 @@ TEST(ServeFrame, UnknownTypeIsCorrupt) {
   EXPECT_EQ(decode_frame(is, out), DecodeStatus::kCorrupt);
 }
 
+TEST(ServeFrame, RetiredTypeIsCorrupt) {
+  // 4 and 5 were the submit ack and progress tick, 8 the job-table query:
+  // unassigned values inside the assigned range decode like any unknown.
+  for (const std::uint32_t type : {4u, 5u, 8u}) {
+    const std::string wire =
+        encode_frame({static_cast<FrameType>(type), "payload"});
+    std::istringstream is(wire);
+    Frame out;
+    EXPECT_EQ(decode_frame(is, out), DecodeStatus::kCorrupt) << type;
+
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    ASSERT_EQ(::send(fds[0], wire.data(), wire.size(), 0),
+              static_cast<ssize_t>(wire.size()));
+    EXPECT_EQ(recv_frame(fds[1], out), DecodeStatus::kCorrupt) << type;
+    ::close(fds[0]);
+    ::close(fds[1]);
+  }
+}
+
 TEST(ServeFrame, AbsurdSizeIsCorruptNotAllocation) {
   std::string wire = encode_frame({FrameType::kHello, ""});
   for (int i = 8; i < 16; ++i) wire[i] = '\xff';  // size field
@@ -91,7 +113,7 @@ TEST(ServeFrame, AbsurdSizeIsCorruptNotAllocation) {
 TEST(ServeFrame, SendRecvOverSocketpair) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  const Frame in{FrameType::kProgress, std::string("\x01\x00\x02", 3)};
+  const Frame in{FrameType::kStatsReply, std::string("\x01\x00\x02", 3)};
   ASSERT_TRUE(send_frame(fds[0], in));
   Frame out;
   EXPECT_EQ(recv_frame(fds[1], out), DecodeStatus::kOk);
@@ -199,22 +221,23 @@ TEST(ServeMessages, ResultRoundTripKeepsRecordsByteExact) {
   EXPECT_EQ(out.records, in.records);
 }
 
+TEST(ServeMessages, StatsReplyRowCountAllocatesNothing) {
+  // Six counters and a row count claiming 2^20 rows, with no rows: 56
+  // bytes that must fail to decode without a job table sized by the
+  // count (2^20 JobStats would be over 100 MB).
+  for (const std::uint64_t count : {std::uint64_t{1} << 20,
+                                    std::uint64_t{1} << 40}) {
+    std::string payload;
+    for (int i = 0; i < 6; ++i) support::append_u64(payload, 1);
+    support::append_u64(payload, count);
+    ASSERT_EQ(payload.size(), 56u);
+    StatsReply out;
+    EXPECT_FALSE(decode_stats_reply(payload, out));
+    EXPECT_LT(out.jobs.capacity(), 16u) << count;
+  }
+}
+
 TEST(ServeMessages, SmallMessagesRoundTrip) {
-  SubmitAck ack_out;
-  ASSERT_TRUE(decode_submit_ack(encode_submit_ack({17}), ack_out));
-  EXPECT_EQ(ack_out.job_id, 17u);
-
-  ProgressFrame tick_in;
-  tick_in.job_id = 4;
-  tick_in.step = 2;
-  tick_in.done = 10;
-  tick_in.total = 40;
-  ProgressFrame tick_out;
-  ASSERT_TRUE(decode_progress(encode_progress(tick_in), tick_out));
-  EXPECT_EQ(tick_out.step, 2u);
-  EXPECT_EQ(tick_out.done, 10u);
-  EXPECT_EQ(tick_out.total, 40u);
-
   ErrorFrame error_out;
   ASSERT_TRUE(decode_error(encode_error({"bad app"}), error_out));
   EXPECT_EQ(error_out.message, "bad app");

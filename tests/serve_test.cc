@@ -4,9 +4,11 @@
 // check: a second identical submission executes ZERO simulations and
 // returns byte-identical result records — the warm-cache guarantee,
 // verified through the full client -> daemon -> client round trip. Also:
+// one reply frame per submit (no frame before the Result, none after it),
 // job table (bounded to the newest Server::kJobTableCap jobs),
-// version-mismatch refusal, retired frame types and an oversized packet
-// count each answered with an Error frame, a throwing kernel leaving its
+// version-mismatch refusal and an oversized packet count each answered
+// with an Error frame, a retired frame type closing only its own
+// connection, a throwing kernel leaving its
 // job `failed` while the daemon serves on, a malformed Error frame
 // reported as such by the client, idle traces bounded across many
 // distinct submissions, finished sessions being reaped (bounded virtual
@@ -138,12 +140,10 @@ TEST_F(ServeTest, WarmResubmissionExecutesZeroAndIsByteIdentical) {
   start_server();
 
   std::string cold_records;
-  std::size_t ticks = 0;
   {
     Client client(socket_);
     EXPECT_EQ(client.hello().warm_entries, 0u);
-    const ResultFrame cold = client.submit(
-        tiny_url_request(), [&ticks](const ProgressFrame&) { ++ticks; });
+    const ResultFrame cold = client.submit(tiny_url_request());
     EXPECT_GT(cold.executed, 0u);
     EXPECT_GT(cold.survivors, 0u);
     EXPECT_GT(cold.pareto_count, 0u);
@@ -151,7 +151,6 @@ TEST_F(ServeTest, WarmResubmissionExecutesZeroAndIsByteIdentical) {
     EXPECT_FALSE(cold.pareto.empty());
     cold_records = cold.records;
   }
-  EXPECT_GT(ticks, 0u);  // the progress stream reached the client
 
   // The acceptance check: same submission, new connection — the daemon's
   // warm cache replays everything.
@@ -162,6 +161,39 @@ TEST_F(ServeTest, WarmResubmissionExecutesZeroAndIsByteIdentical) {
   EXPECT_EQ(warm.cache_misses, 0u);
   EXPECT_GT(warm.cache_hits, 0u);
   EXPECT_EQ(warm.records, cold_records);  // byte-identical
+}
+
+TEST_F(ServeTest, SubmitIsAnsweredByOneResultFrame) {
+  start_server();
+  const int fd = raw_connect();
+  ASSERT_TRUE(send_frame(fd, {FrameType::kHello, encode_hello(Hello{})}));
+  Frame reply;
+  ASSERT_EQ(recv_frame(fd, reply), DecodeStatus::kOk);
+  ASSERT_EQ(reply.type, FrameType::kHelloAck);
+
+  ASSERT_TRUE(send_frame(
+      fd, {FrameType::kSubmit, encode_submit(tiny_url_request())}));
+  ASSERT_EQ(recv_frame(fd, reply), DecodeStatus::kOk);
+  ASSERT_EQ(reply.type, FrameType::kResult);
+  ResultFrame result;
+  ASSERT_TRUE(decode_result(reply.payload, result));
+  EXPECT_FALSE(result.records.empty());
+
+  // The next frame on the connection is the stats reply: nothing of the
+  // submit is left in flight.
+  ASSERT_TRUE(send_frame(fd, {FrameType::kStats, {}}));
+  ASSERT_EQ(recv_frame(fd, reply), DecodeStatus::kOk);
+  ASSERT_EQ(reply.type, FrameType::kStatsReply);
+  StatsReply stats;
+  ASSERT_TRUE(decode_stats_reply(reply.payload, stats));
+  ASSERT_EQ(stats.jobs.size(), 1u);
+  EXPECT_EQ(stats.jobs[0].id, result.job_id);
+
+  // Nor after it: a half-closed client reads the daemon's close, not a
+  // stray frame.
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+  EXPECT_EQ(recv_frame(fd, reply), DecodeStatus::kEof);
+  ::close(fd);
 }
 
 TEST_F(ServeTest, StatsListsJobs) {
@@ -243,28 +275,38 @@ TEST_F(ServeTest, RefusesVersionMismatchedHello) {
   EXPECT_EQ(client.hello().version, kProtocolVersion);
 }
 
-TEST_F(ServeTest, RetiredStatusFrameGetsAnErrorAndTheDaemonServesOn) {
+TEST_F(ServeTest, RetiredFrameTypesCloseTheConnectionAndTheDaemonServesOn) {
   start_server();
-  // Frame type 8 was the job-table query of protocol v3 and type 10 the
-  // result re-fetch of v5; both values stay unassigned, so each is an
-  // unexpected frame like any other.
-  for (const std::uint32_t type : {std::uint32_t{8}, std::uint32_t{10}}) {
+  // Types 4 and 5 were the submit ack and progress tick of protocol v6,
+  // 8 the job-table query of v3 and 10 the result re-fetch of v5. None
+  // is assigned, so each is a corrupt frame: the daemon closes that
+  // connection without a reply. An assigned type the daemon does not
+  // serve (a HelloAck from a client) gets an Error frame.
+  const auto handshake = [this] {
     const int fd = raw_connect();
-    ASSERT_TRUE(send_frame(fd, {FrameType::kHello, encode_hello(Hello{})}));
+    EXPECT_TRUE(send_frame(fd, {FrameType::kHello, encode_hello(Hello{})}));
     Frame reply;
-    ASSERT_EQ(recv_frame(fd, reply), DecodeStatus::kOk);
-    ASSERT_EQ(reply.type, FrameType::kHelloAck);
+    EXPECT_EQ(recv_frame(fd, reply), DecodeStatus::kOk);
+    EXPECT_EQ(reply.type, FrameType::kHelloAck);
+    return fd;
+  };
+  for (const std::uint32_t type : {4u, 5u, 8u, 10u}) {
+    const int fd = handshake();
     ASSERT_TRUE(send_frame(fd, {static_cast<FrameType>(type), ""}));
-    ASSERT_EQ(recv_frame(fd, reply), DecodeStatus::kOk);
-    EXPECT_EQ(reply.type, FrameType::kError);
-    ErrorFrame error;
-    ASSERT_TRUE(decode_error(reply.payload, error));
-    EXPECT_NE(error.message.find("unexpected frame type " +
-                                 std::to_string(type)),
-              std::string::npos)
-        << error.message;
+    Frame reply;
+    EXPECT_EQ(recv_frame(fd, reply), DecodeStatus::kEof) << "type " << type;
     ::close(fd);
   }
+  const int fd = handshake();
+  ASSERT_TRUE(send_frame(fd, {FrameType::kHelloAck, ""}));
+  Frame reply;
+  ASSERT_EQ(recv_frame(fd, reply), DecodeStatus::kOk);
+  EXPECT_EQ(reply.type, FrameType::kError);
+  ErrorFrame error;
+  ASSERT_TRUE(decode_error(reply.payload, error));
+  EXPECT_NE(error.message.find("unexpected frame type 2"), std::string::npos)
+      << error.message;
+  ::close(fd);
 
   // A fresh connection to the same daemon is still served.
   Client client(socket_);
@@ -310,8 +352,8 @@ TEST_F(ServeTest, FailingKernelMarksTheJobFailedAndTheDaemonServesOn) {
 }
 
 TEST_F(ServeTest, MalformedErrorFrameMidRunIsReportedAsMalformed) {
-  // A scripted peer, not the daemon: it answers the handshake and the
-  // submit ack, then sends an Error frame whose payload does not decode.
+  // A scripted peer, not the daemon: it answers the handshake, then
+  // answers the submit with an Error frame whose payload does not decode.
   const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
   ASSERT_GE(listener, 0);
   sockaddr_un addr{};
@@ -329,7 +371,6 @@ TEST_F(ServeTest, MalformedErrorFrameMidRunIsReportedAsMalformed) {
       send_frame(fd, {FrameType::kHelloAck, encode_hello_ack(HelloAck{})});
     }
     if (recv_frame(fd, frame) == DecodeStatus::kOk) {
-      send_frame(fd, {FrameType::kSubmitAck, encode_submit_ack(SubmitAck{1})});
       send_frame(fd, {FrameType::kError, "\x01"});  // a cut-off length
     }
     ::close(fd);

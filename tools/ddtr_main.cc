@@ -269,16 +269,6 @@ int cmd_explore(const CommandLine& args) {
   if (args.flag("greedy")) {
     session.step1_policy(core::Step1Policy::kGreedyPerSlot);
   }
-  if (args.flag("progress")) {
-    session.on_progress([](const core::StepProgress& p) {
-      // One line per ~10% (and at the edges) to keep stderr readable.
-      const std::size_t stride = std::max<std::size_t>(1, p.total / 10);
-      if (p.done == 0 || p.done == p.total || p.done % stride == 0) {
-        std::cerr << "[step " << p.step << "] " << p.done << '/' << p.total
-                  << " simulations\n";
-      }
-    });
-  }
 
   const core::ExplorationReport& report = session.run();
   if (tracer) {
@@ -522,14 +512,7 @@ int cmd_submit(const CommandLine& args) {
   std::cout << "daemon: " << client.hello().warm_entries
             << " warm records, " << client.hello().warm_traces
             << " warm traces\n";
-  serve::Client::ProgressFn on_progress;
-  if (args.flag("progress")) {
-    on_progress = [](const serve::ProgressFrame& tick) {
-      std::cerr << "[job " << tick.job_id << " step " << tick.step << "] "
-                << tick.done << '/' << tick.total << " simulations\n";
-    };
-  }
-  const serve::ResultFrame result = client.submit(request, on_progress);
+  const serve::ResultFrame result = client.submit(request);
   std::cout << "job " << result.job_id << " (" << result.app << "):\n"
             << "executed simulations:  " << result.executed << " of "
             << result.logical << " logical (cache hits " << result.cache_hits
@@ -634,7 +617,6 @@ const std::vector<Command>& commands() {
       {"greedy", K::kBool, "", "per-slot greedy step 1 (fewer simulations)"},
       {"survivor-cap", K::kNumber, "F",
        "fraction of combinations step 1 keeps", false, 0.0, 1.0, true},
-      {"progress", K::kBool, "", "per-step simulation progress on stderr"},
       {"log", K::kText, "FILE", "write the run's result records to FILE"},
   };
   static const std::vector<Command> table = {
