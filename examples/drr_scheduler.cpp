@@ -76,7 +76,7 @@ int main() {
   // application-specific parameter becomes part of the exploration space.
   std::cout << "\n== The same sweep as an exploration grid ==\n\n";
   api::StudyBuilder builder("DRR-fairness");
-  builder.slots(2).packets(5000).network("dart-dorm");
+  builder.packets(5000).network("dart-dorm");
   for (double level : {0.5, 1.0, 2.0}) {
     builder.config("lof=" + support::format_double(level, 1), [level] {
       return std::make_shared<apps::drr::DrrApp>(

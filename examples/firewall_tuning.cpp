@@ -24,8 +24,9 @@ int main() {
       {"firewall-fleet", "custom IPchains deployment matrix",
        [](const core::CaseStudyOptions& options) {
          api::StudyBuilder builder("IPchains-custom");
-         builder.slots(2)
-             .packets(options.ipchains_packets)  // honours --scale etc.
+         // 5000 packets at scale 1, as the built-in IPchains study;
+         // packets_for honours --scale and a fixed packet count.
+         builder.packets(options.packets_for(5000))
              .networks({"nlanr-satellite", "nlanr-backbone"});
          for (const std::size_t rules : {std::size_t{48}, std::size_t{192}}) {
            for (const std::size_t conns :
@@ -43,7 +44,7 @@ int main() {
          return builder.build();
        }});
 
-  // 0.6 x the 5000-packet IPchains default = 3000-packet traces.
+  // 0.6 x the 5000-packet full length = 3000-packet traces.
   const core::CaseStudy study = api::registry().make_study(
       "firewall-fleet", core::CaseStudyOptions{}.scaled(0.6));
 

@@ -3,7 +3,8 @@
 // reproduce the exact exploration-space shape of the seed: Route over 7
 // networks x 2 radix-table sizes (1400 exhaustive simulations), URL over 5
 // networks (500), IPchains over 7 networks x 3 rule-set sizes (2100), DRR
-// over 5 networks (500).
+// over 5 networks (500). Each study names its full trace length (packets at
+// scale 1) in its packets_for() call.
 #include "api/registry.h"
 #include "api/study_builder.h"
 #include "apps/drr/drr_app.h"
@@ -19,7 +20,7 @@ namespace {
 
 core::CaseStudy make_route(const core::CaseStudyOptions& options) {
   StudyBuilder builder("Route");
-  builder.slots(2).packets(options.route_packets)
+  builder.packets(options.packets_for(2500))
       .seed_offset(options.seed_offset).first_networks(7);
   for (const std::size_t table : {std::size_t{128}, std::size_t{256}}) {
     builder.config("table=" + std::to_string(table), [table] {
@@ -34,8 +35,7 @@ core::CaseStudy make_url(const core::CaseStudyOptions& options) {
   // The web-heavy wireless presets are the natural choice for a URL
   // switch (paper: 100 combinations x 5 networks = 500 exhaustive).
   return StudyBuilder("URL")
-      .slots(2)
-      .packets(options.url_packets)
+      .packets(options.packets_for(10000))
       .seed_offset(options.seed_offset)
       .networks({"dart-berry", "dart-sudikoff", "dart-whittemore",
                  "dart-library", "nlanr-campus"})
@@ -48,7 +48,7 @@ core::CaseStudy make_url(const core::CaseStudyOptions& options) {
 
 core::CaseStudy make_ipchains(const core::CaseStudyOptions& options) {
   StudyBuilder builder("IPchains");
-  builder.slots(2).packets(options.ipchains_packets)
+  builder.packets(options.packets_for(5000))
       .seed_offset(options.seed_offset).first_networks(7);
   for (const std::size_t rules :
        {std::size_t{32}, std::size_t{64}, std::size_t{128}}) {
@@ -63,8 +63,7 @@ core::CaseStudy make_ipchains(const core::CaseStudyOptions& options) {
 core::CaseStudy make_drr(const core::CaseStudyOptions& options) {
   // 5 networks, Level of Fairness fixed at 1 MTU (500 exhaustive).
   return StudyBuilder("DRR")
-      .slots(2)
-      .packets(options.drr_packets)
+      .packets(options.packets_for(6000))
       .seed_offset(options.seed_offset)
       .networks({"dart-berry", "dart-dorm", "dart-library",
                  "nlanr-satellite", "nlanr-campus"})

@@ -10,8 +10,7 @@
 //   ddtr::api::registry().add({"mydevice", "my appliance's packet path",
 //       [](const ddtr::core::CaseStudyOptions& options) {
 //         return ddtr::api::StudyBuilder("MyDevice")
-//             .slots(2)
-//             .packets(options.url_packets)
+//             .packets(options.packets_for(10000))  // packets at scale 1
 //             .networks({"nlanr-campus", "dart-berry"})
 //             .app([] { return std::make_shared<MyApp>(...); })
 //             .build();

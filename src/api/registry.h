@@ -21,8 +21,8 @@
 
 namespace ddtr::api {
 
-// Builds one study instance; `options` carries the trace-length scaling
-// every workload honours (CaseStudyOptions::scaled).
+// Builds one study instance; `options` carries the trace length every
+// workload honours (CaseStudyOptions::packets_for of its full length).
 using StudyFactory =
     std::function<core::CaseStudy(const core::CaseStudyOptions&)>;
 

@@ -11,11 +11,6 @@ namespace ddtr::api {
 
 StudyBuilder::StudyBuilder(std::string name) : name_(std::move(name)) {}
 
-StudyBuilder& StudyBuilder::slots(std::size_t count) {
-  slots_ = count;
-  return *this;
-}
-
 StudyBuilder& StudyBuilder::packets(std::size_t per_trace) {
   packets_ = per_trace;
   return *this;
@@ -66,9 +61,6 @@ core::CaseStudy StudyBuilder::build() const {
   if (name_.empty()) {
     throw std::invalid_argument("study has no name");
   }
-  if (slots_ == 0) {
-    throw std::invalid_argument("study '" + name_ + "' declares no slots");
-  }
   if (packets_ == 0) {
     throw std::invalid_argument("study '" + name_ +
                                 "' declares no trace length (packets)");
@@ -93,7 +85,6 @@ core::CaseStudy StudyBuilder::build() const {
 
   core::CaseStudy study;
   study.name = name_;
-  study.slots = slots_;
   study.representative = representative_;
   study.scenarios.reserve(scenario_count());
   // One immutable trace per network, shared by every config cell (and
@@ -123,17 +114,12 @@ core::CaseStudy StudyBuilder::build() const {
     }
   }
 
-  // Per-slot legal kind sets come from the application (all scenarios of a
-  // study share one application family, so the representative speaks for
-  // every cell).
-  study.slot_kinds = study.scenarios[study.representative].app->slot_kinds();
-  if (study.slot_kinds.size() != slots_) {
-    throw std::invalid_argument(
-        "study '" + name_ + "' app declares " +
-        std::to_string(study.slot_kinds.size()) + " slot kind sets for " +
-        std::to_string(slots_) + " slots");
+  // The slot shape is the application's (CaseStudy::slot_kind_sets).
+  const auto kind_sets = study.slot_kind_sets();
+  if (kind_sets.empty()) {
+    throw std::invalid_argument("study '" + name_ + "' app declares no slots");
   }
-  for (const auto& set : study.slot_kinds) {
+  for (const auto& set : kind_sets) {
     if (set.empty()) {
       throw std::invalid_argument("study '" + name_ +
                                   "' has an empty slot kind set");

@@ -10,7 +10,6 @@
 //
 //   core::CaseStudy study =
 //       api::StudyBuilder("Route")
-//           .slots(2)
 //           .packets(2500)
 //           .first_networks(7)
 //           .config("table=128", [] { return make_app(128); })
@@ -38,10 +37,8 @@ class StudyBuilder {
   // `name` is the study's display name (ExplorationReport::app_name).
   explicit StudyBuilder(std::string name);
 
-  // Number of dominant dynamic data structures (DdtCombination slots).
-  StudyBuilder& slots(std::size_t count);
-  // Packets per generated trace (scale it with CaseStudyOptions before
-  // calling, e.g. options.route_packets).
+  // Packets per generated trace; a registry factory passes
+  // options.packets_for(N), N being the study's length at scale 1.
   StudyBuilder& packets(std::size_t per_trace);
   // Generation-seed offset for every network trace (default 0, the paper
   // sample; see CaseStudyOptions::seed_offset).
@@ -65,10 +62,12 @@ class StudyBuilder {
   // Scenarios build() will produce: networks x configs.
   std::size_t scenario_count() const;
 
-  // Expands the grid. Throws std::invalid_argument when the description
-  // is incomplete (no name, no slots, no networks, no configs, zero
-  // packets, representative out of range) and std::out_of_range for
-  // unknown preset names.
+  // Expands the grid. The slots and their legal kinds are the
+  // application's (NetworkApplication::slot_kinds). Throws
+  // std::invalid_argument when the description is incomplete (no name, no
+  // networks, no configs, zero packets, representative out of range) or
+  // the application declares no slots or an empty kind set, and
+  // std::out_of_range for unknown preset names.
   core::CaseStudy build() const;
 
  private:
@@ -78,7 +77,6 @@ class StudyBuilder {
   };
 
   std::string name_;
-  std::size_t slots_ = 0;
   std::size_t packets_ = 0;
   std::size_t seed_offset_ = 0;
   std::vector<std::string> networks_;

@@ -1,5 +1,6 @@
 #include "core/case_studies.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "energy/energy_model.h"
@@ -7,17 +8,15 @@
 namespace ddtr::core {
 
 CaseStudyOptions CaseStudyOptions::scaled(double factor) const {
-  const auto scale = [factor](std::size_t v) {
-    const double scaled = static_cast<double>(v) * factor;
-    return static_cast<std::size_t>(std::max(200.0, std::round(scaled)));
-  };
-  CaseStudyOptions out;
-  out.route_packets = scale(route_packets);
-  out.url_packets = scale(url_packets);
-  out.ipchains_packets = scale(ipchains_packets);
-  out.drr_packets = scale(drr_packets);
-  out.seed_offset = seed_offset;  // scaling resizes traces, not identity
+  CaseStudyOptions out = *this;
+  out.scale = scale * factor;
   return out;
+}
+
+std::size_t CaseStudyOptions::packets_for(std::size_t full_length) const {
+  if (packets > 0) return packets;
+  const double scaled = static_cast<double>(full_length) * scale;
+  return static_cast<std::size_t>(std::max(200.0, std::round(scaled)));
 }
 
 energy::EnergyModel make_paper_energy_model() {

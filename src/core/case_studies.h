@@ -1,29 +1,32 @@
 // Shared inputs of the paper's four case studies (§4): their trace-length
 // options and the paper cost model. The studies themselves live in the
 // workload registry (api/registry.h, api/builtin_workloads.cc) as "route",
-// "url", "ipchains" and "drr"; look them up with
-// ddtr::api::registry().make_study() and build custom ones with
-// api::StudyBuilder.
+// "url", "ipchains" and "drr", each beside its full trace length; look
+// them up with ddtr::api::registry().make_study() and build custom ones
+// with api::StudyBuilder.
 #pragma once
 
 #include "core/simulation.h"
 
 namespace ddtr::core {
 
-// Trace lengths per application, scaled down for CI-speed runs via
-// `scale` (1.0 = the defaults below).
+// How long a study's traces are, and which traffic sample they hold.
 struct CaseStudyOptions {
-  std::size_t route_packets = 2500;
-  std::size_t url_packets = 10000;
-  std::size_t ipchains_packets = 5000;
-  std::size_t drr_packets = 6000;
+  // Multiplies every study's full trace length (1.0 = the paper lengths).
+  double scale = 1.0;
+  // When nonzero, every trace is this many packets, whatever the scale.
+  std::size_t packets = 0;
   // Offset added to every trace's generation seed (see
   // net::TraceGenerator::Options::seed_offset): 0 reproduces the paper
   // traces, a nonzero offset yields a distinct-but-same-shape traffic
   // sample. Content-hash cache keys keep differently-seeded runs apart.
   std::size_t seed_offset = 0;
 
+  // A copy with `scale` multiplied by `factor`.
   CaseStudyOptions scaled(double factor) const;
+  // The trace length of a study whose full length is `full_length`:
+  // `packets` when set, else full_length x scale rounded, at least 200.
+  std::size_t packets_for(std::size_t full_length) const;
 };
 
 // The cost model used for every paper reproduction: a scratchpad SRAM
@@ -34,4 +37,3 @@ struct CaseStudyOptions {
 energy::EnergyModel make_paper_energy_model();
 
 }  // namespace ddtr::core
-

@@ -67,10 +67,33 @@ void print_best_by_metric(std::ostream& os,
   table.print(os);
 }
 
-void print_reduction_row(std::ostream& os, const ExplorationReport& report) {
-  os << report.app_name << ": exhaustive=" << report.exhaustive_simulations
-     << " reduced=" << report.reduced_simulations()
-     << " pareto=" << report.pareto_optimal.size() << '\n';
+void print_report(std::ostream& os, const ExplorationReport& report,
+                  const std::string& cache_dir) {
+  os << "application: " << report.app_name << '\n'
+     << "configurations: " << report.scenario_count << '\n'
+     << "exhaustive simulations: " << report.exhaustive_simulations << '\n'
+     << "reduced simulations:   " << report.reduced_simulations() << '\n'
+     << "executed simulations:  " << report.executed_simulations()
+     << " (cache hit rate "
+     << support::format_percent(report.cache_hit_rate()) << ")\n"
+     << "kernel runs:           " << report.kernel_runs << '\n';
+  if (!cache_dir.empty()) {
+    os << "persistent cache:      loaded " << report.persistent_loaded
+       << ", stored " << report.persistent_stored << " records in "
+       << cache_dir << '\n';
+  }
+  os << "survivors after step 1: " << report.survivors.size() << '\n'
+     << "Pareto-optimal combinations:\n";
+  for (const SimulationRecord& r : report.pareto_records()) {
+    os << "  " << r.combo.label() << "  energy "
+       << support::format_double(r.metrics.energy_mj, 4) << " mJ, time "
+       << support::format_double(r.metrics.time_s * 1e3, 3)
+       << " ms, accesses " << support::format_count(r.metrics.accesses)
+       << ", footprint " << support::format_bytes(r.metrics.footprint_bytes)
+       << '\n';
+  }
+  os << "\nper-metric best combinations (step 2 logs):\n";
+  print_best_by_metric(os, report.step2_records);
 }
 
 }  // namespace ddtr::core

@@ -28,8 +28,12 @@ void write_pareto_csv(std::ostream& os,
 void print_best_by_metric(std::ostream& os,
                           const std::vector<SimulationRecord>& records);
 
-// Prints the paper's Table-1 row for one exploration report.
-void print_reduction_row(std::ostream& os, const ExplorationReport& report);
+// Prints one exploration's report as `ddtr explore` and `ddtr submit`
+// show it: the simulation counts, the survivors, the 4-D Pareto-optimal
+// combinations and the per-metric best of the step-2 logs. A non-empty
+// `cache_dir` adds the persistent-cache line naming it.
+void print_report(std::ostream& os, const ExplorationReport& report,
+                  const std::string& cache_dir);
 
 }  // namespace ddtr::core
 

@@ -68,18 +68,15 @@ SimulationRecord simulate(const Scenario& scenario,
 // A case study: an application family across its network configurations.
 struct CaseStudy {
   std::string name;
-  std::size_t slots = 0;                 // dominant DDT count
   std::vector<Scenario> scenarios;
   std::size_t representative = 0;        // scenario used by step 1
-  // Per-slot legal kind sets (from the application's slot_kinds()); when
-  // empty or mismatched, every slot gets ddt::default_slot_kinds().
-  std::vector<std::vector<ddt::DdtKind>> slot_kinds;
 
-  // The kind sets the explorer actually enumerates, one per slot.
+  // The kind sets the explorer enumerates, one per dominant structure:
+  // the application's slot_kinds(). Every scenario of a study runs one
+  // application family, so the representative speaks for all of them.
   std::vector<std::vector<ddt::DdtKind>> slot_kind_sets() const {
-    if (slot_kinds.size() == slots) return slot_kinds;
-    return std::vector<std::vector<ddt::DdtKind>>(slots,
-                                                  ddt::default_slot_kinds());
+    if (representative >= scenarios.size()) return {};
+    return scenarios[representative].app->slot_kinds();
   }
 
   std::size_t combination_count() const {

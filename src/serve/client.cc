@@ -96,14 +96,4 @@ StatsReply Client::stats() {
   return out;
 }
 
-ShutdownAck Client::shutdown() {
-  const Frame reply =
-      round_trip({FrameType::kShutdown, {}}, FrameType::kShutdownAck);
-  ShutdownAck out;
-  if (!decode_shutdown_ack(reply.payload, out)) {
-    throw std::runtime_error("serve client: malformed shutdown ack");
-  }
-  return out;
-}
-
 }  // namespace ddtr::serve

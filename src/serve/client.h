@@ -31,8 +31,6 @@ class Client {
   // Introspection snapshot: uptime, since-boot cache counters and the job
   // table with lifecycle timestamps.
   StatsReply stats();
-  // Asks the daemon to drain and exit; returns its farewell.
-  ShutdownAck shutdown();
 
  private:
   // Sends `frame` and reads its one reply: an Error frame throws, a frame

@@ -32,8 +32,6 @@ bool valid_type(std::uint32_t raw) {
     case FrameType::kSubmit:
     case FrameType::kResult:
     case FrameType::kError:
-    case FrameType::kShutdown:
-    case FrameType::kShutdownAck:
     case FrameType::kStats:
     case FrameType::kStatsReply:
       return true;
@@ -200,8 +198,6 @@ std::string encode_submit(const SubmitRequest& m) {
   support::append_u64(out, m.seed_offset);
   support::append_u32(out, m.greedy);
   support::append_f64(out, m.survivor_cap);
-  support::append_string(out, m.metric_x);
-  support::append_string(out, m.metric_y);
   return out;
 }
 
@@ -211,9 +207,7 @@ bool decode_submit(const std::string& payload, SubmitRequest& m) {
          support::read_u64(is, m.packets) &&
          support::read_u64(is, m.seed_offset) &&
          support::read_u32(is, m.greedy) &&
-         support::read_f64(is, m.survivor_cap) &&
-         support::read_string(is, m.metric_x) &&
-         support::read_string(is, m.metric_y) && at_end(is);
+         support::read_f64(is, m.survivor_cap) && at_end(is);
 }
 
 std::string encode_result(const ResultFrame& m) {
@@ -221,14 +215,7 @@ std::string encode_result(const ResultFrame& m) {
   support::append_u64(out, m.job_id);
   support::append_string(out, m.app);
   support::append_u64(out, m.executed);
-  support::append_u64(out, m.logical);
-  support::append_u64(out, m.cache_hits);
-  support::append_u64(out, m.cache_misses);
-  support::append_u64(out, m.persistent_loaded);
-  support::append_u64(out, m.persistent_stored);
-  support::append_u64(out, m.survivors);
-  support::append_u64(out, m.pareto_count);
-  support::append_string(out, m.pareto);
+  support::append_string(out, m.report);
   support::append_string(out, m.records);
   return out;
 }
@@ -237,14 +224,7 @@ bool decode_result(const std::string& payload, ResultFrame& m) {
   std::istringstream is(payload);
   return support::read_u64(is, m.job_id) && support::read_string(is, m.app) &&
          support::read_u64(is, m.executed) &&
-         support::read_u64(is, m.logical) &&
-         support::read_u64(is, m.cache_hits) &&
-         support::read_u64(is, m.cache_misses) &&
-         support::read_u64(is, m.persistent_loaded) &&
-         support::read_u64(is, m.persistent_stored) &&
-         support::read_u64(is, m.survivors) &&
-         support::read_u64(is, m.pareto_count) &&
-         support::read_string(is, m.pareto) &&
+         support::read_string(is, m.report) &&
          support::read_string(is, m.records) && at_end(is);
 }
 
@@ -257,17 +237,6 @@ std::string encode_error(const ErrorFrame& m) {
 bool decode_error(const std::string& payload, ErrorFrame& m) {
   std::istringstream is(payload);
   return support::read_string(is, m.message) && at_end(is);
-}
-
-std::string encode_shutdown_ack(const ShutdownAck& m) {
-  std::string out;
-  support::append_u64(out, m.sessions_served);
-  return out;
-}
-
-bool decode_shutdown_ack(const std::string& payload, ShutdownAck& m) {
-  std::istringstream is(payload);
-  return support::read_u64(is, m.sessions_served) && at_end(is);
 }
 
 std::string encode_stats_reply(const StatsReply& m) {

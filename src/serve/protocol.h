@@ -41,18 +41,20 @@ namespace ddtr::serve {
 // lost progress_every.
 // v7: a submit is answered by one Result or Error frame; the submit ack
 // and progress frames are gone and types 4 and 5 stay unassigned.
-inline constexpr std::uint32_t kProtocolVersion = 7;
+// v8: ResultFrame carries the printed report (core::print_report) in
+// place of its counters and 2-D front, SubmitRequest lost metric_x and
+// metric_y, and the Shutdown/ShutdownAck pair is gone (types 11 and 12
+// stay unassigned): a daemon stops on SIGTERM/SIGINT.
+inline constexpr std::uint32_t kProtocolVersion = 8;
 
-// Frame types. Only these values decode: a retired type (4, 5 and 8-10)
-// is a corrupt frame.
+// Frame types. Only these values decode: a retired type (4, 5, 8-10, 11
+// and 12) is a corrupt frame.
 enum class FrameType : std::uint32_t {
   kHello = 1,        // client -> server, first frame on every connection
   kHelloAck = 2,     // server -> client, handshake accepted
   kSubmit = 3,       // client -> server, one study submission
   kResult = 6,       // server -> client, the submit's report digest
   kError = 7,        // server -> client, request failed (message)
-  kShutdown = 11,    // client -> server, drain and exit (empty payload)
-  kShutdownAck = 12, // server -> client, shutdown under way
   kStats = 13,       // client -> server, stats snapshot (empty payload)
   kStatsReply = 14,  // server -> client, uptime / cache / job-table stats
 };
@@ -94,8 +96,13 @@ struct HelloAck {
   std::uint64_t warm_traces = 0;   // traces held by the TraceStore
 };
 
-// Largest `packets` override a submission may ask for: the scale bound
-// (100) times the largest default trace (url, 10,000 packets).
+// Bounds of a submission's knobs, the same for `ddtr explore` and
+// `ddtr submit` flags and for Server::validate: scale in (0, kMaxScale],
+// survivor_cap in (0, kMaxSurvivorCap] (0 on the wire means "unset").
+inline constexpr double kMaxScale = 100.0;
+inline constexpr double kMaxSurvivorCap = 1.0;
+// Largest `packets` override a submission may ask for: kMaxScale times
+// the largest full trace (url, 10,000 packets).
 inline constexpr std::uint64_t kMaxPackets = 1'000'000;
 
 // One study submission: a registered workload name plus builder knobs.
@@ -103,30 +110,22 @@ inline constexpr std::uint64_t kMaxPackets = 1'000'000;
 struct SubmitRequest {
   std::string app;
   double scale = 0.25;
-  std::uint64_t packets = 0;      // override every per-app trace length
+  std::uint64_t packets = 0;      // CaseStudyOptions::packets (0 = scaled)
   std::uint64_t seed_offset = 0;  // trace generation seed offset
   std::uint32_t greedy = 0;       // 1 = Step1Policy::kGreedyPerSlot
   double survivor_cap = 0.0;      // survivor_cap_fraction (0 = default)
-  std::string metric_x = "time";  // result-frame Pareto listing axes
-  std::string metric_y = "energy";
 };
 
-// Digest of one completed exploration. `records` is the serialized
-// ResultLog (ExplorationReport::serialized_records()) — the repo-wide
-// definition of "byte-identical reports", which is what makes the
-// warm-cache acceptance check exact.
+// One completed exploration. `report` is its core::print_report text, as
+// `ddtr explore` prints it; `records` is the serialized ResultLog
+// (ExplorationReport::serialized_records()) — the repo-wide definition of
+// "byte-identical reports", which is what makes the warm-cache acceptance
+// check exact.
 struct ResultFrame {
   std::uint64_t job_id = 0;
   std::string app;
-  std::uint64_t executed = 0;
-  std::uint64_t logical = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t persistent_loaded = 0;
-  std::uint64_t persistent_stored = 0;
-  std::uint64_t survivors = 0;
-  std::uint64_t pareto_count = 0;
-  std::string pareto;   // preformatted front on (metric_x, metric_y)
+  std::uint64_t executed = 0;  // simulations this run computed
+  std::string report;
   std::string records;  // serialized ResultLog, byte-exact
 };
 
@@ -158,10 +157,6 @@ struct StatsReply {
   std::vector<JobStats> jobs;
 };
 
-struct ShutdownAck {
-  std::uint64_t sessions_served = 0;
-};
-
 std::string encode_hello(const Hello& m);
 bool decode_hello(const std::string& payload, Hello& m);
 std::string encode_hello_ack(const HelloAck& m);
@@ -172,8 +167,6 @@ std::string encode_result(const ResultFrame& m);
 bool decode_result(const std::string& payload, ResultFrame& m);
 std::string encode_error(const ErrorFrame& m);
 bool decode_error(const std::string& payload, ErrorFrame& m);
-std::string encode_shutdown_ack(const ShutdownAck& m);
-bool decode_shutdown_ack(const std::string& payload, ShutdownAck& m);
 std::string encode_stats_reply(const StatsReply& m);
 bool decode_stats_reply(const std::string& payload, StatsReply& m);
 

@@ -18,36 +18,12 @@
 #include "api/registry.h"
 #include "core/case_studies.h"
 #include "core/explorer.h"
-#include "core/pareto.h"
-#include "energy/metrics.h"
+#include "core/report.h"
 #include "nettrace/trace_store.h"
 #include "obs/trace.h"
 #include "support/table.h"
 
 namespace ddtr::serve {
-namespace {
-
-// The 2-D Pareto front of the aggregated step-3 records on the requested
-// metric pair, preformatted one line per point (combo label + both
-// values) so clients print it verbatim.
-std::string format_pareto(const core::ExplorationReport& report,
-                          std::size_t mx, std::size_t my) {
-  std::vector<energy::Metrics> points;
-  points.reserve(report.aggregated.size());
-  for (const auto& r : report.aggregated) points.push_back(r.metrics);
-  std::ostringstream os;
-  for (std::size_t idx : core::pareto_front_2d(points, mx, my)) {
-    const auto& r = report.aggregated[idx];
-    const auto values = r.metrics.as_array();
-    os << r.combo.label() << "  " << energy::kMetricNames[mx] << '='
-       << support::format_double(values[mx], 6) << "  "
-       << energy::kMetricNames[my] << '='
-       << support::format_double(values[my], 6) << '\n';
-  }
-  return os.str();
-}
-
-}  // namespace
 
 Server::Server(ServerOptions options) : options_(std::move(options)) {
   int wake[2] = {-1, -1};
@@ -249,14 +225,6 @@ bool Server::handle_request(int fd, const Frame& frame) {
       handle_stats(fd);
       return true;
     }
-    case FrameType::kShutdown: {
-      ShutdownAck ack;
-      ack.sessions_served = sessions_served();
-      send_frame(fd, {FrameType::kShutdownAck, encode_shutdown_ack(ack)});
-      log_line("shutdown requested by client");
-      request_stop();
-      return false;
-    }
     default:
       send_error(fd, "unexpected frame type " +
                          std::to_string(static_cast<std::uint32_t>(
@@ -274,23 +242,19 @@ std::string Server::validate(const SubmitRequest& request) const {
     return "unknown app '" + request.app + "' (have: " + known + ")";
   }
   if (!(request.scale > 0.0) || !std::isfinite(request.scale) ||
-      request.scale > 100.0) {
-    return "scale must be finite and in (0, 100]";
+      request.scale > kMaxScale) {
+    return "scale must be finite and in (0, " +
+           support::format_double(kMaxScale, 0) + "]";
   }
   if (request.packets > kMaxPackets) {
     return "packets must be at most " + std::to_string(kMaxPackets);
   }
-  if (request.survivor_cap < 0.0 || request.survivor_cap > 1.0 ||
+  if (request.survivor_cap < 0.0 || request.survivor_cap > kMaxSurvivorCap ||
       !std::isfinite(request.survivor_cap)) {
-    return "survivor-cap must be in [0, 1]";
+    return "survivor-cap must be in [0, " +
+           support::format_double(kMaxSurvivorCap, 0) + "]";
   }
   if (request.greedy > 1) return "greedy must be 0 or 1";
-  if (!energy::metric_index(request.metric_x)) {
-    return "unknown metric '" + request.metric_x + "'";
-  }
-  if (!energy::metric_index(request.metric_y)) {
-    return "unknown metric '" + request.metric_y + "'";
-  }
   return {};
 }
 
@@ -318,7 +282,9 @@ void Server::handle_submit(int fd, const SubmitRequest& request) {
   } catch (const std::exception& error) {
     {
       std::lock_guard<std::mutex> lock(jobs_mu_);
-      jobs_.at(job_id).state = "failed";
+      Job& job = jobs_.at(job_id);
+      job.state = "failed";
+      job.finish_ms = uptime_ms();
       trim_jobs();
     }
     send_error(fd, std::string("exploration failed: ") + error.what());
@@ -336,12 +302,7 @@ ResultFrame Server::run_job(std::uint64_t job_id,
   }
   core::CaseStudyOptions study_options =
       core::CaseStudyOptions{}.scaled(request.scale);
-  if (request.packets > 0) {
-    study_options.route_packets = request.packets;
-    study_options.url_packets = request.packets;
-    study_options.ipchains_packets = request.packets;
-    study_options.drr_packets = request.packets;
-  }
+  study_options.packets = request.packets;
   study_options.seed_offset = request.seed_offset;
 
   const core::CaseStudy study =
@@ -357,28 +318,22 @@ ResultFrame Server::run_job(std::uint64_t job_id,
   const core::ExplorationEngine engine(core::make_paper_energy_model(),
                                        std::move(options));
 
-  ResultFrame result;
+  core::ExplorationReport report;
   {
     std::lock_guard<std::mutex> run_lock(run_mu_);
-    const core::ExplorationReport report = engine.explore(
-        study, cache_, *pool_, persistent_ ? &*persistent_ : nullptr);
-    result.job_id = job_id;
-    result.app = report.app_name;
-    result.executed = report.executed_simulations();
-    result.logical = report.reduced_simulations();
-    result.cache_hits = report.cache_hits;
-    result.cache_misses = report.cache_misses;
-    result.persistent_loaded = report.persistent_loaded;
-    result.persistent_stored = report.persistent_stored;
-    result.survivors = report.survivors.size();
-    result.pareto_count = report.pareto_optimal.size();
-    result.pareto =
-        format_pareto(report, *energy::metric_index(request.metric_x),
-                      *energy::metric_index(request.metric_y));
-    result.records = report.serialized_records();
+    report = engine.explore(study, cache_, *pool_,
+                            persistent_ ? &*persistent_ : nullptr);
   }
+  ResultFrame result;
+  result.job_id = job_id;
+  result.app = report.app_name;
+  result.executed = report.executed_simulations();
+  std::ostringstream text;
+  core::print_report(text, report, options_.cache_dir);
+  result.report = text.str();
+  result.records = report.serialized_records();
   job_span.arg("executed", result.executed)
-      .arg("cache_hits", result.cache_hits)
+      .arg("cache_hits", report.cache_hits)
       .arg("result_bytes", result.records.size());
 
   {
@@ -391,7 +346,7 @@ ResultFrame Server::run_job(std::uint64_t job_id,
   }
   log_line("job " + std::to_string(job_id) + ": executed " +
            std::to_string(result.executed) + "/" +
-           std::to_string(result.logical) + " simulations");
+           std::to_string(report.reduced_simulations()) + " simulations");
   return result;
 }
 

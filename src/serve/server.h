@@ -3,10 +3,11 @@
 // traces, the simulation thread pool — warm across study submissions
 // instead of rebuilding them per CLI invocation. Clients connect over a
 // unix-domain socket (see serve/protocol.h), submit registered workloads
-// with builder knobs, and receive the report digest as the one reply to
-// each submit. Results are not kept: a client that wants one again
-// resubmits, and the warm cache replays it (zero executed simulations,
-// byte-identical records).
+// with builder knobs, and receive one reply per submit: the printed
+// report (core::print_report, as `ddtr explore` prints it) and the
+// serialized records. Results are not kept: a client that wants one
+// again resubmits, and the warm cache replays it (zero executed
+// simulations, byte-identical records).
 //
 // Warm state: start() seeds the daemon's SimulationCache from the cache
 // directory with one read (PersistentSimulationCache::seed) and spawns
@@ -27,9 +28,10 @@
 // a long-lived daemon holds one thread per connection that was open at
 // its last accept, not one per connection ever served.
 //
-// Shutdown: request_stop() is async-signal-safe (an atomic store and a
+// Shutdown: request_stop() is the one way to stop a daemon; there is no
+// shutdown frame. It is async-signal-safe (an atomic store and a
 // one-byte write(2) to a wake pipe — the CLI's SIGTERM/SIGINT handler
-// calls it directly). The byte wakes serve_forever() out of its accept
+// calls it directly, an in-process owner from any thread). The byte wakes serve_forever() out of its accept
 // poll at once; it then half-closes every open connection to unblock
 // parked reads, joins the session threads and removes the socket file.
 // There is nothing to flush: every run stored its new records into the
@@ -94,8 +96,8 @@ class Server {
   // std::runtime_error on socket failure or an over-long path.
   void start();
 
-  // Accept loop; returns once a stop was requested (signal or Shutdown
-  // frame) and every in-flight session has drained. Requires start().
+  // Accept loop; returns once a stop was requested (request_stop()) and
+  // every in-flight session has drained. Requires start().
   void serve_forever();
 
   // Requests a drain-and-exit from any thread, before or after start().
@@ -130,7 +132,8 @@ class Server {
   void reap_sessions();
   void handle_connection(int fd);
   // Serves one decoded client frame; returns false when the conversation
-  // is over (shutdown) and the connection should close.
+  // is over (a malformed or unexpected frame) and the connection should
+  // close.
   bool handle_request(int fd, const Frame& frame);
   void handle_submit(int fd, const SubmitRequest& request);
   void handle_stats(int fd);

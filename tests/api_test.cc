@@ -23,12 +23,29 @@ namespace {
 
 core::CaseStudyOptions tiny_options() {
   core::CaseStudyOptions options;
-  options.route_packets = 200;
-  options.url_packets = 200;
-  options.ipchains_packets = 200;
-  options.drr_packets = 200;
+  options.packets = 200;
   return options;
 }
+
+// An application whose slot shape is given: what build() checks.
+class ShapedApp final : public apps::NetworkApplication {
+ public:
+  explicit ShapedApp(std::vector<std::vector<ddt::DdtKind>> kinds)
+      : kinds_(std::move(kinds)) {}
+  std::string name() const override { return "Shaped"; }
+  std::vector<std::string> dominant_structures() const override {
+    return std::vector<std::string>(kinds_.size(), "slot");
+  }
+  std::vector<std::vector<ddt::DdtKind>> slot_kinds() const override {
+    return kinds_;
+  }
+  apps::RunResult run(const net::Trace&, const ddt::DdtCombination&) override {
+    return {};
+  }
+
+ private:
+  std::vector<std::vector<ddt::DdtKind>> kinds_;
+};
 
 StudyBuilder::AppFactory tiny_url_app() {
   return [] {
@@ -84,15 +101,33 @@ TEST(StudyRegistry, RejectsDuplicateAndMalformedRegistrations) {
                std::invalid_argument);
 }
 
+TEST(CaseStudyOptions, PacketsForScalesRoundsAndFloors) {
+  const core::CaseStudyOptions full;
+  EXPECT_EQ(full.packets_for(2500), 2500u);
+  EXPECT_EQ(full.scaled(0.25).packets_for(2500), 625u);
+  EXPECT_EQ(full.scaled(0.05).packets_for(10000), 500u);
+  EXPECT_EQ(full.scaled(0.05).packets_for(2500), 200u);  // the floor
+  EXPECT_EQ(full.scaled(0.0001).packets_for(5001), 200u);
+  EXPECT_EQ(full.scaled(0.5).packets_for(5001), 2501u);  // rounds half up
+  EXPECT_EQ(full.scaled(2.0).scaled(0.5).packets_for(6000), 6000u);
+  // A set packet count wins over the scale, floor included.
+  core::CaseStudyOptions fixed = full.scaled(0.05);
+  fixed.packets = 123;
+  EXPECT_EQ(fixed.packets_for(10000), 123u);
+  EXPECT_EQ(fixed.scaled(4.0).packets, 123u);
+}
+
 TEST(StudyBuilder, ExpandsNetworkMajorGridAndSharesTraces) {
   StudyBuilder builder("Toy");
-  builder.slots(2).packets(200).networks({"dart-berry", "dart-dorm"});
+  builder.packets(200).networks({"dart-berry", "dart-dorm"});
   builder.config("a=1", tiny_url_app()).config("a=2", tiny_url_app());
   EXPECT_EQ(builder.scenario_count(), 4u);
 
   const core::CaseStudy study = builder.build();
   EXPECT_EQ(study.name, "Toy");
-  EXPECT_EQ(study.slots, 2u);
+  // The slot shape is the application's.
+  EXPECT_EQ(study.slot_kind_sets(), study.scenarios[0].app->slot_kinds());
+  EXPECT_EQ(study.slot_kind_sets().size(), 2u);
   EXPECT_EQ(study.representative, 0u);
   ASSERT_EQ(study.scenarios.size(), 4u);
   // Network-major order, configs inner — the order every paper study uses.
@@ -112,7 +147,7 @@ TEST(StudyBuilder, ConcurrentBuildsGenerateEachTraceOnceAndWarmBuildsNone) {
   net::TraceStore& store = net::TraceStore::global();
   store.clear();
   StudyBuilder builder("Toy");
-  builder.slots(2).packets(300).seed_offset(91).first_networks(7);
+  builder.packets(300).seed_offset(91).first_networks(7);
   builder.config("a=1", tiny_url_app()).config("a=2", tiny_url_app());
 
   // Two builders race from an empty store: 14 requests for 7 traces.
@@ -150,16 +185,13 @@ TEST(StudyBuilder, ConcurrentBuildsGenerateEachTraceOnceAndWarmBuildsNone) {
 
 TEST(StudyBuilder, ValidatesTheDescription) {
   EXPECT_THROW(StudyBuilder("").build(), std::invalid_argument);
-  // No slots / packets / networks / configs.
+  // No packets / networks / configs.
   EXPECT_THROW(StudyBuilder("x").build(), std::invalid_argument);
-  EXPECT_THROW(StudyBuilder("x").slots(1).packets(100).network(
-                   "dart-berry").build(),
+  EXPECT_THROW(StudyBuilder("x").packets(100).network("dart-berry").build(),
                std::invalid_argument);  // no configs
-  EXPECT_THROW(
-      StudyBuilder("x").slots(1).packets(100).app(tiny_url_app()).build(),
-      std::invalid_argument);  // no networks
+  EXPECT_THROW(StudyBuilder("x").packets(100).app(tiny_url_app()).build(),
+               std::invalid_argument);  // no networks
   EXPECT_THROW(StudyBuilder("x")
-                   .slots(1)
                    .packets(100)
                    .network("dart-berry")
                    .app(tiny_url_app())
@@ -167,19 +199,29 @@ TEST(StudyBuilder, ValidatesTheDescription) {
                    .build(),
                std::invalid_argument);  // representative out of range
   EXPECT_THROW(StudyBuilder("x")
-                   .slots(1)
                    .packets(100)
                    .network("not-a-preset")
                    .app(tiny_url_app())
                    .build(),
                std::out_of_range);  // unknown preset
   EXPECT_THROW(StudyBuilder("x")
-                   .slots(1)
                    .packets(100)
                    .network("dart-berry")
                    .config("c", nullptr)
                    .build(),
                std::invalid_argument);  // null factory
+  // The application's slot shape: no slots, or a slot with no legal kind.
+  const auto shaped = [](std::vector<std::vector<ddt::DdtKind>> kinds) {
+    return StudyBuilder("x")
+        .packets(100)
+        .network("dart-berry")
+        .app([kinds] { return std::make_shared<ShapedApp>(kinds); })
+        .build();
+  };
+  EXPECT_THROW(shaped({}), std::invalid_argument);
+  EXPECT_THROW(shaped({ddt::default_slot_kinds(), {}}),
+               std::invalid_argument);
+  EXPECT_EQ(shaped({{ddt::DdtKind::kArray}}).combination_count(), 1u);
 }
 
 TEST(Api, WorkloadRegisteredOutsideCoreExploresEndToEnd) {
@@ -190,8 +232,7 @@ TEST(Api, WorkloadRegisteredOutsideCoreExploresEndToEnd) {
     registry().add({"toy-url", "tiny URL study for the API test",
                     [](const core::CaseStudyOptions& options) {
                       return StudyBuilder("ToyURL")
-                          .slots(2)
-                          .packets(options.url_packets)
+                          .packets(options.packets_for(10000))
                           .networks({"dart-berry", "dart-dorm"})
                           .app(tiny_url_app())
                           .build();
@@ -208,7 +249,6 @@ TEST(Api, WorkloadRegisteredOutsideCoreExploresEndToEnd) {
 
 TEST(Exploration, ReportThrowsBeforeRunAndOptionsChain) {
   const core::CaseStudy study = StudyBuilder("ToyMin")
-                                    .slots(2)
                                     .packets(200)
                                     .network("dart-berry")
                                     .app(tiny_url_app())
@@ -238,7 +278,7 @@ TEST(Api, BuilderStudyBitIdenticalToRegistryRoute) {
 
   // The documented builder recipe for the paper's Route study...
   StudyBuilder builder("Route");
-  builder.slots(2).packets(options.route_packets).first_networks(7);
+  builder.packets(options.packets_for(2500)).first_networks(7);
   for (const std::size_t table : {std::size_t{128}, std::size_t{256}}) {
     builder.config("table=" + std::to_string(table), [table] {
       return std::make_shared<apps::route::RouteApp>(

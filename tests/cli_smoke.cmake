@@ -220,7 +220,34 @@ if(NOT shared_verify_out MATCHES "cache verify: OK")
   message(FATAL_ERROR "shared cache verify failed:\n${shared_verify_out}")
 endif()
 
-# 9. Serve-daemon flag contract, daemonless: a missing or valueless
+# 9. An output file that cannot be written is an error (exit 1 naming the
+#    file), not a "wrote" line: one case per file-writing flag. (The same
+#    check of `submit --log` needs a daemon; serve_smoke makes it.)
+set(NO_DIR "${WORK_DIR}/no_such_dir")
+file(REMOVE_RECURSE "${NO_DIR}")
+function(expect_write_error path)
+  execute_process(
+      COMMAND ${DDTR_CLI} ${ARGN}
+      RESULT_VARIABLE result
+      OUTPUT_VARIABLE output
+      ERROR_VARIABLE errout)
+  if(NOT result EQUAL 1
+     OR NOT errout MATCHES "error: cannot write ${path}\n"
+     OR output MATCHES "wrote ")
+    message(FATAL_ERROR
+        "ddtr ${ARGN}: expected exit 1 and 'error: cannot write ${path}', "
+        "got exit ${result}:\n${output}\n${errout}")
+  endif()
+endfunction()
+expect_write_error(${NO_DIR}/x.log
+                   explore --app url --scale 0.05 --log ${NO_DIR}/x.log)
+expect_write_error(${NO_DIR}/p_records.csv
+                   explore --app url --scale 0.05 --csv ${NO_DIR}/p)
+expect_write_error(${NO_DIR}/t.trace
+                   tracegen --preset nlanr-campus --packets 10
+                   --out ${NO_DIR}/t.trace)
+
+# 10. Serve-daemon flag contract, daemonless: a missing or valueless
 #     --socket fails fast, before any connect.
 expect_usage_error("missing required flag --socket" serve)
 expect_usage_error("requires a value" submit --app url --socket)
@@ -231,7 +258,7 @@ if(NOT submit_noconnect_out MATCHES "cannot connect")
       "dead-socket submit not reported:\n${submit_noconnect_out}")
 endif()
 
-# 10. The command table's contract, before any work starts. Unknown flags
+# 11. The command table's contract, before any work starts. Unknown flags
 #     (leftovers of removed features, typos) name the subcommand and flag.
 expect_usage_error("explore: unknown flag --step1-sharded"
                    explore --app url --step1-sharded)
@@ -251,6 +278,12 @@ expect_usage_error("explore: unknown flag --progress"
                    explore --app url --progress)
 expect_usage_error("submit: unknown flag --progress"
                    submit --socket ${WORK_DIR}/nope.sock --app url --progress)
+# Protocol v8: submit prints the explore report, with no 2-D listing
+# axes, and SIGTERM/SIGINT are the one way to stop a daemon.
+expect_usage_error("submit: unknown flag --x"
+                   submit --socket ${WORK_DIR}/nope.sock --app url --x time)
+expect_usage_error("unknown command 'shutdown'"
+                   shutdown --socket ${WORK_DIR}/nope.sock)
 # Numeric ranges: scale in (0, 100], as the daemon's; survivor-cap in
 # (0, 1], the daemon's [0, 1] without the wire's "unset" 0.
 expect_usage_error("explore: flag --scale expects a number in \\(0,100\\]"
@@ -277,7 +310,7 @@ expect_usage_error("explore: unexpected argument 'stray'"
 # Bare `ddtr` prints the generated usage: it lists exactly the subcommands
 # that dispatch, each of which rejects an unknown flag.
 set(commands apps ddts presets tracegen traceparse explore pareto cache
-    serve submit stats shutdown tracecheck)
+    serve submit stats tracecheck)
 expect_usage_error("^usage:\n")
 string(REGEX MATCHALL "\n  ddtr [a-z]+" listed "${usage_error_out}")
 string(REPLACE "\n  ddtr " "" listed "${listed}")

@@ -18,7 +18,6 @@ CaseStudy tiny_url_study(std::size_t scenario_count = 2,
                          std::size_t packets = 600) {
   CaseStudy study;
   study.name = "URL";
-  study.slots = 2;
   const std::vector<std::string> presets = {"dart-berry", "dart-sudikoff",
                                             "dart-whittemore"};
   for (std::size_t i = 0; i < scenario_count; ++i) {

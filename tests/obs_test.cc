@@ -23,10 +23,7 @@ namespace {
 
 core::CaseStudyOptions tiny_options() {
   core::CaseStudyOptions options;
-  options.route_packets = 200;
-  options.url_packets = 200;
-  options.ipchains_packets = 200;
-  options.drr_packets = 200;
+  options.packets = 200;
   return options;
 }
 

@@ -22,10 +22,7 @@ namespace {
 // Short traces keep each of the ~100 step-1 simulations cheap.
 CaseStudyOptions tiny_options() {
   CaseStudyOptions options;
-  options.route_packets = 200;
-  options.url_packets = 200;
-  options.ipchains_packets = 200;
-  options.drr_packets = 200;
+  options.packets = 200;
   return options;
 }
 

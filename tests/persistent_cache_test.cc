@@ -46,10 +46,7 @@ namespace {
 
 CaseStudyOptions tiny_options() {
   CaseStudyOptions options;
-  options.route_packets = 200;
-  options.url_packets = 200;
-  options.ipchains_packets = 200;
-  options.drr_packets = 200;
+  options.packets = 200;
   return options;
 }
 

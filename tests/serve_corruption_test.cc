@@ -35,18 +35,17 @@ using support::Rng;
 // A frame corpus spanning empty, small, binary and larger payloads.
 std::vector<std::string> frame_corpus() {
   std::vector<std::string> wires;
-  wires.push_back(encode_frame({FrameType::kShutdown, ""}));
+  wires.push_back(encode_frame({FrameType::kStats, ""}));
   wires.push_back(encode_frame({FrameType::kHello, encode_hello(Hello{})}));
   SubmitRequest submit;
   submit.app = "url";
   submit.packets = 5000;
-  submit.metric_y = "area";
   wires.push_back(encode_frame({FrameType::kSubmit, encode_submit(submit)}));
   ResultFrame result;
   result.job_id = 7;
   result.app = "route";
   result.executed = 1234;
-  result.pareto = "a\tb\tc\n1\t2\t3\n";
+  result.report = "a\tb\tc\n1\t2\t3\n";
   result.records = std::string(512, '\xab') + std::string("\x00\xff\x7f", 3);
   wires.push_back(encode_frame({FrameType::kResult, encode_result(result)}));
   return wires;
@@ -169,7 +168,7 @@ TEST(ServeCorruptionSweep, PayloadCodecsRejectOrRoundTripExactly) {
   result.job_id = 11;
   result.app = "ipchains";
   result.executed = 2;
-  result.pareto = "front";
+  result.report = "report";
   result.records = std::string("\x01\x02\x00\xfe", 4);
   sweep_codec<ResultFrame>("result", encode_result(result), decode_result,
                            encode_result, rng);
@@ -178,11 +177,6 @@ TEST(ServeCorruptionSweep, PayloadCodecsRejectOrRoundTripExactly) {
   error.message = "unknown app 'nope'";
   sweep_codec<ErrorFrame>("error", encode_error(error), decode_error,
                           encode_error, rng);
-
-  ShutdownAck shutdown_ack;
-  shutdown_ack.sessions_served = 8;
-  sweep_codec<ShutdownAck>("shutdown_ack", encode_shutdown_ack(shutdown_ack),
-                           decode_shutdown_ack, encode_shutdown_ack, rng);
 
   StatsReply stats_reply;
   stats_reply.uptime_ms = 91234;

@@ -33,8 +33,8 @@ TEST(ServeFrame, RoundTripsPayload) {
 }
 
 TEST(ServeFrame, RoundTripsEmptyPayload) {
-  const Frame out = roundtrip({FrameType::kShutdown, ""});
-  EXPECT_EQ(out.type, FrameType::kShutdown);
+  const Frame out = roundtrip({FrameType::kStats, ""});
+  EXPECT_EQ(out.type, FrameType::kStats);
   EXPECT_TRUE(out.payload.empty());
 }
 
@@ -83,9 +83,10 @@ TEST(ServeFrame, UnknownTypeIsCorrupt) {
 }
 
 TEST(ServeFrame, RetiredTypeIsCorrupt) {
-  // 4 and 5 were the submit ack and progress tick, 8 the job-table query:
-  // unassigned values inside the assigned range decode like any unknown.
-  for (const std::uint32_t type : {4u, 5u, 8u}) {
+  // 4 and 5 were the submit ack and progress tick, 8 the job-table query,
+  // 11 and 12 the shutdown request and its ack: unassigned values inside
+  // the assigned range decode like any unknown.
+  for (const std::uint32_t type : {4u, 5u, 8u, 11u, 12u}) {
     const std::string wire =
         encode_frame({static_cast<FrameType>(type), "payload"});
     std::istringstream is(wire);
@@ -172,8 +173,6 @@ TEST(ServeMessages, SubmitRoundTripAllFields) {
   in.seed_offset = 3;
   in.greedy = 1;
   in.survivor_cap = 0.4;
-  in.metric_x = "accesses";
-  in.metric_y = "footprint_B";
   SubmitRequest out;
   ASSERT_TRUE(decode_submit(encode_submit(in), out));
   EXPECT_EQ(out.app, "url");
@@ -182,13 +181,15 @@ TEST(ServeMessages, SubmitRoundTripAllFields) {
   EXPECT_EQ(out.seed_offset, 3u);
   EXPECT_EQ(out.greedy, 1u);
   EXPECT_DOUBLE_EQ(out.survivor_cap, 0.4);
-  EXPECT_EQ(out.metric_x, "accesses");
-  EXPECT_EQ(out.metric_y, "footprint_B");
-  // v6 layout: app, f64 scale, u64 packets, u64 seed_offset, u32 greedy,
-  // f64 survivor_cap, metric_x, metric_y; strings are u64-length-prefixed.
+  // v8 layout: app, f64 scale, u64 packets, u64 seed_offset, u32 greedy,
+  // f64 survivor_cap; strings are u64-length-prefixed.
   const std::string wire = encode_submit(in);
-  EXPECT_EQ(wire.size(), (8u + 3u) + 8u + 8u + 8u + 4u + 8u + (8u + 8u) +
-                             (8u + 11u));
+  EXPECT_EQ(wire.size(), (8u + 3u) + 8u + 8u + 8u + 4u + 8u);
+  // A v7 submit (two metric names more) is trailing garbage to a v8 peer.
+  std::string v7 = wire;
+  support::append_string(v7, "time");
+  support::append_string(v7, "energy");
+  EXPECT_FALSE(decode_submit(v7, out));
   // Any truncation must fail, at every cut point.
   for (std::size_t cut = 0; cut < wire.size(); ++cut) {
     EXPECT_FALSE(decode_submit(wire.substr(0, cut), out)) << "cut=" << cut;
@@ -200,25 +201,18 @@ TEST(ServeMessages, ResultRoundTripKeepsRecordsByteExact) {
   in.job_id = 42;
   in.app = "Route";
   in.executed = 0;
-  in.logical = 176;
-  in.cache_hits = 176;
-  in.persistent_loaded = 165;
-  in.survivors = 11;
-  in.pareto_count = 5;
-  in.pareto = "AR+AR  time_s=0.01  energy_mJ=0.2\n";
+  in.report = "application: Route\nPareto-optimal combinations:\n";
   in.records = std::string("binary\0records\n\xff with every byte", 31);
   ResultFrame out;
   ASSERT_TRUE(decode_result(encode_result(in), out));
   EXPECT_EQ(out.job_id, 42u);
   EXPECT_EQ(out.app, "Route");
   EXPECT_EQ(out.executed, 0u);
-  EXPECT_EQ(out.logical, 176u);
-  EXPECT_EQ(out.cache_hits, 176u);
-  EXPECT_EQ(out.persistent_loaded, 165u);
-  EXPECT_EQ(out.survivors, 11u);
-  EXPECT_EQ(out.pareto_count, 5u);
-  EXPECT_EQ(out.pareto, in.pareto);
+  EXPECT_EQ(out.report, in.report);
   EXPECT_EQ(out.records, in.records);
+  // v8 layout: u64 job_id, app, u64 executed, report, records.
+  EXPECT_EQ(encode_result(in).size(),
+            8u + (8u + 5u) + 8u + (8u + in.report.size()) + (8u + 31u));
 }
 
 TEST(ServeMessages, StatsReplyRowCountAllocatesNothing) {
@@ -241,10 +235,6 @@ TEST(ServeMessages, SmallMessagesRoundTrip) {
   ErrorFrame error_out;
   ASSERT_TRUE(decode_error(encode_error({"bad app"}), error_out));
   EXPECT_EQ(error_out.message, "bad app");
-
-  ShutdownAck bye_out;
-  ASSERT_TRUE(decode_shutdown_ack(encode_shutdown_ack({8}), bye_out));
-  EXPECT_EQ(bye_out.sessions_served, 8u);
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 # then the job table, a SIGTERM drain (socket removed, a valid trace
 # written, cache file left warm and verified), a fresh daemon on the same
 # cache directory whose first submit executes nothing, and a daemonless
-# explore over that directory that replays everything.
+# explore over that directory that replays everything and prints, byte for
+# byte, the report that daemon sent (the daemon-vs-CLI oracle).
 #
 # Invoked by CMakeLists.txt as:
 #   cmake -DDDTR_CLI=<path-to-ddtr> -DWORK_DIR=<scratch-dir> -P serve_smoke.cmake
@@ -48,6 +49,7 @@ function(run_cli expect_success out_var)
     fail("ddtr ${ARGN} unexpectedly succeeded:\n${output}\n${errout}")
   endif()
   set(${out_var} "${output}\n${errout}" PARENT_SCOPE)
+  set(${out_var}_stdout "${output}" PARENT_SCOPE)
 endfunction()
 
 # Starts a daemon on ${SOCKET} over ${CACHE_DIR} detached (output to
@@ -107,7 +109,7 @@ endif()
 run_cli(TRUE warm_out
         submit --socket ${SOCKET} --app url --scale 0.05
         --log ${WORK_DIR}/warm.records)
-if(NOT warm_out MATCHES "executed simulations: +0 of")
+if(NOT warm_out MATCHES "executed simulations: +0 \\(cache hit rate")
   fail("warm resubmission executed simulations:\n${warm_out}")
 endif()
 file(READ "${WORK_DIR}/cold.records" cold_bytes)
@@ -154,28 +156,54 @@ if(NOT verify_out MATCHES "cache verify: OK")
 endif()
 
 # 6. A fresh daemon over the same cache dir starts warm: its first
-#    submission already executes nothing, with byte-identical records.
+#    submission already executes nothing, with byte-identical records. A
+#    --log file it cannot write is an error naming it (exit 1). SIGTERM
+#    stops the daemon.
 start_daemon()
 run_cli(TRUE restart_out
         submit --socket ${SOCKET} --app url --scale 0.05
         --log ${WORK_DIR}/restart.records)
-if(NOT restart_out MATCHES "executed simulations: +0 of")
+if(NOT restart_out MATCHES "executed simulations: +0 \\(cache hit rate")
   fail("a restarted daemon re-executed simulations:\n${restart_out}")
 endif()
 file(READ "${WORK_DIR}/restart.records" restart_bytes)
 if(NOT cold_bytes STREQUAL restart_bytes)
   fail("the restarted daemon's records differ from the cold run's")
 endif()
-run_cli(TRUE bye_out shutdown --socket ${SOCKET})
+if(NOT restart_out_stdout MATCHES
+   "\njob [0-9]+ \\(URL\\):\n(.*)wrote result records to ")
+  fail("submit output lacks its job line or log line:\n${restart_out}")
+endif()
+set(daemon_report "${CMAKE_MATCH_1}")
+execute_process(
+    COMMAND ${DDTR_CLI} submit --socket ${SOCKET} --app url --scale 0.05
+            --log ${WORK_DIR}/no_such_dir/x.records
+    RESULT_VARIABLE bad_log_result
+    OUTPUT_VARIABLE bad_log_out
+    ERROR_VARIABLE bad_log_err)
+if(NOT bad_log_result EQUAL 1
+   OR NOT bad_log_err MATCHES
+      "error: cannot write ${WORK_DIR}/no_such_dir/x.records\n"
+   OR bad_log_out MATCHES "wrote ")
+  fail("an unwritable submit --log was not an error (exit "
+       "${bad_log_result}):\n${bad_log_out}\n${bad_log_err}")
+endif()
+execute_process(COMMAND kill -TERM ${DAEMON_PID})
 wait_socket_gone()
 set(DAEMON_PID "")
 
 # 7. The cache file is genuinely warm: a plain (daemon-less) explore
-#    over the same directory replays everything.
+#    over the same directory replays everything, and its stdout is the
+#    report the restarted daemon sent for the same study, byte for byte.
 run_cli(TRUE replay_out
         explore --app url --scale 0.05 --cache-dir ${CACHE_DIR})
-if(NOT replay_out MATCHES "executed simulations: +0 ")
+if(NOT replay_out MATCHES "executed simulations: +0 \\(cache hit rate")
   fail("explore over the daemon's cache file re-executed:\n${replay_out}")
+endif()
+if(NOT replay_out_stdout STREQUAL daemon_report)
+  fail("the daemon's report differs from explore's over the same cache "
+       "dir:\n--- submit ---\n${daemon_report}--- explore ---\n"
+       "${replay_out_stdout}")
 endif()
 
 message(STATUS "serve_smoke: daemon round trip passed")

@@ -13,8 +13,8 @@
 // reported as such by the client, idle traces bounded across many
 // distinct submissions, finished sessions being reaped (bounded virtual
 // memory over many connections), a stop waking the accept loop at once
-// (from another thread or a signal handler), and drain shutdown (socket
-// removed, cache file warm for the next daemon).
+// (from another thread or a signal handler), and a drain by
+// request_stop() (socket removed, cache file warm for the next daemon).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -42,6 +42,14 @@
 
 namespace ddtr::serve {
 namespace {
+
+// The count a report prints after `label`, or 0 when it has no such line.
+std::uint64_t report_count(const std::string& report, const std::string& label) {
+  const std::size_t at = report.find(label);
+  return at == std::string::npos
+             ? 0
+             : std::stoull(report.substr(at + label.size()));
+}
 
 SubmitRequest tiny_url_request() {
   SubmitRequest request;
@@ -145,10 +153,13 @@ TEST_F(ServeTest, WarmResubmissionExecutesZeroAndIsByteIdentical) {
     EXPECT_EQ(client.hello().warm_entries, 0u);
     const ResultFrame cold = client.submit(tiny_url_request());
     EXPECT_GT(cold.executed, 0u);
-    EXPECT_GT(cold.survivors, 0u);
-    EXPECT_GT(cold.pareto_count, 0u);
+    EXPECT_EQ(report_count(cold.report, "executed simulations:"),
+              cold.executed);
+    EXPECT_GT(report_count(cold.report, "survivors after step 1:"), 0u);
+    EXPECT_NE(cold.report.find("Pareto-optimal combinations:\n  "),
+              std::string::npos)
+        << cold.report;
     EXPECT_FALSE(cold.records.empty());
-    EXPECT_FALSE(cold.pareto.empty());
     cold_records = cold.records;
   }
 
@@ -158,8 +169,8 @@ TEST_F(ServeTest, WarmResubmissionExecutesZeroAndIsByteIdentical) {
   EXPECT_GT(client.hello().warm_entries, 0u);
   const ResultFrame warm = client.submit(tiny_url_request());
   EXPECT_EQ(warm.executed, 0u);
-  EXPECT_EQ(warm.cache_misses, 0u);
-  EXPECT_GT(warm.cache_hits, 0u);
+  EXPECT_NE(warm.report.find("(cache hit rate 100.0%)"), std::string::npos)
+      << warm.report;
   EXPECT_EQ(warm.records, cold_records);  // byte-identical
 }
 
@@ -243,7 +254,7 @@ TEST_F(ServeTest, RejectsUnknownAppAndBadKnobs) {
   EXPECT_THROW(client.submit(request), std::runtime_error);
 
   request = tiny_url_request();
-  request.metric_x = "no-such-metric";
+  request.scale = 0.0;
   EXPECT_THROW(client.submit(request), std::runtime_error);
 
   // The connection that sent a rejected submit stays usable (errors are
@@ -254,9 +265,11 @@ TEST_F(ServeTest, RejectsUnknownAppAndBadKnobs) {
 
 TEST_F(ServeTest, RefusesVersionMismatchedHello) {
   start_server();
-  // Raw connections: an older client (v4 still sent a Stats payload) or
-  // a future one speaking v999 must get an Error frame, never a misparse.
-  for (const std::uint32_t version : {std::uint32_t{4}, std::uint32_t{999}}) {
+  // Raw connections: an older client (v4 still sent a Stats payload, v7
+  // metric names in its submit) or a future one speaking v999 must get an
+  // Error frame, never a misparse.
+  for (const std::uint32_t version :
+       {std::uint32_t{4}, std::uint32_t{7}, std::uint32_t{999}}) {
     const int fd = raw_connect();
     Hello hello;
     hello.version = version;
@@ -278,9 +291,10 @@ TEST_F(ServeTest, RefusesVersionMismatchedHello) {
 TEST_F(ServeTest, RetiredFrameTypesCloseTheConnectionAndTheDaemonServesOn) {
   start_server();
   // Types 4 and 5 were the submit ack and progress tick of protocol v6,
-  // 8 the job-table query of v3 and 10 the result re-fetch of v5. None
-  // is assigned, so each is a corrupt frame: the daemon closes that
-  // connection without a reply. An assigned type the daemon does not
+  // 8 the job-table query of v3, 10 the result re-fetch of v5 and 11 and
+  // 12 the shutdown request and its ack of v7. None is assigned, so each
+  // is a corrupt frame: the daemon closes that connection without a
+  // reply. An assigned type the daemon does not
   // serve (a HelloAck from a client) gets an Error frame.
   const auto handshake = [this] {
     const int fd = raw_connect();
@@ -290,7 +304,7 @@ TEST_F(ServeTest, RetiredFrameTypesCloseTheConnectionAndTheDaemonServesOn) {
     EXPECT_EQ(reply.type, FrameType::kHelloAck);
     return fd;
   };
-  for (const std::uint32_t type : {4u, 5u, 8u, 10u}) {
+  for (const std::uint32_t type : {4u, 5u, 8u, 10u, 11u, 12u}) {
     const int fd = handshake();
     ASSERT_TRUE(send_frame(fd, {static_cast<FrameType>(type), ""}));
     Frame reply;
@@ -320,8 +334,7 @@ TEST_F(ServeTest, FailingKernelMarksTheJobFailedAndTheDaemonServesOn) {
         {"faulty-kernel", "a kernel that always throws",
          [](const core::CaseStudyOptions& options) {
            return api::StudyBuilder("FaultyKernel")
-               .slots(2)
-               .packets(options.url_packets)
+               .packets(options.packets_for(10000))
                .network("dart-berry")
                .app([] { return std::make_shared<FaultyKernelApp>(); })
                .build();
@@ -331,6 +344,11 @@ TEST_F(ServeTest, FailingKernelMarksTheJobFailedAndTheDaemonServesOn) {
   Client client(socket_);
   SubmitRequest request = tiny_url_request();
   request.app = "faulty-kernel";
+  // Let the uptime clock leave 0 first, so an unset finish time (0)
+  // cannot pass for one at or after the job's start.
+  while (client.stats().uptime_ms == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   try {
     client.submit(request);
     ADD_FAILURE() << "a throwing kernel's submission returned a result";
@@ -343,6 +361,11 @@ TEST_F(ServeTest, FailingKernelMarksTheJobFailedAndTheDaemonServesOn) {
   ASSERT_EQ(stats.jobs.size(), 1u);
   EXPECT_EQ(stats.jobs[0].app, "faulty-kernel");
   EXPECT_EQ(stats.jobs[0].state, "failed");
+  // A failed job finished too: its run started and ended, in that order.
+  EXPECT_GT(stats.jobs[0].start_ms, 0u);
+  EXPECT_LE(stats.jobs[0].submit_ms, stats.jobs[0].start_ms);
+  EXPECT_LE(stats.jobs[0].start_ms, stats.jobs[0].finish_ms);
+  EXPECT_LE(stats.jobs[0].finish_ms, stats.uptime_ms);
 
   // The same connection still gets a built-in study served.
   EXPECT_FALSE(client.submit(tiny_url_request()).records.empty());
@@ -395,9 +418,14 @@ TEST_F(ServeTest, StatsReportsSinceBootCountersAndJobTimestamps) {
 
   const StatsReply stats = client.stats();
   // The acceptance check: the daemon's since-boot hit/miss counters are
-  // exactly the sum of the per-run deltas it reported to clients.
-  EXPECT_EQ(stats.cache_hits, cold.cache_hits + warm.cache_hits);
-  EXPECT_EQ(stats.cache_misses, cold.cache_misses + warm.cache_misses);
+  // exactly the sums over the reports it sent: a run's misses are its
+  // executed records, its hits the logical rest.
+  const std::uint64_t logical =
+      report_count(cold.report, "reduced simulations:");
+  ASSERT_GT(logical, 0u);
+  EXPECT_EQ(report_count(warm.report, "reduced simulations:"), logical);
+  EXPECT_EQ(stats.cache_misses, cold.executed + warm.executed);
+  EXPECT_EQ(stats.cache_hits, 2 * logical - cold.executed - warm.executed);
   EXPECT_GT(stats.cache_hits, 0u);
   EXPECT_EQ(stats.jobs_submitted, 2u);
   EXPECT_GT(stats.warm_entries, 0u);
@@ -539,10 +567,10 @@ TEST_F(ServeTest, ShutdownDrainsFlushesAndLeavesWarmCacheOnDisk) {
   {
     Client client(socket_);
     cold_records = client.submit(tiny_url_request()).records;
-    const ShutdownAck ack = client.shutdown();
-    (void)ack;  // sessions count covers completed connections only
+    // A stop with the connection still open: the drain closes it.
+    server_->request_stop();
+    thread_.join();
   }
-  if (thread_.joinable()) thread_.join();
   server_.reset();
   // Drained: the socket file is gone.
   EXPECT_FALSE(std::filesystem::exists(socket_));

@@ -7,9 +7,10 @@
 // `explore --app` accepts ANY workload in api::registry(). Every
 // exploration writes a ResultLog that `pareto` can re-process later (the
 // paper's "log files -> Perl post-processing" flow). `serve` keeps
-// cache, traces and pool warm in a daemon that `submit`, `stats` and
-// `shutdown` talk to over a unix socket (src/serve/); to have a result
-// again, resubmit: the warm daemon replays it byte-identically.
+// cache, traces and pool warm in a daemon that `submit` and `stats` talk
+// to over a unix socket (src/serve/) and SIGTERM/SIGINT stops; `submit`
+// prints the report `explore` prints (core::print_report). To have a
+// result again, resubmit: the warm daemon replays it byte-identically.
 #include <algorithm>
 #include <atomic>
 #include <charconv>
@@ -149,6 +150,16 @@ std::string join(const Names& names) {
   return out;
 }
 
+// Writes `path` through `write(stream)`. A file that cannot be opened or
+// written is an error (main() prints "error: cannot write PATH", exit 1).
+template <typename Write>
+void write_file(const std::string& path, Write write) {
+  std::ofstream os(path);
+  write(os);
+  os.close();
+  if (os.fail()) throw std::runtime_error("cannot write " + path);
+}
+
 // --- Handlers ---------------------------------------------------------------
 
 int cmd_apps(const CommandLine&) {
@@ -199,8 +210,7 @@ int cmd_tracegen(const CommandLine& args) {
   const net::Trace trace = net::TraceGenerator::generate(
       net::network_preset(*args.text("preset")), options);
   if (const auto out = args.text("out")) {
-    std::ofstream os(*out);
-    trace.save(os);
+    write_file(*out, [&](std::ostream& os) { trace.save(os); });
     std::cout << "wrote " << trace.size() << " packets to " << *out << '\n';
   } else {
     trace.save(std::cout);
@@ -280,55 +290,27 @@ int cmd_explore(const CommandLine& args) {
     }
   }
 
-  std::cout << "application: " << report.app_name << '\n'
-            << "configurations: " << report.scenario_count << '\n'
-            << "exhaustive simulations: " << report.exhaustive_simulations
-            << '\n'
-            << "reduced simulations:   " << report.reduced_simulations()
-            << '\n'
-            << "executed simulations:  " << report.executed_simulations()
-            << " (cache hit rate "
-            << support::format_percent(report.cache_hit_rate()) << ")\n"
-            << "kernel runs:           " << report.kernel_runs << '\n';
-  if (cache_dir) {
-    std::cout << "persistent cache:      loaded " << report.persistent_loaded
-              << ", stored " << report.persistent_stored << " records in "
-              << *cache_dir << '\n';
-  }
-  std::cout << "survivors after step 1: " << report.survivors.size() << '\n'
-            << "Pareto-optimal combinations:\n";
-  for (const auto& r : report.pareto_records()) {
-    std::cout << "  " << r.combo.label() << "  energy "
-              << support::format_double(r.metrics.energy_mj, 4)
-              << " mJ, time "
-              << support::format_double(r.metrics.time_s * 1e3, 3)
-              << " ms, accesses " << support::format_count(r.metrics.accesses)
-              << ", footprint "
-              << support::format_bytes(r.metrics.footprint_bytes) << '\n';
-  }
-  std::cout << "\nper-metric best combinations (step 2 logs):\n";
-  core::print_best_by_metric(std::cout, report.step2_records);
+  core::print_report(std::cout, report, cache_dir.value_or(""));
 
   if (log_path) {
-    std::ofstream os(*log_path);
-    os << report.serialized_records();
+    write_file(*log_path, [&](std::ostream& os) {
+      os << report.serialized_records();
+    });
     std::cout << "\nwrote "
               << report.step1_records.size() + report.step2_records.size()
               << " records to " << *log_path << '\n';
   }
   if (csv_prefix) {
-    {
-      std::ofstream os(*csv_prefix + "_records.csv");
+    write_file(*csv_prefix + "_records.csv", [&](std::ostream& os) {
       core::write_records_csv(os, report.step2_records);
-    }
-    {
-      std::ofstream os(*csv_prefix + "_time_energy.csv");
+    });
+    write_file(*csv_prefix + "_time_energy.csv", [&](std::ostream& os) {
       core::write_pareto_csv(os, report.step2_records, 1, 0);
-    }
-    {
-      std::ofstream os(*csv_prefix + "_accesses_footprint.csv");
-      core::write_pareto_csv(os, report.step2_records, 2, 3);
-    }
+    });
+    write_file(*csv_prefix + "_accesses_footprint.csv",
+               [&](std::ostream& os) {
+                 core::write_pareto_csv(os, report.step2_records, 2, 3);
+               });
     std::cout << "wrote " << *csv_prefix << "_{records,time_energy,"
               << "accesses_footprint}.csv\n";
   }
@@ -505,8 +487,6 @@ int cmd_submit(const CommandLine& args) {
   request.seed_offset = args.count("seed-offset").value_or(0);
   request.greedy = args.flag("greedy") ? 1 : 0;
   request.survivor_cap = args.number("survivor-cap").value_or(0.0);
-  request.metric_x = energy::kMetricNames[args.metric("x").value_or(1)];
-  request.metric_y = energy::kMetricNames[args.metric("y").value_or(0)];
 
   serve::Client client(*args.text("socket"));
   std::cout << "daemon: " << client.hello().warm_entries
@@ -514,17 +494,9 @@ int cmd_submit(const CommandLine& args) {
             << " warm traces\n";
   const serve::ResultFrame result = client.submit(request);
   std::cout << "job " << result.job_id << " (" << result.app << "):\n"
-            << "executed simulations:  " << result.executed << " of "
-            << result.logical << " logical (cache hits " << result.cache_hits
-            << ")\n"
-            << "persistent cache:      loaded " << result.persistent_loaded
-            << ", stored " << result.persistent_stored << '\n'
-            << "survivors after step 1: " << result.survivors << '\n'
-            << "Pareto-optimal combinations: " << result.pareto_count << '\n'
-            << result.pareto;
+            << result.report;
   if (const auto log_path = args.text("log")) {
-    std::ofstream os(*log_path);
-    os << result.records;
+    write_file(*log_path, [&](std::ostream& os) { os << result.records; });
     std::cout << "wrote result records to " << *log_path << '\n';
   }
   return 0;
@@ -567,14 +539,6 @@ int cmd_stats(const CommandLine& args) {
   return 0;
 }
 
-int cmd_shutdown(const CommandLine& args) {
-  serve::Client client(*args.text("socket"));
-  const serve::ShutdownAck ack = client.shutdown();
-  std::cout << "daemon draining after " << ack.sessions_served
-            << " session" << (ack.sessions_served == 1 ? "" : "s") << '\n';
-  return 0;
-}
-
 // ddtr tracecheck FILE — the CI-facing validator for --trace output:
 // strict JSON, the trace_event document shape, and balanced begin/end
 // spans per (pid, tid). Exit 1 with a one-line diagnostic on any defect.
@@ -607,16 +571,16 @@ const std::vector<Command>& commands() {
   using K = FlagKind;
   const Flag socket{"socket", K::kText, "PATH", "the daemon's unix socket",
                     true};
-  // The study knobs `explore` and `submit` share; the ranges are the ones
-  // serve::Server::validate() enforces on every submission, except that
-  // the CLI refuses survivor-cap 0, which the wire reads as "unset".
+  // The study knobs `explore` and `submit` share; the bounds are serve's,
+  // which serve::Server::validate() enforces on every submission too.
   const std::vector<Flag> study = {
       {"app", K::kText, "A", "registered workload, see apps below", true},
       {"scale", K::kNumber, "S", "trace-length scale (default 0.25)", false,
-       0.0, 100.0, true},
+       0.0, serve::kMaxScale, true},
       {"greedy", K::kBool, "", "per-slot greedy step 1 (fewer simulations)"},
       {"survivor-cap", K::kNumber, "F",
-       "fraction of combinations step 1 keeps", false, 0.0, 1.0, true},
+       "fraction of combinations step 1 keeps", false, 0.0,
+       serve::kMaxSurvivorCap, true},
       {"log", K::kText, "FILE", "write the run's result records to FILE"},
   };
   static const std::vector<Command> table = {
@@ -647,7 +611,7 @@ const std::vector<Command>& commands() {
         {"y", K::kMetric, "METRIC", "y axis (default energy_mJ)"}}},
       {"cache", {"OP", "DIR"},
        "maintain a cache dir: OP is stats|verify|clear", cmd_cache, {}},
-      {"serve", {}, "long-lived daemon; drains and flushes on SIGTERM/SIGINT",
+      {"serve", {}, "long-lived daemon; SIGTERM/SIGINT drains and stops it",
        cmd_serve,
        {socket,
         {"cache-dir", K::kText, "DIR",
@@ -662,15 +626,10 @@ const std::vector<Command>& commands() {
            std::vector<Flag>{
                {"packets", K::kCount, "N", "override every trace length",
                 false, 0.0, static_cast<double>(serve::kMaxPackets)},
-               {"seed-offset", K::kCount, "K", "trace seed offset"},
-               {"x", K::kMetric, "METRIC",
-                "Pareto listing x axis (default time_s)"},
-               {"y", K::kMetric, "METRIC",
-                "Pareto listing y axis (default energy_mJ)"}}},
+               {"seed-offset", K::kCount, "K", "trace seed offset"}}},
       {"stats", {},
        "live daemon introspection: uptime, cache counters, job times",
        cmd_stats, {socket}},
-      {"shutdown", {}, "drain the daemon and exit", cmd_shutdown, {socket}},
       {"tracecheck", {"FILE"},
        "validate a --trace file (strict JSON, balanced spans)",
        cmd_tracecheck, {}},
