@@ -1,35 +1,19 @@
-// Shared plumbing for the table/figure reproduction binaries: one full
-// three-step exploration per case study, cached per process, with the
-// paper-faithful energy model. Trace lengths scale with DDTR_BENCH_SCALE
-// (default 1.0 — the
-// simulation *counts* of Table 1 are identical at every scale).
+// Shared plumbing for the self-timed benches: the DDTR_BENCH_SCALE trace
+// length knob (default 1.0, the paper's lengths) and BenchJson, the
+// provenance-stamped JSON line each measurement is emitted as. CMake
+// defines the provenance macros DDTR_GIT_SHA and DDTR_BUILD_FLAGS for
+// every bench target (the bench foreach in CMakeLists.txt).
 #pragma once
 
-#include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <utility>
-#include <vector>
-
 #include <thread>
 
 #include "api/ddtr.h"
 #include "ddt/kinds.h"
-#include "support/thread_pool.h"
-
-// Build provenance, injected by CMake for bench targets (see the bench
-// foreach in CMakeLists.txt). The fallbacks keep bench_common.h usable
-// from contexts that do not define them (tests including this header).
-#ifndef DDTR_GIT_SHA
-#define DDTR_GIT_SHA "unknown"
-#endif
-#ifndef DDTR_BUILD_FLAGS
-#define DDTR_BUILD_FLAGS ""
-#endif
 
 namespace ddtr::bench {
 
@@ -39,33 +23,6 @@ inline double bench_scale() {
     if (v > 0.0) return v;
   }
   return 1.0;
-}
-
-// Simulation lanes used by the shared all_reports() explorations
-// (DDTR_BENCH_JOBS; default 1 so paper-reproduction runs stay serial).
-// Digits only: atol would turn a typo'd value into 0 = "one lane per
-// hardware thread", silently un-serializing every bench wall clock.
-inline std::size_t bench_jobs() {
-  if (const char* env = std::getenv("DDTR_BENCH_JOBS")) {
-    const std::string value(env);
-    if (!value.empty() &&
-        value.find_first_not_of("0123456789") == std::string::npos) {
-      return static_cast<std::size_t>(std::stoul(value));
-    }
-    std::cerr << "[ddtr] ignoring non-numeric DDTR_BENCH_JOBS='" << value
-              << "' (using 1)\n";
-  }
-  return 1;
-}
-
-// Persistent simulation-cache directory for the shared explorations
-// (DDTR_BENCH_CACHE_DIR; default empty = in-memory caching only). With a
-// warm cache a bench's explorations replay previous runs' records and
-// execute zero simulations; the emitted reports are byte-identical either
-// way, so trajectory JSON stays comparable across cold and warm runs.
-inline std::string bench_cache_dir() {
-  if (const char* env = std::getenv("DDTR_BENCH_CACHE_DIR")) return env;
-  return {};
 }
 
 inline core::CaseStudyOptions bench_options() {
@@ -153,72 +110,6 @@ class BenchJson {
  private:
   std::ostringstream os_;
 };
-
-// Runs (and memoizes) the full methodology on every registered workload,
-// in registration order (the four built-ins: the paper's Table 1 order).
-// The DDTR_BENCH_JOBS lane budget is split two ways: case studies fan
-// over the thread pool (whole explorations in parallel), and each
-// exploration gets the remaining lanes for its own simulation fan-out.
-// Reports land in index-addressed slots, so their order — and, lanes
-// being output-invariant, their content — is identical at every budget.
-inline const std::vector<core::ExplorationReport>& all_reports() {
-  static const std::vector<core::ExplorationReport> reports = [] {
-    // t0 covers study construction too (trace generation through the
-    // shared net::TraceStore), keeping "total exploration time"
-    // comparable with pre-registry runs that timed the same window.
-    const auto t0 = std::chrono::steady_clock::now();
-
-    // Studies are built serially up front, so the parallel phase below
-    // replays ready-made traces only.
-    std::vector<core::CaseStudy> studies;
-    for (const std::string& name : api::registry().names()) {
-      studies.push_back(api::registry().make_study(name, bench_options()));
-    }
-    std::cerr << "[ddtr] exploring " << studies.size() << " workloads:";
-    for (const core::CaseStudy& study : studies) {
-      std::cerr << ' ' << study.name << '(' << study.scenarios.size() << ')';
-    }
-    std::cerr << "...\n";
-
-    const std::size_t lanes =
-        support::ThreadPool::resolve_jobs(bench_jobs());
-    const std::size_t across =
-        std::max<std::size_t>(1, std::min(lanes, studies.size()));
-    const std::size_t within = std::max<std::size_t>(1, lanes / across);
-
-    std::vector<core::ExplorationReport> out(studies.size());
-    support::parallel_for(across, studies.size(), [&](std::size_t i) {
-      api::Exploration session(std::move(studies[i]));
-      out[i] = session.jobs(within).cache_dir(bench_cache_dir()).run();
-    });
-    const auto elapsed = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-    std::cerr << "[ddtr] total exploration time: " << elapsed << " s (scale "
-              << bench_scale() << ", " << across << " x " << within
-              << " lanes)\n";
-    return out;
-  }();
-  return reports;
-}
-
-// Adds the simulation-cache accounting of `reports` (in-memory hit/miss
-// plus persistent load/store counters, summed) to a bench JSON object, so
-// trajectory files record whether a run was cache-warm.
-inline BenchJson& add_cache_fields(
-    BenchJson& json, const std::vector<core::ExplorationReport>& reports) {
-  std::uint64_t hits = 0, misses = 0, loaded = 0, stored = 0;
-  for (const core::ExplorationReport& report : reports) {
-    hits += report.cache_hits;
-    misses += report.cache_misses;
-    loaded += report.persistent_loaded;
-    stored += report.persistent_stored;
-  }
-  return json.field("cache_hits", hits)
-      .field("cache_misses", misses)
-      .field("persistent_loaded", loaded)
-      .field("persistent_stored", stored);
-}
 
 }  // namespace ddtr::bench
 

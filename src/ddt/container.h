@@ -13,7 +13,7 @@
 // headers amortized). Fine-grained linked structures still pay a
 // footprint premium through their per-node links: the paper measures a
 // DLL needing 68.8% more footprint than the best combination (§4), and
-// bench_fig4_route prints the all-DLL premium on the arena beside it.
+// bench_paper prints the all-DLL premium on the arena beside it.
 //
 // Keyed containers also keep a host-side key column: one 64-bit key per
 // record, in logical order, outside the modeled node types. It is never

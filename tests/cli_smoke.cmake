@@ -238,6 +238,7 @@ function(expect_write_error path)
         "ddtr ${ARGN}: expected exit 1 and 'error: cannot write ${path}', "
         "got exit ${result}:\n${output}\n${errout}")
   endif()
+  set(write_error_out "${output}" PARENT_SCOPE)
 endfunction()
 expect_write_error(${NO_DIR}/x.log
                    explore --app url --scale 0.05 --log ${NO_DIR}/x.log)
@@ -246,6 +247,14 @@ expect_write_error(${NO_DIR}/p_records.csv
 expect_write_error(${NO_DIR}/t.trace
                    tracegen --preset nlanr-campus --packets 10
                    --out ${NO_DIR}/t.trace)
+# The trace is written last: a failed one still leaves the report.
+expect_write_error(${NO_DIR}/t.json
+                   explore --app url --scale 0.05 --trace ${NO_DIR}/t.json)
+if(NOT write_error_out MATCHES "executed simulations:")
+  message(FATAL_ERROR
+      "explore with an unwritable --trace printed no report:\n"
+      "${write_error_out}")
+endif()
 
 # 10. Serve-daemon flag contract, daemonless: a missing or valueless
 #     --socket fails fast, before any connect.

@@ -3,7 +3,9 @@
 // what scan_find_key (the layout's traversal, re-deriving each visited
 // record's key) returns, charge exactly the same counters, and leave the
 // roving cursor in the same place. Twin containers replay one seeded
-// operation sequence; the only difference is which search they call.
+// operation sequence; the only difference is which search they call. Two
+// inputs: a mixed sequence over a small key domain (duplicates, edits,
+// clears), and a lookup burst over a large distinct-key fill.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -140,6 +142,28 @@ TEST_P(KeyedScanTest, FindKeyChargesTheReferenceScan) {
       find_both(rec_key(Rec{}), rng, at + " cleared");
     }
     expect_same_counters(at);
+    if (HasFatalFailure()) return;
+  }
+}
+
+// A flow-table lookup burst: a large fill of distinct keys, then
+// back-to-back searches (about half of them hits) with no other op in
+// between, so each search starts where the last one left a roving cursor
+// and the walks cross hundreds of chunks.
+TEST_P(KeyedScanTest, FindKeyChargesTheReferenceScanOnALargeDistinctFill) {
+  constexpr std::uint64_t kFill = 1024;
+  for (std::uint64_t i = 0; i < kFill; ++i) {
+    column_->push_back(Rec{i, 0, i});
+    scan_->push_back(Rec{i, 0, i});
+  }
+  expect_same_counters("fill");
+  support::Rng rng(0xf10e + static_cast<std::uint64_t>(GetParam()));
+  for (int lookup = 0; lookup < 2048; ++lookup) {
+    const std::uint64_t key =
+        rec_key(Rec{rng.uniform(0, 2 * kFill - 1), 0, 0});
+    ASSERT_EQ(column_->find_key(key), scan_->scan_find_key(key))
+        << "lookup " << lookup;
+    expect_same_counters("lookup " + std::to_string(lookup));
     if (HasFatalFailure()) return;
   }
 }

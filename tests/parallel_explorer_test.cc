@@ -1,15 +1,16 @@
 // Parallel exploration engine: ThreadPool/parallel_for mechanics,
 // SimulationCache hit/miss accounting, and the determinism contract —
-// explore() with jobs=4 must produce records, survivors and Pareto sets
-// identical to jobs=1 on the URL and DRR case studies, and the simulation
-// cache must make step 2 free for the representative scenario. A caller
-// that hands explore() its own cache and pool replays a warm run from
-// memory, and the report's hit/miss counts are the cache's own.
+// explore() with several lanes must produce records, survivors and Pareto
+// sets identical to jobs=1 on the Route, URL and DRR case studies, and the
+// simulation cache must make step 2 free for the representative scenario.
+// A caller that hands explore() its own cache and pool replays a warm run
+// from memory, and the report's hit/miss counts are the cache's own.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "api/ddtr.h"
@@ -158,6 +159,18 @@ TEST(SimulationCache, FindDoesNotSimulate) {
   EXPECT_TRUE(cache.find(scenario, combo, model).has_value());
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+// Route at 2, 4 and 8 lanes: its step-1 kernels are the shortest, so the
+// lanes race hardest for them.
+TEST(ParallelExplorer, RouteParallelMatchesSerial) {
+  CaseStudy study = api::registry().make_study("route", tiny_options());
+  study.scenarios.resize(2);
+  const ExplorationReport serial = explore_with_jobs(study, 1);
+  for (const std::size_t jobs : {2, 4, 8}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    expect_reports_identical(serial, explore_with_jobs(study, jobs));
+  }
 }
 
 TEST(ParallelExplorer, UrlParallelMatchesSerial) {

@@ -160,6 +160,14 @@ void write_file(const std::string& path, Write write) {
   if (os.fail()) throw std::runtime_error("cannot write " + path);
 }
 
+// Writes a --trace file last, after every other output, so a trace that
+// cannot be written costs nothing else (and still exits 1).
+void write_trace(const obs::TraceWriter& tracer, const std::string& path) {
+  write_file(path, [&](std::ostream& os) { tracer.write(os); });
+  std::cerr << "wrote " << tracer.event_count() << " trace events to "
+            << path << '\n';
+}
+
 // --- Handlers ---------------------------------------------------------------
 
 int cmd_apps(const CommandLine&) {
@@ -281,15 +289,6 @@ int cmd_explore(const CommandLine& args) {
   }
 
   const core::ExplorationReport& report = session.run();
-  if (tracer) {
-    if (tracer->write_file(*trace_path)) {
-      std::cerr << "wrote " << tracer->event_count() << " trace events to "
-                << *trace_path << '\n';
-    } else {
-      std::cerr << "error: cannot write trace file " << *trace_path << '\n';
-    }
-  }
-
   core::print_report(std::cout, report, cache_dir.value_or(""));
 
   if (log_path) {
@@ -314,6 +313,7 @@ int cmd_explore(const CommandLine& args) {
     std::cout << "wrote " << *csv_prefix << "_{records,time_energy,"
               << "accesses_footprint}.csv\n";
   }
+  if (tracer) write_trace(*tracer, *trace_path);
   return 0;
 }
 
@@ -468,14 +468,7 @@ int cmd_serve(const CommandLine& args) {
   std::signal(SIGINT, on_serve_signal);
   server.serve_forever();
   g_serve_server.store(nullptr);
-  if (tracer) {
-    if (tracer->write_file(*trace_path)) {
-      std::cout << "[serve] wrote " << tracer->event_count()
-                << " trace events to " << *trace_path << '\n';
-    } else {
-      std::cerr << "error: cannot write trace file " << *trace_path << '\n';
-    }
-  }
+  if (tracer) write_trace(*tracer, *trace_path);
   return 0;
 }
 
