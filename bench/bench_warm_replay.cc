@@ -1,28 +1,39 @@
 // Warm-replay costs: what a daemon resubmit spends once every record is
-// already in the daemon's in-memory simulation cache. One SimulationCache
-// and one 1-lane pool, handed to ExplorationEngine::explore like the
-// daemon's, are warmed by a cold run of every registered study at
-// DDTR_BENCH_SCALE; then, per study, the bench times
+// already in the daemon's in-memory simulation cache. One SimulationCache,
+// one 1-lane pool and one PersistentSimulationCache over a scratch
+// directory, handed to ExplorationEngine::explore like the daemon's, are
+// warmed by a cold run of every registered study at DDTR_BENCH_SCALE;
+// then, per study, the bench times
 //   * SimulationCache::key_of over every (scenario, combination) pair,
-//   * a warm explore() over that cache (zero executed simulations, like
-//     `ddtr submit` against a warm daemon),
+//   * a warm explore() over that state (zero executed simulations and no
+//     store, like `ddtr submit` against a warm daemon),
+//   * the warm store_new() alone,
 //   * serialized_records() of the warm report (the records a client gets),
+//   * encode plus decode of the warm result frame (the reply a client
+//     gets: encode_result, encode_frame, decode_frame, decode_result),
 // each as the median of several repetitions, and emits one BenchJson line.
 // A set-up block also times, per study, a cold make_study from an empty
 // net::TraceStore (trace synthesis and hashing, app construction) and
 // Trace::content_hash per distinct trace, each the median of several
-// repetitions. Exits 1 if a warm run executes a simulation or its records
-// differ from the cold run's.
+// repetitions. Exits 1 if a warm run executes a simulation or stores an
+// entry, its records differ from the cold run's, or its result frame does
+// not round-trip.
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <iostream>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "bench_common.h"
+#include "core/persistent_cache.h"
+#include "core/report.h"
 #include "nettrace/trace_store.h"
+#include "serve/protocol.h"
 #include "support/table.h"
 #include "support/thread_pool.h"
 
@@ -79,6 +90,19 @@ double content_hash_ms_per_trace(const core::CaseStudy& study) {
   return median(std::move(samples));
 }
 
+// One encode + decode of `result` as the daemon's reply frame; false
+// unless it round-trips.
+bool frame_round_trip(const serve::ResultFrame& result) {
+  const std::string wire = serve::encode_frame(
+      {serve::FrameType::kResult, serve::encode_result(result)});
+  std::istringstream in(wire);
+  serve::Frame frame;
+  serve::ResultFrame decoded;
+  return serve::decode_frame(in, frame) == serve::DecodeStatus::kOk &&
+         serve::decode_result(frame.payload, decoded) &&
+         decoded.records == result.records;
+}
+
 }  // namespace
 
 int main() {
@@ -86,13 +110,19 @@ int main() {
   const core::ExplorationEngine engine(model);
   core::SimulationCache cache;
   support::ThreadPool pool(1);
+  const std::filesystem::path cache_dir =
+      std::filesystem::temp_directory_path() /
+      ("ddtr_bench_warm_replay_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(cache_dir);
+  core::PersistentSimulationCache persistent(cache_dir.string());
   // One run over the warm state, like a daemon submit.
   const auto explore = [&](const core::CaseStudy& study) {
-    return engine.explore(study, cache, pool, nullptr);
+    return engine.explore(study, cache, pool, &persistent);
   };
 
   support::TextTable table({"Application", "keys", "key_of ns",
-                            "warm run ms", "serialize ms", "record bytes"});
+                            "warm run ms", "store us", "serialize ms",
+                            "frame us", "record bytes"});
   support::TextTable setup_table(
       {"Application", "traces", "cold make_study ms", "content_hash ms/trace"});
   std::ostringstream apps_json;
@@ -140,26 +170,43 @@ int main() {
       warm = std::move(report);
     }
     const double run_ms = median(std::move(run_samples));
+    std::size_t stored = 0;
+    const double store_us =
+        median_ms([&] { stored += persistent.store_new(cache); }) * 1e3;
     std::string records;
     const double serialize_ms =
         median_ms([&] { records = warm.serialized_records(); });
+    std::ostringstream printed;
+    core::print_report(printed, warm, persistent.dir());
+    const serve::ResultFrame result{1, study.name,
+                                    warm.executed_simulations(),
+                                    printed.str(), records};
+    bool round_trips = true;
+    const double frame_us =
+        median_ms([&] { round_trips &= frame_round_trip(result); }) * 1e3;
 
-    if (warm.executed_simulations() != 0 || records != cold_records) {
+    if (warm.executed_simulations() != 0 || warm.persistent_stored != 0 ||
+        stored != 0 || records != cold_records || !round_trips) {
       std::cerr << "[ddtr] " << study.name << ": warm run executed "
-                << warm.executed_simulations()
-                << " simulations or changed its records\n";
+                << warm.executed_simulations() << " simulations, stored "
+                << warm.persistent_stored + stored
+                << " entries, changed its records or broke its frame\n";
       consistent = false;
     }
 
     table.add_row({study.name, std::to_string(keys),
                    support::format_double(key_ns, 0),
                    support::format_double(run_ms, 3),
+                   support::format_double(store_us, 2),
                    support::format_double(serialize_ms, 3),
+                   support::format_double(frame_us, 1),
                    std::to_string(records.size())});
     if (a > 0) apps_json << ',';
     apps_json << "{\"app\":\"" << study.name << "\",\"keys\":" << keys
               << ",\"key_of_ns\":" << key_ns << ",\"warm_run_ms\":" << run_ms
+              << ",\"store_us\":" << store_us
               << ",\"serialize_ms\":" << serialize_ms
+              << ",\"frame_us\":" << frame_us
               << ",\"record_bytes\":" << records.size()
               << ",\"traces\":" << distinct.size()
               << ",\"make_study_ms\":" << make_study_ms
@@ -167,8 +214,9 @@ int main() {
   }
   apps_json << ']';
 
-  std::cout << "== Warm replay over one shared simulation cache (1 lane, "
-               "median of "
+  std::filesystem::remove_all(cache_dir);
+  std::cout << "== Warm replay over one shared simulation cache and cache "
+               "file (1 lane, median of "
             << kRepetitions << ") ==\n\n";
   table.print(std::cout);
   std::cout << "\n== Set-up: cold make_study from an empty trace store, "

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
@@ -273,15 +274,35 @@ ExplorationEngine::ExplorationEngine(energy::EnergyModel model,
     : model_(std::move(model)), options_(options) {}
 
 ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
-    std::size_t count,
-    const std::function<const Scenario&(std::size_t)>& scenario_of,
-    const std::function<const ddt::DdtCombination&(std::size_t)>& combo_of,
-    SimulationCache* cache, support::ThreadPool& pool, int step) const {
+    std::span<const Scenario> scenarios,
+    std::span<const ddt::DdtCombination> combos, SimulationCache* cache,
+    support::ThreadPool& pool, int step) const {
   // Per-record observability: a `sim` span per computed record (arg
   // `composed`), a `kernel` span per NetworkApplication::run (args app,
   // scenario and combination, built only when a sink is attached). Pure
   // observation: spans never touch the produced records.
   const char* const cat = step == 1 ? "step1" : "step2";
+
+  const std::size_t count = scenarios.size() * combos.size();
+  const auto scenario_of = [&](std::size_t i) -> const Scenario& {
+    return scenarios[i / combos.size()];
+  };
+  const auto combo_of = [&](std::size_t i) -> const ddt::DdtCombination& {
+    return combos[i % combos.size()];
+  };
+  // A unit's cache key: only the combination label is appended per unit.
+  std::vector<std::string> key_prefixes;
+  std::string key_suffix;
+  if (cache) {
+    for (const Scenario& scenario : scenarios) {
+      key_prefixes.push_back(SimulationCache::key_prefix(scenario));
+    }
+    key_suffix = SimulationCache::key_suffix(model_);
+  }
+  const auto key_of = [&](std::size_t i) {
+    return SimulationCache::key_of(key_prefixes[i / combos.size()],
+                                   combo_of(i), key_suffix);
+  };
 
   // Index-addressed slots: lane scheduling cannot affect record order, so
   // the parallel output is bit-identical to the serial one.
@@ -292,11 +313,7 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
   // Stores a computed record: into its slot and, so the cache stats, the
   // executed counts and the persistent file see it, into the cache.
   const auto produce = [&](std::size_t i, SimulationRecord record) {
-    if (cache) {
-      cache->insert(
-          SimulationCache::key_of(scenario_of(i), combo_of(i), model_),
-          record);
-    }
+    if (cache) cache->insert(key_of(i), record);
     slots[i] = std::move(record);
     computed.fetch_add(1, std::memory_order_relaxed);
   };
@@ -315,7 +332,7 @@ ExplorationEngine::FanOutcome ExplorationEngine::fan_simulations(
   // Pass 1: settle every unit the cache answers; the rest are misses.
   support::parallel_for(pool, count, [&](std::size_t i) {
     std::optional<SimulationRecord> hit;
-    if (cache) hit = cache->find(scenario_of(i), combo_of(i), model_);
+    if (cache) hit = cache->find(key_of(i), scenario_of(i));
     if (!hit) {
       missing[i] = 1;
       return;
@@ -411,10 +428,7 @@ ExplorationEngine::FanOutcome ExplorationEngine::run_step1_fan(
       options_.step1_policy == Step1Policy::kGreedyPerSlot
           ? greedy_step1_combos(study.slot_kind_sets())
           : ddt::enumerate_combinations(study.slot_kind_sets());
-  return fan_simulations(
-      combos.size(), [&](std::size_t) -> const Scenario& { return scenario; },
-      [&](std::size_t i) -> const ddt::DdtCombination& { return combos[i]; },
-      cache, pool, 1);
+  return fan_simulations(std::span(&scenario, 1), combos, cache, pool, 1);
 }
 
 std::vector<ddt::DdtCombination> ExplorationEngine::select_survivors(
@@ -497,18 +511,9 @@ std::vector<SimulationRecord> ExplorationEngine::run_step2(
 ExplorationEngine::FanOutcome ExplorationEngine::run_step2_fan(
     const CaseStudy& study, const std::vector<ddt::DdtCombination>& survivors,
     SimulationCache* cache, support::ThreadPool& pool) const {
-  // Flatten (scenario x survivor) into one index space, scenario-major —
-  // the serial iteration order — and fan every pair over the pool.
-  const std::size_t per_scenario = survivors.size();
-  return fan_simulations(
-      per_scenario * study.scenarios.size(),
-      [&](std::size_t i) -> const Scenario& {
-        return study.scenarios[i / per_scenario];
-      },
-      [&](std::size_t i) -> const ddt::DdtCombination& {
-        return survivors[i % per_scenario];
-      },
-      cache, pool, 2);
+  // Every (scenario, survivor) pair, scenario-major — the serial
+  // iteration order — fanned over the pool.
+  return fan_simulations(study.scenarios, survivors, cache, pool, 2);
 }
 
 std::vector<SimulationRecord> ExplorationEngine::aggregate(

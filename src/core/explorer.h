@@ -38,7 +38,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -231,16 +231,18 @@ class ExplorationEngine {
                            const std::vector<ddt::DdtCombination>& survivors,
                            SimulationCache* cache,
                            support::ThreadPool& pool) const;
-  // Produces one record per unit index in [0, count), fanned over the
-  // pool, writing records into index-addressed slots: cache hits first,
-  // then the misses, composed per slot where the app is separable (see
-  // the file comment). `step` (1 or 2) names the trace span category of
-  // the fan's `sim` and `kernel` spans.
-  FanOutcome fan_simulations(
-      std::size_t count,
-      const std::function<const Scenario&(std::size_t)>& scenario_of,
-      const std::function<const ddt::DdtCombination&(std::size_t)>& combo_of,
-      SimulationCache* cache, support::ThreadPool& pool, int step) const;
+  // Produces one record per (scenario, combination) unit, scenario-major
+  // (unit i is scenarios[i / combos.size()] with combos[i %
+  // combos.size()]), fanned over the pool, writing records into
+  // index-addressed slots: cache hits first, then the misses, composed
+  // per slot where the app is separable (see the file comment). Each
+  // scenario's key prefix and the model's key suffix are built once per
+  // fan. `step` (1 or 2) names the trace span category of the fan's `sim`
+  // and `kernel` spans.
+  FanOutcome fan_simulations(std::span<const Scenario> scenarios,
+                             std::span<const ddt::DdtCombination> combos,
+                             SimulationCache* cache, support::ThreadPool& pool,
+                             int step) const;
 
   energy::EnergyModel model_;
   ExplorationOptions options_;

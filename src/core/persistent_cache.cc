@@ -4,10 +4,10 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <iterator>
 #include <map>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -50,27 +50,27 @@ void append_entry_payload(std::string& out, const std::string& key,
   support::append_u64(out, r.counters.cpu_ops);
 }
 
-bool read_entry_payload(std::istream& is, std::string& key,
+bool read_entry_payload(support::ByteReader& in, std::string& key,
                         SimulationRecord& r) {
   std::string combo_label;
-  if (!support::read_string(is, key) ||
-      !support::read_string(is, r.app_name) ||
-      !support::read_string(is, combo_label) ||
-      !support::read_string(is, r.network) ||
-      !support::read_string(is, r.config) ||
-      !support::read_f64(is, r.metrics.energy_mj) ||
-      !support::read_f64(is, r.metrics.time_s) ||
-      !support::read_u64(is, r.metrics.accesses) ||
-      !support::read_u64(is, r.metrics.footprint_bytes) ||
-      !support::read_u64(is, r.counters.reads) ||
-      !support::read_u64(is, r.counters.writes) ||
-      !support::read_u64(is, r.counters.bytes_read) ||
-      !support::read_u64(is, r.counters.bytes_written) ||
-      !support::read_u64(is, r.counters.allocations) ||
-      !support::read_u64(is, r.counters.deallocations) ||
-      !support::read_u64(is, r.counters.live_bytes) ||
-      !support::read_u64(is, r.counters.peak_bytes) ||
-      !support::read_u64(is, r.counters.cpu_ops)) {
+  if (!support::read_string(in, key) ||
+      !support::read_string(in, r.app_name) ||
+      !support::read_string(in, combo_label) ||
+      !support::read_string(in, r.network) ||
+      !support::read_string(in, r.config) ||
+      !support::read_f64(in, r.metrics.energy_mj) ||
+      !support::read_f64(in, r.metrics.time_s) ||
+      !support::read_u64(in, r.metrics.accesses) ||
+      !support::read_u64(in, r.metrics.footprint_bytes) ||
+      !support::read_u64(in, r.counters.reads) ||
+      !support::read_u64(in, r.counters.writes) ||
+      !support::read_u64(in, r.counters.bytes_read) ||
+      !support::read_u64(in, r.counters.bytes_written) ||
+      !support::read_u64(in, r.counters.allocations) ||
+      !support::read_u64(in, r.counters.deallocations) ||
+      !support::read_u64(in, r.counters.live_bytes) ||
+      !support::read_u64(in, r.counters.peak_bytes) ||
+      !support::read_u64(in, r.counters.cpu_ops)) {
     return false;
   }
   std::optional<ddt::DdtCombination> combo =
@@ -102,19 +102,25 @@ ParsedFile parse_cache_file(
   out.bytes = ec ? 0 : size;
   std::ifstream is(path, std::ios::binary);
   if (!is) return out;
+  std::ostringstream content;
+  content << is.rdbuf();
+  const std::string bytes = std::move(content).str();
+  support::ByteReader in(bytes);
+  const auto offset = [&] {
+    return static_cast<std::uint64_t>(bytes.size() - in.remaining());
+  };
 
-  char magic[sizeof(kFileMagic)] = {};
+  const char* magic = in.take(sizeof(kFileMagic));
   std::uint32_t version = 0;
-  if (!is.read(magic, sizeof(magic)) ||
-      !std::equal(std::begin(magic), std::end(magic),
-                  std::begin(kFileMagic)) ||
-      !support::read_u32(is, version) || version != kFormatVersionValue) {
+  if (magic == nullptr ||
+      !std::equal(magic, magic + sizeof(kFileMagic), kFileMagic) ||
+      !support::read_u32(in, version) || version != kFormatVersionValue) {
     // Not ours, corrupt, or written by another format version: the whole
     // file is invalid (stale-version invalidation).
     return out;
   }
   out.header_valid = true;
-  out.valid_prefix = static_cast<std::uint64_t>(is.tellg());
+  out.valid_prefix = offset();
 
   // Entries until EOF. A short or unrecognizable frame ends the file (a
   // torn tail loses only itself); a frame whose checksum or payload
@@ -123,28 +129,25 @@ ParsedFile parse_cache_file(
     std::uint32_t entry_magic = 0;
     std::uint64_t payload_size = 0;
     std::uint64_t checksum = 0;
-    if (!support::read_u32(is, entry_magic) || entry_magic != kEntryMagic ||
-        !support::read_u64(is, payload_size) ||
-        payload_size > kMaxEntryBytes || !support::read_u64(is, checksum)) {
+    if (!support::read_u32(in, entry_magic) || entry_magic != kEntryMagic ||
+        !support::read_u64(in, payload_size) ||
+        payload_size > kMaxEntryBytes || !support::read_u64(in, checksum)) {
       break;
     }
-    std::string payload(payload_size, '\0');
-    if (payload_size != 0 &&
-        !is.read(payload.data(),
-                 static_cast<std::streamsize>(payload_size))) {
-      break;
-    }
+    const char* payload = in.take(static_cast<std::size_t>(payload_size));
+    if (payload == nullptr) break;
     // The frame is structurally complete, even if its content is
     // rejected below.
-    out.valid_prefix = static_cast<std::uint64_t>(is.tellg());
-    if (support::fnv1a64(payload.data(), payload.size()) != checksum) {
+    out.valid_prefix = offset();
+    if (support::fnv1a64(payload, payload_size) != checksum) {
       ++out.entries_corrupt;  // bit-corrupted; the frame length let us skip
       continue;
     }
-    std::istringstream payload_stream(payload);
+    support::ByteReader payload_reader(
+        std::string_view(payload, static_cast<std::size_t>(payload_size)));
     std::string key;
     SimulationRecord record;
-    if (!read_entry_payload(payload_stream, key, record)) {
+    if (!read_entry_payload(payload_reader, key, record)) {
       ++out.entries_corrupt;
       continue;
     }
@@ -243,6 +246,7 @@ std::string PersistentSimulationCache::file_path() const {
 }
 
 std::size_t PersistentSimulationCache::load() {
+  synced_cache_ = 0;
   keys_.clear();
   parse_cache_file(file_path(), [&](std::string&& key, SimulationRecord&&) {
     keys_.insert(std::move(key));
@@ -251,6 +255,7 @@ std::size_t PersistentSimulationCache::load() {
 }
 
 std::size_t PersistentSimulationCache::seed(SimulationCache& cache) {
+  synced_cache_ = 0;
   keys_.clear();
   parse_cache_file(file_path(),
                    [&](std::string&& key, SimulationRecord&& record) {
@@ -262,8 +267,21 @@ std::size_t PersistentSimulationCache::seed(SimulationCache& cache) {
 
 std::size_t PersistentSimulationCache::store_new(
     const SimulationCache& cache) {
+  // Read before the scan: an insertion racing with it is left for the
+  // next store to find.
+  const std::uint64_t insertions = cache.insertions();
+  if (cache.id() == synced_cache_ && insertions == synced_insertions_) {
+    return 0;
+  }
+  const auto synced = [&] {
+    synced_cache_ = cache.id();
+    synced_insertions_ = insertions;
+  };
   auto fresh = cache.entries_missing_from(keys_);
-  if (fresh.empty()) return 0;
+  if (fresh.empty()) {
+    synced();
+    return 0;
+  }
 
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);  // best effort
@@ -280,6 +298,7 @@ std::size_t PersistentSimulationCache::store_new(
   if (!replace_file(dir_, file_path(), merged)) return 0;
   keys_.clear();
   for (const auto& entry : merged) keys_.insert(entry.first);
+  synced();
   return added;
 }
 

@@ -79,12 +79,19 @@ class PersistentSimulationCache {
   // creating the directory if needed. Returns the number of entries
   // added; 0 on I/O failure (persistence is best-effort by design). When
   // every key of `cache` is one the file held at the last load(),
-  // seed() or store_new(), returns 0 before any I/O.
+  // seed() or store_new(), returns 0 before any I/O — in O(1) when
+  // `cache` is the one the last store_new() found or made the file hold
+  // and it has inserted nothing since (SimulationCache::id() and
+  // insertions(); load() and seed() forget that sync).
   std::size_t store_new(const SimulationCache& cache);
 
  private:
   std::string dir_;
   std::unordered_set<std::string> keys_;
+  // The cache whose every key keys_ held when it had made
+  // synced_insertions_ insertions; id 0 names no cache.
+  std::uint64_t synced_cache_ = 0;
+  std::uint64_t synced_insertions_ = 0;
 };
 
 // What a cache directory's file holds, from one parse — the substrate of

@@ -1,5 +1,6 @@
 #include "core/simulation_cache.h"
 
+#include <atomic>
 #include <charconv>
 
 namespace ddtr::core {
@@ -17,6 +18,17 @@ void append_hex(std::string& out, std::uint64_t v) {
   out.append(buf, result.ptr);
 }
 
+// A key's last field and the separator before it: the model fingerprint.
+void append_suffix(std::string& key, const energy::EnergyModel& model) {
+  key += kSep;
+  append_hex(key, model.fingerprint());
+}
+
+std::uint64_t next_cache_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 // Rewrites a cached record's request-scoped labels (see key_of: network
 // identity is the trace content hash, not the network name, so a hit may
 // originate from a scenario with a different label).
@@ -28,35 +40,62 @@ SimulationRecord relabel(SimulationRecord record, const Scenario& scenario) {
 
 }  // namespace
 
+SimulationCache::SimulationCache() : id_(next_cache_id()) {}
+
 std::string SimulationCache::key_of(const Scenario& scenario,
                                     const ddt::DdtCombination& combo,
                                     const energy::EnergyModel& model) {
+  std::string key = key_prefix(scenario);
+  combo.append_label(key);
+  append_suffix(key, model);
+  return key;
+}
+
+std::string SimulationCache::key_prefix(const Scenario& scenario) {
   const std::string app_name = scenario.app->name();
-  const std::string combo_label = combo.label();
-  // Five separators, a 32-bit version and two 64-bit hex fields fit in 48.
-  std::string key;
-  key.reserve(app_name.size() + scenario.config.size() + combo_label.size() +
-              48);
-  key += app_name;
-  key += kSep;
+  std::string prefix;
+  // Room for the whole key: a 32-bit version, a 64-bit hex hash, five
+  // separators, then the combination label and the suffix.
+  prefix.reserve(app_name.size() + scenario.config.size() + 96);
+  prefix += app_name;
+  prefix += kSep;
   // The app's simulation-semantics version: records persisted before a
   // workload's run() logic changed must stop hitting.
-  key += std::to_string(scenario.app->cache_version());
-  key += kSep;
-  key += scenario.config;
-  key += kSep;
-  append_hex(key, scenario.trace->content_hash());
-  key += kSep;
-  key += combo_label;
-  key += kSep;
-  append_hex(key, model.fingerprint());
+  prefix += std::to_string(scenario.app->cache_version());
+  prefix += kSep;
+  prefix += scenario.config;
+  prefix += kSep;
+  append_hex(prefix, scenario.trace->content_hash());
+  prefix += kSep;
+  return prefix;
+}
+
+std::string SimulationCache::key_suffix(const energy::EnergyModel& model) {
+  std::string suffix;
+  append_suffix(suffix, model);
+  return suffix;
+}
+
+std::string SimulationCache::key_of(std::string_view prefix,
+                                    const ddt::DdtCombination& combo,
+                                    std::string_view suffix) {
+  // Room for most combination labels.
+  std::string key;
+  key.reserve(prefix.size() + 32 + suffix.size());
+  key += prefix;
+  combo.append_label(key);
+  key += suffix;
   return key;
 }
 
 std::optional<SimulationRecord> SimulationCache::find(
     const Scenario& scenario, const ddt::DdtCombination& combo,
     const energy::EnergyModel& model) {
-  const std::string key = key_of(scenario, combo, model);
+  return find(key_of(scenario, combo, model), scenario);
+}
+
+std::optional<SimulationRecord> SimulationCache::find(
+    const std::string& key, const Scenario& scenario) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = records_.find(key);
   if (it == records_.end()) {
@@ -70,7 +109,7 @@ std::optional<SimulationRecord> SimulationCache::find(
 void SimulationCache::insert(const std::string& key,
                              const SimulationRecord& record) {
   std::lock_guard<std::mutex> lock(mu_);
-  records_.try_emplace(key, record);
+  insertions_ += records_.try_emplace(key, record).second;
 }
 
 std::vector<std::pair<std::string, SimulationRecord>> SimulationCache::entries()
@@ -101,6 +140,11 @@ std::size_t SimulationCache::size() const {
 SimulationCache::Stats SimulationCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
+}
+
+std::uint64_t SimulationCache::insertions() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return insertions_;
 }
 
 }  // namespace ddtr::core

@@ -20,6 +20,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -49,12 +50,26 @@ class SimulationCache {
     }
   };
 
+  SimulationCache();
+
   // Cache key of one (scenario, combination, model) triple. Fields are
   // joined with the unit separator (0x1f), which no label or hex digest
   // contains, so fields cannot alias across the joins.
   static std::string key_of(const Scenario& scenario,
                             const ddt::DdtCombination& combo,
                             const energy::EnergyModel& model);
+
+  // The same key from its combination-independent parts, which a caller
+  // keying many combinations builds once: key_prefix(scenario) (app,
+  // cache_version, config and trace content hash, each followed by the
+  // separator) and key_suffix(model) (the separator and the model
+  // fingerprint). key_of above appends the label and the suffix to the
+  // same prefix.
+  static std::string key_prefix(const Scenario& scenario);
+  static std::string key_suffix(const energy::EnergyModel& model);
+  static std::string key_of(std::string_view prefix,
+                            const ddt::DdtCombination& combo,
+                            std::string_view suffix);
 
   // Pure lookup; counts a hit or a miss. On a hit the record's
   // network/config labels are rewritten to the requesting scenario's:
@@ -64,6 +79,9 @@ class SimulationCache {
   std::optional<SimulationRecord> find(const Scenario& scenario,
                                        const ddt::DdtCombination& combo,
                                        const energy::EnergyModel& model);
+  // The same lookup under `key`, which must be `scenario`'s key.
+  std::optional<SimulationRecord> find(const std::string& key,
+                                       const Scenario& scenario);
 
   // Stores a record under `key` without touching the hit/miss stats (used
   // to seed the cache from a persistent store). Existing entries win.
@@ -81,10 +99,18 @@ class SimulationCache {
   std::size_t size() const;
   Stats stats() const;
 
+  // Identifies this cache among every SimulationCache of the process; no
+  // two caches ever share one, even when one reuses another's address.
+  std::uint64_t id() const noexcept { return id_; }
+  // How many insert() calls added an entry: unchanged means no new key.
+  std::uint64_t insertions() const;
+
  private:
+  const std::uint64_t id_;
   mutable std::mutex mu_;
   std::unordered_map<std::string, SimulationRecord> records_;
   Stats stats_;
+  std::uint64_t insertions_ = 0;
 };
 
 }  // namespace ddtr::core

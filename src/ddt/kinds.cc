@@ -108,11 +108,15 @@ std::vector<DdtKind> keyed_slot_kinds() {
 
 std::string DdtCombination::label() const {
   std::string out;
+  append_label(out);
+  return out;
+}
+
+void DdtCombination::append_label(std::string& out) const {
   for (std::size_t i = 0; i < kinds_.size(); ++i) {
     if (i != 0) out.push_back('+');
     out += to_string(kinds_[i]);
   }
-  return out;
 }
 
 std::optional<DdtCombination> parse_combination(std::string_view label) {

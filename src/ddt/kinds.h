@@ -91,6 +91,8 @@ class DdtCombination {
 
   // "AR+DLL" style label used in logs and Pareto charts.
   std::string label() const;
+  // Appends label() to `out`, for callers assembling a larger string.
+  void append_label(std::string& out) const;
 
   bool operator==(const DdtCombination&) const = default;
 

@@ -65,23 +65,6 @@ std::uint32_t Trace::add_payload(std::string payload) {
   return static_cast<std::uint32_t>(payloads_.size() - 1);
 }
 
-namespace {
-
-// Packet words feed four lanes, one per word position, so the lanes' chains
-// run side by side instead of one serial chain over every byte.
-constexpr std::size_t kLanes = 4;
-
-// One multiply-xorshift step: xor the word in, multiply by an odd
-// constant, fold the high half down. Each part is a bijection of the lane
-// for a fixed word, so a lane that differs once differs to the end.
-inline std::uint64_t lane_step(std::uint64_t lane,
-                               std::uint64_t word) noexcept {
-  lane = (lane ^ word) * 0x9fb21c651e98df25ull;
-  return lane ^ (lane >> 32);
-}
-
-}  // namespace
-
 std::uint64_t Trace::content_hash() const noexcept {
   std::uint64_t cached = content_hash_.load(std::memory_order_relaxed);
   if (cached != 0) return cached;
@@ -91,29 +74,22 @@ std::uint64_t Trace::content_hash() const noexcept {
   for (const std::string& payload : payloads_) h.str(payload);
   h.u64(packets_.size());
 
-  std::uint64_t lane[kLanes];
-  for (std::size_t j = 0; j < kLanes; ++j) {
-    lane[j] = support::mix64(support::Fnv1a64::kOffsetBasis + j);
-  }
+  // Packet words feed one lane per word position.
+  support::WordLanes lanes;
   for (const PacketRecord& p : packets_) {
     std::uint64_t timestamp_bits = 0;
     static_assert(sizeof(timestamp_bits) == sizeof(p.timestamp_s));
     std::memcpy(&timestamp_bits, &p.timestamp_s, sizeof(timestamp_bits));
-    lane[0] = lane_step(lane[0], timestamp_bits);
-    lane[1] = lane_step(lane[1], std::uint64_t{p.src_ip} << 32 | p.dst_ip);
-    lane[2] = lane_step(lane[2], std::uint64_t{p.src_port} |
-                                     std::uint64_t{p.dst_port} << 16 |
-                                     std::uint64_t{p.length} << 32 |
-                                     std::uint64_t{p.protocol} << 48);
-    lane[3] = lane_step(lane[3], p.payload_id);
+    lanes.step(0, timestamp_bits);
+    lanes.step(1, std::uint64_t{p.src_ip} << 32 | p.dst_ip);
+    lanes.step(2, std::uint64_t{p.src_port} |
+                      std::uint64_t{p.dst_port} << 16 |
+                      std::uint64_t{p.length} << 32 |
+                      std::uint64_t{p.protocol} << 48);
+    lanes.step(3, p.payload_id);
   }
-  // Nested so the digest is a bijection of each lane (and of the FNV
-  // state) while the others are fixed.
-  std::uint64_t digest = 0;
-  for (std::size_t j = kLanes; j-- > 0;) {
-    digest = support::mix64(lane[j] ^ digest);
-  }
-  digest = support::mix64(h.digest() ^ digest);
+  // A bijection of the lanes' digest and of the FNV state.
+  std::uint64_t digest = support::mix64(h.digest() ^ lanes.digest());
   // 0 is the "not computed" sentinel; remap the (astronomically unlikely)
   // zero digest to keep the contract that content_hash() is never 0.
   if (digest == 0) digest = support::Fnv1a64::kOffsetBasis;

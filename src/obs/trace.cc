@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -137,13 +136,6 @@ std::string TraceWriter::str() const {
   std::ostringstream os;
   write(os);
   return os.str();
-}
-
-bool TraceWriter::write_file(const std::string& path) const {
-  std::ofstream os(path, std::ios::trunc);
-  if (!os) return false;
-  write(os);
-  return os.good();
 }
 
 // --- check_trace: strict JSON parse + span balance ----------------------

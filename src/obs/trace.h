@@ -84,8 +84,6 @@ class TraceWriter {
   // Serialize the full trace_event document.
   void write(std::ostream& os) const;
   std::string str() const;
-  // Write to a file; returns false when the file cannot be written.
-  bool write_file(const std::string& path) const;
 
  private:
   struct Event {

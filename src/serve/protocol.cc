@@ -2,8 +2,9 @@
 
 #include <cerrno>
 #include <cstddef>
-#include <sstream>
+#include <istream>
 #include <string>
+#include <string_view>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -17,6 +18,8 @@ namespace {
 // "DSRV" read back as a little-endian u32, mirroring the persistent
 // cache's kEntryMagic convention.
 constexpr std::uint32_t kFrameMagic = 0x56525344u;
+// magic, type, payload size, payload checksum.
+constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8;
 
 // A frame carries at most one serialized ResultLog; 256 MiB is orders of
 // magnitude above any real study and small enough that a corrupt length
@@ -72,16 +75,31 @@ bool write_all(int fd, const char* buf, std::size_t size) {
   return true;
 }
 
-std::uint32_t load_u32(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
+// A frame header's fields past the magic.
+struct Header {
+  std::uint32_t type = 0;
+  std::uint64_t size = 0;
+  std::uint64_t checksum = 0;
+};
+
+// False for a bad magic, an unassigned type or an oversized payload.
+bool parse_header(const char (&bytes)[kHeaderBytes], Header& h) {
+  support::ByteReader in(std::string_view(bytes, kHeaderBytes));
+  std::uint32_t magic = 0;
+  return support::read_u32(in, magic) && magic == kFrameMagic &&
+         support::read_u32(in, h.type) && valid_type(h.type) &&
+         support::read_u64(in, h.size) && h.size <= kMaxPayloadBytes &&
+         support::read_u64(in, h.checksum);
 }
 
-std::uint64_t load_u64(const unsigned char* p) {
-  return static_cast<std::uint64_t>(load_u32(p)) |
-         (static_cast<std::uint64_t>(load_u32(p + 4)) << 32);
+// The frame `h` announced, when `payload` matches its checksum.
+DecodeStatus accept(const Header& h, std::string&& payload, Frame& frame) {
+  if (support::word_hash64(payload.data(), payload.size()) != h.checksum) {
+    return DecodeStatus::kCorrupt;
+  }
+  frame.type = static_cast<FrameType>(h.type);
+  frame.payload = std::move(payload);
+  return DecodeStatus::kOk;
 }
 
 bool at_end(std::istream& is) {
@@ -92,42 +110,31 @@ bool at_end(std::istream& is) {
 
 std::string encode_frame(const Frame& frame) {
   std::string out;
+  out.reserve(kHeaderBytes + frame.payload.size());
   support::append_u32(out, kFrameMagic);
   support::append_u32(out, static_cast<std::uint32_t>(frame.type));
   support::append_u64(out, frame.payload.size());
-  support::append_u64(
-      out, support::fnv1a64(frame.payload.data(), frame.payload.size()));
+  support::append_u64(out, support::word_hash64(frame.payload.data(),
+                                                frame.payload.size()));
   out += frame.payload;
   return out;
 }
 
 DecodeStatus decode_frame(std::istream& is, Frame& frame) {
   if (at_end(is)) return DecodeStatus::kEof;
-  std::uint32_t magic = 0;
-  std::uint32_t raw_type = 0;
-  std::uint64_t size = 0;
-  std::uint64_t checksum = 0;
-  if (!support::read_u32(is, magic) || !support::read_u32(is, raw_type) ||
-      !support::read_u64(is, size) || !support::read_u64(is, checksum)) {
+  char bytes[kHeaderBytes];
+  Header h;
+  if (!is.read(bytes, sizeof(bytes)) || !parse_header(bytes, h)) {
     return DecodeStatus::kCorrupt;
   }
-  if (magic != kFrameMagic || !valid_type(raw_type) ||
-      size > kMaxPayloadBytes) {
-    return DecodeStatus::kCorrupt;
-  }
-  std::string payload(size, '\0');
-  if (size > 0) {
-    is.read(payload.data(), static_cast<std::streamsize>(size));
-    if (static_cast<std::uint64_t>(is.gcount()) != size) {
+  std::string payload(h.size, '\0');
+  if (h.size > 0) {
+    is.read(payload.data(), static_cast<std::streamsize>(h.size));
+    if (static_cast<std::uint64_t>(is.gcount()) != h.size) {
       return DecodeStatus::kCorrupt;
     }
   }
-  if (support::fnv1a64(payload.data(), payload.size()) != checksum) {
-    return DecodeStatus::kCorrupt;
-  }
-  frame.type = static_cast<FrameType>(raw_type);
-  frame.payload = std::move(payload);
-  return DecodeStatus::kOk;
+  return accept(h, std::move(payload), frame);
 }
 
 bool send_frame(int fd, const Frame& frame) {
@@ -136,28 +143,16 @@ bool send_frame(int fd, const Frame& frame) {
 }
 
 DecodeStatus recv_frame(int fd, Frame& frame) {
-  unsigned char header[24];
-  const int h = read_exact(fd, header, sizeof(header));
-  if (h == 0) return DecodeStatus::kEof;
-  if (h < 0) return DecodeStatus::kCorrupt;
-  const std::uint32_t magic = load_u32(header);
-  const std::uint32_t raw_type = load_u32(header + 4);
-  const std::uint64_t size = load_u64(header + 8);
-  const std::uint64_t checksum = load_u64(header + 16);
-  if (magic != kFrameMagic || !valid_type(raw_type) ||
-      size > kMaxPayloadBytes) {
+  char bytes[kHeaderBytes];
+  const int got = read_exact(fd, bytes, sizeof(bytes));
+  if (got == 0) return DecodeStatus::kEof;
+  Header h;
+  if (got < 0 || !parse_header(bytes, h)) return DecodeStatus::kCorrupt;
+  std::string payload(h.size, '\0');
+  if (h.size > 0 && read_exact(fd, payload.data(), h.size) != 1) {
     return DecodeStatus::kCorrupt;
   }
-  std::string payload(size, '\0');
-  if (size > 0 && read_exact(fd, payload.data(), size) != 1) {
-    return DecodeStatus::kCorrupt;
-  }
-  if (support::fnv1a64(payload.data(), payload.size()) != checksum) {
-    return DecodeStatus::kCorrupt;
-  }
-  frame.type = static_cast<FrameType>(raw_type);
-  frame.payload = std::move(payload);
-  return DecodeStatus::kOk;
+  return accept(h, std::move(payload), frame);
 }
 
 // --- Message codecs ----------------------------------------------------
@@ -171,8 +166,8 @@ std::string encode_hello(const Hello& m) {
 }
 
 bool decode_hello(const std::string& payload, Hello& m) {
-  std::istringstream is(payload);
-  return support::read_u32(is, m.version) && at_end(is);
+  support::ByteReader in(payload);
+  return support::read_u32(in, m.version) && in.at_end();
 }
 
 std::string encode_hello_ack(const HelloAck& m) {
@@ -184,10 +179,10 @@ std::string encode_hello_ack(const HelloAck& m) {
 }
 
 bool decode_hello_ack(const std::string& payload, HelloAck& m) {
-  std::istringstream is(payload);
-  return support::read_u32(is, m.version) &&
-         support::read_u64(is, m.warm_entries) &&
-         support::read_u64(is, m.warm_traces) && at_end(is);
+  support::ByteReader in(payload);
+  return support::read_u32(in, m.version) &&
+         support::read_u64(in, m.warm_entries) &&
+         support::read_u64(in, m.warm_traces) && in.at_end();
 }
 
 std::string encode_submit(const SubmitRequest& m) {
@@ -202,16 +197,17 @@ std::string encode_submit(const SubmitRequest& m) {
 }
 
 bool decode_submit(const std::string& payload, SubmitRequest& m) {
-  std::istringstream is(payload);
-  return support::read_string(is, m.app) && support::read_f64(is, m.scale) &&
-         support::read_u64(is, m.packets) &&
-         support::read_u64(is, m.seed_offset) &&
-         support::read_u32(is, m.greedy) &&
-         support::read_f64(is, m.survivor_cap) && at_end(is);
+  support::ByteReader in(payload);
+  return support::read_string(in, m.app) && support::read_f64(in, m.scale) &&
+         support::read_u64(in, m.packets) &&
+         support::read_u64(in, m.seed_offset) &&
+         support::read_u32(in, m.greedy) &&
+         support::read_f64(in, m.survivor_cap) && in.at_end();
 }
 
 std::string encode_result(const ResultFrame& m) {
   std::string out;
+  out.reserve(5 * 8 + m.app.size() + m.report.size() + m.records.size());
   support::append_u64(out, m.job_id);
   support::append_string(out, m.app);
   support::append_u64(out, m.executed);
@@ -221,11 +217,11 @@ std::string encode_result(const ResultFrame& m) {
 }
 
 bool decode_result(const std::string& payload, ResultFrame& m) {
-  std::istringstream is(payload);
-  return support::read_u64(is, m.job_id) && support::read_string(is, m.app) &&
-         support::read_u64(is, m.executed) &&
-         support::read_string(is, m.report) &&
-         support::read_string(is, m.records) && at_end(is);
+  support::ByteReader in(payload);
+  return support::read_u64(in, m.job_id) && support::read_string(in, m.app) &&
+         support::read_u64(in, m.executed) &&
+         support::read_string(in, m.report) &&
+         support::read_string(in, m.records) && in.at_end();
 }
 
 std::string encode_error(const ErrorFrame& m) {
@@ -235,8 +231,8 @@ std::string encode_error(const ErrorFrame& m) {
 }
 
 bool decode_error(const std::string& payload, ErrorFrame& m) {
-  std::istringstream is(payload);
-  return support::read_string(is, m.message) && at_end(is);
+  support::ByteReader in(payload);
+  return support::read_string(in, m.message) && in.at_end();
 }
 
 std::string encode_stats_reply(const StatsReply& m) {
@@ -261,15 +257,15 @@ std::string encode_stats_reply(const StatsReply& m) {
 }
 
 bool decode_stats_reply(const std::string& payload, StatsReply& m) {
-  std::istringstream is(payload);
+  support::ByteReader in(payload);
   std::uint64_t count = 0;
-  if (!support::read_u64(is, m.uptime_ms) ||
-      !support::read_u64(is, m.warm_entries) ||
-      !support::read_u64(is, m.sessions_served) ||
-      !support::read_u64(is, m.cache_hits) ||
-      !support::read_u64(is, m.cache_misses) ||
-      !support::read_u64(is, m.jobs_submitted) ||
-      !support::read_u64(is, count)) {
+  if (!support::read_u64(in, m.uptime_ms) ||
+      !support::read_u64(in, m.warm_entries) ||
+      !support::read_u64(in, m.sessions_served) ||
+      !support::read_u64(in, m.cache_hits) ||
+      !support::read_u64(in, m.cache_misses) ||
+      !support::read_u64(in, m.jobs_submitted) ||
+      !support::read_u64(in, count)) {
     return false;
   }
   // Rows grow as they decode, never reserved from `count`: a corrupt
@@ -278,17 +274,17 @@ bool decode_stats_reply(const std::string& payload, StatsReply& m) {
   m.jobs.clear();
   for (std::uint64_t i = 0; i < count; ++i) {
     JobStats job;
-    if (!support::read_u64(is, job.id) || !support::read_string(is, job.app) ||
-        !support::read_string(is, job.state) ||
-        !support::read_u64(is, job.last_executed) ||
-        !support::read_u64(is, job.submit_ms) ||
-        !support::read_u64(is, job.start_ms) ||
-        !support::read_u64(is, job.finish_ms)) {
+    if (!support::read_u64(in, job.id) || !support::read_string(in, job.app) ||
+        !support::read_string(in, job.state) ||
+        !support::read_u64(in, job.last_executed) ||
+        !support::read_u64(in, job.submit_ms) ||
+        !support::read_u64(in, job.start_ms) ||
+        !support::read_u64(in, job.finish_ms)) {
       return false;
     }
     m.jobs.push_back(std::move(job));
   }
-  return at_end(is);
+  return in.at_end();
 }
 
 }  // namespace ddtr::serve

@@ -3,10 +3,11 @@
 // built on the same support/binary_io primitives — and the same
 // robustness contract — as the persistent cache files. Every frame is
 //
-//   u32 magic ("DSRV")  u32 type  u64 payload_size  u64 fnv1a(payload)
-//   payload bytes
+//   u32 magic ("DSRV")  u32 type  u64 payload_size
+//   u64 word_hash64(payload)  payload bytes
 //
-// so a reader can (a) skip nothing — streams are trusted to be framed or
+// (support/fnv_hash.h's word-wise checksum; cache file entries keep
+// FNV-1a), so a reader can (a) skip nothing — streams are trusted to be framed or
 // dropped, never resynchronized — and (b) reject a torn or corrupted
 // frame cleanly: decode returns kCorrupt, the peer closes the
 // connection. The handshake is versioned (Hello/HelloAck carry
@@ -45,7 +46,8 @@ namespace ddtr::serve {
 // place of its counters and 2-D front, SubmitRequest lost metric_x and
 // metric_y, and the Shutdown/ShutdownAck pair is gone (types 11 and 12
 // stay unassigned): a daemon stops on SIGTERM/SIGINT.
-inline constexpr std::uint32_t kProtocolVersion = 8;
+// v9: the frame checksum is support::word_hash64 in place of FNV-1a.
+inline constexpr std::uint32_t kProtocolVersion = 9;
 
 // Frame types. Only these values decode: a retired type (4, 5, 8-10, 11
 // and 12) is a corrupt frame.

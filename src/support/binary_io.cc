@@ -1,9 +1,7 @@
 #include "support/binary_io.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <istream>
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -23,12 +21,12 @@ void append_le(std::string& out, std::uint64_t v, int width) {
   out.append(buf, static_cast<std::size_t>(width));
 }
 
-bool read_le(std::istream& is, std::uint64_t& v, int width) {
-  char buf[8];
-  if (!is.read(buf, width)) return false;
+bool read_le(ByteReader& in, std::uint64_t& v, int width) {
+  const char* p = in.take(static_cast<std::size_t>(width));
+  if (p == nullptr) return false;
   v = 0;
   for (int i = 0; i < width; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[i]))
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
          << (8 * i);
   }
   return true;
@@ -50,42 +48,30 @@ void append_string(std::string& out, const std::string& s) {
   out += s;
 }
 
-bool read_u32(std::istream& is, std::uint32_t& v) {
+bool read_u32(ByteReader& in, std::uint32_t& v) {
   std::uint64_t wide = 0;
-  if (!read_le(is, wide, 4)) return false;
+  if (!read_le(in, wide, 4)) return false;
   v = static_cast<std::uint32_t>(wide);
   return true;
 }
 
-bool read_u64(std::istream& is, std::uint64_t& v) {
-  return read_le(is, v, 8);
+bool read_u64(ByteReader& in, std::uint64_t& v) {
+  return read_le(in, v, 8);
 }
 
-bool read_f64(std::istream& is, double& v) {
+bool read_f64(ByteReader& in, double& v) {
   std::uint64_t bits = 0;
-  if (!read_le(is, bits, 8)) return false;
+  if (!read_le(in, bits, 8)) return false;
   std::memcpy(&v, &bits, sizeof(v));
   return true;
 }
 
-bool read_string(std::istream& is, std::string& s, std::uint64_t max_size) {
+bool read_string(ByteReader& in, std::string& s, std::uint64_t max_size) {
   std::uint64_t size = 0;
-  if (!read_u64(is, size) || size > max_size) return false;
-  // Grow in bounded chunks instead of trusting the length prefix: a
-  // corrupt prefix claiming (max_size - 1) bytes must fail when the
-  // stream runs dry, not after a gigabyte-sized up-front allocation.
-  constexpr std::uint64_t kChunkBytes = 64 * 1024;
-  s.clear();
-  std::uint64_t remaining = size;
-  while (remaining > 0) {
-    const std::uint64_t step = std::min(remaining, kChunkBytes);
-    const std::size_t old_size = s.size();
-    s.resize(old_size + static_cast<std::size_t>(step));
-    if (!is.read(s.data() + old_size, static_cast<std::streamsize>(step))) {
-      return false;
-    }
-    remaining -= step;
-  }
+  if (!read_u64(in, size) || size > max_size) return false;
+  const char* p = in.take(static_cast<std::size_t>(size));
+  if (p == nullptr) return false;
+  s.assign(p, static_cast<std::size_t>(size));
   return true;
 }
 

@@ -1,16 +1,18 @@
-// Minimal little-endian binary stream encoding, the serialization
-// substrate of the persistent caches. Explicit byte-by-byte encoding (no
-// struct dumps) keeps the on-disk format independent of host endianness,
-// padding and type widths; doubles travel as their IEEE-754 bit pattern,
-// so round-trips are exact — a requirement for the byte-identical-report
-// guarantee of the simulation cache. Readers return false on a short or
-// failed stream instead of throwing: cache files are untrusted input
-// (corrupt, truncated or stale files must be ignored, never crash a run).
+// Minimal little-endian binary encoding, the serialization substrate of
+// the persistent cache files and the serve frames. Explicit byte-by-byte
+// encoding (no struct dumps) keeps the formats independent of host
+// endianness, padding and type widths; doubles travel as their IEEE-754
+// bit pattern, so round-trips are exact — a requirement for the
+// byte-identical-report guarantee of the simulation cache. Readers
+// return false on short input instead of throwing: cache files and
+// frames are untrusted input (corrupt, truncated or stale bytes must be
+// ignored, never crash a run).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 
 namespace ddtr::support {
 
@@ -22,12 +24,37 @@ void append_f64(std::string& out, double v);
 // Length-prefixed (u64) raw bytes.
 void append_string(std::string& out, const std::string& s);
 
-bool read_u32(std::istream& is, std::uint32_t& v);
-bool read_u64(std::istream& is, std::uint64_t& v);
-bool read_f64(std::istream& is, double& v);
-// Rejects lengths above `max_size` (default 1 GiB) so a corrupt length
-// prefix cannot trigger a huge allocation.
-bool read_string(std::istream& is, std::string& s,
+// A bounded read cursor over bytes already in memory: a cache file, a
+// frame header or a payload. Readers never read past its end.
+class ByteReader {
+ public:
+  explicit ByteReader(std::string_view bytes) noexcept : rest_(bytes) {}
+
+  bool at_end() const noexcept { return rest_.empty(); }
+  std::size_t remaining() const noexcept { return rest_.size(); }
+
+  // The next `size` bytes, consumed; nullptr, consuming nothing, when
+  // fewer remain.
+  const char* take(std::size_t size) noexcept {
+    if (size > rest_.size()) return nullptr;
+    const char* p = rest_.data();
+    rest_.remove_prefix(size);
+    return p;
+  }
+
+ private:
+  std::string_view rest_;
+};
+
+// Each reader consumes its field, or returns false when too few bytes
+// remain. read_string also rejects lengths above `max_size` (default
+// 1 GiB), and allocates only once the cursor holds every byte the length
+// prefix claims, so a corrupt prefix fails before any allocation it
+// sized.
+bool read_u32(ByteReader& in, std::uint32_t& v);
+bool read_u64(ByteReader& in, std::uint64_t& v);
+bool read_f64(ByteReader& in, double& v);
+bool read_string(ByteReader& in, std::string& s,
                  std::uint64_t max_size = 1ull << 30);
 
 // Crash-durability primitives for the write-temp + rename pattern: a

@@ -287,8 +287,8 @@ expect_usage_error("explore: unknown flag --progress"
                    explore --app url --progress)
 expect_usage_error("submit: unknown flag --progress"
                    submit --socket ${WORK_DIR}/nope.sock --app url --progress)
-# Protocol v8: submit prints the explore report, with no 2-D listing
-# axes, and SIGTERM/SIGINT are the one way to stop a daemon.
+# Protocol v9 (as since v8): submit prints the explore report, with no
+# 2-D listing axes, and SIGTERM/SIGINT are the one way to stop a daemon.
 expect_usage_error("submit: unknown flag --x"
                    submit --socket ${WORK_DIR}/nope.sock --app url --x time)
 expect_usage_error("unknown command 'shutdown'"

@@ -1,15 +1,20 @@
 // Exploration-engine tests on a deliberately small case study: step
-// mechanics, survivor capping, aggregation arithmetic, report bookkeeping.
+// mechanics, survivor capping, aggregation arithmetic, report bookkeeping;
+// and, on the four built-ins, the fans' cache keys against key_of.
 #include <gtest/gtest.h>
 
+#include "api/ddtr.h"
 #include "apps/url/url_app.h"
 #include "core/case_studies.h"
 #include "core/explorer.h"
 #include "core/report.h"
 #include "nettrace/generator.h"
 #include "nettrace/presets.h"
+#include "support/thread_pool.h"
 
+#include <map>
 #include <sstream>
+#include <string>
 
 namespace ddtr::core {
 namespace {
@@ -240,6 +245,58 @@ TEST(Explorer, ScenarioRecordsFilterByLabel) {
   const auto sub = report.scenario_records("dart-berry");
   EXPECT_EQ(sub.size(), report.survivors.size());
   for (const auto& r : sub) EXPECT_EQ(r.network, "dart-berry");
+}
+
+// The fans build each scenario's key prefix once and append only the
+// combination label per unit; the keys must still be key_of's, byte for
+// byte, or a persisted cache would stop hitting.
+TEST(Explorer, FanKeysAreKeyOfForEveryUnit) {
+  const energy::EnergyModel m = model();
+  const ExplorationEngine engine(m);
+  support::ThreadPool pool(1);
+  for (const std::string& name : api::registry().names()) {
+    SCOPED_TRACE(name);
+    const CaseStudy study =
+        api::registry().make_study(name, CaseStudyOptions{}.scaled(0.05));
+    SimulationCache cache;
+    const ExplorationReport cold = engine.explore(study, cache, pool, nullptr);
+    ASSERT_GT(study.scenarios.size(), 1u);
+
+    // What the fans stored, keyed by key_of: the step-1 records on the
+    // representative scenario, then every (scenario, survivor) pair.
+    std::map<std::string, SimulationRecord> expected;
+    const Scenario& representative = study.scenarios[study.representative];
+    for (const SimulationRecord& r : cold.step1_records) {
+      expected.emplace(SimulationCache::key_of(representative, r.combo, m), r);
+    }
+    const std::size_t per_scenario = cold.survivors.size();
+    ASSERT_EQ(cold.step2_records.size(),
+              per_scenario * study.scenarios.size());
+    for (std::size_t j = 0; j < cold.step2_records.size(); ++j) {
+      const SimulationRecord& r = cold.step2_records[j];
+      expected.emplace(
+          SimulationCache::key_of(study.scenarios[j / per_scenario], r.combo,
+                                  m),
+          r);
+    }
+    std::map<std::string, SimulationRecord> stored;
+    for (auto& [key, record] : cache.entries()) stored.emplace(key, record);
+    EXPECT_EQ(stored.size(), expected.size());
+    for (const auto& entry : expected) {
+      EXPECT_TRUE(stored.contains(entry.first))
+          << "no fan key equals key_of for " << entry.second.scenario_label()
+          << " / " << entry.second.combo.label();
+    }
+
+    // And the fans look up under key_of: a cache holding exactly those
+    // keys replays the whole exploration.
+    SimulationCache replay;
+    for (const auto& [key, record] : expected) replay.insert(key, record);
+    const ExplorationReport warm =
+        engine.explore(study, replay, pool, nullptr);
+    EXPECT_EQ(warm.executed_simulations(), 0u);
+    EXPECT_EQ(warm.serialized_records(), cold.serialized_records());
+  }
 }
 
 TEST(Report, CsvContainsHeaderAndRows) {

@@ -8,9 +8,9 @@
 // per-writer segment files, byte-identity of the keys with their old
 // stream-formatted form under any global locale, and the one writer:
 // store_new() writing only entries not yet persisted (the key set from
-// seed() alone), files sorted and
-// independent of store history, an older version's appended file
-// normalized by one store, concurrent writers keeping each other's
+// seed() alone) and skipping a synced cache until it inserts, files
+// sorted and independent of store history, an older version's appended
+// file normalized by one store, concurrent writers keeping each other's
 // entries, no temp file left behind, and the exact bytes of one stored
 // frame.
 #include <gtest/gtest.h>
@@ -25,6 +25,7 @@
 #include <locale>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -703,6 +704,69 @@ TEST_F(PersistentCacheTest, StoresAreSortedAndIndependentOfHistory) {
   const std::vector<std::string> keys = frame_keys(at_once.file_path());
   EXPECT_EQ(keys.size(), entries.size());
   EXPECT_TRUE(strictly_sorted(keys));
+}
+
+// What a rewrite of the file would change: size, mtime and inode.
+struct FileStamp {
+  std::uintmax_t size = 0;
+  std::int64_t mtime_ns = 0;
+  ino_t inode = 0;
+  bool operator==(const FileStamp&) const = default;
+};
+
+FileStamp stamp_of(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return {static_cast<std::uintmax_t>(st.st_size),
+          std::int64_t{st.st_mtim.tv_sec} * 1'000'000'000 +
+              st.st_mtim.tv_nsec,
+          st.st_ino};
+}
+
+// store_new() skips, before any scan, the cache it last synced with when
+// that cache has inserted nothing since; any other cache, an insertion,
+// or a load()/seed() in between makes it look again.
+TEST_F(PersistentCacheTest, SyncedCacheStoresOnlyAfterAnInsertion) {
+  const auto entries = study_entries(dir_ + "/pristine");
+  ASSERT_GT(entries.size(), 6u);
+  PersistentSimulationCache persistent(dir_);
+  const std::string path = persistent.file_path();
+  // An optional, so a second cache can be built at the first one's
+  // address.
+  std::optional<SimulationCache> cache;
+  cache.emplace();
+  cache->insert(entries[0].first, entries[0].second);
+  cache->insert(entries[1].first, entries[1].second);
+  ASSERT_EQ(persistent.store_new(*cache), 2u);
+
+  // Nothing inserted since: no store, the file untouched.
+  const FileStamp synced = stamp_of(path);
+  EXPECT_EQ(persistent.store_new(*cache), 0u);
+  EXPECT_EQ(stamp_of(path), synced);
+
+  // One insertion makes it store.
+  cache->insert(entries[2].first, entries[2].second);
+  EXPECT_EQ(persistent.store_new(*cache), 1u);
+  EXPECT_NE(stamp_of(path).inode, synced.inode);
+
+  // A second cache with an equal insertion count, at the same address.
+  const SimulationCache* first = &*cache;
+  cache.emplace();
+  ASSERT_EQ(&*cache, first);
+  for (std::size_t i = 3; i < 6; ++i) {
+    cache->insert(entries[i].first, entries[i].second);
+  }
+  EXPECT_EQ(persistent.store_new(*cache), 3u);
+
+  // A seed() (or load()) after the file was cleared: the cache inserts
+  // nothing, but the file lacks every entry.
+  ASSERT_TRUE(clear_cache(dir_));
+  EXPECT_EQ(persistent.seed(*cache), 0u);
+  EXPECT_EQ(persistent.store_new(*cache), 3u);
+  ASSERT_TRUE(clear_cache(dir_));
+  EXPECT_EQ(persistent.load(), 0u);
+  EXPECT_EQ(persistent.store_new(*cache), 3u);
+  EXPECT_EQ(PersistentSimulationCache(dir_).load(), 3u);
 }
 
 // A file an older version left: appended frames in store order, among

@@ -10,8 +10,14 @@
 # against the build of its base. Only a kDdtAccountingVersion or
 # energy::kEnergyModelVersion bump may make the records differ.
 #
+# A second leg pins the persisted cache keys: the base CLI writes a
+# --cache-dir per app at scale 0.05, and the head CLI's explore against
+# it must print `executed simulations:  0`. Pass -DSKIP_CACHE_KEYS=ON when
+# PersistentSimulationCache::kFormatVersion differs from the base, which
+# retires every stored key.
+#
 #   cmake -DBASE_CLI=<base ddtr> -DHEAD_CLI=<head ddtr> -DWORK_DIR=<dir> \
-#         -P records_identity.cmake
+#         [-DSKIP_CACHE_KEYS=ON] -P records_identity.cmake
 
 foreach(var BASE_CLI HEAD_CLI WORK_DIR)
   if(NOT DEFINED ${var})
@@ -75,6 +81,34 @@ foreach(scale 0.05 1)
   endforeach()
 endforeach()
 
+# Cache-key leg: the head must replay every record the base stored.
+set(missed)
+if(NOT SKIP_CACHE_KEYS)
+  foreach(app route url ipchains drr)
+    set(dir "${WORK_DIR}/cache_${app}")
+    file(REMOVE_RECURSE "${dir}")
+    foreach(cli ${BASE_CLI} ${HEAD_CLI})
+      execute_process(
+          COMMAND ${cli} explore --app ${app} --scale 0.05 --cache-dir ${dir}
+          RESULT_VARIABLE result
+          OUTPUT_VARIABLE output
+          ERROR_VARIABLE errout)
+      if(NOT result EQUAL 0)
+        message(FATAL_ERROR
+            "${cli} explore --app ${app} --scale 0.05 --cache-dir ${dir} "
+            "failed (exit ${result}):\n${output}\n${errout}")
+      endif()
+    endforeach()
+    # `output` is the head's report.
+    if(output MATCHES "executed simulations:  0 ")
+      message(STATUS "cache keys kept: ${app}")
+    else()
+      message(STATUS "CACHE MISS: ${app}")
+      list(APPEND missed ${app})
+    endif()
+  endforeach()
+endif()
+
 list(LENGTH differing n_differing)
 math(EXPR n_identical "${pairs} - ${n_differing}")
 if(n_differing GREATER 0)
@@ -82,5 +116,16 @@ if(n_differing GREATER 0)
       "records_identity: ${n_identical} of ${pairs} logs byte-identical; "
       "differing: ${differing} (logs kept in ${WORK_DIR})")
 endif()
+if(missed)
+  message(FATAL_ERROR
+      "records_identity: the head executed simulations against the base's "
+      "--cache-dir for: ${missed} (cache dirs kept in ${WORK_DIR})")
+endif()
 message(STATUS "records_identity: ${n_identical} of ${pairs} logs "
                "byte-identical")
+if(SKIP_CACHE_KEYS)
+  message(STATUS "records_identity: cache-key leg skipped")
+else()
+  message(STATUS "records_identity: every app's base --cache-dir replayed "
+                 "with 0 executed")
+endif()

@@ -1,7 +1,8 @@
 // Wire-level contract of the serve protocol (serve/protocol.h): frame
 // round-trips through streams and socketpairs, clean-EOF vs torn-frame
-// discrimination, checksum/magic/size rejection, and field-exact message
-// codec round-trips — including hostile payloads (trailing garbage,
+// discrimination, checksum/magic/size rejection, the exact bytes of one
+// v9 frame, a checksum every single-byte flip changes, and field-exact
+// message codec round-trips — including hostile payloads (trailing garbage,
 // truncation, absurd counts), which must decode to false, never crash.
 #include <gtest/gtest.h>
 
@@ -12,8 +13,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "api/ddtr.h"
+#include "core/report.h"
 #include "serve/protocol.h"
 #include "support/binary_io.h"
+#include "support/fnv_hash.h"
 
 namespace ddtr::serve {
 namespace {
@@ -137,6 +141,93 @@ TEST(ServeFrame, TornSocketFrameIsCorrupt) {
   Frame out;
   EXPECT_EQ(recv_frame(fds[1], out), DecodeStatus::kCorrupt);
   ::close(fds[1]);
+}
+
+// Little-endian encodings written out by hand, independent of
+// support/binary_io, so the expected frame below pins the format itself.
+void put_le(std::string& out, std::uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+TEST(ServeFrame, V9FrameBytesArePinned) {
+  ASSERT_EQ(kProtocolVersion, 9u);
+  SubmitRequest m;
+  m.app = "url";
+  m.scale = 0.5;  // 0x3fe0000000000000
+  m.packets = 1000;
+  m.seed_offset = 3;
+  m.greedy = 1;
+  m.survivor_cap = 0.25;  // 0x3fd0000000000000
+  std::string payload;
+  put_le(payload, 3, 8);
+  payload += "url";
+  put_le(payload, 0x3fe0000000000000ull, 8);
+  put_le(payload, 1000, 8);
+  put_le(payload, 3, 8);
+  put_le(payload, 1, 4);
+  put_le(payload, 0x3fd0000000000000ull, 8);
+  ASSERT_EQ(encode_submit(m), payload);
+  // 47 bytes: one four-word block, one word and a 7-byte tail.
+  ASSERT_EQ(payload.size(), 47u);
+
+  std::string expected;
+  put_le(expected, 0x56525344u, 4);  // "DSRV"
+  put_le(expected, 3, 4);            // FrameType::kSubmit
+  put_le(expected, payload.size(), 8);
+  put_le(expected, 0x3aa925953cced141ull, 8);  // word_hash64(payload)
+  expected += payload;
+  EXPECT_EQ(encode_frame({FrameType::kSubmit, payload}), expected);
+}
+
+// Every single-byte flip of a payload changes its checksum, and the frame
+// carrying it decodes as corrupt: payloads of 0-70 bytes hit every tail
+// length behind blocks and words, and a real result payload the bulk path.
+TEST(ServeFrame, EveryByteFlipChangesTheChecksum) {
+  for (std::size_t size = 0; size <= 70; ++size) {
+    std::string payload;
+    for (std::size_t i = 0; i < size; ++i) {
+      payload.push_back(static_cast<char>(i * 37 + size));
+    }
+    const std::uint64_t intact =
+        support::word_hash64(payload.data(), payload.size());
+    const std::string wire = encode_frame({FrameType::kResult, payload});
+    for (std::size_t at = 0; at < size; ++at) {
+      for (const unsigned char mask : {0x01, 0x80, 0xff}) {
+        std::string flipped = payload;
+        flipped[at] = static_cast<char>(flipped[at] ^ mask);
+        ASSERT_NE(support::word_hash64(flipped.data(), flipped.size()),
+                  intact)
+            << "size " << size << ", offset " << at << ", mask " << +mask;
+        std::string bad_wire = wire;
+        bad_wire[wire.size() - size + at] = flipped[at];
+        std::istringstream is(bad_wire);
+        Frame out;
+        ASSERT_EQ(decode_frame(is, out), DecodeStatus::kCorrupt)
+            << "size " << size << ", offset " << at;
+      }
+    }
+  }
+
+  api::Exploration exploration(
+      api::registry().make_study("url", core::CaseStudyOptions{}.scaled(0.05)));
+  const core::ExplorationReport& report = exploration.run();
+  std::ostringstream printed;
+  core::print_report(printed, report, "");
+  const std::string payload =
+      encode_result({1, report.app_name, report.executed_simulations(),
+                     printed.str(), report.serialized_records()});
+  ASSERT_GT(payload.size(), 4096u);
+  const std::uint64_t intact =
+      support::word_hash64(payload.data(), payload.size());
+  std::string flipped = payload;
+  for (std::size_t at = 0; at < payload.size(); ++at) {
+    flipped[at] = static_cast<char>(payload[at] ^ 0x01);
+    ASSERT_NE(support::word_hash64(flipped.data(), flipped.size()), intact)
+        << "offset " << at;
+    flipped[at] = payload[at];
+  }
 }
 
 TEST(ServeMessages, HelloRoundTripAndVersion) {

@@ -37,32 +37,33 @@ TEST(BinaryIo, StringRoundTrips) {
   std::string bytes;
   const std::string value("bin\x00\xff-data", 9);
   append_string(bytes, value);
-  std::istringstream is(bytes);
+  ByteReader in(bytes);
   std::string out;
-  ASSERT_TRUE(read_string(is, out));
+  ASSERT_TRUE(read_string(in, out));
   EXPECT_EQ(out, value);
+  EXPECT_TRUE(in.at_end());
 }
 
 TEST(BinaryIo, StringLengthAboveCapIsRejected) {
   std::string bytes;
   append_string(bytes, "abcdef");
-  std::istringstream is(bytes);
+  ByteReader in(bytes);
   std::string out;
-  EXPECT_FALSE(read_string(is, out, /*max_size=*/3));
+  EXPECT_FALSE(read_string(in, out, /*max_size=*/3));
 }
 
 // Regression: a corrupt length prefix claiming almost max_size bytes
 // used to be trusted with an up-front resize — a 16-byte hostile
 // payload could force a near-1-GiB allocation before the read failed.
-// The reader now grows in bounded chunks, so the failure must leave
-// only chunk-sized storage behind.
+// The reader now checks the claim against the bytes it holds first, so
+// the failure must leave no storage behind.
 TEST(BinaryIo, HostileLengthPrefixCannotForceHugeAllocation) {
   std::string bytes;
   append_u64(bytes, (1ull << 30) - 1);  // claimed length, just under the cap
   bytes += "only-a-few-bytes";
-  std::istringstream is(bytes);
+  ByteReader in(bytes);
   std::string out;
-  EXPECT_FALSE(read_string(is, out));
+  EXPECT_FALSE(read_string(in, out));
   EXPECT_LT(out.capacity(), 1u << 20)
       << "failed read must not have pre-allocated the claimed length";
 }
