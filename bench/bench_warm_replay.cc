@@ -9,6 +9,10 @@
 //     store, like `ddtr submit` against a warm daemon),
 //   * the warm store_new() alone,
 //   * serialized_records() of the warm report (the records a client gets),
+//   * select_survivors() on the warm step-1 records,
+//   * aggregate() plus pareto_filter() on the warm step-2 records,
+//   * print_report() of the warm report into a string (the report a client
+//     gets),
 //   * encode plus decode of the warm result frame (the reply a client
 //     gets: encode_result, encode_frame, decode_frame, decode_result),
 // each as the median of several repetitions, and emits one BenchJson line.
@@ -16,7 +20,8 @@
 // net::TraceStore (trace synthesis and hashing, app construction) and
 // Trace::content_hash per distinct trace, each the median of several
 // repetitions. Exits 1 if a warm run executes a simulation or stores an
-// entry, its records differ from the cold run's, or its result frame does
+// entry, its records differ from the cold run's, a timed selection or
+// aggregation disagrees with the warm report, or its result frame does
 // not round-trip.
 #include <algorithm>
 #include <chrono>
@@ -30,6 +35,7 @@
 #include <unistd.h>
 
 #include "bench_common.h"
+#include "core/pareto.h"
 #include "core/persistent_cache.h"
 #include "core/report.h"
 #include "nettrace/trace_store.h"
@@ -122,6 +128,7 @@ int main() {
 
   support::TextTable table({"Application", "keys", "key_of ns",
                             "warm run ms", "store us", "serialize ms",
+                            "select us", "aggregate us", "report us",
                             "frame us", "record bytes"});
   support::TextTable setup_table(
       {"Application", "traces", "cold make_study ms", "content_hash ms/trace"});
@@ -176,21 +183,44 @@ int main() {
     std::string records;
     const double serialize_ms =
         median_ms([&] { records = warm.serialized_records(); });
-    std::ostringstream printed;
-    core::print_report(printed, warm, persistent.dir());
+    std::size_t survivors = 0;
+    const double select_us =
+        median_ms([&] {
+          survivors = engine.select_survivors(warm.step1_records).size();
+        }) * 1e3;
+    std::size_t pareto = 0;
+    const double aggregate_us =
+        median_ms([&] {
+          std::vector<energy::Metrics> points;
+          for (const core::SimulationRecord& r :
+               engine.aggregate(warm.step2_records)) {
+            points.push_back(r.metrics);
+          }
+          pareto = core::pareto_filter(points).size();
+        }) * 1e3;
+    std::string printed;
+    const double report_us =
+        median_ms([&] {
+          std::ostringstream os;
+          core::print_report(os, warm, persistent.dir());
+          printed = os.str();
+        }) * 1e3;
     const serve::ResultFrame result{1, study.name,
-                                    warm.executed_simulations(),
-                                    printed.str(), records};
+                                    warm.executed_simulations(), printed,
+                                    records};
     bool round_trips = true;
     const double frame_us =
         median_ms([&] { round_trips &= frame_round_trip(result); }) * 1e3;
 
     if (warm.executed_simulations() != 0 || warm.persistent_stored != 0 ||
-        stored != 0 || records != cold_records || !round_trips) {
+        stored != 0 || records != cold_records || !round_trips ||
+        survivors != warm.survivors.size() ||
+        pareto != warm.pareto_optimal.size()) {
       std::cerr << "[ddtr] " << study.name << ": warm run executed "
                 << warm.executed_simulations() << " simulations, stored "
                 << warm.persistent_stored + stored
-                << " entries, changed its records or broke its frame\n";
+                << " entries, changed its records, survivors or front, or "
+                   "broke its frame\n";
       consistent = false;
     }
 
@@ -199,6 +229,9 @@ int main() {
                    support::format_double(run_ms, 3),
                    support::format_double(store_us, 2),
                    support::format_double(serialize_ms, 3),
+                   support::format_double(select_us, 1),
+                   support::format_double(aggregate_us, 1),
+                   support::format_double(report_us, 1),
                    support::format_double(frame_us, 1),
                    std::to_string(records.size())});
     if (a > 0) apps_json << ',';
@@ -206,6 +239,9 @@ int main() {
               << ",\"key_of_ns\":" << key_ns << ",\"warm_run_ms\":" << run_ms
               << ",\"store_us\":" << store_us
               << ",\"serialize_ms\":" << serialize_ms
+              << ",\"select_us\":" << select_us
+              << ",\"aggregate_us\":" << aggregate_us
+              << ",\"report_us\":" << report_us
               << ",\"frame_us\":" << frame_us
               << ",\"record_bytes\":" << records.size()
               << ",\"traces\":" << distinct.size()

@@ -1,6 +1,7 @@
 #include "core/explorer.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -436,9 +437,15 @@ std::vector<ddt::DdtCombination> ExplorationEngine::select_survivors(
   if (options_.step1_policy == Step1Policy::kGreedyPerSlot) {
     return greedy_survivors(step1_records, options_.survivor_cap_fraction);
   }
+  // Each record's metric vector, built once for every comparison below.
   std::vector<energy::Metrics> points;
+  std::vector<std::array<double, energy::kMetricCount>> values;
   points.reserve(step1_records.size());
-  for (const SimulationRecord& r : step1_records) points.push_back(r.metrics);
+  values.reserve(step1_records.size());
+  for (const SimulationRecord& r : step1_records) {
+    points.push_back(r.metrics);
+    values.push_back(r.metrics.as_array());
+  }
 
   const std::size_t cap = std::max<std::size_t>(
       4 * options_.champions_per_metric,
@@ -456,13 +463,12 @@ std::vector<ddt::DdtCombination> ExplorationEngine::select_survivors(
   };
 
   // Per-metric champions first (the paper's explicit selection rule).
+  std::vector<std::size_t> order(points.size());
   for (std::size_t m = 0; m < energy::kMetricCount; ++m) {
-    std::vector<std::size_t> order(points.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) {
-                return points[a].as_array()[m] < points[b].as_array()[m];
-              });
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return values[a][m] < values[b][m];
+    });
     for (std::size_t k = 0;
          k < options_.champions_per_metric && k < order.size(); ++k) {
       select(order[k]);
@@ -474,14 +480,13 @@ std::vector<ddt::DdtCombination> ExplorationEngine::select_survivors(
   std::vector<std::size_t> pareto = pareto_filter(points);
   std::array<double, energy::kMetricCount> best;
   best.fill(std::numeric_limits<double>::infinity());
-  for (const energy::Metrics& p : points) {
-    const auto v = p.as_array();
+  for (const auto& v : values) {
     for (std::size_t m = 0; m < v.size(); ++m) {
       best[m] = std::min(best[m], v[m]);
     }
   }
   const auto score = [&](std::size_t idx) {
-    const auto v = points[idx].as_array();
+    const auto& v = values[idx];
     double s = 0.0;
     for (std::size_t m = 0; m < v.size(); ++m) {
       s += best[m] > 0.0 ? v[m] / best[m] : v[m];
@@ -518,30 +523,33 @@ ExplorationEngine::FanOutcome ExplorationEngine::run_step2_fan(
 
 std::vector<SimulationRecord> ExplorationEngine::aggregate(
     const std::vector<SimulationRecord>& step2_records) const {
-  // Group by combination label, preserving first-seen order.
+  // Group by combination, preserving first-seen order. A study has a few
+  // dozen survivors, so a scan of the groups found so far beats hashing.
   std::vector<SimulationRecord> aggregated;
-  std::map<std::string, std::size_t> index_of;
-  std::map<std::string, std::size_t> count_of;
+  std::vector<std::size_t> count_of;
   for (const SimulationRecord& r : step2_records) {
-    const std::string key = r.combo.label();
-    auto [it, inserted] = index_of.try_emplace(key, aggregated.size());
-    if (inserted) {
-      SimulationRecord agg = r;
+    const auto found =
+        std::find_if(aggregated.begin(), aggregated.end(),
+                     [&](const SimulationRecord& agg) {
+                       return agg.combo == r.combo;
+                     });
+    const auto idx = static_cast<std::size_t>(found - aggregated.begin());
+    if (found == aggregated.end()) {
+      SimulationRecord& agg = aggregated.emplace_back();
+      agg.app_name = r.app_name;
+      agg.combo = r.combo;
       agg.network = "<all>";
-      agg.config.clear();
-      agg.metrics = energy::Metrics{};
-      agg.counters = prof::ProfileCounters{};
-      aggregated.push_back(agg);
+      count_of.push_back(0);
     }
-    SimulationRecord& agg = aggregated[it->second];
-    agg.metrics.energy_mj += r.metrics.energy_mj;
-    agg.metrics.time_s += r.metrics.time_s;
-    agg.metrics.accesses += r.metrics.accesses;
-    agg.metrics.footprint_bytes += r.metrics.footprint_bytes;
-    count_of[key] += 1;
+    energy::Metrics& m = aggregated[idx].metrics;
+    m.energy_mj += r.metrics.energy_mj;
+    m.time_s += r.metrics.time_s;
+    m.accesses += r.metrics.accesses;
+    m.footprint_bytes += r.metrics.footprint_bytes;
+    ++count_of[idx];
   }
-  for (auto& [key, idx] : index_of) {
-    const double n = static_cast<double>(count_of[key]);
+  for (std::size_t idx = 0; idx < aggregated.size(); ++idx) {
+    const double n = static_cast<double>(count_of[idx]);
     energy::Metrics& m = aggregated[idx].metrics;
     m.energy_mj /= n;
     m.time_s /= n;

@@ -1,23 +1,43 @@
 #include "core/pareto.h"
 
 #include <algorithm>
+#include <array>
+#include <compare>
 #include <limits>
 
 namespace ddtr::core {
 
 std::vector<std::size_t> pareto_filter(
     const std::vector<energy::Metrics>& points) {
-  std::vector<std::size_t> result;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    bool dominated = false;
-    for (std::size_t j = 0; j < points.size() && !dominated; ++j) {
-      if (j != i && energy::dominates(points[j], points[i])) {
-        dominated = true;
-      }
+  // Sort-based maxima (Kung, Luccio & Preparata, 1975). On finite input,
+  // lexicographic order puts a dominator before what it dominates, and
+  // dominance is transitive, so a point is dominated by some point iff it
+  // is dominated by an earlier kept one. std::weak_order ranks -0.0 with
+  // +0.0, as dominates() does, and keeps the sort's order a strict weak
+  // one even when a metric read from a cache file is NaN.
+  std::vector<std::array<double, energy::kMetricCount>> values;
+  values.reserve(points.size());
+  for (const energy::Metrics& p : points) values.push_back(p.as_array());
+  std::vector<std::size_t> order(points.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    for (std::size_t m = 0; m < energy::kMetricCount; ++m) {
+      const std::weak_ordering c = std::weak_order(values[a][m], values[b][m]);
+      if (c != 0) return c < 0;
     }
-    if (!dominated) result.push_back(i);
+    return a < b;
+  });
+
+  std::vector<std::size_t> kept;
+  for (std::size_t i : order) {
+    if (std::none_of(kept.begin(), kept.end(), [&](std::size_t k) {
+          return energy::dominates(values[k], values[i]);
+        })) {
+      kept.push_back(i);
+    }
   }
-  return result;
+  std::sort(kept.begin(), kept.end());
+  return kept;
 }
 
 std::vector<std::size_t> pareto_front_2d(

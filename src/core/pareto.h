@@ -13,8 +13,9 @@
 namespace ddtr::core {
 
 // Indices of the points not dominated by any other point (4-D dominance
-// over the full metric vector). Order follows the input. O(n^2), fine for
-// design-space sizes (<= a few thousand points).
+// over the full metric vector), in ascending order. Sorts the points
+// lexicographically, then checks each against the points kept before it:
+// O(n log n + n k) for k kept points.
 std::vector<std::size_t> pareto_filter(
     const std::vector<energy::Metrics>& points);
 

@@ -13,53 +13,69 @@ namespace ddtr::core {
 
 namespace {
 
-// Scenario labels and combination labels never contain spaces; free-form
-// fields (app, network, config) are written with a simple escape for
-// robustness.
+// Scenario labels and combination labels never contain whitespace;
+// free-form fields (app, network, config) map every whitespace character
+// load() splits on (the classic locale's: space, \t, \n, \v, \f, \r) to
+// '_', so a field always reads back as one field.
 void append_escaped(std::string& out, const std::string& s) {
   if (s.empty()) {
     out += '-';
     return;
   }
-  for (char ch : s) out += (ch == ' ' || ch == '\n') ? '_' : ch;
+  for (char ch : s) {
+    const bool space = ch == ' ' || (ch >= '\t' && ch <= '\r');
+    out += space ? '_' : ch;
+  }
 }
+
+// The widest number fields: a %g double ("-1.23457e+308", 13 bytes) and a
+// uint64 (20 digits), each after its separating space.
+constexpr std::size_t kDoubleField = 1 + 13;
+constexpr std::size_t kCountField = 1 + 20;
+constexpr std::size_t kNumberTail = 2 * kDoubleField + 10 * kCountField + 1;
 
 // std::to_chars writes what a classic-locale ostream writes by default:
 // %g with 6 significant digits for a double, plain decimal for an integer.
-void append_number(std::string& out, double v) {
-  char buf[32];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), v,
-                                    std::chars_format::general, 6);
-  out.append(buf, result.ptr);
+char* put_number(char* p, double v) {
+  *p++ = ' ';
+  return std::to_chars(p, p + kDoubleField - 1, v,
+                       std::chars_format::general, 6)
+      .ptr;
 }
 
-void append_number(std::string& out, std::uint64_t v) {
-  char buf[20];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, result.ptr);
+char* put_number(char* p, std::uint64_t v) {
+  *p++ = ' ';
+  return std::to_chars(p, p + kCountField - 1, v).ptr;
 }
 
+// One record line, written in place: the four text fields, then the
+// twelve numbers into a worst-case tail that is trimmed to what they took.
 void append_record(std::string& out, const SimulationRecord& r) {
   append_escaped(out, r.app_name);
   out += ' ';
-  append_escaped(out, r.combo.label());
+  if (r.combo.size() == 0) {
+    out += '-';
+  } else {
+    r.combo.append_label(out);
+  }
   out += ' ';
   append_escaped(out, r.network);
   out += ' ';
   append_escaped(out, r.config);
-  for (const double v : {r.metrics.energy_mj, r.metrics.time_s}) {
-    out += ' ';
-    append_number(out, v);
-  }
+  const std::size_t start = out.size();
+  out.resize(start + kNumberTail);
+  char* p = out.data() + start;
+  p = put_number(p, r.metrics.energy_mj);
+  p = put_number(p, r.metrics.time_s);
   for (const std::uint64_t v :
        {r.metrics.accesses, r.metrics.footprint_bytes, r.counters.reads,
         r.counters.writes, r.counters.bytes_read, r.counters.bytes_written,
         r.counters.allocations, r.counters.deallocations,
         r.counters.peak_bytes, r.counters.cpu_ops}) {
-    out += ' ';
-    append_number(out, v);
+    p = put_number(p, v);
   }
-  out += '\n';
+  *p++ = '\n';
+  out.resize(static_cast<std::size_t>(p - out.data()));
 }
 
 // Reads under the classic locale and hands the stream its own locale back.
@@ -103,9 +119,11 @@ std::string ResultLog::render(
   std::uint64_t count = 0;
   for (const auto part : parts) count += part.size();
   std::string out = "ddtr-log 1 ";
-  // Built-in record lines run 100-135 bytes: one reservation covers them.
-  out.reserve(out.size() + 24 + count * 144);
-  append_number(out, count);
+  // Built-in record lines run 100-135 bytes: one reservation covers them
+  // and the last record's untrimmed number tail.
+  out.reserve(out.size() + 24 + count * 144 + kNumberTail);
+  char digits[20];
+  out.append(digits, std::to_chars(digits, digits + sizeof(digits), count).ptr);
   out += '\n';
   for (const auto part : parts) {
     for (const SimulationRecord& r : part) append_record(out, r);

@@ -5,14 +5,7 @@
 namespace ddtr::energy {
 
 bool dominates(const Metrics& a, const Metrics& b) noexcept {
-  const auto av = a.as_array();
-  const auto bv = b.as_array();
-  bool strictly_better = false;
-  for (std::size_t i = 0; i < av.size(); ++i) {
-    if (av[i] > bv[i]) return false;
-    if (av[i] < bv[i]) strictly_better = true;
-  }
-  return strictly_better;
+  return dominates(a.as_array(), b.as_array());
 }
 
 std::optional<std::size_t> metric_index(std::string_view name) noexcept {

@@ -40,5 +40,16 @@ std::optional<std::size_t> metric_index(std::string_view name) noexcept;
 // True if `a` dominates `b`: no metric worse, at least one strictly better.
 bool dominates(const Metrics& a, const Metrics& b) noexcept;
 
+// The same over as_array() vectors, for callers that compare many pairs.
+inline bool dominates(const std::array<double, kMetricCount>& a,
+                      const std::array<double, kMetricCount>& b) noexcept {
+  bool strictly_better = false;
+  for (std::size_t i = 0; i < kMetricCount; ++i) {
+    if (a[i] > b[i]) return false;
+    if (a[i] < b[i]) strictly_better = true;
+  }
+  return strictly_better;
+}
+
 }  // namespace ddtr::energy
 

@@ -1,8 +1,10 @@
 #include "support/table.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 
 namespace ddtr::support {
@@ -47,9 +49,21 @@ std::string TextTable::to_string() const {
 }
 
 std::string format_double(double value, int precision) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(precision) << value;
-  return os.str();
+  // std::to_chars writes what a classic-locale `std::fixed` stream writes,
+  // whatever the global locale is. Most values fit the stack buffer; the
+  // fallback holds DBL_MAX's 309 integer digits, sign, point and fraction.
+  char buf[64];
+  auto result = std::to_chars(buf, buf + sizeof(buf), value,
+                              std::chars_format::fixed, precision);
+  if (result.ec == std::errc{}) return std::string(buf, result.ptr);
+  std::string out(static_cast<std::size_t>(
+                      std::numeric_limits<double>::max_exponent10 + 3 +
+                      std::max(precision, 6)),
+                  '\0');
+  result = std::to_chars(out.data(), out.data() + out.size(), value,
+                         std::chars_format::fixed, precision);
+  out.resize(static_cast<std::size_t>(result.ptr - out.data()));
+  return out;
 }
 
 std::string format_percent(double fraction, int precision) {

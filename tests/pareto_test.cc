@@ -1,9 +1,14 @@
 // Pareto machinery tests, including randomized properties checked against
-// a brute-force oracle.
+// a brute-force oracle: the sort-based pareto_filter must return what the
+// O(n^2) definition returns, index for index.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
+#include "api/ddtr.h"
+#include "core/explorer.h"
 #include "core/pareto.h"
 #include "support/rng.h"
 
@@ -12,6 +17,20 @@ namespace {
 
 energy::Metrics point(double e, double t, std::uint64_t a, std::uint64_t f) {
   return energy::Metrics{e, t, a, f};
+}
+
+// The definition: a point survives unless some other point dominates it.
+std::vector<std::size_t> brute_force_pareto(
+    const std::vector<energy::Metrics>& points) {
+  std::vector<std::size_t> result;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    bool dominated = false;
+    for (std::size_t j = 0; j < points.size() && !dominated; ++j) {
+      dominated = j != i && energy::dominates(points[j], points[i]);
+    }
+    if (!dominated) result.push_back(i);
+  }
+  return result;
 }
 
 TEST(ParetoFilter, EmptyInput) {
@@ -63,6 +82,74 @@ TEST(ParetoFilter, NoSurvivorIsDominated_RandomProperty) {
         dominated = j != i && energy::dominates(points[j], points[i]);
       }
       EXPECT_TRUE(dominated) << "discarded non-dominated point " << i;
+    }
+  }
+}
+
+// Coordinates drawn from four values each, so equal coordinates, whole
+// duplicate points and the -0.0 / +0.0 tie are common.
+TEST(ParetoFilter, EqualsTheBruteForceOracleOnTiesAndDuplicates) {
+  static constexpr double kReals[] = {-0.0, 0.0, 1.0, 2.5};
+  static constexpr std::uint64_t kCounts[] = {0, 1, 7, 8};
+  support::Rng rng(0x9a7e70);
+  for (int trial = 0; trial < 1000; ++trial) {
+    std::vector<energy::Metrics> points(rng.uniform(0, 300));
+    for (energy::Metrics& p : points) {
+      p = point(kReals[rng.uniform(0, 3)], kReals[rng.uniform(0, 3)],
+                kCounts[rng.uniform(0, 3)], kCounts[rng.uniform(0, 3)]);
+    }
+    ASSERT_EQ(pareto_filter(points), brute_force_pareto(points))
+        << "trial " << trial << ", " << points.size() << " points";
+  }
+}
+
+TEST(ParetoFilter, EqualsTheBruteForceOracleOnEveryBuiltInsStepOne) {
+  const ExplorationEngine engine(make_paper_energy_model());
+  for (const std::string& name : api::registry().names()) {
+    SCOPED_TRACE(name);
+    const CaseStudy study =
+        api::registry().make_study(name, CaseStudyOptions{}.scaled(0.05));
+    std::vector<energy::Metrics> points;
+    for (const SimulationRecord& r : engine.run_step1(study)) {
+      points.push_back(r.metrics);
+    }
+    ASSERT_GT(points.size(), 1u);
+    EXPECT_EQ(pareto_filter(points), brute_force_pareto(points));
+  }
+}
+
+// Metrics can come from a cache file, so a NaN can reach the filter. The
+// sort must stay well-defined (std::weak_order orders NaN), the result must
+// be ascending distinct indices, and a point may be dropped only when some
+// point dominates it. (NaN makes dominance intransitive, so kept points can
+// dominate each other; no more than that is promised.)
+TEST(ParetoFilter, NanCoordinatesKeepTheSortDefined) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  static constexpr double kReals[] = {-0.0, 0.0, 1.0, 2.5};
+  support::Rng rng(0x4a4e);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<energy::Metrics> points(rng.uniform(1, 300));
+    const auto real = [&] {
+      if (!rng.chance(0.2)) return kReals[rng.uniform(0, 3)];
+      return rng.chance(0.5) ? nan : -nan;
+    };
+    for (energy::Metrics& p : points) {
+      p = point(real(), real(), rng.uniform(0, 3), rng.uniform(0, 3));
+    }
+    const std::vector<std::size_t> keep = pareto_filter(points);
+    ASSERT_TRUE(std::is_sorted(keep.begin(), keep.end()));
+    ASSERT_EQ(std::adjacent_find(keep.begin(), keep.end()), keep.end());
+    ASSERT_TRUE(keep.empty() || keep.back() < points.size());
+    std::vector<bool> kept(points.size(), false);
+    for (std::size_t idx : keep) kept[idx] = true;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      if (kept[i]) continue;
+      bool dominated = false;
+      for (std::size_t j = 0; j < points.size() && !dominated; ++j) {
+        dominated = j != i && energy::dominates(points[j], points[i]);
+      }
+      EXPECT_TRUE(dominated) << "trial " << trial << ": dropped point " << i
+                             << ", which nothing dominates";
     }
   }
 }

@@ -99,6 +99,31 @@ TEST(ResultLog, AppendAllMerges) {
   EXPECT_EQ(b.size(), 2u);
 }
 
+// load() splits fields on any classic-locale whitespace, so save() must
+// escape every such character in a free-form field, or the record reloads
+// with its fields shifted.
+TEST(ResultLog, EveryWhitespaceCharacterInAFieldRoundTripsEscaped) {
+  for (const char ch : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    SCOPED_TRACE(static_cast<int>(ch));
+    ResultLog log;
+    SimulationRecord r = sample_record("Route", "AR", 0.5);
+    r.config = std::string("table") + ch + "128";
+    r.network = std::string(1, ch) + "net";
+    log.append(r);
+    std::stringstream ss;
+    log.save(ss);
+    const ResultLog loaded = ResultLog::load(ss);
+    ASSERT_EQ(loaded.size(), 1u);
+    const SimulationRecord& back = loaded.records()[0];
+    EXPECT_EQ(back.config, "table_128");
+    EXPECT_EQ(back.network, "_net");
+    EXPECT_EQ(back.combo.label(), "AR+DLL(ARO)");
+    EXPECT_EQ(back.metrics.energy_mj, 0.5);
+    EXPECT_EQ(back.metrics.time_s, 0.125);
+    EXPECT_EQ(back.counters.cpu_ops, 999u);
+  }
+}
+
 TEST(ResultLog, RejectsGarbage) {
   std::stringstream ss("hello world");
   EXPECT_THROW(ResultLog::load(ss), std::runtime_error);
@@ -132,11 +157,14 @@ TEST(ResultLog, RejectsUnknownDdtKind) {
 }
 
 // The stream construction save() used to be, kept here as the byte
-// oracle: a classic-imbued ostringstream with operator<<.
+// oracle: a classic-imbued ostringstream with operator<<. Every character
+// the classic locale calls whitespace (what load() splits on) becomes '_'.
 std::string stream_escape(const std::string& s) {
   if (s.empty()) return "-";
   std::string out;
-  for (char ch : s) out += (ch == ' ' || ch == '\n') ? '_' : ch;
+  for (char ch : s) {
+    out += std::isspace(ch, std::locale::classic()) ? '_' : ch;
+  }
   return out;
 }
 
@@ -158,11 +186,12 @@ std::string stream_reference(const ResultLog& log) {
 }
 
 // Doubles at the edges of %g: zero, exponent switch-over both ways,
-// rounding, the 6-digit boundary, huge, subnormal and the largest finite.
+// rounding, the 6-digit boundary, huge, subnormal, the largest finite and
+// the widest ("-1.79769e+308").
 ResultLog edge_value_log() {
   const std::vector<double> values = {0.0,      1e-7,      0.1 + 0.2,
                                       123456.5, 1234567.0, 1e21,
-                                      5e-324,   DBL_MAX};
+                                      5e-324,   DBL_MAX,   -DBL_MAX};
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   ResultLog log;
   for (std::size_t i = 0; i < values.size(); ++i) {
@@ -173,6 +202,8 @@ ResultLog edge_value_log() {
     r.counters.cpu_ops = kMax - i;
     if (i == 1) r.config.clear();
     if (i == 2) r.network = "two words";
+    if (i == 3) r.combo = ddt::DdtCombination{};  // zero slots: "-"
+    if (i == 4) r.config = "table\t128\r";
     log.append(r);
   }
   return log;

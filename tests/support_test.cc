@@ -3,17 +3,24 @@
 // pool's lane cap and spawn-failure cleanup.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <fstream>
+#include <iomanip>
+#include <limits>
+#include <locale>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <system_error>
+#include <utility>
+#include <vector>
 
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "comma_locale.h"
 #include "support/binary_io.h"
 #include "support/csv.h"
 #include "support/rng.h"
@@ -208,6 +215,35 @@ TEST(Format, Count) {
 TEST(Format, Bytes) {
   EXPECT_EQ(format_bytes(512), "512 B");
   EXPECT_EQ(format_bytes(2048), "2.0 KiB");
+}
+
+// format_double prints what a classic-locale std::fixed stream prints, and
+// a grouping global locale (which a stream built inside it would pick up)
+// changes none of its bytes, nor those of the helpers built on it.
+TEST(Format, DoubleIsTheClassicFixedStreamUnderAnyGlobalLocale) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<double, int>> cases = {
+      {0.125, 2}, {2.5, 0},  {-0.0, 2}, {1e21, 2},  {5e-324, 2},
+      {DBL_MAX, 2}, {inf, 2}, {-inf, 2}, {nan, 2}, {12345.678, 2}};
+  std::vector<std::string> classic;
+  for (const auto& [value, precision] : cases) {
+    std::ostringstream os;
+    os.imbue(std::locale::classic());
+    os << std::fixed << std::setprecision(precision) << value;
+    classic.push_back(os.str());
+    EXPECT_EQ(format_double(value, precision), classic.back())
+        << value << " at precision " << precision;
+  }
+
+  const test_support::ScopedCommaLocale comma;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(format_double(cases[i].first, cases[i].second), classic[i])
+        << cases[i].first << " at precision " << cases[i].second;
+  }
+  EXPECT_EQ(format_double(12345.678, 2), "12345.68");
+  EXPECT_EQ(format_percent(0.873), "87.3%");
+  EXPECT_EQ(format_bytes(5000000), "4.8 MiB");
 }
 
 TEST(Csv, EscapesSpecials) {
