@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "core/pareto.h"
 #include "support/csv.h"
@@ -69,20 +70,27 @@ void print_best_by_metric(std::ostream& os,
 
 void print_report(std::ostream& os, const ExplorationReport& report,
                   const std::string& cache_dir) {
+  // Counts go through std::to_string, so the stream's locale (a daemon's
+  // ostringstream takes the global one) cannot group their digits.
+  using std::to_string;
   os << "application: " << report.app_name << '\n'
-     << "configurations: " << report.scenario_count << '\n'
-     << "exhaustive simulations: " << report.exhaustive_simulations << '\n'
-     << "reduced simulations:   " << report.reduced_simulations() << '\n'
-     << "executed simulations:  " << report.executed_simulations()
+     << "configurations: " << to_string(report.scenario_count) << '\n'
+     << "exhaustive simulations: " << to_string(report.exhaustive_simulations)
+     << '\n'
+     << "reduced simulations:   " << to_string(report.reduced_simulations())
+     << '\n'
+     << "executed simulations:  " << to_string(report.executed_simulations())
      << " (cache hit rate "
      << support::format_percent(report.cache_hit_rate()) << ")\n"
-     << "kernel runs:           " << report.kernel_runs << '\n';
+     << "kernel runs:           " << to_string(report.kernel_runs) << '\n';
   if (!cache_dir.empty()) {
-    os << "persistent cache:      loaded " << report.persistent_loaded
-       << ", stored " << report.persistent_stored << " records in "
-       << cache_dir << '\n';
+    os << "persistent cache:      loaded "
+       << to_string(report.persistent_loaded) << ", stored "
+       << to_string(report.persistent_stored) << " records in " << cache_dir
+       << '\n';
   }
-  os << "survivors after step 1: " << report.survivors.size() << '\n'
+  os << "survivors after step 1: " << to_string(report.survivors.size())
+     << '\n'
      << "Pareto-optimal combinations:\n";
   for (const SimulationRecord& r : report.pareto_records()) {
     os << "  " << r.combo.label() << "  energy "

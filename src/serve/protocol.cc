@@ -21,11 +21,6 @@ constexpr std::uint32_t kFrameMagic = 0x56525344u;
 // magic, type, payload size, payload checksum.
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8;
 
-// A frame carries at most one serialized ResultLog; 256 MiB is orders of
-// magnitude above any real study and small enough that a corrupt length
-// prefix cannot trigger a runaway allocation.
-constexpr std::uint64_t kMaxPayloadBytes = 1ull << 28;
-
 // Exactly the assigned FrameType values: an unassigned or retired type is
 // as corrupt as a bad magic.
 bool valid_type(std::uint32_t raw) {
@@ -83,12 +78,13 @@ struct Header {
 };
 
 // False for a bad magic, an unassigned type or an oversized payload.
-bool parse_header(const char (&bytes)[kHeaderBytes], Header& h) {
+bool parse_header(const char* bytes, Header& h,
+                  std::uint64_t max_payload = kMaxPayloadBytes) {
   support::ByteReader in(std::string_view(bytes, kHeaderBytes));
   std::uint32_t magic = 0;
   return support::read_u32(in, magic) && magic == kFrameMagic &&
          support::read_u32(in, h.type) && valid_type(h.type) &&
-         support::read_u64(in, h.size) && h.size <= kMaxPayloadBytes &&
+         support::read_u64(in, h.size) && h.size <= max_payload &&
          support::read_u64(in, h.checksum);
 }
 
@@ -135,6 +131,18 @@ DecodeStatus decode_frame(std::istream& is, Frame& frame) {
     }
   }
   return accept(h, std::move(payload), frame);
+}
+
+DecodeStatus decode_frame(std::string_view buffer, std::uint64_t max_payload,
+                          Frame& frame, std::size_t& consumed) {
+  Header h;
+  if (buffer.size() < kHeaderBytes) return DecodeStatus::kEof;
+  if (!parse_header(buffer.data(), h, max_payload)) {
+    return DecodeStatus::kCorrupt;
+  }
+  if (buffer.size() - kHeaderBytes < h.size) return DecodeStatus::kEof;
+  consumed = kHeaderBytes + h.size;
+  return accept(h, std::string(buffer.substr(kHeaderBytes, h.size)), frame);
 }
 
 bool send_frame(int fd, const Frame& frame) {

@@ -24,29 +24,16 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ddtr::serve {
 
 // Bump on ANY frame or payload layout change; peers with different
-// versions refuse each other at the hello handshake.
-// v2: HelloAck gained progress_every; Stats/StatsReply introspection pair.
-// v3: the re-exploration scheduler's fields are gone (SubmitRequest::
-// every_s, the runs/every_s job columns, StatsReply::scheduler_reruns).
-// v4: the Status/StatusReply pair is gone (Stats lists the job table);
-// frame types 8 and 9 stay unassigned.
-// v5: the Stats request has an empty payload (its include_metrics field is
-// gone) and StatsReply lost metrics_text.
-// v6: the Results re-fetch is gone (a warm resubmission replays a job);
-// frame type 10 stays unassigned. SubmitRequest lost jobs and HelloAck
-// lost progress_every.
-// v7: a submit is answered by one Result or Error frame; the submit ack
-// and progress frames are gone and types 4 and 5 stay unassigned.
-// v8: ResultFrame carries the printed report (core::print_report) in
-// place of its counters and 2-D front, SubmitRequest lost metric_x and
-// metric_y, and the Shutdown/ShutdownAck pair is gone (types 11 and 12
-// stay unassigned): a daemon stops on SIGTERM/SIGINT.
-// v9: the frame checksum is support::word_hash64 in place of FNV-1a.
+// versions refuse each other at the hello handshake. v9 made the frame
+// checksum support::word_hash64 in place of FNV-1a. v2-v8 retired the
+// frame types listed under FrameType and fields no peer sends any more;
+// `git log src/serve/protocol.h` has each bump.
 inline constexpr std::uint32_t kProtocolVersion = 9;
 
 // Frame types. Only these values decode: a retired type (4, 5, 8-10, 11
@@ -72,10 +59,21 @@ struct Frame {
 // magic-less is kCorrupt — the connection is unusable from here on.
 enum class DecodeStatus { kOk, kEof, kCorrupt };
 
+// A frame carries at most one serialized ResultLog; 256 MiB is orders of
+// magnitude above any real study and small enough that a corrupt length
+// prefix cannot trigger a runaway allocation.
+inline constexpr std::uint64_t kMaxPayloadBytes = 1ull << 28;
+
 // Frame <-> bytes. encode_frame never fails; decode_frame consumes
 // exactly one frame on kOk and an unspecified prefix otherwise.
 std::string encode_frame(const Frame& frame);
 DecodeStatus decode_frame(std::istream& is, Frame& frame);
+// The frame at the front of `buffer`, the bytes a connection has sent so
+// far: kOk sets `consumed` to its length, kEof means it is not whole yet,
+// and a header announcing more than `max_payload` bytes is kCorrupt
+// before any of its payload arrives.
+DecodeStatus decode_frame(std::string_view buffer, std::uint64_t max_payload,
+                          Frame& frame, std::size_t& consumed);
 
 // Frame I/O on a connected stream-socket fd. send_frame writes the whole
 // encoding (short writes retried, SIGPIPE suppressed) and returns false

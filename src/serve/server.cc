@@ -35,6 +35,7 @@ Server::Server(ServerOptions options) : options_(std::move(options)) {
 }
 
 Server::~Server() {
+  runner_.reset();  // joined before the wake pipe closes
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     ::unlink(options_.socket_path.c_str());
@@ -45,6 +46,10 @@ Server::~Server() {
 
 void Server::request_stop() noexcept {
   stop_.store(true, std::memory_order_relaxed);
+  wake();
+}
+
+void Server::wake() noexcept {
   // A full pipe (EAGAIN) already holds a wake byte. A signal handler may
   // run here, so the interrupted code's errno survives the write.
   const int saved_errno = errno;
@@ -55,7 +60,6 @@ void Server::request_stop() noexcept {
 
 void Server::log_line(const std::string& line) {
   if (!options_.log) return;
-  std::lock_guard<std::mutex> lock(log_mu_);
   (*options_.log) << "[serve] " << line << std::endl;
 }
 
@@ -95,48 +99,60 @@ void Server::start() {
   log_line("listening on " + options_.socket_path + " (" +
            std::to_string(pool_->parallelism()) + " lanes)");
   // Uptime baseline for StatsReply and the job table's timestamps.
-  boot_time_ = std::chrono::steady_clock::now();
+  boot_time_ = Clock::now();
 }
 
 std::uint64_t Server::uptime_ms() const {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - boot_time_)
-          .count());
+  const auto up = std::chrono::duration_cast<std::chrono::milliseconds>(
+      Clock::now() - boot_time_);
+  return static_cast<std::uint64_t>(up.count());
 }
 
 void Server::serve_forever() {
   if (listen_fd_ < 0) throw std::logic_error("serve_forever before start()");
-
+  // The run thread: a two-lane pool is its caller plus one worker, and
+  // submit() hands a task to the worker.
+  runner_.emplace(2);
+  std::vector<pollfd> fds;
   while (!stop_requested()) {
-    reap_sessions();
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_r_, POLLIN, 0}};
-    if (::poll(fds, 2, -1) <= 0) continue;  // EINTR: re-check the stop flag
-    // A wake byte means a stop, even before this thread sees the flag.
-    if (fds[1].revents != 0) break;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    open_fds_.insert(fd);
-    threads_.emplace_back([this, fd] { handle_connection(fd); });
-  }
-
-  // Drain: half-close every open connection so parked recv_frame calls
-  // return, then join the sessions.
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (;;) {
-    std::vector<std::thread> batch;
-    {
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      batch.swap(threads_);
+    fds.assign({{listen_fd_, POLLIN, 0}, {wake_r_, POLLIN, 0}});
+    Clock::time_point deadline = Clock::time_point::max();
+    for (const Connection& c : conns_) {
+      const int events = !c.out.empty() ? POLLOUT : c.reading() ? POLLIN : 0;
+      fds.push_back({c.fd, static_cast<short>(events), 0});
+      deadline = std::min(deadline, c.deadline);
     }
-    if (batch.empty()) break;
-    for (std::thread& t : batch) t.join();
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::min(deadline, Clock::now()));
+    const int timeout_ms =  // -1: no frame begun, wait for an event
+        deadline == Clock::time_point::max() ? -1
+                                             : static_cast<int>(left.count());
+    if (::poll(fds.data(), fds.size(), timeout_ms) < 0) continue;  // EINTR
+    char bytes[64];
+    while (fds[1].revents != 0 && ::read(wake_r_, bytes, sizeof(bytes)) > 0) {
+    }
+    finish_job();  // a no-op unless the run thread left a reply
+    // Connections before the accept: a hang-up frees its slot for a
+    // connection that came after it.
+    for (std::size_t i = 0; i + 2 < fds.size(); ++i) {
+      if (!service(conns_[i], fds[i + 2].revents)) close_connection(conns_[i]);
+    }
+    std::erase_if(conns_, [](const Connection& c) { return c.fd < 0; });
+    const int fd = fds[0].revents == 0 ? -1
+                   : ::accept4(listen_fd_, nullptr, nullptr,
+                               SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd >= 0 && conns_.size() < kMaxConnections) {
+      conns_.push_back({.fd = fd, .id = next_conn_id_++});
+    } else if (fd >= 0) {
+      send_frame(fd, {FrameType::kError,
+                      encode_error({"too many connections open; retry"})});
+      ::close(fd);
+    }
   }
 
+  runner_.reset();  // the running job finishes and stores into the cache
+  for (Connection& c : conns_) close_connection(c);  // drops queued jobs
+  conns_.clear();
   ::close(listen_fd_);
   listen_fd_ = -1;
   ::unlink(options_.socket_path.c_str());
@@ -144,93 +160,121 @@ void Server::serve_forever() {
            " sessions");
 }
 
-void Server::reap_sessions() {
-  std::vector<std::thread> done;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (finished_.empty()) return;
-    // A session queues its id while its thread is still in threads_ (it
-    // was emplaced under this lock before it could run that far).
-    const auto running = [this](const std::thread& t) {
-      return std::find(finished_.begin(), finished_.end(), t.get_id()) ==
-             finished_.end();
-    };
-    const auto split =
-        std::partition(threads_.begin(), threads_.end(), running);
-    std::move(split, threads_.end(), std::back_inserter(done));
-    threads_.erase(split, threads_.end());
-    finished_.clear();
+bool Server::service(Connection& c, short revents) {
+  if (Clock::now() >= c.deadline) return false;
+  if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+    if (!c.reading()) return false;  // a hang-up while a reply is owed
+    char bytes[4096];
+    const ssize_t r = ::recv(c.fd, bytes, sizeof(bytes), 0);
+    if (r == 0 || (r < 0 && errno != EAGAIN && errno != EINTR)) return false;
+    if (r > 0) c.in.append(bytes, static_cast<std::size_t>(r));
   }
-  // Outside the lock: a queued session may still be returning.
-  for (std::thread& t : done) t.join();
+  for (;;) {
+    while (c.sent < c.out.size()) {
+      const ssize_t r = ::send(c.fd, c.out.data() + c.sent,
+                               c.out.size() - c.sent, MSG_NOSIGNAL);
+      if (r < 0) return errno == EAGAIN || errno == EINTR;
+      c.sent += static_cast<std::size_t>(r);
+    }
+    c.out.clear();
+    c.sent = 0;
+    if (c.closing) return false;
+    if (c.pending) break;
+    Frame frame;
+    std::size_t used = 0;
+    const DecodeStatus status =
+        decode_frame(c.in, kMaxRequestBytes, frame, used);
+    if (status == DecodeStatus::kCorrupt) return false;
+    if (status == DecodeStatus::kEof) break;  // no whole frame to serve
+    c.in.erase(0, used);
+    c.deadline = Clock::time_point::max();
+    serve_frame(c, frame);
+  }
+  c.deadline = c.in.empty() || c.pending
+                   ? Clock::time_point::max()
+                   : std::min(c.deadline, Clock::now() + kFrameDeadline);
+  return true;
 }
 
-void Server::handle_connection(int fd) {
-  obs::SpanScope connection_span(options_.trace, "serve.connection", "serve");
-  Frame frame;
-  // Handshake: the first frame must be a version-matched hello.
-  bool ok = recv_frame(fd, frame) == DecodeStatus::kOk &&
-            frame.type == FrameType::kHello;
-  Hello hello;
-  if (ok) ok = decode_hello(frame.payload, hello);
-  if (ok && hello.version != kProtocolVersion) {
-    send_error(fd, "protocol version mismatch: daemon speaks v" +
-                       std::to_string(kProtocolVersion) + ", client sent v" +
-                       std::to_string(hello.version));
-    ok = false;
-  } else if (!ok) {
-    send_error(fd, "malformed hello");
+void Server::serve_frame(Connection& c, const Frame& frame) {
+  const auto refuse = [&c](const std::string& message) {
+    c.out += encode_frame({FrameType::kError, encode_error({message})});
+    c.closing = true;
+  };
+  if (!c.greeted) {  // the first frame must be a version-matched hello
+    Hello hello;
+    if (frame.type != FrameType::kHello ||
+        !decode_hello(frame.payload, hello)) {
+      return refuse("malformed hello");
+    }
+    if (hello.version != kProtocolVersion) {
+      return refuse("protocol version mismatch: daemon speaks v" +
+                    std::to_string(kProtocolVersion) + ", client sent v" +
+                    std::to_string(hello.version));
+    }
+    c.greeted = true;
+    const HelloAck ack{kProtocolVersion, cache_.size(),
+                       net::TraceStore::global().size()};
+    c.out += encode_frame({FrameType::kHelloAck, encode_hello_ack(ack)});
+    return;
   }
-  if (ok) {
-    HelloAck ack;
-    ack.warm_entries = cache_.size();
-    ack.warm_traces = net::TraceStore::global().size();
-    ok = send_frame(fd, {FrameType::kHelloAck, encode_hello_ack(ack)});
+  SubmitRequest request;
+  if (frame.type == FrameType::kSubmit) {
+    if (!decode_submit(frame.payload, request)) {
+      return refuse("malformed submit payload");
+    }
+    const std::string reason = validate(request);
+    if (!reason.empty()) {  // an error reply; the connection serves on
+      c.out += encode_frame({FrameType::kError, encode_error({reason})});
+      return;
+    }
+    const std::uint64_t job_id = next_job_id_++;
+    jobs_[job_id] = {job_id, request.app, "queued", 0, uptime_ms(), 0, 0};
+    // Drop the oldest finished jobs past the cap (see kMaxConnections).
+    for (auto it = jobs_.begin();
+         jobs_.size() > kJobTableCap && it != jobs_.end();) {
+      const bool finished = it->second.state == "done" ||
+                            it->second.state == "failed";
+      it = finished ? jobs_.erase(it) : std::next(it);
+    }
+    log_line("job " + std::to_string(job_id) + ": " + request.app +
+             " scale=" + support::format_double(request.scale, 3));
+    queue_.push_back({.job_id = job_id, .conn_id = c.id, .request = request});
+    c.pending = true;
+    return start_next_job();
   }
+  if (frame.type != FrameType::kStats) {
+    return refuse("unexpected frame type " +
+                  std::to_string(static_cast<std::uint32_t>(frame.type)));
+  }
+  if (!frame.payload.empty()) return refuse("malformed stats payload");
+  StatsReply reply;
+  reply.uptime_ms = uptime_ms();
+  reply.warm_entries = cache_.size();
+  reply.sessions_served = sessions_served();
+  // Since boot: seeding does not touch the cache's stats, so these are
+  // the sums of the per-run hit/miss counts each ResultFrame reported.
+  const core::SimulationCache::Stats since_boot = cache_.stats();
+  reply.cache_hits = since_boot.hits;
+  reply.cache_misses = since_boot.misses;
+  reply.jobs_submitted = next_job_id_ - 1;
+  for (const auto& [id, job] : jobs_) reply.jobs.push_back(job);
+  c.out += encode_frame({FrameType::kStatsReply, encode_stats_reply(reply)});
+}
 
-  std::uint64_t frames = 0;
-  while (ok && !stop_requested()) {
-    const DecodeStatus status = recv_frame(fd, frame);
-    if (status != DecodeStatus::kOk) break;  // clean close or torn frame
-    ++frames;
-    if (!handle_request(fd, frame)) break;
+void Server::close_connection(Connection& c) {
+  // Its queued job goes with it; a running one finishes.
+  const auto queued =
+      std::find_if(queue_.begin() + (busy_ ? 1 : 0), queue_.end(),
+                   [&c](const Work& work) { return work.conn_id == c.id; });
+  if (queued != queue_.end()) {
+    jobs_.at(queued->job_id).state = "failed";
+    jobs_.at(queued->job_id).finish_ms = uptime_ms();
+    queue_.erase(queued);
   }
-  connection_span.arg("frames", frames);
-
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    open_fds_.erase(fd);
-    finished_.push_back(std::this_thread::get_id());
-  }
-  ::close(fd);
+  ::close(c.fd);
+  c.fd = -1;
   sessions_.fetch_add(1, std::memory_order_relaxed);
-}
-
-bool Server::handle_request(int fd, const Frame& frame) {
-  switch (frame.type) {
-    case FrameType::kSubmit: {
-      SubmitRequest request;
-      if (!decode_submit(frame.payload, request)) {
-        send_error(fd, "malformed submit payload");
-        return false;
-      }
-      handle_submit(fd, request);
-      return true;
-    }
-    case FrameType::kStats: {
-      if (!frame.payload.empty()) {
-        send_error(fd, "malformed stats payload");
-        return false;
-      }
-      handle_stats(fd);
-      return true;
-    }
-    default:
-      send_error(fd, "unexpected frame type " +
-                         std::to_string(static_cast<std::uint32_t>(
-                             frame.type)));
-      return false;
-  }
 }
 
 std::string Server::validate(const SubmitRequest& request) const {
@@ -258,138 +302,85 @@ std::string Server::validate(const SubmitRequest& request) const {
   return {};
 }
 
-void Server::handle_submit(int fd, const SubmitRequest& request) {
-  const std::string reason = validate(request);
-  if (!reason.empty()) {
-    send_error(fd, reason);
-    return;
-  }
-  std::uint64_t job_id = 0;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    job_id = next_job_id_++;
-    Job job;
-    job.app = request.app;
-    job.submit_ms = uptime_ms();
-    jobs_.emplace(job_id, std::move(job));
-    trim_jobs();
-  }
-  log_line("job " + std::to_string(job_id) + ": " + request.app +
-           " scale=" + support::format_double(request.scale, 3));
-  try {
-    const ResultFrame result = run_job(job_id, request);
-    send_frame(fd, {FrameType::kResult, encode_result(result)});
-  } catch (const std::exception& error) {
-    {
-      std::lock_guard<std::mutex> lock(jobs_mu_);
-      Job& job = jobs_.at(job_id);
-      job.state = "failed";
-      job.finish_ms = uptime_ms();
-      trim_jobs();
-    }
-    send_error(fd, std::string("exploration failed: ") + error.what());
-  }
+void Server::start_next_job() {
+  if (busy_ || queue_.empty()) return;
+  busy_ = true;
+  JobStats& job = jobs_.at(queue_.front().job_id);
+  job.state = "running";
+  job.start_ms = uptime_ms();
+  runner_->submit([this, work = queue_.front()]() mutable {
+    run_job(work);
+    const std::lock_guard<std::mutex> lock(handoff_mu_);
+    done_ = std::move(work);
+    wake();
+  });
 }
 
-ResultFrame Server::run_job(std::uint64_t job_id,
-                            const SubmitRequest& request) {
+void Server::finish_job() {
+  std::unique_lock<std::mutex> lock(handoff_mu_);
+  std::optional<Work> done = std::exchange(done_, std::nullopt);
+  lock.unlock();
+  if (!done) return;
+  JobStats& job = jobs_.at(done->job_id);
+  job.state = done->ok ? "done" : "failed";
+  job.last_executed = done->executed;
+  job.finish_ms = uptime_ms();
+  log_line("job " + std::to_string(done->job_id) + ": " + job.state +
+           ", executed " + std::to_string(done->executed) + " simulations");
+  for (Connection& c : conns_) {
+    if (c.id == done->conn_id) {
+      c.out = std::move(done->reply);
+      c.pending = false;
+    }
+  }
+  queue_.pop_front();
+  busy_ = false;
+  start_next_job();
+}
+
+void Server::run_job(Work& work) {
   obs::SpanScope job_span(options_.trace, "serve.job", "serve");
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    Job& job = jobs_.at(job_id);
-    job.state = "running";
-    job.start_ms = uptime_ms();
-  }
-  core::CaseStudyOptions study_options =
-      core::CaseStudyOptions{}.scaled(request.scale);
-  study_options.packets = request.packets;
-  study_options.seed_offset = request.seed_offset;
+  const SubmitRequest& request = work.request;
+  try {
+    core::CaseStudyOptions study_options =
+        core::CaseStudyOptions{}.scaled(request.scale);
+    study_options.packets = request.packets;
+    study_options.seed_offset = request.seed_offset;
 
-  const core::CaseStudy study =
-      api::registry().make_study(request.app, study_options);
-  core::ExplorationOptions options;
-  if (request.greedy == 1) {
-    options.step1_policy = core::Step1Policy::kGreedyPerSlot;
-  }
-  if (request.survivor_cap > 0.0) {
-    options.survivor_cap_fraction = request.survivor_cap;
-  }
-  options.trace_sink = options_.trace;
-  const core::ExplorationEngine engine(core::make_paper_energy_model(),
-                                       std::move(options));
-
-  core::ExplorationReport report;
-  {
-    std::lock_guard<std::mutex> run_lock(run_mu_);
-    report = engine.explore(study, cache_, *pool_,
-                            persistent_ ? &*persistent_ : nullptr);
-  }
-  ResultFrame result;
-  result.job_id = job_id;
-  result.app = report.app_name;
-  result.executed = report.executed_simulations();
-  std::ostringstream text;
-  core::print_report(text, report, options_.cache_dir);
-  result.report = text.str();
-  result.records = report.serialized_records();
-  job_span.arg("executed", result.executed)
-      .arg("cache_hits", report.cache_hits)
-      .arg("result_bytes", result.records.size());
-
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    Job& job = jobs_.at(job_id);
-    job.state = "done";
-    job.last_executed = result.executed;
-    job.finish_ms = uptime_ms();
-    trim_jobs();
-  }
-  log_line("job " + std::to_string(job_id) + ": executed " +
-           std::to_string(result.executed) + "/" +
-           std::to_string(report.reduced_simulations()) + " simulations");
-  return result;
-}
-
-void Server::trim_jobs() {
-  for (auto it = jobs_.begin();
-       jobs_.size() > kJobTableCap && it != jobs_.end();) {
-    const bool finished =
-        it->second.state == "done" || it->second.state == "failed";
-    it = finished ? jobs_.erase(it) : std::next(it);
-  }
-}
-
-void Server::handle_stats(int fd) {
-  StatsReply reply;
-  reply.uptime_ms = uptime_ms();
-  reply.warm_entries = cache_.size();
-  reply.sessions_served = sessions_served();
-  // Since boot: seeding does not touch the cache's stats, so these are
-  // the sums of the per-run hit/miss counts each ResultFrame reported.
-  const core::SimulationCache::Stats since_boot = cache_.stats();
-  reply.cache_hits = since_boot.hits;
-  reply.cache_misses = since_boot.misses;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    reply.jobs_submitted = next_job_id_ - 1;
-    reply.jobs.reserve(jobs_.size());
-    for (const auto& [id, job] : jobs_) {
-      JobStats stats;
-      stats.id = id;
-      stats.app = job.app;
-      stats.state = job.state;
-      stats.last_executed = job.last_executed;
-      stats.submit_ms = job.submit_ms;
-      stats.start_ms = job.start_ms;
-      stats.finish_ms = job.finish_ms;
-      reply.jobs.push_back(std::move(stats));
+    const core::CaseStudy study =
+        api::registry().make_study(request.app, study_options);
+    core::ExplorationOptions options;
+    if (request.greedy == 1) {
+      options.step1_policy = core::Step1Policy::kGreedyPerSlot;
     }
-  }
-  send_frame(fd, {FrameType::kStatsReply, encode_stats_reply(reply)});
-}
+    if (request.survivor_cap > 0.0) {
+      options.survivor_cap_fraction = request.survivor_cap;
+    }
+    options.trace_sink = options_.trace;
+    const core::ExplorationEngine engine(core::make_paper_energy_model(),
+                                         std::move(options));
+    const core::ExplorationReport report = engine.explore(
+        study, cache_, *pool_, persistent_ ? &*persistent_ : nullptr);
 
-bool Server::send_error(int fd, const std::string& message) {
-  return send_frame(fd, {FrameType::kError, encode_error({message})});
+    ResultFrame result;
+    result.job_id = work.job_id;
+    result.app = report.app_name;
+    result.executed = report.executed_simulations();
+    std::ostringstream text;
+    core::print_report(text, report, options_.cache_dir);
+    result.report = text.str();
+    result.records = report.serialized_records();
+    job_span.arg("executed", result.executed)
+        .arg("cache_hits", report.cache_hits)
+        .arg("result_bytes", result.records.size());
+    work.ok = true;
+    work.executed = result.executed;
+    work.reply = encode_frame({FrameType::kResult, encode_result(result)});
+  } catch (const std::exception& error) {
+    work.reply = encode_frame(
+        {FrameType::kError,
+         encode_error({std::string("exploration failed: ") + error.what()})});
+  }
 }
 
 }  // namespace ddtr::serve

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "api/ddtr.h"
+#include "comma_locale.h"
 #include "apps/url/url_app.h"
 #include "core/case_studies.h"
 #include "core/explorer.h"
@@ -325,6 +326,33 @@ TEST(Report, ParetoCsvFlagsFrontPoints) {
   EXPECT_NE(csv.find("AR,,,1.000000,5.000000,1"), std::string::npos);
   EXPECT_NE(csv.find("SLL,,,5.000000,1.000000,1"), std::string::npos);
   EXPECT_NE(csv.find("DLL,,,6.000000,6.000000,0"), std::string::npos);
+}
+
+// A daemon prints its report into an ostringstream, which takes the
+// global locale: the counts must read as `explore` prints them anyway.
+TEST(Report, CountsIgnoreTheGlobalLocale) {
+  const ExplorationEngine engine(model());
+  ExplorationReport report = engine.explore(tiny_url_study(1, 300));
+  report.scenario_count = 1234;
+  report.exhaustive_simulations = 123456;
+  report.step1_executed_simulations = 4321;
+  report.kernel_runs = 7654321;
+  report.persistent_loaded = 1000000;
+  report.persistent_stored = 2048;
+  const auto print = [&report] {
+    std::ostringstream os;
+    print_report(os, report, "cache-dir");
+    return os.str();
+  };
+  const std::string classic = print();
+  EXPECT_NE(classic.find("exhaustive simulations: 123456\n"),
+            std::string::npos)
+      << classic;
+  EXPECT_NE(classic.find("loaded 1000000, stored 2048 records"),
+            std::string::npos)
+      << classic;
+  const test_support::ScopedCommaLocale comma;
+  EXPECT_EQ(print(), classic);
 }
 
 }  // namespace

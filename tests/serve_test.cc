@@ -11,24 +11,32 @@
 // connection, a throwing kernel leaving its
 // job `failed` while the daemon serves on, a malformed Error frame
 // reported as such by the client, idle traces bounded across many
-// distinct submissions, finished sessions being reaped (bounded virtual
-// memory over many connections), a stop waking the accept loop at once
-// (from another thread or a signal handler), and a drain by
-// request_stop() (socket removed, cache file warm for the next daemon).
+// distinct submissions, closed connections costing nothing (bounded
+// virtual memory over many connections), the loop's bounds (an oversized
+// header commits no memory, half a frame is closed at its deadline, the
+// connection past the cap reads an Error frame), stats answered while a
+// job runs, a stop waking the loop at once (from another thread or a
+// signal handler), and a drain by request_stop() (socket removed, cache
+// file warm for the next daemon).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <malloc.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -70,6 +78,47 @@ class FaultyKernelApp final : public apps::NetworkApplication {
   }
 };
 
+// A workload whose kernel waits for the test to open a gate: a job that
+// stays `running` for as long as a test needs it to.
+class GatedKernelApp final : public apps::NetworkApplication {
+ public:
+  static void set_open(bool open) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = open;
+    }
+    cv_.notify_all();
+  }
+  std::string name() const override { return "GatedKernel"; }
+  std::vector<std::string> dominant_structures() const override {
+    return {"table", "queue"};
+  }
+  apps::RunResult run(const net::Trace&, const ddt::DdtCombination&) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [] { return open_; });
+    return {};
+  }
+
+ private:
+  static inline std::mutex mu_;
+  static inline std::condition_variable cv_;
+  static inline bool open_ = false;
+};
+
+// Registers a test workload under `name` once per process.
+template <typename App>
+void register_app(const std::string& name, const std::string& app_name) {
+  if (api::registry().contains(name)) return;
+  const auto make = [app_name](const core::CaseStudyOptions& options) {
+    return api::StudyBuilder(app_name)
+        .packets(options.packets_for(10000))
+        .network("dart-berry")
+        .app([] { return std::make_shared<App>(); })
+        .build();
+  };
+  api::registry().add({name, "a test kernel", make});
+}
+
 // The daemon a raised signal stops, as the CLI's SIGTERM handler does.
 std::atomic<Server*> g_signal_target{nullptr};
 
@@ -77,15 +126,25 @@ void stop_signal_target(int) {
   if (Server* server = g_signal_target.load()) server->request_stop();
 }
 
-// This process's virtual memory size in KiB (/proc/self/status VmSize);
-// the daemon runs in-process, so its session threads' stacks count here.
-std::uint64_t vm_size_kb() {
+// A /proc/self/status size in KiB (VmSize, VmRSS); the daemon runs
+// in-process, so its memory counts here.
+std::uint64_t status_kb(const std::string& field) {
   std::ifstream status("/proc/self/status");
   std::string line;
   while (std::getline(status, line)) {
-    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7));
+    if (line.rfind(field + ":", 0) == 0) {
+      return std::stoull(line.substr(field.size() + 1));
+    }
   }
   return 0;
+}
+
+// Makes a blocking read on `fd` give up after 10 s, so a daemon that
+// never answers fails a test instead of hanging it.
+void bound_reads(int fd) {
+  const timeval timeout{10, 0};
+  ASSERT_EQ(
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
 }
 
 class ServeTest : public ::testing::Test {
@@ -329,17 +388,7 @@ TEST_F(ServeTest, RetiredFrameTypesCloseTheConnectionAndTheDaemonServesOn) {
 }
 
 TEST_F(ServeTest, FailingKernelMarksTheJobFailedAndTheDaemonServesOn) {
-  if (!api::registry().contains("faulty-kernel")) {
-    api::registry().add(
-        {"faulty-kernel", "a kernel that always throws",
-         [](const core::CaseStudyOptions& options) {
-           return api::StudyBuilder("FaultyKernel")
-               .packets(options.packets_for(10000))
-               .network("dart-berry")
-               .app([] { return std::make_shared<FaultyKernelApp>(); })
-               .build();
-         }});
-  }
+  register_app<FaultyKernelApp>("faulty-kernel", "FaultyKernel");
   start_server();
   Client client(socket_);
   SubmitRequest request = tiny_url_request();
@@ -491,10 +540,10 @@ TEST_F(ServeTest, IdleTracesAreBoundedAndTheNewestStayWarm) {
 }
 
 TEST_F(ServeTest, FinishedSessionsAreReaped) {
-  // Sessions reuse the arenas already open, so VmSize measures thread
-  // stacks only: a session that starts before the previous one has exited
-  // would otherwise open a fresh glibc malloc arena (64 MiB of address
-  // space), which a loaded host makes likely.
+  // One malloc arena, so VmSize measures what connections leave behind
+  // and not which threads happened to allocate: a thread that allocates
+  // while another holds the arena may open a fresh one (64 MiB of
+  // address space).
   mallopt(M_ARENA_MAX, 1);
   start_server();
   const auto connect_and_poll = [this] {
@@ -503,11 +552,12 @@ TEST_F(ServeTest, FinishedSessionsAreReaped) {
   };
   // Warm-up: the first sessions settle the allocator's per-thread arenas.
   for (int i = 0; i < 10; ++i) connect_and_poll();
-  const std::uint64_t before_kb = vm_size_kb();
+  const std::uint64_t before_kb = status_kb("VmSize");
   ASSERT_GT(before_kb, 0u);
 
-  // Each unjoined session thread would keep its stack mapped (8 MiB by
-  // default): 200 of them would add ~1.6 GiB.
+  // A closed connection leaves nothing behind: no thread, stack or
+  // buffer (a thread per connection left unjoined would keep its 8 MiB
+  // stack mapped: 200 of them ~1.6 GiB).
   constexpr std::uint64_t kConnections = 200;
   for (std::uint64_t i = 0; i < kConnections; ++i) connect_and_poll();
   const auto deadline =
@@ -517,16 +567,136 @@ TEST_F(ServeTest, FinishedSessionsAreReaped) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   ASSERT_EQ(server_->sessions_served(), 10 + kConnections);
-  const std::uint64_t after_kb = vm_size_kb();
+  const std::uint64_t after_kb = status_kb("VmSize");
   EXPECT_LT(after_kb, before_kb + 64 * 1024)
       << "VmSize grew from " << before_kb << " KiB to " << after_kb
       << " KiB over " << kConnections << " connections";
 }
 
+TEST_F(ServeTest, AnOversizedHeaderCommitsNoMemoryAndOthersAreServed) {
+  start_server();
+  Client client(socket_);
+  client.submit(tiny_url_request());  // the cold run's memory is in `before`
+  const std::uint64_t before_kb = status_kb("VmRSS");
+
+  // One 24-byte header claiming the largest payload any frame may carry,
+  // then silence: the daemon must refuse it at the header, not buffer
+  // for it.
+  std::string header = encode_frame({FrameType::kSubmit, {}});
+  for (int byte = 0; byte < 8; ++byte) {
+    header[8 + byte] = static_cast<char>(kMaxPayloadBytes >> (8 * byte));
+  }
+  const int fd = raw_connect();
+  bound_reads(fd);
+  ASSERT_EQ(::send(fd, header.data(), header.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(header.size()));
+  EXPECT_EQ(client.submit(tiny_url_request()).executed, 0u);
+  Frame reply;
+  EXPECT_EQ(recv_frame(fd, reply), DecodeStatus::kEof);
+  ::close(fd);
+
+  const std::uint64_t after_kb = status_kb("VmRSS");
+  EXPECT_LT(after_kb, before_kb + 16 * 1024)
+      << "VmRSS grew from " << before_kb << " KiB to " << after_kb << " KiB";
+}
+
+TEST_F(ServeTest, HalfAFrameIsClosedAtItsDeadlineWhileOthersAreServed) {
+  start_server();
+  const int stalled = raw_connect();
+  bound_reads(stalled);
+  const std::string hello = encode_frame({FrameType::kHello, encode_hello({})});
+  const auto sent_at = std::chrono::steady_clock::now();
+  ASSERT_EQ(::send(stalled, hello.data(), hello.size() / 2, MSG_NOSIGNAL),
+            static_cast<ssize_t>(hello.size() / 2));
+
+  Client client(socket_);
+  EXPECT_FALSE(client.submit(tiny_url_request()).records.empty());
+  Frame reply;
+  EXPECT_EQ(recv_frame(stalled, reply), DecodeStatus::kEof);
+  const auto waited = std::chrono::steady_clock::now() - sent_at;
+  EXPECT_GE(waited, Server::kFrameDeadline);
+  EXPECT_LT(waited, Server::kFrameDeadline + std::chrono::seconds(5));
+  ::close(stalled);
+  // A connection idle between frames is never evicted.
+  EXPECT_EQ(client.stats().jobs_submitted, 1u);
+}
+
+TEST_F(ServeTest, TheConnectionPastTheCapReadsAnErrorFrame) {
+  start_server();
+  std::vector<std::unique_ptr<Client>> clients;
+  for (std::size_t i = 0; i < Server::kMaxConnections; ++i) {
+    clients.push_back(std::make_unique<Client>(socket_));
+  }
+  const int fd = raw_connect();
+  bound_reads(fd);
+  Frame reply;
+  ASSERT_EQ(recv_frame(fd, reply), DecodeStatus::kOk);
+  ASSERT_EQ(reply.type, FrameType::kError);
+  ErrorFrame error;
+  ASSERT_TRUE(decode_error(reply.payload, error));
+  EXPECT_NE(error.message.find("too many connections"), std::string::npos)
+      << error.message;
+  EXPECT_EQ(recv_frame(fd, reply), DecodeStatus::kEof);
+  ::close(fd);
+
+  // A closed connection frees its slot.
+  clients.pop_back();
+  EXPECT_EQ(Client(socket_).stats().jobs_submitted, 0u);
+}
+
+TEST_F(ServeTest, StatsIsAnsweredWhileAJobRuns) {
+  register_app<GatedKernelApp>("gated-kernel", "GatedKernel");
+  GatedKernelApp::set_open(false);
+  start_server();
+  const auto submit_in_background = [this](const std::string& app) {
+    return std::thread([this, app] {
+      SubmitRequest request = tiny_url_request();
+      request.app = app;
+      try {
+        Client(socket_).submit(request);
+      } catch (const std::exception& error) {
+        ADD_FAILURE() << app << ": " << error.what();
+      }
+    });
+  };
+  Client watcher(socket_);
+  // Polls stats until `jobs` jobs were submitted (or 30 s passed).
+  const auto stats_after = [&watcher](std::uint64_t jobs) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    StatsReply stats = watcher.stats();
+    while (stats.jobs_submitted < jobs &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      stats = watcher.stats();
+    }
+    return stats;
+  };
+  std::thread gated = submit_in_background("gated-kernel");
+  const StatsReply one = stats_after(1);
+  std::thread queued = submit_in_background("url");
+  const StatsReply two = stats_after(2);
+  GatedKernelApp::set_open(true);
+  gated.join();
+  queued.join();
+
+  ASSERT_EQ(one.jobs.size(), 1u);
+  EXPECT_EQ(one.jobs[0].state, "running");
+  ASSERT_EQ(two.jobs.size(), 2u);
+  EXPECT_EQ(two.jobs[0].app, "gated-kernel");
+  EXPECT_EQ(two.jobs[0].state, "running");
+  EXPECT_EQ(two.jobs[1].app, "url");
+  EXPECT_EQ(two.jobs[1].state, "queued");
+  const StatsReply after = watcher.stats();
+  ASSERT_EQ(after.jobs.size(), 2u);
+  EXPECT_EQ(after.jobs[0].state, "done");
+  EXPECT_EQ(after.jobs[1].state, "done");
+}
+
 TEST_F(ServeTest, StopWakesTheAcceptLoopAtOnce) {
-  // Each stop lands while the accept loop is parked in poll: the
-  // handshake proves it accepted, and it polls again right after. A
-  // timed poll would make every stop wait out part of its timeout.
+  // Each stop lands while the loop is parked in poll: the handshake
+  // proves it accepted, and with no frame begun it polls with no
+  // timeout. A timed poll would make every stop wait out part of it.
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < 10; ++i) {
     start_server();
@@ -538,7 +708,7 @@ TEST_F(ServeTest, StopWakesTheAcceptLoopAtOnce) {
   }
 
   // A process-directed SIGTERM can land on any thread, not only the
-  // accept loop's: raise one on this thread.
+  // loop's: raise one on this thread.
   start_server();
   Client(socket_).stats();
   g_signal_target.store(server_.get());

@@ -460,9 +460,9 @@ int cmd_serve(const CommandLine& args) {
 
   serve::Server server(options);
   server.start();
-  // Drain on SIGTERM/SIGINT: in-flight sessions finish (each run has
-  // already stored its records into the cache file), the socket file is
-  // removed.
+  // Drain on SIGTERM/SIGINT: the running job finishes (storing its
+  // records into the cache file), queued jobs are dropped, connections
+  // close and the socket file is removed.
   g_serve_server.store(&server);
   std::signal(SIGTERM, on_serve_signal);
   std::signal(SIGINT, on_serve_signal);
