@@ -619,11 +619,6 @@ ExplorationReport ExplorationEngine::explore(
   report.step2_simulations = report.step2_records.size();
   report.step2_executed_simulations = step2.computed;
   report.kernel_runs = step1.kernel_runs + step2.kernel_runs;
-  // Each fan probes every unit once before it computes any, so its misses
-  // are exactly the records it executed.
-  report.cache_misses = report.executed_simulations();
-  report.cache_hits =
-      report.reduced_simulations() - report.executed_simulations();
 
   if (persistent) {
     obs::SpanScope store_span(options_.trace_sink, "cache.store", "cache");

@@ -125,11 +125,6 @@ struct ExplorationReport {
   // NetworkApplication::run calls made to compute those records: fewer
   // than the executed records when scenarios were composed.
   std::size_t kernel_runs = 0;
-  // Simulation-cache accounting of this explore() call, from its fans:
-  // every unit is probed once before any unit is computed, so the misses
-  // are the executed records and the hits the logical rest.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   // Persistent-cache accounting (0 without a persistent cache): records
   // the cache file held before the run, and new records added to it
   // afterwards.
@@ -156,8 +151,15 @@ struct ExplorationReport {
   std::size_t executed_simulations() const {
     return step1_executed_simulations + step2_executed_simulations;
   }
+  // Simulation-cache accounting of this explore() call: each fan probes
+  // every unit once before it computes any, so the misses are the
+  // executed records and the hits the logical rest.
+  std::uint64_t cache_hits() const {
+    return reduced_simulations() - executed_simulations();
+  }
+  std::uint64_t cache_misses() const { return executed_simulations(); }
   double cache_hit_rate() const {
-    return SimulationCache::Stats{cache_hits, cache_misses}.hit_rate();
+    return SimulationCache::Stats{cache_hits(), cache_misses()}.hit_rate();
   }
   std::vector<SimulationRecord> pareto_records() const;
   // Step-2 records belonging to one scenario label (for per-network

@@ -27,23 +27,6 @@ Client::Client(const std::string& socket_path) {
     throw std::runtime_error("serve client: cannot connect to " +
                              socket_path + " (is the daemon running?)");
   }
-  try {
-    const Frame reply = round_trip(
-        {FrameType::kHello, encode_hello(Hello{})}, FrameType::kHelloAck);
-    if (!decode_hello_ack(reply.payload, hello_)) {
-      throw std::runtime_error("serve client: malformed hello ack");
-    }
-    if (hello_.version != kProtocolVersion) {
-      throw std::runtime_error(
-          "serve client: protocol version mismatch (daemon v" +
-          std::to_string(hello_.version) + ", client v" +
-          std::to_string(kProtocolVersion) + ")");
-    }
-  } catch (...) {
-    ::close(fd_);
-    fd_ = -1;
-    throw;
-  }
 }
 
 Client::~Client() {
@@ -51,11 +34,21 @@ Client::~Client() {
 }
 
 Frame Client::round_trip(const Frame& frame, FrameType expected) {
-  if (!send_frame(fd_, frame)) {
-    throw std::runtime_error("serve client: send failed (daemon gone?)");
-  }
+  // A daemon that refused this connection sent an Error frame and closed,
+  // so a send that fails still reads the reason left for it.
+  const bool sent = send_frame(fd_, frame);
   Frame reply;
   const DecodeStatus status = recv_frame(fd_, reply);
+  if (status == DecodeStatus::kOtherVersion) {
+    throw std::runtime_error(
+        "serve client: protocol version mismatch (daemon v" +
+        std::to_string(reply.version) + ", client v" +
+        std::to_string(kProtocolVersion) + ")");
+  }
+  if (!sent && (status != DecodeStatus::kOk ||
+                reply.type != FrameType::kError)) {
+    throw std::runtime_error("serve client: send failed (daemon gone?)");
+  }
   if (status != DecodeStatus::kOk) {
     throw std::runtime_error(status == DecodeStatus::kEof
                                  ? "serve client: daemon closed the connection"

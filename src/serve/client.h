@@ -1,9 +1,10 @@
 // Client side of the serve protocol: one RAII connection to a running
-// `ddtr serve` daemon. Connecting performs the versioned hello handshake;
-// each method is one request/response conversation: one frame out, one
-// reply frame (or an Error frame) back.
-// Server-reported failures (Error frames) and protocol violations both
-// surface as std::runtime_error — a client never half-parses a stream.
+// `ddtr serve` daemon. Connecting only connects; each method is one round
+// trip: one frame out, one reply frame (or an Error frame) back, each
+// carrying its sender's protocol version.
+// Server-reported failures (Error frames), a reply of another protocol
+// version and protocol violations all surface as std::runtime_error — a
+// client never half-parses a stream.
 #pragma once
 
 #include <string>
@@ -14,17 +15,13 @@ namespace ddtr::serve {
 
 class Client {
  public:
-  // Connects to the daemon at `socket_path` and completes the hello
-  // handshake. Throws std::runtime_error when the socket is absent, the
-  // daemon refuses, or the protocol versions mismatch.
+  // Connects to the daemon at `socket_path`. Throws std::runtime_error
+  // when the socket is absent or the path is invalid.
   explicit Client(const std::string& socket_path);
   ~Client();
 
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
-
-  // The daemon's handshake reply (warm-cache and trace counts).
-  const HelloAck& hello() const noexcept { return hello_; }
 
   // Submits one study and blocks until its result digest.
   ResultFrame submit(const SubmitRequest& request);
@@ -33,12 +30,12 @@ class Client {
   StatsReply stats();
 
  private:
-  // Sends `frame` and reads its one reply: an Error frame throws, a frame
-  // of `expected` type is returned, anything else is a protocol violation.
+  // Sends `frame` and reads its one reply: an Error frame or a reply of
+  // another version throws, a frame of `expected` type is returned,
+  // anything else is a protocol violation.
   Frame round_trip(const Frame& frame, FrameType expected);
 
   int fd_ = -1;
-  HelloAck hello_;
 };
 
 }  // namespace ddtr::serve

@@ -18,15 +18,13 @@ namespace {
 // "DSRV" read back as a little-endian u32, mirroring the persistent
 // cache's kEntryMagic convention.
 constexpr std::uint32_t kFrameMagic = 0x56525344u;
-// magic, type, payload size, payload checksum.
-constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8;
+// magic, type, version, payload size, payload checksum.
+constexpr std::size_t kHeaderBytes = 4 + 2 + 2 + 8 + 8;
 
 // Exactly the assigned FrameType values: an unassigned or retired type is
 // as corrupt as a bad magic.
-bool valid_type(std::uint32_t raw) {
+bool valid_type(std::uint16_t raw) {
   switch (static_cast<FrameType>(raw)) {
-    case FrameType::kHello:
-    case FrameType::kHelloAck:
     case FrameType::kSubmit:
     case FrameType::kResult:
     case FrameType::kError:
@@ -70,22 +68,33 @@ bool write_all(int fd, const char* buf, std::size_t size) {
   return true;
 }
 
-// A frame header's fields past the magic.
+// A frame header's fields past the magic and the version.
 struct Header {
-  std::uint32_t type = 0;
+  std::uint16_t type = 0;
   std::uint64_t size = 0;
   std::uint64_t checksum = 0;
 };
 
-// False for a bad magic, an unassigned type or an oversized payload.
-bool parse_header(const char* bytes, Header& h,
-                  std::uint64_t max_payload = kMaxPayloadBytes) {
+// Reads the header in `bytes` into `h` and `frame.version`. kCorrupt for
+// a bad magic, or for a current-version header with an unassigned type or
+// a payload over `max_payload`; kOtherVersion for the right magic and
+// another version, whose other fields are not this version's to read.
+DecodeStatus parse_header(const char* bytes, std::uint64_t max_payload,
+                          Header& h, Frame& frame) {
   support::ByteReader in(std::string_view(bytes, kHeaderBytes));
   std::uint32_t magic = 0;
-  return support::read_u32(in, magic) && magic == kFrameMagic &&
-         support::read_u32(in, h.type) && valid_type(h.type) &&
-         support::read_u64(in, h.size) && h.size <= max_payload &&
-         support::read_u64(in, h.checksum);
+  std::uint32_t type_and_version = 0;
+  if (!support::read_u32(in, magic) || magic != kFrameMagic ||
+      !support::read_u32(in, type_and_version)) {
+    return DecodeStatus::kCorrupt;
+  }
+  frame.version = static_cast<std::uint16_t>(type_and_version >> 16);
+  if (frame.version != kProtocolVersion) return DecodeStatus::kOtherVersion;
+  h.type = static_cast<std::uint16_t>(type_and_version);
+  return valid_type(h.type) && support::read_u64(in, h.size) &&
+                 h.size <= max_payload && support::read_u64(in, h.checksum)
+             ? DecodeStatus::kOk
+             : DecodeStatus::kCorrupt;
 }
 
 // The frame `h` announced, when `payload` matches its checksum.
@@ -108,7 +117,8 @@ std::string encode_frame(const Frame& frame) {
   std::string out;
   out.reserve(kHeaderBytes + frame.payload.size());
   support::append_u32(out, kFrameMagic);
-  support::append_u32(out, static_cast<std::uint32_t>(frame.type));
+  support::append_u32(out, static_cast<std::uint32_t>(frame.type) |
+                               std::uint32_t{frame.version} << 16);
   support::append_u64(out, frame.payload.size());
   support::append_u64(out, support::word_hash64(frame.payload.data(),
                                                 frame.payload.size()));
@@ -119,10 +129,10 @@ std::string encode_frame(const Frame& frame) {
 DecodeStatus decode_frame(std::istream& is, Frame& frame) {
   if (at_end(is)) return DecodeStatus::kEof;
   char bytes[kHeaderBytes];
+  if (!is.read(bytes, sizeof(bytes))) return DecodeStatus::kCorrupt;
   Header h;
-  if (!is.read(bytes, sizeof(bytes)) || !parse_header(bytes, h)) {
-    return DecodeStatus::kCorrupt;
-  }
+  const DecodeStatus header = parse_header(bytes, kMaxPayloadBytes, h, frame);
+  if (header != DecodeStatus::kOk) return header;
   std::string payload(h.size, '\0');
   if (h.size > 0) {
     is.read(payload.data(), static_cast<std::streamsize>(h.size));
@@ -135,11 +145,11 @@ DecodeStatus decode_frame(std::istream& is, Frame& frame) {
 
 DecodeStatus decode_frame(std::string_view buffer, std::uint64_t max_payload,
                           Frame& frame, std::size_t& consumed) {
-  Header h;
   if (buffer.size() < kHeaderBytes) return DecodeStatus::kEof;
-  if (!parse_header(buffer.data(), h, max_payload)) {
-    return DecodeStatus::kCorrupt;
-  }
+  Header h;
+  const DecodeStatus header =
+      parse_header(buffer.data(), max_payload, h, frame);
+  if (header != DecodeStatus::kOk) return header;
   if (buffer.size() - kHeaderBytes < h.size) return DecodeStatus::kEof;
   consumed = kHeaderBytes + h.size;
   return accept(h, std::string(buffer.substr(kHeaderBytes, h.size)), frame);
@@ -154,8 +164,10 @@ DecodeStatus recv_frame(int fd, Frame& frame) {
   char bytes[kHeaderBytes];
   const int got = read_exact(fd, bytes, sizeof(bytes));
   if (got == 0) return DecodeStatus::kEof;
+  if (got < 0) return DecodeStatus::kCorrupt;
   Header h;
-  if (got < 0 || !parse_header(bytes, h)) return DecodeStatus::kCorrupt;
+  const DecodeStatus header = parse_header(bytes, kMaxPayloadBytes, h, frame);
+  if (header != DecodeStatus::kOk) return header;
   std::string payload(h.size, '\0');
   if (h.size > 0 && read_exact(fd, payload.data(), h.size) != 1) {
     return DecodeStatus::kCorrupt;
@@ -166,32 +178,6 @@ DecodeStatus recv_frame(int fd, Frame& frame) {
 // --- Message codecs ----------------------------------------------------
 // Decoders insist on exact consumption (no trailing bytes): a payload
 // longer than its message is as suspect as a short one.
-
-std::string encode_hello(const Hello& m) {
-  std::string out;
-  support::append_u32(out, m.version);
-  return out;
-}
-
-bool decode_hello(const std::string& payload, Hello& m) {
-  support::ByteReader in(payload);
-  return support::read_u32(in, m.version) && in.at_end();
-}
-
-std::string encode_hello_ack(const HelloAck& m) {
-  std::string out;
-  support::append_u32(out, m.version);
-  support::append_u64(out, m.warm_entries);
-  support::append_u64(out, m.warm_traces);
-  return out;
-}
-
-bool decode_hello_ack(const std::string& payload, HelloAck& m) {
-  support::ByteReader in(payload);
-  return support::read_u32(in, m.version) &&
-         support::read_u64(in, m.warm_entries) &&
-         support::read_u64(in, m.warm_traces) && in.at_end();
-}
 
 std::string encode_submit(const SubmitRequest& m) {
   std::string out;
@@ -247,6 +233,7 @@ std::string encode_stats_reply(const StatsReply& m) {
   std::string out;
   support::append_u64(out, m.uptime_ms);
   support::append_u64(out, m.warm_entries);
+  support::append_u64(out, m.warm_traces);
   support::append_u64(out, m.sessions_served);
   support::append_u64(out, m.cache_hits);
   support::append_u64(out, m.cache_misses);
@@ -269,6 +256,7 @@ bool decode_stats_reply(const std::string& payload, StatsReply& m) {
   std::uint64_t count = 0;
   if (!support::read_u64(in, m.uptime_ms) ||
       !support::read_u64(in, m.warm_entries) ||
+      !support::read_u64(in, m.warm_traces) ||
       !support::read_u64(in, m.sessions_served) ||
       !support::read_u64(in, m.cache_hits) ||
       !support::read_u64(in, m.cache_misses) ||

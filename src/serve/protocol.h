@@ -3,16 +3,17 @@
 // built on the same support/binary_io primitives — and the same
 // robustness contract — as the persistent cache files. Every frame is
 //
-//   u32 magic ("DSRV")  u32 type  u64 payload_size
+//   u32 magic ("DSRV")  u16 type  u16 version  u64 payload_size
 //   u64 word_hash64(payload)  payload bytes
 //
 // (support/fnv_hash.h's word-wise checksum; cache file entries keep
 // FNV-1a), so a reader can (a) skip nothing — streams are trusted to be framed or
 // dropped, never resynchronized — and (b) reject a torn or corrupted
 // frame cleanly: decode returns kCorrupt, the peer closes the
-// connection. The handshake is versioned (Hello/HelloAck carry
-// kProtocolVersion); a version-mismatched peer receives an Error frame
-// and a close, never a misparse.
+// connection. Every frame carries kProtocolVersion, so there is no
+// handshake: a frame of another version decodes as kOtherVersion, naming
+// that version, and is never parsed further. The daemon answers it with
+// an Error frame naming both versions and a close; the client throws.
 //
 // Message payloads are encoded field-by-field with binary_io (little
 // endian, length-prefixed strings, IEEE-754 doubles), so the protocol is
@@ -29,18 +30,19 @@
 
 namespace ddtr::serve {
 
-// Bump on ANY frame or payload layout change; peers with different
-// versions refuse each other at the hello handshake. v9 made the frame
-// checksum support::word_hash64 in place of FNV-1a. v2-v8 retired the
-// frame types listed under FrameType and fields no peer sends any more;
-// `git log src/serve/protocol.h` has each bump.
-inline constexpr std::uint32_t kProtocolVersion = 9;
+// Bump on ANY frame or payload layout change. Every later version keeps
+// the magic and this version half-word at the same offsets of a 24-byte
+// header, so any two peers can name each other's version. v10 moved the
+// version into every frame header and retired the handshake frames
+// (types 1 and 2); a v9 frame has zeros there and reads as version 0.
+// v9 made the frame checksum support::word_hash64 in place of FNV-1a.
+// v2-v8 retired the frame types listed under FrameType and fields no
+// peer sends any more; `git log src/serve/protocol.h` has each bump.
+inline constexpr std::uint16_t kProtocolVersion = 10;
 
-// Frame types. Only these values decode: a retired type (4, 5, 8-10, 11
-// and 12) is a corrupt frame.
-enum class FrameType : std::uint32_t {
-  kHello = 1,        // client -> server, first frame on every connection
-  kHelloAck = 2,     // server -> client, handshake accepted
+// Frame types. Only these values decode: a retired type (1 and 2, 4, 5,
+// 8-10, 11 and 12) is a corrupt frame.
+enum class FrameType : std::uint16_t {
   kSubmit = 3,       // client -> server, one study submission
   kResult = 6,       // server -> client, the submit's report digest
   kError = 7,        // server -> client, request failed (message)
@@ -51,27 +53,33 @@ enum class FrameType : std::uint32_t {
 struct Frame {
   FrameType type = FrameType::kError;
   std::string payload;
+  // The header's protocol version: a decoded kOk frame's is always
+  // kProtocolVersion, a kOtherVersion header's is the peer's.
+  std::uint16_t version = kProtocolVersion;
 };
 
 // How a decode ended. kEof is the CLEAN end: the stream was exhausted
 // exactly at a frame boundary (the peer closed after a complete
-// conversation). Anything torn, oversized, checksum-mismatched or
+// conversation). kOtherVersion is a header with the right magic and
+// another version: only `frame.version` is set, and nothing past the
+// header is read. Anything torn, oversized, checksum-mismatched or
 // magic-less is kCorrupt — the connection is unusable from here on.
-enum class DecodeStatus { kOk, kEof, kCorrupt };
+enum class DecodeStatus { kOk, kEof, kCorrupt, kOtherVersion };
 
 // A frame carries at most one serialized ResultLog; 256 MiB is orders of
 // magnitude above any real study and small enough that a corrupt length
 // prefix cannot trigger a runaway allocation.
 inline constexpr std::uint64_t kMaxPayloadBytes = 1ull << 28;
 
-// Frame <-> bytes. encode_frame never fails; decode_frame consumes
-// exactly one frame on kOk and an unspecified prefix otherwise.
+// Frame <-> bytes. encode_frame never fails and writes `frame.version`;
+// decode_frame consumes exactly one frame on kOk and an unspecified
+// prefix otherwise.
 std::string encode_frame(const Frame& frame);
 DecodeStatus decode_frame(std::istream& is, Frame& frame);
 // The frame at the front of `buffer`, the bytes a connection has sent so
 // far: kOk sets `consumed` to its length, kEof means it is not whole yet,
-// and a header announcing more than `max_payload` bytes is kCorrupt
-// before any of its payload arrives.
+// and a current-version header announcing more than `max_payload` bytes
+// is kCorrupt before any of its payload arrives.
 DecodeStatus decode_frame(std::string_view buffer, std::uint64_t max_payload,
                           Frame& frame, std::size_t& consumed);
 
@@ -85,16 +93,6 @@ DecodeStatus recv_frame(int fd, Frame& frame);
 // Each message encodes to / decodes from a Frame payload. Decoders return
 // false on a short or malformed payload (the caller treats that like a
 // corrupt frame).
-
-struct Hello {
-  std::uint32_t version = kProtocolVersion;
-};
-
-struct HelloAck {
-  std::uint32_t version = kProtocolVersion;
-  std::uint64_t warm_entries = 0;  // simulation records held in memory
-  std::uint64_t warm_traces = 0;   // traces held by the TraceStore
-};
 
 // Bounds of a submission's knobs, the same for `ddtr explore` and
 // `ddtr submit` flags and for Server::validate: scale in (0, kMaxScale],
@@ -149,7 +147,8 @@ struct JobStats {
 
 struct StatsReply {
   std::uint64_t uptime_ms = 0;
-  std::uint64_t warm_entries = 0;
+  std::uint64_t warm_entries = 0;  // simulation records held in memory
+  std::uint64_t warm_traces = 0;   // traces held by the TraceStore
   std::uint64_t sessions_served = 0;
   std::uint64_t cache_hits = 0;    // in-memory cache hits since boot
   std::uint64_t cache_misses = 0;  // executed simulations since boot
@@ -157,10 +156,6 @@ struct StatsReply {
   std::vector<JobStats> jobs;
 };
 
-std::string encode_hello(const Hello& m);
-bool decode_hello(const std::string& payload, Hello& m);
-std::string encode_hello_ack(const HelloAck& m);
-bool decode_hello_ack(const std::string& payload, HelloAck& m);
 std::string encode_submit(const SubmitRequest& m);
 bool decode_submit(const std::string& payload, SubmitRequest& m);
 std::string encode_result(const ResultFrame& m);

@@ -186,6 +186,7 @@ bool Server::service(Connection& c, short revents) {
         decode_frame(c.in, kMaxRequestBytes, frame, used);
     if (status == DecodeStatus::kCorrupt) return false;
     if (status == DecodeStatus::kEof) break;  // no whole frame to serve
+    // kOtherVersion consumed nothing; serve_frame refuses it and closes.
     c.in.erase(0, used);
     c.deadline = Clock::time_point::max();
     serve_frame(c, frame);
@@ -201,22 +202,10 @@ void Server::serve_frame(Connection& c, const Frame& frame) {
     c.out += encode_frame({FrameType::kError, encode_error({message})});
     c.closing = true;
   };
-  if (!c.greeted) {  // the first frame must be a version-matched hello
-    Hello hello;
-    if (frame.type != FrameType::kHello ||
-        !decode_hello(frame.payload, hello)) {
-      return refuse("malformed hello");
-    }
-    if (hello.version != kProtocolVersion) {
-      return refuse("protocol version mismatch: daemon speaks v" +
-                    std::to_string(kProtocolVersion) + ", client sent v" +
-                    std::to_string(hello.version));
-    }
-    c.greeted = true;
-    const HelloAck ack{kProtocolVersion, cache_.size(),
-                       net::TraceStore::global().size()};
-    c.out += encode_frame({FrameType::kHelloAck, encode_hello_ack(ack)});
-    return;
+  if (frame.version != kProtocolVersion) {
+    return refuse("protocol version mismatch (daemon v" +
+                  std::to_string(kProtocolVersion) + ", client v" +
+                  std::to_string(frame.version) + ")");
   }
   SubmitRequest request;
   if (frame.type == FrameType::kSubmit) {
@@ -251,6 +240,7 @@ void Server::serve_frame(Connection& c, const Frame& frame) {
   StatsReply reply;
   reply.uptime_ms = uptime_ms();
   reply.warm_entries = cache_.size();
+  reply.warm_traces = net::TraceStore::global().size();
   reply.sessions_served = sessions_served();
   // Since boot: seeding does not touch the cache's stats, so these are
   // the sums of the per-run hit/miss counts each ResultFrame reported.
@@ -371,7 +361,7 @@ void Server::run_job(Work& work) {
     result.report = text.str();
     result.records = report.serialized_records();
     job_span.arg("executed", result.executed)
-        .arg("cache_hits", report.cache_hits)
+        .arg("cache_hits", report.cache_hits())
         .arg("result_bytes", result.records.size());
     work.ok = true;
     work.executed = result.executed;

@@ -14,8 +14,8 @@
 // thread explores, one job at a time: each run has the pool and the
 // PersistentSimulationCache (one explore() at a time) to itself. Only the
 // loop touches connections, the job table and the log. It decodes frames
-// from each connection's input buffer as bytes arrive, answers Hello and
-// Stats at once and queues a Submit; the run thread takes the queue's
+// from each connection's input buffer as bytes arrive, answers Stats at
+// once and queues a Submit; the run thread takes the queue's
 // front and hands the encoded reply back through one slot and a wake
 // byte. Replies leave by non-blocking sends from an output buffer, and a
 // connection is not read while its submit is pending or a reply unsent,
@@ -73,8 +73,8 @@ class Server {
   // failed) jobs are dropped; queued and running jobs are never dropped,
   // and jobs_submitted still counts every job.
   static constexpr std::size_t kJobTableCap = 64;
-  // Largest client frame payload (Hello, Submit and Stats are tens of
-  // bytes): a header announcing more is corrupt, and its connection closes.
+  // Largest client frame payload (Submit and Stats are tens of bytes): a
+  // header announcing more is corrupt, and its connection closes.
   static constexpr std::uint64_t kMaxRequestBytes = 4096;
   // Open connections; the one past them reads an Error frame and a close.
   // Each has at most one unfinished job, so those always fit the table.
@@ -105,7 +105,7 @@ class Server {
     return stop_.load(std::memory_order_relaxed);
   }
 
-  // Connections fully served so far (handshake through close).
+  // Connections fully served so far (accept through close).
   std::uint64_t sessions_served() const noexcept {
     return sessions_.load(std::memory_order_relaxed);
   }
@@ -117,7 +117,6 @@ class Server {
   struct Connection {
     int fd = -1;  // -1 once closed
     std::uint64_t id = 0;
-    bool greeted = false;  // its Hello was accepted
     bool pending = false;  // its Submit is queued or running
     bool closing = false;  // close once `out` is sent
     std::string in{};      // bytes received, not yet decoded

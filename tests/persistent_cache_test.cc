@@ -289,7 +289,7 @@ TEST_F(PersistentCacheTest, WarmRerunExecutesNothingAndIsByteIdentical) {
   EXPECT_EQ(warm.persistent_stored, 0u);
   // The acceptance contract: a warm rerun executes ZERO simulations...
   EXPECT_EQ(warm.executed_simulations(), 0u);
-  EXPECT_EQ(warm.cache_misses, 0u);
+  EXPECT_EQ(warm.cache_misses(), 0u);
   // ...yet the report is byte-identical to the cold run's.
   EXPECT_EQ(warm.serialized_records(), cold.serialized_records());
   EXPECT_EQ(warm.survivors, cold.survivors);

@@ -3,13 +3,19 @@
 // flips and truncations against valid encodings; the contract under
 // attack is:
 //
-//   - decode_frame never crashes, and anything it accepts (kOk)
-//     re-encodes to EXACTLY the bytes it consumed — a mutation can only
-//     be accepted by producing another fully valid frame (e.g. a bit
-//     flip inside the payload AND a matching flip is impossible, but a
-//     type-field flip onto another valid type is legal wire).
-//   - a truncated frame is kCorrupt (torn), except length zero, which
-//     is the clean kEof.
+//   - both frame decoders (the stream one clients use and the buffer one
+//     the daemon reads its connections with) never crash, and anything
+//     they accept (kOk) re-encodes to EXACTLY the bytes consumed — a
+//     mutation can only be accepted by producing another fully valid
+//     frame (e.g. a bit flip inside the payload AND a matching flip is
+//     impossible, but a type-field flip onto another valid type is legal
+//     wire).
+//   - kOtherVersion only ever follows a flip of the version half-word,
+//     and names the version the mutated header carries.
+//   - a truncated frame is kCorrupt (torn) to the stream decoder, except
+//     length zero, which is the clean kEof; to the buffer decoder every
+//     proper prefix is kEof (not whole yet), and a header announcing
+//     more than its bound is kCorrupt before any payload arrives.
 //   - message payload codecs never crash, reject every proper prefix,
 //     and anything they accept re-encodes byte-identically (exact
 //     consumption + canonical little-endian encoding).
@@ -18,10 +24,12 @@
 // name alone; the sweep sizes keep this within tier-1 budget.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/protocol.h"
@@ -36,7 +44,9 @@ using support::Rng;
 std::vector<std::string> frame_corpus() {
   std::vector<std::string> wires;
   wires.push_back(encode_frame({FrameType::kStats, ""}));
-  wires.push_back(encode_frame({FrameType::kHello, encode_hello(Hello{})}));
+  ErrorFrame error;
+  error.message = "too many connections open; retry";
+  wires.push_back(encode_frame({FrameType::kError, encode_error(error)}));
   SubmitRequest submit;
   submit.app = "url";
   submit.packets = 5000;
@@ -64,10 +74,28 @@ std::string flip_random_bytes(const std::string& wire, Rng& rng) {
   return mutated;
 }
 
+// The version half-word of a frame's header (bytes 6 and 7).
+std::uint16_t header_version(const std::string& wire) {
+  return static_cast<std::uint16_t>(
+      static_cast<unsigned char>(wire[6]) |
+      static_cast<unsigned char>(wire[7]) << 8);
+}
+
+// A kOtherVersion outcome for `mutated`, a mutation of `wire`: only a
+// flip of the version half-word may produce one, and it names the
+// mutated version.
+void expect_other_version(const std::string& wire, const std::string& mutated,
+                          const Frame& out) {
+  ASSERT_NE(header_version(mutated), header_version(wire))
+      << "kOtherVersion without a flip of the version half-word";
+  EXPECT_EQ(out.version, header_version(mutated));
+}
+
 TEST(ServeCorruptionSweep, RandomByteFlipsNeverCrashOrMisparse) {
   const auto wires = frame_corpus();
   Rng rng(0xdd7c0de5001ULL);
   std::size_t accepted = 0;
+  std::size_t other_version = 0;
   for (int iter = 0; iter < 4000; ++iter) {
     const std::string& wire =
         wires[static_cast<std::size_t>(rng.uniform(0, wires.size() - 1))];
@@ -78,6 +106,10 @@ TEST(ServeCorruptionSweep, RandomByteFlipsNeverCrashOrMisparse) {
     const DecodeStatus status = decode_frame(is, out);
     ASSERT_NE(status, DecodeStatus::kEof)
         << "a non-empty mutated frame can never be a clean EOF";
+    if (status == DecodeStatus::kOtherVersion) {
+      expect_other_version(wire, mutated, out);
+      ++other_version;
+    }
     if (status == DecodeStatus::kOk) {
       // Acceptance is only legal when the mutation produced another
       // fully valid frame: the re-encoding must reproduce the consumed
@@ -90,8 +122,43 @@ TEST(ServeCorruptionSweep, RandomByteFlipsNeverCrashOrMisparse) {
     }
   }
   // The checksum makes acceptance rare; the sweep is only meaningful if
-  // the overwhelming majority of mutations were rejected.
+  // the overwhelming majority of mutations were rejected. It reached the
+  // version half-word too.
   EXPECT_LT(accepted, 40u);
+  EXPECT_GT(other_version, 0u);
+}
+
+TEST(ServeCorruptionSweep, BufferDecoderFlipsNeverCrashOrMisparse) {
+  const auto wires = frame_corpus();
+  Rng rng(0xdd7c0de5004ULL);
+  std::size_t accepted = 0;
+  std::size_t other_version = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    const std::string& wire =
+        wires[static_cast<std::size_t>(rng.uniform(0, wires.size() - 1))];
+    const std::string mutated = flip_random_bytes(wire, rng);
+    if (mutated == wire) continue;  // the flips cancelled out
+    Frame out;
+    std::size_t consumed = 0;
+    const DecodeStatus status =
+        decode_frame(mutated, kMaxPayloadBytes, out, consumed);
+    if (status == DecodeStatus::kEof) {
+      // Not whole yet: only a header announcing a larger payload waits.
+      ASSERT_NE(mutated.substr(8, 8), wire.substr(8, 8))
+          << "a whole frame with an intact size field read as unfinished";
+    } else if (status == DecodeStatus::kOtherVersion) {
+      expect_other_version(wire, mutated, out);
+      ++other_version;
+    } else if (status == DecodeStatus::kOk) {
+      const std::string reencoded = encode_frame(out);
+      ASSERT_EQ(consumed, reencoded.size());
+      ASSERT_EQ(reencoded, mutated.substr(0, consumed))
+          << "decode_frame accepted bytes it cannot reproduce";
+      ++accepted;
+    }
+  }
+  EXPECT_LT(accepted, 40u);
+  EXPECT_GT(other_version, 0u);
 }
 
 TEST(ServeCorruptionSweep, RandomTruncationsAreTornNeverOk) {
@@ -112,6 +179,79 @@ TEST(ServeCorruptionSweep, RandomTruncationsAreTornNeverOk) {
           << "prefix of " << keep << "/" << wire.size()
           << " bytes must be a torn frame";
     }
+  }
+}
+
+// Every proper prefix of a frame is unfinished to the daemon's reader,
+// never kOk and never corrupt: it waits for the rest.
+TEST(ServeCorruptionSweep, BufferDecoderPrefixesAreNeverOk) {
+  for (const std::string& wire : frame_corpus()) {
+    for (std::size_t keep = 0; keep < wire.size(); ++keep) {
+      Frame out;
+      std::size_t consumed = 0;
+      ASSERT_EQ(decode_frame(std::string_view(wire).substr(0, keep),
+                             kMaxPayloadBytes, out, consumed),
+                DecodeStatus::kEof)
+          << "prefix of " << keep << "/" << wire.size() << " bytes";
+    }
+  }
+}
+
+// A header announcing more than the reader's bound is corrupt from its 24
+// bytes alone; one announcing exactly the bound waits for its payload.
+TEST(ServeCorruptionSweep, BufferDecoderRefusesAnOversizedHeaderAtOnce) {
+  constexpr std::uint64_t kBound = 4096;
+  for (const std::uint64_t size :
+       {kBound, kBound + 1, kMaxPayloadBytes, ~std::uint64_t{0}}) {
+    std::string header = encode_frame({FrameType::kSubmit, ""});
+    for (int byte = 0; byte < 8; ++byte) {
+      header[8 + byte] = static_cast<char>(size >> (8 * byte));
+    }
+    Frame out;
+    std::size_t consumed = 0;
+    EXPECT_EQ(decode_frame(header, kBound, out, consumed),
+              size == kBound ? DecodeStatus::kEof : DecodeStatus::kCorrupt)
+        << size;
+  }
+}
+
+// Frames sharing a buffer decode one at a time, in order, however their
+// bytes arrive: a seeded split feeds the concatenated corpus in random
+// chunks, and the buffer is drained the way the daemon drains a
+// connection's input.
+TEST(ServeCorruptionSweep, BufferDecoderTakesOneFrameAtATime) {
+  const auto wires = frame_corpus();
+  std::string all;
+  for (const std::string& wire : wires) all += wire;
+  Rng rng(0xdd7c0de5005ULL);
+  for (int round = 0; round < 50; ++round) {
+    std::string buffer;
+    std::size_t fed = 0;
+    std::size_t next = 0;
+    while (fed < all.size() || !buffer.empty()) {
+      // Round 0 puts every frame in one buffer at once.
+      const std::size_t chunk =
+          round == 0 ? all.size()
+                     : static_cast<std::size_t>(rng.uniform(1, 64));
+      buffer += all.substr(fed, chunk);
+      fed = std::min(all.size(), fed + chunk);
+      for (;;) {
+        Frame out;
+        std::size_t consumed = 0;
+        const DecodeStatus status =
+            decode_frame(buffer, kMaxPayloadBytes, out, consumed);
+        if (status == DecodeStatus::kEof) break;
+        ASSERT_EQ(status, DecodeStatus::kOk) << "round " << round;
+        ASSERT_LT(next, wires.size());
+        ASSERT_EQ(consumed, wires[next].size()) << "frame " << next;
+        ASSERT_EQ(encode_frame(out), wires[next]) << "frame " << next;
+        buffer.erase(0, consumed);
+        ++next;
+      }
+      ASSERT_TRUE(fed < all.size() || buffer.empty())
+          << "bytes left after the last frame";
+    }
+    EXPECT_EQ(next, wires.size()) << "round " << round;
   }
 }
 
@@ -147,15 +287,6 @@ void sweep_codec(const char* name, const std::string& valid,
 TEST(ServeCorruptionSweep, PayloadCodecsRejectOrRoundTripExactly) {
   Rng rng(0xdd7c0de5003ULL);
 
-  Hello hello;
-  sweep_codec<Hello>("hello", encode_hello(hello), decode_hello,
-                     encode_hello, rng);
-
-  HelloAck hello_ack;
-  hello_ack.warm_entries = 42;
-  sweep_codec<HelloAck>("hello_ack", encode_hello_ack(hello_ack),
-                        decode_hello_ack, encode_hello_ack, rng);
-
   SubmitRequest submit;
   submit.app = "drr";
   submit.scale = 0.5;
@@ -181,6 +312,7 @@ TEST(ServeCorruptionSweep, PayloadCodecsRejectOrRoundTripExactly) {
   StatsReply stats_reply;
   stats_reply.uptime_ms = 91234;
   stats_reply.warm_entries = 61;
+  stats_reply.warm_traces = 7;
   stats_reply.sessions_served = 4;
   stats_reply.cache_hits = 1200;
   stats_reply.cache_misses = 34;

@@ -1,7 +1,8 @@
 // Wire-level contract of the serve protocol (serve/protocol.h): frame
 // round-trips through streams and socketpairs, clean-EOF vs torn-frame
-// discrimination, checksum/magic/size rejection, the exact bytes of one
-// v9 frame, a checksum every single-byte flip changes, and field-exact
+// discrimination, checksum/magic/size rejection, headers of other protocol
+// versions told apart from corrupt ones by every decoder, the exact bytes
+// of one v10 frame, a checksum every single-byte flip changes, and field-exact
 // message codec round-trips — including hostile payloads (trailing garbage,
 // truncation, absurd counts), which must decode to false, never crash.
 #include <gtest/gtest.h>
@@ -9,6 +10,8 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -49,14 +52,14 @@ TEST(ServeFrame, EmptyStreamIsCleanEof) {
 }
 
 TEST(ServeFrame, TruncatedHeaderIsCorrupt) {
-  const std::string wire = encode_frame({FrameType::kHello, "abc"});
+  const std::string wire = encode_frame({FrameType::kSubmit, "abc"});
   std::istringstream is(wire.substr(0, 10));
   Frame out;
   EXPECT_EQ(decode_frame(is, out), DecodeStatus::kCorrupt);
 }
 
 TEST(ServeFrame, TruncatedPayloadIsCorrupt) {
-  const std::string wire = encode_frame({FrameType::kHello, "abcdefgh"});
+  const std::string wire = encode_frame({FrameType::kSubmit, "abcdefgh"});
   std::istringstream is(wire.substr(0, wire.size() - 3));
   Frame out;
   EXPECT_EQ(decode_frame(is, out), DecodeStatus::kCorrupt);
@@ -71,7 +74,7 @@ TEST(ServeFrame, FlippedPayloadByteFailsChecksum) {
 }
 
 TEST(ServeFrame, WrongMagicIsCorrupt) {
-  std::string wire = encode_frame({FrameType::kHello, ""});
+  std::string wire = encode_frame({FrameType::kStats, ""});
   wire[0] ^= 0xff;
   std::istringstream is(wire);
   Frame out;
@@ -79,7 +82,7 @@ TEST(ServeFrame, WrongMagicIsCorrupt) {
 }
 
 TEST(ServeFrame, UnknownTypeIsCorrupt) {
-  std::string wire = encode_frame({FrameType::kHello, ""});
+  std::string wire = encode_frame({FrameType::kStats, ""});
   wire[4] = 99;  // type field, little-endian low byte
   std::istringstream is(wire);
   Frame out;
@@ -87,10 +90,11 @@ TEST(ServeFrame, UnknownTypeIsCorrupt) {
 }
 
 TEST(ServeFrame, RetiredTypeIsCorrupt) {
-  // 4 and 5 were the submit ack and progress tick, 8 the job-table query,
-  // 11 and 12 the shutdown request and its ack: unassigned values inside
-  // the assigned range decode like any unknown.
-  for (const std::uint32_t type : {4u, 5u, 8u, 11u, 12u}) {
+  // 1 and 2 were the handshake's hello and its ack, 4 and 5 the submit ack
+  // and progress tick, 8 the job-table query, 11 and 12 the shutdown
+  // request and its ack: unassigned values inside the assigned range
+  // decode like any unknown.
+  for (const std::uint16_t type : {1u, 2u, 4u, 5u, 8u, 11u, 12u}) {
     const std::string wire =
         encode_frame({static_cast<FrameType>(type), "payload"});
     std::istringstream is(wire);
@@ -108,7 +112,7 @@ TEST(ServeFrame, RetiredTypeIsCorrupt) {
 }
 
 TEST(ServeFrame, AbsurdSizeIsCorruptNotAllocation) {
-  std::string wire = encode_frame({FrameType::kHello, ""});
+  std::string wire = encode_frame({FrameType::kStats, ""});
   for (int i = 8; i < 16; ++i) wire[i] = '\xff';  // size field
   std::istringstream is(wire);
   Frame out;
@@ -151,8 +155,8 @@ void put_le(std::string& out, std::uint64_t v, int width) {
   }
 }
 
-TEST(ServeFrame, V9FrameBytesArePinned) {
-  ASSERT_EQ(kProtocolVersion, 9u);
+TEST(ServeFrame, V10FrameBytesArePinned) {
+  ASSERT_EQ(kProtocolVersion, 10u);
   SubmitRequest m;
   m.app = "url";
   m.scale = 0.5;  // 0x3fe0000000000000
@@ -174,11 +178,74 @@ TEST(ServeFrame, V9FrameBytesArePinned) {
 
   std::string expected;
   put_le(expected, 0x56525344u, 4);  // "DSRV"
-  put_le(expected, 3, 4);            // FrameType::kSubmit
+  put_le(expected, 3, 2);            // FrameType::kSubmit
+  put_le(expected, 10, 2);           // kProtocolVersion
   put_le(expected, payload.size(), 8);
   put_le(expected, 0x3aa925953cced141ull, 8);  // word_hash64(payload)
   expected += payload;
   EXPECT_EQ(encode_frame({FrameType::kSubmit, payload}), expected);
+}
+
+// A header with the right magic and another version is kOtherVersion,
+// naming that version, in all three decoders, whatever its other fields
+// hold: a v9 frame (its type filled the whole second word, so its version
+// half-word reads 0), a v9 frame with an unassigned type and a size past
+// every bound, and forged v9 and v999 frames.
+TEST(ServeFrame, EveryDecoderNamesAnotherVersion) {
+  // The frame every v9 connection opened with: type 1, payload u32 9.
+  std::string v9_opening;
+  std::string payload;
+  put_le(payload, 9, 4);
+  put_le(v9_opening, 0x56525344u, 4);
+  put_le(v9_opening, 1, 4);
+  put_le(v9_opening, payload.size(), 8);
+  put_le(v9_opening, support::word_hash64(payload.data(), payload.size()), 8);
+  v9_opening += payload;
+  std::string v9_junk = v9_opening;
+  v9_junk[4] = 99;
+  for (int i = 8; i < 16; ++i) v9_junk[i] = '\xff';
+  const std::vector<std::pair<std::string, std::uint16_t>> cases = {
+      {v9_opening, 0},
+      {v9_junk, 0},
+      {encode_frame({FrameType::kSubmit, "payload", 9}), 9},
+      {encode_frame({FrameType::kStats, "", 999}), 999}};
+  for (const auto& [wire, version] : cases) {
+    SCOPED_TRACE(version);
+    std::istringstream is(wire);
+    Frame out;
+    EXPECT_EQ(decode_frame(is, out), DecodeStatus::kOtherVersion);
+    EXPECT_EQ(out.version, version);
+
+    out = Frame{};
+    std::size_t consumed = 0;
+    EXPECT_EQ(decode_frame(wire, 64, out, consumed),
+              DecodeStatus::kOtherVersion);
+    EXPECT_EQ(out.version, version);
+    EXPECT_EQ(consumed, 0u);
+    // Before a whole header there is nothing to name yet.
+    EXPECT_EQ(decode_frame(std::string_view(wire).substr(0, 23), 64, out,
+                           consumed),
+              DecodeStatus::kEof);
+
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    // A current frame first: the stream stays framed up to the other one.
+    ASSERT_TRUE(send_frame(fds[0], {FrameType::kStats, ""}));
+    ASSERT_EQ(::send(fds[0], wire.data(), wire.size(), 0),
+              static_cast<ssize_t>(wire.size()));
+    EXPECT_EQ(recv_frame(fds[1], out), DecodeStatus::kOk);
+    EXPECT_EQ(out.version, kProtocolVersion);
+    EXPECT_EQ(recv_frame(fds[1], out), DecodeStatus::kOtherVersion);
+    EXPECT_EQ(out.version, version);
+    ::close(fds[0]);
+    ::close(fds[1]);
+  }
+  // A bad magic is corrupt whatever the version half-word holds.
+  std::string wire = encode_frame({FrameType::kStats, "", 999});
+  wire[0] ^= 0x01;
+  std::istringstream is(wire);
+  Frame out;
+  EXPECT_EQ(decode_frame(is, out), DecodeStatus::kCorrupt);
 }
 
 // Every single-byte flip of a payload changes its checksum, and the frame
@@ -228,32 +295,6 @@ TEST(ServeFrame, EveryByteFlipChangesTheChecksum) {
         << "offset " << at;
     flipped[at] = payload[at];
   }
-}
-
-TEST(ServeMessages, HelloRoundTripAndVersion) {
-  Hello in;
-  in.version = 7;
-  Hello out;
-  ASSERT_TRUE(decode_hello(encode_hello(in), out));
-  EXPECT_EQ(out.version, 7u);
-  EXPECT_FALSE(decode_hello("", out));                      // truncated
-  EXPECT_FALSE(decode_hello(encode_hello(in) + "x", out));  // trailing
-}
-
-TEST(ServeMessages, HelloAckRoundTrip) {
-  HelloAck in;
-  in.warm_entries = 165;
-  in.warm_traces = 5;
-  const std::string wire = encode_hello_ack(in);
-  // v6 layout: u32 version, u64 warm_entries, u64 warm_traces.
-  EXPECT_EQ(wire.size(), 4u + 8u + 8u);
-  HelloAck out;
-  ASSERT_TRUE(decode_hello_ack(wire, out));
-  EXPECT_EQ(out.version, kProtocolVersion);
-  EXPECT_EQ(out.warm_entries, 165u);
-  EXPECT_EQ(out.warm_traces, 5u);
-  // A v5 ack (one more f64) is trailing garbage to a v6 peer.
-  EXPECT_FALSE(decode_hello_ack(wire + std::string(8, '\0'), out));
 }
 
 TEST(ServeMessages, SubmitRoundTripAllFields) {
@@ -306,16 +347,41 @@ TEST(ServeMessages, ResultRoundTripKeepsRecordsByteExact) {
             8u + (8u + 5u) + 8u + (8u + in.report.size()) + (8u + 31u));
 }
 
+TEST(ServeMessages, StatsReplyRoundTripsWarmTraces) {
+  StatsReply in;
+  in.uptime_ms = 1500;
+  in.warm_entries = 165;
+  in.warm_traces = 5;
+  in.sessions_served = 3;
+  in.cache_hits = 11;
+  in.cache_misses = 165;
+  in.jobs_submitted = 1;
+  in.jobs.push_back({1, "url", "done", 165, 2, 3, 40});
+  const std::string wire = encode_stats_reply(in);
+  // v10 layout: seven u64 counters (warm_traces after warm_entries), a
+  // u64 row count, then the rows.
+  EXPECT_EQ(wire.size(), 8u * 8u + (8u + (8u + 3u) + (8u + 4u) + 4u * 8u));
+  StatsReply out;
+  ASSERT_TRUE(decode_stats_reply(wire, out));
+  EXPECT_EQ(out.warm_entries, 165u);
+  EXPECT_EQ(out.warm_traces, 5u);
+  EXPECT_EQ(out.sessions_served, 3u);
+  EXPECT_EQ(out.jobs_submitted, 1u);
+  ASSERT_EQ(out.jobs.size(), 1u);
+  EXPECT_EQ(out.jobs[0].finish_ms, 40u);
+  EXPECT_EQ(encode_stats_reply(out), wire);
+}
+
 TEST(ServeMessages, StatsReplyRowCountAllocatesNothing) {
-  // Six counters and a row count claiming 2^20 rows, with no rows: 56
+  // Seven counters and a row count claiming 2^20 rows, with no rows: 64
   // bytes that must fail to decode without a job table sized by the
   // count (2^20 JobStats would be over 100 MB).
   for (const std::uint64_t count : {std::uint64_t{1} << 20,
                                     std::uint64_t{1} << 40}) {
     std::string payload;
-    for (int i = 0; i < 6; ++i) support::append_u64(payload, 1);
+    for (int i = 0; i < 7; ++i) support::append_u64(payload, 1);
     support::append_u64(payload, count);
-    ASSERT_EQ(payload.size(), 56u);
+    ASSERT_EQ(payload.size(), 64u);
     StatsReply out;
     EXPECT_FALSE(decode_stats_reply(payload, out));
     EXPECT_LT(out.jobs.capacity(), 16u) << count;

@@ -118,13 +118,16 @@ if(NOT cold_bytes STREQUAL warm_bytes)
   fail("warm resubmission records differ from the cold run's")
 endif()
 
-# 4. The job table knows both submissions.
+# 4. The job table knows both submissions, and the daemon holds the
+#    study's traces warm.
 run_cli(TRUE stats_out stats --socket ${SOCKET})
 if(NOT stats_out MATCHES "jobs submitted +2 *\n"
    OR NOT stats_out MATCHES "\n1 +url +done "
    OR NOT stats_out MATCHES "\n2 +url +done "
-   OR NOT stats_out MATCHES "cache hits")
-  fail("stats does not list 2 done url jobs and the cache hits:\n${stats_out}")
+   OR NOT stats_out MATCHES "cache hits"
+   OR NOT stats_out MATCHES "\nwarm traces +[1-9]")
+  fail("stats does not list 2 done url jobs, the cache hits and the warm "
+       "traces:\n${stats_out}")
 endif()
 
 # 5. SIGTERM drains the daemon: socket removed, the trace written on the
@@ -171,7 +174,7 @@ if(NOT cold_bytes STREQUAL restart_bytes)
   fail("the restarted daemon's records differ from the cold run's")
 endif()
 if(NOT restart_out_stdout MATCHES
-   "\njob [0-9]+ \\(URL\\):\n(.*)wrote result records to ")
+   "^job [0-9]+ \\(URL\\):\n(.*)wrote result records to ")
   fail("submit output lacks its job line or log line:\n${restart_out}")
 endif()
 set(daemon_report "${CMAKE_MATCH_1}")

@@ -4,20 +4,21 @@
 // check: a second identical submission executes ZERO simulations and
 // returns byte-identical result records — the warm-cache guarantee,
 // verified through the full client -> daemon -> client round trip. Also:
-// one reply frame per submit (no frame before the Result, none after it),
-// job table (bounded to the newest Server::kJobTableCap jobs),
-// version-mismatch refusal and an oversized packet count each answered
-// with an Error frame, a retired frame type closing only its own
-// connection, a throwing kernel leaving its
-// job `failed` while the daemon serves on, a malformed Error frame
-// reported as such by the client, idle traces bounded across many
-// distinct submissions, closed connections costing nothing (bounded
-// virtual memory over many connections), the loop's bounds (an oversized
-// header commits no memory, half a frame is closed at its deadline, the
-// connection past the cap reads an Error frame), stats answered while a
-// job runs, a stop waking the loop at once (from another thread or a
-// signal handler), and a drain by request_stop() (socket removed, cache
-// file warm for the next daemon).
+// one reply frame per submit, even as a connection's first frame (no
+// frame before the Result, none after it), job table (bounded to the
+// newest Server::kJobTableCap jobs), frames of another protocol version
+// and an oversized packet count each answered with an Error frame, a
+// retired frame type closing only its own connection, a throwing kernel
+// leaving its job `failed` while the daemon serves on, a malformed Error
+// frame and a reply of another version reported as such by the client,
+// idle traces bounded across many distinct submissions, closed
+// connections costing nothing (bounded virtual memory over many
+// connections), the loop's bounds (an oversized header commits no
+// memory, half a frame is closed at its deadline, the connection past
+// the cap reads an Error frame, and a Client past it learns why on its
+// first request), stats answered while a job runs, a stop waking the
+// loop at once (from another thread or a signal handler), and a drain by
+// request_stop() (socket removed, cache file warm for the next daemon).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -183,8 +184,31 @@ class ServeTest : public ::testing::Test {
     server_.reset();
   }
 
-  // A raw connection to the daemon, before any handshake: for frames the
-  // Client would never send.
+  // A scripted peer in place of the daemon: it accepts one connection,
+  // reads one frame and answers it with `reply`, raw bytes.
+  std::thread scripted_peer(std::string reply) {
+    const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    EXPECT_GE(listener, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    socket_.copy(addr.sun_path, sizeof(addr.sun_path) - 1);
+    EXPECT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    EXPECT_EQ(::listen(listener, 1), 0);
+    return std::thread([listener, reply = std::move(reply)] {
+      const int fd = ::accept(listener, nullptr, nullptr);
+      Frame frame;
+      if (fd >= 0 && recv_frame(fd, frame) == DecodeStatus::kOk) {
+        ::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+      }
+      if (fd >= 0) ::close(fd);
+      ::close(listener);
+    });
+  }
+
+  // A raw connection to the daemon: for frames the Client would never
+  // send, and to read exactly the frames the daemon sends.
   int raw_connect() const {
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     EXPECT_GE(fd, 0);
@@ -209,7 +233,7 @@ TEST_F(ServeTest, WarmResubmissionExecutesZeroAndIsByteIdentical) {
   std::string cold_records;
   {
     Client client(socket_);
-    EXPECT_EQ(client.hello().warm_entries, 0u);
+    EXPECT_EQ(client.stats().warm_entries, 0u);
     const ResultFrame cold = client.submit(tiny_url_request());
     EXPECT_GT(cold.executed, 0u);
     EXPECT_EQ(report_count(cold.report, "executed simulations:"),
@@ -225,7 +249,7 @@ TEST_F(ServeTest, WarmResubmissionExecutesZeroAndIsByteIdentical) {
   // The acceptance check: same submission, new connection — the daemon's
   // warm cache replays everything.
   Client client(socket_);
-  EXPECT_GT(client.hello().warm_entries, 0u);
+  EXPECT_GT(client.stats().warm_entries, 0u);
   const ResultFrame warm = client.submit(tiny_url_request());
   EXPECT_EQ(warm.executed, 0u);
   EXPECT_NE(warm.report.find("(cache hit rate 100.0%)"), std::string::npos)
@@ -235,14 +259,13 @@ TEST_F(ServeTest, WarmResubmissionExecutesZeroAndIsByteIdentical) {
 
 TEST_F(ServeTest, SubmitIsAnsweredByOneResultFrame) {
   start_server();
+  // The connection's first frame is the submit, and the first frame back
+  // is its result.
   const int fd = raw_connect();
-  ASSERT_TRUE(send_frame(fd, {FrameType::kHello, encode_hello(Hello{})}));
-  Frame reply;
-  ASSERT_EQ(recv_frame(fd, reply), DecodeStatus::kOk);
-  ASSERT_EQ(reply.type, FrameType::kHelloAck);
-
+  bound_reads(fd);
   ASSERT_TRUE(send_frame(
       fd, {FrameType::kSubmit, encode_submit(tiny_url_request())}));
+  Frame reply;
   ASSERT_EQ(recv_frame(fd, reply), DecodeStatus::kOk);
   ASSERT_EQ(reply.type, FrameType::kResult);
   ResultFrame result;
@@ -322,62 +345,61 @@ TEST_F(ServeTest, RejectsUnknownAppAndBadKnobs) {
   EXPECT_FALSE(ok.records.empty());
 }
 
-TEST_F(ServeTest, RefusesVersionMismatchedHello) {
+TEST_F(ServeTest, RefusesFramesOfAnotherVersion) {
   start_server();
-  // Raw connections: an older client (v4 still sent a Stats payload, v7
-  // metric names in its submit) or a future one speaking v999 must get an
-  // Error frame, never a misparse.
-  for (const std::uint32_t version :
-       {std::uint32_t{4}, std::uint32_t{7}, std::uint32_t{999}}) {
+  // Raw connections: a v9 client (its header's version half-word is part
+  // of the type word, so it reads 0), a frame claiming v9, and a future
+  // client speaking v999 each get an Error frame naming both versions,
+  // then a close; never a misparse, and no job starts.
+  for (const std::uint16_t version :
+       {std::uint16_t{0}, std::uint16_t{9}, std::uint16_t{999}}) {
     const int fd = raw_connect();
-    Hello hello;
-    hello.version = version;
-    ASSERT_TRUE(send_frame(fd, {FrameType::kHello, encode_hello(hello)}));
+    bound_reads(fd);
+    ASSERT_TRUE(send_frame(
+        fd, {FrameType::kSubmit, encode_submit(tiny_url_request()), version}));
     Frame reply;
     ASSERT_EQ(recv_frame(fd, reply), DecodeStatus::kOk);
     EXPECT_EQ(reply.type, FrameType::kError);
     ErrorFrame error;
     ASSERT_TRUE(decode_error(reply.payload, error));
-    EXPECT_NE(error.message.find("version"), std::string::npos);
+    EXPECT_EQ(error.message, "protocol version mismatch (daemon v" +
+                                 std::to_string(kProtocolVersion) +
+                                 ", client v" + std::to_string(version) + ")");
+    EXPECT_EQ(recv_frame(fd, reply), DecodeStatus::kEof);
     ::close(fd);
   }
 
-  // A well-versed client still gets in afterwards.
+  // A current client is still served afterwards.
   Client client(socket_);
-  EXPECT_EQ(client.hello().version, kProtocolVersion);
+  EXPECT_FALSE(client.submit(tiny_url_request()).records.empty());
+  EXPECT_EQ(client.stats().jobs_submitted, 1u);
 }
 
 TEST_F(ServeTest, RetiredFrameTypesCloseTheConnectionAndTheDaemonServesOn) {
   start_server();
   // Types 4 and 5 were the submit ack and progress tick of protocol v6,
   // 8 the job-table query of v3, 10 the result re-fetch of v5 and 11 and
-  // 12 the shutdown request and its ack of v7. None is assigned, so each
-  // is a corrupt frame: the daemon closes that connection without a
-  // reply. An assigned type the daemon does not
-  // serve (a HelloAck from a client) gets an Error frame.
-  const auto handshake = [this] {
+  // 12 the shutdown request and its ack of v7, and 1 and 2 the handshake
+  // of v2-v9. None is assigned, so each is a corrupt frame: the daemon
+  // closes that connection without a reply. An assigned type the daemon
+  // does not serve (a Result from a client) gets an Error frame.
+  for (const std::uint16_t type : {1u, 2u, 4u, 5u, 8u, 10u, 11u, 12u}) {
     const int fd = raw_connect();
-    EXPECT_TRUE(send_frame(fd, {FrameType::kHello, encode_hello(Hello{})}));
-    Frame reply;
-    EXPECT_EQ(recv_frame(fd, reply), DecodeStatus::kOk);
-    EXPECT_EQ(reply.type, FrameType::kHelloAck);
-    return fd;
-  };
-  for (const std::uint32_t type : {4u, 5u, 8u, 10u, 11u, 12u}) {
-    const int fd = handshake();
+    bound_reads(fd);
     ASSERT_TRUE(send_frame(fd, {static_cast<FrameType>(type), ""}));
     Frame reply;
     EXPECT_EQ(recv_frame(fd, reply), DecodeStatus::kEof) << "type " << type;
     ::close(fd);
   }
-  const int fd = handshake();
-  ASSERT_TRUE(send_frame(fd, {FrameType::kHelloAck, ""}));
+  const int fd = raw_connect();
+  bound_reads(fd);
+  ASSERT_TRUE(send_frame(fd, {FrameType::kResult, ""}));
   Frame reply;
   ASSERT_EQ(recv_frame(fd, reply), DecodeStatus::kOk);
   EXPECT_EQ(reply.type, FrameType::kError);
   ErrorFrame error;
   ASSERT_TRUE(decode_error(reply.payload, error));
-  EXPECT_NE(error.message.find("unexpected frame type 2"), std::string::npos)
+  EXPECT_NE(error.message.find("unexpected frame type 6"), std::string::npos)
       << error.message;
   ::close(fd);
 
@@ -424,29 +446,10 @@ TEST_F(ServeTest, FailingKernelMarksTheJobFailedAndTheDaemonServesOn) {
 }
 
 TEST_F(ServeTest, MalformedErrorFrameMidRunIsReportedAsMalformed) {
-  // A scripted peer, not the daemon: it answers the handshake, then
-  // answers the submit with an Error frame whose payload does not decode.
-  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(listener, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  socket_.copy(addr.sun_path, sizeof(addr.sun_path) - 1);
-  ASSERT_EQ(
-      ::bind(listener, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
-      0);
-  ASSERT_EQ(::listen(listener, 1), 0);
-  std::thread peer([listener] {
-    const int fd = ::accept(listener, nullptr, nullptr);
-    if (fd < 0) return;
-    Frame frame;
-    if (recv_frame(fd, frame) == DecodeStatus::kOk) {
-      send_frame(fd, {FrameType::kHelloAck, encode_hello_ack(HelloAck{})});
-    }
-    if (recv_frame(fd, frame) == DecodeStatus::kOk) {
-      send_frame(fd, {FrameType::kError, "\x01"});  // a cut-off length
-    }
-    ::close(fd);
-  });
+  // A scripted peer, not the daemon: it answers the submit with an Error
+  // frame whose payload does not decode.
+  std::thread peer =
+      scripted_peer(encode_frame({FrameType::kError, "\x01"}));  // cut off
   try {
     Client client(socket_);
     client.submit(tiny_url_request());
@@ -455,7 +458,21 @@ TEST_F(ServeTest, MalformedErrorFrameMidRunIsReportedAsMalformed) {
     EXPECT_STREQ(error.what(), "serve client: malformed error frame");
   }
   peer.join();
-  ::close(listener);
+}
+
+TEST_F(ServeTest, AReplyOfAnotherVersionNamesBothVersions) {
+  // A scripted daemon from the future answers with a v999 frame.
+  std::thread peer = scripted_peer(
+      encode_frame({FrameType::kStatsReply, encode_stats_reply({}), 999}));
+  try {
+    Client(socket_).stats();
+    ADD_FAILURE() << "a v999 reply was parsed";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "serve client: protocol version mismatch (daemon v999, "
+              "client v" + std::to_string(kProtocolVersion) + ")");
+  }
+  peer.join();
 }
 
 TEST_F(ServeTest, StatsReportsSinceBootCountersAndJobTimestamps) {
@@ -493,7 +510,7 @@ TEST_F(ServeTest, OversizedPacketCountIsRejectedBeforeAnyJobStarts) {
   start_server();
   Client client(socket_);
   // The trace store is process-wide: other tests may have filled it.
-  const std::uint64_t traces_before = client.hello().warm_traces;
+  const std::uint64_t traces_before = client.stats().warm_traces;
   // An unbounded override would have the daemon build a trace of that
   // many packets, holding run_mu_ against every other job meanwhile.
   for (const std::uint64_t packets :
@@ -517,7 +534,7 @@ TEST_F(ServeTest, OversizedPacketCountIsRejectedBeforeAnyJobStarts) {
   EXPECT_EQ(stats.jobs_submitted, 0u);
   EXPECT_TRUE(stats.jobs.empty());
   EXPECT_EQ(stats.cache_misses, 0u);
-  EXPECT_EQ(Client(socket_).hello().warm_traces, traces_before);
+  EXPECT_EQ(stats.warm_traces, traces_before);
 }
 
 TEST_F(ServeTest, IdleTracesAreBoundedAndTheNewestStayWarm) {
@@ -533,8 +550,7 @@ TEST_F(ServeTest, IdleTracesAreBoundedAndTheNewestStayWarm) {
     request.seed_offset = offset;
     EXPECT_GT(client.submit(request).executed, 0u) << "offset " << offset;
   }
-  EXPECT_LE(Client(socket_).hello().warm_traces,
-            net::TraceStore::kRetain);
+  EXPECT_LE(client.stats().warm_traces, net::TraceStore::kRetain);
   // The newest offset's traces and records are still warm.
   EXPECT_EQ(client.submit(request).executed, 0u);
 }
@@ -604,10 +620,11 @@ TEST_F(ServeTest, HalfAFrameIsClosedAtItsDeadlineWhileOthersAreServed) {
   start_server();
   const int stalled = raw_connect();
   bound_reads(stalled);
-  const std::string hello = encode_frame({FrameType::kHello, encode_hello({})});
+  const std::string submit =
+      encode_frame({FrameType::kSubmit, encode_submit(tiny_url_request())});
   const auto sent_at = std::chrono::steady_clock::now();
-  ASSERT_EQ(::send(stalled, hello.data(), hello.size() / 2, MSG_NOSIGNAL),
-            static_cast<ssize_t>(hello.size() / 2));
+  ASSERT_EQ(::send(stalled, submit.data(), submit.size() / 2, MSG_NOSIGNAL),
+            static_cast<ssize_t>(submit.size() / 2));
 
   Client client(socket_);
   EXPECT_FALSE(client.submit(tiny_url_request()).records.empty());
@@ -642,6 +659,26 @@ TEST_F(ServeTest, TheConnectionPastTheCapReadsAnErrorFrame) {
   // A closed connection frees its slot.
   clients.pop_back();
   EXPECT_EQ(Client(socket_).stats().jobs_submitted, 0u);
+}
+
+TEST_F(ServeTest, AClientPastTheCapIsToldWhyOnItsFirstRequest) {
+  start_server();
+  std::vector<std::unique_ptr<Client>> clients;
+  for (std::size_t i = 0; i < Server::kMaxConnections; ++i) {
+    clients.push_back(std::make_unique<Client>(socket_));
+  }
+  // Connecting only connects, so the refusal shows on the first request:
+  // whether its send beats the daemon's close or fails with EPIPE after
+  // it, the client reads the Error frame the daemon left.
+  Client extra(socket_);
+  try {
+    extra.stats();
+    ADD_FAILURE() << "a client past the cap was served";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "daemon: too many connections open; retry");
+  }
+  // The clients inside the cap are served.
+  EXPECT_EQ(clients.back()->stats().jobs_submitted, 0u);
 }
 
 TEST_F(ServeTest, StatsIsAnsweredWhileAJobRuns) {
@@ -694,7 +731,7 @@ TEST_F(ServeTest, StatsIsAnsweredWhileAJobRuns) {
 }
 
 TEST_F(ServeTest, StopWakesTheAcceptLoopAtOnce) {
-  // Each stop lands while the loop is parked in poll: the handshake
+  // Each stop lands while the loop is parked in poll: a stats round trip
   // proves it accepted, and with no frame begun it polls with no
   // timeout. A timed poll would make every stop wait out part of it.
   const auto start = std::chrono::steady_clock::now();
@@ -749,7 +786,7 @@ TEST_F(ServeTest, ShutdownDrainsFlushesAndLeavesWarmCacheOnDisk) {
   // replays the study byte-identically with zero executed simulations.
   start_server();
   Client client(socket_);
-  EXPECT_GT(client.hello().warm_entries, 0u);
+  EXPECT_GT(client.stats().warm_entries, 0u);
   const ResultFrame warm = client.submit(tiny_url_request());
   EXPECT_EQ(warm.executed, 0u);
   EXPECT_EQ(warm.records, cold_records);

@@ -482,9 +482,6 @@ int cmd_submit(const CommandLine& args) {
   request.survivor_cap = args.number("survivor-cap").value_or(0.0);
 
   serve::Client client(*args.text("socket"));
-  std::cout << "daemon: " << client.hello().warm_entries
-            << " warm records, " << client.hello().warm_traces
-            << " warm traces\n";
   const serve::ResultFrame result = client.submit(request);
   std::cout << "job " << result.job_id << " (" << result.app << "):\n"
             << result.report;
@@ -510,6 +507,7 @@ int cmd_stats(const CommandLine& args) {
                  support::format_double(
                      static_cast<double>(reply.uptime_ms) / 1000.0, 3)});
   table.add_row({"warm records", std::to_string(reply.warm_entries)});
+  table.add_row({"warm traces", std::to_string(reply.warm_traces)});
   table.add_row({"sessions served", std::to_string(reply.sessions_served)});
   table.add_row({"cache hits (boot)", std::to_string(reply.cache_hits)});
   table.add_row({"cache misses (boot)", std::to_string(reply.cache_misses)});
